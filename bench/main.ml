@@ -23,18 +23,10 @@
                      with -j the sweep cost lands in the prefetch, so
                      per-figure wall times in --timings/--json shrink to
                      render time)
-     --par-domains N intra-compile shared-memory parallelism for the
-                     bechamel pseudo-experiment: one Par pool of N
-                     domains is opened around the whole bechamel run
-                     and extra "<bench>/<test>-parN" rows time the
-                     parallel partitioning paths next to the
-                     sequential ones (default 1 = no par rows)
      --check-partitioner FILE
                      regression gate on the bechamel ns/run rows of a
                      committed gdp-bench/1 snapshot (runs bechamel
-                     first if it did not run this invocation; pass the
-                     same --par-domains the baseline was recorded with
-                     or its par rows count as disappeared)
+                     first if it did not run this invocation)
 
    When only report/baseline/check/check-partitioner flags are given,
    the figure sweep is skipped — the gates run on their own.
@@ -110,11 +102,8 @@ let ablate_hetero () =
 let bechamel_benches = [ "rawcaudio"; "fir"; "mpeg2enc" ]
 
 (** Run the bechamel suite; returns [(test name, ns/run estimate)] rows,
-    sorted by name ([None] when OLS produced no estimate).  With [pool]
-    (opened once by the caller so staged closures never pay a domain
-    spawn), every test gets a parallel twin suffixed [-parN] driving
-    the same work through the pool. *)
-let bechamel_results ?pool () : (string * float option) list =
+    sorted by name ([None] when OLS produced no estimate). *)
+let bechamel_results () : (string * float option) list =
   let open Bechamel in
   let machine =
     Machine_spec.resolve (Machine_spec.of_legacy ~clusters:2 ~move_latency:5)
@@ -158,35 +147,7 @@ let bechamel_results ?pool () : (string * float option) list =
                      (Graphpart.Partitioner.kway ~config:pcfg graph ~nparts:4)));
           ]
         in
-        let par_tests =
-          match pool with
-          | None -> []
-          | Some pool ->
-              let d = Par.parallelism pool in
-              List.map
-                (fun m ->
-                  Test.make
-                    ~name:
-                      (Fmt.str "%s/%s-par%d" name (Partition.Methods.name m) d)
-                    (Staged.stage (fun () ->
-                         ignore (Partition.Methods.run ~pool m ctx))))
-                Partition.Methods.all
-              @ [
-                  Test.make
-                    ~name:(Fmt.str "%s/partitioner-bisect-par%d" name d)
-                    (Staged.stage (fun () ->
-                         ignore
-                           (Graphpart.Partitioner.bisect ~config:pcfg ~pool
-                              graph)));
-                  Test.make
-                    ~name:(Fmt.str "%s/partitioner-kway4-par%d" name d)
-                    (Staged.stage (fun () ->
-                         ignore
-                           (Graphpart.Partitioner.kway ~config:pcfg ~pool graph
-                              ~nparts:4)));
-                ]
-        in
-        method_tests @ partitioner_tests @ par_tests)
+        method_tests @ partitioner_tests)
       prepared
   in
   let test = Test.make_grouped ~name:"partitioning" ~fmt:"%s %s" tests in
@@ -226,43 +187,30 @@ let render_bechamel rows =
    bechamel ns/run estimates.  BENCH_partitioner.json at the repo root
    is a committed snapshot of this output tracking the perf trajectory. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path ~(timings : (string * float) list)
     ~(bechamel : (string * float option) list) =
-  let oc = open_out path in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n  \"schema\": \"gdp-bench/1\",\n";
-  pf "  \"experiments\": [";
-  List.iteri
-    (fun i (name, secs) ->
-      pf "%s\n    {\"name\": \"%s\", \"seconds\": %.6f}"
-        (if i = 0 then "" else ",")
-        (json_escape name) secs)
-    timings;
-  pf "\n  ],\n";
-  pf "  \"bechamel\": [";
-  List.iteri
-    (fun i (name, est) ->
-      pf "%s\n    {\"name\": \"%s\", \"ns_per_run\": %s}"
-        (if i = 0 then "" else ",")
-        (json_escape name)
-        (match est with Some e -> Printf.sprintf "%.1f" e | None -> "null"))
-    bechamel;
-  pf "\n  ]\n}\n";
-  close_out oc;
+  (* round to microseconds and whole nanoseconds: finer digits are noise *)
+  let seconds s = Minijson.float (Float.round (s *. 1e6) /. 1e6) in
+  let ns = Minijson.option (fun e -> Minijson.float (Float.round e)) in
+  Minijson.write_rows path
+    (Minijson.obj
+       [
+         ("schema", Minijson.str "gdp-bench/1");
+         ( "experiments",
+           Minijson.list
+             (List.map
+                (fun (name, secs) ->
+                  Minijson.obj
+                    [ ("name", Minijson.str name); ("seconds", seconds secs) ])
+                timings) );
+         ( "bechamel",
+           Minijson.list
+             (List.map
+                (fun (name, est) ->
+                  Minijson.obj
+                    [ ("name", Minijson.str name); ("ns_per_run", ns est) ])
+                bechamel) );
+       ]);
   Fmt.pr "wrote %s@." path
 
 let experiments =
@@ -327,11 +275,8 @@ let gate_worker (payload : Minijson.t) : Minijson.t =
   with
   | Some name, Some move_latency -> (
       let b = Benchsuite.Suite.find name in
-      let e = Gdp_report.Explain.explain_bench ~move_latency b in
-      let doc = Format.asprintf "%a" Gdp_report.Explain.to_json [ e ] in
-      match Minijson.parse doc with
-      | Ok v -> v
-      | Error m -> failwith ("attribution document did not re-parse: " ^ m))
+      Gdp_report.Explain.to_json
+        [ Gdp_report.Explain.explain_bench ~move_latency b ])
   | _ -> failwith "malformed gate job payload"
 
 let gate_rows ~jobs ~move_latency : Gdp_report.Regress.row list =
@@ -400,14 +345,6 @@ let run_check_partitioner ~(rows : (string * float option) list) path : bool =
         false
       end
 
-let write_text_file path render =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  render ppf;
-  Format.pp_print_flush ppf ();
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 (** Returns [false] when the regression gate failed. *)
 let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
   (match report with
@@ -420,8 +357,9 @@ let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
   | None -> ());
   (match baseline with
   | Some path ->
-      let es = explanations ~move_latency:attrib_latency in
-      write_text_file path (fun ppf -> Gdp_report.Explain.to_json ppf es)
+      Minijson.write_rows path
+        (Gdp_report.Explain.to_json (explanations ~move_latency:attrib_latency));
+      Fmt.pr "wrote %s@." path
   | None -> ());
   match check with
   | None -> true
@@ -457,7 +395,6 @@ let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs = ref 1 in
-  let par_domains = ref 1 in
   let check_part = ref None in
   let rec parse_flags timings trace json report baseline check tolerance =
     function
@@ -518,17 +455,6 @@ let () =
     | [ ("-j" | "--jobs") ] ->
         Fmt.epr "-j needs a worker count argument@.";
         exit 1
-    | "--par-domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            par_domains := n;
-            parse_flags timings trace json report baseline check tolerance rest
-        | _ ->
-            Fmt.epr "--par-domains needs a positive domain count@.";
-            exit 1)
-    | [ "--par-domains" ] ->
-        Fmt.epr "--par-domains needs a domain count argument@.";
-        exit 1
     | rest -> (timings, trace, json, report, baseline, check, tolerance, rest)
   in
   let timings, trace, json, report, baseline, check, tolerance, args =
@@ -536,7 +462,6 @@ let () =
   in
   let jobs = !jobs in
   sweep_jobs := jobs;
-  let par_domains = !par_domains in
   let check_part = !check_part in
   let attrib_only =
     args = []
@@ -547,14 +472,7 @@ let () =
   (* bechamel rows collected if the pseudo-experiment ran this invocation *)
   let bech = ref [] in
   let run_bechamel () =
-    let rows =
-      if par_domains >= 2 then
-        (* one pool for the whole suite: domain spawn/teardown happens
-           here, never inside a staged closure *)
-        Par.with_pool ~domains:par_domains (fun pool ->
-            bechamel_results ~pool ())
-      else bechamel_results ()
-    in
+    let rows = bechamel_results () in
     bech := rows;
     render_bechamel rows
   in
@@ -567,9 +485,6 @@ let () =
     (match json with
     | Some path -> write_json path ~timings:rows ~bechamel:!bech
     | None -> ());
-    (* the attribution gate forks worker processes (-j) and must run
-       before the partitioner gate can spawn any domain: once a process
-       has created a domain, OCaml 5 forbids Unix.fork for good *)
     let attrib_ok = run_attrib ~jobs ~report ~baseline ~check ~tolerance in
     let part_ok =
       match check_part with

@@ -373,11 +373,8 @@ let par_domains_arg =
     & info [ "par-domains" ] ~docv:"N"
         ~doc:
           "Domains for intra-compile parallelism inside the partitioning \
-           passes.  1 (the default) is the sequential pipeline with \
-           byte-identical output to previous releases; N >= 2 switches to \
-           the deterministic parallel drivers, whose output is identical \
-           for every N >= 2 (on any machine) but may differ from the \
-           sequential one for the gdp method.")
+           passes (default 1).  Only wall clock depends on N: the output \
+           is identical for every N, on any machine.")
 
 let partition_cmd =
   let run obs file input method_ latency clusters machine_name par_domains
@@ -816,9 +813,8 @@ let serve_cmd =
       & info [ "par-domains" ] ~docv:"N"
           ~doc:
             "Cap the domains any single job's intra-compile parallelism \
-             (settings field par_domains) may actually use.  An \
-             execution-width limit for loaded hosts; artifacts never \
-             depend on it.")
+             (settings field par_domains) may actually use: a limit for \
+             loaded hosts.  Artifacts never depend on it.")
   in
   let events_arg =
     Arg.(

@@ -35,9 +35,8 @@ let par_workers_arg =
     & info [ "par-domains" ] ~docv:"N"
         ~doc:
           "Cap the domains any single job's intra-compile parallelism \
-           (settings field par_domains) may actually use.  An \
-           execution-width limit for loaded hosts; artifacts never depend \
-           on it.")
+           (settings field par_domains) may actually use: a limit for \
+           loaded hosts.  Artifacts never depend on it.")
 
 let cache_arg =
   Arg.(

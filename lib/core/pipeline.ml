@@ -144,30 +144,18 @@ type evaluation = {
   report : Vliw_sched.Perf.report;
 }
 
-(* Scope a [Par] pool around one method run when [par_domains >= 2];
-   [par_domains = 1] (the default everywhere) never touches [Par] and
-   stays byte-identical to the historical sequential pipeline.  The pool
-   lives exactly as long as the partitioning work: it is torn down
-   before control returns to callers that may fork ([Exec] pools),
-   because worker domains do not survive [fork]. *)
-(* [workers] caps the execution width only (how many domains actually
-   run); the semantic request [par_domains] — the only thing artifacts
-   may depend on — is untouched, so a capped run produces the same
-   output, just slower.  See the [Par] interface notes. *)
-let with_opt_pool ?workers par_domains f =
-  if par_domains >= 2 then
-    Par.with_pool ?workers ~domains:par_domains (fun pool -> f (Some pool))
-  else f None
-
 (* Run one method and price it under the cycle model — the shared core
    behind [run] and the [evaluate] wrapper. *)
 let evaluate_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
     (ctx : Methods.context) method_ : evaluation =
   Telemetry.with_span "evaluate" ~args:[ ("method", Methods.name method_) ]
     (fun () ->
+      (* the pool lives exactly as long as the partitioning work: it is
+         torn down before control returns to callers that may fork
+         ([Exec] pools), because worker domains do not survive [fork] *)
       let outcome =
-        with_opt_pool ?workers:par_workers par_domains (fun pool ->
-            Methods.run ?rhop_config ?gdp_config ?pool method_ ctx)
+        Par.with_pool ?workers:par_workers ~domains:par_domains (fun pool ->
+            Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
       in
       let report = Methods.evaluate ctx outcome in
       { outcome; report })
@@ -251,8 +239,8 @@ let checked_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
       ~args:[ ("method", Methods.name method_) ]
       (fun () ->
         let outcome =
-          with_opt_pool ?workers:par_workers par_domains (fun pool ->
-              Methods.run ?rhop_config ?gdp_config ?pool method_ ctx)
+          Par.with_pool ?workers:par_workers ~domains:par_domains (fun pool ->
+              Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
         in
         Vliw_sched.Assignment.validate
           outcome.Methods.clustered.Vliw_sched.Move_insert.cassign
@@ -355,27 +343,16 @@ module Settings = struct
     gdp : Partition.Gdp.config option;
     par_domains : int;
         (** intra-compile parallelism: domains used by the partitioning
-            passes.  1 (the default) is the historical sequential
-            pipeline, byte-identical artifacts included; >= 2 selects
-            the deterministic parallel drivers (same artifacts for any
-            value >= 2).  See [docs/parallelism.md]. *)
+            passes (default 1).  Artifacts do not depend on it.  See
+            [docs/parallelism.md]. *)
   }
 
   let schema = "gdp-settings/1"
 
-  (* Bumped when the settings record grows a field with changed
-     semantics.  [of_json] accepts documents up to this version (a
-     missing field reads as 1) and rejects newer ones, so an old server
-     fails a too-new client with a clear message instead of
-     misinterpreting it.  Version history:
-     - 1: the original record.
-     - 2: adds [par_domains] (missing field reads as 1 = sequential).
-     - 3: replaces the bare [clusters]/[move_latency] ints with a
-       ["machine"] field (a [Machine_spec] document or preset name).
-       Legacy pairs are still accepted and canonicalized through
-       [Machine_spec.of_legacy]; [to_json] emits the legacy pair (as a
-       version-2 document) whenever the spec has that shape, so
-       paper-machine settings digest byte-identically to the seed. *)
+  (* Bumped when the settings record changes shape.  [of_json] reads
+     exactly this version and names any other, so a mismatched client
+     and server fail with a clear message instead of misinterpreting
+     each other. *)
   let version = 3
 
   let default method_ =
@@ -415,30 +392,12 @@ module Settings = struct
           ("seed", Minijson.int c.Partition.Gdp.seed);
         ]
     in
-    (* Legacy-shaped machines round-trip through the version-2 wire
-       form (bare ints): documents — and therefore [gdpcd] cache keys —
-       for every machine a v2 client could name are byte-identical to
-       what a v2 build emits.  Anything else needs the v3 ["machine"]
-       field. *)
-    let machine_fields =
-      match Machine_spec.legacy_shape s.machine with
-      | Some (clusters, move_latency) ->
-          [
-            ("version", Minijson.int 2);
-            ("clusters", Minijson.int clusters);
-            ("move_latency", Minijson.int move_latency);
-          ]
-      | None ->
-          [
-            ("version", Minijson.int version);
-            ("machine", Machine_spec.to_json s.machine);
-          ]
-    in
     Minijson.obj
-      ([ ("schema", Minijson.str schema) ]
-      @ machine_fields
-      @ [ ("method", Minijson.str (Methods.to_string s.method_)) ]
-      @ [
+      [
+        ("schema", Minijson.str schema);
+        ("version", Minijson.int version);
+        ("machine", Machine_spec.to_json s.machine);
+        ("method", Minijson.str (Methods.to_string s.method_));
         ("unroll", Minijson.bool s.unroll);
         ("promote", Minijson.bool s.promote);
         ("simplify", Minijson.bool s.simplify);
@@ -447,7 +406,7 @@ module Settings = struct
         ("rhop", Minijson.option rhop_json s.rhop);
         ("gdp", Minijson.option gdp_json s.gdp);
         ("par_domains", Minijson.int s.par_domains);
-      ])
+      ]
 
   let ( let* ) = Result.bind
 
@@ -527,8 +486,6 @@ module Settings = struct
       "schema";
       "version";
       "machine";
-      "clusters";
-      "move_latency";
       "method";
       "unroll";
       "promote";
@@ -550,51 +507,44 @@ module Settings = struct
     in
     let* v =
       match Minijson.member "version" doc with
-      | None -> Ok 1  (* pre-version documents *)
+      | None ->
+          Error
+            (Printf.sprintf
+               "settings: missing \"version\" (a version-1 document; this \
+                build reads version %d only)"
+               version)
       | Some v -> as_int "version" v
     in
     let* () =
-      if v < 1 then Error (Printf.sprintf "settings: invalid version %d" v)
+      if v = version then Ok ()
       else if v > version then
         Error
           (Printf.sprintf
              "settings: version %d is newer than this build supports (%d) — \
               upgrade the server"
              v version)
-      else Ok ()
+      else if v >= 1 then
+        Error
+          (Printf.sprintf
+             "settings: version %d is no longer supported (this build reads \
+              version %d only)"
+             v version)
+      else Error (Printf.sprintf "settings: invalid version %d" v)
     in
     let* () = reject_unknown ~where:"" ~known:known_fields doc in
-    (* Machine description: the v3 ["machine"] field (a preset name or
-       a gdp-machine/1 spec object), or the legacy v1/v2
-       ["clusters"]/["move_latency"] pair canonicalized through
-       [Machine_spec.of_legacy].  Exactly one of the two forms. *)
+    (* the machine: a preset name or a gdp-machine/1 spec object *)
     let* machine =
-      match
-        ( Minijson.member "machine" doc,
-          Minijson.member "clusters" doc,
-          Minijson.member "move_latency" doc )
-      with
-      | Some _, Some _, _ | Some _, _, Some _ ->
-          Error
-            "settings: \"machine\" conflicts with the legacy \
-             \"clusters\"/\"move_latency\" fields"
-      | Some (Minijson.Str name), None, None ->
+      match Minijson.member "machine" doc with
+      | None -> Error "settings: missing field \"machine\""
+      | Some (Minijson.Str name) ->
           Result.map_error
             (fun e -> "settings: " ^ e)
             (Machine_spec.preset name)
-      | Some (Minijson.Obj _ as spec), None, None ->
+      | Some (Minijson.Obj _ as spec) ->
           Result.map_error (fun e -> "settings: " ^ e)
             (Machine_spec.of_json spec)
-      | Some _, None, None ->
+      | Some _ ->
           Error "settings: \"machine\" must be a preset name or a spec object"
-      | None, _, _ ->
-          let* clusters = int_field "clusters" doc in
-          let* move_latency = int_field "move_latency" doc in
-          if clusters < 1 then
-            Error
-              (Printf.sprintf "settings: clusters must be >= 1 (got %d)"
-                 clusters)
-          else Ok (Machine_spec.of_legacy ~clusters ~move_latency)
     in
     let* method_v = field "method" doc in
     let* method_ =
@@ -617,12 +567,7 @@ module Settings = struct
       | None | Some Minijson.Null -> Ok None
       | Some v -> Result.map Option.some (gdp_of_json v)
     in
-    (* added in version 2; absent in v1 documents = sequential *)
-    let* par_domains =
-      match Minijson.member "par_domains" doc with
-      | None -> Ok 1
-      | Some v -> as_int "par_domains" v
-    in
+    let* par_domains = int_field "par_domains" doc in
     let* () =
       if par_domains < 1 then
         Error

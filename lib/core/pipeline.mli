@@ -150,10 +150,7 @@ val evaluate_robust :
 
 module Settings : sig
   type t = {
-    machine : Machine_spec.t;
-        (** declarative machine description (version 3); legacy
-            [clusters]/[move_latency] documents canonicalize to
-            [Machine_spec.of_legacy] *)
+    machine : Machine_spec.t;  (** declarative machine description *)
     method_ : Partition.Methods.t;
     unroll : bool;  (** front-end flags, as in [prepare] *)
     promote : bool;
@@ -163,13 +160,10 @@ module Settings : sig
     rhop : Partition.Rhop.config option;  (** [None] = partitioner default *)
     gdp : Partition.Gdp.config option;
     par_domains : int;
-        (** intra-compile parallelism (version 2): domains used by the
-            partitioning passes.  1 (the default, and what a version-1
-            document reads as) is the historical sequential pipeline
-            with byte-identical artifacts; >= 2 selects the
-            deterministic parallel drivers, whose artifacts are the
-            same for every value >= 2 and on either [Par] backend.  See
-            [docs/parallelism.md]. *)
+        (** intra-compile parallelism: domains used by the partitioning
+            passes (default 1).  Only wall clock depends on it: the
+            artifact is the same for every value and on either [Par]
+            backend.  See [docs/parallelism.md]. *)
   }
 
   (** Paper defaults: the 2-cluster bus machine with 5-cycle moves, all
@@ -187,13 +181,13 @@ module Settings : sig
   val default_front_end : t -> bool
 
   (** Format version emitted by [to_json] (as a ["version"] field) and
-      the newest version [of_json] accepts; a document without the
-      field reads as version 1, a newer one is rejected with a message
-      telling the operator to upgrade. *)
+      the only version [of_json] accepts.  A document without the field
+      (version 1) or with an older one is rejected naming its version; a
+      newer one with a message telling the operator to upgrade. *)
   val version : int
 
   (** [of_json (to_json s) = Ok s] for every [s] (the numbers involved
-      are finite).  [of_json] is strict: unknown schemas, too-new
+      are finite).  [of_json] is strict: unknown schemas, other
       [version]s, unknown method names, shape mismatches {e and any
       field it does not know} (top-level or inside
       ["rhop"]/["gdp"]/["machine"]) are rejected with a descriptive
@@ -201,12 +195,9 @@ module Settings : sig
       rather than be silently ignored, especially now that settings
       documents arrive over the [gdpcd] wire.
 
-      The machine travels as the ["machine"] field — a preset name or a
-      gdp-machine/1 spec object — except that legacy-shaped specs are
-      emitted as the version-2 ["clusters"]/["move_latency"] pair, so
-      every document a v2 build could produce round-trips byte-for-byte
-      (and the [gdpcd] cache keys derived from it are stable).  A
-      document carrying both forms at once is rejected. *)
+      The machine travels as the ["machine"] field: [to_json] writes a
+      gdp-machine/1 spec object, and [of_json] also takes a preset
+      name. *)
   val to_json : t -> Minijson.t
 
   val of_json : Minijson.t -> (t, string) result
@@ -234,12 +225,11 @@ type run_result =
     the two is required, and modes that verify against the reference
     run ([Checked {verify = true}], [Robust _]) need [~prepared].
 
-    [?par_workers] caps how many domains actually run when
-    [Settings.par_domains >= 2] — an execution-width limit for
-    resource-constrained hosts (e.g. a loaded [gdpcd] server).  It
-    never affects artifacts: the parallel drivers' results depend only
-    on the semantic [par_domains] request, so a capped run returns the
-    same answer, just on fewer cores. *)
+    [?par_workers] caps how many of the [Settings.par_domains] domains
+    actually run — a width limit for resource-constrained hosts (e.g. a
+    loaded [gdpcd] server).  Like [par_domains] itself it never affects
+    artifacts, so a capped run returns the same answer on fewer
+    cores. *)
 val run :
   ?prepared:prepared ->
   ?ctx:Partition.Methods.context ->

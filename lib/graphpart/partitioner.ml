@@ -28,16 +28,15 @@ type config = {
   initial_tries : int;  (** greedy-growing attempts on the coarsest graph *)
   fm_max_bad_moves : int;  (** FM hill-climbing patience *)
   starts : int;
-      (** independent multilevel starts; coarsening tie-breaks are
-          random, so each start explores a different level hierarchy and
-          the best finest-level result wins *)
+      (** independent multilevel starts, each with its own rng stream;
+          coarsening tie-breaks are random, so each start explores a
+          different level hierarchy and the best finest-level result
+          wins *)
   fm_seeds : int;
-      (** par-mode only: speculative multi-seed FM — after the best
-          start is chosen, [fm_seeds] final refinement passes run in
-          parallel, each on a seeded node relabeling of the graph (seed
-          0 is the identity = the plain polish), and the best
-          (infeasibility, cut) wins.  Ignored on the sequential path,
-          which stays byte-identical to the pre-par implementation. *)
+      (** speculative multi-seed FM: after the best start is chosen,
+          [fm_seeds] final refinement passes run in parallel, each on a
+          seeded node relabeling of the graph (seed 0 is the identity =
+          the plain polish), and the best (infeasibility, cut) wins. *)
   refine_cycles : int;
       (** extra restricted V-cycles after the first multilevel pass: the
           graph is re-coarsened with matching restricted to same-part
@@ -104,82 +103,30 @@ type level = {
   coarse_of : int array;  (** fine node -> coarse node of the next level *)
 }
 
-(** One round of heavy-edge matching.  Returns the coarse graph and the
+(** One round of heavy-edge matching: deterministic local-max matching
+    over the CSR vertex ranges.  Returns the coarse graph and the
     fine->coarse map, or [None] if matching cannot shrink the graph.
     When [part] is given, only same-part nodes may match (restricted
-    coarsening: every coarse node then lies entirely in one part). *)
-let coarsen_once ?(part : int array option) rng (g : Graph.t) :
-    (Graph.t * int array) option =
-  let n = Graph.num_nodes g in
-  let matched = Array.make n (-1) in
-  let order = Array.init n Fun.id in
-  (* random visit order avoids pathological matchings *)
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- t
-  done;
-  let xadj = Graph.adj_offsets g
-  and adjncy = Graph.adj_targets g
-  and adjwgt = Graph.adj_weights g in
-  let same_part =
-    match part with
-    | None -> fun _ _ -> true
-    | Some p -> fun u v -> p.(u) = p.(v)
-  in
-  Array.iter
-    (fun v ->
-      if matched.(v) = -1 then begin
-        let best = ref (-1) and best_w = ref (-1) in
-        for i = xadj.(v) to xadj.(v + 1) - 1 do
-          let u = adjncy.(i) and w = adjwgt.(i) in
-          if matched.(u) = -1 && w > !best_w && same_part u v then begin
-            best := u;
-            best_w := w
-          end
-        done;
-        if !best >= 0 then begin
-          matched.(v) <- !best;
-          matched.(!best) <- v
-        end
-        else matched.(v) <- v (* unmatched: singleton *)
-      end)
-    order;
-  (* assign coarse ids *)
-  let coarse_of = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if coarse_of.(v) = -1 then begin
-      let m = matched.(v) in
-      coarse_of.(v) <- !next;
-      if m <> v then coarse_of.(m) <- !next;
-      incr next
-    end
-  done;
-  let cn = !next in
-  if cn >= n then None
-  else Some (Graph.contract g ~coarse_of ~num_coarse:cn, coarse_of)
+    coarsening: every coarse node then lies entirely in one part).
 
-(** Par-mode round of matching: deterministic local-max matching over
-    the CSR vertex ranges.  Each node draws a random priority key from
-    the caller's rng (exactly [n] draws, so the per-start stream stays
-    aligned whatever the pool width), then rounds alternate between a
-    propose phase — every unmatched node picks its heaviest unmatched
-    neighbor, ties broken by (key, lower id) — and a match phase that
-    pairs mutual proposals.  Both phases are data-parallel over vertex
-    ranges: propose reads only the previous round's matching, and in
-    the match phase each cell has exactly one writer (the lower
-    endpoint of its pair), so the result is independent of the chunking
-    and of the domain count — it depends only on the rng keys.  Unlike
-    the sequential matcher, whose greedy visit order makes later
-    matches depend on earlier ones, rounds converge to a maximal
-    matching of mutual local maxima (the standard parallel-METIS
-    idiom).  A final aggregation pass then folds every node the
-    matching left unmatched into the cluster of its heaviest matched
-    neighbor under a weight cap, so star-shaped regions contract in
-    one level instead of one leaf per level. *)
-let coarsen_once_par pool ?(part : int array option) rng (g : Graph.t) :
+    Each node draws a random priority key from the caller's rng
+    (exactly [n] draws, so the per-start stream stays aligned whatever
+    the pool width), then rounds alternate between a propose phase —
+    every unmatched node picks its heaviest unmatched neighbor, ties
+    broken by (key, lower id) — and a match phase that pairs mutual
+    proposals.  Both phases are data-parallel over vertex ranges:
+    propose reads only the previous round's matching, and in the match
+    phase each cell has exactly one writer (the lower endpoint of its
+    pair), so the result is independent of the chunking and of the
+    domain count — it depends only on the rng keys.  Rounds converge to
+    a maximal matching of mutual local maxima (the standard
+    parallel-METIS idiom), where a greedy visit-order matcher would
+    make later matches depend on earlier ones.  A final aggregation
+    pass then folds every node the matching left unmatched into the
+    cluster of its heaviest matched neighbor under a weight cap, so
+    star-shaped regions contract in one level instead of one leaf per
+    level. *)
+let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
     (Graph.t * int array) option =
   let n = Graph.num_nodes g in
   let keys = Array.make n 0 in
@@ -320,8 +267,8 @@ let coarsen_once_par pool ?(part : int array option) rng (g : Graph.t) :
   done;
   let ncon = Graph.num_constraints g in
   (* cap each cluster at 40% of the total weight: big enough to swallow
-     a whole star in one level (the sequential matcher builds the same
-     giant cluster anyway, one leaf per level), small enough that a
+     a whole star in one level (pairwise matching alone would build the
+     same giant cluster, one leaf per level), small enough that a
      balanced bisection of the coarsest graph stays feasible *)
   let cap =
     Array.init ncon (fun c -> max 1 (2 * Graph.total_weight g c / 5))
@@ -366,7 +313,7 @@ let coarsen_once_par pool ?(part : int array option) rng (g : Graph.t) :
     graph, and — when [part] was given — [part] projected onto the
     coarsest graph (restricted coarsening keeps each coarse node inside
     one part, so the projection is well defined). *)
-let coarsen ?part ~matcher rng cfg (g : Graph.t) :
+let coarsen ?part pool rng cfg (g : Graph.t) :
     level list * Graph.t * int array option =
   let rec go lvl acc g part =
     if Graph.num_nodes g <= cfg.coarsen_until then (List.rev acc, g, part)
@@ -378,7 +325,7 @@ let coarsen ?part ~matcher rng cfg (g : Graph.t) :
               ("level", string_of_int lvl);
               ("nodes", string_of_int (Graph.num_nodes g));
             ]
-          (fun () -> matcher ?part rng g)
+          (fun () -> coarsen_level pool ?part rng g)
       with
       | None -> (List.rev acc, g, part)
       | Some (cg, map) ->
@@ -644,8 +591,8 @@ let project cfg (levels : level list) coarse_part =
 
 (* one full multilevel start: coarsen, several greedy growings + FM on
    the coarsest graph, project the best back up *)
-let one_start ~matcher rng cfg g =
-  let levels, coarsest, _ = coarsen ~matcher rng cfg g in
+let one_start pool rng cfg g =
+  let levels, coarsest, _ = coarsen pool rng cfg g in
   let part =
     Telemetry.with_span "initial-partition"
       ~args:[ ("nodes", string_of_int (Graph.num_nodes coarsest)) ]
@@ -666,36 +613,13 @@ let one_start ~matcher rng cfg g =
 (* restricted V-cycles: re-coarsen along the current partition and
    refine again from the coarsest level up.  Monotone in the
    (infeasibility, cut) order, so extra cycles can only help. *)
-let vcycles ~matcher rng cfg g part =
+let vcycles pool rng cfg g part =
   let part = ref part in
   for _cycle = 1 to max 0 cfg.refine_cycles do
-    let levels, coarsest, cpart = coarsen ~part:!part ~matcher rng cfg g in
+    let levels, coarsest, cpart = coarsen ~part:!part pool rng cfg g in
     let cpart = match cpart with Some p -> p | None -> !part in
     fm_refine cfg coarsest cpart;
     part := project cfg levels cpart
-  done;
-  !part
-
-(** Sequential driver — byte-identical to the historical implementation:
-    one shared rng threads through every start, and coarsening ties are
-    decided by the greedy matcher's random visit order. *)
-let bisect_seq cfg (g : Graph.t) : int array =
-  let rng = Random.State.make [| cfg.seed |] in
-  let matcher = coarsen_once in
-  (* coarsening ties are decided by the rng, so independent starts see
-     different level hierarchies; V-cycle each one and keep the best
-     finest-level result *)
-  let p0 = one_start ~matcher rng cfg g in
-  let part = ref (vcycles ~matcher rng cfg g p0) in
-  let score = ref (evaluate cfg g !part) in
-  for _start = 2 to max 1 cfg.starts do
-    let c0 = one_start ~matcher rng cfg g in
-    let cand = vcycles ~matcher rng cfg g c0 in
-    let cscore = evaluate cfg g cand in
-    if compare cscore !score < 0 then begin
-      part := cand;
-      score := cscore
-    end
   done;
   !part
 
@@ -748,35 +672,13 @@ let multi_seed_fm pool cfg (g : Graph.t) (part : int array) : int array =
   done;
   snd candidates.(!best)
 
-(** Parallel driver (pool parallelism >= 2).  Each start owns an
-    independent rng stream seeded [| cfg.seed; start |], so starts are
-    order-free and run concurrently; the best (infeasibility, cut) wins
-    with ties to the lowest start index.  Coarsening uses the local-max
-    matcher and the winner gets a multi-seed FM polish.  Results depend
-    only on [cfg] — never on the domain count or the backend — but
-    differ from [bisect_seq]'s, which replays the historical
-    rng-chained trajectory. *)
-let bisect_par pool cfg (g : Graph.t) : int array =
-  let matcher = coarsen_once_par pool in
-  let nstarts = max 1 cfg.starts in
-  let starts =
-    Par.map pool ~n:nstarts (fun s ->
-        let rng = Random.State.make [| cfg.seed; s |] in
-        let p0 = one_start ~matcher rng cfg g in
-        let p = vcycles ~matcher rng cfg g p0 in
-        (evaluate cfg g p, p))
-  in
-  let best = ref 0 in
-  for s = 1 to nstarts - 1 do
-    let score, _ = starts.(s) and bscore, _ = starts.(!best) in
-    if compare score bscore < 0 then best := s
-  done;
-  multi_seed_fm pool cfg g (snd starts.(!best))
-
-(** Bisect [g]; returns a 0/1 assignment per node.  With a [pool] of
-    parallelism >= 2 the deterministic parallel driver runs (same
-    artifact for any domain count >= 2, on either backend); otherwise
-    the byte-identical historical sequential path. *)
+(** Bisect [g]; returns a 0/1 assignment per node.  Each start owns
+    an independent rng stream seeded [| cfg.seed; start |], so starts
+    are order-free and run concurrently; the best (infeasibility, cut)
+    wins with ties to the lowest start index, and the winner gets a
+    multi-seed FM polish.  The result depends only on [cfg] and [g] —
+    never on the pool's width or the [Par] backend.  Without a [pool]
+    everything runs inline. *)
 let bisect ?(config : config option) ?pool (g : Graph.t) : int array =
   let cfg =
     match config with
@@ -784,9 +686,25 @@ let bisect ?(config : config option) ?pool (g : Graph.t) : int array =
     | None -> default_config ~ncon:(Graph.num_constraints g)
   in
   validate_config g cfg;
+  let run pool =
+    let nstarts = max 1 cfg.starts in
+    let starts =
+      Par.map pool ~n:nstarts (fun s ->
+          let rng = Random.State.make [| cfg.seed; s |] in
+          let p0 = one_start pool rng cfg g in
+          let p = vcycles pool rng cfg g p0 in
+          (evaluate cfg g p, p))
+    in
+    let best = ref 0 in
+    for s = 1 to nstarts - 1 do
+      let score, _ = starts.(s) and bscore, _ = starts.(!best) in
+      if compare score bscore < 0 then best := s
+    done;
+    multi_seed_fm pool cfg g (snd starts.(!best))
+  in
   match pool with
-  | Some pool when Par.parallelism pool >= 2 -> bisect_par pool cfg g
-  | _ -> bisect_seq cfg g
+  | Some pool -> run pool
+  | None -> Par.with_pool ~domains:1 run
 
 (** Recursive bisection into [nparts] (a power of two).  Imbalance is
     applied at every level, so the final tolerance compounds slightly. *)

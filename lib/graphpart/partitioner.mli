@@ -18,11 +18,10 @@ type config = {
       (** independent multilevel starts (different coarsening
           tie-breaks); the best finest-level result wins *)
   fm_seeds : int;
-      (** par-mode only: speculative multi-seed FM — the winning start
-          gets [fm_seeds] concurrent final refinement passes, each on a
-          seeded node relabeling of the graph (seed 0 = identity), and
-          the best (infeasibility, cut) wins with ties to the lowest
-          seed.  Ignored on the sequential path. *)
+      (** speculative multi-seed FM: the winning start gets [fm_seeds]
+          concurrent final refinement passes, each on a seeded node
+          relabeling of the graph (seed 0 = identity), and the best
+          (infeasibility, cut) wins with ties to the lowest seed. *)
   refine_cycles : int;
       (** extra restricted V-cycles after the first multilevel pass;
           each re-coarsens along the current partition and refines again
@@ -36,14 +35,11 @@ val default_config : ncon:int -> config
     constraint; when exact feasibility is impossible (bin-packing), the
     result is as close as FM gets.
 
-    Without a pool (or with one of parallelism 1) this is the
-    byte-identical historical sequential algorithm.  With a [pool] of
-    parallelism >= 2, the deterministic parallel driver runs instead:
-    independent per-start rng streams, local-max matching during
-    coarsening, and a speculative multi-seed FM polish.  Its result
-    depends only on [config] — the same for any domain count >= 2 and
-    on either [Par] backend — but legitimately differs from the
-    sequential result. *)
+    Independent starts with per-start rng streams, local-max matching
+    during coarsening, and a speculative multi-seed FM polish; starts
+    and polish seeds run concurrently on [pool].  The result depends
+    only on [config] and the graph: the same for any pool width, on
+    either [Par] backend, and without a pool (everything inline). *)
 val bisect : ?config:config -> ?pool:Par.pool -> Graph.t -> int array
 
 (** Recursive bisection into a power-of-two number of parts.  [?pool]

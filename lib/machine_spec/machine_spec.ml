@@ -43,9 +43,8 @@ let paper_cluster =
   }
 
 (** The exact machines [Vliw_machine.paper_machine] and
-    [scaled_machine] build, as specs — including their names, so a
-    legacy [clusters]/[move_latency] settings pair resolves to a
-    byte-identical machine. *)
+    [scaled_machine] build, as specs — including their names, so both
+    paths resolve to a byte-identical machine. *)
 let of_legacy ~clusters ~move_latency =
   if clusters < 1 then invalid_arg "Machine_spec.of_legacy";
   {
@@ -55,19 +54,6 @@ let of_legacy ~clusters ~move_latency =
     link_latency = move_latency;
     link_bandwidth = 1;
   }
-
-(** [Some (clusters, move_latency)] iff [t] is exactly what
-    [of_legacy] would build — the shapes a v2 settings document can
-    express. *)
-let legacy_shape t =
-  let n = List.length t.clusters in
-  if
-    t.topology = Vliw_machine.Bus
-    && t.link_bandwidth = 1
-    && List.for_all (fun c -> c = paper_cluster) t.clusters
-    && t = of_legacy ~clusters:n ~move_latency:t.link_latency
-  then Some (n, t.link_latency)
-  else None
 
 (* ------------------------------------------------------------------ *)
 (* Presets *)

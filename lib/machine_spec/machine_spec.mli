@@ -34,12 +34,8 @@ val paper_cluster : cluster_spec
 
 val of_legacy : clusters:int -> move_latency:int -> t
 (** The spec of exactly [Vliw_machine.paper_machine] /
-    [scaled_machine] — names included, so legacy v2 settings resolve
-    byte-identically.  Raises [Invalid_argument] when [clusters < 1]. *)
-
-val legacy_shape : t -> (int * int) option
-(** [Some (clusters, move_latency)] iff the spec is an [of_legacy]
-    shape, i.e. expressible by a v2 settings document. *)
+    [scaled_machine] — names included, so both resolve to the same
+    machine.  Raises [Invalid_argument] when [clusters < 1]. *)
 
 val preset_names : string list
 (** [paper], [kway4], [ring8], [mesh16], [hetero4]. *)

@@ -203,8 +203,13 @@ let add_number b f =
   else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" f)
   else
-    (* %.17g round-trips every finite double through float_of_string *)
-    Buffer.add_string b (Printf.sprintf "%.17g" f)
+    (* the shortest of %.15g..%.17g that reads back exactly; %.17g
+       round-trips every finite double through float_of_string *)
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    Buffer.add_string b (shortest 15)
 
 let encode (v : t) : string =
   let b = Buffer.create 256 in
@@ -238,11 +243,38 @@ let encode (v : t) : string =
 
 let pp ppf v = Format.pp_print_string ppf (encode v)
 
-let write_file path v =
+let encode_rows = function
+  | Obj fields ->
+      let b = Buffer.create 4096 in
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          Buffer.add_string b (if i = 0 then "\n  " else ",\n  ");
+          add_escaped b k;
+          Buffer.add_string b ": ";
+          match v with
+          | List (_ :: _ as items) ->
+              Buffer.add_char b '[';
+              List.iteri
+                (fun j x ->
+                  Buffer.add_string b (if j = 0 then "\n    " else ",\n    ");
+                  Buffer.add_string b (encode x))
+                items;
+              Buffer.add_string b "\n  ]"
+          | v -> Buffer.add_string b (encode v))
+        fields;
+      Buffer.add_string b "\n}";
+      Buffer.contents b
+  | v -> encode v
+
+let write_with render path v =
   let oc = open_out path in
-  output_string oc (encode v);
+  output_string oc (render v);
   output_char oc '\n';
   close_out oc
+
+let write_file = write_with encode
+let write_rows = write_with encode_rows
 
 let str s = Str s
 let int n = Num (float_of_int n)

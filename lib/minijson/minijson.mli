@@ -1,10 +1,9 @@
 (** A minimal JSON reader and writer.
 
-    The repo deliberately has no JSON dependency: machine-readable
-    output is produced by hand-written emitters ([bench --json], the
-    Chrome trace sink, the attribution report).  The regression gate
-    must read those files back, and the process-pool executor ([Exec])
-    ships jobs and results across pipes as JSON values, so this module
+    The repo deliberately has no JSON dependency.  The regression gate
+    reads back the baselines written here ([bench --json], the
+    attribution report), and the process-pool executor ([Exec]) ships
+    jobs and results across pipes as JSON values, so this module
     implements just enough of RFC 8259 to round-trip them: objects,
     arrays, strings with the common escapes, numbers, booleans and
     null.
@@ -32,14 +31,21 @@ val parse_file : string -> (t, string) result
 (** Compact, single-line rendering (no spaces or newlines outside
     strings; control characters in strings are escaped), so a document
     can cross a pipe in newline-delimited framing.  Numbers print as
-    integers when they are integral and round-trip exactly otherwise
-    ([%.17g]).  Raises [Invalid_argument] on NaN or infinite numbers. *)
+    integers when they are integral and otherwise in the fewest digits
+    that round-trip exactly.  Raises [Invalid_argument] on NaN or
+    infinite numbers. *)
 val encode : t -> string
 
 val pp : Format.formatter -> t -> unit
 
 (** [encode] followed by a trailing newline, written to [path]. *)
 val write_file : string -> t -> unit
+
+(** [write_file] laid out for files people diff: a top-level object
+    puts each member on its own line, and each element of a list-valued
+    member on its own line; everything below that level stays compact.
+    Parses back to the same value. *)
+val write_rows : string -> t -> unit
 
 (** {2 Building} — tiny constructors for hand-assembled documents. *)
 

@@ -9,18 +9,9 @@
       body inline on the calling thread, so the library still builds and
       behaves identically — just without the wall-clock win.
 
-    {2 Semantic parallelism vs. execution width}
-
-    A pool carries two numbers.  [parallelism] is the {e semantic}
-    request (the [~domains] argument, [gdpc --par-domains N]): callers
-    branch on [parallelism p >= 2] to select parallel-friendly
-    algorithm variants ("par mode"), and those variants are written so
-    their results depend only on this flag — never on how many domains
-    actually execute them.  [size] is the {e execution} width: how many
-    domains really run bodies (always 1 on the seq backend, and capped
-    by [?workers] when a host wants to bound oversubscription without
-    changing answers).  Clamping [size] is therefore always safe;
-    crossing the [parallelism] 1/2 boundary is a semantic change.
+    A pool's [size] is its execution width: how many domains run
+    bodies (always 1 on the seq backend).  Callers must produce results
+    that do not depend on it — the width only changes wall clock.
 
     {2 Determinism and error contract}
 
@@ -47,20 +38,16 @@ val backend : string
 (** The runtime's recommended domain count (1 on the seq backend). *)
 val recommended : unit -> int
 
-(** [with_pool ~domains f] runs [f] with a pool whose semantic
-    parallelism is [domains] (clamped to at least 1).  [?workers] sets
-    the execution width; the default is [min domains (recommended ())]
-    — oversubscribed domains don't just idle, they stretch every
-    minor-GC stop-the-world barrier, and width never changes results.
-    [domains <= 1] or an effective width of 1 spawns nothing and runs
-    everything inline.  Worker domains are joined before [with_pool]
-    returns, also on exception. *)
+(** [with_pool ~domains f] runs [f] with a pool of at most [domains]
+    domains (clamped to at least 1).  The width defaults to
+    [min domains (recommended ())] — oversubscribed domains don't just
+    idle, they stretch every minor-GC stop-the-world barrier — and
+    [?workers] overrides it, still at most [domains].  A width of 1
+    spawns nothing and runs everything inline.  Worker domains are
+    joined before [with_pool] returns, also on exception. *)
 val with_pool : ?workers:int -> domains:int -> (pool -> 'a) -> 'a
 
-(** The semantic parallelism request ([~domains], >= 1). *)
-val parallelism : pool -> int
-
-(** Actual execution width (worker domains + the caller), >= 1. *)
+(** Execution width (worker domains + the caller), >= 1. *)
 val size : pool -> int
 
 (** [parallel_for pool ~n body] runs [body i] for [0 <= i < n], work

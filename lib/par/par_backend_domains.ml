@@ -35,12 +35,10 @@ type shared = {
 type pool = {
   sh : shared;
   workers : unit Domain.t array;
-  domains : int;  (** semantic parallelism request *)
   owner : Domain.id;
   mutable busy : bool;  (** owner-domain flag: a job is in flight *)
 }
 
-let parallelism p = p.domains
 let size p = Array.length p.workers + 1
 
 let run_share sh (job : job) =
@@ -108,7 +106,6 @@ let with_pool ?workers ~domains f =
       {
         sh = fresh_shared ();
         workers = [||];
-        domains;
         owner = Domain.self ();
         busy = false;
       }
@@ -117,7 +114,7 @@ let with_pool ?workers ~domains f =
     let workers =
       Array.init nworkers (fun _ -> Domain.spawn (fun () -> worker_loop sh))
     in
-    let pool = { sh; workers; domains; owner = Domain.self (); busy = false } in
+    let pool = { sh; workers; owner = Domain.self (); busy = false } in
     Fun.protect
       ~finally:(fun () ->
         Mutex.lock sh.m;

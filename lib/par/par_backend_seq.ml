@@ -6,14 +6,13 @@ let backend = "seq"
 let recommended () = 1
 let is_main_domain () = true
 
-type pool = { domains : int }
+type pool = unit
 
 let with_pool ?workers ~domains f =
-  ignore workers;
-  f { domains = max 1 domains }
+  ignore (workers, domains);
+  f ()
 
-let parallelism p = p.domains
-let size _ = 1
+let size () = 1
 
 let parallel_for _pool ~n body =
   for i = 0 to n - 1 do

@@ -45,8 +45,9 @@ val build_problem :
   unit ->
   problem
 
-(** [?pool] (parallelism >= 2) selects the deterministic parallel
-    partitioner driver — see [Graphpart.Partitioner.bisect]. *)
+(** [?pool] runs the graph partitioner's starts and FM seeds
+    concurrently; the result does not depend on it — see
+    [Graphpart.Partitioner.bisect]. *)
 val partition_objects :
   ?config:config ->
   ?pool:Par.pool ->

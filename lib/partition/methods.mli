@@ -91,11 +91,10 @@ val run_naive : ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
 val run_unified :
   ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
 
-(** [?pool] (parallelism >= 2) enables intra-compile parallelism: GDP's
-    graph partitioner switches to its deterministic parallel driver
-    (result depends only on the configuration, not the domain count —
-    but differs from the sequential one), and RHOP partitions
-    independent blocks in dependency waves (bit-identical output).  See
+(** [?pool] enables intra-compile parallelism: GDP's graph partitioner
+    runs its starts and FM seeds concurrently, and RHOP partitions
+    independent blocks in dependency waves.  The outcome does not
+    depend on the pool's width, nor on whether a pool is given.  See
     [docs/parallelism.md]. *)
 val run :
   ?rhop_config:Rhop.config ->

@@ -351,18 +351,17 @@ let apply_result ~(reg_home : (Reg.t, int) Hashtbl.t) (assign : A.t)
           List.iter (fun r -> Hashtbl.replace reg_home r c) (Op.defs o))
     (Block.ops b)
 
-(** Parallel per-function driver: blocks are scheduled in dependency
-    waves.  Block [j] depends on an earlier block [i] iff [i] defines a
-    register that [j] defines or uses — exactly the [reg_home] entries
+(** Per-function driver: blocks are scheduled in dependency waves.
+    Block [j] depends on an earlier block [i] iff [i] defines a register
+    that [j] defines or uses — exactly the [reg_home] entries
     [block_result] can observe for [j] (its pins read homes of used
     registers, its locks read homes of defined ones).  Each wave
     partitions its blocks concurrently against the quiescent [reg_home]
     table, then results are committed in layout order on the calling
-    domain, reproducing the sequential [reg_home] evolution (including
-    last-write-wins and the re-homing check).  The assignment is
-    therefore bit-identical to the sequential driver's for any pool
-    width. *)
-let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
+    domain, reproducing the block-by-block [reg_home] evolution
+    (including last-write-wins and the re-homing check).  The
+    assignment is therefore the same for any pool width. *)
+let partition_func pool ~machine ~config ~objects_of ~lock_of
     (assign : A.t) f : unit =
   let cfg = Vliw_analysis.Cfg.of_func f in
   let liveness = Vliw_analysis.Liveness.compute cfg in
@@ -384,7 +383,7 @@ let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
     for i = 0 to j - 1 do
       if
         depth.(i) >= depth.(j)
-        && not (Reg.Set.is_empty (Reg.Set.inter defs.(i) touched.(j)))
+        && not (Reg.Set.disjoint defs.(i) touched.(j))
       then depth.(j) <- depth.(i) + 1
     done
   done;
@@ -409,31 +408,15 @@ let partition_func_waves pool ~machine ~config ~objects_of ~lock_of
 (** Partition all computation of [prog], filling [assign]'s op clusters.
     [lock_of] gives mandatory clusters (memory operations under a data
     partition); object homes in [assign] are the caller's business.
-    With a [pool] of parallelism >= 2, blocks are partitioned in
-    dependency waves ([partition_func_waves]) — bit-identical output,
-    concurrent block evaluation. *)
+    Blocks of a dependency wave ([partition_func]) run concurrently on
+    [pool]; without one everything runs inline. *)
 let partition ?(config = default_config) ?pool ~(machine : Vliw_machine.t)
     ~(objects_of : int -> Data.Obj_set.t) ~(lock_of : int -> int option)
     (prog : Prog.t) (assign : A.t) : unit =
   Telemetry.with_span "rhop" @@ fun () ->
-  match pool with
-  | Some pool when Par.parallelism pool >= 2 ->
-      List.iter
-        (partition_func_waves pool ~machine ~config ~objects_of ~lock_of
-           assign)
-        (Prog.funcs prog)
-  | _ ->
-      List.iter
-        (fun f ->
-          let cfg = Vliw_analysis.Cfg.of_func f in
-          let liveness = Vliw_analysis.Liveness.compute cfg in
-          let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun b ->
-              let result =
-                block_result ~machine ~config ~objects_of ~lock_of ~reg_home
-                  ~cfg ~liveness f b
-              in
-              apply_result ~reg_home assign b result)
-            (Func.blocks f))
-        (Prog.funcs prog)
+  let run pool =
+    List.iter
+      (partition_func pool ~machine ~config ~objects_of ~lock_of assign)
+      (Prog.funcs prog)
+  in
+  match pool with Some pool -> run pool | None -> Par.with_pool ~domains:1 run

@@ -20,12 +20,11 @@ val default_config : config
     [lock_of] gives mandatory clusters (memory operations under a data
     partition); object homes in [assign] are the caller's business.
 
-    With a [pool] of parallelism >= 2, each function's blocks are
-    partitioned in dependency waves: block [j] waits only for earlier
-    blocks defining a register [j] defines or uses, and independent
-    blocks evaluate concurrently.  Results are committed in layout
-    order, so the output is bit-identical to the sequential driver's
-    for any pool width. *)
+    Each function's blocks are partitioned in dependency waves: block
+    [j] waits only for earlier blocks defining a register [j] defines
+    or uses, and the blocks of one wave evaluate concurrently on
+    [pool] (inline without one).  Results are committed in layout
+    order, so the output is the same for any pool width. *)
 val partition :
   ?config:config ->
   ?pool:Par.pool ->

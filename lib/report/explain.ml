@@ -309,60 +309,51 @@ let objects_csv ppf (e : t) =
 (* ------------------------------------------------------------------ *)
 (* JSON (the regression-gate baseline format)                          *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json ppf (es : t list) =
+let to_json (es : t list) : Minijson.t =
   let latency = match es with e :: _ -> e.ex_latency | [] -> 0 in
   let clusters = match es with e :: _ -> e.ex_clusters | [] -> 0 in
-  Fmt.pf ppf "{@.  \"schema\": \"gdp-attrib/1\",@.";
-  Fmt.pf ppf "  \"latency\": %d,@.  \"clusters\": %d,@.  \"rows\": [" latency
-    clusters;
-  let first = ref true in
-  List.iter
-    (fun e ->
-      let machine = e.ex_machine in
-      List.iter
-        (fun r ->
-          Fmt.pf ppf "%s@.    {\"bench\": \"%s\", \"method\": \"%s\", "
-            (if !first then "" else ",")
-            (json_escape e.ex_bench) (json_escape r.mr_method);
-          first := false;
-          Fmt.pf ppf "\"cycles\": %d, \"dynamic_moves\": %d, " r.mr_cycles
-            r.mr_dynamic_moves;
-          Fmt.pf ppf "\"categories\": {%s},"
-            (String.concat ", "
-               (List.map
-                  (fun c ->
-                    Fmt.str "\"%s\": %d" (Attrib.category_name c)
-                      r.mr_totals.Attrib.t_categories.(Attrib.category_index c))
-                  Attrib.categories));
-          Fmt.pf ppf " \"objects\": [%s]}"
-            (String.concat ", "
-               (List.map
-                  (fun (o, home, access, moves, transfer) ->
-                    Fmt.str
-                      "{\"object\": \"%s\", \"home\": %s, \"local\": %d, \
-                       \"remote\": %d, \"moves\": %d, \"transfer_cycles\": %d}"
-                      (json_escape (Data.obj_to_string o))
-                      (match home with Some c -> string_of_int c | None -> "null")
-                      access.Attrib.acc_local access.Attrib.acc_remote moves
-                      transfer)
-                  (expensive_placements ~machine r ~k:max_int))))
-        e.ex_rows)
-    es;
-  Fmt.pf ppf "@.  ]@.}@."
+  let row e r =
+    let categories =
+      List.map
+        (fun c ->
+          ( Attrib.category_name c,
+            Minijson.int
+              r.mr_totals.Attrib.t_categories.(Attrib.category_index c) ))
+        Attrib.categories
+    in
+    let objects =
+      List.map
+        (fun (o, home, access, moves, transfer) ->
+          Minijson.obj
+            [
+              ("object", Minijson.str (Data.obj_to_string o));
+              ("home", Minijson.option Minijson.int home);
+              ("local", Minijson.int access.Attrib.acc_local);
+              ("remote", Minijson.int access.Attrib.acc_remote);
+              ("moves", Minijson.int moves);
+              ("transfer_cycles", Minijson.int transfer);
+            ])
+        (expensive_placements ~machine:e.ex_machine r ~k:max_int)
+    in
+    Minijson.obj
+      [
+        ("bench", Minijson.str e.ex_bench);
+        ("method", Minijson.str r.mr_method);
+        ("cycles", Minijson.int r.mr_cycles);
+        ("dynamic_moves", Minijson.int r.mr_dynamic_moves);
+        ("categories", Minijson.obj categories);
+        ("objects", Minijson.list objects);
+      ]
+  in
+  Minijson.obj
+    [
+      ("schema", Minijson.str "gdp-attrib/1");
+      ("latency", Minijson.int latency);
+      ("clusters", Minijson.int clusters);
+      ( "rows",
+        Minijson.list
+          (List.concat_map (fun e -> List.map (row e) e.ex_rows) es) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* File output                                                         *)
@@ -395,8 +386,6 @@ let write_reports ~dir (es : t list) : string list =
         Fmt.pf ppf "%s@." objects_csv_header;
         List.iter (objects_csv ppf) es)
   in
-  let json =
-    write_file (Filename.concat dir "attribution.json") (fun ppf ->
-        to_json ppf es)
-  in
+  let json = Filename.concat dir "attribution.json" in
+  Minijson.write_rows json (to_json es);
   md @ [ csv; objs; json ]

@@ -75,8 +75,9 @@ val methods_csv : Format.formatter -> t -> unit
 val objects_csv : Format.formatter -> t -> unit
 
 (** Machine-readable JSON ("gdp-attrib/1"), one document per
-    explanation set; [Regress] reads this format back. *)
-val to_json : Format.formatter -> t list -> unit
+    explanation set, one row per (benchmark, method); [Regress] reads
+    this format back.  Write it with [Minijson.write_rows]. *)
+val to_json : t list -> Minijson.t
 
 (** Write [<bench>.md] per explanation plus [attribution.csv],
     [objects.csv] and [attribution.json] into [dir] (created if

@@ -4,7 +4,6 @@ module Pipeline = Gdp_core.Pipeline
 module Settings = Gdp_core.Pipeline.Settings
 
 let schema = "gdp-service/2"
-let legacy_schema = "gdp-service/1"
 let result_schema = "gdp-service-result/1"
 
 type job = {
@@ -175,17 +174,6 @@ let check_schema expected doc =
       Error (Printf.sprintf "schema %S is not %S" s expected)
   | Ok _ -> Ok ()
 
-(* Version negotiation: the request envelope accepts both the current
-   schema and the previous one, so a v1 client (no trace_id, no admin
-   verbs) keeps working against a v2 server unchanged. *)
-let check_request_schema doc =
-  match string_field "schema" doc with
-  | Error _ -> Error (Printf.sprintf "missing schema (expected %S)" schema)
-  | Ok s when s <> schema && s <> legacy_schema ->
-      Error
-        (Printf.sprintf "schema %S is neither %S nor %S" s schema legacy_schema)
-  | Ok _ -> Ok ()
-
 let ( let* ) = Result.bind
 
 let job_of_json doc =
@@ -236,7 +224,7 @@ let job_of_json doc =
   Ok { id; source; input; settings; deadline_ms; verify; trace_id }
 
 let request_of_json doc =
-  let* () = check_request_schema doc in
+  let* () = check_schema schema doc in
   let* op = string_field "op" doc in
   match op with
   | "submit" ->
@@ -269,7 +257,7 @@ let request_of_json doc =
 let response_of_json doc =
   let* () = check_schema result_schema doc in
   let* op = string_field "op" doc in
-  (* optional on both result and failed; absent from v1 servers *)
+  (* optional on both result and failed *)
   let trace = Minijson.member "trace" doc in
   match op with
   | "result" ->
@@ -330,12 +318,16 @@ let response_of_json doc =
 (* ------------------------------------------------------------------ *)
 (* Content addressing                                                  *)
 
+(* Bumped whenever the compiler starts producing different artifacts
+   for the same job bytes, so a durable store written by an older build
+   misses instead of serving a stale artifact. *)
+let key_salt = "gdp-artifact/2"
+
 let cache_key (j : job) =
   let settings_json = Minijson.encode (Settings.to_json j.settings) in
   let machine = Fmt.str "%a" Vliw_machine.pp (Settings.machine j.settings) in
   let input = String.concat "," (List.map string_of_int j.input) in
-  Cache.digest_key
-    ~parts:[ "gdp-artifact/1"; j.source; input; settings_json; machine ]
+  Cache.digest_key ~parts:[ key_salt; j.source; input; settings_json; machine ]
 
 let bench_name (j : job) =
   (* Only source + input matter: the front-end memo this keys is used

@@ -6,9 +6,8 @@
 
     {2 Wire shape}
 
-    Requests carry [schema "gdp-service/2"] and an ["op"] (the previous
-    envelope ["gdp-service/1"] — no [trace_id], no admin verbs — is
-    still accepted, so old clients keep working):
+    Requests carry [schema "gdp-service/2"] (the only version accepted)
+    and an ["op"]:
 
     {v
     {"schema":"gdp-service/2","op":"submit","id":"j1","source":"...",
@@ -23,9 +22,8 @@
     {"schema":"gdp-service/2","op":"shutdown"}
     v}
 
-    Responses carry [schema "gdp-service-result/1"] (unchanged — new
-    fields are optional, so v1 clients that ignore unknown members keep
-    decoding):
+    Responses carry [schema "gdp-service-result/1"]; [trace] and
+    [retry_after_ms] are optional members:
 
     {v
     {"schema":"gdp-service-result/1","op":"result","id":"j1",
@@ -49,10 +47,7 @@
     many jobs. *)
 
 val schema : string
-(** ["gdp-service/2"] — current request envelope. *)
-
-val legacy_schema : string
-(** ["gdp-service/1"] — still accepted by {!request_of_json}. *)
+(** ["gdp-service/2"] — the request envelope. *)
 
 val result_schema : string
 (** ["gdp-service-result/1"] — response envelope. *)
@@ -123,8 +118,8 @@ val request_to_json : request -> Minijson.t
 val request_of_json : Minijson.t -> (request, string) result
 (** Strict: wrong schema, unknown op, missing or ill-typed fields and
     invalid embedded settings are all [Error] with the offender named.
-    Both {!schema} and {!legacy_schema} envelopes are accepted (a v1
-    request simply decodes with [trace_id = None]). *)
+    Any envelope other than {!schema} is rejected, naming the one this
+    build speaks. *)
 
 val response_to_json : response -> Minijson.t
 val response_of_json : Minijson.t -> (response, string) result
@@ -140,7 +135,10 @@ val cache_key : job -> string
     the workload, the canonical settings JSON and the machine
     description the settings select.  The job [id], [deadline_ms] and
     [trace_id] do not participate — two submissions of the same compile
-    share one artifact whatever they are called or traced as. *)
+    share one artifact whatever they are called or traced as.  A salt
+    changes whenever the compiler starts producing different artifacts
+    for the same job, so entries a durable store kept from an older
+    build are misses, never stale hits. *)
 
 val bench_name : job -> string
 (** Deterministic per-content benchmark name ([svc-<digest prefix>]) —
@@ -155,7 +153,7 @@ val evaluate_job : ?par_workers:int -> job -> (Minijson.t, string) result
     the object homes in a canonical (sorted) order.  Pure given the
     job's content, so the same job always yields the same bytes —
     the property the artifact cache and the duplicate-submission tests
-    rely on.  [?par_workers] caps the domains a [par_domains >= 2] job
-    may actually spin up (see [Gdp_core.Pipeline.run]); it never changes
-    the artifact, so servers with different caps stay cache-compatible.
+    rely on.  [?par_workers] caps the domains a job may actually spin up
+    (see [Gdp_core.Pipeline.run]); it never changes the artifact, so
+    servers with different caps stay cache-compatible.
     [Error] carries the stage or verification failure. *)

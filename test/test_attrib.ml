@@ -157,11 +157,7 @@ let with_temp_json es f =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      let ppf = Format.formatter_of_out_channel oc in
-      Explain.to_json ppf es;
-      Format.pp_print_flush ppf ();
-      close_out oc;
+      Minijson.write_rows path (Explain.to_json es);
       f path)
 
 let test_gate_roundtrip_and_pass () =

@@ -232,34 +232,28 @@ let test_settings_version () =
              fields)
     | _ -> Alcotest.fail "to_json did not produce an object"
   in
-  (* legacy-shaped machines ship as version-2 documents (bare
-     clusters/move_latency ints, byte-compatible with old servers and
-     their cache keys)... *)
-  (match
-     Minijson.member "version" (Settings.to_json (Settings.default Methods.Gdp))
-   with
-  | Some v ->
-      Alcotest.(check (option int))
-        "legacy shape emits version 2" (Some 2) (Minijson.to_int v)
-  | None -> Alcotest.fail "no version field emitted");
-  (* ...anything else needs the version-3 "machine" field *)
-  (let ring8 =
-     match Machine_spec.preset "ring8" with
-     | Ok m -> m
-     | Error e -> Alcotest.fail e
-   in
-   let s = { (Settings.default Methods.Gdp) with Settings.machine = ring8 } in
-   (match Minijson.member "version" (Settings.to_json s) with
-   | Some v ->
-       Alcotest.(check (option int))
-         "non-legacy machine emits the current version" (Some Settings.version)
-         (Minijson.to_int v)
-   | None -> Alcotest.fail "no version field emitted");
-   match Settings.of_json (Settings.to_json s) with
-   | Ok s' ->
-       Alcotest.(check bool) "ring8 settings round-trip" true (s' = s)
-   | Error m -> Alcotest.failf "rejected ring8 settings: %s" m);
-  (* a document from before the field existed still parses (= v1) *)
+  (* every machine ships as a version-3 document... *)
+  List.iter
+    (fun preset ->
+      let spec =
+        match Machine_spec.preset preset with
+        | Ok m -> m
+        | Error e -> Alcotest.fail e
+      in
+      let s = { (Settings.default Methods.Gdp) with Settings.machine = spec } in
+      (match Minijson.member "version" (Settings.to_json s) with
+      | Some v ->
+          Alcotest.(check (option int))
+            (preset ^ " emits the current version") (Some Settings.version)
+            (Minijson.to_int v)
+      | None -> Alcotest.fail "no version field emitted");
+      match Settings.of_json (Settings.to_json s) with
+      | Ok s' ->
+          Alcotest.(check bool) (preset ^ " settings round-trip") true (s' = s)
+      | Error m -> Alcotest.failf "rejected %s settings: %s" preset m)
+    [ "paper"; "ring8" ];
+  (* ...and older documents are rejected, naming their version: one
+     from before the field existed is version 1 *)
   (match
      Settings.of_json
        (match Settings.to_json (Settings.default Methods.Gdp) with
@@ -267,8 +261,15 @@ let test_settings_version () =
            Minijson.Obj (List.filter (fun (k, _) -> k <> "version") fields)
        | d -> d)
    with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "rejected a version-less document: %s" m);
+  | Ok _ -> Alcotest.fail "accepted a version-less document"
+  | Error m ->
+      if not (contains m "version-1") then
+        Alcotest.failf "expected the version named in %S" m);
+  (match Settings.of_json (doc_with_version (Minijson.int 2)) with
+  | Ok _ -> Alcotest.fail "accepted a version-2 document"
+  | Error m ->
+      if not (contains m "version 2") then
+        Alcotest.failf "expected the version named in %S" m);
   (* a newer document is rejected with an upgrade hint *)
   (match Settings.of_json (doc_with_version (Minijson.int (Settings.version + 1))) with
   | Ok _ -> Alcotest.fail "accepted a too-new version"

@@ -1,8 +1,8 @@
 (** The Par task-pool layer and the intra-compile parallelism built on
     it: pool semantics and error contract, domain-safety of the shared
-    telemetry and pipeline caches, and the determinism contracts of the
-    parallel partitioning paths — par-mode results must depend on the
-    parallelism request, never on how many domains execute them. *)
+    telemetry and pipeline caches, and the determinism contract of the
+    partitioning paths — results never depend on how many domains
+    execute them, nor on whether a pool is given at all. *)
 
 module P = Graphpart.Partitioner
 module G = Graphpart.Graph
@@ -14,20 +14,17 @@ module Pipeline = Gdp_core.Pipeline
 
 let test_pool_semantics () =
   Par.with_pool ~domains:1 (fun pool ->
-      Alcotest.(check int) "parallelism 1" 1 (Par.parallelism pool);
       Alcotest.(check int) "size 1" 1 (Par.size pool));
   Par.with_pool ~domains:4 (fun pool ->
-      Alcotest.(check int) "parallelism 4" 4 (Par.parallelism pool);
       (* default width is capped by the machine, never above the ask *)
       Alcotest.(check bool) "default width within request" true
         (Par.size pool >= 1 && Par.size pool <= 4));
-  (* explicit workers force the width, up to the semantic request *)
+  (* explicit workers force the width, up to the request *)
   Par.with_pool ~workers:4 ~domains:4 (fun pool ->
       if Par.backend = "domains" then
         Alcotest.(check int) "explicit width honoured" 4 (Par.size pool)
       else Alcotest.(check int) "seq size 1" 1 (Par.size pool));
   Par.with_pool ~workers:2 ~domains:8 (fun pool ->
-      Alcotest.(check int) "cap keeps parallelism" 8 (Par.parallelism pool);
       Alcotest.(check bool) "cap bounds size" true (Par.size pool <= 2))
 
 let test_map_for_chunks () =
@@ -99,15 +96,17 @@ let test_telemetry_stress () =
       Telemetry.reset ();
       Telemetry.disable ())
   @@ fun () ->
+  (* each body's span result lands in its own slot and is checked after
+     the pool closes: Alcotest's output formatter is not domain-safe *)
+  let span_results = Array.make 4_000 0 in
   Par.with_pool ~workers:4 ~domains:4 (fun pool ->
       Par.parallel_for pool ~n:4_000 (fun i ->
           Telemetry.incr "par.test.counter";
           Telemetry.observe "par.test.hist" (float_of_int (i mod 97));
           Telemetry.set_gauge "par.test.gauge" (float_of_int i);
           (* spans from worker domains are dropped, not corrupted *)
-          Alcotest.(check int)
-            "span body result" 7
-            (Telemetry.with_span "par.test.span" (fun () -> 7))));
+          span_results.(i) <- Telemetry.with_span "par.test.span" (fun () -> 7)));
+  Array.iter (Alcotest.(check int) "span body result" 7) span_results;
   Alcotest.(check int) "counter lost no updates" 4_000
     (Telemetry.counter_value "par.test.counter");
   let snap = Telemetry.snapshot () in
@@ -153,7 +152,8 @@ let test_clear_caches_concurrent () =
     (Atomic.get hits > before)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel partitioner determinism: same answer for any domain count  *)
+(* Partitioner determinism: same answer for any domain count, and the
+   same without a pool                                                 *)
 
 let par_bisect ?config ?workers ~domains g =
   Par.with_pool ?workers ~domains (fun pool -> P.bisect ?config ~pool g)
@@ -167,6 +167,8 @@ let prop_par_bisect_domain_invariant =
       Array.for_all (fun p -> p = 0 || p = 1) p2
       && par_bisect ~domains:2 g = p2
       && par_bisect ~domains:4 g = p2
+      && par_bisect ~domains:1 g = p2
+      && P.bisect g = p2
       (* execution width must never leak into the answer *)
       && par_bisect ~workers:1 ~domains:4 g = p2
       && par_bisect ~workers:4 ~domains:4 g = p2)
@@ -180,6 +182,7 @@ let prop_par_multi_seed_fm_deterministic =
       let config = { (P.default_config ~ncon) with P.fm_seeds = 8 } in
       let p2 = par_bisect ~config ~domains:2 g in
       par_bisect ~config ~domains:4 g = p2
+      && P.bisect ~config g = p2
       (* and the extra seeds never worsen the objective *)
       && P.evaluate config g p2
          <= P.evaluate config g
@@ -194,14 +197,16 @@ let prop_par_kway_domain_invariant =
         Par.with_pool ~domains (fun pool -> P.kway ~pool g ~nparts:4)
       in
       let p2 = run 2 in
-      Array.for_all (fun p -> p >= 0 && p < 4) p2 && run 4 = p2)
+      Array.for_all (fun p -> p >= 0 && p < 4) p2
+      && run 4 = p2
+      && P.kway g ~nparts:4 = p2)
     Test_graphpart.arbitrary_graph
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end artifact identity through the full pipeline.  The
    service-layer artifact is the canonical rendering the gdpcd cache
-   keys on, so "same bytes" here is exactly the cache-compatibility
-   contract of docs/parallelism.md.                                    *)
+   keys on, so "same bytes" here is exactly the determinism contract
+   of docs/parallelism.md.                                             *)
 
 let artifact ?par_workers ~par_domains ~move_latency method_ source =
   let settings =
@@ -231,6 +236,14 @@ let artifact ?par_workers ~par_domains ~move_latency method_ source =
 
 let latency_of_seed seed = [| 1; 5; 10 |].(seed mod 3)
 
+(* one method, byte for byte: par domains 1, 2 and 4, and 4 under a
+   one-worker cap — capping the width must never change the artifact *)
+let par_identical ~move_latency m source =
+  let a1 = artifact ~par_domains:1 ~move_latency m source in
+  artifact ~par_domains:2 ~move_latency m source = a1
+  && artifact ~par_domains:4 ~move_latency m source = a1
+  && artifact ~par_workers:1 ~par_domains:4 ~move_latency m source = a1
+
 let prop_methods_par_identity =
   Helpers.qcheck ~count:3
     "unified/naive/profile-max artifacts are byte-identical for par \
@@ -239,28 +252,19 @@ let prop_methods_par_identity =
       let source = Gen_minic.gen_program_with_seed seed in
       let move_latency = latency_of_seed seed in
       List.for_all
-        (fun m ->
-          let a1 = artifact ~par_domains:1 ~move_latency m source in
-          let a2 = artifact ~par_domains:2 ~move_latency m source in
-          let a4 = artifact ~par_domains:4 ~move_latency m source in
-          a1 = a2 && a2 = a4)
+        (fun m -> par_identical ~move_latency m source)
         [ Methods.Unified; Methods.Naive; Methods.Profile_max ])
     Gen_minic.arbitrary_program
 
+(* GDP shares the driver of the other methods, so domains 1 must agree
+   with 2 and 4 as well *)
 let prop_gdp_par_deterministic =
   Helpers.qcheck ~count:3
     "gdp par artifacts are byte-identical for 2 and 4 domains and under \
      a worker cap"
     (fun seed ->
       let source = Gen_minic.gen_program_with_seed seed in
-      let move_latency = latency_of_seed seed in
-      let a2 = artifact ~par_domains:2 ~move_latency Methods.Gdp source in
-      artifact ~par_domains:2 ~move_latency Methods.Gdp source = a2
-      && artifact ~par_domains:4 ~move_latency Methods.Gdp source = a2
-      (* capping execution width must never change the artifact *)
-      && artifact ~par_workers:1 ~par_domains:4 ~move_latency Methods.Gdp
-           source
-         = a2)
+      par_identical ~move_latency:(latency_of_seed seed) Methods.Gdp source)
     Gen_minic.arbitrary_program
 
 let suite =

@@ -475,8 +475,40 @@ let test_protocol_rejections () =
   | Ok _ -> Alcotest.fail "accepted a typo'd settings field"
   | Error m -> Alcotest.(check bool) "names the field" true (contains m "colour")
 
+(* The key a build before the one-driver partitioner derived for a ring8
+   GDP [sample_job].  Its settings bytes are unchanged since, but its
+   artifact is not, so the key must differ: a durable store written by
+   that build has to miss, not serve the stale artifact. *)
+let ring8_gdp_key_before_one_driver = "09192198d17b3f04b7ff92c84813d8d5"
+
 let test_protocol_cache_key () =
   let j = sample_job () in
+  (match Machine_spec.preset "ring8" with
+  | Error m -> Alcotest.fail m
+  | Ok ring8 ->
+      let ring8_job =
+        {
+          j with
+          Protocol.settings = { j.Protocol.settings with Settings.machine = ring8 };
+        }
+      in
+      Alcotest.(check bool)
+        "stale ring8 key misses" false
+        (Protocol.cache_key ring8_job = ring8_gdp_key_before_one_driver);
+      (* under the old salt the same bytes digest to the old key: the
+         salt alone tells the two builds' entries apart *)
+      let settings = ring8_job.Protocol.settings in
+      Alcotest.(check string)
+        "old salt reproduces the old key" ring8_gdp_key_before_one_driver
+        (Cache.digest_key
+           ~parts:
+             [
+               "gdp-artifact/1";
+               j.Protocol.source;
+               String.concat "," (List.map string_of_int j.Protocol.input);
+               Minijson.encode (Settings.to_json settings);
+               Fmt.str "%a" Vliw_machine.pp (Settings.machine settings);
+             ]));
   (* id and deadline do not participate in the content address *)
   Alcotest.(check string)
     "id irrelevant" (Protocol.cache_key j)
@@ -1077,61 +1109,51 @@ let test_loadgen_chaos_consistency () =
 (* ------------------------------------------------------------------ *)
 (* Tracing and the metrics plane                                       *)
 
-(* A v1 client knows nothing of [trace_id] or the admin verbs; its
-   envelopes must still decode.  And a v2 client that leaves
-   [trace_id] unset must put bytes on the wire that a strict v1
-   server — which rejects unknown fields by name — would accept. *)
+(* The server speaks gdp-service/2 only: any other envelope — the
+   retired v1 (no [trace_id], no admin verbs) or a future one — is
+   refused, naming the version this build speaks.  An unset [trace_id]
+   stays off the wire, a set one round-trips. *)
 let test_protocol_version_negotiation () =
   let j = sample_job () in
-  (* old client -> new server: the same submit under the v1 schema *)
-  let v1 =
+  let with_schema schema =
     match Protocol.request_to_json (Protocol.Submit j) with
     | Minijson.Obj fields ->
         Minijson.Obj
           (List.map
              (fun (k, v) ->
-               if k = "schema" then (k, Minijson.str "gdp-service/1")
-               else (k, v))
+               if k = "schema" then (k, Minijson.str schema) else (k, v))
              fields)
     | d -> d
   in
-  (match Protocol.request_of_json v1 with
-  | Ok (Protocol.Submit j') ->
-      Alcotest.(check bool) "v1 submit accepted" true (j' = j);
-      Alcotest.(check bool) "no trace id" true (j'.Protocol.trace_id = None)
-  | Ok _ -> Alcotest.fail "v1 submit decoded to the wrong request"
-  | Error m -> Alcotest.failf "v1 submit rejected: %s" m);
-  (* new client -> old strict server: an unset trace_id must not
-     appear on the wire at all *)
+  List.iter
+    (fun schema ->
+      match Protocol.request_of_json (with_schema schema) with
+      | Ok _ -> Alcotest.failf "accepted a %s submit" schema
+      | Error m ->
+          Alcotest.(check bool)
+            (schema ^ " refused, naming the current version")
+            true
+            (contains m "gdp-service/2"))
+    [ "gdp-service/1"; "gdp-service/3" ];
+  (match Protocol.request_of_json (with_schema Protocol.schema) with
+  | Ok (Protocol.Submit j') -> Alcotest.(check bool) "v2 submit" true (j' = j)
+  | Ok _ -> Alcotest.fail "v2 submit decoded to the wrong request"
+  | Error m -> Alcotest.failf "v2 submit rejected: %s" m);
   (match Protocol.request_to_json (Protocol.Submit j) with
   | Minijson.Obj fields ->
       Alcotest.(check bool)
         "trace_id absent when unset" true
         (not (List.mem_assoc "trace_id" fields))
   | _ -> Alcotest.fail "submit did not encode to an object");
-  (* ... while a set trace_id survives the v2 round-trip *)
   let j2 = sample_job ~trace_id:(Some "t-negotiate") () in
-  (match
-     Protocol.request_of_json (Protocol.request_to_json (Protocol.Submit j2))
-   with
+  match
+    Protocol.request_of_json (Protocol.request_to_json (Protocol.Submit j2))
+  with
   | Ok (Protocol.Submit j') ->
       Alcotest.(check (option string))
         "trace id round-trips" (Some "t-negotiate") j'.Protocol.trace_id
   | Ok _ -> Alcotest.fail "v2 submit decoded to the wrong request"
-  | Error m -> Alcotest.failf "v2 submit rejected: %s" m);
-  (* a future schema is still refused, naming what we do speak *)
-  match
-    Protocol.request_of_json
-      (Minijson.obj
-         [
-           ("schema", Minijson.str "gdp-service/3"); ("op", Minijson.str "ping");
-         ])
-  with
-  | Ok _ -> Alcotest.fail "accepted an unknown schema version"
-  | Error m ->
-      Alcotest.(check bool)
-        "names the current version" true
-        (contains m "gdp-service/2")
+  | Error m -> Alcotest.failf "v2 submit rejected: %s" m
 
 let gets k doc = Option.bind (Minijson.member k doc) Minijson.to_string
 let getf k doc = Option.bind (Minijson.member k doc) Minijson.to_float

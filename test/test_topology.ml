@@ -2,7 +2,7 @@
     seed constructors' cycle counts exactly, the simulator agrees with
     the static model (and the attribution identity holds) on random
     machines of every topology, [Machine_spec] JSON round-trips, and
-    v2 settings documents migrate to the v3 [machine] field. *)
+    settings carry the machine in their v3 [machine] field only. *)
 
 module M = Vliw_machine
 module Spec = Machine_spec
@@ -73,8 +73,8 @@ let gen_spec st =
 (* [Machine_spec.of_legacy] resolves to the very machine the seed's
    [paper_machine]/[scaled_machine] build (names included), and the
    whole pipeline consequently produces identical cycle counts through
-   either path — the invariant that keeps v2 settings and the committed
-   figure baselines byte-stable. *)
+   either path — the invariant that keeps the committed figure
+   baselines byte-stable. *)
 let check_bus_reproduces_seed seed =
   let prepared = Pipeline.prepare (bench_of_seed seed) in
   List.iter
@@ -246,7 +246,7 @@ let test_spec_errors () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Settings: v2 -> v3 migration                                        *)
+(* Settings: the machine field                                        *)
 
 (* apply [changes] to a JSON object: [Some v] replaces (or appends) the
    field, [None] deletes it *)
@@ -273,37 +273,51 @@ let replace_fields doc changes =
       Minijson.Obj (replaced @ added)
   | _ -> Alcotest.fail "settings did not encode as an object"
 
-let test_settings_migration () =
-  (* a legacy-shaped machine emits the exact v2 wire fields... *)
-  let legacy = Settings.default Partition.Methods.Gdp in
-  let doc = Settings.to_json legacy in
-  Alcotest.(check (option int)) "legacy emits version 2" (Some 2)
+let test_settings_machine_field () =
+  (* the paper machine ships as a v3 spec object like any other... *)
+  let doc = Settings.to_json (Settings.default Partition.Methods.Gdp) in
+  Alcotest.(check (option int)) "paper machine emits version 3" (Some 3)
     (Option.bind (Minijson.member "version" doc) Minijson.to_int);
-  Alcotest.(check (option int)) "bare clusters field" (Some 2)
-    (Option.bind (Minijson.member "clusters" doc) Minijson.to_int);
-  Alcotest.(check bool) "no machine field" true
-    (Minijson.member "machine" doc = None);
-  (* ...and a v2 document canonicalizes onto the machine field *)
-  let migrated =
+  Alcotest.(check bool) "no bare clusters field" true
+    (Minijson.member "clusters" doc = None);
+  (match Minijson.member "machine" doc with
+  | Some (Minijson.Obj _ as spec) ->
+      Alcotest.(check bool) "machine field is the of_legacy spec" true
+        (Spec.of_json spec = Ok (Spec.of_legacy ~clusters:2 ~move_latency:5))
+  | _ -> Alcotest.fail "no machine spec object emitted");
+  (* ...and a v2 document (bare clusters/move_latency ints) is rejected,
+     naming its version *)
+  let v2 =
     replace_fields doc
       [
+        ("version", Some (Minijson.int 2));
+        ("machine", None);
         ("clusters", Some (Minijson.int 4));
         ("move_latency", Some (Minijson.int 7));
       ]
   in
-  (match Settings.of_json migrated with
-  | Ok s ->
-      Alcotest.(check bool) "v2 ints canonicalize to of_legacy" true
-        (s.Settings.machine = Spec.of_legacy ~clusters:4 ~move_latency:7)
-  | Error m -> Alcotest.fail m);
-  (* a preset name works in the machine field *)
-  let with_preset =
+  (match Settings.of_json v2 with
+  | Ok _ -> Alcotest.fail "v2 document accepted"
+  | Error m ->
+      Alcotest.(check bool) "v2 error names the version" true
+        (contains ~affix:"version 2" m));
+  (* the bare ints are no v3 fields either *)
+  let ints =
     replace_fields doc
       [
-        ("clusters", None);
-        ("move_latency", None);
-        ("machine", Some (Minijson.str "ring8"));
+        ("machine", None);
+        ("clusters", Some (Minijson.int 4));
+        ("move_latency", Some (Minijson.int 7));
       ]
+  in
+  (match Settings.of_json ints with
+  | Ok _ -> Alcotest.fail "bare clusters/move_latency accepted"
+  | Error m ->
+      Alcotest.(check bool) "names the unknown field" true
+        (contains ~affix:"clusters" m));
+  (* a preset name works in the machine field *)
+  let with_preset =
+    replace_fields doc [ ("machine", Some (Minijson.str "ring8")) ]
   in
   (match Settings.of_json with_preset with
   | Ok s -> (
@@ -313,42 +327,26 @@ let test_settings_migration () =
             (s.Settings.machine = ring8)
       | Error m -> Alcotest.fail m)
   | Error m -> Alcotest.fail m);
-  (* and the two forms cannot be mixed *)
-  let conflicted =
-    replace_fields doc [ ("machine", Some (Minijson.str "ring8")) ]
-  in
-  (match Settings.of_json conflicted with
-  | Ok _ -> Alcotest.fail "machine + legacy ints accepted"
+  (* missing, unknown-preset and malformed machine fields are rejected *)
+  (match Settings.of_json (replace_fields doc [ ("machine", None) ]) with
+  | Ok _ -> Alcotest.fail "settings without a machine accepted"
   | Error m ->
-      Alcotest.(check bool) "conflict error names both forms" true
-        (contains ~affix:"conflicts" m));
-  (* unknown presets and malformed machine fields are rejected *)
+      Alcotest.(check bool) "names the missing field" true
+        (contains ~affix:"machine" m));
   let unknown =
-    replace_fields doc
-      [
-        ("clusters", None);
-        ("move_latency", None);
-        ("machine", Some (Minijson.str "torus9"));
-      ]
+    replace_fields doc [ ("machine", Some (Minijson.str "torus9")) ]
   in
   (match Settings.of_json unknown with
   | Ok _ -> Alcotest.fail "unknown preset accepted"
   | Error _ -> ());
-  let bad_type =
-    replace_fields doc
-      [
-        ("clusters", None);
-        ("move_latency", None);
-        ("machine", Some (Minijson.int 3));
-      ]
-  in
+  let bad_type = replace_fields doc [ ("machine", Some (Minijson.int 3)) ] in
   match Settings.of_json bad_type with
   | Ok _ -> Alcotest.fail "numeric machine field accepted"
   | Error m ->
       Alcotest.(check bool) "type error mentions the contract" true
         (contains ~affix:"preset name or a spec" m)
 
-(* a non-legacy machine survives the settings round-trip as a v3 doc *)
+(* a spec object survives the settings round-trip as a v3 doc *)
 let test_settings_v3_roundtrip () =
   match Spec.preset "mesh16" with
   | Error m -> Alcotest.fail m
@@ -357,7 +355,7 @@ let test_settings_v3_roundtrip () =
         { (Settings.default Partition.Methods.Gdp) with Settings.machine = mesh16 }
       in
       let doc = Settings.to_json s in
-      Alcotest.(check (option int)) "non-legacy emits version 3" (Some 3)
+      Alcotest.(check (option int)) "emits version 3" (Some 3)
         (Option.bind (Minijson.member "version" doc) Minijson.to_int);
       Alcotest.(check bool) "no bare clusters field" true
         (Minijson.member "clusters" doc = None);
@@ -408,8 +406,8 @@ let suite =
     prop_spec_roundtrip;
     Alcotest.test_case "presets resolve" `Quick test_presets;
     Alcotest.test_case "ill-formed specs rejected" `Quick test_spec_errors;
-    Alcotest.test_case "settings v2 -> v3 migration" `Quick
-      test_settings_migration;
+    Alcotest.test_case "settings v2 rejected, machine parsed" `Quick
+      test_settings_machine_field;
     Alcotest.test_case "settings v3 round-trip" `Quick
       test_settings_v3_roundtrip;
     Alcotest.test_case "ring8/mesh16 contention smoke" `Quick
