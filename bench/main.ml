@@ -121,7 +121,7 @@ let bechamel_results () : (string * float option) list =
           List.map
             (fun m ->
               Test.make
-                ~name:(Fmt.str "%s/%s" name (Partition.Methods.name m))
+                ~name:(Fmt.str "%s/%s" name (Partition.Methods.to_string m))
                 (Staged.stage (fun () -> ignore (Partition.Methods.run m ctx))))
             Partition.Methods.all
         in

@@ -83,7 +83,7 @@ let method_arg =
   let method_conv =
     Arg.enum
       (List.map
-         (fun m -> (Partition.Methods.name m, m))
+         (fun m -> (Partition.Methods.to_string m, m))
          Partition.Methods.all)
   in
   Arg.(
@@ -423,8 +423,8 @@ let partition_cmd =
                 if r.Gdp_core.Pipeline.used <> r.Gdp_core.Pipeline.requested
                 then
                   Fmt.pr "degraded: %s -> %s@."
-                    (Partition.Methods.name r.Gdp_core.Pipeline.requested)
-                    (Partition.Methods.name r.Gdp_core.Pipeline.used);
+                    (Partition.Methods.to_string r.Gdp_core.Pipeline.requested)
+                    (Partition.Methods.to_string r.Gdp_core.Pipeline.used);
                 r.Gdp_core.Pipeline.evaluation
           end
           else
@@ -735,17 +735,7 @@ let fuzz_cmd =
       $ shrink_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
-(* serve / submit / loadgen: the gdpcd compile service                 *)
-
-let parse_hostport s =
-  match String.rindex_opt s ':' with
-  | Some i when i > 0 && i < String.length s - 1 -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> (host, p)
-      | _ -> raise (Cli_error (Fmt.str "invalid TCP endpoint %S" s)))
-  | _ -> raise (Cli_error (Fmt.str "invalid TCP endpoint %S (want host:port)" s))
+(* submit / loadgen: clients of the gdpcd compile service             *)
 
 let endpoint_arg =
   Arg.(
@@ -753,117 +743,6 @@ let endpoint_arg =
     & opt string "gdpcd.sock"
     & info [ "s"; "server" ] ~docv:"ENDPOINT"
         ~doc:"Daemon endpoint: a Unix socket path or host:port.")
-
-let serve_cmd =
-  let socket_arg =
-    Arg.(
-      value
-      & opt string "gdpcd.sock"
-      & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket to listen on.")
-  in
-  let tcp_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tcp" ] ~docv:"HOST:PORT"
-          ~doc:"Also listen on TCP (e.g. 127.0.0.1:7070).")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt int 256
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Artifact cache bound (entries, LRU beyond it).")
-  in
-  let max_pending_arg =
-    Arg.(
-      value
-      & opt int 64
-      & info
-          [ "max-pending"; "max-queue" ]
-          ~docv:"N"
-          ~doc:
-            "Reject new submissions once this many jobs are pending \
-             (backpressure; rejections carry a retry_after_ms hint).  \
-             --max-queue is the deprecated spelling.")
-  in
-  let brownout_arg =
-    Arg.(
-      value
-      & opt float 1.0
-      & info [ "brownout" ] ~docv:"FRAC"
-          ~doc:
-            "Fraction of --max-pending at which brown-out begins (shed \
-             verification, then degrade the method down the fallback \
-             ladder).  1.0 disables brown-out.")
-  in
-  let store_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Durable artifact store directory: artifacts survive restarts \
-             (even kill -9) and are scrubbed for corruption at startup.")
-  in
-  let par_workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "par-domains" ] ~docv:"N"
-          ~doc:
-            "Cap the domains any single job's intra-compile parallelism \
-             (settings field par_domains) may actually use: a limit for \
-             loaded hosts.  Artifacts never depend on it.")
-  in
-  let events_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "events" ] ~docv:"FILE"
-          ~doc:
-            "Append one JSON line per request-lifecycle event to $(docv), \
-             each carrying its trace_id.")
-  in
-  let run obs socket tcp jobs cache_capacity max_pending brownout store_dir
-      par_workers events =
-    handle_errors (fun () ->
-        let tcp = Option.map parse_hostport tcp in
-        (* the global --inject/--inject-seed double as the server-side
-           chaos spec: Server.run re-arms it so the store and the event
-           loop see the same deterministic schedule *)
-        Service.Server.run
-          {
-            Service.Server.socket_path = Some socket;
-            tcp;
-            jobs;
-            cache_capacity;
-            max_pending;
-            max_frame = Service.Frame.default_max_frame;
-            trace = obs.trace;
-            events;
-            par_workers;
-            store_dir;
-            brownout;
-            inject =
-              Option.map
-                (fun sp -> (Fmt.str "%a" Fault.pp_spec sp, obs.inject_seed))
-                obs.inject;
-          };
-        (* the server wrote its own trace on shutdown *)
-        finish_obs { obs with trace = None })
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the gdpcd compile daemon: accept settings-driven compile jobs \
-          over a Unix (or TCP) socket, fan them over a worker pool, answer \
-          repeats from a content-addressed artifact cache.  SIGTERM stops \
-          it cleanly.")
-    Term.(
-      const run $ obs_term $ socket_arg $ tcp_arg $ jobs_arg $ cache_arg
-      $ max_pending_arg $ brownout_arg $ store_arg $ par_workers_arg
-      $ events_arg)
 
 let pp_artifact ppf art =
   let geti k = Option.bind (Minijson.member k art) Minijson.to_int in
@@ -1421,32 +1300,20 @@ let render_trace doc =
     (Option.value ~default:0. (getf "queue_us"))
     (Option.value ~default:0. (getf "exec_us"));
   let spans =
-    match Option.bind (Minijson.member "spans" doc) Minijson.to_list with
-    | Some l -> l
-    | None -> []
+    Option.value ~default:[]
+      (Option.bind (Minijson.member "spans" doc) Minijson.to_list)
+    |> List.filter_map Telemetry.span_of_json
   in
   let base = Option.value ~default:0. (getf "start_us") in
-  let span_id s = Option.bind (Minijson.member "id" s) Minijson.to_int in
-  let span_parent s = Option.bind (Minijson.member "parent" s) Minijson.to_int in
-  let children p = List.filter (fun s -> span_parent s = p) spans in
-  let rec render indent s =
-    let field n = Minijson.member n s in
-    let name =
-      Option.value ~default:"?" (Option.bind (field "name") Minijson.to_string)
-    in
-    let start =
-      Option.value ~default:base (Option.bind (field "start_us") Minijson.to_float)
-    in
-    let dur =
-      Option.value ~default:0. (Option.bind (field "dur_us") Minijson.to_float)
-    in
+  let children p =
+    List.filter (fun (s : Telemetry.span) -> s.Telemetry.parent = p) spans
+  in
+  let rec render indent (s : Telemetry.span) =
     Fmt.pr "  %s%-*s %10.0f us  at +%.0f us@." indent
       (max 1 (30 - String.length indent))
-      name dur
-      (Float.max 0. (start -. base));
-    match span_id s with
-    | None -> ()
-    | Some id -> List.iter (render (indent ^ "  ")) (children (Some id))
+      s.name s.dur_us
+      (Float.max 0. (s.start_us -. base));
+    List.iter (render (indent ^ "  ")) (children (Some s.id))
   in
   List.iter (render "") (children None)
 
@@ -1508,7 +1375,6 @@ let () =
             explain_cmd;
             bench_cmd;
             fuzz_cmd;
-            serve_cmd;
             submit_cmd;
             loadgen_cmd;
             top_cmd;

@@ -1,11 +1,10 @@
-(* gdpcd: the standalone compile-as-a-service daemon.
+(* gdpcd: the compile-as-a-service daemon.
 
-   A thin wrapper over Service.Server — the same engine `gdpc serve`
-   embeds, packaged as its own binary so deployments that only serve
-   (no local pipeline work) ship one small entry point.  SIGTERM and
-   SIGINT stop it cleanly: outstanding jobs are answered
-   "server shutting down", workers are reaped, the socket is
-   unlinked. *)
+   A thin command line over Service.Server and the only way to start a
+   long-running daemon ([gdpc submit], [gdpc top] and [gdpc trace] are
+   its clients).  SIGTERM and SIGINT stop it cleanly: outstanding jobs
+   are answered "server shutting down", workers are reaped, the socket
+   is unlinked. *)
 
 open Cmdliner
 
@@ -49,13 +48,10 @@ let max_pending_arg =
   Arg.(
     value
     & opt int 64
-    & info
-        [ "max-pending"; "max-queue" ]
-        ~docv:"N"
+    & info [ "max-pending" ] ~docv:"N"
         ~doc:
           "Reject new submissions once this many jobs are pending \
-           (backpressure; rejections carry a retry_after_ms hint).  \
-           --max-queue is the deprecated spelling.")
+           (backpressure; rejections carry a retry_after_ms hint).")
 
 let brownout_arg =
   Arg.(
@@ -107,10 +103,11 @@ let events_arg =
     & opt (some string) None
     & info [ "events" ] ~docv:"FILE"
         ~doc:
-          "Append one JSON line per request-lifecycle event (submit, \
-           dispatch, cache_hit, coalesce, reject, deliver, deadline_miss) \
-           to this file, each carrying its trace_id — the structured log \
-           that correlates with 'gdpc trace'.")
+          "Append one JSON line per request-lifecycle event to this file, \
+           each carrying its trace_id — the structured log that \
+           correlates with 'gdpc trace'.  Every submit is followed by \
+           exactly one terminal event (cache_hit, deliver, reject, \
+           deadline_miss, cancel, disconnect or shutdown).")
 
 let verbose_arg =
   Arg.(

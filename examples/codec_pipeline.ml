@@ -45,7 +45,7 @@ let () =
             e.Gdp_core.Pipeline.report.Vliw_sched.Perf.total_cycles)
           results
       in
-      Fmt.pr "%-14s %10d %10d %10d@." (Methods.name m) (List.nth cells 0)
+      Fmt.pr "%-14s %10d %10d %10d@." (Methods.to_string m) (List.nth cells 0)
         (List.nth cells 1) (List.nth cells 2))
     Methods.all;
 
@@ -60,7 +60,7 @@ let () =
     (fun (m, e) ->
       let r = e.Gdp_core.Pipeline.report in
       Fmt.pr "  %-12s %.3f   (%d dynamic intercluster moves)@."
-        (Methods.name m)
+        (Methods.to_string m)
         (float unified /. float r.Vliw_sched.Perf.total_cycles)
         r.Vliw_sched.Perf.dynamic_moves)
     at5;

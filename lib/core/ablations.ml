@@ -162,7 +162,7 @@ let heterogeneous ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
         List.map
           (fun m ->
             let e = Pipeline.evaluate ctx m in
-            (Methods.name m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
+            (Methods.to_string m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
           Methods.all
       in
       let gdp = Pipeline.evaluate ctx Methods.Gdp in
@@ -304,7 +304,7 @@ let four_clusters ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
         List.map
           (fun m ->
             let e = Pipeline.evaluate ctx m in
-            (Methods.name m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
+            (Methods.to_string m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
           Methods.all
       in
       { cl_bench = b.Benchsuite.Bench_intf.name; cl_cycles = cycles })

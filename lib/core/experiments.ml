@@ -30,7 +30,7 @@ let run_bench ~machine (b : Benchsuite.Bench_intf.t) : row =
     List.map
       (fun m ->
         let e = Pipeline.evaluate ctx m in
-        (Methods.name m, e))
+        (Methods.to_string m, e))
       Methods.all
   with
   | evals ->
@@ -466,10 +466,10 @@ let compile_time ?(benches = default_benches ()) ?(move_latency = 5) () :
           in
           (total, stages)
         in
-        let timed = List.map (fun m -> (Methods.name m, time m)) Methods.all in
+        let timed = List.map (fun m -> (Methods.to_string m, time m)) Methods.all in
         ( b.Benchsuite.Bench_intf.name,
           List.map (fun (n, (total, _)) -> (n, total)) timed,
-          snd (List.assoc (Methods.name Methods.Gdp) timed) ))
+          snd (List.assoc (Methods.to_string Methods.Gdp) timed) ))
       benches
   in
   {

@@ -148,7 +148,7 @@ type evaluation = {
    behind [run] and the [evaluate] wrapper. *)
 let evaluate_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
     (ctx : Methods.context) method_ : evaluation =
-  Telemetry.with_span "evaluate" ~args:[ ("method", Methods.name method_) ]
+  Telemetry.with_span "evaluate" ~args:[ ("method", Methods.to_string method_) ]
     (fun () ->
       (* the pool lives exactly as long as the partitioning work: it is
          torn down before control returns to callers that may fork
@@ -236,7 +236,7 @@ let checked_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
     (evaluation, string) result =
   match
     Telemetry.with_span "evaluate-checked"
-      ~args:[ ("method", Methods.name method_) ]
+      ~args:[ ("method", Methods.to_string method_) ]
       (fun () ->
         let outcome =
           Par.with_pool ?workers:par_workers ~domains:par_domains (fun pool ->
@@ -288,7 +288,7 @@ let pp_fallback ppf f =
 let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
     (p : prepared) (ctx : Methods.context) method_ : (robust, string) result =
   Telemetry.with_span "evaluate-robust"
-    ~args:[ ("method", Methods.name method_) ]
+    ~args:[ ("method", Methods.to_string method_) ]
   @@ fun () ->
   let verify_against = if verify then Some p else None in
   let rec go fallbacks = function
@@ -308,7 +308,7 @@ let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
               Telemetry.incr "pipeline.fallbacks" ~by:(List.length fallbacks);
               Logs.warn (fun l ->
                   l "pipeline: %s degraded to %s after %d failure(s)"
-                    (Methods.name method_) (Methods.name m)
+                    (Methods.to_string method_) (Methods.to_string m)
                     (List.length fallbacks))
             end;
             Ok
@@ -321,8 +321,8 @@ let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
         | Error reason ->
             Fault.note_detected ();
             Logs.warn (fun l ->
-                l "pipeline: method %s rejected: %s" (Methods.name m) reason);
-            go ({ failed_method = Methods.name m; reason } :: fallbacks) rest)
+                l "pipeline: method %s rejected: %s" (Methods.to_string m) reason);
+            go ({ failed_method = Methods.to_string m; reason } :: fallbacks) rest)
   in
   go [] (Methods.fallback_chain method_)
 

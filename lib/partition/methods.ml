@@ -24,8 +24,6 @@ let to_string = function
   | Naive -> "naive"
   | Unified -> "unified"
 
-let name = to_string
-
 let of_string = function
   | "gdp" -> Ok Gdp
   | "profile-max" -> Ok Profile_max
@@ -35,14 +33,6 @@ let of_string = function
       Error
         (Fmt.str "unknown partitioning method %S (expected one of %s)" s
            (String.concat ", " (List.map to_string all)))
-
-let of_name s =
-  match of_string s with
-  | Ok m -> m
-  | Error _ -> (
-      match s with
-      | "profilemax" | "pm" -> Profile_max
-      | s -> invalid_arg ("Methods.of_name: unknown method " ^ s))
 
 (** Graceful-degradation order: a method that fails verification falls
     back to the next entry, ending at Unified (shared memory, no data
@@ -164,7 +154,7 @@ let run_gdp ?rhop_config ?gdp_config ?pool ctx : outcome =
     Gdp.partition_objects ?config:gdp_config ?pool ~machine:ctx.machine
       ~prog:ctx.prog ~merge:ctx.merge ~dfg:ctx.dfg ~profile:ctx.profile ()
   in
-  clustered_with_homes ?rhop_config ?pool ctx ~method_name:(name Gdp)
+  clustered_with_homes ?rhop_config ?pool ctx ~method_name:(to_string Gdp)
     ~rhop_runs:1 r.Gdp.obj_home
 
 let run_profile_max ?rhop_config ?balance_tol ?pool ctx : outcome =
@@ -176,7 +166,7 @@ let run_profile_max ?rhop_config ?balance_tol ?pool ctx : outcome =
   in
   {
     (clustered_with_homes ?rhop_config ?pool ctx
-       ~method_name:(name Profile_max) ~rhop_runs:2 homes)
+       ~method_name:(to_string Profile_max) ~rhop_runs:2 homes)
     with
     rhop_runs = 2;
   }
@@ -240,12 +230,12 @@ let run_naive ?rhop_config ?pool ctx : outcome =
   rehome_memory ctx assign lock_of;
   set_homes assign homes;
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
-  { method_name = name Naive; clustered; obj_home = homes; rhop_runs = 1 }
+  { method_name = to_string Naive; clustered; obj_home = homes; rhop_runs = 1 }
 
 let run_unified ?rhop_config ?pool ctx : outcome =
   let assign = unified_assignment ?rhop_config ?pool ctx in
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
-  { method_name = name Unified; clustered; obj_home = []; rhop_runs = 1 }
+  { method_name = to_string Unified; clustered; obj_home = []; rhop_runs = 1 }
 
 let run ?rhop_config ?gdp_config ?balance_tol ?pool method_ ctx : outcome =
   match method_ with

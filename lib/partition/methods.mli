@@ -14,17 +14,9 @@ val all : t list
     [of_string (to_string m) = Ok m] for every [m]. *)
 val to_string : t -> string
 
-(** Alias for [to_string], kept for existing callers. *)
-val name : t -> string
-
 (** Inverse of [to_string]; [Error] (with the accepted spellings) on
     anything else. *)
 val of_string : string -> (t, string) result
-
-(** Deprecated — use [of_string].  Like [of_string] plus legacy
-    abbreviations ("pm", "profilemax"), but raises [Invalid_argument]
-    on unknown names. *)
-val of_name : string -> t
 
 (** Graceful-degradation order starting at the given method:
     GDP -> Profile Max -> Naive -> Unified.  The first element is the

@@ -85,7 +85,7 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
           Attrib.of_clustered ~machine clustered ~profile ~objects_of ()
         in
         (match Attrib.check_identity totals with
-        | Some msg -> failwith (Methods.name m ^ ": " ^ msg)
+        | Some msg -> failwith (Methods.to_string m ^ ": " ^ msg)
         | None -> ());
         let model_cycles =
           e.Gdp_core.Pipeline.report.Vliw_sched.Perf.total_cycles
@@ -93,9 +93,9 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
         if totals.Attrib.t_cycles <> model_cycles then
           failwith
             (Fmt.str "%s: attribution covers %d cycles but the model reports %d"
-               (Methods.name m) totals.Attrib.t_cycles model_cycles);
+               (Methods.to_string m) totals.Attrib.t_cycles model_cycles);
         {
-          mr_method = Methods.name m;
+          mr_method = Methods.to_string m;
           mr_cycles = model_cycles;
           mr_dynamic_moves =
             e.Gdp_core.Pipeline.report.Vliw_sched.Perf.dynamic_moves;

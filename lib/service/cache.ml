@@ -48,8 +48,6 @@ let store t = t.store
 
 let capacity (t : t) = t.cap
 let length t = Hashtbl.length t.table
-let set_entries_gauge t =
-  Telemetry.set_gauge "service.cache.entries" (float_of_int (length t))
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -75,14 +73,13 @@ let evict_lru t =
   | Some n ->
       unlink t n;
       Hashtbl.remove t.table n.key;
-      t.evictions <- t.evictions + 1;
-      Telemetry.incr "service.cache.evictions"
+      t.evictions <- t.evictions + 1
 
 (* Insert into the recency structure only — no store write-through.
    Shared by [add] (which also persists) and the store-promotion path
    of [find] (whose value is already durable). *)
 let add_resident t k v =
-  (match Hashtbl.find_opt t.table k with
+  match Hashtbl.find_opt t.table k with
   | Some n ->
       n.value <- v;
       touch t n
@@ -90,14 +87,12 @@ let add_resident t k v =
       if length t >= t.cap then evict_lru t;
       let n = { key = k; value = v; prev = None; next = None } in
       Hashtbl.replace t.table k n;
-      push_front t n);
-  set_entries_gauge t
+      push_front t n
 
 let find_tier t k =
   match Hashtbl.find_opt t.table k with
   | Some n ->
       t.hits <- t.hits + 1;
-      Telemetry.incr "service.cache.hits";
       touch t n;
       Some (n.value, `Memory)
   | None -> (
@@ -106,12 +101,10 @@ let find_tier t k =
           (* warm hit: durable entry survives restarts and LRU
              eviction; promote it back into memory *)
           t.warm_hits <- t.warm_hits + 1;
-          Telemetry.incr "service.cache.warm_hits";
           add_resident t k v;
           Some (v, `Store)
       | None ->
           t.misses <- t.misses + 1;
-          Telemetry.incr "service.cache.misses";
           None)
 
 let find t k = Option.map fst (find_tier t k)
@@ -127,8 +120,7 @@ let add t k v =
 let clear t =
   Hashtbl.reset t.table;
   t.head <- None;
-  t.tail <- None;
-  set_entries_gauge t
+  t.tail <- None
 
 let stats (c : t) =
   {

@@ -16,10 +16,7 @@
     entries.
 
     The cache keeps its own hit/miss/warm-hit/eviction tallies (always
-    on) and mirrors them into {!Telemetry} counters
-    [service.cache.hits], [service.cache.misses],
-    [service.cache.warm_hits], [service.cache.evictions] and the gauge
-    [service.cache.entries] when telemetry is enabled.
+    on); {!stats} is their only reader.
 
     Single-threaded, like the rest of the repo.  The server registers
     each cache it owns with

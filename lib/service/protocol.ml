@@ -324,7 +324,11 @@ let response_of_json doc =
 let key_salt = "gdp-artifact/2"
 
 let cache_key (j : job) =
-  let settings_json = Minijson.encode (Settings.to_json j.settings) in
+  (* Artifacts never depend on par_domains, so every domain count maps
+     to the par_domains = 1 key: such jobs coalesce and share entries. *)
+  let settings_json =
+    Minijson.encode (Settings.to_json { j.settings with Settings.par_domains = 1 })
+  in
   let machine = Fmt.str "%a" Vliw_machine.pp (Settings.machine j.settings) in
   let input = String.concat "," (List.map string_of_int j.input) in
   Cache.digest_key ~parts:[ key_salt; j.source; input; settings_json; machine ]

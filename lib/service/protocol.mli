@@ -133,9 +133,10 @@ val job_of_json : Minijson.t -> (job, string) result
 val cache_key : job -> string
 (** Content address of a job's artifact: a digest over the source text,
     the workload, the canonical settings JSON and the machine
-    description the settings select.  The job [id], [deadline_ms] and
-    [trace_id] do not participate — two submissions of the same compile
-    share one artifact whatever they are called or traced as.  A salt
+    description the settings select.  The job [id], [deadline_ms],
+    [trace_id] and the settings' [par_domains] do not participate — two
+    submissions of the same compile share one artifact whatever they
+    are called or traced as and however many domains they ask for.  A salt
     changes whenever the compiler starts producing different artifacts
     for the same job, so entries a durable store kept from an older
     build are misses, never stale hits. *)

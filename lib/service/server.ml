@@ -42,42 +42,42 @@ let default_config =
    folded into the returned document so job errors stay deterministic
    (a raise would look like a worker crash and trigger a retry). *)
 
-(* Pipeline spans recorded inside the worker, flattened for the wire.
-   Bounded in both depth and count — a pathological compile must not
-   balloon the result frame past the artifact it carries. *)
-let worker_spans_json (snap : Telemetry.snapshot) =
+let now_us () = Unix.gettimeofday () *. 1e6
+
+(* What a traced worker reports beside its result: its own wall-clock
+   start and end (same machine as the server, so the server can derive
+   queue and exec segments) and the pipeline spans it recorded. *)
+type worker_timing = {
+  wk_start_us : float;
+  wk_end_us : float;
+  wk_spans : Telemetry.span list;
+}
+
+(* Pipeline spans kept for the wire, bounded in both depth and count
+   and stripped of their args — a pathological compile must not balloon
+   the result frame past the artifact it carries, nor the server's
+   trace registry. *)
+let bounded_spans (snap : Telemetry.snapshot) =
   let max_spans = 96 and max_depth = 2 in
   let depth = Hashtbl.create 32 in
   let kept = ref 0 in
-  Minijson.list
-    (List.filter_map
-       (fun (s : Telemetry.span) ->
-         let d =
-           match s.Telemetry.parent with
-           | None -> 0
-           | Some p -> (
-               match Hashtbl.find_opt depth p with
-               | Some d -> d + 1
-               | None -> max_depth + 1)
-         in
-         Hashtbl.replace depth s.Telemetry.id d;
-         if d > max_depth || !kept >= max_spans then None
-         else begin
-           incr kept;
-           Some
-             (Minijson.obj
-                [
-                  ("id", Minijson.int s.Telemetry.id);
-                  ( "parent",
-                    match s.Telemetry.parent with
-                    | None -> Minijson.Null
-                    | Some p -> Minijson.int p );
-                  ("name", Minijson.str s.Telemetry.name);
-                  ("start_us", Minijson.float s.Telemetry.start_us);
-                  ("dur_us", Minijson.float s.Telemetry.dur_us);
-                ])
-         end)
-       snap.Telemetry.spans)
+  List.filter_map
+    (fun (s : Telemetry.span) ->
+      let d =
+        match s.parent with
+        | None -> 0
+        | Some p -> (
+            match Hashtbl.find_opt depth p with
+            | Some d -> d + 1
+            | None -> max_depth + 1)
+      in
+      Hashtbl.replace depth s.id d;
+      if d > max_depth || !kept >= max_spans then None
+      else begin
+        incr kept;
+        Some { s with args = [] }
+      end)
+    snap.spans
 
 let worker_fn ?par_workers payload =
   match Protocol.job_of_json payload with
@@ -92,25 +92,56 @@ let worker_fn ?par_workers payload =
       match job.Protocol.trace_id with
       | None -> evaluate ()
       | Some _ -> (
-          (* Traced: record the pipeline's own spans and this worker's
-             wall-clock start/end (same machine as the server, so the
-             server can derive queue and exec segments).  The artifact
-             member is untouched — tracing never changes served bytes. *)
-          let start_us = Unix.gettimeofday () *. 1e6 in
+          (* Traced: the artifact member is untouched — tracing never
+             changes served bytes. *)
+          let start_us = now_us () in
           let doc, snap = Telemetry.capture evaluate in
-          let end_us = Unix.gettimeofday () *. 1e6 in
+          let end_us = now_us () in
           let info =
             ( "worker",
               Minijson.obj
                 [
                   ("start_us", Minijson.float start_us);
                   ("end_us", Minijson.float end_us);
-                  ("spans", worker_spans_json snap);
+                  ( "spans",
+                    Minijson.list
+                      (List.map Telemetry.span_to_json (bounded_spans snap)) );
                 ] )
           in
           match doc with
           | Minijson.Obj fields -> Minijson.Obj (fields @ [ info ])
           | other -> other))
+
+(* A pool completion read back: the job's result and, when the job was
+   traced, the worker's timing. *)
+let read_completion (c : Exec.Pool.completion) =
+  match c.Exec.Pool.c_result with
+  | Error m -> (Error m, None)
+  | Ok doc ->
+      let result =
+        match (Minijson.member "artifact" doc, Minijson.member "failed" doc) with
+        | Some art, _ -> Ok art
+        | None, Some (Minijson.Str m) -> Error m
+        | _ -> Error "worker returned an unrecognized document"
+      in
+      let timing =
+        Option.bind (Minijson.member "worker" doc) (fun w ->
+            let f name = Option.bind (Minijson.member name w) Minijson.to_float in
+            match (f "start_us", f "end_us") with
+            | Some wk_start_us, Some wk_end_us ->
+                let spans =
+                  Option.value ~default:[]
+                    (Option.bind (Minijson.member "spans" w) Minijson.to_list)
+                in
+                Some
+                  {
+                    wk_start_us;
+                    wk_end_us;
+                    wk_spans = List.filter_map Telemetry.span_of_json spans;
+                  }
+            | _ -> None)
+      in
+      (result, timing)
 
 (* ------------------------------------------------------------------ *)
 (* Listeners                                                           *)
@@ -157,6 +188,9 @@ let bind_tcp (host, port) =
 
 type client = { c_fd : Unix.file_descr; c_decoder : Frame.Decoder.t }
 
+(* The one record of a submitted request: created when the submit
+   arrives, parked on a pool ticket while its compile runs, and ended
+   exactly once by [finish]. *)
 type waiter = {
   w_fd : Unix.file_descr;  (** the client owed a response *)
   w_job : string;  (** the client's job id *)
@@ -165,6 +199,17 @@ type waiter = {
   w_trace : string;  (** effective trace id (client-supplied or assigned) *)
   w_submit_us : float;  (** server receive time, microseconds *)
 }
+
+(* How a request ends; each case is one terminal event kind. *)
+type ending =
+  | Hit of Minijson.t * string  (** cache_hit: artifact, tier memory|store *)
+  | Delivered of (Minijson.t, string) result * worker_timing option
+      (** deliver: its compile finished *)
+  | Rejected of int  (** reject: admission refused it at this many pending *)
+  | Deadline of string  (** deadline_miss, with the failure reason *)
+  | Cancelled  (** cancel: its client cancelled it *)
+  | Disconnected  (** disconnect: its client went away *)
+  | Shutdown  (** shutdown: the server stopped first *)
 
 type state = {
   cfg : config;
@@ -178,6 +223,9 @@ type state = {
   traces : Metrics.Traces.t;  (** recent request traces, for [TRACE <id>] *)
   events_oc : out_channel option;  (** structured JSONL event log *)
   mutable trace_seq : int;  (** server-assigned trace-id counter *)
+  mutable requests : int;  (** decoded requests of every op *)
+  mutable jobs : int;  (** submits *)
+  mutable connections_total : int;  (** accepted connections *)
   mutable served : int;
   mutable coalesced : int;
   mutable rejected : int;
@@ -190,156 +238,97 @@ type state = {
   started : float;
 }
 
-let count st name =
-  ignore st;
-  Telemetry.incr name
-
-let now_us () = Unix.gettimeofday () *. 1e6
-
 let fresh_trace_id st =
   st.trace_seq <- st.trace_seq + 1;
   Printf.sprintf "t-%06x-%x" (Unix.getpid () land 0xFFFFFF) st.trace_seq
 
 (* One JSONL line per request-lifecycle event; [trace_id] makes the log
    greppable against daemon log lines and [TRACE <id>] lookups. *)
-let emit_event st fields =
+let emit_event st ~event (w : waiter) fields =
   match st.events_oc with
   | None -> ()
   | Some oc ->
       output_string oc
         (Minijson.encode
-           (Minijson.obj (("ts_us", Minijson.float (now_us ())) :: fields)));
+           (Minijson.obj
+              ([
+                 ("ts_us", Minijson.float (now_us ()));
+                 ("event", Minijson.str event);
+                 ("trace_id", Minijson.str w.w_trace);
+                 ("id", Minijson.str w.w_job);
+               ]
+              @ fields)));
       output_char oc '\n';
       flush oc
-
-let event_base ~event ~trace_id ~job_id =
-  [
-    ("event", Minijson.str event);
-    ("trace_id", Minijson.str trace_id);
-    ("id", Minijson.str job_id);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace assembly                                                      *)
 
-let span_json ~id ~parent ~name ~start_us ~dur_us =
-  Minijson.obj
-    [
-      ("id", Minijson.int id);
-      ( "parent",
-        match parent with None -> Minijson.Null | Some p -> Minijson.int p );
-      ("name", Minijson.str name);
-      ("start_us", Minijson.float start_us);
-      ("dur_us", Minijson.float dur_us);
-    ]
-
-(* Re-root the worker's recorded pipeline spans under the exec span
-   (id 2): ids are renumbered from 4, parents remapped, orphans
-   (trimmed ancestors) adopted by exec directly. *)
-let remap_worker_spans spans =
-  let map = Hashtbl.create 16 in
+(* Re-root the worker's spans under the exec span [under]: ids are
+   renumbered from [first], parents remapped, and spans whose parent
+   was trimmed are adopted by [under] directly. *)
+let reroot ~under ~first spans =
+  let ids = Hashtbl.create 16 in
   List.iteri
-    (fun i s ->
-      match Option.bind (Minijson.member "id" s) Minijson.to_int with
-      | Some orig -> Hashtbl.replace map orig (4 + i)
-      | None -> ())
+    (fun i (s : Telemetry.span) -> Hashtbl.replace ids s.id (first + i))
     spans;
   List.mapi
-    (fun i s ->
-      let get name fallback =
-        match Minijson.member name s with Some v -> v | None -> fallback
-      in
+    (fun i (s : Telemetry.span) ->
       let parent =
-        match Option.bind (Minijson.member "parent" s) Minijson.to_int with
-        | Some p -> (
-            match Hashtbl.find_opt map p with Some m -> m | None -> 2)
-        | None -> 2
+        Option.value ~default:under (Option.bind s.parent (Hashtbl.find_opt ids))
       in
-      Minijson.obj
-        [
-          ("id", Minijson.int (4 + i));
-          ("parent", Minijson.int parent);
-          ("name", get "name" (Minijson.str "?"));
-          ("start_us", get "start_us" (Minijson.float 0.));
-          ("dur_us", get "dur_us" (Minijson.float 0.));
-        ])
+      { s with id = first + i; parent = Some parent })
     spans
 
-(* The worker-side timing block [deliver] reads back out of a traced
-   completion document. *)
-let worker_info_of doc =
-  match Minijson.member "worker" doc with
-  | None -> None
-  | Some w -> (
-      let f name = Option.bind (Minijson.member name w) Minijson.to_float in
-      match (f "start_us", f "end_us") with
-      | Some s, Some e ->
-          let spans =
-            match Option.bind (Minijson.member "spans" w) Minijson.to_list with
-            | Some l -> l
-            | None -> []
-          in
-          Some (s, e, spans)
-      | _ -> None)
-
-(* Build one request's [gdp-trace/1] document, register it for
-   [TRACE <id>], and return it for the inline response.  [worker] is
-   the traced completion block for computed jobs; immediate outcomes
-   (cache hits, rejections) pass [None] and get a request span plus an
-   optional cache-tier child. *)
-let finish_trace st ~trace_id ~job_id ~tier ~outcome ~submit_us ?worker () =
-  let now = now_us () in
-  let total = Float.max 0. (now -. submit_us) in
-  let base = span_json ~id:0 ~parent:None ~name:"request" ~start_us:submit_us ~dur_us:total in
-  let spans, queue_us, exec_us =
-    match worker with
-    | Some (wstart, wend, wspans) ->
-        let queue = Float.max 0. (wstart -. submit_us) in
-        let exec = Float.max 0. (wend -. wstart) in
-        let deliver = Float.max 0. (now -. wend) in
-        ( base
-          :: span_json ~id:1 ~parent:(Some 0) ~name:"queue" ~start_us:submit_us
-               ~dur_us:queue
-          :: span_json ~id:2 ~parent:(Some 0) ~name:"exec" ~start_us:wstart
-               ~dur_us:exec
-          :: span_json ~id:3 ~parent:(Some 0) ~name:"deliver" ~start_us:wend
-               ~dur_us:deliver
-          :: remap_worker_spans wspans,
+(* One request's [gdp-trace/1] document.  A computed request gets
+   queue, exec and deliver segments with the worker's spans under exec;
+   a cache hit gets a [cache.<tier>] child; any other ending a lone
+   request span. *)
+let trace_doc w ~tier ~outcome ~now ending =
+  let total = Float.max 0. (now -. w.w_submit_us) in
+  let span id ?(parent = Some 0) name start_us dur_us =
+    { Telemetry.id; parent; name; start_us; dur_us; args = [] }
+  in
+  let children, queue_us, exec_us =
+    match ending with
+    | Delivered (_, Some wk) ->
+        let queue = Float.max 0. (wk.wk_start_us -. w.w_submit_us) in
+        let exec = Float.max 0. (wk.wk_end_us -. wk.wk_start_us) in
+        ( span 1 "queue" w.w_submit_us queue
+          :: span 2 "exec" wk.wk_start_us exec
+          :: span 3 "deliver" wk.wk_end_us (Float.max 0. (now -. wk.wk_end_us))
+          :: reroot ~under:2 ~first:4 wk.wk_spans,
           queue,
           exec )
-    | None ->
-        let tier_span =
-          match tier with
-          | "memory" | "store" ->
-              [
-                span_json ~id:1 ~parent:(Some 0) ~name:("cache." ^ tier)
-                  ~start_us:submit_us ~dur_us:total;
-              ]
-          | _ -> []
-        in
-        (base :: tier_span, 0., 0.)
+    | Hit (_, tier) -> ([ span 1 ("cache." ^ tier) w.w_submit_us total ], 0., 0.)
+    | _ -> ([], 0., 0.)
   in
-  let doc =
-    Minijson.obj
-      [
-        ("schema", Minijson.str "gdp-trace/1");
-        ("trace_id", Minijson.str trace_id);
-        ("id", Minijson.str job_id);
-        ("cache_tier", Minijson.str tier);
-        ("outcome", Minijson.str outcome);
-        ("start_us", Minijson.float submit_us);
-        ("total_us", Minijson.float total);
-        ("queue_us", Minijson.float queue_us);
-        ("exec_us", Minijson.float exec_us);
-        ("spans", Minijson.list spans);
-      ]
-  in
-  Metrics.Traces.add st.traces ~trace_id doc;
-  doc
+  let spans = span 0 ~parent:None "request" w.w_submit_us total :: children in
+  Minijson.obj
+    [
+      ("schema", Minijson.str "gdp-trace/1");
+      ("trace_id", Minijson.str w.w_trace);
+      ("id", Minijson.str w.w_job);
+      ("cache_tier", Minijson.str tier);
+      ("outcome", Minijson.str outcome);
+      ("start_us", Minijson.float w.w_submit_us);
+      ("total_us", Minijson.float total);
+      ("queue_us", Minijson.float queue_us);
+      ("exec_us", Minijson.float exec_us);
+      ("spans", Minijson.list (List.map Telemetry.span_to_json spans));
+    ]
 
-let connections_gauge st =
-  Telemetry.set_gauge "service.connections"
-    (float_of_int (Hashtbl.length st.clients))
+(* ------------------------------------------------------------------ *)
+(* Ending requests                                                     *)
+
+(* Remove and return every parked request that satisfies [p]. *)
+let take_waiters st p =
+  Hashtbl.fold
+    (fun _ ws acc ->
+      let taken, kept = List.partition p !ws in
+      ws := kept;
+      taken @ acc)
+    st.waiters []
 
 (* Cancel pool jobs whose last waiter is gone and drop their bookkeeping. *)
 let reap_orphans st =
@@ -357,17 +346,13 @@ let reap_orphans st =
       ignore (Exec.Pool.cancel st.pool t))
     orphans
 
-let close_client st fd =
-  match Hashtbl.find_opt st.clients fd with
-  | None -> ()
-  | Some _ ->
-      Hashtbl.remove st.clients fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Hashtbl.iter
-        (fun _ ws -> ws := List.filter (fun w -> w.w_fd <> fd) !ws)
-        st.waiters;
-      reap_orphans st;
-      connections_gauge st
+(* Backpressure hint on a hard reject: roughly how long the backlog
+   needs to move one slot, bounded to [50, 2000] ms. *)
+let retry_after_hint st =
+  let per_job_ms = 100 in
+  let jobs = max 1 (Exec.clamp_jobs st.cfg.jobs) in
+  let ms = Exec.Pool.pending st.pool * per_job_ms / jobs in
+  Some (max 50 (min 2000 ms))
 
 let rec send st fd resp =
   match
@@ -391,6 +376,83 @@ and send_error st fd msg =
   | () -> ()
   | exception _ -> close_client st fd
 
+(* A closed connection ends every request still parked for it. *)
+and close_client st fd =
+  if Hashtbl.mem st.clients fd then begin
+    Hashtbl.remove st.clients fd;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    let gone = take_waiters st (fun w -> w.w_fd = fd) in
+    reap_orphans st;
+    List.iter (fun w -> finish st w Disconnected) gone
+  end
+
+(* End request [w], which its caller has already unparked: count the
+   outcome, register the trace, record the latency, log the terminal
+   event and answer the client if it is still connected — each exactly
+   once.  A failed send closes the client, which ends its other
+   requests, never this one again. *)
+and finish st w ending =
+  let now = now_us () in
+  let total = Float.max 0. (now -. w.w_submit_us) in
+  let event, outcome, tier =
+    match ending with
+    | Hit (_, tier) -> ("cache_hit", "ok", tier)
+    | Delivered (result, _) ->
+        ( "deliver",
+          (match result with Ok _ -> "ok" | Error _ -> "failed"),
+          if w.w_hit then "coalesced" else "compute" )
+    | Rejected _ -> ("reject", "rejected", "none")
+    | Deadline _ -> ("deadline_miss", "deadline_miss", "none")
+    | Cancelled -> ("cancel", "cancelled", "none")
+    | Disconnected -> ("disconnect", "disconnected", "none")
+    | Shutdown -> ("shutdown", "shutdown", "none")
+  in
+  (match ending with
+  | Hit _ | Delivered (Ok _, _) -> st.served <- st.served + 1
+  | Rejected _ -> st.rejected <- st.rejected + 1
+  | Deadline _ -> st.deadline_misses <- st.deadline_misses + 1
+  | Delivered (Error _, _) | Cancelled | Disconnected | Shutdown -> ());
+  let trace = trace_doc w ~tier ~outcome ~now ending in
+  Metrics.Traces.add st.traces ~trace_id:w.w_trace trace;
+  (* shed load must not flatter the latency percentiles *)
+  Option.iter
+    (fun method_ -> Metrics.observe_latency st.metrics ~method_ total)
+    (match ending with
+    | Hit _ -> Some "submit_hit"
+    | Delivered _ -> Some "submit"
+    | _ -> None);
+  emit_event st ~event w
+    ([
+       ("outcome", Minijson.str outcome);
+       ("tier", Minijson.str tier);
+       ("total_us", Minijson.float total);
+     ]
+    @ match ending with Rejected n -> [ ("pending", Minijson.int n) ] | _ -> []);
+  Log.debug (fun m ->
+      m "[%s] %s %s (%s, %.0f us)" w.w_trace event w.w_job outcome total);
+  let id = w.w_job and trace = Some trace in
+  let failed reason retry_after_ms =
+    Some (Protocol.Failed { id; reason; retry_after_ms; trace })
+  in
+  let response =
+    match ending with
+    | Hit (result, _) -> Some (Protocol.Result { id; cached = true; result; trace })
+    | Delivered (Ok result, _) ->
+        Some (Protocol.Result { id; cached = w.w_hit; result; trace })
+    | Delivered (Error reason, _) -> failed reason None
+    | Rejected n ->
+        failed
+          (Printf.sprintf "server overloaded (%d jobs pending)" n)
+          (retry_after_hint st)
+    | Deadline reason -> failed reason None
+    | Shutdown -> failed "server shutting down" None
+    | Cancelled -> Some (Protocol.Cancelled { id })
+    | Disconnected -> None
+  in
+  match response with
+  | Some r when Hashtbl.mem st.clients w.w_fd -> send st w.w_fd r
+  | _ -> ()
+
 (* Answer everyone waiting on a completed pool job. *)
 let deliver st (c : Exec.Pool.completion) =
   let t = c.Exec.Pool.c_ticket in
@@ -399,62 +461,13 @@ let deliver st (c : Exec.Pool.completion) =
   in
   Hashtbl.remove st.waiters t;
   let key = Hashtbl.find_opt st.key_of t in
-  (match key with Some k -> Hashtbl.remove st.inflight k | None -> ());
+  Option.iter (Hashtbl.remove st.inflight) key;
   Hashtbl.remove st.key_of t;
-  let outcome =
-    match c.Exec.Pool.c_result with
-    | Error m -> Error m
-    | Ok doc -> (
-        match Minijson.member "artifact" doc with
-        | Some art -> Ok art
-        | None -> (
-            match Minijson.member "failed" doc with
-            | Some (Minijson.Str m) -> Error m
-            | _ -> Error "worker returned an unrecognized document"))
-  in
-  (match (outcome, key) with
+  let result, timing = read_completion c in
+  (match (result, key) with
   | Ok art, Some k -> Cache.add st.cache k art
   | _ -> ());
-  let worker =
-    match c.Exec.Pool.c_result with
-    | Ok doc -> worker_info_of doc
-    | Error _ -> None
-  in
-  List.iter
-    (fun w ->
-      let tier = if w.w_hit then "coalesced" else "compute" in
-      let result_outcome =
-        match outcome with Ok _ -> "ok" | Error _ -> "failed"
-      in
-      let trace =
-        Some
-          (finish_trace st ~trace_id:w.w_trace ~job_id:w.w_job ~tier
-             ~outcome:result_outcome ~submit_us:w.w_submit_us ?worker ())
-      in
-      let total_us = now_us () -. w.w_submit_us in
-      Metrics.observe_latency st.metrics ~method_:"submit" total_us;
-      emit_event st
-        (event_base ~event:"deliver" ~trace_id:w.w_trace ~job_id:w.w_job
-        @ [
-            ("outcome", Minijson.str result_outcome);
-            ("tier", Minijson.str tier);
-            ("total_us", Minijson.float total_us);
-          ]);
-      Log.debug (fun m ->
-          m "[%s] deliver %s (%s, %.0f us)" w.w_trace w.w_job result_outcome
-            total_us);
-      match outcome with
-      | Ok art ->
-          st.served <- st.served + 1;
-          count st "service.served";
-          send st w.w_fd
-            (Protocol.Result
-               { id = w.w_job; cached = w.w_hit; result = art; trace })
-      | Error m ->
-          send st w.w_fd
-            (Protocol.Failed
-               { id = w.w_job; reason = m; retry_after_ms = None; trace }))
-    ws
+  List.iter (fun w -> finish st w (Delivered (result, timing))) ws
 
 let next_deadline st =
   Hashtbl.fold
@@ -469,51 +482,21 @@ let next_deadline st =
     st.waiters None
 
 let expire_deadlines st now =
-  let expired = ref [] in
-  Hashtbl.iter
-    (fun _ ws ->
-      let gone, alive =
-        List.partition
-          (fun w ->
-            match w.w_deadline with Some d -> d <= now | None -> false)
-          !ws
-      in
-      ws := alive;
-      expired := gone @ !expired)
-    st.waiters;
-  List.iter
-    (fun w ->
-      st.deadline_misses <- st.deadline_misses + 1;
-      count st "service.deadline_misses";
-      let trace =
-        Some
-          (finish_trace st ~trace_id:w.w_trace ~job_id:w.w_job ~tier:"none"
-             ~outcome:"deadline_miss" ~submit_us:w.w_submit_us ())
-      in
-      emit_event st
-        (event_base ~event:"deadline_miss" ~trace_id:w.w_trace ~job_id:w.w_job);
-      send st w.w_fd
-        (Protocol.Failed
-           {
-             id = w.w_job;
-             reason = "deadline exceeded";
-             retry_after_ms = None;
-             trace;
-           }))
-    !expired;
-  if !expired <> [] then reap_orphans st
+  match
+    take_waiters st (fun w ->
+        match w.w_deadline with Some d -> d <= now | None -> false)
+  with
+  | [] -> ()
+  | expired ->
+      reap_orphans st;
+      List.iter (fun w -> finish st w (Deadline "deadline exceeded")) expired
 
-let fail_all st reason =
-  let all = Hashtbl.fold (fun _ ws acc -> !ws @ acc) st.waiters [] in
+let fail_all st =
+  let all = take_waiters st (fun _ -> true) in
   Hashtbl.reset st.waiters;
   Hashtbl.reset st.inflight;
   Hashtbl.reset st.key_of;
-  List.iter
-    (fun w ->
-      send st w.w_fd
-        (Protocol.Failed
-           { id = w.w_job; reason; retry_after_ms = None; trace = None }))
-    all
+  List.iter (fun w -> finish st w Shutdown) all
 
 (* Brown-out admission.  The pressure signal is pool pending over
    [max_pending]; [brownout] (a fraction of that capacity) opens three
@@ -556,20 +539,15 @@ let degrade_method m steps =
   in
   nth_or_last chain steps
 
-(* Backpressure hint on a hard reject: roughly how long the backlog
-   needs to move one slot, bounded to [50, 2000] ms. *)
-let retry_after_hint st =
-  let per_job_ms = 100 in
-  let jobs = max 1 (Exec.clamp_jobs st.cfg.jobs) in
-  let ms = Exec.Pool.pending st.pool * per_job_ms / jobs in
-  Some (max 50 (min 2000 ms))
-
 let stats_json st =
   let h = Exec.Pool.health st.pool in
   Minijson.obj
     ([
        ("schema", Minijson.str "gdp-service-stats/1");
        ("uptime_s", Minijson.float (Unix.gettimeofday () -. st.started));
+       ("requests", Minijson.int st.requests);
+       ("jobs", Minijson.int st.jobs);
+       ("connections_total", Minijson.int st.connections_total);
        ("served", Minijson.int st.served);
        ("coalesced", Minijson.int st.coalesced);
        ("rejected", Minijson.int st.rejected);
@@ -644,6 +622,9 @@ let metric_points st =
   let cs = Cache.stats st.cache in
   let h = Exec.Pool.health st.pool in
   [
+    Metrics.Counter ("requests_total", st.requests);
+    Metrics.Counter ("jobs_total", st.jobs);
+    Metrics.Counter ("connections_total", st.connections_total);
     Metrics.Counter ("served_total", st.served);
     Metrics.Counter ("coalesced_total", st.coalesced);
     Metrics.Counter ("rejected_total", st.rejected);
@@ -679,7 +660,6 @@ let apply_brownout st (job : Protocol.job) =
       let job =
         if job.Protocol.verify then begin
           st.shed_verify <- st.shed_verify + 1;
-          count st "service.shed_verify";
           { job with Protocol.verify = false }
         end
         else job
@@ -693,7 +673,6 @@ let apply_brownout st (job : Protocol.job) =
         if m' = m then job
         else begin
           st.degraded <- st.degraded + 1;
-          count st "service.degraded";
           Log.info (fun m_ ->
               m_ "brown-out level %d: degrading %s from %s to %s" level
                 job.Protocol.id
@@ -706,141 +685,76 @@ let apply_brownout st (job : Protocol.job) =
         end
 
 let handle_submit st (cl : client) (job : Protocol.job) =
-  count st "service.jobs";
-  let submit_us = now_us () in
-  let id = job.Protocol.id in
+  st.jobs <- st.jobs + 1;
   let trace_id =
     match job.Protocol.trace_id with Some t -> t | None -> fresh_trace_id st
   in
   (* The worker payload always carries the effective id, so the worker
      knows to record its pipeline spans; the cache key never sees it. *)
   let job = { job with Protocol.trace_id = Some trace_id } in
-  emit_event st (event_base ~event:"submit" ~trace_id ~job_id:id);
-  Log.debug (fun m -> m "[%s] submit %s" trace_id id);
+  let w =
+    {
+      w_fd = cl.c_fd;
+      w_job = job.Protocol.id;
+      w_hit = false;
+      w_deadline =
+        Option.map
+          (fun d -> Unix.gettimeofday () +. (float_of_int d /. 1000.))
+          job.Protocol.deadline_ms;
+      w_trace = trace_id;
+      w_submit_us = now_us ();
+    }
+  in
+  emit_event st ~event:"submit" w [];
+  Log.debug (fun m -> m "[%s] submit %s" trace_id w.w_job);
   match job.Protocol.deadline_ms with
   | Some d when d <= 0 ->
-      st.deadline_misses <- st.deadline_misses + 1;
-      count st "service.deadline_misses";
-      let trace =
-        Some
-          (finish_trace st ~trace_id ~job_id:id ~tier:"none"
-             ~outcome:"deadline_miss" ~submit_us ())
-      in
-      emit_event st (event_base ~event:"deadline_miss" ~trace_id ~job_id:id);
-      send st cl.c_fd
-        (Protocol.Failed
-           {
-             id;
-             reason = Printf.sprintf "deadline exceeded (deadline_ms = %d)" d;
-             retry_after_ms = None;
-             trace;
-           })
-  | deadline_ms -> (
+      finish st w
+        (Deadline (Printf.sprintf "deadline exceeded (deadline_ms = %d)" d))
+  | _ -> (
       let job = apply_brownout st job in
       let key = Protocol.cache_key job in
       match Cache.find_tier st.cache key with
       | Some (artifact, tier) ->
-          let tier = match tier with `Memory -> "memory" | `Store -> "store" in
-          st.served <- st.served + 1;
-          count st "service.served";
-          let trace =
-            Some
-              (finish_trace st ~trace_id ~job_id:id ~tier ~outcome:"ok"
-                 ~submit_us ())
-          in
-          Metrics.observe_latency st.metrics ~method_:"submit_hit"
-            (now_us () -. submit_us);
-          emit_event st
-            (event_base ~event:"cache_hit" ~trace_id ~job_id:id
-            @ [ ("tier", Minijson.str tier) ]);
-          send st cl.c_fd
-            (Protocol.Result { id; cached = true; result = artifact; trace })
+          finish st w
+            (Hit (artifact, match tier with `Memory -> "memory" | `Store -> "store"))
       | None -> (
-          let deadline =
-            Option.map
-              (fun d -> Unix.gettimeofday () +. (float_of_int d /. 1000.))
-              deadline_ms
-          in
-          let waiter hit =
-            {
-              w_fd = cl.c_fd;
-              w_job = id;
-              w_hit = hit;
-              w_deadline = deadline;
-              w_trace = trace_id;
-              w_submit_us = submit_us;
-            }
-          in
           match Hashtbl.find_opt st.inflight key with
           | Some t ->
               (* identical job already compiling: coalesce onto it *)
               st.coalesced <- st.coalesced + 1;
-              count st "service.coalesced";
-              emit_event st (event_base ~event:"coalesce" ~trace_id ~job_id:id);
+              emit_event st ~event:"coalesce" w [];
               let ws = Hashtbl.find st.waiters t in
-              ws := !ws @ [ waiter true ]
+              ws := !ws @ [ { w with w_hit = true } ]
           | None ->
-              if Exec.Pool.pending st.pool >= st.cfg.max_pending then begin
-                st.rejected <- st.rejected + 1;
-                count st "service.rejected";
-                let trace =
-                  Some
-                    (finish_trace st ~trace_id ~job_id:id ~tier:"none"
-                       ~outcome:"rejected" ~submit_us ())
-                in
-                emit_event st
-                  (event_base ~event:"reject" ~trace_id ~job_id:id
-                  @ [
-                      ( "pending",
-                        Minijson.int (Exec.Pool.pending st.pool) );
-                    ]);
-                send st cl.c_fd
-                  (Protocol.Failed
-                     {
-                       id;
-                       reason =
-                         Printf.sprintf "server overloaded (%d jobs pending)"
-                           (Exec.Pool.pending st.pool);
-                       retry_after_ms = retry_after_hint st;
-                       trace;
-                     })
-              end
+              let pending = Exec.Pool.pending st.pool in
+              if pending >= st.cfg.max_pending then finish st w (Rejected pending)
               else begin
-                Metrics.observe_queue_depth st.metrics
-                  (Exec.Pool.pending st.pool);
+                Metrics.observe_queue_depth st.metrics pending;
                 let t =
                   Exec.Pool.submit st.pool ~batch:key (Protocol.job_to_json job)
                 in
-                emit_event st
-                  (event_base ~event:"dispatch" ~trace_id ~job_id:id);
+                emit_event st ~event:"dispatch" w [];
                 Hashtbl.replace st.inflight key t;
                 Hashtbl.replace st.key_of t key;
-                Hashtbl.replace st.waiters t (ref [ waiter false ])
+                Hashtbl.replace st.waiters t (ref [ w ])
               end))
 
+(* A cancel ends each of the caller's parked requests with that id,
+   answering each [cancelled]; an id with none parked is a per-job
+   failure that ends no request. *)
 let handle_cancel st (cl : client) id =
-  let found = ref false in
-  Hashtbl.iter
-    (fun _ ws ->
-      let mine, rest =
-        List.partition (fun w -> w.w_fd = cl.c_fd && w.w_job = id) !ws
-      in
-      if mine <> [] then begin
-        found := true;
-        ws := rest
-      end)
-    st.waiters;
-  if !found then begin
-    reap_orphans st;
-    send st cl.c_fd (Protocol.Cancelled { id })
-  end
-  else
-    send st cl.c_fd
-      (Protocol.Failed
-         { id; reason = "unknown job id"; retry_after_ms = None; trace = None })
+  match take_waiters st (fun w -> w.w_fd = cl.c_fd && w.w_job = id) with
+  | [] ->
+      send st cl.c_fd
+        (Protocol.Failed
+           { id; reason = "unknown job id"; retry_after_ms = None; trace = None })
+  | mine ->
+      reap_orphans st;
+      List.iter (fun w -> finish st w Cancelled) mine
 
 let handle_request st (cl : client) req =
-  count st "service.requests";
+  st.requests <- st.requests + 1;
   let t0 = now_us () in
   let observe m = Metrics.observe_latency st.metrics ~method_:m (now_us () -. t0) in
   match req with
@@ -910,8 +824,7 @@ let accept_client st lfd =
   | fd, _addr ->
       let cl = { c_fd = fd; c_decoder = Frame.Decoder.create ~max_frame:st.cfg.max_frame () } in
       Hashtbl.replace st.clients fd cl;
-      count st "service.connections_total";
-      connections_gauge st
+      st.connections_total <- st.connections_total + 1
 
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
@@ -954,7 +867,7 @@ let loop st listeners =
   let reason =
     match st.stop with Some r -> r | None -> "signal" in
   Log.info (fun m -> m "shutting down (%s)" reason);
-  fail_all st "server shutting down"
+  fail_all st
 
 let run cfg =
   if cfg.socket_path = None && cfg.tcp = None then
@@ -1017,6 +930,9 @@ let run cfg =
       traces = Metrics.Traces.create ();
       events_oc;
       trace_seq = 0;
+      requests = 0;
+      jobs = 0;
+      connections_total = 0;
       served = 0;
       coalesced = 0;
       rejected = 0;

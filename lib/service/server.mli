@@ -19,8 +19,16 @@
     with a [retry_after_ms] backpressure hint) instead of queued —
     backpressure, not collapse.
 
-    A client that disconnects mid-job drops its waiters the same way a
-    cancel does; orphaned pool jobs are cancelled.
+    Every submit is one request record, created when it arrives and
+    ended exactly once, in one place, whichever way it ends: served
+    from the cache, delivered, rejected, expired, cancelled (each of
+    the caller's requests with the cancelled id is answered
+    [cancelled]), dropped because its client disconnected, or failed
+    by shutdown.  Ending a request bumps its outcome counter, registers
+    its trace, records its latency (delivered and cache-hit requests
+    only), logs its terminal event and answers the client if it is
+    still connected.  Pool jobs nobody waits on any more are
+    cancelled.
 
     {2 Brown-out}
 
@@ -54,18 +62,21 @@
     {2 Shutdown}
 
     [SIGTERM], [SIGINT] and the [shutdown] op all stop the loop
-    gracefully: every outstanding waiter is answered
+    gracefully: every outstanding request is answered
     [failed "server shutting down"], the pool is shut down (workers
     reaped), sockets are closed, the Unix socket path is unlinked, and
     — when [trace] is set — the telemetry snapshot is written as a
     Chrome trace.
 
-    {2 Telemetry}
+    {2 Counters}
 
-    Counters [service.requests], [service.jobs], [service.served],
-    [service.coalesced], [service.rejected], [service.deadline_misses],
-    [service.connections] and the cache's [service.cache.*] family,
-    plus the pool's own [exec.*] metrics.
+    Every service counter lives once, in the server state, and both
+    [stats] ([gdp-service-stats/1]) and [metrics] render it from
+    there: [requests] (decoded requests of every op), [jobs] (submits),
+    [connections_total], [served], [coalesced], [rejected],
+    [deadline_misses], the brown-out counters and the cache and store
+    tallies.  With [trace] set the Chrome trace carries the pool's own
+    [exec.*] spans and metrics.
 
     {2 Tracing and the metrics plane}
 
@@ -76,7 +87,9 @@
     exec, deliver segments plus the worker's own pipeline spans —
     returns it inline in the [result]/[failed] response, and retains it
     in a bounded registry served by the [trace] op.  Cache hits get a
-    [cache.memory]/[cache.store] span instead of queue/exec.  Tracing
+    [cache.memory]/[cache.store] span instead of queue/exec; every
+    other ending gets a lone request span, and is registered too.
+    Spans use the one {!Telemetry.span_to_json} encoding.  Tracing
     never touches the [result] artifact bytes or the cache key.
 
     The [metrics] op renders sliding-window (60 s) per-method latency
@@ -85,10 +98,13 @@
     text exposition; [health] answers a small [gdp-health/1] liveness
     document.  All three are read-only and answered inline.
 
-    With [events] set, every request-lifecycle event (submit, dispatch,
-    cache_hit, coalesce, reject, deliver, deadline_miss) appends one
-    JSON line — [ts_us], [event], [trace_id], [id], ... — to that
-    file, correlating the log with traces. *)
+    With [events] set, every request-lifecycle event appends one JSON
+    line — [ts_us], [event], [trace_id], [id], ... — to that file,
+    correlating the log with traces.  A [submit] line may be followed
+    by [coalesce] or [dispatch] and is always followed by exactly one
+    terminal line — [cache_hit], [deliver], [reject], [deadline_miss],
+    [cancel], [disconnect] or [shutdown] — carrying the request's
+    [outcome], [tier] and [total_us]. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listening socket *)

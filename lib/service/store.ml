@@ -106,7 +106,6 @@ let read_file path =
 let quarantine t key reason =
   Hashtbl.remove t.index key;
   t.quarantined <- t.quarantined + 1;
-  Telemetry.incr "service.store.quarantined";
   Fault.note_detected ();
   let dst =
     let rec fresh n =
@@ -153,7 +152,6 @@ let find t key =
     | Error () -> None
     | Ok doc ->
         t.warm_hits <- t.warm_hits + 1;
-        Telemetry.incr "service.store.warm_hits";
         Some doc
 
 let remove t key =
@@ -206,7 +204,6 @@ let add t key doc =
   Unix.rename tmp (path_of t key);
   Hashtbl.replace t.index key ();
   t.writes <- t.writes + 1;
-  Telemetry.incr "service.store.writes";
   (* chaos: damage the freshly durable entry so the read path must
      prove it detects and quarantines rather than serves it *)
   if Fault.fire "service.cache.corrupt" then ignore (corrupt_for_test t key)

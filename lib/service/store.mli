@@ -35,8 +35,7 @@
     one deterministic byte of the just-written payload on disk —
     exactly the damage the next read must catch.
 
-    Counters are mirrored into {!Telemetry} as [service.store.writes],
-    [service.store.warm_hits] and [service.store.quarantined].
+    Writes, warm hits and quarantines are counted in {!stats}.
     Single-threaded, like the rest of the daemon. *)
 
 type t

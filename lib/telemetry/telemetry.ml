@@ -326,75 +326,105 @@ module Snapshot = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Span codec                                                          *)
+
+let args_json args = Minijson.obj (List.map (fun (k, v) -> (k, Minijson.str v)) args)
+
+let span_to_json sp =
+  Minijson.obj
+    ([
+       ("id", Minijson.int sp.id);
+       ("parent", Minijson.option Minijson.int sp.parent);
+       ("name", Minijson.str sp.name);
+       ("start_us", Minijson.float sp.start_us);
+       ("dur_us", Minijson.float sp.dur_us);
+     ]
+    @ if sp.args = [] then [] else [ ("args", args_json sp.args) ])
+
+let span_of_json doc =
+  let ( let* ) = Option.bind in
+  let field name conv = Option.bind (Minijson.member name doc) conv in
+  let* id = field "id" Minijson.to_int in
+  let* name = field "name" Minijson.to_string in
+  let* start_us = field "start_us" Minijson.to_float in
+  let* dur_us = field "dur_us" Minijson.to_float in
+  let* parent =
+    match Minijson.member "parent" doc with
+    | None | Some Minijson.Null -> Some None
+    | Some p -> Option.map Option.some (Minijson.to_int p)
+  in
+  let* args =
+    match Minijson.member "args" doc with
+    | None -> Some []
+    | Some (Minijson.Obj kvs) ->
+        List.fold_right
+          (fun (k, v) acc ->
+            let* acc = acc in
+            let* v = Minijson.to_string v in
+            Some ((k, v) :: acc))
+          kvs (Some [])
+    | Some _ -> None
+  in
+  Some { id; parent; name; start_us; dur_us; args }
+
+(* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
 module Sink = struct
-  let add_json_string buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\b' -> Buffer.add_string buf "\\b"
-        | '\012' -> Buffer.add_string buf "\\f"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-
-  (* Chrome's trace viewer rejects NaN/inf; clamp them to 0. *)
-  let add_json_float buf v =
-    if Float.is_nan v || Float.abs v = Float.infinity then
-      Buffer.add_char buf '0'
-    else Buffer.add_string buf (Printf.sprintf "%.3f" v)
+  (* Chrome's trace viewer rejects NaN/inf, and so does Minijson.encode:
+     clamp them to 0. *)
+  let finite v = if Float.is_finite v then Minijson.float v else Minijson.int 0
 
   let chrome_trace ppf (snap : snapshot) =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"traceEvents\":[";
-    Buffer.add_string buf
-      "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"gdp\"}}";
-    let end_ts = ref 0. in
-    List.iter
-      (fun (sp : span) ->
-        end_ts := Float.max !end_ts (sp.start_us +. sp.dur_us);
-        Buffer.add_string buf ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":";
-        add_json_string buf sp.name;
-        Buffer.add_string buf ",\"cat\":\"gdp\",\"ts\":";
-        add_json_float buf sp.start_us;
-        Buffer.add_string buf ",\"dur\":";
-        add_json_float buf sp.dur_us;
-        if sp.args <> [] then begin
-          Buffer.add_string buf ",\"args\":{";
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char buf ',';
-              add_json_string buf k;
-              Buffer.add_char buf ':';
-              add_json_string buf v)
-            sp.args;
-          Buffer.add_char buf '}'
-        end;
-        Buffer.add_char buf '}')
-      snap.spans;
-    List.iter
-      (fun (name, m) ->
-        Buffer.add_string buf ",\n{\"ph\":\"C\",\"pid\":1,\"name\":";
-        add_json_string buf name;
-        Buffer.add_string buf ",\"ts\":";
-        add_json_float buf !end_ts;
-        Buffer.add_string buf ",\"args\":{\"value\":";
-        (match m with
-        | Counter v -> Buffer.add_string buf (string_of_int v)
-        | Gauge v -> add_json_float buf v);
-        Buffer.add_string buf "}}")
-      snap.metrics;
-    Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
-    Format.pp_print_string ppf (Buffer.contents buf)
+    let event fields = Minijson.obj (("pid", Minijson.int 1) :: fields) in
+    let meta =
+      event
+        [
+          ("tid", Minijson.int 1);
+          ("ph", Minijson.str "M");
+          ("name", Minijson.str "process_name");
+          ("args", Minijson.obj [ ("name", Minijson.str "gdp") ]);
+        ]
+    in
+    let end_ts =
+      List.fold_left
+        (fun acc (sp : span) -> Float.max acc (sp.start_us +. sp.dur_us))
+        0. snap.spans
+    in
+    let complete (sp : span) =
+      event
+        ([
+           ("tid", Minijson.int 1);
+           ("ph", Minijson.str "X");
+           ("name", Minijson.str sp.name);
+           ("cat", Minijson.str "gdp");
+           ("ts", finite sp.start_us);
+           ("dur", finite sp.dur_us);
+         ]
+        @ if sp.args = [] then [] else [ ("args", args_json sp.args) ])
+    in
+    let counter (name, m) =
+      event
+        [
+          ("ph", Minijson.str "C");
+          ("name", Minijson.str name);
+          ("ts", finite end_ts);
+          ( "args",
+            Minijson.obj
+              [
+                ( "value",
+                  match m with Counter v -> Minijson.int v | Gauge v -> finite v );
+              ] );
+        ]
+    in
+    (* one event per line *)
+    let events =
+      (meta :: List.map complete snap.spans) @ List.map counter snap.metrics
+    in
+    Format.pp_print_string ppf
+      ("{\"traceEvents\":["
+      ^ String.concat ",\n" (List.map Minijson.encode events)
+      ^ "],\"displayTimeUnit\":\"ms\"}\n")
 
   let with_out_file path f =
     let oc = open_out path in
@@ -424,8 +454,10 @@ module Sink = struct
   }
 
   (** Group sibling spans by name (first-seen order) and aggregate
-      recursively. *)
-  let rec aggregate (snap : snapshot) (siblings : span list) : agg list =
+      recursively.  [kids] maps a span id to its children in start
+      order, built once per render so the whole tree costs time linear
+      in the span count. *)
+  let rec aggregate kids (siblings : span list) : agg list =
     let order = ref [] in
     let by_name = Hashtbl.create 8 in
     List.iter
@@ -439,19 +471,30 @@ module Sink = struct
     List.rev_map
       (fun name ->
         let sps = List.rev (Hashtbl.find by_name name) in
-        let kids =
-          List.concat_map (fun sp -> Snapshot.children snap sp) sps
+        let children =
+          List.concat_map
+            (fun sp -> Option.value ~default:[] (Hashtbl.find_opt kids sp.id))
+            sps
         in
         {
           a_name = name;
           a_count = List.length sps;
           a_total = List.fold_left (fun a sp -> a +. sp.dur_us) 0. sps;
-          a_children = aggregate snap kids;
+          a_children = aggregate kids children;
         })
       (List.rev !order)
     |> List.rev
 
   let span_tree ppf (snap : snapshot) =
+    let kids = Hashtbl.create 256 in
+    List.iter
+      (fun (sp : span) ->
+        Option.iter
+          (fun p ->
+            Hashtbl.replace kids p
+              (sp :: Option.value ~default:[] (Hashtbl.find_opt kids p)))
+          sp.parent)
+      (List.rev snap.spans);
     let roots =
       List.filter (fun (sp : span) -> sp.parent = None) snap.spans
     in
@@ -471,7 +514,7 @@ module Sink = struct
           (self /. 1e3) a.a_count;
         List.iter (render (depth + 1)) a.a_children
       in
-      List.iter (render 0) (aggregate snap roots)
+      List.iter (render 0) (aggregate kids roots)
     end
 
   let metrics_table ppf (snap : snapshot) =

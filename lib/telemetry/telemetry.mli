@@ -149,6 +149,20 @@ module Snapshot : sig
   val children : snapshot -> span -> span list
 end
 
+(** {1 Span codec}
+
+    The one JSON shape of a span, shared by every document that carries
+    spans across a process or wire boundary (gdpcd's [gdp-trace/1]
+    records and the worker completions they are built from). *)
+
+(** [{id, parent, name, start_us, dur_us}] with [parent] [null] for a
+    root, plus [args] (an object of strings) when the span has any. *)
+val span_to_json : span -> Minijson.t
+
+(** Inverse of [span_to_json]; [None] when a required field is missing
+    or mistyped.  A missing [args] member reads as no args. *)
+val span_of_json : Minijson.t -> span option
+
 (** {1 Sinks} *)
 
 module Sink : sig

@@ -65,7 +65,7 @@ let check_seed seed =
       List.iter
         (fun m ->
           let what =
-            Printf.sprintf "seed %d, %s, latency %d" seed (Methods.name m)
+            Printf.sprintf "seed %d, %s, latency %d" seed (Methods.to_string m)
               move_latency
           in
           let e = Pipeline.evaluate ctx m in

@@ -552,7 +552,7 @@ let test_run_wraps_evaluate () =
   | Ok (Pipeline.Degraded r) ->
       Alcotest.(check string)
         "robust mode reaches the method" "gdp"
-        (Methods.name r.Pipeline.used)
+        (Methods.to_string r.Pipeline.used)
   | Ok (Pipeline.Evaluated _) -> Alcotest.fail "Robust mode must return Degraded"
   | Error m -> Alcotest.failf "robust run failed: %s" m
 

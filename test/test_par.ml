@@ -232,7 +232,7 @@ let artifact ?par_workers ~par_domains ~move_latency method_ source =
   | Ok doc -> Minijson.encode doc
   | Error m ->
       Alcotest.failf "evaluate_job (%s, par=%d) failed: %s"
-        (Methods.name method_) par_domains m
+        (Methods.to_string method_) par_domains m
 
 let latency_of_seed seed = [| 1; 5; 10 |].(seed mod 3)
 

@@ -273,8 +273,6 @@ let test_bug_partitioner () =
 let test_method_names () =
   List.iter
     (fun m ->
-      Alcotest.(check bool) "roundtrip" true
-        (Methods.of_name (Methods.name m) = m);
       Alcotest.(check bool) "of_string inverts to_string" true
         (Methods.of_string (Methods.to_string m) = Ok m))
     Methods.all;
@@ -288,8 +286,8 @@ let test_method_names () =
       in
       Alcotest.(check bool) "error names the bad input" true
         (contains msg "frobnicate"));
-  (* legacy aliases stay routable through of_name *)
-  Alcotest.(check bool) "pm alias" true (Methods.of_name "pm" = Methods.Profile_max)
+  (* the legacy abbreviation is gone: only canonical names parse *)
+  Alcotest.(check bool) "pm rejected" true (Result.is_error (Methods.of_string "pm"))
 
 let suite =
   [

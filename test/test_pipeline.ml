@@ -14,7 +14,7 @@ let verify_bench ?(move_latency = 5) name =
       let e = Gdp_core.Pipeline.evaluate ctx m in
       match Gdp_core.Pipeline.verify p ctx e with
       | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s/%s: %s" name (Methods.name m) msg)
+      | Error msg -> Alcotest.failf "%s/%s: %s" name (Methods.to_string m) msg)
     Methods.all
 
 let test_verify_small_suite () =
@@ -50,7 +50,7 @@ let test_unified_is_strong_baseline () =
     (fun m ->
       let c = cycles m in
       Alcotest.(check bool)
-        (Methods.name m ^ " within sane range")
+        (Methods.to_string m ^ " within sane range")
         true
         (float c >= 0.65 *. float unified && float c <= 2.5 *. float unified))
     [ Methods.Gdp; Methods.Profile_max; Methods.Naive ]
@@ -197,7 +197,7 @@ let test_four_cluster_machine () =
       let e = Gdp_core.Pipeline.evaluate ctx m in
       match Gdp_core.Pipeline.verify p ctx e with
       | Ok () -> ()
-      | Error msg -> Alcotest.failf "4 clusters %s: %s" (Methods.name m) msg)
+      | Error msg -> Alcotest.failf "4 clusters %s: %s" (Methods.to_string m) msg)
     [ Methods.Gdp; Methods.Unified ]
 
 let prop_methods_on_random_programs =

@@ -258,7 +258,7 @@ let test_robust_identity_without_faults () =
   | Ok r ->
       Alcotest.(check string)
         "no degradation" "gdp"
-        (Methods.name r.Pipeline.used);
+        (Methods.to_string r.Pipeline.used);
       Alcotest.(check int) "no fallbacks" 0 (List.length r.Pipeline.fallbacks)
 
 let test_robust_degrades_on_infeasible_partition () =
@@ -269,7 +269,7 @@ let test_robust_degrades_on_infeasible_partition () =
       | Ok r ->
           Alcotest.(check string)
             "degraded to the next method" "profile-max"
-            (Methods.name r.Pipeline.used);
+            (Methods.to_string r.Pipeline.used);
           (match r.Pipeline.fallbacks with
           | [ fb ] ->
               Alcotest.(check string)
@@ -338,13 +338,13 @@ let test_fallback_chain_order () =
   Alcotest.(check (list string))
     "gdp chain"
     [ "gdp"; "profile-max"; "naive"; "unified" ]
-    (List.map Methods.name (Methods.fallback_chain Methods.Gdp));
+    (List.map Methods.to_string (Methods.fallback_chain Methods.Gdp));
   Alcotest.(check (list string))
     "naive chain" [ "naive"; "unified" ]
-    (List.map Methods.name (Methods.fallback_chain Methods.Naive));
+    (List.map Methods.to_string (Methods.fallback_chain Methods.Naive));
   Alcotest.(check (list string))
     "unified is terminal" [ "unified" ]
-    (List.map Methods.name (Methods.fallback_chain Methods.Unified))
+    (List.map Methods.to_string (Methods.fallback_chain Methods.Unified))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe experiment sweeps                                        *)

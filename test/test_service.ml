@@ -509,13 +509,25 @@ let test_protocol_cache_key () =
                Minijson.encode (Settings.to_json settings);
                Fmt.str "%a" Vliw_machine.pp (Settings.machine settings);
              ]));
-  (* id and deadline do not participate in the content address *)
+  (* id, deadline and domain count do not participate in the content
+     address *)
   Alcotest.(check string)
     "id irrelevant" (Protocol.cache_key j)
     (Protocol.cache_key { j with Protocol.id = "other" });
   Alcotest.(check string)
     "deadline irrelevant" (Protocol.cache_key j)
     (Protocol.cache_key { j with Protocol.deadline_ms = Some 9 });
+  (* artifacts never depend on the domain count *)
+  List.iter
+    (fun par_domains ->
+      Alcotest.(check string)
+        "par_domains irrelevant" (Protocol.cache_key j)
+        (Protocol.cache_key
+           {
+             j with
+             Protocol.settings = { j.Protocol.settings with Settings.par_domains };
+           }))
+    [ 2; 4 ];
   (* source, input and settings all do *)
   Alcotest.(check bool)
     "source matters" false
@@ -1321,6 +1333,218 @@ let test_server_events_log () =
                     true (List.mem k kinds))
                 [ "submit"; "dispatch"; "deliver"; "cache_hit" ])))
 
+(* The request record: every submit ends exactly once, whichever way it
+   ends, and the counters, metrics and traces agree with the event log. *)
+
+let terminal_kinds =
+  [
+    "cache_hit"; "deliver"; "reject"; "deadline_miss"; "cancel"; "disconnect";
+    "shutdown";
+  ]
+
+let is_terminal d =
+  match gets "event" d with Some k -> List.mem k terminal_kinds | None -> false
+
+let read_events path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | line -> (
+            match Minijson.parse line with
+            | Ok doc -> go (doc :: acc)
+            | Error m -> Alcotest.failf "unparseable event line %S: %s" line m)
+      in
+      go [])
+
+let count_events ?outcome kind docs =
+  List.length
+    (List.filter
+       (fun d ->
+         gets "event" d = Some kind
+         && (outcome = None || gets "outcome" d = outcome))
+       docs)
+
+let check_one_terminal_each docs =
+  let terminal = List.filter is_terminal docs in
+  List.iter
+    (fun d ->
+      if gets "event" d = Some "submit" then
+        let tid = gets "trace_id" d in
+        Alcotest.(check int)
+          (Printf.sprintf "one terminal event for %s"
+             (Option.value ~default:"?" tid))
+          1
+          (List.length (List.filter (fun t -> gets "trace_id" t = tid) terminal)))
+    docs
+
+let test_server_every_request_ends_once () =
+  let events = Filename.temp_file "gdp-ends" ".jsonl" in
+  let heavy ?deadline_ms id tag =
+    {
+      (sample_job ~id ~deadline_ms ()) with
+      Protocol.source = heavy_source ^ Printf.sprintf "// variant %d\n" tag;
+      Protocol.input = heavy_input;
+    }
+  in
+  let expect what = function
+    | Ok r -> r
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove events with Sys_error _ -> ())
+  @@ fun () ->
+  let h = Loadgen.spawn_server ~jobs:1 ~max_pending:1 ~events () in
+  Fun.protect
+    ~finally:(fun () -> Loadgen.stop_server h)
+    (fun () ->
+      let cl = Client.connect ~attempts:20 h.Loadgen.sh_socket in
+      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+      let recv what = expect what (Client.recv cl) in
+      let rpc what req = expect what (Client.rpc cl req) in
+      (* a computed job, then a memory hit on it *)
+      let computed =
+        match expect "computed" (Client.submit cl (sample_job ~id:"end-a" ())) with
+        | Protocol.Result { cached = false; trace = Some t; _ } -> t
+        | _ -> Alcotest.fail "expected a computed, traced result"
+      in
+      ignore (submit_expect_result cl (sample_job ~id:"end-a2" ()));
+      (* a coalesced pair *)
+      raw_submit cl (heavy "end-b1" 1);
+      raw_submit cl (heavy "end-b2" 1);
+      let cached =
+        List.init 2 (fun _ ->
+            match recv "coalesced" with
+            | Protocol.Result { cached; _ } -> cached
+            | _ -> Alcotest.fail "expected the pair's results")
+      in
+      Alcotest.(check (list bool))
+        "one compile, one coalesced" [ false; true ] (List.sort compare cached);
+      (* a reject: the only pending slot is taken *)
+      raw_submit cl (heavy "end-c" 2);
+      raw_submit cl (heavy "end-d" 3);
+      (match recv "reject" with
+      | Protocol.Failed { id = "end-d"; retry_after_ms = Some _; _ } -> ()
+      | _ -> Alcotest.fail "expected end-d rejected first");
+      (match recv "reject" with
+      | Protocol.Result { id = "end-c"; _ } -> ()
+      | _ -> Alcotest.fail "expected end-c served");
+      (* a deadline at submit, then one that expires *)
+      List.iter
+        (fun job ->
+          match expect "deadline" (Client.submit cl job) with
+          | Protocol.Failed { reason; _ } ->
+              Alcotest.(check bool)
+                "deadline reason" true (contains reason "deadline")
+          | _ -> Alcotest.fail "expected a deadline failure")
+        [
+          sample_job ~id:"end-e0" ~deadline_ms:(Some 0) ();
+          heavy ~deadline_ms:1 "end-e1" 4;
+        ];
+      (* a cancel *)
+      raw_submit cl (heavy "end-f" 5);
+      (match rpc "cancel" (Protocol.Cancel { id = "end-f" }) with
+      | Protocol.Cancelled { id } ->
+          Alcotest.(check string) "cancelled" "end-f" id
+      | _ -> Alcotest.fail "expected Cancelled");
+      (* a disconnect mid-compile *)
+      let cl2 = Client.connect ~attempts:20 h.Loadgen.sh_socket in
+      raw_submit cl2 (heavy "end-g" 6);
+      Client.close cl2;
+      let rec await_disconnect tries =
+        if count_events "disconnect" (read_events events) = 0 then
+          if tries = 0 then Alcotest.fail "no disconnect event"
+          else begin
+            Unix.sleepf 0.05;
+            await_disconnect (tries - 1)
+          end
+      in
+      await_disconnect 100;
+      (* every counter agrees with the event log *)
+      let docs = read_events events in
+      let count ?outcome kind = count_events ?outcome kind docs in
+      List.iter
+        (fun (counter, expected) ->
+          Alcotest.(check (option int))
+            counter (Some expected) (stats_int cl [ counter ]))
+        [
+          ("jobs", count "submit");
+          ("served", count "cache_hit" + count ~outcome:"ok" "deliver");
+          ("coalesced", count "coalesce");
+          ("rejected", count "reject");
+          ("deadline_misses", count "deadline_miss");
+        ];
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("saw a " ^ k) true (count k > 0))
+        [ "cache_hit"; "deliver"; "reject"; "deadline_miss"; "cancel"; "disconnect" ];
+      (match rpc "metrics" (Protocol.Metrics Protocol.Json) with
+      | Protocol.Metrics_reply m ->
+          let n method_ =
+            Option.bind (Minijson.member "latency_us" m) (fun l ->
+                Option.bind (Minijson.member method_ l) (fun h ->
+                    Option.bind (Minijson.member "count" h) Minijson.to_int))
+            |> Option.value ~default:0
+          in
+          Alcotest.(check int)
+            "latencies = deliver + cache_hit events"
+            (count "deliver" + count "cache_hit")
+            (n "submit" + n "submit_hit")
+      | _ -> Alcotest.fail "expected Metrics_reply");
+      (* TRACE resolves every ending so far to the same outcome *)
+      check_one_terminal_each docs;
+      List.iter
+        (fun d ->
+          match gets "trace_id" d with
+          | Some trace_id when is_terminal d -> (
+              match rpc "trace" (Protocol.Trace { trace_id }) with
+              | Protocol.Trace_reply t ->
+                  Alcotest.(check (option string))
+                    (trace_id ^ " trace outcome") (gets "outcome" d)
+                    (gets "outcome" t)
+              | _ -> Alcotest.failf "no trace for %s" trace_id)
+          | _ -> ())
+        docs;
+      (* the computed request's trace keeps its segments *)
+      let spans =
+        Option.value ~default:[]
+          (Option.bind (Minijson.member "spans" computed) Minijson.to_list)
+        |> List.filter_map Telemetry.span_of_json
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (name ^ " span") true
+            (List.exists (fun (s : Telemetry.span) -> s.name = name) spans))
+        [ "request"; "queue"; "exec"; "deliver" ];
+      Alcotest.(check bool)
+        "worker spans under exec" true
+        (List.exists
+           (fun (s : Telemetry.span) -> s.parent = Some 2 && s.id >= 4)
+           spans);
+      let seg k = Option.value ~default:Float.nan (getf k computed) in
+      Alcotest.(check bool)
+        "queue + exec within total" true
+        (seg "queue_us" +. seg "exec_us" <= seg "total_us");
+      (* a shutdown with a job pending *)
+      raw_submit cl (heavy "end-h" 7);
+      Frame.write (Client.fd cl) (Protocol.request_to_json Protocol.Shutdown);
+      let answers = List.init 2 (fun _ -> recv "shutdown") in
+      Alcotest.(check bool)
+        "pending job failed by the shutdown" true
+        (List.exists
+           (function
+             | Protocol.Failed { id = "end-h"; reason; _ } ->
+                 contains reason "shutting down"
+             | _ -> false)
+           answers));
+  let docs = read_events events in
+  check_one_terminal_each docs;
+  Alcotest.(check int) "one shutdown event" 1 (count_events "shutdown" docs)
+
 let suite =
   [
     Alcotest.test_case "minijson: control chars" `Quick test_minijson_control_chars;
@@ -1372,4 +1596,6 @@ let suite =
     Alcotest.test_case "server: trace and admin plane" `Slow
       test_server_trace_and_admin;
     Alcotest.test_case "server: events log" `Slow test_server_events_log;
+    Alcotest.test_case "server: every request ends once" `Slow
+      test_server_every_request_ends_once;
   ]

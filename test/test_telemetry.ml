@@ -219,6 +219,78 @@ let test_nesting_and_ordering () =
         = [ "b"; "c" ])
   | spans -> Alcotest.failf "expected 3 spans, got %d" (List.length spans)
 
+(* The one span codec: what [span_to_json] writes, through the wire
+   encoding, [span_of_json] reads back; a malformed span is refused. *)
+let test_span_codec () =
+  let spans =
+    [
+      {
+        Telemetry.id = 0;
+        parent = None;
+        name = "req\"uest\n";
+        start_us = 1.5e15;
+        dur_us = 0.25;
+        args = [ ("bench", "a \"b\""); ("k", "") ];
+      };
+      {
+        Telemetry.id = 7;
+        parent = Some 0;
+        name = "";
+        start_us = 3.;
+        dur_us = 0.;
+        args = [];
+      };
+    ]
+  in
+  List.iter
+    (fun sp ->
+      let wire = Minijson.encode (Telemetry.span_to_json sp) in
+      Alcotest.(check bool)
+        ("round-trips " ^ wire) true
+        (Option.bind (Result.to_option (Minijson.parse wire)) Telemetry.span_of_json
+        = Some sp))
+    spans;
+  Alcotest.(check bool)
+    "no args member without args" true
+    (Minijson.member "args" (Telemetry.span_to_json (List.nth spans 1)) = None);
+  Alcotest.(check bool)
+    "a span without a name is refused" true
+    (Telemetry.span_of_json (Minijson.obj [ ("id", Minijson.int 1) ]) = None)
+
+(* The span-tree sink indexes children once per render.  A scan of
+   every span per span would make 100 000 spans cost 10^10 comparisons,
+   far beyond the bound. *)
+let test_span_tree_linear () =
+  let (), snap =
+    with_fake_clock (fun () ->
+        Telemetry.capture (fun () ->
+            for _ = 1 to 1000 do
+              Telemetry.with_span "outer" (fun () ->
+                  for _ = 1 to 99 do
+                    Telemetry.with_span "inner" (fun () -> ())
+                  done)
+            done))
+  in
+  Alcotest.(check int) "span count" 100_000 (List.length snap.Telemetry.spans);
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let t0 = Unix.gettimeofday () in
+  Telemetry.Sink.span_tree ppf snap;
+  Format.pp_print_flush ppf ();
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rendered in %.2f s (bound 5 s)" dt)
+    true (dt < 5.);
+  Alcotest.(check (list string))
+    "one row per name, calls aggregated"
+    [ "outer 1000"; "inner 99000" ]
+    (List.filter_map
+       (fun line ->
+         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+         | [ name; _; _; calls ] -> Some (name ^ " " ^ calls)
+         | _ -> None)
+       (List.tl (String.split_on_char '\n' (Buffer.contents buf))))
+
 let test_span_closes_on_exception () =
   let (), snap =
     Telemetry.capture (fun () ->
@@ -709,6 +781,9 @@ let suite =
       test_nesting_and_ordering;
     Alcotest.test_case "spans close on exception" `Quick
       test_span_closes_on_exception;
+    Alcotest.test_case "span codec round-trips" `Quick test_span_codec;
+    Alcotest.test_case "span tree is linear in span count" `Quick
+      test_span_tree_linear;
     Alcotest.test_case "timed uses the telemetry clock" `Quick
       test_timed_agrees_with_span;
     Alcotest.test_case "disabled mode is a no-op" `Quick

@@ -94,7 +94,7 @@ let check_bus_reproduces_seed seed =
         List.map
           (fun m ->
             let e = Pipeline.evaluate ctx m in
-            ( Methods.name m,
+            ( Methods.to_string m,
               e.Pipeline.report.Perf.total_cycles,
               e.Pipeline.report.Perf.dynamic_moves ))
           Methods.all
@@ -132,7 +132,7 @@ let check_random_machine seed =
     List.iter
       (fun m ->
         let what =
-          Printf.sprintf "seed %d, %s, %s" seed (Methods.name m)
+          Printf.sprintf "seed %d, %s, %s" seed (Methods.to_string m)
             machine.M.name
         in
         let e = Pipeline.evaluate ctx m in
