@@ -15,18 +15,58 @@
       loop-carried couplings) will force a move in the producer block;
       they are charged [xmove_weight] cycles each, additively.
 
-    The final cost is lexicographic-ish: [100 * (bound + xmove term) +
-    in-block move count] so move count breaks ties.
+    The final cost is lexicographic-ish: [10_000 * (bound + xmove term)
+    + 100 * (graded resource term + link bound) + in-block move count],
+    so the graded term and then the move count break ties.
 
-    [cost] is RHOP's innermost loop — it runs once per candidate move per
-    refinement pass — so everything iterable is precomputed into flat
-    arrays at [make] time (predecessor CSR with cut-flow flags, flow-edge
-    endpoint arrays, per-(cluster, kind) capacities) and the per-call
-    scratch lives in [t] and is reused.  A [t] is therefore
-    single-threaded, like the RHOP pass that owns it. *)
+    [cost] computes the estimate from scratch and is its definition.
+    RHOP prices candidate moves incrementally instead, once per
+    candidate cluster of every group: [load] builds every term of the
+    estimate for one assignment, [move] changes one op's cluster and
+    updates only the terms that op takes part in, and [current] reads
+    the cost, always the integer [cost] would return for the tracked
+    assignment.  The graph is precomputed into flat arrays and the
+    state allocated at [make] time, so [move] and [current] allocate
+    nothing.  A [t] is single-threaded, like the RHOP pass that owns
+    it. *)
 
 module M = Vliw_machine
 module D = Vliw_sched.Deps
+
+(* A multiset of small non-negative ints with a pointer to its largest
+   member (0 when empty).  Only removing the last copy of the maximum
+   costs more than O(1): the pointer scans down to the next member. *)
+type hist = { count : int array; mutable top : int }
+
+let hist_make size = { count = Array.make (max size 1) 0; top = 0 }
+
+let hist_clear h =
+  Array.fill h.count 0 (Array.length h.count) 0;
+  h.top <- 0
+
+let hist_add h v =
+  h.count.(v) <- h.count.(v) + 1;
+  if v > h.top then h.top <- v
+
+let hist_remove h v =
+  let c = h.count.(v) - 1 in
+  h.count.(v) <- c;
+  if c = 0 && v = h.top then
+    while h.top > 0 && h.count.(h.top) = 0 do
+      h.top <- h.top - 1
+    done
+
+(* Replace one [old] by [v]; adding first stops the scan of
+   [hist_remove] at [v] at the latest. *)
+let hist_replace h ~old v =
+  if v <> old then begin
+    hist_add h v;
+    hist_remove h old
+  end
+
+(* A node's part in one cross-block term: the use pinned to a home
+   cluster, or the use or the def of a loop-carried coupling. *)
+type xterm = Pin | Coupled_use | Coupled_def
 
 type t = {
   nclusters : int;
@@ -41,7 +81,10 @@ type t = {
   nlink_slots : int;
   n : int;
   fu_of : int array;  (** FU kind index per node *)
-  lat : int array;
+  tail : int array;
+      (** what a node adds to the block's length after its issue: its
+          full latency when it defines a live-out value (live-out drain,
+          like [List_sched]), else the one issue cycle *)
   caps : int array;  (** FU count per (cluster, kind), [c * nk + k] *)
   (* predecessor lists in CSR form; entry [j] of node [i]'s row is
      predecessor [pred_node.(j)] at latency [pred_lat.(j)], flagged in
@@ -51,6 +94,10 @@ type t = {
   pred_node : int array;
   pred_lat : int array;
   pred_flow : bool array;
+  (* the same edges as successor lists, minus those into [sink] *)
+  succ_off : int array;
+  succ_node : int array;
+  succ_flow : bool array;
   (* flow edges as parallel endpoint arrays, producer/consumer *)
   fe_d : int array;
   fe_u : int array;
@@ -58,17 +105,50 @@ type t = {
   pin_home : int array;  (** home cluster of that value *)
   coup_u : int array;  (** loop-carried same-register pairs: use, ... *)
   coup_d : int array;  (** ... def *)
-  drains : bool array;
-      (** nodes defining a live-out value pay their full latency in the
-          block's length (live-out drain, like [List_sched]) *)
+  (* each node's cross-block terms in CSR form: [x_arg] is a pin's home
+     cluster, or the other node of a coupling *)
+  x_off : int array;
+  x_kind : xterm array;
+  x_arg : int array;
   xmove_weight : int;
-  (* reusable scratch for [cost]/[count_moves] *)
-  usage : int array;  (** [c * nk + k] *)
-  link_usage : int array;  (** per link id *)
+  sink : int;
+      (** the last node; [Deps] gives it an edge from every other node,
+          so its level is kept as the maximum of its in-edge
+          contributions instead of being recomputed from all of them *)
+  sink_lat : int array;  (** latency of a node's edge into [sink], or -1 *)
+  sink_flow : bool array;
+  (* the incremental state, for the assignment [cluster] given to
+     [load]: *)
+  mutable cluster : int array;
+  usage : int array;  (** ops per (cluster, kind), [c * nk + k] *)
+  refs : int array;
+      (** flow-edge predecessor entries from producer [d] into consumers
+          on cluster [c], at [(d * nclusters) + c]; the pair is one
+          in-block move while its count is positive and [c] is not [d]'s
+          cluster *)
+  mutable moves : int;
+  link_usage : int array;  (** moves routed over each link *)
+  link_hist : hist;  (** of [link_usage] *)
+  mutable xmoves : int;
   level : int array;
-  seen : int array;  (** stamp per (producer, consumer cluster) pair *)
-  mutable seen_gen : int;
+  dep_hist : hist;  (** of [level + tail] over all nodes *)
+  sink_in : int array;  (** a node's contribution to [sink]'s level *)
+  sink_hist : hist;  (** of [sink_in] over [sink]'s predecessors *)
+  dirty : bool array;  (** nodes whose level may be stale *)
+  mutable dirty_lo : int;
+  mutable dirty_hi : int;
+  mutable sink_moved : bool;
+  mutable relevels : int;
 }
+
+(* CSR offsets from per-row counts. *)
+let offsets counts =
+  let n = Array.length counts in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    off.(i + 1) <- off.(i) + counts.(i)
+  done;
+  off
 
 let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
   let n = D.num_ops deps in
@@ -77,7 +157,15 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
   let fu_of =
     Array.init n (fun i -> M.fu_kind_index (Vliw_ir.Op.fu_kind (D.op deps i)))
   in
-  let lat = Array.init n (D.op_latency deps) in
+  let tail =
+    Array.init n (fun i ->
+        if
+          List.exists
+            (fun r -> Vliw_ir.Reg.Set.mem r live_out)
+            (Vliw_ir.Op.defs (D.op deps i))
+        then D.op_latency deps i
+        else 1)
+  in
   let caps = Array.make (nclusters * nk) 0 in
   for c = 0 to nclusters - 1 do
     List.iter
@@ -96,10 +184,9 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
       fe_d.(i) <- d;
       fe_u.(i) <- u)
     flow_edges;
-  let pred_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    pred_off.(i + 1) <- pred_off.(i) + List.length (D.preds deps i)
-  done;
+  let pred_off =
+    offsets (Array.init n (fun i -> List.length (D.preds deps i)))
+  in
   let npred = pred_off.(n) in
   let pred_node = Array.make npred 0
   and pred_lat = Array.make npred 0
@@ -114,26 +201,53 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
         incr j)
       (D.preds deps i)
   done;
-  let pin_node = Array.make (List.length pins) 0
-  and pin_home = Array.make (List.length pins) 0 in
-  List.iteri
-    (fun i (node, home) ->
-      pin_node.(i) <- node;
-      pin_home.(i) <- home)
-    pins;
-  let coup_u = Array.make (List.length couplings) 0
-  and coup_d = Array.make (List.length couplings) 0 in
-  List.iteri
-    (fun i (u, d) ->
-      coup_u.(i) <- u;
-      coup_d.(i) <- d)
-    couplings;
-  let drains =
-    Array.init n (fun i ->
-        List.exists
-          (fun r -> Vliw_ir.Reg.Set.mem r live_out)
-          (Vliw_ir.Op.defs (D.op deps i)))
+  let sink = n - 1 in
+  let sink_lat = Array.make n (-1) and sink_flow = Array.make n false in
+  let succ_count = Array.make n 0 in
+  for i = 0 to n - 1 do
+    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+      let p = pred_node.(j) in
+      if i = sink then begin
+        sink_lat.(p) <- pred_lat.(j);
+        sink_flow.(p) <- pred_flow.(j)
+      end
+      else succ_count.(p) <- succ_count.(p) + 1
+    done
+  done;
+  let succ_off = offsets succ_count in
+  let succ_node = Array.make succ_off.(n) 0
+  and succ_flow = Array.make succ_off.(n) false in
+  Array.fill succ_count 0 n 0;
+  for i = 0 to sink - 1 do
+    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+      let p = pred_node.(j) in
+      let s = succ_off.(p) + succ_count.(p) in
+      succ_node.(s) <- i;
+      succ_flow.(s) <- pred_flow.(j);
+      succ_count.(p) <- succ_count.(p) + 1
+    done
+  done;
+  let pin_node = Array.of_list (List.map fst pins)
+  and pin_home = Array.of_list (List.map snd pins) in
+  let coup_u = Array.of_list (List.map fst couplings)
+  and coup_d = Array.of_list (List.map snd couplings) in
+  let x_count = Array.make n 0 in
+  let bump i = x_count.(i) <- x_count.(i) + 1 in
+  Array.iter bump pin_node;
+  Array.iter bump coup_u;
+  Array.iter bump coup_d;
+  let x_off = offsets x_count in
+  let x_kind = Array.make x_off.(n) Pin and x_arg = Array.make x_off.(n) 0 in
+  Array.fill x_count 0 n 0;
+  let add i kind arg =
+    let j = x_off.(i) + x_count.(i) in
+    x_kind.(j) <- kind;
+    x_arg.(j) <- arg;
+    bump i
   in
+  Array.iteri (fun k i -> add i Pin pin_home.(k)) pin_node;
+  Array.iteri (fun k u -> add u Coupled_use coup_d.(k)) coup_u;
+  Array.iteri (fun k d -> add d Coupled_def coup_u.(k)) coup_d;
   let npairs = nclusters * nclusters in
   let hops = Array.make npairs 0 in
   let routes = Array.make npairs [] in
@@ -144,18 +258,31 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
       routes.(p) <- M.route_links machine ~src ~dst
     done
   done;
-  let route_off = Array.make (npairs + 1) 0 in
-  for p = 0 to npairs - 1 do
-    route_off.(p + 1) <- route_off.(p) + List.length routes.(p)
-  done;
+  let route_off = offsets (Array.map List.length routes) in
   let route_link = Array.make (max route_off.(npairs) 1) 0 in
   for p = 0 to npairs - 1 do
     List.iteri (fun i l -> route_link.(route_off.(p) + i) <- l) routes.(p)
   done;
   let nlink_slots = M.num_link_slots machine in
+  let move_latency = M.move_latency machine in
+  (* Size the level histograms by the longest path with every flow edge
+     stretched over the longest route, which no assignment exceeds. *)
+  let stretch = move_latency * Array.fold_left max 0 hops in
+  let level = Array.make (max n 1) 0 in
+  let dep_size = ref 0 in
+  for i = 0 to n - 1 do
+    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+      let l =
+        level.(pred_node.(j)) + pred_lat.(j)
+        + if pred_flow.(j) then stretch else 0
+      in
+      if l > level.(i) then level.(i) <- l
+    done;
+    dep_size := max !dep_size (level.(i) + tail.(i))
+  done;
   {
     nclusters;
-    move_latency = M.move_latency machine;
+    move_latency;
     moves_per_cycle = M.moves_per_cycle machine;
     hops;
     route_off;
@@ -163,123 +290,78 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
     nlink_slots;
     n;
     fu_of;
-    lat;
+    tail;
     caps;
     pred_off;
     pred_node;
     pred_lat;
     pred_flow;
+    succ_off;
+    succ_node;
+    succ_flow;
     fe_d;
     fe_u;
     pin_node;
     pin_home;
     coup_u;
     coup_d;
-    drains;
+    x_off;
+    x_kind;
+    x_arg;
     xmove_weight;
+    sink;
+    sink_lat;
+    sink_flow;
+    cluster = [||];
     usage = Array.make (nclusters * nk) 0;
+    refs = Array.make (max (n * nclusters) 1) 0;
+    moves = 0;
     link_usage = Array.make nlink_slots 0;
-    level = Array.make (max n 1) 0;
-    seen = Array.make (max (n * nclusters) 1) 0;
-    seen_gen = 0;
+    link_hist = hist_make (nfe + 1);
+    xmoves = 0;
+    level;
+    dep_hist = hist_make (!dep_size + 1);
+    sink_in = Array.make (max n 1) 0;
+    sink_hist = hist_make (if n > 0 then level.(sink) + 1 else 1);
+    dirty = Array.make (max n 1) false;
+    dirty_lo = n;
+    dirty_hi = -1;
+    sink_moved = false;
+    relevels = 0;
   }
 
-(** In-block intercluster moves implied by [cluster]: one per unique
-    (producer, consumer cluster) pair over cut flow edges.  Uniqueness
-    via a stamped mark array instead of a hash table.  As a side
-    effect, [t.link_usage] is left holding each link's issue count for
-    those moves (each move charges every link of its route), which
-    [cost] turns into the per-link bandwidth bound. *)
-let count_moves t (cluster : int array) =
-  t.seen_gen <- t.seen_gen + 1;
-  let gen = t.seen_gen and seen = t.seen in
-  Array.fill t.link_usage 0 t.nlink_slots 0;
-  let moves = ref 0 in
-  for e = 0 to Array.length t.fe_d - 1 do
-    let d = t.fe_d.(e) in
-    let cu = cluster.(t.fe_u.(e)) in
-    let cd = cluster.(d) in
-    if cd <> cu then begin
-      let idx = (d * t.nclusters) + cu in
-      if seen.(idx) <> gen then begin
-        seen.(idx) <- gen;
-        incr moves;
-        let p = (cd * t.nclusters) + cu in
-        for j = t.route_off.(p) to t.route_off.(p + 1) - 1 do
-          let l = t.route_link.(j) in
-          t.link_usage.(l) <- t.link_usage.(l) + 1
-        done
-      end
-    end
-  done;
-  !moves
+(* ------------------------------------------------------------------ *)
+(* Terms shared by [cost] and the incremental state                    *)
 
-let cost t (cluster : int array) : int =
-  let nclusters = t.nclusters in
+(* Ops per (cluster, kind) under [cluster], into [usage]. *)
+let count_usage t (cluster : int array) usage =
   let nk = M.fu_kind_count in
-  (* resource bound *)
-  let usage = t.usage in
-  Array.fill usage 0 (nclusters * nk) 0;
+  Array.fill usage 0 (Array.length usage) 0;
   for i = 0 to t.n - 1 do
     let idx = (cluster.(i) * nk) + t.fu_of.(i) in
     usage.(idx) <- usage.(idx) + 1
+  done
+
+(* Dependence level of node [i]: its latest predecessor's level plus
+   the edge latency, cut flow edges stretched by the route latency. *)
+let level_of t (cluster : int array) (level : int array) i =
+  let ci = cluster.(i) in
+  let li = ref 0 in
+  for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+    let p = t.pred_node.(j) in
+    let cp = cluster.(p) in
+    let eff =
+      if t.pred_flow.(j) && cp <> ci then
+        t.pred_lat.(j) + (t.move_latency * t.hops.((cp * t.nclusters) + ci))
+      else t.pred_lat.(j)
+    in
+    if level.(p) + eff > !li then li := level.(p) + eff
   done;
-  let res = ref 0 in
-  (* [graded]: per-FU-kind worst-cluster pressure, summed.  Unlike the
-     max bound it decreases a little with every op moved off the binding
-     cluster, giving hill-climbing refinement a gradient across the
-     plateaus of the max. *)
-  let graded = ref 0 in
-  for k = 0 to nk - 1 do
-    let worst = ref 0 in
-    for c = 0 to nclusters - 1 do
-      let u = usage.((c * nk) + k) in
-      if u > 0 then begin
-        let cap = t.caps.((c * nk) + k) in
-        let v = if cap = 0 then 1_000_000 else (u + cap - 1) / cap in
-        if v > !worst then worst := v
-      end
-    done;
-    if !worst > !res then res := !worst;
-    graded := !graded + !worst
-  done;
-  let moves = count_moves t cluster in
-  (* per-link bandwidth bound over the link usage [count_moves] left
-     behind — on the bus this is ceil(moves / moves_per_cycle) *)
-  let bus = ref 0 in
-  for l = 0 to t.nlink_slots - 1 do
-    let u = t.link_usage.(l) in
-    if u > 0 then begin
-      let v = (u + t.moves_per_cycle - 1) / t.moves_per_cycle in
-      if v > !bus then bus := v
-    end
-  done;
-  let bus = !bus in
-  (* dependence bound with cut edges stretched by the route latency *)
-  let ml = t.move_latency in
-  let level = t.level in
-  Array.fill level 0 t.n 0;
-  let dep = ref 0 in
-  for i = 0 to t.n - 1 do
-    let ci = cluster.(i) in
-    let li = ref 0 in
-    for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
-      let p = t.pred_node.(j) in
-      let cp = cluster.(p) in
-      let eff =
-        if t.pred_flow.(j) && cp <> ci then
-          t.pred_lat.(j) + (ml * t.hops.((cp * t.nclusters) + ci))
-        else t.pred_lat.(j)
-      in
-      if level.(p) + eff > !li then li := level.(p) + eff
-    done;
-    level.(i) <- !li;
-    (* issue bound for everyone; full-latency drain for live-out defs *)
-    let tail = if t.drains.(i) then t.lat.(i) else 1 in
-    if !li + tail > !dep then dep := !li + tail
-  done;
-  (* cross-block move pressure, distance-weighted: a use pinned (or
-     coupled) h hops away costs h times a neighbouring one *)
+  !li
+
+(* Cross-block move pressure, distance-weighted: a use pinned (or
+   coupled) h hops away costs h times a neighbouring one. *)
+let cross_block t (cluster : int array) =
   let xmoves = ref 0 in
   for i = 0 to Array.length t.pin_node - 1 do
     let c = cluster.(t.pin_node.(i)) in
@@ -290,7 +372,272 @@ let cost t (cluster : int array) : int =
     let cu = cluster.(t.coup_u.(i)) and cd = cluster.(t.coup_d.(i)) in
     if cu <> cd then xmoves := !xmoves + t.hops.((cd * t.nclusters) + cu)
   done;
-  let bound = max !res (max bus !dep) in
-  (10_000 * (bound + (t.xmove_weight * !xmoves)))
+  !xmoves
+
+(* The estimate from its terms: ops per (cluster, kind) in [usage], the
+   busiest link's usage, the dependence bound, the cross-block hops and
+   the in-block moves. *)
+let combine t usage ~link_max ~dep ~xmoves ~moves =
+  let nk = M.fu_kind_count in
+  (* resource bound, and [graded]: per-FU-kind worst-cluster pressure,
+     summed.  Unlike the max bound it decreases a little with every op
+     moved off the binding cluster, giving hill-climbing refinement a
+     gradient across the plateaus of the max. *)
+  let res = ref 0 and graded = ref 0 in
+  for k = 0 to nk - 1 do
+    let worst = ref 0 in
+    for c = 0 to t.nclusters - 1 do
+      let u = usage.((c * nk) + k) in
+      if u > 0 then begin
+        let cap = t.caps.((c * nk) + k) in
+        let v = if cap = 0 then 1_000_000 else (u + cap - 1) / cap in
+        if v > !worst then worst := v
+      end
+    done;
+    if !worst > !res then res := !worst;
+    graded := !graded + !worst
+  done;
+  (* per-link bandwidth bound — on the bus ceil(moves / moves_per_cycle) *)
+  let bus = (link_max + t.moves_per_cycle - 1) / t.moves_per_cycle in
+  let bound = max !res (max bus dep) in
+  (10_000 * (bound + (t.xmove_weight * xmoves)))
   + (100 * (!graded + bus))
   + moves
+
+(* ------------------------------------------------------------------ *)
+(* From scratch: the definition                                        *)
+
+(** In-block intercluster moves implied by [cluster]: one per unique
+    (producer, consumer cluster) pair over cut flow edges.  As a side
+    effect, [link_usage] is left holding each link's issue count for
+    those moves (each move charges every link of its route), which
+    [cost] turns into the per-link bandwidth bound. *)
+let count_moves t (cluster : int array) link_usage =
+  let seen = Array.make (max (t.n * t.nclusters) 1) false in
+  let moves = ref 0 in
+  for e = 0 to Array.length t.fe_d - 1 do
+    let d = t.fe_d.(e) in
+    let cu = cluster.(t.fe_u.(e)) in
+    let cd = cluster.(d) in
+    if cd <> cu then begin
+      let idx = (d * t.nclusters) + cu in
+      if not seen.(idx) then begin
+        seen.(idx) <- true;
+        incr moves;
+        let p = (cd * t.nclusters) + cu in
+        for j = t.route_off.(p) to t.route_off.(p + 1) - 1 do
+          let l = t.route_link.(j) in
+          link_usage.(l) <- link_usage.(l) + 1
+        done
+      end
+    end
+  done;
+  !moves
+
+let cost t (cluster : int array) : int =
+  let usage = Array.make (t.nclusters * M.fu_kind_count) 0 in
+  count_usage t cluster usage;
+  let link_usage = Array.make t.nlink_slots 0 in
+  let moves = count_moves t cluster link_usage in
+  (* dependence bound with cut edges stretched by the route latency *)
+  let level = Array.make (max t.n 1) 0 in
+  let dep = ref 0 in
+  for i = 0 to t.n - 1 do
+    let li = level_of t cluster level i in
+    level.(i) <- li;
+    (* issue bound for everyone; full-latency drain for live-out defs *)
+    if li + t.tail.(i) > !dep then dep := li + t.tail.(i)
+  done;
+  combine t usage
+    ~link_max:(Array.fold_left max 0 link_usage)
+    ~dep:!dep ~xmoves:(cross_block t cluster) ~moves
+
+(* ------------------------------------------------------------------ *)
+(* Incremental: the same terms, kept up to date move by move           *)
+
+(* The move from producer cluster [src] to consumer cluster [dst] starts
+   or stops: one more or one fewer issue on every link of its route. *)
+let activate t src dst =
+  t.moves <- t.moves + 1;
+  let p = (src * t.nclusters) + dst in
+  for j = t.route_off.(p) to t.route_off.(p + 1) - 1 do
+    let l = t.route_link.(j) in
+    let u = t.link_usage.(l) in
+    t.link_usage.(l) <- u + 1;
+    hist_replace t.link_hist ~old:u (u + 1)
+  done
+
+let deactivate t src dst =
+  t.moves <- t.moves - 1;
+  let p = (src * t.nclusters) + dst in
+  for j = t.route_off.(p) to t.route_off.(p + 1) - 1 do
+    let l = t.route_link.(j) in
+    let u = t.link_usage.(l) in
+    t.link_usage.(l) <- u - 1;
+    hist_replace t.link_hist ~old:u (u - 1)
+  done
+
+(* Node [i]'s share of the cross-block term: its pins, and its
+   couplings (each coupling is listed under both of its nodes). *)
+let xterms t i =
+  let cluster = t.cluster and k = t.nclusters in
+  let ci = cluster.(i) in
+  let s = ref 0 in
+  for j = t.x_off.(i) to t.x_off.(i + 1) - 1 do
+    let arg = t.x_arg.(j) in
+    s :=
+      !s
+      +
+      match t.x_kind.(j) with
+      | Pin -> t.hops.((arg * k) + ci)
+      | Coupled_use -> t.hops.((cluster.(arg) * k) + ci)
+      | Coupled_def -> t.hops.((ci * k) + cluster.(arg))
+  done;
+  !s
+
+(* What node [p]'s edge into [sink] asks of the sink's level. *)
+let sink_edge t p =
+  let cp = t.cluster.(p) and cs = t.cluster.(t.sink) in
+  t.level.(p) + t.sink_lat.(p)
+  +
+  if t.sink_flow.(p) && cp <> cs then
+    t.move_latency * t.hops.((cp * t.nclusters) + cs)
+  else 0
+
+let update_sink_in t p =
+  let e = sink_edge t p in
+  hist_replace t.sink_hist ~old:t.sink_in.(p) e;
+  t.sink_in.(p) <- e
+
+let mark_dirty t i =
+  if not t.dirty.(i) then begin
+    t.dirty.(i) <- true;
+    if i < t.dirty_lo then t.dirty_lo <- i;
+    if i > t.dirty_hi then t.dirty_hi <- i
+  end
+
+let set_level t i l =
+  hist_replace t.dep_hist ~old:(t.level.(i) + t.tail.(i)) (l + t.tail.(i));
+  t.level.(i) <- l
+
+let load t (cluster : int array) =
+  t.cluster <- cluster;
+  let k = t.nclusters in
+  count_usage t cluster t.usage;
+  Array.fill t.refs 0 (Array.length t.refs) 0;
+  for i = 0 to t.n - 1 do
+    for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+      if t.pred_flow.(j) then begin
+        let r = (t.pred_node.(j) * k) + cluster.(i) in
+        t.refs.(r) <- t.refs.(r) + 1
+      end
+    done
+  done;
+  t.moves <- 0;
+  Array.fill t.link_usage 0 t.nlink_slots 0;
+  hist_clear t.link_hist;
+  t.link_hist.count.(0) <- t.nlink_slots;
+  for d = 0 to t.n - 1 do
+    for c = 0 to k - 1 do
+      if t.refs.((d * k) + c) > 0 && c <> cluster.(d) then
+        activate t cluster.(d) c
+    done
+  done;
+  t.xmoves <- cross_block t cluster;
+  hist_clear t.dep_hist;
+  hist_clear t.sink_hist;
+  for i = 0 to t.n - 1 do
+    if i = t.sink then t.level.(i) <- t.sink_hist.top
+    else begin
+      t.level.(i) <- level_of t cluster t.level i;
+      if t.sink_lat.(i) >= 0 then begin
+        t.sink_in.(i) <- sink_edge t i;
+        hist_add t.sink_hist t.sink_in.(i)
+      end
+    end;
+    hist_add t.dep_hist (t.level.(i) + t.tail.(i))
+  done;
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  t.dirty_lo <- t.n;
+  t.dirty_hi <- -1;
+  t.sink_moved <- false
+
+let move t i c =
+  let cluster = t.cluster in
+  let a = cluster.(i) in
+  if a <> c then begin
+    let nk = M.fu_kind_count and k = t.nclusters in
+    let f = t.fu_of.(i) in
+    t.usage.((a * nk) + f) <- t.usage.((a * nk) + f) - 1;
+    t.usage.((c * nk) + f) <- t.usage.((c * nk) + f) + 1;
+    (* [i] as a consumer: each incoming flow edge now reads on [c] *)
+    for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+      if t.pred_flow.(j) then begin
+        let d = t.pred_node.(j) in
+        let cd = cluster.(d) in
+        let ra = (d * k) + a and rc = (d * k) + c in
+        t.refs.(ra) <- t.refs.(ra) - 1;
+        if t.refs.(ra) = 0 && a <> cd then deactivate t cd a;
+        t.refs.(rc) <- t.refs.(rc) + 1;
+        if t.refs.(rc) = 1 && c <> cd then activate t cd c
+      end
+    done;
+    (* [i] as a producer: every consumer cluster it feeds now reads from
+       [c] instead of [a] *)
+    for cu = 0 to k - 1 do
+      if t.refs.((i * k) + cu) > 0 then begin
+        if cu <> a then deactivate t a cu;
+        if cu <> c then activate t c cu
+      end
+    done;
+    t.xmoves <- t.xmoves - xterms t i;
+    cluster.(i) <- c;
+    t.xmoves <- t.xmoves + xterms t i;
+    (* the edges whose stretch changed: [i]'s incoming flow edges and
+       its outgoing ones *)
+    if i = t.sink then t.sink_moved <- true else mark_dirty t i;
+    for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+      if t.succ_flow.(j) then mark_dirty t t.succ_node.(j)
+    done
+  end
+
+(* Bring the levels up to date.  Every [Deps] edge points forward, so
+   one sweep in index order over the dirty nodes sees each node after
+   all of its predecessors; a node whose level changed dirties its
+   successors.  The sink is settled last, from its histogram. *)
+let relevel t =
+  let i = ref t.dirty_lo in
+  while !i <= t.dirty_hi do
+    let v = !i in
+    if t.dirty.(v) then begin
+      t.dirty.(v) <- false;
+      t.relevels <- t.relevels + 1;
+      let l = level_of t t.cluster t.level v in
+      if l <> t.level.(v) then begin
+        set_level t v l;
+        for j = t.succ_off.(v) to t.succ_off.(v + 1) - 1 do
+          mark_dirty t t.succ_node.(j)
+        done
+      end;
+      if t.sink_lat.(v) >= 0 then update_sink_in t v
+    end;
+    incr i
+  done;
+  t.dirty_lo <- t.n;
+  t.dirty_hi <- -1;
+  if t.sink_moved then begin
+    t.sink_moved <- false;
+    let s = t.sink in
+    for j = t.pred_off.(s) to t.pred_off.(s + 1) - 1 do
+      if t.pred_flow.(j) then update_sink_in t t.pred_node.(j)
+    done
+  end;
+  if t.n > 0 && t.sink_hist.top <> t.level.(t.sink) then
+    set_level t t.sink t.sink_hist.top
+
+let current t =
+  relevel t;
+  combine t t.usage ~link_max:t.link_hist.top ~dep:t.dep_hist.top
+    ~xmoves:t.xmoves ~moves:t.moves
+
+let relevels t = t.relevels

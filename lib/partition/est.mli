@@ -15,8 +15,25 @@ val make :
   xmove_weight:int ->
   t
 
-(** In-block intercluster moves implied by the assignment (unique
-    (producer, consumer-cluster) pairs over cut flow edges). *)
-val count_moves : t -> int array -> int
-
+(** The estimate of an assignment (op index to cluster), computed from
+    scratch. *)
 val cost : t -> int array -> int
+
+(** {1 Incremental estimate}
+
+    [t] tracks one assignment and keeps the terms of its estimate, so
+    a move is priced by the terms it changes. *)
+
+(** [load t cluster] makes [cluster] the tracked assignment and builds
+    its terms.  Change [cluster] only through [move] afterwards. *)
+val load : t -> int array -> unit
+
+(** [move t i c] puts op [i] on cluster [c] in the tracked assignment
+    and updates the terms it changes. *)
+val move : t -> int -> int -> unit
+
+(** The estimate of the tracked assignment: [cost t cluster]. *)
+val current : t -> int
+
+(** Dependence levels recomputed by [current] since [make]. *)
+val relevels : t -> int

@@ -161,20 +161,28 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
     groups;
   if !shrunk then Some (Array.of_list (List.rev !next)) else None
 
+(* [List.iter] would allocate a closure per candidate *)
+let rec move_group est c = function
+  | [] -> ()
+  | i :: rest ->
+      Est.move est i c;
+      move_group est c rest
+
 (** Greedy refinement of one level: repeatedly move whole groups to the
-    cluster that lowers the estimated cost. *)
+    cluster that lowers the estimated cost.  Each candidate cluster is
+    priced by moving the group there in [est]'s tracked assignment and
+    reading the estimate.  Returns the number of candidates priced. *)
 let refine_level (est : Est.t) ~num_clusters ~max_passes
-    (groups : group array) (cluster : int array) : unit =
+    (groups : group array) (cluster : int array) : int =
   let order = Array.init (Array.length groups) Fun.id in
   Array.sort (fun a b -> compare groups.(b).size groups.(a).size) order;
   let changed = ref true in
   let pass = ref 0 in
-  (* [Est.cost] depends only on [cluster], so the cost of the standing
-     assignment can be carried from group to group: after a kept move it
-     is exactly the accepted candidate's cost, after a rejected one it is
-     unchanged.  This halves the cost calls per group on a 2-cluster
-     machine. *)
-  let current_cost = ref (Est.cost est cluster) in
+  let candidates = ref 0 in
+  (* Once the group is back on its best cluster, the tracked estimate
+     is that candidate's cost (or the standing one if none won), so it
+     is carried to the next group rather than read again. *)
+  let current_cost = ref (Est.current est) in
   while !changed && !pass < max_passes do
     changed := false;
     incr pass;
@@ -187,20 +195,22 @@ let refine_level (est : Est.t) ~num_clusters ~max_passes
           let best_c = ref cur and best_cost = ref !current_cost in
           for c = 0 to num_clusters - 1 do
             if c <> cur then begin
-              List.iter (fun i -> cluster.(i) <- c) g.members;
-              let cost = Est.cost est cluster in
+              move_group est c g.members;
+              let cost = Est.current est in
               if cost < !best_cost then begin
                 best_cost := cost;
                 best_c := c
               end
             end
           done;
-          List.iter (fun i -> cluster.(i) <- !best_c) g.members;
+          candidates := !candidates + num_clusters - 1;
+          move_group est !best_c g.members;
           current_cost := !best_cost;
           if !best_c <> cur then changed := true
         end)
       order
-  done
+  done;
+  !candidates
 
 let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
     ~(lock_of : int -> int option) ~(reg_home : (Reg.t, int) Hashtbl.t)
@@ -276,12 +286,18 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
       | Some c -> List.iter (fun i -> cluster.(i) <- c) g.members
       | None -> ())
     level0;
+  Est.load est cluster;
   let num_clusters = Vliw_machine.num_clusters machine in
-  List.iter
-    (fun groups ->
-      refine_level est ~num_clusters ~max_passes:config.max_passes groups
-        cluster)
-    levels;
+  let candidates =
+    List.fold_left
+      (fun acc groups ->
+        acc
+        + refine_level est ~num_clusters ~max_passes:config.max_passes groups
+            cluster)
+      0 levels
+  in
+  Telemetry.incr ~by:candidates "rhop.candidates";
+  Telemetry.incr ~by:(Est.relevels est) "rhop.relevels";
   List.init n (fun i -> (Op.id (D.op deps i), cluster.(i)))
 
 (* ------------------------------------------------------------------ *)
@@ -296,14 +312,11 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
 let block_result ~machine ~config ~objects_of ~lock_of
     ~(reg_home : (Reg.t, int) Hashtbl.t) ~cfg ~liveness f (b : Block.t) :
     (int * int) list =
-  (* locks: memory homes plus registers homed by earlier blocks *)
-  let lock_of op_id =
-    match lock_of op_id with Some c -> Some c | None -> None
-  in
   let op_by_id : (int, Op.t) Hashtbl.t =
     Hashtbl.create (List.length (Block.ops b))
   in
   List.iter (fun o -> Hashtbl.replace op_by_id (Op.id o) o) (Block.ops b);
+  (* locks: memory homes plus registers homed by earlier blocks *)
   let lock_with_reg op_id =
     match lock_of op_id with
     | Some c -> Some c

@@ -34,6 +34,12 @@ let check_outputs what expected got =
 
 let machine ?(move_latency = 5) () = Vliw_machine.paper_machine ~move_latency ()
 
+(** The machine of a [Machine_spec] preset ("paper", "mesh16", ...). *)
+let preset_machine name =
+  match Machine_spec.preset name with
+  | Ok spec -> Machine_spec.resolve spec
+  | Error m -> Alcotest.fail m
+
 (** Full context for a compiled program on a given input. *)
 let context ?move_latency ?(input = [||]) prog =
   let reference = Vliw_interp.Interp.run prog ~input in
@@ -41,3 +47,39 @@ let context ?move_latency ?(input = [||]) prog =
     Partition.Methods.make_context
       ~machine:(machine ?move_latency ())
       ~prog ~profile:reference.Vliw_interp.Interp.profile () )
+
+(** Factor pairs of [n] (rows, cols), for mesh shapes. *)
+let factor_pairs n =
+  List.concat_map
+    (fun r -> if n mod r = 0 then [ (r, n / r) ] else [])
+    (List.init n (fun i -> i + 1))
+
+let gen_cluster st =
+  {
+    Machine_spec.ints = 1 + Random.State.int st 3;
+    floats = 1 + Random.State.int st 2;
+    mems = 1 + Random.State.int st 2;
+    branches = 1;
+    memory_bytes = 1024 * (1 + Random.State.int st 64);
+  }
+
+(** A random valid machine spec: 1/2/4/8 clusters (the k-way
+    partitioner wants a power of two) of random shapes, any topology
+    compatible with the cluster count, latency 1-6, bandwidth 1-2. *)
+let gen_spec st =
+  let module M = Vliw_machine in
+  let n = 1 lsl Random.State.int st 4 in
+  let clusters = List.init n (fun _ -> gen_cluster st) in
+  let meshes =
+    List.map (fun (rows, cols) -> M.Mesh { rows; cols }) (factor_pairs n)
+  in
+  let topologies = [ M.Bus; M.Ring; M.Crossbar ] @ meshes in
+  let topology = List.nth topologies (Random.State.int st (List.length topologies)) in
+  {
+    Machine_spec.name =
+      Fmt.str "random-%dc-%s" n (M.topology_name topology);
+    clusters;
+    topology;
+    link_latency = 1 + Random.State.int st 6;
+    link_bandwidth = 1 + Random.State.int st 2;
+  }

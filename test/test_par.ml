@@ -267,6 +267,29 @@ let prop_gdp_par_deterministic =
       par_identical ~move_latency:(latency_of_seed seed) Methods.Gdp source)
     Gen_minic.arbitrary_program
 
+(* RHOP's estimator-work counters measure work, not scheduling: the
+   same candidates are priced and the same levels recomputed however
+   many domains partition the blocks *)
+let test_rhop_counters_domain_invariant () =
+  let ctx =
+    Pipeline.context
+      ~machine:(Helpers.preset_machine "mesh16")
+      (Pipeline.prepare_default (Benchsuite.Suite.find "rawcaudio"))
+  in
+  let counters domains =
+    let (_ : Methods.outcome), snap =
+      Par.with_pool ~workers:domains ~domains (fun pool ->
+          Telemetry.capture (fun () -> Methods.run ~pool Methods.Gdp ctx))
+    in
+    List.map
+      (fun name ->
+        Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name))
+      [ "rhop.candidates"; "rhop.relevels" ]
+  in
+  let one = counters 1 in
+  Alcotest.(check bool) "work counted" true (List.for_all (fun v -> v > 0) one);
+  Alcotest.(check (list int)) "same counts at 4 domains" one (counters 4)
+
 let suite =
   [
     Alcotest.test_case "pool semantics" `Quick test_pool_semantics;
@@ -287,4 +310,6 @@ let suite =
     prop_par_kway_domain_invariant;
     prop_methods_par_identity;
     prop_gdp_par_deterministic;
+    Alcotest.test_case "rhop work counters are domain-invariant" `Quick
+      test_rhop_counters_domain_invariant;
   ]

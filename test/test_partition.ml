@@ -160,6 +160,129 @@ let test_est_prefers_colocation () =
   let apart = Partition.Est.cost est [| 0; 1; 0 |] in
   Alcotest.(check bool) "colocated cheaper" true (together < apart)
 
+(* The incremental estimate of [block] on [machine] after each of
+   [moves] random moves, against [Est.cost] of the same assignment.
+   Pins, couplings, live-outs and the start assignment are drawn from
+   [st] too.  A move is a single op, a random subset of ops sent to
+   one cluster, or the previous move's ops sent back where they were.
+   Returns the first disagreement. *)
+let incremental_mismatch ~machine st ~moves block =
+  let module Est = Partition.Est in
+  let deps = Vliw_sched.Deps.build ~machine block in
+  let n = Vliw_sched.Deps.num_ops deps in
+  let k = Vliw_machine.num_clusters machine in
+  let ops = List.init n Fun.id in
+  let pick () = Random.State.int st k in
+  let live_out =
+    List.fold_left
+      (fun acc i ->
+        List.fold_left
+          (fun acc r -> if Random.State.bool st then Reg.Set.add r acc else acc)
+          acc
+          (Op.defs (Vliw_sched.Deps.op deps i)))
+      Reg.Set.empty ops
+  in
+  let pins =
+    List.filter_map
+      (fun i -> if Random.State.int st 4 = 0 then Some (i, pick ()) else None)
+      ops
+  in
+  let couplings =
+    List.init (Random.State.int st 6) (fun _ ->
+        (Random.State.int st n, Random.State.int st n))
+    |> List.filter (fun (u, d) -> u < d)
+  in
+  let est =
+    Est.make ~machine ~deps ~pins ~couplings ~live_out
+      ~xmove_weight:(1 + Random.State.int st 5)
+  in
+  let cluster = Array.init n (fun _ -> pick ()) in
+  Est.load est cluster;
+  let check step =
+    let inc = Est.current est and full = Est.cost est cluster in
+    if inc = full then None
+    else
+      Some
+        (Printf.sprintf "%s, block %s (%d ops), move %d: incremental %d, full %d"
+           machine.Vliw_machine.name
+           (Label.to_string (Block.label block))
+           n step inc full)
+  in
+  let rec go step last =
+    if step > moves then None
+    else
+      let batch =
+        match Random.State.int st 3 with
+        | 0 -> [ (Random.State.int st n, pick ()) ]
+        | 1 ->
+            let c = pick () in
+            List.filter_map
+              (fun i -> if Random.State.int st 3 = 0 then Some (i, c) else None)
+              ops
+        | _ -> last
+      in
+      let undo = List.map (fun (i, _) -> (i, cluster.(i))) batch in
+      List.iter (fun (i, c) -> Est.move est i c) batch;
+      match check step with None -> go (step + 1) undo | mismatch -> mismatch
+  in
+  match check 0 with None -> go 1 [] | mismatch -> mismatch
+
+let blocks prog = List.concat_map Func.blocks (Prog.funcs prog)
+
+let prop_est_incremental =
+  Helpers.qcheck ~count:30
+    "est: incremental cost equals Est.cost on random blocks and machines"
+    (fun seed ->
+      let st = Random.State.make [| (seed * 7) + 3 |] in
+      let machine = Machine_spec.resolve (Helpers.gen_spec st) in
+      let prog =
+        Helpers.compile ~unroll:true (Gen_minic.gen_program_with_seed seed)
+      in
+      List.iter
+        (fun b ->
+          match incremental_mismatch ~machine st ~moves:50 b with
+          | None -> ()
+          | Some msg -> QCheck.Test.fail_report msg)
+        (blocks prog);
+      true)
+    Gen_minic.arbitrary_program
+
+let test_est_incremental_suite () =
+  List.iter
+    (fun machine ->
+      let st = Random.State.make [| 17 |] in
+      List.iter
+        (fun (b : Benchsuite.Bench_intf.t) ->
+          let p = Gdp_core.Pipeline.prepare_default b in
+          List.iter
+            (fun block ->
+              match incremental_mismatch ~machine st ~moves:200 block with
+              | None -> ()
+              | Some msg -> Alcotest.failf "%s: %s" b.name msg)
+            (blocks p.Gdp_core.Pipeline.prog))
+        Benchsuite.Suite.all)
+    [ Helpers.preset_machine "paper"; Helpers.preset_machine "mesh16" ]
+
+(* RHOP's estimator work per candidate stays local: a full estimate
+   recomputes every level of the block, hundreds on mpeg2dec's large
+   blocks, the incremental one only those downstream of the group. *)
+let test_rhop_relevels_local () =
+  let machine = Helpers.preset_machine "mesh16" in
+  let p =
+    Gdp_core.Pipeline.prepare_default (Benchsuite.Suite.find "mpeg2dec")
+  in
+  let ctx = Gdp_core.Pipeline.context ~machine p in
+  let (_ : Methods.outcome), snap =
+    Telemetry.capture (fun () -> Methods.run Methods.Gdp ctx)
+  in
+  let count name =
+    Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name)
+  in
+  let candidates = count "rhop.candidates" and relevels = count "rhop.relevels" in
+  Alcotest.(check bool) "candidates priced" true (candidates > 0);
+  if relevels >= 20 * candidates then
+    Alcotest.failf "%d relevels for %d candidates" relevels candidates
+
 (* ------------------------------------------------------------------ *)
 (* GDP object partitioning                                             *)
 
@@ -302,6 +425,11 @@ let suite =
     Alcotest.test_case "rhop: locks respected" `Quick test_rhop_respects_locks;
     Alcotest.test_case "est: colocation preferred" `Quick
       test_est_prefers_colocation;
+    prop_est_incremental;
+    Alcotest.test_case "est: incremental cost on every suite block" `Quick
+      test_est_incremental_suite;
+    Alcotest.test_case "rhop: estimator relevels stay local" `Quick
+      test_rhop_relevels_local;
     Alcotest.test_case "gdp: balances data bytes" `Quick test_gdp_balances_data;
     Alcotest.test_case "gdp: merge groups stay together" `Quick
       test_gdp_groups_stay_together;

@@ -95,9 +95,10 @@ let test_compile_time_ratio () =
      Max runs the detailed partitioner and its profiling schedule twice
      (the two-run structure itself is asserted by
      [test_rhop_runs_metadata]), which must show up as partition-stage
-     time well above Naive's.  GDP runs the multilevel graph partitioner
-     on top of its single detailed pass; that stage is too fast to stand
-     out of wall-clock noise, so it is asserted by the work itself: GDP
+     time well above Naive's, and in the work itself: more RHOP
+     candidates priced.  GDP runs the multilevel graph partitioner on
+     top of its single detailed pass; that stage is too fast to stand
+     out of wall-clock noise, so it is asserted by the work alone: GDP
      counts FM refinement passes, Naive none. *)
   let bench = Benchsuite.Suite.find "mpeg2dec" in
   (match
@@ -112,15 +113,20 @@ let test_compile_time_ratio () =
   let ctx =
     Gdp_core.Pipeline.context (Gdp_core.Pipeline.prepare_default bench)
   in
-  let fm_passes m =
+  let counters m =
     let (_ : Methods.outcome), snap =
       Telemetry.capture (fun () -> Methods.run m ctx)
     in
-    Option.value ~default:0
-      (Telemetry.Snapshot.find_counter snap "graphpart.fm_passes")
+    fun name ->
+      Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name)
   in
-  Alcotest.(check bool) "gdp runs FM passes" true (fm_passes Methods.Gdp > 0);
-  Alcotest.(check int) "naive runs no FM pass" 0 (fm_passes Methods.Naive)
+  let gdp = counters Methods.Gdp
+  and pm = counters Methods.Profile_max
+  and naive = counters Methods.Naive in
+  Alcotest.(check bool) "gdp runs FM passes" true (gdp "graphpart.fm_passes" > 0);
+  Alcotest.(check int) "naive runs no FM pass" 0 (naive "graphpart.fm_passes");
+  Alcotest.(check bool) "pm prices more RHOP candidates than naive" true
+    (pm "rhop.candidates" > naive "rhop.candidates")
 
 (* [Report.ratio] is unified cycles / method cycles, so every ratio
    table reads 1.0 for unified-equal performance and below 1.0 for a

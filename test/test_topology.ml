@@ -30,44 +30,6 @@ let bench_of_seed seed : Benchsuite.Bench_intf.t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Random machine specs                                                *)
-
-(** Factor pairs of [n] (rows, cols), for mesh shapes. *)
-let factor_pairs n =
-  List.concat_map
-    (fun r -> if n mod r = 0 then [ (r, n / r) ] else [])
-    (List.init n (fun i -> i + 1))
-
-let gen_cluster st =
-  {
-    Spec.ints = 1 + Random.State.int st 3;
-    floats = 1 + Random.State.int st 2;
-    mems = 1 + Random.State.int st 2;
-    branches = 1;
-    memory_bytes = 1024 * (1 + Random.State.int st 64);
-  }
-
-(** A random valid spec: 1/2/4/8 clusters (the k-way partitioner wants
-    a power of two) of random shapes, any topology compatible with the
-    cluster count, latency 1-6, bandwidth 1-2. *)
-let gen_spec st =
-  let n = 1 lsl Random.State.int st 4 in
-  let clusters = List.init n (fun _ -> gen_cluster st) in
-  let meshes =
-    List.map (fun (rows, cols) -> M.Mesh { rows; cols }) (factor_pairs n)
-  in
-  let topologies = [ M.Bus; M.Ring; M.Crossbar ] @ meshes in
-  let topology = List.nth topologies (Random.State.int st (List.length topologies)) in
-  {
-    Spec.name =
-      Fmt.str "random-%dc-%s" n (M.topology_name topology);
-    clusters;
-    topology;
-    link_latency = 1 + Random.State.int st 6;
-    link_bandwidth = 1 + Random.State.int st 2;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Bus spec reproduces the seed constructors exactly                   *)
 
 (* [Machine_spec.of_legacy] resolves to the very machine the seed's
@@ -125,7 +87,7 @@ let check_random_machine seed =
   let st = Random.State.make [| (seed * 131) + 17 |] in
   let reference = prepared.Pipeline.reference in
   for _trial = 0 to 1 do
-    let spec = gen_spec st in
+    let spec = Helpers.gen_spec st in
     let machine = Spec.resolve spec in
     let ctx = Pipeline.context ~machine prepared in
     let objects_of = Methods.objects_of ctx in
@@ -175,7 +137,7 @@ let prop_random_machine =
 
 let check_spec_roundtrip seed =
   let st = Random.State.make [| (seed * 53) + 5 |] in
-  let spec = gen_spec st in
+  let spec = Helpers.gen_spec st in
   match Spec.of_json (Spec.to_json spec) with
   | Ok spec' ->
       if spec' <> spec then
