@@ -10,9 +10,17 @@
 
     Memory is a flat byte-addressed space holding 8-byte words.  Globals
     are laid out at increasing addresses from [global_base] with guard
-    gaps; the heap bump-allocates from [heap_base]. *)
+    gaps; the heap bump-allocates from [heap_base].
+
+    The engine is flat.  Each function is decoded at its first call into
+    arrays of ops with register indices, boxed immediates and resolved
+    branch targets and callees.  Memory is one word array per data
+    object, found by binary search over the objects' base addresses.
+    The profile is counted in dense arrays and turned into a
+    [Profile.t] once, when the run ends. *)
 
 open Vliw_ir
+module Cfg = Vliw_analysis.Cfg
 
 exception Runtime_error of string
 
@@ -44,85 +52,6 @@ let to_float = function VFloat f -> f | VInt i -> float_of_int i
 let global_base = 0x1000
 let heap_base = 0x1000000
 let word = Data.word_bytes
-
-(* ------------------------------------------------------------------ *)
-(* Machine state                                                       *)
-
-type state = {
-  prog : Prog.t;
-  memory : (int, value) Hashtbl.t;
-  mutable ranges : (int * int * Data.obj) list;
-      (** (start, past-end, object), most recent first; addresses are
-          assigned in increasing order so lookup scans a short list (the
-          object count is small in the paper's benchmarks) *)
-  global_addrs : (string, int) Hashtbl.t;
-  mutable heap_next : int;
-  input : int array;
-  mutable outputs_rev : value list;
-  mutable steps : int;
-  fuel : int;
-  profile : Profile.t;
-}
-
-let object_of_addr st addr =
-  let rec go = function
-    | [] -> None
-    | (lo, hi, obj) :: rest ->
-        if addr >= lo && addr < hi then Some obj else go rest
-  in
-  go st.ranges
-
-let check_access st addr =
-  if addr mod word <> 0 then
-    runtime_error "misaligned access at address 0x%x" addr;
-  match object_of_addr st addr with
-  | Some obj -> obj
-  | None -> runtime_error "wild memory access at address 0x%x" addr
-
-let load_word st addr =
-  match Hashtbl.find_opt st.memory addr with
-  | Some v -> v
-  | None -> VInt 0
-
-let store_word st addr v = Hashtbl.replace st.memory addr v
-
-let init_state prog ~input ~fuel =
-  let st =
-    {
-      prog;
-      memory = Hashtbl.create 1024;
-      ranges = [];
-      global_addrs = Hashtbl.create 16;
-      heap_next = heap_base;
-      input;
-      outputs_rev = [];
-      steps = 0;
-      fuel;
-      profile = Profile.create ();
-    }
-  in
-  let next = ref global_base in
-  List.iter
-    (fun (g : Data.global) ->
-      let base = !next in
-      Hashtbl.replace st.global_addrs g.Data.g_name base;
-      let bytes = Data.global_bytes g in
-      st.ranges <- (base, base + bytes, Data.Global g.Data.g_name) :: st.ranges;
-      (match g.Data.g_init with
-      | Data.Zero -> ()
-      | Data.Words ws ->
-          Array.iteri
-            (fun i w ->
-              let v =
-                if g.Data.g_is_float then VFloat (Int64.float_of_bits w)
-                else VInt (Int64.to_int w)
-              in
-              store_word st (base + (i * word)) v)
-            ws);
-      (* 64-byte guard gap keeps out-of-bounds walks detectable *)
-      next := base + bytes + 64)
-    (Prog.globals prog);
-  st
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -171,104 +100,357 @@ let eval_un op a =
   | Op.Itof -> VFloat (to_float a)
   | Op.Ftoi -> VInt (int_of_float (to_float a))
 
+(* ------------------------------------------------------------------ *)
+(* Decoded code                                                        *)
 
-type frame = { func : Func.t; regs : value array }
+type operand = Var of int | Const of value
 
-let operand_value frame = function
-  | Op.Reg r -> frame.regs.(Reg.to_int r)
-  | Op.Imm i -> VInt i
-  | Op.Fimm f -> VFloat f
+type instr =
+  | Ibin of Op.ibinop * int * operand * operand
+  | Fbin of Op.fbinop * int * operand * operand
+  | Un of Op.unop * int * operand
+  | Load of int * operand * operand
+  | Store of operand * operand * operand
+  | Addr of int * value
+  | Alloc of int * operand * int
+  | Call of int * func * operand list  (** destination, [-1] for none *)
+  | In of int * operand
+  | Out of operand
+  | Move of int * int  (** destination, source *)
 
-let set_reg frame r v = frame.regs.(Reg.to_int r) <- v
+and op = { id : int; instr : instr; greg : int; gsense : bool }
+(** [greg] is [-1] for an unguarded op *)
 
-let rec exec_func st (f : Func.t) (args : value list) : value option =
-  let frame = { func = f; regs = Array.make (Func.reg_count f) (VInt 0) } in
-  (try
-     List.iter2 (fun p a -> set_reg frame p a) (Func.params f) args
-   with Invalid_argument _ ->
-     runtime_error "arity mismatch calling %s" (Func.name f));
-  let rec run_block (b : Block.t) : value option =
-    Profile.record_block st.profile ~func:(Func.name f)
-      ~label:(Block.label b);
-    match List.iter (exec_op st frame) (Block.body b) with
-    | () -> (
-        let term = Block.term b in
-        st.steps <- st.steps + 1;
-        if st.steps > st.fuel then runtime_error "out of fuel";
-        Profile.record_op st.profile ~op_id:(Op.id term);
-        match Op.kind term with
-        | Op.Jmp l -> run_block (Func.find_block f l)
-        | Op.Cbr { cond; if_true; if_false } ->
-            let c = to_int (operand_value frame cond) in
-            run_block
-              (Func.find_block f (if c <> 0 then if_true else if_false))
-        | Op.Ret v -> (
-            match v with
-            | None -> None
-            | Some o -> Some (operand_value frame o))
-        | _ -> assert false)
+and term = Jmp of int | Cbr of operand * int * int | Ret of operand option
+
+and block = { body : op array; term : term; term_id : int }
+
+and func = {
+  func : Func.t;
+  cfg : Cfg.t;
+  counts : int array;  (** executions per block *)
+  mutable code : block array option;  (** decoded at the first call *)
+}
+
+(* ------------------------------------------------------------------ *)
+(* Machine state                                                       *)
+
+(** A data object: a global or one heap block.  [cells] holds its words
+    and grows to cover the highest word written; words past its end
+    read 0. *)
+type obj = {
+  base : int;
+  bytes : int;
+  obj : Data.obj;  (** one value per global or malloc site *)
+  mutable cells : value array;
+}
+
+(** A malloc site: its object and the bytes allocated there so far. *)
+type site = { sobj : Data.obj; mutable sbytes : int }
+
+(** An object a memory op touched and how often.  Each op keeps its
+    touches newest first; objects are compared physically, since each
+    has one [Data.obj] value. *)
+type touch = { tobj : Data.obj; mutable n : int }
+
+type state = {
+  prog : Prog.t;
+  funcs : (string, func) Hashtbl.t;
+  global_addrs : (string, int) Hashtbl.t;
+  mutable objs : obj array;  (** sorted by base; bases never overlap *)
+  mutable nobjs : int;
+  sites : (int, site) Hashtbl.t;
+  mutable heap_next : int;
+  input : int array;
+  mutable outputs_rev : value list;
+  mutable steps : int;
+  fuel : int;
+  op_counts : int array;  (** by op id *)
+  touches : touch list array;  (** by op id *)
+}
+
+let add_obj st o =
+  if st.nobjs = Array.length st.objs then
+    st.objs <- Array.append st.objs (Array.make (max 8 st.nobjs) o);
+  st.objs.(st.nobjs) <- o;
+  st.nobjs <- st.nobjs + 1
+
+(** The object holding [addr], or [-1]: the last object whose base is
+    at or below [addr], when [addr] falls inside it. *)
+let find_obj st addr =
+  let lo = ref (-1) and hi = ref st.nobjs in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if st.objs.(mid).base <= addr then lo := mid else hi := mid
+  done;
+  let i = !lo in
+  if i >= 0 && addr < st.objs.(i).base + st.objs.(i).bytes then i else -1
+
+let check_access st addr =
+  if addr mod word <> 0 then
+    runtime_error "misaligned access at address 0x%x" addr;
+  let i = find_obj st addr in
+  if i < 0 then runtime_error "wild memory access at address 0x%x" addr;
+  st.objs.(i)
+
+let load_word o addr =
+  let i = (addr - o.base) / word in
+  if i < Array.length o.cells then o.cells.(i) else VInt 0
+
+let store_word o addr v =
+  let i = (addr - o.base) / word in
+  let n = Array.length o.cells in
+  if i >= n then begin
+    let len = min (o.bytes / word) (max (i + 1) (2 * n)) in
+    let cells = Array.make len (VInt 0) in
+    Array.blit o.cells 0 cells 0 n;
+    o.cells <- cells
+  end;
+  o.cells.(i) <- v
+
+let rec bump_touch obj = function
+  | [] -> false
+  | t :: rest ->
+      if t.tobj == obj then begin
+        t.n <- t.n + 1;
+        true
+      end
+      else bump_touch obj rest
+
+let touch st id obj =
+  if not (bump_touch obj st.touches.(id)) then
+    st.touches.(id) <- { tobj = obj; n = 1 } :: st.touches.(id)
+
+let site_of st s =
+  match Hashtbl.find_opt st.sites s with
+  | Some x -> x
+  | None ->
+      let x = { sobj = Data.Heap s; sbytes = 0 } in
+      Hashtbl.replace st.sites s x;
+      x
+
+let init_state prog ~input ~fuel =
+  let nops = Prog.op_count prog in
+  let st =
+    {
+      prog;
+      funcs = Hashtbl.create 16;
+      global_addrs = Hashtbl.create 16;
+      objs = [||];
+      nobjs = 0;
+      sites = Hashtbl.create 16;
+      heap_next = heap_base;
+      input;
+      outputs_rev = [];
+      steps = 0;
+      fuel;
+      op_counts = Array.make nops 0;
+      touches = Array.make nops [];
+    }
   in
-  run_block (Func.entry f)
+  let next = ref global_base in
+  List.iter
+    (fun (g : Data.global) ->
+      let base = !next in
+      Hashtbl.replace st.global_addrs g.Data.g_name base;
+      let bytes = Data.global_bytes g in
+      let cells =
+        match g.Data.g_init with
+        | Data.Zero -> [||]
+        | Data.Words ws ->
+            Array.map
+              (fun w ->
+                if g.Data.g_is_float then VFloat (Int64.float_of_bits w)
+                else VInt (Int64.to_int w))
+              ws
+      in
+      add_obj st { base; bytes; obj = Data.Global g.Data.g_name; cells };
+      (* 64-byte guard gap keeps out-of-bounds walks detectable *)
+      next := base + bytes + 64)
+    (Prog.globals prog);
+  (* the heap starts above the globals, so bases stay sorted *)
+  st.heap_next <- max st.heap_next !next;
+  st
 
-and exec_op st frame (op : Op.t) : unit =
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+
+let func_of st name =
+  match Hashtbl.find_opt st.funcs name with
+  | Some fn -> fn
+  | None ->
+      let func = Prog.find_func st.prog name in
+      let cfg = Cfg.of_func func in
+      let fn =
+        { func; cfg; counts = Array.make (Cfg.num_blocks cfg) 0; code = None }
+      in
+      Hashtbl.replace st.funcs name fn;
+      fn
+
+let operand = function
+  | Op.Reg r -> Var (Reg.to_int r)
+  | Op.Imm i -> Const (VInt i)
+  | Op.Fimm f -> Const (VFloat f)
+
+let decode_op st (op : Op.t) =
+  let reg = Reg.to_int in
+  let instr =
+    match Op.kind op with
+    | Op.Ibin (o, d, a, b) -> Ibin (o, reg d, operand a, operand b)
+    | Op.Fbin (o, d, a, b) -> Fbin (o, reg d, operand a, operand b)
+    | Op.Un (o, d, a) -> Un (o, reg d, operand a)
+    | Op.Load { dst; base; offset } ->
+        Load (reg dst, operand base, operand offset)
+    | Op.Store { src; base; offset } ->
+        Store (operand src, operand base, operand offset)
+    | Op.Addr { dst; obj } ->
+        Addr (reg dst, VInt (Hashtbl.find st.global_addrs obj))
+    | Op.Alloc { dst; size; site } -> Alloc (reg dst, operand size, site)
+    | Op.Call { dst; callee; args } ->
+        Call
+          ( Option.fold ~none:(-1) ~some:reg dst,
+            func_of st callee,
+            List.map operand args )
+    | Op.In { dst; index } -> In (reg dst, operand index)
+    | Op.Out a -> Out (operand a)
+    | Op.Move { dst; src } -> Move (reg dst, reg src)
+    | Op.Cbr _ | Op.Jmp _ | Op.Ret _ ->
+        assert false (* terminators end blocks, never bodies *)
+  in
+  let greg, gsense =
+    match Op.guard op with
+    | None -> (-1, true)
+    | Some { Op.greg; gsense } -> (reg greg, gsense)
+  in
+  { id = Op.id op; instr; greg; gsense }
+
+let decode_block st fn b =
+  let term =
+    match Op.kind (Block.term b) with
+    | Op.Jmp l -> Jmp (Cfg.block_index fn.cfg l)
+    | Op.Cbr { cond; if_true; if_false } ->
+        Cbr
+          ( operand cond,
+            Cfg.block_index fn.cfg if_true,
+            Cfg.block_index fn.cfg if_false )
+    | Op.Ret r -> Ret (Option.map operand r)
+    | _ -> assert false (* [Block.v] only takes terminators *)
+  in
+  {
+    body = Array.of_list (List.map (decode_op st) (Block.body b));
+    term;
+    term_id = Op.id (Block.term b);
+  }
+
+let code_of st fn =
+  match fn.code with
+  | Some c -> c
+  | None ->
+      let c =
+        Array.init (Cfg.num_blocks fn.cfg) (fun i ->
+            decode_block st fn (Cfg.block fn.cfg i))
+      in
+      fn.code <- Some c;
+      c
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+
+let value regs = function Var r -> regs.(r) | Const v -> v
+
+let rec exec_func st fn (args : value list) : value option =
+  let regs = Array.make (Func.reg_count fn.func) (VInt 0) in
+  (try
+     List.iter2
+       (fun p a -> regs.(Reg.to_int p) <- a)
+       (Func.params fn.func) args
+   with Invalid_argument _ ->
+     runtime_error "arity mismatch calling %s" (Func.name fn.func));
+  run_block st fn (code_of st fn) regs 0
+
+and run_block st fn code regs bi =
+  fn.counts.(bi) <- fn.counts.(bi) + 1;
+  let b = code.(bi) in
+  for k = 0 to Array.length b.body - 1 do
+    exec_op st regs b.body.(k)
+  done;
   st.steps <- st.steps + 1;
   if st.steps > st.fuel then runtime_error "out of fuel";
-  let guard_passes =
-    match Op.guard op with
-    | None -> true
-    | Some { Op.greg; gsense } ->
-        let nz = to_int frame.regs.(Reg.to_int greg) <> 0 in
-        Bool.equal nz gsense
-  in
-  if not guard_passes then () (* nullified: no effect, not profiled *)
+  st.op_counts.(b.term_id) <- st.op_counts.(b.term_id) + 1;
+  match b.term with
+  | Jmp l -> run_block st fn code regs l
+  | Cbr (c, t, f) ->
+      run_block st fn code regs (if to_int (value regs c) <> 0 then t else f)
+  | Ret None -> None
+  | Ret (Some o) -> Some (value regs o)
+
+and exec_op st regs op =
+  st.steps <- st.steps + 1;
+  if st.steps > st.fuel then runtime_error "out of fuel";
+  if op.greg >= 0 && not (Bool.equal (to_int regs.(op.greg) <> 0) op.gsense)
+  then () (* nullified: no effect, not profiled *)
   else begin
-  Profile.record_op st.profile ~op_id:(Op.id op);
-  let v = operand_value frame in
-  match Op.kind op with
-  | Op.Ibin (o, d, a, b) -> set_reg frame d (eval_ibin o (v a) (v b))
-  | Op.Fbin (o, d, a, b) -> set_reg frame d (eval_fbin o (v a) (v b))
-  | Op.Un (o, d, a) -> set_reg frame d (eval_un o (v a))
-  | Op.Load { dst; base; offset } ->
-      let addr = to_int (v base) + to_int (v offset) in
-      let obj = check_access st addr in
-      Profile.record_access st.profile ~op_id:(Op.id op) obj;
-      set_reg frame dst (load_word st addr)
-  | Op.Store { src; base; offset } ->
-      let addr = to_int (v base) + to_int (v offset) in
-      let obj = check_access st addr in
-      Profile.record_access st.profile ~op_id:(Op.id op) obj;
-      store_word st addr (v src)
-  | Op.Addr { dst; obj } ->
-      set_reg frame dst (VInt (Hashtbl.find st.global_addrs obj))
-  | Op.Alloc { dst; size; site } ->
-      let bytes = to_int (v size) in
-      if bytes < 0 then runtime_error "negative allocation";
-      let rounded = (bytes + word - 1) / word * word in
-      let base = st.heap_next in
-      st.heap_next <- base + rounded + 64;
-      st.ranges <- (base, base + rounded, Data.Heap site) :: st.ranges;
-      Profile.record_alloc st.profile ~site bytes;
-      set_reg frame dst (VInt base)
-  | Op.Call { dst; callee; args } -> (
-      let f = Prog.find_func st.prog callee in
-      let vals = List.map v args in
-      match (exec_func st f vals, dst) with
-      | Some r, Some d -> set_reg frame d r
-      | _, None -> ()
-      | None, Some _ ->
-          runtime_error "call to %s expected a result but none returned"
-            callee)
-  | Op.In { dst; index } ->
-      let i = to_int (v index) in
-      if i < 0 || i >= Array.length st.input then
-        runtime_error "input index %d out of bounds (input has %d words)" i
-          (Array.length st.input);
-      set_reg frame dst (VInt st.input.(i))
-  | Op.Out a -> st.outputs_rev <- v a :: st.outputs_rev
-  | Op.Move { dst; src } -> set_reg frame dst frame.regs.(Reg.to_int src)
-  | Op.Cbr _ | Op.Jmp _ | Op.Ret _ ->
-      assert false (* terminators handled by run_block *)
+    st.op_counts.(op.id) <- st.op_counts.(op.id) + 1;
+    match op.instr with
+    | Ibin (o, d, a, b) -> regs.(d) <- eval_ibin o (value regs a) (value regs b)
+    | Fbin (o, d, a, b) -> regs.(d) <- eval_fbin o (value regs a) (value regs b)
+    | Un (o, d, a) -> regs.(d) <- eval_un o (value regs a)
+    | Load (d, b, o) ->
+        let addr = to_int (value regs b) + to_int (value regs o) in
+        let ob = check_access st addr in
+        touch st op.id ob.obj;
+        regs.(d) <- load_word ob addr
+    | Store (s, b, o) ->
+        let addr = to_int (value regs b) + to_int (value regs o) in
+        let ob = check_access st addr in
+        touch st op.id ob.obj;
+        store_word ob addr (value regs s)
+    | Addr (d, a) -> regs.(d) <- a
+    | Alloc (d, size, site) ->
+        let bytes = to_int (value regs size) in
+        if bytes < 0 then runtime_error "negative allocation";
+        let rounded = (bytes + word - 1) / word * word in
+        let base = st.heap_next in
+        st.heap_next <- base + rounded + 64;
+        let s = site_of st site in
+        add_obj st { base; bytes = rounded; obj = s.sobj; cells = [||] };
+        s.sbytes <- s.sbytes + bytes;
+        regs.(d) <- VInt base
+    | Call (d, g, args) -> (
+        let vals = List.map (value regs) args in
+        match exec_func st g vals with
+        | Some r when d >= 0 -> regs.(d) <- r
+        | _ when d < 0 -> ()
+        | _ ->
+            runtime_error "call to %s expected a result but none returned"
+              (Func.name g.func))
+    | In (d, index) ->
+        let i = to_int (value regs index) in
+        if i < 0 || i >= Array.length st.input then
+          runtime_error "input index %d out of bounds (input has %d words)" i
+            (Array.length st.input);
+        regs.(d) <- VInt st.input.(i)
+    | Out a -> st.outputs_rev <- value regs a :: st.outputs_rev
+    | Move (d, s) -> regs.(d) <- regs.(s)
   end
+
+(** The run's profile, built once from the dense counts. *)
+let profile st =
+  let blocks = ref [] in
+  Hashtbl.iter
+    (fun name fn ->
+      Array.iteri
+        (fun i n ->
+          if n > 0 then
+            blocks := ((name, Block.label (Cfg.block fn.cfg i)), n) :: !blocks)
+        fn.counts)
+    st.funcs;
+  Profile.make ~blocks:!blocks ~ops:st.op_counts
+    ~accesses:
+      (Array.map (List.rev_map (fun t -> (t.tobj, t.n))) st.touches)
+    ~heap_sizes:
+      (Hashtbl.fold (fun s x acc -> (s, x.sbytes) :: acc) st.sites []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
 
 (* ------------------------------------------------------------------ *)
 
@@ -285,11 +467,10 @@ let default_fuel = 50_000_000
     errors (wild access, division by zero, fuel exhaustion). *)
 let run ?(fuel = default_fuel) prog ~input : result =
   let st = init_state prog ~input ~fuel in
-  let main = Prog.main prog in
-  let ret = exec_func st main [] in
+  let ret = exec_func st (func_of st (Func.name (Prog.main prog))) [] in
   {
     outputs = List.rev st.outputs_rev;
     steps = st.steps;
-    profile = st.profile;
+    profile = profile st;
     return_value = ret;
   }

@@ -4,44 +4,23 @@
     and 4.1): how often each block executes (to weigh schedule lengths),
     how much heap each malloc site allocates (object sizes), and how often
     each memory operation touches each object (for the Profile Max and
-    Naive baselines). *)
+    Naive baselines).  The interpreter counts densely while it runs and
+    builds the profile once, at the end. *)
 
 open Vliw_ir
 
 type t = {
   block_counts : (string * Label.t, int) Hashtbl.t;
-  op_counts : (int, int) Hashtbl.t;  (** op id -> executions *)
-  access_counts : (int, (Data.obj, int) Hashtbl.t) Hashtbl.t;
-      (** memory op id -> object -> dynamic accesses *)
-  heap_sizes : (int, int) Hashtbl.t;  (** malloc site -> total bytes *)
+  op_counts : int array;  (** by op id *)
+  accesses : (Data.obj * int) list array;
+      (** by memory op id: dynamic accesses per object *)
+  heap_sizes : (int * int) list;  (** malloc site -> total bytes, by site *)
 }
 
-let create () =
-  {
-    block_counts = Hashtbl.create 64;
-    op_counts = Hashtbl.create 256;
-    access_counts = Hashtbl.create 64;
-    heap_sizes = Hashtbl.create 16;
-  }
-
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let record_block t ~func ~label = bump t.block_counts (func, label) 1
-let record_op t ~op_id = bump t.op_counts op_id 1
-
-let record_access t ~op_id obj =
-  let per_obj =
-    match Hashtbl.find_opt t.access_counts op_id with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 4 in
-        Hashtbl.replace t.access_counts op_id tbl;
-        tbl
-  in
-  bump per_obj obj 1
-
-let record_alloc t ~site bytes = bump t.heap_sizes site bytes
+let make ~blocks ~ops ~accesses ~heap_sizes =
+  let block_counts = Hashtbl.create (2 * List.length blocks) in
+  List.iter (fun (k, n) -> Hashtbl.replace block_counts k n) blocks;
+  { block_counts; op_counts = ops; accesses; heap_sizes }
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -49,31 +28,32 @@ let record_alloc t ~site bytes = bump t.heap_sizes site bytes
 let block_count t ~func ~label =
   Option.value ~default:0 (Hashtbl.find_opt t.block_counts (func, label))
 
-let op_count t ~op_id =
-  Option.value ~default:0 (Hashtbl.find_opt t.op_counts op_id)
+let in_range a i = i >= 0 && i < Array.length a
 
-(** Dynamic accesses of [op_id] broken down by object. *)
+let op_count t ~op_id =
+  if in_range t.op_counts op_id then t.op_counts.(op_id) else 0
+
+(** Dynamic accesses of [op_id] broken down by object, in the order the
+    objects were first touched. *)
 let accesses_of t ~op_id : (Data.obj * int) list =
-  match Hashtbl.find_opt t.access_counts op_id with
-  | None -> []
-  | Some tbl -> Hashtbl.fold (fun o n acc -> (o, n) :: acc) tbl []
+  if in_range t.accesses op_id then t.accesses.(op_id) else []
 
 (** Dynamic accesses summed over all memory operations, per object —
     the ground truth the attribution layer's local/remote split must
     add back up to. *)
 let object_access_totals t : (Data.obj * int) list =
   let totals = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _op_id per_obj -> Hashtbl.iter (fun o n -> bump totals o n) per_obj)
-    t.access_counts;
+  Array.iter
+    (List.iter (fun (o, n) ->
+         Hashtbl.replace totals o
+           (n + Option.value ~default:0 (Hashtbl.find_opt totals o))))
+    t.accesses;
   Hashtbl.fold (fun o n acc -> (o, n) :: acc) totals []
   |> List.sort (fun (a, _) (b, _) -> Data.compare_obj a b)
 
 (** Total bytes allocated per malloc site, as an assoc list sorted by
     site id (the object-table input). *)
-let heap_sizes t =
-  Hashtbl.fold (fun s b acc -> (s, b) :: acc) t.heap_sizes []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let heap_sizes t = t.heap_sizes
 
 (** Object sizes table for a program under this profile.  Heap sites that
     never executed get size 0 so they still appear as objects. *)

@@ -6,19 +6,23 @@ open Vliw_ir
 
 type t
 
-val create : unit -> t
-
-(** {2 Recording (used by the interpreter)} *)
-
-val record_block : t -> func:string -> label:Label.t -> unit
-val record_op : t -> op_id:int -> unit
-val record_access : t -> op_id:int -> Data.obj -> unit
-val record_alloc : t -> site:int -> int -> unit
+(** Build a profile from the interpreter's counts: executions per
+    executed block (keyed by function name and label), executions per
+    op id, each memory op's accesses per object (by op id) and total
+    bytes per malloc site that executed, sorted by site. *)
+val make :
+  blocks:((string * Label.t) * int) list ->
+  ops:int array ->
+  accesses:(Data.obj * int) list array ->
+  heap_sizes:(int * int) list ->
+  t
 
 (** {2 Queries} *)
 
 val block_count : t -> func:string -> label:Label.t -> int
 val op_count : t -> op_id:int -> int
+
+(** Per object, in the order the op first touched them. *)
 val accesses_of : t -> op_id:int -> (Data.obj * int) list
 
 (** Dynamic accesses summed over all memory operations, per object,

@@ -14,10 +14,21 @@
 
     Cross-block and cross-call in-flight latencies are cut: pending
     writes commit when the block ends (the static model makes the same
-    approximation; see DESIGN.md). *)
+    approximation; see DESIGN.md).
+
+    The engine is flat.  Each block is scheduled, resource-checked and
+    decoded once per run, at its first visit, into an array of entries
+    with register indices, boxed immediates, effective latencies and
+    resolved successors and callees.  In-flight writes sit in an array
+    queue kept in commit order.  Memory is one word array per data
+    object, found by binary search over the objects' base addresses.
+    Nothing here is shared with the interpreter except the value type
+    and the op evaluators, so the two stay independent oracles. *)
 
 open Vliw_ir
 module I = Vliw_interp.Interp
+module Cfg = Vliw_analysis.Cfg
+module Liveness = Vliw_analysis.Liveness
 
 exception Sim_error of string
 
@@ -30,52 +41,159 @@ type result = {
   account : Attrib.totals option;  (** when run with [~account:true] *)
 }
 
-type pending = { reg : Reg.t; value : I.value; ready : int; issued : int }
+(* ------------------------------------------------------------------ *)
+(* Decoded code                                                        *)
 
-(** Dynamic attribution accumulators.  Block accounts are memoized per
-    block alongside the schedules, so accounting adds O(1) work per
-    executed block plus O(1) per executed memory op and move. *)
+type operand = Var of int | Const of I.value
+
+type instr =
+  | Ibin of Op.ibinop * int * operand * operand
+  | Fbin of Op.fbinop * int * operand * operand
+  | Un of Op.unop * int * operand
+  | Move of int * int  (** destination, source *)
+  | Load of int * operand * operand
+  | Store of operand * operand * operand
+  | Addr of int * I.value
+  | Alloc of int * operand * int
+  | In of int * operand
+  | Out of operand
+  | Call of int * func * operand list  (** destination, [-1] for none *)
+  | Jmp of int  (** successor block index *)
+  | Cbr of operand * int * int
+  | Ret of operand option
+
+and entry = {
+  cycle : int;
+  instr : instr;
+  lat : int;  (** route latency for a routed move, op latency otherwise *)
+  routed : bool;  (** an intercluster move: the sim fault points apply *)
+  greg : int;  (** guard register, [-1] when unguarded *)
+  gsense : bool;
+  op : Op.t;
+}
+
+and code = {
+  label : Label.t;
+  sched : List_sched.t;
+  entries : entry array;
+  account : Attrib.block_account option;  (** when accounting *)
+}
+
+(** A function, with its CFG and liveness computed once per run. *)
+and func = {
+  func : Func.t;
+  cfg : Cfg.t;
+  liveness : Liveness.t;
+  code : code option array;  (** filled at each block's first visit *)
+}
+
+(* ------------------------------------------------------------------ *)
+(* Machine state                                                       *)
+
+(** A data object: a global or one heap block.  [cells] holds its words
+    and grows to cover the highest word written; words past its end
+    read 0. *)
+type obj = {
+  base : int;
+  bytes : int;
+  obj : Data.obj;
+  mutable cells : I.value array;
+}
+
+(** An in-flight write; [seq] is its push order, for the latency
+    message. *)
+type pending = {
+  mutable reg : int;
+  mutable value : I.value;
+  mutable ready : int;
+  mutable issued : int;
+  mutable seq : int;
+}
+
+let free_slots n =
+  Array.init n (fun _ ->
+      { reg = 0; value = I.VInt 0; ready = 0; issued = 0; seq = 0 })
+
+(** Dynamic attribution accumulators.  Block accounts are memoized with
+    the decoded blocks, so accounting adds O(1) work per executed block
+    plus O(1) per executed memory op and move. *)
 type acct = {
   ac_categories : int array;
   ac_links : (int * int, int) Hashtbl.t;
   ac_obj_moves : (Data.obj, int) Hashtbl.t;
   mutable ac_unattributed : int;
   ac_access : (Data.obj, int ref * int ref) Hashtbl.t;
-  ac_accounts : (string * Label.t, Attrib.block_account) Hashtbl.t;
 }
 
 type state = {
   prog : Prog.t;
   machine : Vliw_machine.t;
-  memory : (int, I.value) Hashtbl.t;
+  assign : Assignment.t;
+  move_routes : (int, int * int) Hashtbl.t;
+  objects_of : int -> Data.Obj_set.t;
+  funcs : (string, func) Hashtbl.t;
   global_addrs : (string, int) Hashtbl.t;
-  mutable ranges : (int * int * Data.obj) list;
+  mutable objs : obj array;  (** sorted by base; bases never overlap *)
+  mutable nobjs : int;
+  misaligned : (int, I.value) Hashtbl.t;
+      (** cells at addresses that are not a word offset into their
+          object: each is its own cell, as in a byte-addressed memory *)
   mutable heap_next : int;
   input : int array;
   mutable outputs_rev : I.value list;
   mutable cycles : int;
   mutable moves : int;
-  schedules : (string * Label.t, List_sched.t) Hashtbl.t;
   acct : acct option;
   mutable fuel : int;
+  (* In-flight writes of the running block sit at [q_head, q_top) in
+     commit order: by (ready cycle, issue cycle), equal keys newest
+     first.  A callee's blocks queue above their caller's.  Slots from
+     [q_top] on are free records, reused by later writes. *)
+  mutable q : pending array;
+  mutable q_head : int;
+  mutable q_top : int;
+  mutable pushes : int;
+}
+
+(** One activation: its registers, per register how many writes to it
+    are in flight, and where its running block goes next ([-2] until
+    the terminator runs, [-1] for a return with value [ret]). *)
+type frame = {
+  fn : func;
+  regs : I.value array;
+  inflight : int array;
+  mutable next : int;
+  mutable ret : I.value option;
 }
 
 let word = Data.word_bytes
 
-let init prog machine ~input ~fuel ~account =
+let add_obj st o =
+  if st.nobjs = Array.length st.objs then
+    st.objs <- Array.append st.objs (Array.make (max 8 st.nobjs) o);
+  st.objs.(st.nobjs) <- o;
+  st.nobjs <- st.nobjs + 1
+
+let init machine (c : Move_insert.clustered) ~objects_of ~input ~fuel
+    ~account =
+  let prog = c.Move_insert.cprog in
   let st =
     {
       prog;
       machine;
-      memory = Hashtbl.create 1024;
+      assign = c.Move_insert.cassign;
+      move_routes = c.Move_insert.move_routes;
+      objects_of;
+      funcs = Hashtbl.create 16;
       global_addrs = Hashtbl.create 16;
-      ranges = [];
+      objs = [||];
+      nobjs = 0;
+      misaligned = Hashtbl.create 1;
       heap_next = 0x1000000;
       input;
       outputs_rev = [];
       cycles = 0;
       moves = 0;
-      schedules = Hashtbl.create 64;
       acct =
         (if account then
            Some
@@ -85,10 +203,13 @@ let init prog machine ~input ~fuel ~account =
                ac_obj_moves = Hashtbl.create 16;
                ac_unattributed = 0;
                ac_access = Hashtbl.create 16;
-               ac_accounts = Hashtbl.create 64;
              }
          else None);
       fuel;
+      q = free_slots 64;
+      q_head = 0;
+      q_top = 0;
+      pushes = 0;
     }
   in
   (* identical layout to the reference interpreter so addresses match *)
@@ -98,21 +219,59 @@ let init prog machine ~input ~fuel ~account =
       let base = !next in
       Hashtbl.replace st.global_addrs g.Data.g_name base;
       let bytes = Data.global_bytes g in
-      st.ranges <- (base, base + bytes, Data.Global g.Data.g_name) :: st.ranges;
-      (match g.Data.g_init with
-      | Data.Zero -> ()
-      | Data.Words ws ->
-          Array.iteri
-            (fun i w ->
-              let v =
+      let cells =
+        match g.Data.g_init with
+        | Data.Zero -> [||]
+        | Data.Words ws ->
+            Array.map
+              (fun w ->
                 if g.Data.g_is_float then I.VFloat (Int64.float_of_bits w)
-                else I.VInt (Int64.to_int w)
-              in
-              Hashtbl.replace st.memory (base + (i * word)) v)
-            ws);
+                else I.VInt (Int64.to_int w))
+              ws
+      in
+      add_obj st { base; bytes; obj = Data.Global g.Data.g_name; cells };
       next := base + bytes + 64)
     (Prog.globals prog);
+  (* the heap starts above the globals, so bases stay sorted *)
+  st.heap_next <- max st.heap_next !next;
   st
+
+(** The object holding [addr], or [-1]: the last object whose base is
+    at or below [addr], when [addr] falls inside it. *)
+let find_obj st addr =
+  let lo = ref (-1) and hi = ref st.nobjs in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if st.objs.(mid).base <= addr then lo := mid else hi := mid
+  done;
+  let i = !lo in
+  if i >= 0 && addr < st.objs.(i).base + st.objs.(i).bytes then i else -1
+
+let load st o addr =
+  let off = addr - o.base in
+  if off mod word <> 0 then
+    Option.value ~default:(I.VInt 0) (Hashtbl.find_opt st.misaligned addr)
+  else
+    let i = off / word in
+    if i < Array.length o.cells then o.cells.(i) else I.VInt 0
+
+let store st o addr v =
+  let off = addr - o.base in
+  if off mod word <> 0 then Hashtbl.replace st.misaligned addr v
+  else begin
+    let i = off / word in
+    let n = Array.length o.cells in
+    if i >= n then begin
+      let len = min (o.bytes / word) (max (i + 1) (2 * n)) in
+      let cells = Array.make len (I.VInt 0) in
+      Array.blit o.cells 0 cells 0 n;
+      o.cells <- cells
+    end;
+    o.cells.(i) <- v
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
 
 (** Check a block schedule statically: per-cycle resource legality.
     Moves are charged one issue slot on every link of their route, so
@@ -176,248 +335,366 @@ let check_resources (machine : Vliw_machine.t)
       done)
     by_cycle
 
-let schedule_for st ~assign ~move_routes ~objects_of (f : Func.t) (b : Block.t) =
-  let key = (Func.name f, Block.label b) in
-  match Hashtbl.find_opt st.schedules key with
-  | Some s -> s
+let func_of st name =
+  match Hashtbl.find_opt st.funcs name with
+  | Some fn -> fn
   | None ->
-      let cfg = Vliw_analysis.Cfg.of_func f in
-      let liveness = Vliw_analysis.Liveness.compute cfg in
-      let live_out =
-        Vliw_analysis.Liveness.live_out liveness
-          (Vliw_analysis.Cfg.block_index cfg (Block.label b))
+      let func = Prog.find_func st.prog name in
+      let cfg = Cfg.of_func func in
+      let fn =
+        {
+          func;
+          cfg;
+          liveness = Liveness.compute cfg;
+          code = Array.make (Cfg.num_blocks cfg) None;
+        }
       in
-      let s =
-        List_sched.schedule_block ~machine:st.machine ~assign ~move_routes
-          ~objects_of ~live_out b
-      in
-      check_resources st.machine ~move_routes s;
-      Hashtbl.replace st.schedules key s;
-      s
+      Hashtbl.replace st.funcs name fn;
+      fn
 
-let object_of_addr st addr =
-  let rec go = function
-    | [] -> None
-    | (lo, hi, obj) :: rest -> if addr >= lo && addr < hi then Some obj else go rest
+let operand = function
+  | Op.Reg r -> Var (Reg.to_int r)
+  | Op.Imm i -> Const (I.VInt i)
+  | Op.Fimm f -> Const (I.VFloat f)
+
+let decode st fn (e : List_sched.entry) =
+  let op = e.List_sched.op in
+  let reg = Reg.to_int in
+  let instr =
+    match Op.kind op with
+    | Op.Ibin (o, d, a, b) -> Ibin (o, reg d, operand a, operand b)
+    | Op.Fbin (o, d, a, b) -> Fbin (o, reg d, operand a, operand b)
+    | Op.Un (o, d, a) -> Un (o, reg d, operand a)
+    | Op.Move { dst; src } -> Move (reg dst, reg src)
+    | Op.Load { dst; base; offset } ->
+        Load (reg dst, operand base, operand offset)
+    | Op.Store { src; base; offset } ->
+        Store (operand src, operand base, operand offset)
+    | Op.Addr { dst; obj } ->
+        Addr (reg dst, I.VInt (Hashtbl.find st.global_addrs obj))
+    | Op.Alloc { dst; size; site } -> Alloc (reg dst, operand size, site)
+    | Op.In { dst; index } -> In (reg dst, operand index)
+    | Op.Out a -> Out (operand a)
+    | Op.Call { dst; callee; args } ->
+        Call
+          ( Option.fold ~none:(-1) ~some:reg dst,
+            func_of st callee,
+            List.map operand args )
+    | Op.Jmp l -> Jmp (Cfg.block_index fn.cfg l)
+    | Op.Cbr { cond; if_true; if_false } ->
+        Cbr
+          ( operand cond,
+            Cfg.block_index fn.cfg if_true,
+            Cfg.block_index fn.cfg if_false )
+    | Op.Ret r -> Ret (Option.map operand r)
   in
-  go st.ranges
-
-exception Branch_to of Label.t
-exception Return_value of I.value option
-
-let rec exec_func st ~assign ~move_routes ~objects_of (f : Func.t)
-    (args : I.value list) : I.value option =
-  let regs = Array.make (Func.reg_count f) (I.VInt 0) in
-  (try List.iter2 (fun p a -> regs.(Reg.to_int p) <- a) (Func.params f) args
-   with Invalid_argument _ -> sim_error "arity mismatch calling %s" (Func.name f));
-  let rec run_block (b : Block.t) : I.value option =
-    st.fuel <- st.fuel - 1;
-    if st.fuel <= 0 then sim_error "out of fuel";
-    let sched = schedule_for st ~assign ~move_routes ~objects_of f b in
-    st.cycles <- st.cycles + List_sched.length sched;
-    let bacct =
-      match st.acct with
-      | None -> None
-      | Some a ->
-          let key = (Func.name f, Block.label b) in
-          let bk =
-            match Hashtbl.find_opt a.ac_accounts key with
-            | Some bk -> bk
-            | None ->
-                let bk =
-                  Attrib.account_block ~machine:st.machine ~move_routes
-                    ~objects_of b sched
-                in
-                Hashtbl.replace a.ac_accounts key bk;
-                bk
-          in
-          Array.iteri
-            (fun i n -> a.ac_categories.(i) <- a.ac_categories.(i) + n)
-            bk.Attrib.bk_categories;
-          Some (a, bk)
-    in
-    let acct_access op obj =
-      match bacct with
-      | None -> ()
-      | Some (a, bk) ->
-          let local_c, remote_c =
-            match Hashtbl.find_opt a.ac_access obj with
-            | Some cell -> cell
-            | None ->
-                let cell = (ref 0, ref 0) in
-                Hashtbl.replace a.ac_access obj cell;
-                cell
-          in
-          if Hashtbl.mem bk.Attrib.bk_remote_mem (Op.id op) then
-            incr remote_c
-          else incr local_c
-    in
-    let acct_move op =
-      match bacct with
-      | None -> ()
-      | Some (a, bk) -> (
-          match Hashtbl.find_opt move_routes (Op.id op) with
-          | None -> ()
-          | Some route ->
-              Hashtbl.replace a.ac_links route
-                (1
-                + Option.value ~default:0 (Hashtbl.find_opt a.ac_links route));
-              (match Hashtbl.find_opt bk.Attrib.bk_move_objs (Op.id op) with
-              | None | Some [] -> a.ac_unattributed <- a.ac_unattributed + 1
-              | Some objs ->
-                  List.iter
-                    (fun o ->
-                      Hashtbl.replace a.ac_obj_moves o
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt a.ac_obj_moves o)))
-                    objs))
-    in
-    let pending : pending list ref = ref [] in
-    let commit_due t =
-      let due, rest = List.partition (fun p -> p.ready <= t) !pending in
-      (* commit in issue order so output dependences resolve correctly *)
-      List.iter
-        (fun p -> regs.(Reg.to_int p.reg) <- p.value)
-        (List.sort (fun a b -> compare (a.ready, a.issued) (b.ready, b.issued)) due);
-      pending := rest
-    in
-    let read t r =
-      List.iter
-        (fun p ->
-          if Reg.equal p.reg r && p.issued < t && p.ready > t then
-            sim_error
-              "latency violation: %s/%a reads %a at cycle %d but a write \
-               issued at %d completes at %d"
-              (Func.name f) Label.pp (Block.label b) Reg.pp r t p.issued
-              p.ready)
-        !pending;
-      regs.(Reg.to_int r)
-    in
-    let value t = function
-      | Op.Reg r -> read t r
-      | Op.Imm i -> I.VInt i
-      | Op.Fimm fl -> I.VFloat fl
-    in
-    let write t op reg v =
-      let route = Hashtbl.find_opt move_routes (Op.id op) in
-      let is_icm = route <> None in
-      let lat =
-        match route with
-        | Some (src, dst) -> Vliw_machine.route_latency st.machine ~src ~dst
-        | None -> Op.latency st.machine.Vliw_machine.latencies op
-      in
-      (* fault injection: timing fault — an intercluster transfer takes
-         longer than the machine model promises, so a consumer issued
-         against the nominal latency reads a stale value *)
-      let lat =
-        if is_icm && Fault.fire "sim.move-latency" then
-          lat + 1 + Fault.rand "sim.move-latency" 3
-        else lat
-      in
-      (* fault injection: data fault — the bus corrupts the transferred
-         value *)
-      let v =
-        if is_icm && Fault.fire "sim.move-value" then
-          match v with
-          | I.VInt i -> I.VInt (i + 1 + Fault.rand "sim.move-value" 7)
-          | I.VFloat f -> I.VFloat (f +. 1.0)
-        else v
-      in
-      pending := { reg; value = v; ready = t + lat; issued = t } :: !pending
-    in
-    let outcome = ref None in
-    (try
-       Array.iter
-         (fun (e : List_sched.entry) ->
-           let t = e.List_sched.cycle in
-           commit_due t;
-           let op = e.List_sched.op in
-           let v = value t in
-           let guard_passes =
-             match Op.guard op with
-             | None -> true
-             | Some { Op.greg; gsense } ->
-                 Bool.equal (I.to_int (read t greg) <> 0) gsense
-           in
-           if not guard_passes then () (* nullified in its slot *)
-           else
-           match Op.kind op with
-           | Op.Ibin (o, d, a, b') -> write t op d (I.eval_ibin o (v a) (v b'))
-           | Op.Fbin (o, d, a, b') -> write t op d (I.eval_fbin o (v a) (v b'))
-           | Op.Un (o, d, a) -> write t op d (I.eval_un o (v a))
-           | Op.Move { dst; src } ->
-               st.moves <- st.moves + 1;
-               acct_move op;
-               write t op dst (read t src)
-           | Op.Load { dst; base; offset } ->
-               let addr = I.to_int (v base) + I.to_int (v offset) in
-               (match object_of_addr st addr with
-               | Some obj -> acct_access op obj
-               | None -> sim_error "wild load at 0x%x" addr);
-               write t op dst
-                 (Option.value ~default:(I.VInt 0)
-                    (Hashtbl.find_opt st.memory addr))
-           | Op.Store { src; base; offset } ->
-               let addr = I.to_int (v base) + I.to_int (v offset) in
-               (match object_of_addr st addr with
-               | Some obj -> acct_access op obj
-               | None -> sim_error "wild store at 0x%x" addr);
-               (* stores commit at t + 1; loads are ordered >= t+1 by deps,
-                  so committing into memory immediately is equivalent *)
-               Hashtbl.replace st.memory addr (v src)
-           | Op.Addr { dst; obj } ->
-               write t op dst (I.VInt (Hashtbl.find st.global_addrs obj))
-           | Op.Alloc { dst; size; site } ->
-               let bytes = I.to_int (v size) in
-               let rounded = (bytes + word - 1) / word * word in
-               let base = st.heap_next in
-               st.heap_next <- base + rounded + 64;
-               st.ranges <- (base, base + rounded, Data.Heap site) :: st.ranges;
-               write t op dst (I.VInt base)
-           | Op.In { dst; index } ->
-               let i = I.to_int (v index) in
-               if i < 0 || i >= Array.length st.input then
-                 sim_error "input index %d out of bounds" i;
-               write t op dst (I.VInt st.input.(i))
-           | Op.Out a -> st.outputs_rev <- v a :: st.outputs_rev
-           | Op.Call { dst; callee; args } -> (
-               let g = Prog.find_func st.prog callee in
-               let vals = List.map v args in
-               match
-                 (exec_func st ~assign ~move_routes ~objects_of g vals, dst)
-               with
-               | Some r, Some d -> write t op d r
-               | _, None -> ()
-               | None, Some _ ->
-                   sim_error "call to %s returned no value" callee)
-           | Op.Jmp l -> outcome := Some (Branch_to l)
-           | Op.Cbr { cond; if_true; if_false } ->
-               let c = I.to_int (v cond) in
-               outcome := Some (Branch_to (if c <> 0 then if_true else if_false))
-           | Op.Ret r -> outcome := Some (Return_value (Option.map v r)))
-         (List_sched.entries sched)
-     with I.Runtime_error m -> sim_error "runtime error: %s" m);
-    (* cut in-flight latencies at the block boundary *)
-    commit_due max_int;
-    match !outcome with
-    | Some (Branch_to l) -> run_block (Func.find_block f l)
-    | Some (Return_value v) -> v
-    | Some _ | None -> sim_error "block fell through without a terminator"
+  let route = Hashtbl.find_opt st.move_routes (Op.id op) in
+  let lat =
+    match route with
+    | Some (src, dst) -> Vliw_machine.route_latency st.machine ~src ~dst
+    | None -> Op.latency st.machine.Vliw_machine.latencies op
   in
-  run_block (Func.entry f)
+  let greg, gsense =
+    match Op.guard op with
+    | None -> (-1, true)
+    | Some { Op.greg; gsense } -> (reg greg, gsense)
+  in
+  {
+    cycle = e.List_sched.cycle;
+    instr;
+    lat;
+    routed = route <> None;
+    greg;
+    gsense;
+    op;
+  }
+
+(** Block [bi] of [fn], scheduled, checked and decoded at its first
+    visit.  A block is never scheduled twice: scheduling is where the
+    [sched.overbook] fault point fires. *)
+let code_of st fn bi =
+  match fn.code.(bi) with
+  | Some c -> c
+  | None ->
+      let b = Cfg.block fn.cfg bi in
+      let sched =
+        List_sched.schedule_block ~machine:st.machine ~assign:st.assign
+          ~move_routes:st.move_routes ~objects_of:st.objects_of
+          ~live_out:(Liveness.live_out fn.liveness bi)
+          b
+      in
+      check_resources st.machine ~move_routes:st.move_routes sched;
+      let c =
+        {
+          label = Block.label b;
+          sched;
+          entries = Array.map (decode st fn) (List_sched.entries sched);
+          account =
+            Option.map
+              (fun _ ->
+                Attrib.account_block ~machine:st.machine
+                  ~move_routes:st.move_routes ~objects_of:st.objects_of b sched)
+              st.acct;
+        }
+      in
+      fn.code.(bi) <- Some c;
+      c
+
+(* ------------------------------------------------------------------ *)
+(* In-flight writes                                                    *)
+
+(** Queue a write issued at [issued].  Issue cycles never decrease
+    within a block, so it goes after every entry with an earlier
+    (ready, issued) key and before every entry with an equal one. *)
+let push st fr r v ~ready ~issued =
+  if st.q_top = Array.length st.q then
+    st.q <- Array.append st.q (free_slots (Array.length st.q));
+  let p = st.q.(st.q_top) in
+  p.reg <- r;
+  p.value <- v;
+  p.ready <- ready;
+  p.issued <- issued;
+  p.seq <- st.pushes;
+  st.pushes <- st.pushes + 1;
+  let j = ref (st.q_top - 1) in
+  while
+    !j >= st.q_head
+    && (st.q.(!j).ready > ready
+       || (st.q.(!j).ready = ready && st.q.(!j).issued >= issued))
+  do
+    st.q.(!j + 1) <- st.q.(!j);
+    decr j
+  done;
+  st.q.(!j + 1) <- p;
+  st.q_top <- st.q_top + 1;
+  fr.inflight.(r) <- fr.inflight.(r) + 1
+
+let commit_due st fr t =
+  while st.q_head < st.q_top && st.q.(st.q_head).ready <= t do
+    let p = st.q.(st.q_head) in
+    fr.regs.(p.reg) <- p.value;
+    fr.inflight.(p.reg) <- fr.inflight.(p.reg) - 1;
+    st.q_head <- st.q_head + 1
+  done
+
+(** Every queued write is due after [t] (its cycle has been committed),
+    so a read of [r] at [t] is stale when a write to [r] was issued
+    before [t]; the newest such write is reported. *)
+let check_latency st fr code t r =
+  let stale = ref (-1) in
+  for k = st.q_head to st.q_top - 1 do
+    let p = st.q.(k) in
+    if p.reg = r && p.issued < t && (!stale < 0 || p.seq > st.q.(!stale).seq)
+    then stale := k
+  done;
+  if !stale >= 0 then
+    let p = st.q.(!stale) in
+    sim_error
+      "latency violation: %s/%a reads %a at cycle %d but a write issued at \
+       %d completes at %d"
+      (Func.name fr.fn.func) Label.pp code.label Reg.pp r t p.issued p.ready
+
+let read st fr code t r =
+  if fr.inflight.(r) > 0 then check_latency st fr code t r;
+  fr.regs.(r)
+
+let value st fr code t = function
+  | Var r -> read st fr code t r
+  | Const v -> v
+
+let write st fr (e : entry) t r v =
+  if e.routed then begin
+    (* fault injection: timing fault — an intercluster transfer takes
+       longer than the machine model promises, so a consumer issued
+       against the nominal latency reads a stale value *)
+    let lat =
+      if Fault.fire "sim.move-latency" then
+        e.lat + 1 + Fault.rand "sim.move-latency" 3
+      else e.lat
+    in
+    (* fault injection: data fault — the bus corrupts the transferred
+       value *)
+    let v =
+      if Fault.fire "sim.move-value" then
+        match v with
+        | I.VInt i -> I.VInt (i + 1 + Fault.rand "sim.move-value" 7)
+        | I.VFloat f -> I.VFloat (f +. 1.0)
+      else v
+    in
+    push st fr r v ~ready:(t + lat) ~issued:t
+  end
+  else push st fr r v ~ready:(t + e.lat) ~issued:t
+
+(* ------------------------------------------------------------------ *)
+(* Accounting                                                          *)
+
+let acct_access st (code : code) op obj =
+  match (st.acct, code.account) with
+  | Some a, Some bk ->
+      let local_c, remote_c =
+        match Hashtbl.find_opt a.ac_access obj with
+        | Some cell -> cell
+        | None ->
+            let cell = (ref 0, ref 0) in
+            Hashtbl.replace a.ac_access obj cell;
+            cell
+      in
+      if Hashtbl.mem bk.Attrib.bk_remote_mem (Op.id op) then incr remote_c
+      else incr local_c
+  | _ -> ()
+
+let acct_move st (code : code) op =
+  match (st.acct, code.account) with
+  | Some a, Some bk -> (
+      match Hashtbl.find_opt st.move_routes (Op.id op) with
+      | None -> ()
+      | Some route ->
+          Hashtbl.replace a.ac_links route
+            (1 + Option.value ~default:0 (Hashtbl.find_opt a.ac_links route));
+          match Hashtbl.find_opt bk.Attrib.bk_move_objs (Op.id op) with
+          | None | Some [] -> a.ac_unattributed <- a.ac_unattributed + 1
+          | Some objs ->
+              List.iter
+                (fun o ->
+                  Hashtbl.replace a.ac_obj_moves o
+                    (1
+                    + Option.value ~default:0
+                        (Hashtbl.find_opt a.ac_obj_moves o)))
+                objs)
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+
+(** Execute one entry of block [code].  A terminator sets [fr.next]:
+    the successor block index, or [-1] after a return, whose value it
+    puts in [fr.ret]. *)
+let rec exec_entry st fr code e =
+  let t = e.cycle in
+  commit_due st fr t;
+  if
+    e.greg >= 0
+    && not (Bool.equal (I.to_int (read st fr code t e.greg) <> 0) e.gsense)
+  then () (* nullified in its slot *)
+  else
+    match e.instr with
+    | Ibin (o, d, a, b) ->
+        write st fr e t d
+          (I.eval_ibin o (value st fr code t a) (value st fr code t b))
+    | Fbin (o, d, a, b) ->
+        write st fr e t d
+          (I.eval_fbin o (value st fr code t a) (value st fr code t b))
+    | Un (o, d, a) -> write st fr e t d (I.eval_un o (value st fr code t a))
+    | Move (d, s) ->
+        st.moves <- st.moves + 1;
+        acct_move st code e.op;
+        write st fr e t d (read st fr code t s)
+    | Load (d, b, o) ->
+        let addr =
+          I.to_int (value st fr code t b) + I.to_int (value st fr code t o)
+        in
+        let i = find_obj st addr in
+        if i < 0 then sim_error "wild load at 0x%x" addr;
+        let ob = st.objs.(i) in
+        acct_access st code e.op ob.obj;
+        write st fr e t d (load st ob addr)
+    | Store (s, b, o) ->
+        let addr =
+          I.to_int (value st fr code t b) + I.to_int (value st fr code t o)
+        in
+        let i = find_obj st addr in
+        if i < 0 then sim_error "wild store at 0x%x" addr;
+        let ob = st.objs.(i) in
+        acct_access st code e.op ob.obj;
+        (* stores commit at t + 1; loads are ordered >= t+1 by deps, so
+           committing into memory immediately is equivalent *)
+        store st ob addr (value st fr code t s)
+    | Addr (d, a) -> write st fr e t d a
+    | Alloc (d, size, site) ->
+        let bytes = I.to_int (value st fr code t size) in
+        if bytes < 0 then sim_error "negative allocation";
+        let rounded = (bytes + word - 1) / word * word in
+        let base = st.heap_next in
+        st.heap_next <- base + rounded + 64;
+        add_obj st
+          { base; bytes = rounded; obj = Data.Heap site; cells = [||] };
+        write st fr e t d (I.VInt base)
+    | In (d, index) ->
+        let i = I.to_int (value st fr code t index) in
+        if i < 0 || i >= Array.length st.input then
+          sim_error "input index %d out of bounds" i;
+        write st fr e t d (I.VInt st.input.(i))
+    | Out a -> st.outputs_rev <- value st fr code t a :: st.outputs_rev
+    | Call (d, g, args) -> (
+        let vals = List.map (value st fr code t) args in
+        let head = st.q_head in
+        let r = exec_func st g vals in
+        st.q_head <- head;
+        match r with
+        | Some r when d >= 0 -> write st fr e t d r
+        | _ when d < 0 -> ()
+        | _ -> sim_error "call to %s returned no value" (Func.name g.func))
+    | Jmp b -> fr.next <- b
+    | Cbr (c, bt, bf) ->
+        fr.next <- (if I.to_int (value st fr code t c) <> 0 then bt else bf)
+    | Ret r ->
+        fr.ret <- Option.map (value st fr code t) r;
+        fr.next <- -1
+
+and exec_func st fn (args : I.value list) : I.value option =
+  let n = Func.reg_count fn.func in
+  let fr =
+    {
+      fn;
+      regs = Array.make n (I.VInt 0);
+      inflight = Array.make n 0;
+      next = -1;
+      ret = None;
+    }
+  in
+  (try
+     List.iter2
+       (fun p a -> fr.regs.(Reg.to_int p) <- a)
+       (Func.params fn.func) args
+   with Invalid_argument _ ->
+     sim_error "arity mismatch calling %s" (Func.name fn.func));
+  run_block st fr 0
+
+and run_block st fr bi =
+  st.fuel <- st.fuel - 1;
+  if st.fuel <= 0 then sim_error "out of fuel";
+  let code = code_of st fr.fn bi in
+  st.cycles <- st.cycles + List_sched.length code.sched;
+  (match (st.acct, code.account) with
+  | Some a, Some bk ->
+      Array.iteri
+        (fun i n -> a.ac_categories.(i) <- a.ac_categories.(i) + n)
+        bk.Attrib.bk_categories
+  | _ -> ());
+  let base = st.q_top in
+  st.q_head <- base;
+  fr.next <- -2;
+  (try
+     for k = 0 to Array.length code.entries - 1 do
+       exec_entry st fr code code.entries.(k)
+     done
+   with I.Runtime_error m -> sim_error "runtime error: %s" m);
+  (* cut in-flight latencies at the block boundary *)
+  commit_due st fr max_int;
+  st.q_head <- base;
+  st.q_top <- base;
+  if fr.next >= 0 then run_block st fr fr.next
+  else if fr.next = -1 then fr.ret
+  else sim_error "block fell through without a terminator"
 
 (** Simulate a clustered program on [input]. *)
 let run ?(fuel = 5_000_000) ?(account = false) (c : Move_insert.clustered)
     ~(machine : Vliw_machine.t) ?(objects_of = fun _ -> Data.Obj_set.empty)
     ~input () : result =
   Telemetry.with_span "simulate" @@ fun () ->
-  let st = init c.Move_insert.cprog machine ~input ~fuel ~account in
-  let main = Prog.main c.Move_insert.cprog in
-  let (_ : I.value option) =
-    exec_func st ~assign:c.Move_insert.cassign
-      ~move_routes:c.Move_insert.move_routes ~objects_of main []
-  in
+  let st = init machine c ~objects_of ~input ~fuel ~account in
+  let main = func_of st (Func.name (Prog.main st.prog)) in
+  let (_ : I.value option) = exec_func st main [] in
   if Telemetry.is_enabled () then begin
     Telemetry.incr "sim.blocks_executed" ~by:(fuel - st.fuel);
     Telemetry.set_gauge "sim.cycles" (float st.cycles);

@@ -108,6 +108,96 @@ let test_out_of_bounds_heap () =
   expect_runtime_error
     "void main() { int *p = malloc(2); out(p[2]); }" "wild memory"
 
+(* ------------------------------------------------------------------ *)
+(* Object lookup at the boundaries, in both engines                    *)
+
+(** The program on one cluster, so the cycle simulator can run it
+    without a profile: every op on cluster 0, no moves. *)
+let one_cluster prog =
+  let a = Vliw_sched.Assignment.create ~num_clusters:1 in
+  Vliw_ir.Prog.iter_ops
+    (fun op -> Vliw_sched.Assignment.set_cluster a ~op_id:(Vliw_ir.Op.id op) 0)
+    prog;
+  Vliw_sched.Move_insert.apply prog a
+
+type outcome = Outputs of int list | Wild
+
+(** Run [src] through the interpreter and through the simulator; each
+    must give [expect]: those outputs, or its own wild-access error. *)
+let check_both_engines name ~input src expect =
+  let prog = Helpers.compile src in
+  let show = function
+    | Outputs os -> Fmt.str "outputs [%a]" Fmt.(list ~sep:sp int) os
+    | Wild -> "a wild access"
+  in
+  let ints = List.map (function I.VInt i -> i | I.VFloat _ -> min_int) in
+  let got engine run ~wild =
+    match run () with
+    | outs -> Outputs (ints outs)
+    | exception (I.Runtime_error m | Vliw_sched.Vliw_sim.Sim_error m) ->
+        if List.exists (contains m) wild then Wild
+        else Alcotest.failf "%s, %s: unexpected error %S" name engine m
+  in
+  let check engine outcome =
+    if outcome <> expect then
+      Alcotest.failf "%s, %s: expected %s, got %s" name engine (show expect)
+        (show outcome)
+  in
+  check "interpreter"
+    (got "interpreter" ~wild:[ "wild memory access" ] (fun () ->
+         (I.run prog ~input).I.outputs));
+  check "simulator"
+    (got "simulator" ~wild:[ "wild load"; "wild store" ] (fun () ->
+         (Vliw_sched.Vliw_sim.run (one_cluster prog)
+            ~machine:(Vliw_machine.scaled_machine ~clusters:1 ())
+            ~input ())
+           .Vliw_sched.Vliw_sim.outputs))
+
+let test_object_bounds () =
+  (* globals: a at 0x1000 (two words), then a 64-byte guard gap, then b *)
+  let globals i =
+    check_both_engines (Fmt.str "a[%d]" i) ~input:[| i |]
+      "int a[2] = {4, 5}; int b[2] = {6, 7}; void main() { out(a[in(0)]); }"
+  in
+  globals 1 (Outputs [ 5 ]) (* last word of a global *);
+  globals 2 Wild (* one past the end *);
+  globals 7 Wild (* inside the guard gap *);
+  globals 10 (Outputs [ 6 ]) (* past the gap: the next global's first word *);
+  globals (-1) Wild (* below the first object *);
+  check_both_engines "last word of a malloc block" ~input:[| 2 |]
+    "void main() { int *p = malloc(3); p[in(0)] = 9; out(p[2]); }"
+    (Outputs [ 9 ]);
+  check_both_engines "one past a malloc block" ~input:[| 3 |]
+    "void main() { int *p = malloc(3); out(p[in(0)]); }" Wild;
+  check_both_engines "p[0] after malloc(0)" ~input:[| 0 |]
+    "void main() { int *p = malloc(0); int *q = malloc(1); q[0] = 1; \
+     out(p[in(0)]); }"
+    Wild
+
+let test_object_bounds_loop () =
+  (* one malloc site, three blocks: each iteration writes the last word
+     of the new block and reads the last word of the previous one *)
+  let src =
+    {|
+void main() {
+  int *p = malloc(1);
+  p[0] = 100;
+  int s = 0;
+  for (int i = 1; i <= 3; i = i + 1) {
+    int *q = malloc(i + 1);
+    q[i] = i;
+    s = s + q[i] * 10 + p[i - 1];
+    p = q;
+  }
+  out(s);
+  out(p[in(0)]);
+}
+|}
+  in
+  check_both_engines "blocks from one site" ~input:[| 3 |] src
+    (Outputs [ 163; 3 ]);
+  check_both_engines "one past the last block" ~input:[| 4 |] src Wild
+
 let test_profile_counts () =
   let prog =
     Helpers.compile ~unroll:false
@@ -193,6 +283,10 @@ let suite =
     Alcotest.test_case "heap and input" `Quick test_heap_and_input;
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
     Alcotest.test_case "heap bounds checking" `Quick test_out_of_bounds_heap;
+    Alcotest.test_case "object bounds in both engines" `Quick
+      test_object_bounds;
+    Alcotest.test_case "object bounds, one site in a loop" `Quick
+      test_object_bounds_loop;
     Alcotest.test_case "per-op access profile" `Quick test_profile_counts;
     Alcotest.test_case "heap size profile" `Quick test_heap_profile_sizes;
     Alcotest.test_case "block counts" `Quick test_block_counts;

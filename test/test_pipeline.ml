@@ -25,6 +25,48 @@ let test_verify_float_bench () = verify_bench "iirflt"
 let test_verify_latency_1 () = verify_bench ~move_latency:1 "rawdaudio"
 let test_verify_latency_10 () = verify_bench ~move_latency:10 "sobel"
 
+(** Allocation bounds for the two execution engines, in minor words
+    per interpreter step of the clustered program.  Values stay boxed,
+    so each computed result allocates; decoding, memory and profile
+    counting must not add per-op garbage.  The simulator's figure
+    includes scheduling and decoding each block at its first visit. *)
+let test_engine_allocation () =
+  let machine = Vliw_machine.paper_machine () in
+  List.iter
+    (fun name ->
+      let b = Benchsuite.Suite.find name in
+      let input = b.Benchsuite.Bench_intf.input in
+      let p = Gdp_core.Pipeline.prepare b in
+      let ctx = Gdp_core.Pipeline.context ~machine p in
+      let c =
+        (Gdp_core.Pipeline.evaluate ctx Methods.Gdp).Gdp_core.Pipeline.outcome
+          .Methods.clustered
+      in
+      let words f =
+        let before = Gc.minor_words () in
+        let r = f () in
+        (r, Gc.minor_words () -. before)
+      in
+      let r, interp_words =
+        words (fun () ->
+            Vliw_interp.Interp.run c.Vliw_sched.Move_insert.cprog ~input)
+      in
+      let _, sim_words =
+        words (fun () ->
+            Vliw_sched.Vliw_sim.run c ~machine
+              ~objects_of:(Methods.objects_of ctx) ~input ())
+      in
+      let steps = float r.Vliw_interp.Interp.steps in
+      let bound what words limit =
+        let per_step = words /. steps in
+        if per_step >= limit then
+          Alcotest.failf "%s: %s allocates %.2f words per step (bound %.0f)"
+            name what per_step limit
+      in
+      bound "Interp.run" interp_words 5.0;
+      bound "Vliw_sim.run" sim_words 20.0)
+    [ "fir"; "iirflt"; "mpeg2dec"; "viterbi" ]
+
 let test_all_benchmarks_interpret () =
   List.iter
     (fun (b : Benchsuite.Bench_intf.t) ->
@@ -238,6 +280,8 @@ let suite =
     Alcotest.test_case "verify at 1-cycle latency" `Slow test_verify_latency_1;
     Alcotest.test_case "verify at 10-cycle latency" `Slow
       test_verify_latency_10;
+    Alcotest.test_case "engine allocation per step" `Quick
+      test_engine_allocation;
     Alcotest.test_case "all benchmarks interpret" `Slow
       test_all_benchmarks_interpret;
     Alcotest.test_case "methods within sane range" `Slow

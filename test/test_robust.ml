@@ -176,6 +176,18 @@ let test_verify_sim_output_mismatch () =
       expect_error ~substr:"cycle simulation outputs differ"
         (Pipeline.verify p ctx e))
 
+let test_verify_sim_latency_violation () =
+  (* stretch the first intercluster transfer past its nominal latency:
+     its consumer, scheduled against the nominal latency, reads the
+     register while the write is still in flight, and the simulator's
+     latency checker must name the stale read *)
+  let p, ctx = prepared_ctx "fir" in
+  let e = Pipeline.evaluate ctx Methods.Gdp in
+  with_injection "sim.move-latency@1" (fun () ->
+      let r = Pipeline.verify p ctx e in
+      expect_error ~substr:"latency violation" r;
+      expect_error ~substr:"but a write issued at" r)
+
 let test_verify_cycle_model_disagreement () =
   let p, ctx = prepared_ctx "fir" in
   let e = Pipeline.evaluate ctx Methods.Gdp in
@@ -476,6 +488,8 @@ let suite =
       test_verify_sim_capacity_violation;
     Alcotest.test_case "verify: sim output mismatch" `Quick
       test_verify_sim_output_mismatch;
+    Alcotest.test_case "verify: sim latency violation" `Quick
+      test_verify_sim_latency_violation;
     Alcotest.test_case "verify: cycle model disagreement" `Quick
       test_verify_cycle_model_disagreement;
     Alcotest.test_case "verify: move model disagreement" `Quick
