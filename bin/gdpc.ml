@@ -272,9 +272,7 @@ let build_prog ~unroll ~promote ~ifconvert path =
     with_compile_diagnostics ~path ~src (fun () ->
         Telemetry.with_span "parse" (fun () -> Minic.compile ~unroll src))
   in
-  Telemetry.with_span "optimize" (fun () ->
-      let prog = if promote then Vliw_opt.Promote.run prog else prog in
-      if ifconvert then Vliw_opt.Ifconvert.run prog else prog)
+  Gdp_core.Pipeline.optimize ~promote ~if_convert:ifconvert prog
 
 let handle_errors f =
   try f () with

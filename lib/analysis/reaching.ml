@@ -3,7 +3,12 @@
     A definition is identified by the id of the defining operation.
     Function parameters are treated as definitions by the pseudo-id
     [param_def] (negative), so every use has at least one reaching
-    definition in a well-formed program. *)
+    definition in a well-formed program.
+
+    The dataflow runs on dense bit vectors: definitions are numbered
+    [0 .. n-1], parameters first and then defining ops in layout order,
+    and each block gets gen/kill vectors.  A guarded (predicated)
+    definition may not execute, so it generates without killing. *)
 
 open Vliw_ir
 
@@ -17,90 +22,138 @@ let is_param_def id = id < 0
 let param_of_def id = Reg.of_int (-1 - id)
 
 type t = {
-  cfg : Cfg.t;
-  reach_in : Int_set.t Reg.Map.t array;  (** per block: reg -> def ids *)
   def_use : (int, (int * Reg.t) list) Hashtbl.t;
       (** def id -> uses (op id, reg) it reaches *)
   use_def : (int * Reg.t, Int_set.t) Hashtbl.t;
       (** (use op id, reg) -> reaching def ids *)
 }
 
-let reg_defs_of_op op = Op.defs op
-
-(** Transfer one op over the reg -> defs map.  A guarded (predicated)
-    definition may not execute, so it accumulates instead of killing the
-    previous definitions. *)
-let transfer_op map op =
-  let guarded = Op.is_guarded op in
-  List.fold_left
-    (fun m r ->
-      if guarded then
-        let prev = Option.value ~default:Int_set.empty (Reg.Map.find_opt r m) in
-        Reg.Map.add r (Int_set.add (Op.id op) prev) m
-      else Reg.Map.add r (Int_set.singleton (Op.id op)) m)
-    map (reg_defs_of_op op)
-
-let union_maps a b =
-  Reg.Map.union (fun _ x y -> Some (Int_set.union x y)) a b
-
-let equal_maps a b = Reg.Map.equal Int_set.equal a b
+(* Bit vectors over definition numbers, [Sys.int_size] bits a word. *)
+module Bits = struct
+  let w = Sys.int_size
+  let create n = Array.make ((n + w - 1) / w) 0
+  let mem v i = v.(i / w) land (1 lsl (i mod w)) <> 0
+  let add v i = v.(i / w) <- v.(i / w) lor (1 lsl (i mod w))
+  let remove v i = v.(i / w) <- v.(i / w) land lnot (1 lsl (i mod w))
+end
 
 let compute (cfg : Cfg.t) : t =
   let n = Cfg.num_blocks cfg in
-  let entry_map =
-    List.fold_left
-      (fun m r -> Reg.Map.add r (Int_set.singleton (param_def r)) m)
-      Reg.Map.empty
-      (Func.params cfg.Cfg.func)
+  let params = Func.params cfg.Cfg.func in
+  let single_def op = match Op.defs op with [ r ] -> Some r | _ -> None in
+  (* number the definitions, parameters first and then ops in layout
+     order; [defs_of.(r)] lists r's numbers ascending *)
+  let nregs =
+    Func.fold_ops
+      (fun m op -> match single_def op with Some r -> max m (r + 1) | None -> m)
+      (List.fold_left (fun m p -> max m (p + 1)) 0 params)
+      cfg.Cfg.func
   in
-  let reach_in = Array.make n Reg.Map.empty in
-  reach_in.(0) <- entry_map;
-  let block_out = Array.make n Reg.Map.empty in
-  let transfer i =
-    List.fold_left transfer_op reach_in.(i) (Block.ops (Cfg.block cfg i))
+  let ids = ref [] and count = ref 0 in
+  let defs_of = Array.make nregs [] in
+  let number r id =
+    ids := id :: !ids;
+    defs_of.(r) <- !count :: defs_of.(r);
+    incr count
   in
+  List.iter (fun p -> number p (param_def p)) params;
+  Func.iter_ops
+    (fun op -> Option.iter (fun r -> number r (Op.id op)) (single_def op))
+    cfg.Cfg.func;
+  let ndefs = !count in
+  let id_of = Array.of_list (List.rev !ids) in
+  let defs_of = Array.map List.rev defs_of in
+  (* [step v k op] moves [v] past [op], whose definition (if any) is
+     number [k]; returns the next number.  Walking blocks 0..n-1 in
+     order from [List.length params] meets the numbers in sequence. *)
+  let step v k op =
+    match single_def op with
+    | None -> k
+    | Some r ->
+        if not (Op.is_guarded op) then List.iter (Bits.remove v) defs_of.(r);
+        Bits.add v k;
+        k + 1
+  in
+  (* gen/kill per block; the gen vector is the block's effect on an
+     empty one *)
+  let gen = Array.init n (fun _ -> Bits.create ndefs) in
+  let kill = Array.init n (fun _ -> Bits.create ndefs) in
+  let k = ref (List.length params) in
+  for i = 0 to n - 1 do
+    let ops = Block.ops (Cfg.block cfg i) in
+    k := List.fold_left (step gen.(i)) !k ops;
+    List.iter
+      (fun op ->
+        match single_def op with
+        | Some r when not (Op.is_guarded op) ->
+            List.iter (Bits.add kill.(i)) defs_of.(r)
+        | _ -> ())
+      ops
+  done;
+  let entry = Bits.create ndefs in
+  List.iteri (fun k _ -> Bits.add entry k) params;
+  (* forward dataflow in reverse postorder until no out vector changes;
+     unreachable blocks are never visited, so their vectors stay empty
+     and contribute nothing *)
+  let words = Array.length entry in
+  let reach_in = Array.init n (fun _ -> Bits.create ndefs) in
+  let out = Array.init n (fun _ -> Bits.create ndefs) in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun i ->
-        let inn =
-          List.fold_left
-            (fun acc p -> union_maps acc block_out.(p))
-            (if i = 0 then entry_map else Reg.Map.empty)
-            (Cfg.predecessors cfg i)
-        in
-        if not (equal_maps inn reach_in.(i)) then begin
-          reach_in.(i) <- inn;
-          changed := true
-        end;
-        let out = transfer i in
-        if not (equal_maps out block_out.(i)) then begin
-          block_out.(i) <- out;
-          changed := true
-        end)
+        let inn = reach_in.(i) in
+        if i = 0 then Array.blit entry 0 inn 0 words
+        else Array.fill inn 0 words 0;
+        List.iter
+          (fun p ->
+            let po = out.(p) in
+            for w = 0 to words - 1 do
+              inn.(w) <- inn.(w) lor po.(w)
+            done)
+          (Cfg.predecessors cfg i);
+        let o = out.(i) and g = gen.(i) and kl = kill.(i) in
+        for w = 0 to words - 1 do
+          let v = g.(w) lor (inn.(w) land lnot kl.(w)) in
+          if v <> o.(w) then begin
+            o.(w) <- v;
+            changed := true
+          end
+        done)
       (Cfg.reverse_postorder cfg)
   done;
-  (* def-use chains: walk each block with its reach_in *)
+  (* def-use chains: walk blocks 0..n-1, ops in order, uses in order,
+     moving each block's in vector past its ops *)
   let def_use = Hashtbl.create 64 in
   let use_def = Hashtbl.create 64 in
-  let add_def_use d u = Hashtbl.replace def_use d (u :: Option.value ~default:[] (Hashtbl.find_opt def_use d)) in
+  let add_def_use d u =
+    Hashtbl.replace def_use d
+      (u :: Option.value ~default:[] (Hashtbl.find_opt def_use d))
+  in
+  let k = ref (List.length params) in
   for i = 0 to n - 1 do
-    let map = ref reach_in.(i) in
-    List.iter
-      (fun op ->
-        List.iter
-          (fun r ->
-            let defs =
-              Option.value ~default:Int_set.empty (Reg.Map.find_opt r !map)
-            in
-            Hashtbl.replace use_def (Op.id op, r) defs;
-            Int_set.iter (fun d -> add_def_use d (Op.id op, r)) defs)
-          (Op.uses op);
-        map := transfer_op !map op)
-      (Block.ops (Cfg.block cfg i))
+    let v = reach_in.(i) in
+    k :=
+      List.fold_left
+        (fun k op ->
+          List.iter
+            (fun r ->
+              let defs =
+                if r >= nregs then Int_set.empty
+                else
+                  List.fold_left
+                    (fun s d -> if Bits.mem v d then Int_set.add id_of.(d) s else s)
+                    Int_set.empty defs_of.(r)
+              in
+              Hashtbl.replace use_def (Op.id op, r) defs;
+              Int_set.iter (fun d -> add_def_use d (Op.id op, r)) defs)
+            (Op.uses op);
+          step v k op)
+        !k
+        (Block.ops (Cfg.block cfg i))
   done;
-  { cfg; reach_in; def_use; use_def }
+  { def_use; use_def }
 
 (** Reaching definitions of register [r] at use site [op_id]. *)
 let defs_of_use t ~op_id ~reg =
@@ -109,5 +162,3 @@ let defs_of_use t ~op_id ~reg =
 (** Uses reached by definition [def_id]. *)
 let uses_of_def t ~def_id =
   Option.value ~default:[] (Hashtbl.find_opt t.def_use def_id)
-
-let reach_in t i = t.reach_in.(i)

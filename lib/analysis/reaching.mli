@@ -19,5 +19,3 @@ val defs_of_use : t -> op_id:int -> reg:Reg.t -> Int_set.t
 
 (** Uses (op id, register) reached by a definition. *)
 val uses_of_def : t -> def_id:int -> (int * Reg.t) list
-
-val reach_in : t -> int -> Int_set.t Reg.Map.t

@@ -13,11 +13,29 @@ type prepared = {
   reference : Vliw_interp.Interp.result;
 }
 
+(** The optimizer sequence: scalar promotion, simplification + DCE,
+    if-conversion, DCE again; one span per pass under [optimize]. *)
+let optimize ?(promote = true) ?(simplify = true) ?(if_convert = true)
+    ?ifconvert_config (prog : Prog.t) : Prog.t =
+  Telemetry.with_span "optimize" (fun () ->
+      let pass name run prog = Telemetry.with_span name (fun () -> run prog) in
+      let prog = if promote then pass "promote" Vliw_opt.Promote.run prog else prog in
+      let prog =
+        if simplify then
+          pass "dce" Vliw_opt.Dce.run (pass "simplify" Vliw_opt.Simplify.run prog)
+        else prog
+      in
+      let prog =
+        if if_convert then
+          pass "ifconvert" (Vliw_opt.Ifconvert.run ?config:ifconvert_config) prog
+        else prog
+      in
+      if simplify then pass "dce" Vliw_opt.Dce.run prog else prog)
+
 (** Compile a benchmark, form predicated hyperblocks (Trimaran-style
     if-conversion; pass [~if_convert:false] to keep raw basic blocks),
     and collect the reference run and profile. *)
-let prepare ?(unroll = true) ?(promote = true) ?(simplify = true)
-    ?(if_convert = true) ?ifconvert_config
+let prepare ?(unroll = true) ?promote ?simplify ?if_convert ?ifconvert_config
     (bench : Benchsuite.Bench_intf.t) : prepared =
   Telemetry.with_span "prepare"
     ~args:[ ("bench", bench.Benchsuite.Bench_intf.name) ]
@@ -26,20 +44,7 @@ let prepare ?(unroll = true) ?(promote = true) ?(simplify = true)
         Telemetry.with_span "parse" (fun () ->
             Minic.compile ~unroll bench.Benchsuite.Bench_intf.source)
       in
-      let prog =
-        Telemetry.with_span "optimize" (fun () ->
-            let prog = if promote then Vliw_opt.Promote.run prog else prog in
-            let prog =
-              if simplify then Vliw_opt.Dce.run (Vliw_opt.Simplify.run prog)
-              else prog
-            in
-            let prog =
-              if if_convert then
-                Vliw_opt.Ifconvert.run ?config:ifconvert_config prog
-              else prog
-            in
-            if simplify then Vliw_opt.Dce.run prog else prog)
-      in
+      let prog = optimize ?promote ?simplify ?if_convert ?ifconvert_config prog in
       Telemetry.set_gauge "ir.ops" (float (Vliw_ir.Prog.op_count prog));
       let reference =
         Telemetry.with_span "profile" (fun () ->

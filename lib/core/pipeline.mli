@@ -8,9 +8,22 @@ type prepared = {
   reference : Vliw_interp.Interp.result;
 }
 
-(** Compile a benchmark (unrolling, scalar promotion, simplification,
-    if-conversion — each individually togglable) and collect the
-    reference run and profile. *)
+(** The optimizer sequence every compile runs after parsing: scalar
+    promotion, constant folding + copy propagation and DCE,
+    if-conversion, DCE again (each flag defaults to on; [simplify]
+    gates both DCE runs).  Spans: [optimize] > [promote], [simplify],
+    [dce], [ifconvert], [dce]. *)
+val optimize :
+  ?promote:bool ->
+  ?simplify:bool ->
+  ?if_convert:bool ->
+  ?ifconvert_config:Vliw_opt.Ifconvert.config ->
+  Vliw_ir.Prog.t ->
+  Vliw_ir.Prog.t
+
+(** Compile a benchmark (unrolling, then {!optimize} — each pass
+    individually togglable) and collect the reference run and
+    profile. *)
 val prepare :
   ?unroll:bool ->
   ?promote:bool ->

@@ -32,11 +32,6 @@ let blocks f = f.blocks
 let reg_count f = f.reg_count
 let entry f = List.hd f.blocks
 
-let find_block f l =
-  match List.find_opt (fun b -> Label.equal (Block.label b) l) f.blocks with
-  | Some b -> b
-  | None -> invalid_arg (Fmt.str "Func.find_block: no block %a" Label.pp l)
-
 let with_blocks f blocks = v ~name:f.name ~params:f.params ~blocks ~reg_count:f.reg_count
 
 (** Map over blocks preserving order. *)
@@ -52,24 +47,22 @@ let fold_ops fn acc f =
 
 let num_ops f = List.fold_left (fun n b -> n + Block.num_ops b) 0 f.blocks
 
-(** Label -> block successors map, and its reverse. *)
+(** Label -> block successors map. *)
 let successor_map f =
   List.fold_left
     (fun m b -> Label.Map.add (Block.label b) (Block.successors b) m)
     Label.Map.empty f.blocks
 
-let predecessor_map f =
-  List.fold_left
-    (fun m b ->
-      List.fold_left
-        (fun m s ->
-          let cur = Option.value ~default:[] (Label.Map.find_opt s m) in
-          Label.Map.add s (Block.label b :: cur) m)
-        m (Block.successors b))
-    (List.fold_left
-       (fun m b -> Label.Map.add (Block.label b) [] m)
-       Label.Map.empty f.blocks)
-    f.blocks
+let in_degrees f =
+  let t = Hashtbl.create (2 * List.length f.blocks) in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun s ->
+          Hashtbl.replace t s (1 + Option.value ~default:0 (Hashtbl.find_opt t s)))
+        (Block.successors b))
+    f.blocks;
+  t
 
 let pp ppf f =
   Fmt.pf ppf "@[<v>func %s(%a):@," f.name Fmt.(list ~sep:comma Reg.pp) f.params;

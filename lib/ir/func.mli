@@ -20,14 +20,15 @@ val reg_count : t -> int
 
 val entry : t -> Block.t
 
-(** Raises [Invalid_argument] on unknown labels. *)
-val find_block : t -> Label.t -> Block.t
-
 val with_blocks : t -> Block.t list -> t
 val map_blocks : (Block.t -> Block.t) -> t -> t
 val iter_ops : (Op.t -> unit) -> t -> unit
 val fold_ops : ('a -> Op.t -> 'a) -> 'a -> t -> 'a
 val num_ops : t -> int
 val successor_map : t -> Label.t list Label.Map.t
-val predecessor_map : t -> Label.t list Label.Map.t
+
+(** Number of CFG in-edges of each label that is a jump target (a branch
+    with both arms on one label counts twice). *)
+val in_degrees : t -> (Label.t, int) Hashtbl.t
+
 val pp : t Fmt.t

@@ -21,25 +21,35 @@ let has_side_effect op =
   | _ -> Op.is_terminator op
 
 let dce_func (f : Func.t) : Func.t =
-  (* fixpoint: needed registers *)
+  (* least set of needed registers: a worklist seeded with the uses of
+     side-effecting ops and terminators, following each newly needed
+     register to the uses of its other definers *)
+  let definers : (Reg.t, Op.t) Hashtbl.t = Hashtbl.create 64 in
+  Func.iter_ops
+    (fun op ->
+      if not (has_side_effect op) then
+        List.iter (fun r -> Hashtbl.add definers r op) (Op.defs op))
+    f;
   let needed : (Reg.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let changed = ref true in
-  let note r =
+  let work = Stack.create () in
+  let need r =
     if not (Hashtbl.mem needed r) then begin
       Hashtbl.replace needed r ();
-      changed := true
+      Stack.push r work
     end
   in
+  Func.iter_ops
+    (fun op -> if has_side_effect op then List.iter need (Op.uses op))
+    f;
+  while not (Stack.is_empty work) do
+    List.iter
+      (fun op -> List.iter need (Op.uses op))
+      (Hashtbl.find_all definers (Stack.pop work))
+  done;
   let keep op =
     has_side_effect op
     || List.exists (fun r -> Hashtbl.mem needed r) (Op.defs op)
   in
-  while !changed do
-    changed := false;
-    Func.iter_ops
-      (fun op -> if keep op then List.iter note (Op.uses op))
-      f
-  done;
   Func.map_blocks
     (fun b ->
       Block.v ~label:(Block.label b)

@@ -91,12 +91,12 @@ type fresh = { mutable next_reg : int; mutable next_op : int }
 (** One conversion step on function [f]: find a convertible diamond or
     triangle and flatten it.  Returns [None] at fixpoint. *)
 let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
-  let preds = Func.predecessor_map f in
-  let pred_count l =
-    List.length (Option.value ~default:[] (Label.Map.find_opt l preds))
-  in
+  let preds = Func.in_degrees f in
+  let pred_count l = Option.value ~default:0 (Hashtbl.find_opt preds l) in
   let blocks = Func.blocks f in
-  let find_block l = Func.find_block f l in
+  let index = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace index (Block.label b) b) blocks;
+  let find_block l = Hashtbl.find index l in
   let fresh_reg () =
     let r = fr.next_reg in
     fr.next_reg <- r + 1;

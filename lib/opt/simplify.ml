@@ -67,11 +67,21 @@ let def_counts (f : Func.t) : (Reg.t, int) Hashtbl.t =
     f;
   counts
 
-let simplify_func (f : Func.t) : Func.t =
+(** One folding + propagation step; also reports whether any op
+    changed.  A fold always changes its op (the result is a [Copy] of a
+    literal), and a rewrite changes it only when a register operand
+    resolves to something other than itself. *)
+let simplify_func (f : Func.t) : Func.t * bool =
+  let changed = ref false in
   (* pass 1: fold constants *)
+  let fold op =
+    let op' = fold_op op in
+    if op' != op then changed := true;
+    op'
+  in
   let f = Func.map_blocks (fun b ->
       Block.v ~label:(Block.label b)
-        ~body:(List.map fold_op (Block.body b))
+        ~body:(List.map fold (Block.body b))
         ~term:(Block.term b))
       f
   in
@@ -100,8 +110,23 @@ let simplify_func (f : Func.t) : Func.t =
           | None -> operand)
       | _ -> operand
   in
-  let rw operand = resolve operand 0 in
-  let rwr r = match rw (Op.Reg r) with Op.Reg r' -> r' | _ -> r in
+  let rw operand =
+    match operand with
+    | Op.Reg r ->
+        let operand' = resolve operand 0 in
+        (match operand' with
+        | Op.Reg r' when Reg.equal r r' -> ()
+        | _ -> changed := true);
+        operand'
+    | Op.Imm _ | Op.Fimm _ -> operand
+  in
+  let rwr r =
+    match resolve (Op.Reg r) 0 with
+    | Op.Reg r' when not (Reg.equal r r') ->
+        changed := true;
+        r'
+    | _ -> r
+  in
   let rewrite op =
     let kind =
       match Op.kind op with
@@ -131,28 +156,30 @@ let simplify_func (f : Func.t) : Func.t =
     in
     Op.make ?guard ~id:(Op.id op) kind
   in
-  Func.map_blocks
-    (fun b ->
-      Block.v ~label:(Block.label b)
-        ~body:(List.map rewrite (Block.body b))
-        ~term:(rewrite (Block.term b)))
-    f
+  let f =
+    Func.map_blocks
+      (fun b ->
+        Block.v ~label:(Block.label b)
+          ~body:(List.map rewrite (Block.body b))
+          ~term:(rewrite (Block.term b)))
+      f
+  in
+  (f, !changed)
 
-(** Iterate folding + propagation to a fixpoint (bounded). *)
+(** Iterate folding + propagation until a step changes no op, at most 4
+    steps. *)
 let run (prog : Prog.t) : Prog.t =
   let step p =
-    Prog.v
-      ~globals:(Prog.globals p)
-      ~funcs:(List.map simplify_func (Prog.funcs p))
-      ~op_count:(Prog.op_count p)
+    let results = List.map simplify_func (Prog.funcs p) in
+    ( Prog.v ~globals:(Prog.globals p) ~funcs:(List.map fst results)
+        ~op_count:(Prog.op_count p),
+      List.exists snd results )
   in
   let rec go p n =
     if n = 0 then p
     else
-      let p' = step p in
-      (* cheap convergence check: compare printed sizes *)
-      if Fmt.str "%a" Prog.pp p' = Fmt.str "%a" Prog.pp p then p'
-      else go p' (n - 1)
+      let p', changed = step p in
+      if changed then go p' (n - 1) else p'
   in
   let p = go prog 4 in
   (try Validate.check p

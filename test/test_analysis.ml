@@ -139,6 +139,89 @@ void main() {
     f;
   Alcotest.(check bool) "guarded defs accumulate" true (!multi > 0)
 
+(* Reaching definitions by brute force: from a use, search backwards over
+   blocks reachable from the entry, stopping each path at an unguarded
+   definition of the register.  [oracle_defs cfg i k r] is the set of
+   definitions of [r] reaching op [k] of block [i]. *)
+let oracle_defs cfg =
+  let module R = An.Reaching in
+  let n = An.Cfg.num_blocks cfg in
+  let reachable = Array.make n false in
+  Array.iter (fun i -> reachable.(i) <- true) (An.Cfg.reverse_postorder cfg);
+  let ops = Array.init n (fun i -> Array.of_list (Block.ops (An.Cfg.block cfg i))) in
+  let params = Func.params cfg.An.Cfg.func in
+  fun i k r ->
+    let found = ref R.Int_set.empty in
+    let visited = Array.make n false in
+    (* true when an unguarded definition ends the path inside block [b] *)
+    let rec scan b j =
+      j >= 0
+      &&
+      let op = ops.(b).(j) in
+      if List.mem r (Op.defs op) then begin
+        found := R.Int_set.add (Op.id op) !found;
+        (not (Op.is_guarded op)) || scan b (j - 1)
+      end
+      else scan b (j - 1)
+    in
+    let rec enter b =
+      if reachable.(b) then begin
+        if b = 0 && List.mem r params then
+          found := R.Int_set.add (R.param_def r) !found;
+        List.iter
+          (fun p ->
+            if reachable.(p) && not visited.(p) then begin
+              visited.(p) <- true;
+              if not (scan p (Array.length ops.(p) - 1)) then enter p
+            end)
+          (An.Cfg.predecessors cfg b)
+      end
+    in
+    if not (scan i (k - 1)) then enter i;
+    !found
+
+(* [defs_of_use] sets and [uses_of_def] multisets agree with the
+   oracle on every function. *)
+let reaching_matches_oracle (f : Func.t) =
+  let module R = An.Reaching in
+  let cfg = An.Cfg.of_func f in
+  let reach = R.compute cfg in
+  let oracle = oracle_defs cfg in
+  let expected_uses = Hashtbl.create 64 in
+  let ok = ref true in
+  for i = 0 to An.Cfg.num_blocks cfg - 1 do
+    List.iteri
+      (fun k op ->
+        List.iter
+          (fun r ->
+            let want = oracle i k r in
+            if not (R.Int_set.equal want (R.defs_of_use reach ~op_id:(Op.id op) ~reg:r))
+            then ok := false;
+            R.Int_set.iter (fun d -> Hashtbl.add expected_uses d (Op.id op, r)) want)
+          (Op.uses op))
+      (Block.ops (An.Cfg.block cfg i))
+  done;
+  let defs =
+    List.map R.param_def (Func.params f)
+    @ Func.fold_ops (fun acc op -> if Op.defs op = [] then acc else Op.id op :: acc) [] f
+  in
+  !ok
+  && List.for_all
+       (fun d ->
+         List.sort compare (Hashtbl.find_all expected_uses d)
+         = List.sort compare (R.uses_of_def reach ~def_id:d))
+       defs
+
+let prop_reaching_oracle =
+  Helpers.qcheck ~count:60
+    "reaching definitions match a brute-force search"
+    (fun seed ->
+      let prog = Minic.compile (Gen_minic.gen_program_with_seed seed) in
+      List.for_all
+        (fun p -> List.for_all reaching_matches_oracle (Prog.funcs p))
+        [ prog; Vliw_opt.Ifconvert.run prog ])
+    Gen_minic.arbitrary_program
+
 let test_points_to_basic () =
   let src =
     {|
@@ -291,6 +374,7 @@ let suite =
     Alcotest.test_case "reaching definitions" `Quick test_reaching_defs;
     Alcotest.test_case "guarded defs accumulate" `Quick
       test_reaching_guarded_defs_accumulate;
+    prop_reaching_oracle;
     Alcotest.test_case "points-to ambiguity" `Quick test_points_to_basic;
     Alcotest.test_case "points-to interprocedural" `Quick
       test_points_to_interprocedural;

@@ -285,6 +285,132 @@ let prop_opt_pipeline_preserves =
       Helpers.equal_outputs a.outputs b.outputs)
     Gen_minic.arbitrary_program
 
+(* ------------------------------------------------------------------ *)
+(* Pinned front-end output                                             *)
+
+(* What everything downstream is keyed by: the printed IR, each block's
+   op ids, each function's [reg_count] and the program's [op_count]. *)
+let ir_fingerprint prog =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Fmt.str "%a" Prog.pp prog);
+  List.iter
+    (fun f ->
+      Printf.bprintf b "\n%s reg_count %d" (Func.name f) (Func.reg_count f);
+      List.iter
+        (fun blk ->
+          Buffer.add_char b '\n';
+          List.iter (fun op -> Printf.bprintf b "%d " (Op.id op)) (Block.ops blk))
+        (Func.blocks f))
+    (Prog.funcs prog);
+  Printf.bprintf b "\nop_count %d" (Prog.op_count prog);
+  Buffer.contents b
+
+let dfg_fingerprint prog =
+  Vliw_analysis.Prog_dfg.fold_edges
+    (fun acc a b w -> (a, b, w) :: acc)
+    [] (Vliw_analysis.Prog_dfg.compute prog)
+  |> List.sort compare
+  |> List.map (fun (a, b, w) -> Printf.sprintf "%d>%d:%d" a b w)
+  |> String.concat " "
+
+(* Every definition's [uses_of_def] list, in the order the analysis
+   returns it: parameters first, then ops in layout order. *)
+let uses_fingerprint prog =
+  let module R = Vliw_analysis.Reaching in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      let reach = R.compute (Vliw_analysis.Cfg.of_func f) in
+      let def d =
+        Printf.bprintf b "\n%d:" d;
+        List.iter
+          (fun (u, r) -> Printf.bprintf b " %d/%d" u (Reg.to_int r))
+          (R.uses_of_def reach ~def_id:d)
+      in
+      List.iter (fun p -> def (R.param_def p)) (Func.params f);
+      Func.iter_ops (fun op -> if Op.defs op <> [] then def (Op.id op)) f)
+    (Prog.funcs prog);
+  Buffer.contents b
+
+let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+
+(* Recorded from the optimizer, [Prog_dfg] and [Reaching] as they were
+   before their linear-time rewrites: (benchmark, IR, DFG edges,
+   uses_of_def) digests of [Pipeline.prepare_default]'s program. *)
+let pinned_suite =
+  [
+    ("rawcaudio", "2fd2092776b13d75", "01576631319f3379", "3d77cdea07e95bb1");
+    ("rawdaudio", "bea0d83d88b0afa3", "b0bf2a6827a28f3e", "32f89fb5adf4553e");
+    ("g721enc", "fea83c469589dd28", "27b1bfd9d89bac1e", "9227bbab02a3f162");
+    ("g721dec", "1948d697b41da896", "c95068738b1d9f29", "da40198f2f55aeb0");
+    ("cjpeg", "a44297b70bd886ec", "9f91f940d2abef83", "8630892df9b4a475");
+    ("djpeg", "d8b1502dd9332dde", "f5854223b9a90b09", "7ddb8df546d6a036");
+    ("mpeg2enc", "709f3a1926c20fa4", "338e6e7e5307c463", "45b617cfc3ac6229");
+    ("mpeg2dec", "9faa7f8fdf8f2cd3", "e6193cdbb38d74e4", "2a59a5081c6447e2");
+    ("epic", "c29a939d24d98e91", "129054ada7669608", "c84a1e5b347bde60");
+    ("unepic", "d3dbeb80a73fb766", "602df3f5a69fe490", "8a311af4eb073783");
+    ("gsmenc", "ac973df4f4d5f187", "e35671faa878db4a", "801de7b53b1773e3");
+    ("gsmdec", "6a8926166e31eb2d", "1ffa8c72c0f1b7fc", "e3871b766d3b85dd");
+    ("pegwit", "3b99ba590019f41d", "63bd43d6e9269c23", "3b571f32323ae2ca");
+    ("fir", "5c11d3331c4b64a6", "b6920589c549f223", "c198e7d64ed171a6");
+    ("fsed", "58c499af49f044fa", "1fa68d3b86c5cd22", "26424e43b2c29089");
+    ("sobel", "2a06971714c30212", "3867662a36ea3de0", "65a92383cde2e170");
+    ("viterbi", "9c7c761e729518c5", "6602eaea67a0c7e7", "1eedea3d2c17e4ae");
+    ("iirflt", "935c9b3e43c516ef", "cf0657b956e1782b", "951d690b6575b888");
+  ]
+
+(* The same three digests over 200 generated programs (seeds 0-199,
+   each through [Pipeline.prepare]), and the digest of their sources. *)
+let pinned_generated =
+  ("b56e7ddd4774d217", "ad9bda72a729e1e7", "d9c59b788d65eed0", "9e9dcd6414782a98")
+
+let facets prog =
+  ( digest (ir_fingerprint prog),
+    digest (dfg_fingerprint prog),
+    digest (uses_fingerprint prog) )
+
+let test_pinned_suite () =
+  Alcotest.(check (list (pair string (triple string string string))))
+    "IR, DFG edges, uses_of_def"
+    (List.map (fun (n, i, d, u) -> (n, (i, d, u))) pinned_suite)
+    (List.map
+       (fun (bench : Benchsuite.Bench_intf.t) ->
+         ( bench.name,
+           facets (Gdp_core.Pipeline.prepare_default bench).Gdp_core.Pipeline.prog ))
+       Benchsuite.Suite.all)
+
+(* The generator draws from the stdlib [Random], whose stream differs
+   between compiler releases (4.14 and 5.x use different generators).
+   Under another stream the programs are not the recorded ones, and the
+   test reports itself skipped. *)
+let test_pinned_generated () =
+  let sources = List.init 200 Gen_minic.gen_program_with_seed in
+  let ps, pi, pd, pu = pinned_generated in
+  if digest (String.concat "" (List.map digest sources)) <> ps then
+    Alcotest.skip ();
+  let irs = Buffer.create 4096 and dfgs = Buffer.create 4096 in
+  let uses = Buffer.create 4096 in
+  List.iter
+    (fun source ->
+      let bench =
+        {
+          Benchsuite.Bench_intf.name = "generated";
+          description = "generated";
+          source;
+          input = Gen_minic.input;
+          exhaustive_ok = false;
+        }
+      in
+      let i, d, u = facets (Gdp_core.Pipeline.prepare bench).Gdp_core.Pipeline.prog in
+      Buffer.add_string irs i;
+      Buffer.add_string dfgs d;
+      Buffer.add_string uses u)
+    sources;
+  let total b = digest (Buffer.contents b) in
+  Alcotest.(check (triple string string string))
+    "IR, DFG edges, uses_of_def" (pi, pd, pu)
+    (total irs, total dfgs, total uses)
+
 let suite =
   [
     Alcotest.test_case "if-conversion flattens diamonds" `Quick
@@ -307,4 +433,7 @@ let suite =
     Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
     Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_stores_and_allocs;
     prop_opt_pipeline_preserves;
+    Alcotest.test_case "pinned front-end output: suite" `Quick test_pinned_suite;
+    Alcotest.test_case "pinned front-end output: generated" `Quick
+      test_pinned_generated;
   ]

@@ -272,6 +272,28 @@ let prop_methods_on_random_programs =
         Methods.all)
     Gen_minic.arbitrary_program
 
+(* [gdpc compile] runs the same optimizer as the pipeline: the program it
+   prints is the one [Pipeline.prepare] partitions. *)
+let test_cli_compile_matches_prepare () =
+  let gdpc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/gdpc.exe"
+  in
+  List.iter
+    (fun name ->
+      let b = Benchsuite.Suite.find name in
+      let path = Filename.temp_file "gdpc-compile" ".mc" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc b.Benchsuite.Bench_intf.source);
+      let ic = Unix.open_process_args_in gdpc [| gdpc; "compile"; path |] in
+      let printed = In_channel.input_all ic in
+      let status = Unix.close_process_in ic in
+      Sys.remove path;
+      Alcotest.(check bool) (name ^ ": gdpc exits 0") true (status = Unix.WEXITED 0);
+      Alcotest.(check string) name
+        (Fmt.str "%a@." Vliw_ir.Prog.pp (Gdp_core.Pipeline.prepare b).prog)
+        printed)
+    [ "rawcaudio"; "fir" ]
+
 let suite =
   [
     Alcotest.test_case "verify rawcaudio/fir/fsed, all methods" `Slow
@@ -280,6 +302,8 @@ let suite =
     Alcotest.test_case "verify at 1-cycle latency" `Slow test_verify_latency_1;
     Alcotest.test_case "verify at 10-cycle latency" `Slow
       test_verify_latency_10;
+    Alcotest.test_case "gdpc compile prints the prepared program" `Quick
+      test_cli_compile_matches_prepare;
     Alcotest.test_case "engine allocation per step" `Quick
       test_engine_allocation;
     Alcotest.test_case "all benchmarks interpret" `Slow
