@@ -1,221 +1,142 @@
-(** Max-priority queue over node ids [0 .. n-1] for FM-style refinement.
+(** Max-priority queue over node ids [0 .. n-1] for FM-style refinement:
+    a positioned binary max-heap ordered by decreasing priority, then
+    increasing node id, as METIS's ipq.  That order is total, so the
+    sequence [pop_best] yields depends only on the members and their
+    priorities, never on the heap's layout.
 
-    Two interchangeable backends, chosen at [create] time:
-
-    - a classic gain-bucket array (doubly-linked list per gain value,
-      O(1) insert/update/remove, a falling max pointer) when the
-      priority range is small enough to afford [2 * max_prio + 1]
-      buckets — the textbook Fiduccia-Mattheyses structure;
-    - a positioned binary max-heap (O(log n) per operation) when edge
-      weights make the gain range too wide to bucket, as METIS's ipq
-      does.
-
-    Both backends report candidates in exactly the same order —
-    decreasing priority, then increasing node id — so the refinement
-    result does not depend on which backend was picked. *)
-
-type bucket_state = {
-  heads : int array;  (** bucket index -> first node, or -1 *)
-  next : int array;  (** next node in the same bucket, or -1 *)
-  bprev : int array;  (** previous node, or [-1 - bucket] at a list head *)
-  offset : int;  (** priority -> bucket index shift *)
-  mutable maxptr : int;  (** no nonempty bucket above this index *)
-}
-
-type heap_state = {
-  heap : int array;  (** node ids, heap-ordered *)
-  pos : int array;  (** node -> index in [heap], or -1 *)
-  mutable size : int;
-  stash : int array;  (** scratch for [pop_best] rejections *)
-}
-
-type backend = Bucket of bucket_state | Heap of heap_state
+    [pop_best] takes a predicate: it returns the root when the predicate
+    accepts it, and otherwise scans the heap once for the best accepted
+    member.  Only the member returned leaves the queue; rejected ones
+    are never removed and re-inserted.  A best-first walk below a
+    rejected root would examine fewer members, but it did not make GDP's
+    partitioning measurably faster on the benchmark suite. *)
 
 type t = {
   prio : int array;  (** current priority of each member *)
-  inq : bool array;
-  mutable card : int;
-  b : backend;
+  pos : int array;  (** node -> index in [heap], or -1 when absent *)
+  heap : int array;  (** members, heap-ordered; the first [size] are live *)
+  mutable size : int;
 }
 
-(** Use buckets when the range is comparable to the node count; beyond
-    that the zeroing and walking costs outgrow the O(log n) heap. *)
-let bucket_threshold n = max 1024 (8 * n)
+let create ~n =
+  {
+    prio = Array.make n 0;
+    pos = Array.make n (-1);
+    heap = Array.make (max n 1) 0;
+    size = 0;
+  }
 
-let create ~n ~max_prio =
-  if max_prio < 0 then invalid_arg "Gain_pq.create: negative max_prio";
-  let nbuckets = (2 * max_prio) + 1 in
-  let b =
-    if nbuckets <= bucket_threshold n then
-      Bucket
-        {
-          heads = Array.make nbuckets (-1);
-          next = Array.make n (-1);
-          bprev = Array.make n (-1);
-          offset = max_prio;
-          maxptr = -1;
-        }
-    else
-      Heap
-        {
-          heap = Array.make (max n 1) (-1);
-          pos = Array.make n (-1);
-          size = 0;
-          stash = Array.make (max n 1) (-1);
-        }
-  in
-  { prio = Array.make n 0; inq = Array.make n false; card = 0; b }
+let cardinal t = t.size
+let mem t v = t.pos.(v) >= 0
 
-let cardinal t = t.card
-let mem t v = t.inq.(v)
+let clear t =
+  for i = 0 to t.size - 1 do
+    t.pos.(t.heap.(i)) <- -1
+  done;
+  t.size <- 0
 
-(* --- bucket backend ------------------------------------------------- *)
+(* [a] comes out before [b]: higher priority, then lower id *)
+let before t a b =
+  let pa = t.prio.(a) and pb = t.prio.(b) in
+  pa > pb || (pa = pb && a < b)
 
-let bucket_unlink (bk : bucket_state) v =
-  let nx = bk.next.(v) and pv = bk.bprev.(v) in
-  (if pv >= 0 then bk.next.(pv) <- nx else bk.heads.(-1 - pv) <- nx);
-  if nx >= 0 then bk.bprev.(nx) <- pv
-
-let bucket_push (bk : bucket_state) t v =
-  let bucket = t.prio.(v) + bk.offset in
-  let head = bk.heads.(bucket) in
-  bk.next.(v) <- head;
-  bk.bprev.(v) <- -1 - bucket;
-  if head >= 0 then bk.bprev.(head) <- v;
-  bk.heads.(bucket) <- v;
-  if bucket > bk.maxptr then bk.maxptr <- bucket
-
-(* --- heap backend: max-heap on (prio desc, node id asc) ------------- *)
-
-let heap_before t a b =
-  t.prio.(a) > t.prio.(b) || (t.prio.(a) = t.prio.(b) && a < b)
-
-let heap_swap (hp : heap_state) i j =
-  let a = hp.heap.(i) and b = hp.heap.(j) in
-  hp.heap.(i) <- b;
-  hp.heap.(j) <- a;
-  hp.pos.(a) <- j;
-  hp.pos.(b) <- i
-
-let rec heap_up (hp : heap_state) t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_before t hp.heap.(i) hp.heap.(p) then begin
-      heap_swap hp i p;
-      heap_up hp t p
+(* place [v] at hole [i], moving it toward the root *)
+let sift_up t i v =
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let u = t.heap.(p) in
+    if before t v u then begin
+      t.heap.(!i) <- u;
+      t.pos.(u) <- !i;
+      i := p
     end
-  end
+    else continue := false
+  done;
+  t.heap.(!i) <- v;
+  t.pos.(v) <- !i
 
-let rec heap_down (hp : heap_state) t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < hp.size && heap_before t hp.heap.(l) hp.heap.(!best) then best := l;
-  if r < hp.size && heap_before t hp.heap.(r) hp.heap.(!best) then best := r;
-  if !best <> i then begin
-    heap_swap hp i !best;
-    heap_down hp t !best
-  end
-
-(* --- public operations ---------------------------------------------- *)
+(* place [v] at hole [i], moving it toward the leaves *)
+let sift_down t i v =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= t.size then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < t.size && before t t.heap.(r) t.heap.(l) then r else l
+      in
+      let u = t.heap.(c) in
+      if before t u v then begin
+        t.heap.(!i) <- u;
+        t.pos.(u) <- !i;
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  t.heap.(!i) <- v;
+  t.pos.(v) <- !i
 
 let insert t v ~prio =
-  if t.inq.(v) then invalid_arg "Gain_pq.insert: already present";
+  if t.pos.(v) >= 0 then invalid_arg "Gain_pq.insert: already present";
   t.prio.(v) <- prio;
-  t.inq.(v) <- true;
-  t.card <- t.card + 1;
-  match t.b with
-  | Bucket bk -> bucket_push bk t v
-  | Heap hp ->
-      hp.heap.(hp.size) <- v;
-      hp.pos.(v) <- hp.size;
-      hp.size <- hp.size + 1;
-      heap_up hp t (hp.size - 1)
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) v
 
-let remove t v =
-  if t.inq.(v) then begin
-    t.inq.(v) <- false;
-    t.card <- t.card - 1;
-    match t.b with
-    | Bucket bk -> bucket_unlink bk v
-    | Heap hp ->
-        let i = hp.pos.(v) in
-        let last = hp.size - 1 in
-        hp.size <- last;
-        hp.pos.(v) <- -1;
-        if i <> last then begin
-          let moved = hp.heap.(last) in
-          hp.heap.(i) <- moved;
-          hp.pos.(moved) <- i;
-          heap_up hp t i;
-          heap_down hp t i
-        end
+let fill t prio ~n =
+  if t.size > 0 then invalid_arg "Gain_pq.fill: queue not empty";
+  Array.blit prio 0 t.prio 0 n;
+  for v = 0 to n - 1 do
+    t.heap.(v) <- v;
+    t.pos.(v) <- v
+  done;
+  t.size <- n;
+  (* bottom-up heap construction: linear time *)
+  for i = (n / 2) - 1 downto 0 do
+    sift_down t i t.heap.(i)
+  done
+
+(* remove the member at heap index [i]; the last member fills the hole *)
+let remove_at t i =
+  t.pos.(t.heap.(i)) <- -1;
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let m = t.heap.(last) in
+    if i > 0 && before t m t.heap.((i - 1) / 2) then sift_up t i m
+    else sift_down t i m
   end
 
-let update t v ~prio =
-  if not t.inq.(v) then invalid_arg "Gain_pq.update: not present";
-  if t.prio.(v) <> prio then
-    match t.b with
-    | Bucket bk ->
-        bucket_unlink bk v;
-        t.prio.(v) <- prio;
-        bucket_push bk t v
-    | Heap hp ->
-        let old = t.prio.(v) in
-        t.prio.(v) <- prio;
-        if prio > old then heap_up hp t hp.pos.(v)
-        else heap_down hp t hp.pos.(v)
+let remove t v = if t.pos.(v) >= 0 then remove_at t t.pos.(v)
 
-(** Highest-priority member accepted by [accept] — ties broken toward
-    the smallest node id — removed from the queue and returned.  Members
-    that fail [accept] stay in place (they may become acceptable after
-    the caller's next move).  [accept] must be pure. *)
+let update t v ~prio =
+  let i = t.pos.(v) in
+  if i < 0 then invalid_arg "Gain_pq.update: not present";
+  let old = t.prio.(v) in
+  if prio <> old then begin
+    t.prio.(v) <- prio;
+    if prio > old then sift_up t i v else sift_down t i v
+  end
+
 let pop_best t ~accept =
-  match t.b with
-  | Bucket bk ->
-      let found = ref (-1) in
-      let idx = ref bk.maxptr in
-      while !found < 0 && !idx >= 0 do
-        if bk.heads.(!idx) < 0 then begin
-          (* genuinely empty: the max pointer may drop past it for good *)
-          if !idx = bk.maxptr then bk.maxptr <- bk.maxptr - 1;
-          decr idx
-        end
-        else begin
-          (* the whole bucket shares one priority: take the smallest
-             accepted id, matching the heap backend's order exactly *)
-          let v = ref bk.heads.(!idx) in
-          let best = ref (-1) in
-          while !v >= 0 do
-            if (!best < 0 || !v < !best) && accept !v then best := !v;
-            v := bk.next.(!v)
-          done;
-          if !best >= 0 then found := !best
-          else
-            (* nonempty but fully rejected: keep maxptr here (its members
-               may be accepted on a later pop), just scan lower *)
-            decr idx
-        end
+  if t.size = 0 then -1
+  else begin
+    let found = ref (-1) in
+    if accept t.heap.(0) then found := 0
+    else
+      for i = 1 to t.size - 1 do
+        let v = t.heap.(i) in
+        if (!found < 0 || before t v t.heap.(!found)) && accept v then
+          found := i
       done;
-      if !found >= 0 then begin
-        remove t !found;
-        Some !found
-      end
-      else None
-  | Heap hp ->
-      let stashed = ref 0 in
-      let result = ref None in
-      while !result = None && hp.size > 0 do
-        let v = hp.heap.(0) in
-        remove t v;
-        if accept v then result := Some v
-        else begin
-          hp.stash.(!stashed) <- v;
-          incr stashed
-        end
-      done;
-      (* put rejected members back (same priorities) *)
-      for i = 0 to !stashed - 1 do
-        let v = hp.stash.(i) in
-        insert t v ~prio:t.prio.(v)
-      done;
-      !result
+    if !found < 0 then -1
+    else begin
+      let v = t.heap.(!found) in
+      remove_at t !found;
+      v
+    end
+  end

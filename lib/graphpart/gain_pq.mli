@@ -1,18 +1,23 @@
 (** Max-priority queue over node ids [0 .. n-1] for FM-style refinement:
-    a classic gain-bucket array (O(1) updates) when the priority range
-    is small, a positioned binary max-heap (O(log n)) when edge weights
-    make the range too wide — both yielding candidates in exactly the
-    same order (decreasing priority, then increasing node id), so
-    results never depend on the backend. *)
+    a positioned binary max-heap.  Members come out by decreasing
+    priority, then increasing node id — a total order, so results never
+    depend on the heap's layout. *)
 
 type t
 
-(** [create ~n ~max_prio] holds nodes [0 .. n-1] with priorities in
-    [-max_prio .. max_prio]. *)
-val create : n:int -> max_prio:int -> t
+(** [create ~n] holds nodes [0 .. n-1]; it starts empty. *)
+val create : n:int -> t
 
 val cardinal : t -> int
 val mem : t -> int -> bool
+
+(** Remove every member, in time linear in their number. *)
+val clear : t -> unit
+
+(** [fill t prio ~n] makes an empty queue hold nodes [0 .. n-1] at
+    priorities [prio.(v)], in linear time.  Raises [Invalid_argument] if
+    the queue is not empty. *)
+val fill : t -> int array -> n:int -> unit
 
 (** Raises [Invalid_argument] if the node is already present. *)
 val insert : t -> int -> prio:int -> unit
@@ -24,7 +29,8 @@ val remove : t -> int -> unit
     absent. *)
 val update : t -> int -> prio:int -> unit
 
-(** Highest-priority member accepted by [accept] — ties broken toward
-    the smallest node id — removed from the queue and returned.
-    Rejected members stay queued.  [accept] must be pure. *)
-val pop_best : t -> accept:(int -> bool) -> int option
+(** The first member in (priority desc, id asc) order that [accept]
+    takes, removed from the queue and returned; [-1] when [accept]
+    rejects every member.  Rejected members stay queued, untouched.
+    [accept] must be pure.  Allocates nothing. *)
+val pop_best : t -> accept:(int -> bool) -> int

@@ -9,24 +9,22 @@
     neighbor ids, edge weights — exactly like METIS's [xadj]/[adjncy]/
     [adjwgt].  Each row is sorted by neighbor id and contains no
     duplicates; the structure is symmetric (every edge appears in both
-    endpoint rows with the same weight). *)
+    endpoint rows with the same weight).  The record is [Csr.t], which
+    only this library can see. *)
 
-type t = {
+type t = Csr.t = {
   n : int;
-  ncon : int;  (** number of node-weight constraints *)
-  vwgt : int array array;  (** [vwgt.(v).(c)] = weight of [v] under [c] *)
-  xadj : int array;  (** length [n + 1]; row [v] is [xadj.(v) .. xadj.(v+1) - 1] *)
-  adjncy : int array;  (** neighbor ids, sorted within each row *)
-  adjwgt : int array;  (** edge weights, parallel to [adjncy] *)
+  ncon : int;
+  vwgt : int array;
+  xadj : int array;
+  adjncy : int array;
+  adjwgt : int array;
 }
 
 let num_nodes g = g.n
 let num_constraints g = g.ncon
-let node_weight g v c = g.vwgt.(v).(c)
+let node_weight g v c = g.vwgt.((v * g.ncon) + c)
 let degree g v = g.xadj.(v + 1) - g.xadj.(v)
-let adj_offsets g = g.xadj
-let adj_targets g = g.adjncy
-let adj_weights g = g.adjwgt
 
 let iter_neighbors g v f =
   for i = g.xadj.(v) to g.xadj.(v + 1) - 1 do
@@ -44,38 +42,29 @@ let neighbors g v =
 let total_weight g c =
   let s = ref 0 in
   for v = 0 to g.n - 1 do
-    s := !s + g.vwgt.(v).(c)
+    s := !s + g.vwgt.((v * g.ncon) + c)
   done;
   !s
 
 let num_edges g = Array.length g.adjncy / 2
 
-(** Sum of incident edge weights of the heaviest node — the gain range
-    of an FM refinement pass. *)
-let max_weighted_degree g =
-  let best = ref 0 in
-  for v = 0 to g.n - 1 do
-    let s = ref 0 in
-    for i = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-      s := !s + g.adjwgt.(i)
-    done;
-    if !s > !best then best := !s
-  done;
-  !best
-
-(* sort one CSR row (ids and weights in lockstep) by neighbor id;
-   insertion sort — rows are short and often already sorted *)
-let sort_row adjncy adjwgt lo hi =
-  for i = lo + 1 to hi - 1 do
-    let id = adjncy.(i) and w = adjwgt.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && adjncy.(!j) > id do
-      adjncy.(!j + 1) <- adjncy.(!j);
-      adjwgt.(!j + 1) <- adjwgt.(!j);
-      decr j
-    done;
-    adjncy.(!j + 1) <- id;
-    adjwgt.(!j + 1) <- w
+(* Sorted rows without sorting: [src_adj]/[src_wgt] hold symmetric,
+   duplicate-free rows in any order, at the offsets [xadj].  Visiting
+   the source rows [v] in increasing order and appending [v], with the
+   edge's weight, to the row of each of its neighbours fills every
+   destination row in increasing id order.  Symmetry makes the
+   transposed rows the same sets with the same lengths, so [xadj] is
+   also the destination's offsets.  [fill] is scratch of length [n]. *)
+let transpose ~n ~xadj ~src_adj ~src_wgt ~dst_adj ~dst_wgt ~fill =
+  Array.blit xadj 0 fill 0 n;
+  for v = 0 to n - 1 do
+    for i = xadj.(v) to xadj.(v + 1) - 1 do
+      let u = src_adj.(i) in
+      let k = fill.(u) in
+      dst_adj.(k) <- v;
+      dst_wgt.(k) <- src_wgt.(i);
+      fill.(u) <- k + 1
+    done
   done
 
 (** Build a graph.  [edges] are (u, v, w) triples with [u <> v]; parallel
@@ -111,22 +100,23 @@ let create ~ncon ~weights ~edges =
     xadj.(v) <- xadj.(v) + xadj.(v - 1)
   done;
   let m2 = xadj.(n) in
-  let adjncy = Array.make m2 0 and adjwgt = Array.make m2 0 in
-  let fill = Array.make n 0 in
+  let src_adj = Array.make m2 0 and src_wgt = Array.make m2 0 in
+  let fill = Array.sub xadj 0 n in
   Hashtbl.iter
     (fun (u, v) w ->
-      let iu = xadj.(u) + fill.(u) and iv = xadj.(v) + fill.(v) in
-      adjncy.(iu) <- v;
-      adjwgt.(iu) <- w;
-      adjncy.(iv) <- u;
-      adjwgt.(iv) <- w;
-      fill.(u) <- fill.(u) + 1;
-      fill.(v) <- fill.(v) + 1)
+      let iu = fill.(u) and iv = fill.(v) in
+      src_adj.(iu) <- v;
+      src_wgt.(iu) <- w;
+      src_adj.(iv) <- u;
+      src_wgt.(iv) <- w;
+      fill.(u) <- iu + 1;
+      fill.(v) <- iv + 1)
     tbl;
-  for v = 0 to n - 1 do
-    sort_row adjncy adjwgt xadj.(v) xadj.(v + 1)
-  done;
-  { n; ncon; vwgt = Array.map Array.copy weights; xadj; adjncy; adjwgt }
+  let adjncy = Array.make m2 0 and adjwgt = Array.make m2 0 in
+  transpose ~n ~xadj ~src_adj ~src_wgt ~dst_adj:adjncy ~dst_wgt:adjwgt ~fill;
+  let vwgt = Array.make (n * ncon) 0 in
+  Array.iteri (fun v w -> Array.blit w 0 vwgt (v * ncon) ncon) weights;
+  { n; ncon; vwgt; xadj; adjncy; adjwgt }
 
 (** Weight of edges crossing the partition. *)
 let edge_cut g (part : int array) =
@@ -144,7 +134,7 @@ let edge_cut g (part : int array) =
 let part_weights g (part : int array) ~nparts c =
   let w = Array.make nparts 0 in
   for v = 0 to g.n - 1 do
-    w.(part.(v)) <- w.(part.(v)) + g.vwgt.(v).(c)
+    w.(part.(v)) <- w.(part.(v)) + g.vwgt.((v * g.ncon) + c)
   done;
   w
 
@@ -152,68 +142,87 @@ let part_weights g (part : int array) ~nparts c =
 (* Derived graphs, built straight into CSR (no intermediate edge lists
    or per-level Hashtbl dedup — the coarsening hot path).              *)
 
+type scratch = {
+  members : int array;  (** fine nodes grouped by coarse node *)
+  first : int array;  (** coarse node -> first index in [members] *)
+  mark : int array;
+      (** coarse neighbor -> its slot in the row being built; first the
+          fill pointers of the member sort, last those of the transpose *)
+  row_adj : int array;  (** merged coarse rows, unsorted *)
+  row_wgt : int array;
+}
+
+let scratch g =
+  let m2 = Array.length g.adjncy in
+  {
+    members = Array.make g.n 0;
+    first = Array.make (g.n + 1) 0;
+    mark = Array.make g.n 0;
+    row_adj = Array.make m2 0;
+    row_wgt = Array.make m2 0;
+  }
+
 (** Contract [g] along a node map: [coarse_of.(v)] is the coarse node of
     every fine [v], with ids in [0 .. num_coarse - 1].  Node weights are
     summed per coarse node; parallel fine edges between two coarse nodes
-    merge by summing weights; intra-coarse-node edges vanish. *)
-let contract g ~(coarse_of : int array) ~num_coarse =
+    merge by summing weights; intra-coarse-node edges vanish.  One pass
+    merges each coarse node's fine rows into an unsorted coarse row, and
+    [transpose] sorts them into the result. *)
+let contract ~scratch:s g ~(coarse_of : int array) ~num_coarse =
   let cn = num_coarse in
+  if
+    Array.length s.members < g.n
+    || Array.length s.row_adj < Array.length g.adjncy
+  then invalid_arg "Graph.contract: scratch smaller than the graph";
   (* coarse -> fine members, by counting sort (keeps fine order) *)
-  let cnt = Array.make (cn + 1) 0 in
+  let first = s.first and members = s.members and mark = s.mark in
+  Array.fill first 0 (cn + 1) 0;
   for v = 0 to g.n - 1 do
-    cnt.(coarse_of.(v) + 1) <- cnt.(coarse_of.(v) + 1) + 1
+    first.(coarse_of.(v) + 1) <- first.(coarse_of.(v) + 1) + 1
   done;
   for cv = 1 to cn do
-    cnt.(cv) <- cnt.(cv) + cnt.(cv - 1)
+    first.(cv) <- first.(cv) + first.(cv - 1)
   done;
-  let members = Array.make g.n 0 in
-  let fill = Array.copy cnt in
+  let fill = mark in
+  Array.blit first 0 fill 0 cn;
+  let vwgt = Array.make (cn * g.ncon) 0 in
   for v = 0 to g.n - 1 do
     let cv = coarse_of.(v) in
     members.(fill.(cv)) <- v;
-    fill.(cv) <- fill.(cv) + 1
-  done;
-  let weights = Array.init cn (fun _ -> Array.make g.ncon 0) in
-  for v = 0 to g.n - 1 do
-    let cv = coarse_of.(v) in
+    fill.(cv) <- fill.(cv) + 1;
     for c = 0 to g.ncon - 1 do
-      weights.(cv).(c) <- weights.(cv).(c) + g.vwgt.(v).(c)
+      let i = (cv * g.ncon) + c in
+      vwgt.(i) <- vwgt.(i) + g.vwgt.((v * g.ncon) + c)
     done
   done;
-  (* coarse adjacency: one dense marker array reused across rows *)
   let xadj = Array.make (cn + 1) 0 in
-  let cap = Array.length g.adjncy in
-  let adjncy = Array.make cap 0 and adjwgt = Array.make cap 0 in
-  let mark = Array.make cn (-1) in
+  let row_adj = s.row_adj and row_wgt = s.row_wgt in
+  Array.fill mark 0 cn (-1);
   let pos = ref 0 in
   for cv = 0 to cn - 1 do
     let start = !pos in
-    for k = cnt.(cv) to cnt.(cv + 1) - 1 do
+    for k = first.(cv) to first.(cv + 1) - 1 do
       let v = members.(k) in
       for i = g.xadj.(v) to g.xadj.(v + 1) - 1 do
         let cu = coarse_of.(g.adjncy.(i)) in
-        if cu <> cv then
-          if mark.(cu) >= start && adjncy.(mark.(cu)) = cu then
-            adjwgt.(mark.(cu)) <- adjwgt.(mark.(cu)) + g.adjwgt.(i)
+        if cu <> cv then begin
+          let m = mark.(cu) in
+          if m >= start then row_wgt.(m) <- row_wgt.(m) + g.adjwgt.(i)
           else begin
             mark.(cu) <- !pos;
-            adjncy.(!pos) <- cu;
-            adjwgt.(!pos) <- g.adjwgt.(i);
+            row_adj.(!pos) <- cu;
+            row_wgt.(!pos) <- g.adjwgt.(i);
             incr pos
           end
+        end
       done
     done;
-    sort_row adjncy adjwgt start !pos;
     xadj.(cv + 1) <- !pos
   done;
-  {
-    n = cn;
-    ncon = g.ncon;
-    vwgt = weights;
-    xadj;
-    adjncy = Array.sub adjncy 0 !pos;
-    adjwgt = Array.sub adjwgt 0 !pos;
-  }
+  let adjncy = Array.make !pos 0 and adjwgt = Array.make !pos 0 in
+  transpose ~n:cn ~xadj ~src_adj:row_adj ~src_wgt:row_wgt ~dst_adj:adjncy
+    ~dst_wgt:adjwgt ~fill:mark;
+  { n = cn; ncon = g.ncon; vwgt; xadj; adjncy; adjwgt }
 
 (** Induced subgraph on [ids] (strictly increasing fine node ids); node
     [i] of the result is [ids.(i)].  Edges to nodes outside [ids] are
@@ -228,35 +237,38 @@ let induce g (ids : int array) =
   let index_of = Array.make g.n (-1) in
   Array.iteri (fun i v -> index_of.(v) <- i) ids;
   let xadj = Array.make (k + 1) 0 in
-  Array.iteri
-    (fun i v ->
-      let d = ref 0 in
-      for j = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-        if index_of.(g.adjncy.(j)) >= 0 then incr d
-      done;
-      xadj.(i + 1) <- xadj.(i) + !d)
-    ids;
+  for i = 0 to k - 1 do
+    let v = ids.(i) in
+    let d = ref 0 in
+    for j = g.xadj.(v) to g.xadj.(v + 1) - 1 do
+      if index_of.(g.adjncy.(j)) >= 0 then incr d
+    done;
+    xadj.(i + 1) <- xadj.(i) + !d
+  done;
   let m2 = xadj.(k) in
   let adjncy = Array.make m2 0 and adjwgt = Array.make m2 0 in
-  Array.iteri
-    (fun i v ->
-      let p = ref xadj.(i) in
-      (* fine rows are sorted and [ids] is increasing, so induced rows
-         stay sorted *)
-      for j = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-        let u = index_of.(g.adjncy.(j)) in
-        if u >= 0 then begin
-          adjncy.(!p) <- u;
-          adjwgt.(!p) <- g.adjwgt.(j);
-          incr p
-        end
-      done)
-    ids;
-  let weights = Array.map (fun v -> Array.copy g.vwgt.(v)) ids in
-  { n = k; ncon = g.ncon; vwgt = weights; xadj; adjncy; adjwgt }
+  let vwgt = Array.make (k * g.ncon) 0 in
+  for i = 0 to k - 1 do
+    let v = ids.(i) in
+    let p = ref xadj.(i) in
+    (* fine rows are sorted and [ids] is increasing, so induced rows
+       stay sorted *)
+    for j = g.xadj.(v) to g.xadj.(v + 1) - 1 do
+      let u = index_of.(g.adjncy.(j)) in
+      if u >= 0 then begin
+        adjncy.(!p) <- u;
+        adjwgt.(!p) <- g.adjwgt.(j);
+        incr p
+      end
+    done;
+    Array.blit g.vwgt (v * g.ncon) vwgt (i * g.ncon) g.ncon
+  done;
+  { n = k; ncon = g.ncon; vwgt; xadj; adjncy; adjwgt }
 
-(* [relabel g perm]: node [perm.(i)] of [g] becomes node [i].  Rows are
-   re-sorted so the CSR invariant (sorted adjacency) is preserved. *)
+(* [relabel g perm]: node [perm.(i)] of [g] becomes node [i].  The
+   relabelled rows are written transposed (as in [transpose]): visiting
+   new ids in increasing order appends each to its neighbors' rows, which
+   come out sorted. *)
 let relabel g (perm : int array) =
   let n = g.n in
   if Array.length perm <> n then
@@ -269,29 +281,26 @@ let relabel g (perm : int array) =
       index_of.(v) <- i)
     perm;
   let xadj = Array.make (n + 1) 0 in
+  let vwgt = Array.make (n * g.ncon) 0 in
   for i = 0 to n - 1 do
     let v = perm.(i) in
-    xadj.(i + 1) <- xadj.(i) + (g.xadj.(v + 1) - g.xadj.(v))
+    xadj.(i + 1) <- xadj.(i) + (g.xadj.(v + 1) - g.xadj.(v));
+    Array.blit g.vwgt (v * g.ncon) vwgt (i * g.ncon) g.ncon
   done;
   let m = xadj.(n) in
   let adjncy = Array.make m 0 and adjwgt = Array.make m 0 in
-  for i = 0 to n - 1 do
-    let v = perm.(i) in
-    let deg = g.xadj.(v + 1) - g.xadj.(v) in
-    let row =
-      Array.init deg (fun k ->
-          let j = g.xadj.(v) + k in
-          (index_of.(g.adjncy.(j)), g.adjwgt.(j)))
-    in
-    Array.sort compare row;
-    Array.iteri
-      (fun k (u, w) ->
-        adjncy.(xadj.(i) + k) <- u;
-        adjwgt.(xadj.(i) + k) <- w)
-      row
+  let fill = Array.sub xadj 0 n in
+  for j = 0 to n - 1 do
+    let v = perm.(j) in
+    for k = g.xadj.(v) to g.xadj.(v + 1) - 1 do
+      let i = index_of.(g.adjncy.(k)) in
+      let p = fill.(i) in
+      adjncy.(p) <- j;
+      adjwgt.(p) <- g.adjwgt.(k);
+      fill.(i) <- p + 1
+    done
   done;
-  let weights = Array.map (fun v -> Array.copy g.vwgt.(v)) perm in
-  { n; ncon = g.ncon; vwgt = weights; xadj; adjncy; adjwgt }
+  { n; ncon = g.ncon; vwgt; xadj; adjncy; adjwgt }
 
 let pp ppf g =
   Fmt.pf ppf "@[<v>graph: %d nodes, %d edges, %d constraint(s)@]" g.n

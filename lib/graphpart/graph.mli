@@ -4,10 +4,13 @@
 
     Internally stored as CSR (compressed sparse row): three flat
     [int array]s of offsets, neighbor ids and edge weights, like METIS's
-    [xadj]/[adjncy]/[adjwgt].  Rows are sorted by neighbor id, hold no
-    duplicates, and the structure is symmetric. *)
+    [xadj]/[adjncy]/[adjwgt], and one flat [n * ncon] array of node
+    weights.  Rows are sorted by neighbor id, hold no duplicates, and the
+    structure is symmetric.  Those arrays are private to this library:
+    the partitioner's hot loops read them through [Csr], and no caller
+    outside it can reach, or mutate, a graph's storage. *)
 
-type t
+type t = private Csr.t
 
 val num_nodes : t -> int
 val num_constraints : t -> int
@@ -23,25 +26,11 @@ val degree : t -> int -> int
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
 (** Neighbors of a node with edge weights, ascending by id; symmetric.
-    Allocates a fresh list — hot paths should use [iter_neighbors] or
-    the raw CSR arrays. *)
+    Allocates a fresh list — hot paths should use [iter_neighbors]. *)
 val neighbors : t -> int -> (int * int) list
-
-(** Raw CSR arrays — [adj_offsets g] has length [num_nodes g + 1]; row
-    [v] of [adj_targets]/[adj_weights] spans indices
-    [adj_offsets.(v) .. adj_offsets.(v+1) - 1].  The returned arrays are
-    the graph's own storage: callers must not mutate them. *)
-val adj_offsets : t -> int array
-
-val adj_targets : t -> int array
-val adj_weights : t -> int array
 
 val total_weight : t -> int -> int
 val num_edges : t -> int
-
-(** Sum of incident edge weights of the heaviest node (the FM gain
-    range). *)
-val max_weighted_degree : t -> int
 
 (** Build a graph from per-node weight vectors (all of length [ncon])
     and [(u, v, w)] edges.  Parallel edges are merged by summing their
@@ -55,11 +44,21 @@ val edge_cut : t -> int array -> int
 (** Per-part weight sums under one constraint. *)
 val part_weights : t -> int array -> nparts:int -> int -> int array
 
-(** [contract g ~coarse_of ~num_coarse] merges nodes mapping to the same
-    coarse id ([0 .. num_coarse - 1]): node weights sum, parallel edges
-    merge, intra-coarse edges vanish.  Builds CSR directly — the
-    coarsening hot path. *)
-val contract : t -> coarse_of:int array -> num_coarse:int -> t
+(** Reusable working storage for [contract]. *)
+type scratch
+
+(** [scratch g] serves [contract] on [g] and on any graph with no more
+    nodes and edges than [g] — every level of [g]'s coarsening. *)
+val scratch : t -> scratch
+
+(** [contract ~scratch g ~coarse_of ~num_coarse] merges nodes mapping to
+    the same coarse id ([0 .. num_coarse - 1]): node weights sum,
+    parallel edges merge, intra-coarse edges vanish.  Builds CSR
+    directly — the coarsening hot path: one pass merges each coarse
+    node's fine rows, one transpose sorts them.  Raises
+    [Invalid_argument] if [scratch] is too small for [g]. *)
+val contract :
+  scratch:scratch -> t -> coarse_of:int array -> num_coarse:int -> t
 
 (** [induce g ids] is the subgraph on [ids] (strictly increasing node
     ids); node [i] of the result is [ids.(i)]. *)

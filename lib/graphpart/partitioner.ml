@@ -7,11 +7,15 @@
     the total.  K-way partitioning (for the cluster-count ablation) is
     recursive bisection, powers of two only.
 
-    The hot paths run on the CSR arrays of [Graph] directly: coarsening
+    The hot paths run on the CSR arrays of [Graph] directly, through
+    its library-private representation [Csr]: coarsening
     contracts into CSR with no intermediate edge lists ([Graph.contract]),
-    FM keeps its candidates in a gain bucket / heap ([Gain_pq]) with
-    incremental gain and cut maintenance instead of whole-graph rescans,
-    and greedy growing keeps its frontier in the same structure.
+    FM keeps its candidates in a heap ([Gain_pq]) filled once per call,
+    with incremental gain, cut and balance maintenance instead of
+    whole-graph rescans, and greedy growing keeps its frontier in the
+    same structure.  Their scratch lives in a [workspace] that each
+    multilevel start owns and reuses across its levels, tries, passes and
+    V-cycles.
 
     All randomness is seeded; results are deterministic for a given
     [seed]. *)
@@ -61,7 +65,8 @@ let default_config ~ncon =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Balance bookkeeping                                                 *)
+(* Balance bookkeeping: per-(constraint, part) arrays, flat, with
+   [(2 * c) + part] the slot of [part] under constraint [c]            *)
 
 let share (cfg : config) c part =
   match cfg.targets with
@@ -70,30 +75,98 @@ let share (cfg : config) c part =
       let s = Float.max 0.05 (Float.min 0.95 t.(c)) in
       if part = 0 then s else 1. -. s
 
-(** [caps.(c).(part)]: max allowed weight of [part] under constraint
-    [c]. *)
-let caps (g : Graph.t) (cfg : config) =
-  Array.init (Graph.num_constraints g) (fun c ->
-      let total = Graph.total_weight g c in
-      Array.init 2 (fun part ->
-          let s = share cfg c part in
-          let lim =
-            int_of_float (ceil ((1. +. cfg.imbalance.(c)) *. s *. float total))
-          in
-          (* never tighter than a perfect split would need *)
-          max lim (int_of_float (ceil (s *. float total)))))
+(** Fill [caps] with the max allowed weight of each part under each
+    constraint, given the part weights [pw] of any bisection. *)
+let fill_caps caps (cfg : config) ~ncon pw =
+  for c = 0 to ncon - 1 do
+    let total = float (pw.(2 * c) + pw.((2 * c) + 1)) in
+    for part = 0 to 1 do
+      let s = share cfg c part in
+      let lim = int_of_float (ceil ((1. +. cfg.imbalance.(c)) *. s *. total)) in
+      (* never tighter than a perfect split would need *)
+      caps.((2 * c) + part) <- max lim (int_of_float (ceil (s *. total)))
+    done
+  done
 
-(** How much the partition violates the caps (0 when feasible). *)
-let infeasibility ~caps (pw : int array array) =
-  let v = ref 0 in
-  Array.iteri
-    (fun c per_part ->
-      Array.iteri
-        (fun part cap ->
-          if pw.(c).(part) > cap then v := !v + (pw.(c).(part) - cap))
-        per_part)
-    caps;
-  !v
+(** Fill [pw] with the weight of each part under each constraint. *)
+let fill_part_weights pw (g : Graph.t) (part : int array) =
+  let { Csr.ncon; vwgt; _ } = (g :> Csr.t) in
+  Array.fill pw 0 (2 * ncon) 0;
+  for v = 0 to Graph.num_nodes g - 1 do
+    let p = part.(v) in
+    for c = 0 to ncon - 1 do
+      let i = (2 * c) + p in
+      pw.(i) <- pw.(i) + vwgt.((v * ncon) + c)
+    done
+  done
+
+(** How much the part weights violate the caps (0 when feasible). *)
+let infeasibility ~ncon ~caps pw =
+  let over = ref 0 in
+  for i = 0 to (2 * ncon) - 1 do
+    if pw.(i) > caps.(i) then over := !over + (pw.(i) - caps.(i))
+  done;
+  !over
+
+(** (infeasibility, cut) of a bisection under [cfg] — lexicographically
+    smaller is better. *)
+let evaluate cfg g part =
+  let ncon = Graph.num_constraints g in
+  let caps = Array.make (2 * ncon) 0 and pw = Array.make (2 * ncon) 0 in
+  fill_part_weights pw g part;
+  fill_caps caps cfg ~ncon pw;
+  (infeasibility ~ncon ~caps pw, Graph.edge_cut g part)
+
+(* ------------------------------------------------------------------ *)
+(* Workspaces                                                          *)
+
+(** What one FM refinement needs, for graphs of up to [n] nodes: gains,
+    the move stack, the candidate queue and the balance arrays. *)
+type fm_scratch = {
+  gain : int array;
+  moves : int array;
+  pq : Gain_pq.t;  (** empty between refinements *)
+  caps : int array;
+  pw : int array;
+}
+
+let fm_scratch (g : Graph.t) =
+  let n = Graph.num_nodes g and ncon = Graph.num_constraints g in
+  {
+    gain = Array.make n 0;
+    moves = Array.make n 0;
+    pq = Gain_pq.create ~n;
+    caps = Array.make (2 * ncon) 0;
+    pw = Array.make (2 * ncon) 0;
+  }
+
+(** Scratch of one multilevel start — a [Par] task — sized to its graph
+    and reused across its coarsening levels, initial tries, FM passes
+    and V-cycles: every coarser graph is smaller.  Each task creates its
+    own, so tasks running on different domains share no scratch and the
+    result cannot depend on the pool. *)
+type workspace = {
+  fm : fm_scratch;
+  keys : int array;  (** matching tie-break keys *)
+  matched : int array;
+  pref : int array;  (** each node's current matching proposal *)
+  active : int array;  (** nodes still proposing *)
+  cw : int array;  (** coarse-node weights, [n * ncon] *)
+  contract : Graph.scratch;
+}
+
+let workspace (g : Graph.t) =
+  let n = Graph.num_nodes g in
+  let ints () = Array.make n 0 in
+  {
+    fm = fm_scratch g;
+    keys = ints ();
+    matched = ints ();
+    pref = ints ();
+    active = ints ();
+    cw = Array.make (n * Graph.num_constraints g) 0;
+    contract = Graph.scratch g;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Coarsening                                                          *)
@@ -126,39 +199,41 @@ type level = {
     cluster of its heaviest matched neighbor under a weight cap, so
     star-shaped regions contract in one level instead of one leaf per
     level. *)
-let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
+let coarsen_level ws pool ?(part : int array option) rng (g : Graph.t) :
     (Graph.t * int array) option =
   let n = Graph.num_nodes g in
-  let keys = Array.make n 0 in
+  let keys = ws.keys in
   for v = 0 to n - 1 do
     keys.(v) <- Random.State.bits rng
   done;
-  let xadj = Graph.adj_offsets g
-  and adjncy = Graph.adj_targets g
-  and adjwgt = Graph.adj_weights g in
+  let { Csr.xadj; adjncy; adjwgt; _ } = (g :> Csr.t) in
   let same_part =
     match part with
     | None -> fun _ _ -> true
     | Some p -> fun u v -> p.(u) = p.(v)
   in
-  let matched = Array.make n (-1) in
-  let pref = Array.make n (-1) in
+  let matched = ws.matched and pref = ws.pref in
+  Array.fill matched 0 n (-1);
+  Array.fill pref 0 n (-1);
   (* The fixpoint of mutual-best matching does not depend on which
      nodes are rescanned when, so each round only revisits the frontier
      of still-unmatched nodes that had a live candidate last time —
      total work stays near-linear instead of paying a full-graph scan
      per round.  A node whose candidate set ever empties can be dropped
      for good: matching only removes candidates. *)
-  let active = ref (Array.init n Fun.id) in
+  let active = ws.active in
+  for v = 0 to n - 1 do
+    active.(v) <- v
+  done;
+  let na = ref n in
   let progress = ref true in
   let rounds = ref 0 in
-  while !progress && Array.length !active > 0 && !rounds < 64 do
+  while !progress && !na > 0 && !rounds < 64 do
     incr rounds;
-    let act = !active in
-    let na = Array.length act in
-    Par.parallel_chunks pool ~n:na (fun lo hi ->
+    let nact = !na in
+    Par.parallel_chunks pool ~n:nact (fun lo hi ->
         for i = lo to hi - 1 do
-          let v = act.(i) in
+          let v = active.(i) in
           (* the candidate order (weight, key, id) is static and
              candidates only ever disappear, so a cached best that is
              still unmatched is still the best — only rescan when the
@@ -184,9 +259,9 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
           end
         done);
     let made = Atomic.make false in
-    Par.parallel_chunks pool ~n:na (fun lo hi ->
+    Par.parallel_chunks pool ~n:nact (fun lo hi ->
         for i = lo to hi - 1 do
-          let v = act.(i) in
+          let v = active.(i) in
           let u = pref.(v) in
           if matched.(v) = -1 && u > v && pref.(u) = v && matched.(u) = -1
           then begin
@@ -197,20 +272,16 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
         done);
     progress := Atomic.get made;
     if !progress then begin
-      let keep = ref 0 in
-      Array.iter
-        (fun v -> if matched.(v) = -1 && pref.(v) <> -1 then incr keep)
-        act;
-      let next = Array.make !keep 0 in
+      (* compact in place: the write index never passes the read one *)
       let k = ref 0 in
-      Array.iter
-        (fun v ->
-          if matched.(v) = -1 && pref.(v) <> -1 then begin
-            next.(!k) <- v;
-            incr k
-          end)
-        act;
-      active := next
+      for i = 0 to nact - 1 do
+        let v = active.(i) in
+        if matched.(v) = -1 && pref.(v) <> -1 then begin
+          active.(!k) <- v;
+          incr k
+        end
+      done;
+      na := !k
     end
   done;
   (* Aggregation pass.  At the matching fixpoint every still-unmatched
@@ -224,8 +295,9 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
      function of the graph and the keys, so the parallel scan is
      chunk-invariant); proposals are applied below in a sequential
      index-order pass under a per-constraint cluster-weight cap, which
-     keeps coarse nodes small enough for a feasible bisection. *)
-  let agg = Array.make n (-1) in
+     keeps coarse nodes small enough for a feasible bisection.  The
+     proposals reuse [pref]'s slots: matching is done with it. *)
+  let agg = pref in
   Par.parallel_chunks pool ~n (fun lo hi ->
       for v = lo to hi - 1 do
         if matched.(v) = -1 then begin
@@ -265,7 +337,7 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
       end
     end
   done;
-  let ncon = Graph.num_constraints g in
+  let { Csr.ncon; vwgt; _ } = (g :> Csr.t) in
   (* cap each cluster at 40% of the total weight: big enough to swallow
      a whole star in one level (pairwise matching alone would build the
      same giant cluster, one leaf per level), small enough that a
@@ -273,12 +345,13 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
   let cap =
     Array.init ncon (fun c -> max 1 (2 * Graph.total_weight g c / 5))
   in
-  let cw = Array.make (!next * ncon) 0 in
+  let cw = ws.cw in
+  Array.fill cw 0 (!next * ncon) 0;
   for v = 0 to n - 1 do
     if coarse_of.(v) >= 0 then
       for c = 0 to ncon - 1 do
         let i = (coarse_of.(v) * ncon) + c in
-        cw.(i) <- cw.(i) + Graph.node_weight g v c
+        cw.(i) <- cw.(i) + vwgt.((v * ncon) + c)
       done
   done;
   for v = 0 to n - 1 do
@@ -286,14 +359,14 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
       let t = coarse_of.(agg.(v)) in
       let fits = ref true in
       for c = 0 to ncon - 1 do
-        if cw.((t * ncon) + c) + Graph.node_weight g v c > cap.(c) then
+        if cw.((t * ncon) + c) + vwgt.((v * ncon) + c) > cap.(c) then
           fits := false
       done;
       if !fits then begin
         coarse_of.(v) <- t;
         for c = 0 to ncon - 1 do
           let i = (t * ncon) + c in
-          cw.(i) <- cw.(i) + Graph.node_weight g v c
+          cw.(i) <- cw.(i) + vwgt.((v * ncon) + c)
         done
       end
       else begin
@@ -306,26 +379,30 @@ let coarsen_level pool ?(part : int array option) rng (g : Graph.t) :
   done;
   let cn = !next in
   if cn >= n then None
-  else Some (Graph.contract g ~coarse_of ~num_coarse:cn, coarse_of)
+  else
+    let cg = Graph.contract ~scratch:ws.contract g ~coarse_of ~num_coarse:cn in
+    Some (cg, coarse_of)
+
+(* span arguments are built only when telemetry records them *)
+let level_args lvl n =
+  if Telemetry.is_enabled () then
+    [ ("level", string_of_int lvl); ("nodes", string_of_int n) ]
+  else []
 
 (** Coarsen down to [cfg.coarsen_until] nodes; returns the levels from
     finest to coarsest (each with the map into the next), the coarsest
     graph, and — when [part] was given — [part] projected onto the
     coarsest graph (restricted coarsening keeps each coarse node inside
     one part, so the projection is well defined). *)
-let coarsen ?part pool rng cfg (g : Graph.t) :
+let coarsen ?part ws pool rng cfg (g : Graph.t) :
     level list * Graph.t * int array option =
   let rec go lvl acc g part =
     if Graph.num_nodes g <= cfg.coarsen_until then (List.rev acc, g, part)
     else
       match
         Telemetry.with_span "coarsen-level"
-          ~args:
-            [
-              ("level", string_of_int lvl);
-              ("nodes", string_of_int (Graph.num_nodes g));
-            ]
-          (fun () -> coarsen_level pool ?part rng g)
+          ~args:(level_args lvl (Graph.num_nodes g))
+          (fun () -> coarsen_level ws pool ?part rng g)
       with
       | None -> (List.rev acc, g, part)
       | Some (cg, map) ->
@@ -344,123 +421,109 @@ let coarsen ?part pool rng cfg (g : Graph.t) :
 (* ------------------------------------------------------------------ *)
 (* FM refinement                                                       *)
 
-(** Refine a bisection in place.  Classic gain-bucket FM with rollback:
-    repeatedly move the best-gain movable node out of the bucket
-    structure, lock it, update its neighbors' gains and the running cut
+(** Refine a bisection in place.  Classic FM with rollback: repeatedly
+    move the best-gain movable node out of the queue, lock it, update
+    its neighbors' gains, the running cut and the infeasibility
     incrementally, and finally keep the best prefix of the move sequence
     (considering feasibility first, then cut).  Repeated for up to
-    [passes] passes or until a pass yields no improvement. *)
-let fm_refine ?(passes = 4) (cfg : config) (g : Graph.t) (part : int array) :
-    unit =
+    [passes] passes or until a pass yields no improvement.
+
+    Gains are computed and queued once per call.  Rolling back moves
+    nodes like any other move, so the queued neighbours' gains stay
+    exact; after a pass only the nodes it moved (all locked, out of the
+    queue) go back in, which leaves the queue exactly as a fresh fill
+    would. *)
+let fm_refine_with (s : fm_scratch) ?(passes = 4) (cfg : config)
+    (g : Graph.t) (part : int array) : unit =
   let n = Graph.num_nodes g in
   let ncon = Graph.num_constraints g in
-  let caps = caps g cfg in
-  let pw =
-    Array.init ncon (fun c -> Graph.part_weights g part ~nparts:2 c)
-  in
-  let xadj = Graph.adj_offsets g
-  and adjncy = Graph.adj_targets g
-  and adjwgt = Graph.adj_weights g in
-  let max_gain = Graph.max_weighted_degree g in
-  let gain = Array.make n 0 in
-  (* the cut is maintained incrementally through every move (and
-     rollback move) instead of being recomputed per pass *)
-  let cut = ref (Graph.edge_cut g part) in
-  let compute_gain v =
-    let s = part.(v) in
+  let { Csr.xadj; adjncy; adjwgt; vwgt; _ } = (g :> Csr.t) in
+  let caps = s.caps and pw = s.pw and gain = s.gain and pq = s.pq in
+  fill_part_weights pw g part;
+  fill_caps caps cfg ~ncon pw;
+  (* every cut edge is external to both of its ends *)
+  let crossing = ref 0 in
+  for v = 0 to n - 1 do
+    let sv = part.(v) in
     let x = ref 0 in
     for i = xadj.(v) to xadj.(v + 1) - 1 do
       let w = adjwgt.(i) in
-      if part.(adjncy.(i)) = s then x := !x - w else x := !x + w
+      if part.(adjncy.(i)) = sv then x := !x - w
+      else begin
+        x := !x + w;
+        crossing := !crossing + w
+      end
     done;
     gain.(v) <- !x
-  in
-  (* [pq]: the pass's bucket structure; moved/locked nodes are out of it *)
-  let active_pq = ref None in
+  done;
+  Gain_pq.fill pq gain ~n;
+  let cut = ref (!crossing / 2) in
+  let inf = ref (infeasibility ~ncon ~caps pw) in
   let move v =
     cut := !cut - gain.(v);
-    let s = part.(v) in
-    part.(v) <- 1 - s;
+    let sv = part.(v) in
+    part.(v) <- 1 - sv;
     for c = 0 to ncon - 1 do
-      let w = Graph.node_weight g v c in
-      pw.(c).(s) <- pw.(c).(s) - w;
-      pw.(c).(1 - s) <- pw.(c).(1 - s) + w
+      let w = vwgt.((v * ncon) + c) in
+      pw.((2 * c) + sv) <- pw.((2 * c) + sv) - w;
+      pw.((2 * c) + 1 - sv) <- pw.((2 * c) + 1 - sv) + w
     done;
+    inf := infeasibility ~ncon ~caps pw;
     gain.(v) <- -gain.(v);
-    let pv = part.(v) in
+    let pv = 1 - sv in
     for i = xadj.(v) to xadj.(v + 1) - 1 do
       let u = adjncy.(i) and w = adjwgt.(i) in
       let gu =
         if part.(u) = pv then gain.(u) - (2 * w) else gain.(u) + (2 * w)
       in
       gain.(u) <- gu;
-      match !active_pq with
-      | Some pq when Gain_pq.mem pq u -> Gain_pq.update pq u ~prio:gu
-      | _ -> ()
+      if Gain_pq.mem pq u then Gain_pq.update pq u ~prio:gu
     done
   in
   (* moving v to the other side keeps (or strictly improves) balance *)
   let move_ok v =
-    let s = part.(v) in
-    let cur_inf = infeasibility ~caps pw in
-    let new_inf = ref 0 in
+    let sv = part.(v) in
+    let after = ref 0 in
     for c = 0 to ncon - 1 do
-      let w = Graph.node_weight g v c in
-      let a = pw.(c).(s) - w and b = pw.(c).(1 - s) + w in
-      if a > caps.(c).(s) then new_inf := !new_inf + (a - caps.(c).(s));
-      if b > caps.(c).(1 - s) then
-        new_inf := !new_inf + (b - caps.(c).(1 - s))
+      let w = vwgt.((v * ncon) + c) in
+      let from = (2 * c) + sv and into = (2 * c) + 1 - sv in
+      let a = pw.(from) - w and b = pw.(into) + w in
+      if a > caps.(from) then after := !after + (a - caps.(from));
+      if b > caps.(into) then after := !after + (b - caps.(into))
     done;
-    if cur_inf > 0 then !new_inf < cur_inf else !new_inf = 0
+    if !inf > 0 then !after < !inf else !after = 0
   in
+  let moves = s.moves in
   let pass () =
-    for v = 0 to n - 1 do
-      compute_gain v
+    let best_cut = ref !cut and best_inf = ref !inf in
+    let best_len = ref 0 and len = ref 0 in
+    let bad = ref 0 and improved = ref false and stuck = ref false in
+    while (not !stuck) && !bad < cfg.fm_max_bad_moves do
+      (* best-gain movable node; moved nodes left the queue = locked *)
+      let v = Gain_pq.pop_best pq ~accept:move_ok in
+      if v < 0 then stuck := true
+      else begin
+        move v;
+        moves.(!len) <- v;
+        incr len;
+        if !inf < !best_inf || (!inf = !best_inf && !cut < !best_cut) then begin
+          best_inf := !inf;
+          best_cut := !cut;
+          best_len := !len;
+          bad := 0;
+          improved := true
+        end
+        else incr bad
+      end
     done;
-    let pq = Gain_pq.create ~n ~max_prio:max_gain in
-    for v = 0 to n - 1 do
+    (* roll back to the best prefix, then unlock this pass's nodes *)
+    for k = !len - 1 downto !best_len do
+      move moves.(k)
+    done;
+    for k = 0 to !len - 1 do
+      let v = moves.(k) in
       Gain_pq.insert pq v ~prio:gain.(v)
     done;
-    active_pq := Some pq;
-    let moves = ref [] in
-    let best_cut = ref !cut in
-    let best_inf = ref (infeasibility ~caps pw) in
-    let best_len = ref 0 in
-    let len = ref 0 in
-    let bad = ref 0 in
-    let improved = ref false in
-    (try
-       while !bad < cfg.fm_max_bad_moves do
-         (* best-gain movable node; moved nodes left the queue = locked *)
-         match Gain_pq.pop_best pq ~accept:move_ok with
-         | None -> raise Exit
-         | Some v ->
-             move v;
-             moves := v :: !moves;
-             incr len;
-             let inf = infeasibility ~caps pw in
-             if inf < !best_inf || (inf = !best_inf && !cut < !best_cut)
-             then begin
-               best_inf := inf;
-               best_cut := !cut;
-               best_len := !len;
-               bad := 0;
-               improved := true
-             end
-             else incr bad
-       done
-     with Exit -> ());
-    active_pq := None;
-    (* roll back to the best prefix *)
-    let rec rollback k ms =
-      if k > 0 then
-        match ms with
-        | [] -> ()
-        | v :: rest ->
-            move v;
-            rollback (k - 1) rest
-    in
-    rollback (!len - !best_len) !moves;
     !improved
   in
   let continue_ = ref true in
@@ -469,31 +532,30 @@ let fm_refine ?(passes = 4) (cfg : config) (g : Graph.t) (part : int array) :
     Telemetry.incr "graphpart.fm_passes";
     continue_ := pass ();
     incr p
-  done
+  done;
+  Gain_pq.clear pq
+
+let fm_refine ?passes cfg g part =
+  fm_refine_with (fm_scratch g) ?passes cfg g part
 
 (* ------------------------------------------------------------------ *)
 (* Initial partition                                                   *)
 
-(** Greedy graph growing: grow part 1 from a random seed node by best
-    gain until half of constraint-0's weight has been captured.  The
-    frontier lives in a [Gain_pq] keyed by each node's connection weight
-    into part 1 (so picking the next node is O(1)-ish instead of a
-    whole-graph rescan). *)
-let grow_bisection rng cfg (g : Graph.t) : int array =
+(** Greedy graph growing into [part]: grow part 1 from a random seed
+    node by best gain until half of constraint-0's weight has been
+    captured.  The frontier lives in the (empty) queue [pq], keyed by
+    each node's connection weight into part 1, kept in [conn] (so
+    picking the next node is O(log n) instead of a whole-graph
+    rescan). *)
+let grow_bisection pq ~conn rng cfg (g : Graph.t) (part : int array) : unit =
   let n = Graph.num_nodes g in
-  let part = Array.make n 0 in
-  if n <= 1 then part
-  else begin
+  Array.fill part 0 n 0;
+  if n > 1 then begin
+    let { Csr.ncon; vwgt; xadj; adjncy; adjwgt; _ } = (g :> Csr.t) in
     let total0 = Graph.total_weight g 0 in
     let target = int_of_float (share cfg 0 1 *. float total0) in
     let seed = Random.State.int rng n in
-    let conn = Array.make n 0 in
-    (* nodes with no connection get a penalty so connected growth is
-       preferred, but isolated nodes can still be taken *)
-    let score v = if conn.(v) = 0 then -1 else conn.(v) in
-    let pq =
-      Gain_pq.create ~n ~max_prio:(max 1 (Graph.max_weighted_degree g))
-    in
+    Array.fill conn 0 n 0;
     for v = 0 to n - 1 do
       Gain_pq.insert pq v ~prio:(-1)
     done;
@@ -501,30 +563,25 @@ let grow_bisection rng cfg (g : Graph.t) : int array =
     let add v =
       part.(v) <- 1;
       Gain_pq.remove pq v;
-      grown := !grown + Graph.node_weight g v 0;
-      Graph.iter_neighbors g v (fun u w ->
-          if part.(u) = 0 then begin
-            conn.(u) <- conn.(u) + w;
-            Gain_pq.update pq u ~prio:(score u)
-          end)
+      grown := !grown + vwgt.(v * ncon);
+      for i = xadj.(v) to xadj.(v + 1) - 1 do
+        let u = adjncy.(i) in
+        if part.(u) = 0 then begin
+          conn.(u) <- conn.(u) + adjwgt.(i);
+          (* nodes with no connection get a penalty so connected growth
+             is preferred, but isolated nodes can still be taken *)
+          Gain_pq.update pq u ~prio:(if conn.(u) = 0 then -1 else conn.(u))
+        end
+      done
     in
     add seed;
     let continue_ = ref true in
     while !grown < target && !continue_ do
-      match Gain_pq.pop_best pq ~accept:(fun _ -> true) with
-      | Some v -> add v
-      | None -> continue_ := false
+      let v = Gain_pq.pop_best pq ~accept:(fun _ -> true) in
+      if v >= 0 then add v else continue_ := false
     done;
-    part
+    Gain_pq.clear pq
   end
-
-(** (infeasibility, cut) of a bisection under [cfg] — lexicographically
-    smaller is better; what [bisect] minimizes over its initial tries. *)
-let evaluate cfg g part =
-  let ncon = Graph.num_constraints g in
-  let pw = Array.init ncon (fun c -> Graph.part_weights g part ~nparts:2 c) in
-  let caps = caps g cfg in
-  (infeasibility ~caps pw, Graph.edge_cut g part)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -560,66 +617,64 @@ let validate_config (g : Graph.t) (cfg : config) =
                  t i))
         targets
 
-(* uncoarsen: project through the levels (finest first in [levels]) *)
-let project cfg (levels : level list) coarse_part =
-  match levels with
-  | [] -> coarse_part
-  | _ ->
-      (* walk from coarsest to finest: process the list in reverse *)
-      let rev = List.rev levels in
-      List.fold_left
-        (fun (lvl_idx, cpart) (lvl : level) ->
-          let n = Graph.num_nodes lvl.graph in
-          let fine =
-            Telemetry.with_span "refine-level"
-              ~args:
-                [
-                  ("level", string_of_int lvl_idx);
-                  ("nodes", string_of_int n);
-                ]
-              (fun () ->
-                let fine = Array.make n 0 in
-                for v = 0 to n - 1 do
-                  fine.(v) <- cpart.(lvl.coarse_of.(v))
-                done;
-                fm_refine cfg lvl.graph fine;
-                fine)
-          in
-          (lvl_idx + 1, fine))
-        (0, coarse_part) rev
-      |> snd
+(* uncoarsen: project through the levels (finest first in [levels]),
+   refining at each *)
+let project ws cfg (levels : level list) coarse_part =
+  let rec up lvl_idx cpart = function
+    | [] -> cpart
+    | (lvl : level) :: finer ->
+        let n = Graph.num_nodes lvl.graph in
+        let fine =
+          Telemetry.with_span "refine-level" ~args:(level_args lvl_idx n)
+            (fun () ->
+              let fine = Array.make n 0 in
+              for v = 0 to n - 1 do
+                fine.(v) <- cpart.(lvl.coarse_of.(v))
+              done;
+              fm_refine_with ws.fm cfg lvl.graph fine;
+              fine)
+        in
+        up (lvl_idx + 1) fine finer
+  in
+  up 0 coarse_part (List.rev levels)
 
 (* one full multilevel start: coarsen, several greedy growings + FM on
    the coarsest graph, project the best back up *)
-let one_start pool rng cfg g =
-  let levels, coarsest, _ = coarsen pool rng cfg g in
-  let part =
-    Telemetry.with_span "initial-partition"
-      ~args:[ ("nodes", string_of_int (Graph.num_nodes coarsest)) ]
-      (fun () ->
-        let best = ref None in
-        for _try = 1 to cfg.initial_tries do
-          let part = grow_bisection rng cfg coarsest in
-          fm_refine cfg coarsest part;
-          let score = evaluate cfg coarsest part in
-          match !best with
-          | Some (bscore, _) when compare bscore score <= 0 -> ()
-          | _ -> best := Some (score, Array.copy part)
-        done;
-        match !best with Some (_, p) -> p | None -> assert false)
+let one_start ws pool rng cfg g =
+  let levels, coarsest, _ = coarsen ws pool rng cfg g in
+  let nc = Graph.num_nodes coarsest in
+  let args =
+    if Telemetry.is_enabled () then [ ("nodes", string_of_int nc) ] else []
   in
-  project cfg levels part
+  let part =
+    Telemetry.with_span "initial-partition" ~args (fun () ->
+        let trial = Array.make nc 0 and best = Array.make nc 0 in
+        let conn = Array.make nc 0 in
+        let best_score = ref None in
+        for _try = 1 to cfg.initial_tries do
+          grow_bisection ws.fm.pq ~conn rng cfg coarsest trial;
+          fm_refine_with ws.fm cfg coarsest trial;
+          let score = evaluate cfg coarsest trial in
+          match !best_score with
+          | Some bscore when compare bscore score <= 0 -> ()
+          | _ ->
+              best_score := Some score;
+              Array.blit trial 0 best 0 nc
+        done;
+        best)
+  in
+  project ws cfg levels part
 
 (* restricted V-cycles: re-coarsen along the current partition and
    refine again from the coarsest level up.  Monotone in the
    (infeasibility, cut) order, so extra cycles can only help. *)
-let vcycles pool rng cfg g part =
+let vcycles ws pool rng cfg g part =
   let part = ref part in
   for _cycle = 1 to max 0 cfg.refine_cycles do
-    let levels, coarsest, cpart = coarsen ~part:!part pool rng cfg g in
+    let levels, coarsest, cpart = coarsen ~part:!part ws pool rng cfg g in
     let cpart = match cpart with Some p -> p | None -> !part in
-    fm_refine cfg coarsest cpart;
-    part := project cfg levels cpart
+    fm_refine_with ws.fm cfg coarsest cpart;
+    part := project ws cfg levels cpart
   done;
   !part
 
@@ -691,8 +746,9 @@ let bisect ?(config : config option) ?pool (g : Graph.t) : int array =
     let starts =
       Par.map pool ~n:nstarts (fun s ->
           let rng = Random.State.make [| cfg.seed; s |] in
-          let p0 = one_start pool rng cfg g in
-          let p = vcycles pool rng cfg g p0 in
+          let ws = workspace g in
+          let p0 = one_start ws pool rng cfg g in
+          let p = vcycles ws pool rng cfg g p0 in
           (evaluate cfg g p, p))
     in
     let best = ref 0 in

@@ -1,8 +1,8 @@
 (** Multilevel multi-constraint graph bisection (METIS stand-in):
     heavy-edge-matching coarsening, greedy-growing initial bisection,
-    gain-bucket Fiduccia-Mattheyses refinement with rollback at every
-    uncoarsening level.  Deterministic for a given seed.  See
-    [docs/partitioner.md] for the pipeline and complexity. *)
+    Fiduccia-Mattheyses refinement with rollback at every uncoarsening
+    level.  Deterministic for a given seed.  See [docs/partitioner.md]
+    for the pipeline and complexity. *)
 
 type config = {
   imbalance : float array;
@@ -47,8 +47,8 @@ val bisect : ?config:config -> ?pool:Par.pool -> Graph.t -> int array
 val kway : ?config:config -> ?pool:Par.pool -> Graph.t -> nparts:int -> int array
 
 (** One FM refinement stage on an existing bisection, in place: up to
-    [passes] gain-bucket passes with best-prefix rollback.  Never makes
-    the partition worse under the ([infeasibility], [cut]) lexicographic
+    [passes] FM passes with best-prefix rollback.  Never makes the
+    partition worse under the ([infeasibility], [cut]) lexicographic
     order.  Exposed for tests and benchmarks. *)
 val fm_refine : ?passes:int -> config -> Graph.t -> int array -> unit
 

@@ -261,6 +261,212 @@ let prop_fm_never_worsens =
       Array.for_all (fun p -> p = 0 || p = 1) part && after <= before)
     arbitrary_graph
 
+(* ------------------------------------------------------------------ *)
+(* Gain_pq against a sorted-list reference                             *)
+
+module Q = Graphpart.Gain_pq
+
+type pq_op =
+  | Insert of int * int
+  | Update of int * int
+  | Remove of int
+  | Pop of bool array  (** [accept v] is [mask.(v)] *)
+  | Fill of int array
+  | Clear
+
+let arbitrary_pq_ops =
+  let gen st =
+    let n = 1 + Random.State.int st 40 in
+    let prio () = Random.State.int st 11 - 5 (* a narrow range: many ties *) in
+    let op () =
+      match Random.State.int st 12 with
+      | 0 | 1 | 2 -> Insert (Random.State.int st n, prio ())
+      | 3 | 4 -> Update (Random.State.int st n, prio ())
+      | 5 -> Remove (Random.State.int st n)
+      | 6 -> Fill (Array.init n (fun _ -> prio ()))
+      | 7 -> Clear
+      | _ ->
+          (* from accept-all to reject-all *)
+          let reject = [| 0; 30; 70; 95; 100 |].(Random.State.int st 5) in
+          Pop (Array.init n (fun _ -> Random.State.int st 100 >= reject))
+    in
+    (n, List.init (Random.State.int st 150) (fun _ -> op ()))
+  in
+  QCheck.make
+    ~print:(fun (n, ops) -> Printf.sprintf "n=%d ops=%d" n (List.length ops))
+    gen
+
+(* the reference: members as a (node, prio) list; [pop_best] is the first
+   accepted member in (prio desc, id asc) order *)
+let prop_gain_pq_matches_reference =
+  Helpers.qcheck ~count:300
+    "Gain_pq: pop_best takes the first accepted member in (gain desc, id \
+     asc) order and leaves rejected members queued"
+    (fun (n, ops) ->
+      let q = Q.create ~n in
+      let model = ref [] in
+      let present v = List.mem_assoc v !model in
+      let step = function
+        | Insert (v, p) ->
+            if not (present v) then begin
+              Q.insert q v ~prio:p;
+              model := (v, p) :: !model
+            end;
+            true
+        | Update (v, p) ->
+            if present v then begin
+              Q.update q v ~prio:p;
+              model := (v, p) :: List.remove_assoc v !model
+            end;
+            true
+        | Remove v ->
+            Q.remove q v;
+            model := List.remove_assoc v !model;
+            true
+        | Fill prios ->
+            if !model = [] then begin
+              Q.fill q prios ~n;
+              model := List.init n (fun v -> (v, prios.(v)))
+            end;
+            true
+        | Clear ->
+            Q.clear q;
+            model := [];
+            true
+        | Pop mask ->
+            let order =
+              List.sort
+                (fun (a, pa) (b, pb) -> compare (-pa, a) (-pb, b))
+                !model
+            in
+            let expect =
+              match List.find_opt (fun (v, _) -> mask.(v)) order with
+              | Some (v, _) -> v
+              | None -> -1
+            in
+            model := List.remove_assoc expect !model;
+            Q.pop_best q ~accept:(fun v -> mask.(v)) = expect
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Q.cardinal q = List.length !model
+          && List.for_all (fun v -> Q.mem q v = present v) (List.init n Fun.id))
+        ops)
+    arbitrary_pq_ops
+
+(* ------------------------------------------------------------------ *)
+(* Derived graphs against the adjacency-list reference                 *)
+
+(* every node's weights and sorted neighbour list *)
+let graph_view g =
+  Array.init (G.num_nodes g) (fun v ->
+      ( Array.init (G.num_constraints g) (G.node_weight g v),
+        G.neighbors g v ))
+
+let rows_sorted g =
+  Array.for_all
+    (fun (_, row) ->
+      let ids = List.map fst row in
+      List.sort_uniq compare ids = ids)
+    (graph_view g)
+
+(* the reference model of an edge list after mapping its endpoints
+   through [f] (dropping edges [f] sends to [None] or to one node) *)
+let mapped_model ~n f edges =
+  let mapped =
+    List.filter_map
+      (fun (a, b, w) ->
+        match (f a, f b) with
+        | Some a', Some b' when a' <> b' -> Some (a', b', w)
+        | _ -> None)
+      edges
+  in
+  fst (reference_model n mapped)
+
+let prop_contract_matches_reference =
+  Helpers.qcheck ~count:100
+    "contract: rows sorted, merged and symmetric, node weights summed"
+    (fun (n, ncon, weights, edges) ->
+      let g = G.create ~ncon ~weights ~edges in
+      let st = Random.State.make [| n; List.length edges |] in
+      let cn = 1 + Random.State.int st n in
+      (* onto [0 .. cn-1]: the first [cn] nodes take every coarse id *)
+      let coarse_of =
+        Array.init n (fun v -> if v < cn then v else Random.State.int st cn)
+      in
+      let expect_w = Array.init cn (fun _ -> Array.make ncon 0) in
+      Array.iteri
+        (fun v cv ->
+          Array.iteri
+            (fun c w -> expect_w.(cv).(c) <- expect_w.(cv).(c) + w)
+            weights.(v))
+        coarse_of;
+      let expect_adj =
+        mapped_model ~n:cn (fun v -> Some coarse_of.(v)) edges
+      in
+      let expect = Array.init cn (fun cv -> (expect_w.(cv), expect_adj.(cv))) in
+      let scratch = G.scratch g in
+      let once = G.contract ~scratch g ~coarse_of ~num_coarse:cn in
+      (* a scratch reused after another contraction must not leak its
+         rows *)
+      ignore
+        (G.contract ~scratch g ~coarse_of:(Array.init n Fun.id) ~num_coarse:n);
+      let again = G.contract ~scratch g ~coarse_of ~num_coarse:cn in
+      G.num_nodes once = cn
+      && rows_sorted once
+      && graph_view once = expect
+      && graph_view again = expect)
+    arbitrary_graph
+
+let prop_induce_matches_reference =
+  Helpers.qcheck ~count:100
+    "induce: the subgraph on increasing ids, rows sorted, weights copied"
+    (fun (n, ncon, weights, edges) ->
+      let g = G.create ~ncon ~weights ~edges in
+      let st = Random.State.make [| n; List.length edges; 1 |] in
+      let ids =
+        List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id)
+        |> Array.of_list
+      in
+      let index_of = Array.make n (-1) in
+      Array.iteri (fun i v -> index_of.(v) <- i) ids;
+      let k = Array.length ids in
+      let expect_adj =
+        mapped_model ~n:k
+          (fun v -> if index_of.(v) >= 0 then Some index_of.(v) else None)
+          edges
+      in
+      let sub = G.induce g ids in
+      rows_sorted sub
+      && graph_view sub
+         = Array.init k (fun i -> (weights.(ids.(i)), expect_adj.(i))))
+    arbitrary_graph
+
+let prop_relabel_round_trip =
+  Helpers.qcheck ~count:100
+    "relabel: rows sorted, and relabelling by a permutation then its \
+     inverse gives back the graph"
+    (fun (n, ncon, weights, edges) ->
+      let g = G.create ~ncon ~weights ~edges in
+      let st = Random.State.make [| n; List.length edges; 2 |] in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let inverse = Array.make n 0 in
+      Array.iteri (fun i v -> inverse.(v) <- i) perm;
+      let rg = G.relabel g perm in
+      let expect_adj = mapped_model ~n (fun v -> Some inverse.(v)) edges in
+      rows_sorted rg
+      && graph_view rg
+         = Array.init n (fun i -> (weights.(perm.(i)), expect_adj.(i)))
+      && graph_view (G.relabel rg inverse) = graph_view g)
+    arbitrary_graph
+
 let suite =
   [
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
@@ -280,4 +486,8 @@ let suite =
     prop_deterministic;
     prop_csr_matches_reference;
     prop_fm_never_worsens;
+    prop_gain_pq_matches_reference;
+    prop_contract_matches_reference;
+    prop_induce_matches_reference;
+    prop_relabel_round_trip;
   ]

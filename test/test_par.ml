@@ -189,17 +189,27 @@ let prop_par_multi_seed_fm_deterministic =
               (par_bisect ~config:{ config with P.fm_seeds = 1 } ~domains:2 g))
     Test_graphpart.arbitrary_graph
 
+(* every bisection in the recursion runs its starts and FM seeds as pool
+   tasks, each with its own scratch: any scratch shared between tasks
+   would make the answer depend on the interleaving *)
 let prop_par_kway_domain_invariant =
-  Helpers.qcheck ~count:25 "parallel 4-way partition is domain-invariant"
+  Helpers.qcheck ~count:25
+    "parallel 4-way partition is domain-invariant, and 8-way, at 1, 2 and \
+     4 domains and under one worker"
     (fun (_, ncon, weights, edges) ->
       let g = G.create ~ncon ~weights ~edges in
-      let run domains =
-        Par.with_pool ~domains (fun pool -> P.kway ~pool g ~nparts:4)
-      in
-      let p2 = run 2 in
-      Array.for_all (fun p -> p >= 0 && p < 4) p2
-      && run 4 = p2
-      && P.kway g ~nparts:4 = p2)
+      List.for_all
+        (fun nparts ->
+          let inline = P.kway g ~nparts in
+          let run ?workers domains =
+            Par.with_pool ?workers ~domains (fun pool -> P.kway ~pool g ~nparts)
+          in
+          Array.for_all (fun p -> p >= 0 && p < nparts) inline
+          && run 1 = inline
+          && run 2 = inline
+          && run 4 = inline
+          && run ~workers:1 4 = inline)
+        [ 4; 8 ])
     Test_graphpart.arbitrary_graph
 
 (* ------------------------------------------------------------------ *)

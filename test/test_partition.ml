@@ -412,6 +412,153 @@ let test_method_names () =
   (* the legacy abbreviation is gone: only canonical names parse *)
   Alcotest.(check bool) "pm rejected" true (Result.is_error (Methods.of_string "pm"))
 
+(* ------------------------------------------------------------------ *)
+(* Pinned GDP partitions                                               *)
+
+(* Recorded from the graph partitioner before its allocation-free
+   rewrite: (benchmark, preset, GDP edge cut, digest of [part_of_unit])
+   for every suite benchmark on every machine preset.  The rewrite makes
+   the same moves, so every partition must stay bit-identical. *)
+let pinned_gdp =
+  [
+    ("rawcaudio", "paper", 1028, "f4b49ed4e80d99df");
+    ("rawdaudio", "paper", 2052, "8340d5b6f3f3650c");
+    ("g721enc", "paper", 804, "1e614a53ac8f3649");
+    ("g721dec", "paper", 804, "53f5e2be8e189f9a");
+    ("cjpeg", "paper", 1236, "9cd662297d96ded8");
+    ("djpeg", "paper", 1028, "1a4c6e467f6b4ccc");
+    ("mpeg2enc", "paper", 1759, "88630b8131c6e879");
+    ("mpeg2dec", "paper", 791, "d07349c4b11ddd12");
+    ("epic", "paper", 3245, "6a483a1df0d47352");
+    ("unepic", "paper", 5674, "101a1c159311cdde");
+    ("gsmenc", "paper", 1092, "444bfb3da93395ec");
+    ("gsmdec", "paper", 813, "a25b8809bbf25f48");
+    ("pegwit", "paper", 1419, "a3b59ab214e74d7c");
+    ("fir", "paper", 2408, "9597e2d1a9dd54b1");
+    ("fsed", "paper", 870, "1ca58885c9c165db");
+    ("sobel", "paper", 967, "987c46f735adf0fc");
+    ("viterbi", "paper", 25131, "477cf85636ffe8cf");
+    ("iirflt", "paper", 604, "7d03159585124705");
+    ("rawcaudio", "kway4", 2056, "8b279b87d4763d24");
+    ("rawdaudio", "kway4", 5180, "53c3cff1b18d2825");
+    ("g721enc", "kway4", 5014, "51695055ef605e77");
+    ("g721dec", "kway4", 2009, "a4f4d8919e9e87b6");
+    ("cjpeg", "kway4", 2339, "95a16e2574aa6067");
+    ("djpeg", "kway4", 3348, "a830729a717252ff");
+    ("mpeg2enc", "kway4", 6729, "0ce041473e35c37c");
+    ("mpeg2dec", "kway4", 2982, "fd3c96e9961c99fd");
+    ("epic", "kway4", 5959, "a6bcf0498740cac5");
+    ("unepic", "kway4", 10154, "4fc7deb61abce241");
+    ("gsmenc", "kway4", 2194, "8c197446773a1ad6");
+    ("gsmdec", "kway4", 1665, "dbf9ca9fbe88771e");
+    ("pegwit", "kway4", 4257, "928ecb7be1c2e384");
+    ("fir", "kway4", 27679, "501d994b5ab3df83");
+    ("fsed", "kway4", 2169, "7bb719d9f572518c");
+    ("sobel", "kway4", 14577, "e456c8a244bff1b0");
+    ("viterbi", "kway4", 25135, "4d097dc25b41a877");
+    ("iirflt", "kway4", 1529, "856d25236621275f");
+    ("rawcaudio", "ring8", 4647, "f8d1c7b8c2e30de1");
+    ("rawdaudio", "ring8", 10802, "426c2c9d3f7e9589");
+    ("g721enc", "ring8", 7041, "a1b213d2cca12ebd");
+    ("g721dec", "ring8", 4045, "9b89bdf5d20c12b4");
+    ("cjpeg", "ring8", 4095, "0b5ad17b0941fb5f");
+    ("djpeg", "ring8", 5172, "392769c610b7d39a");
+    ("mpeg2enc", "ring8", 12833, "33d9d007f7494449");
+    ("mpeg2dec", "ring8", 8088, "e29a2a42b7840320");
+    ("epic", "ring8", 16948, "188a22496a434d55");
+    ("unepic", "ring8", 14860, "369921ec7e43075f");
+    ("gsmenc", "ring8", 3273, "28e1d2bc1a1d3bbc");
+    ("gsmdec", "ring8", 11729, "2d6472039a71e938");
+    ("pegwit", "ring8", 8996, "833a8fcf67d2ebe3");
+    ("fir", "ring8", 39726, "2e586115a2bb291f");
+    ("fsed", "ring8", 7041, "dd3643bcc11e21af");
+    ("sobel", "ring8", 19174, "f08ffa2295eb777a");
+    ("viterbi", "ring8", 35624, "e893c66d74af7b68");
+    ("iirflt", "ring8", 3046, "d9b89f7cd50ab794");
+    ("rawcaudio", "mesh16", 6214, "02d6eb7333174d55");
+    ("rawdaudio", "mesh16", 12866, "b48a8319e882ec6f");
+    ("g721enc", "mesh16", 8860, "a91207e0b41b1514");
+    ("g721dec", "mesh16", 4847, "2f1c88899d83ce76");
+    ("cjpeg", "mesh16", 5734, "43005b56ccbd8344");
+    ("djpeg", "mesh16", 8716, "1973c880f77943cc");
+    ("mpeg2enc", "mesh16", 19988, "438c14d22dd47a36");
+    ("mpeg2dec", "mesh16", 14500, "854be35eb0a1e94c");
+    ("epic", "mesh16", 20743, "4553cb12ac70dcc0");
+    ("unepic", "mesh16", 18594, "2ad3216be48b04a0");
+    ("gsmenc", "mesh16", 19576, "020fd6d7b7c30e64");
+    ("gsmdec", "mesh16", 20597, "4c93007aaf61756f");
+    ("pegwit", "mesh16", 15188, "bf607ad644b00b11");
+    ("fir", "mesh16", 60172, "f8274b64e14762d8");
+    ("fsed", "mesh16", 13533, "9b46abbcb7d1c1fb");
+    ("sobel", "mesh16", 29051, "b8351dc1adf7658a");
+    ("viterbi", "mesh16", 66324, "ab0344985b00b5f2");
+    ("iirflt", "mesh16", 5458, "b3b1eade790c2b10");
+    ("rawcaudio", "hetero4", 2056, "8b279b87d4763d24");
+    ("rawdaudio", "hetero4", 5180, "53c3cff1b18d2825");
+    ("g721enc", "hetero4", 5014, "51695055ef605e77");
+    ("g721dec", "hetero4", 2009, "a4f4d8919e9e87b6");
+    ("cjpeg", "hetero4", 2339, "95a16e2574aa6067");
+    ("djpeg", "hetero4", 3348, "a830729a717252ff");
+    ("mpeg2enc", "hetero4", 6729, "0ce041473e35c37c");
+    ("mpeg2dec", "hetero4", 2982, "fd3c96e9961c99fd");
+    ("epic", "hetero4", 5959, "a6bcf0498740cac5");
+    ("unepic", "hetero4", 10154, "4fc7deb61abce241");
+    ("gsmenc", "hetero4", 2194, "8c197446773a1ad6");
+    ("gsmdec", "hetero4", 1665, "dbf9ca9fbe88771e");
+    ("pegwit", "hetero4", 4257, "928ecb7be1c2e384");
+    ("fir", "hetero4", 27679, "501d994b5ab3df83");
+    ("fsed", "hetero4", 2169, "7bb719d9f572518c");
+    ("sobel", "hetero4", 14577, "e456c8a244bff1b0");
+    ("viterbi", "hetero4", 25135, "4d097dc25b41a877");
+    ("iirflt", "hetero4", 1529, "856d25236621275f");
+  ]
+
+let gdp_facts () =
+  List.concat_map
+    (fun preset ->
+      let machine = Helpers.preset_machine preset in
+      List.map
+        (fun (bench : Benchsuite.Bench_intf.t) ->
+          let ctx =
+            Gdp_core.Pipeline.context ~machine
+              (Gdp_core.Pipeline.prepare_default bench)
+          in
+          let r =
+            Partition.Gdp.partition_objects ~machine ~prog:ctx.Methods.prog
+              ~merge:ctx.Methods.merge ~dfg:ctx.Methods.dfg
+              ~profile:ctx.Methods.profile ()
+          in
+          let parts =
+            Array.to_list r.Partition.Gdp.part_of_unit
+            |> List.map string_of_int |> String.concat ","
+          in
+          ( bench.name,
+            preset,
+            r.Partition.Gdp.edgecut,
+            String.sub (Digest.to_hex (Digest.string parts)) 0 16 ))
+        Benchsuite.Suite.all)
+    Machine_spec.preset_names
+
+(* The partitioner draws from the stdlib [Random], whose stream differs
+   between compiler releases (4.14 and 5.x use different generators).
+   Under another stream the partitions are not the recorded ones, and
+   the test reports itself skipped. *)
+let pinned_random_stream = "b806d97fc054d6cd"
+
+let random_stream () =
+  let st = Random.State.make [| 42; 0 |] in
+  List.init 8 (fun _ -> string_of_int (Random.State.bits st))
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+  |> fun h -> String.sub h 0 16
+
+let test_pinned_gdp () =
+  if random_stream () <> pinned_random_stream then Alcotest.skip ();
+  let row = Alcotest.(pair (pair string string) (pair int string)) in
+  let rows = List.map (fun (b, p, c, d) -> ((b, p), (c, d))) in
+  Alcotest.(check (list row))
+    "edge cut and part_of_unit digest per (benchmark, preset)"
+    (rows pinned_gdp) (rows (gdp_facts ()))
+
 let suite =
   [
     Alcotest.test_case "merge: ambiguous objects" `Quick
@@ -440,4 +587,6 @@ let suite =
     Alcotest.test_case "bug: greedy baseline partitioner" `Quick
       test_bug_partitioner;
     Alcotest.test_case "method names" `Quick test_method_names;
+    Alcotest.test_case "gdp: partitions pinned on every preset" `Quick
+      test_pinned_gdp;
   ]
