@@ -1,70 +1,63 @@
-(** Classic backward liveness over registers.
+(** Classic backward liveness over registers, on dense bit vectors: one
+    bit per register of the function, one vector per block.
 
-    Used by the move-insertion pass (a value crossing clusters must be
-    live) and by tests checking that lowering never reads a register with
-    no reaching definition. *)
+    Used by RHOP and by the clustered program's schedule
+    ([Vliw_sched.Schedule]): a block's schedule is long enough to commit
+    every value a later block reads.  Tests also check that lowering
+    never reads a register with no reaching definition. *)
 
 open Vliw_ir
 
 type t = {
-  live_in : Reg.Set.t array;  (** per block index of the cfg *)
-  live_out : Reg.Set.t array;
+  live_in : int array array;  (** per block index of the cfg *)
+  live_out : int array array;
 }
-
-(** use/def sets of a block: [use] is registers read before any write in
-    the block. *)
-let block_use_def (b : Block.t) =
-  let use = ref Reg.Set.empty and def = ref Reg.Set.empty in
-  List.iter
-    (fun op ->
-      List.iter
-        (fun r -> if not (Reg.Set.mem r !def) then use := Reg.Set.add r !use)
-        (Op.uses op);
-      (* a guarded definition may not execute: it does not kill, and the
-         incoming value may flow through, so it counts as a use too *)
-      if Op.is_guarded op then
-        List.iter
-          (fun r -> if not (Reg.Set.mem r !def) then use := Reg.Set.add r !use)
-          (Op.defs op)
-      else List.iter (fun r -> def := Reg.Set.add r !def) (Op.defs op))
-    (Block.ops b);
-  (!use, !def)
 
 let compute (cfg : Cfg.t) : t =
   let n = Cfg.num_blocks cfg in
-  let use = Array.make n Reg.Set.empty in
-  let def = Array.make n Reg.Set.empty in
+  let nregs = Func.reg_count cfg.Cfg.func in
+  let vectors () = Array.init n (fun _ -> Bits.create nregs) in
+  (* use: registers read before any write in the block; def: registers
+     the block writes *)
+  let use = vectors () and def = vectors () in
   for i = 0 to n - 1 do
-    let u, d = block_use_def (Cfg.block cfg i) in
-    use.(i) <- u;
-    def.(i) <- d
+    let u = use.(i) and d = def.(i) in
+    let read r = if not (Bits.mem d r) then Bits.add u r in
+    List.iter
+      (fun op ->
+        List.iter read (Op.uses op);
+        (* a guarded definition may not execute: it does not kill, and
+           the incoming value may flow through, so it counts as a use *)
+        if Op.is_guarded op then List.iter read (Op.defs op)
+        else List.iter (Bits.add d) (Op.defs op))
+      (Block.ops (Cfg.block cfg i))
   done;
-  let live_in = Array.make n Reg.Set.empty in
-  let live_out = Array.make n Reg.Set.empty in
+  let live_in = vectors () and live_out = vectors () in
+  let words = (nregs + Bits.w - 1) / Bits.w in
+  (* postorder (reverse of rpo) for fast convergence; a pass in which no
+     in vector changes computed every out vector from final values *)
+  let rpo = Cfg.reverse_postorder cfg in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* iterate in postorder (reverse of rpo) for fast convergence *)
-    let rpo = Cfg.reverse_postorder cfg in
     for k = Array.length rpo - 1 downto 0 do
       let i = rpo.(k) in
-      let out =
-        List.fold_left
-          (fun acc s -> Reg.Set.union acc live_in.(s))
-          Reg.Set.empty (Cfg.successors cfg i)
-      in
-      let inn = Reg.Set.union use.(i) (Reg.Set.diff out def.(i)) in
-      if
-        (not (Reg.Set.equal out live_out.(i)))
-        || not (Reg.Set.equal inn live_in.(i))
-      then begin
-        live_out.(i) <- out;
-        live_in.(i) <- inn;
-        changed := true
-      end
+      let succs = Cfg.successors cfg i in
+      let out = live_out.(i) and inn = live_in.(i) in
+      let u = use.(i) and d = def.(i) in
+      for w = 0 to words - 1 do
+        let o = List.fold_left (fun acc s -> acc lor live_in.(s).(w)) 0 succs in
+        out.(w) <- o;
+        let x = u.(w) lor (o land lnot d.(w)) in
+        if x <> inn.(w) then begin
+          inn.(w) <- x;
+          changed := true
+        end
+      done
     done
   done;
   { live_in; live_out }
 
-let live_in t i = t.live_in.(i)
-let live_out t i = t.live_out.(i)
+let to_set v = Reg.Set.of_list (Bits.to_list v)
+let live_in t i = to_set t.live_in.(i)
+let live_out t i = to_set t.live_out.(i)

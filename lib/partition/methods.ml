@@ -54,6 +54,7 @@ type context = {
   objtab : Data.table;
   merge : Merge.t;
   dfg : An.Prog_dfg.t;
+  objects_of : int -> Data.Obj_set.t;
 }
 
 let make_context ?(merge_low_slack = false) ~(machine : Vliw_machine.t)
@@ -86,9 +87,10 @@ let make_context ?(merge_low_slack = false) ~(machine : Vliw_machine.t)
     An.Prog_dfg.iter_edges (fun _ _ _ -> incr edges) dfg;
     Telemetry.set_gauge "dfg.edges" (float !edges)
   end;
-  { prog; machine; profile; pt; objtab; merge; dfg }
+  let objects_of = An.Points_to.objects_of pt in
+  { prog; machine; profile; pt; objtab; merge; dfg; objects_of }
 
-let objects_of ctx op_id = An.Points_to.objects_of ctx.pt op_id
+let objects_of ctx = ctx.objects_of
 
 type outcome = {
   method_name : string;

@@ -33,6 +33,11 @@ type context = {
   objtab : Data.table;
   merge : Merge.t;
   dfg : Vliw_analysis.Prog_dfg.t;
+  objects_of : int -> Data.Obj_set.t;
+      (** [Points_to.objects_of pt], one closure per context: a clustered
+          program keeps its schedule for one points-to oracle
+          ([Vliw_sched.Move_insert.schedule]), so the cycle model and the
+          simulator share it only through this value *)
 }
 
 val make_context :
@@ -43,6 +48,7 @@ val make_context :
   unit ->
   context
 
+(** The context's [objects_of] field. *)
 val objects_of : context -> int -> Data.Obj_set.t
 
 type outcome = {

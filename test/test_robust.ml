@@ -157,16 +157,19 @@ let test_verify_clustered_output_mismatch () =
     (Pipeline.verify p ctx e)
 
 let test_verify_sim_capacity_violation () =
-  (* overbook the schedules the simulator builds internally: its
-     per-cycle resource check must reject them *)
+  (* overbook the clustered program's schedule, which the evaluation
+     builds and the simulator executes: the simulator's per-cycle
+     resource check must reject it *)
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
-  with_injection "sched.overbook@*" (fun () ->
-      expect_error ~substr:"cycle simulation failed"
-        (Pipeline.verify p ctx e);
-      Alcotest.(check bool)
-        "capacity faults were injected" true
-        ((Fault.counts ()).Fault.injected > 0))
+  let e =
+    with_injection "sched.overbook@*" (fun () ->
+        let e = Pipeline.evaluate ctx Methods.Gdp in
+        Alcotest.(check bool)
+          "capacity faults were injected" true
+          ((Fault.counts ()).Fault.injected > 0);
+        e)
+  in
+  expect_error ~substr:"cycle simulation failed" (Pipeline.verify p ctx e)
 
 let test_verify_sim_output_mismatch () =
   (* corrupt every intercluster move's value inside the simulator *)

@@ -752,6 +752,32 @@ let heavy_input = List.init 48 (fun i -> i + 1)
 let raw_submit cl job =
   Frame.write (Client.fd cl) (Protocol.request_to_json (Protocol.Submit job))
 
+(* Submit [jobs] in one write, so the server reads them together and
+   admits them back to back, before any of them can finish. *)
+let raw_submit_all cl jobs =
+  let s =
+    String.concat ""
+      (List.map
+         (fun j -> Frame.to_string (Protocol.request_to_json (Protocol.Submit j)))
+         jobs)
+  in
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring (Client.fd cl) s off (String.length s - off))
+  in
+  go 0
+
+(* a compile that runs for a good fraction of a second: the interpreter
+   profiles two million loop iterations *)
+let slow_source =
+  {|
+void main() {
+  int s = 0;
+  for (int i = 0; i < 2000000; i = i + 1) { s = s + (i ^ (s >> 3)); }
+  out(s);
+}
+|}
+
 let submit_expect_result ?(cached = fun _ -> true) cl job =
   match Client.submit cl job with
   | Ok (Protocol.Result { cached = c; result; _ }) ->
@@ -870,7 +896,8 @@ let test_server_corrupt_entry_recompiled () =
             >= 1)))
 
 (* Deadline edges: expiry while the job is running fails the waiter and
-   drops the late result; deadline_ms = 0 fails at admission. *)
+   drops the late result; deadline_ms = 0 fails at admission.  The
+   running job outlives its 1 ms deadline by hundreds of times. *)
 let test_server_deadline_edges () =
   Loadgen.with_local_server ~jobs:1 (fun endpoint ->
       let cl = Client.connect ~attempts:20 endpoint in
@@ -880,8 +907,8 @@ let test_server_deadline_edges () =
           let job =
             {
               (sample_job ~id:"dl-run" ~deadline_ms:(Some 1) ()) with
-              Protocol.source = heavy_source;
-              Protocol.input = heavy_input;
+              Protocol.source = slow_source;
+              Protocol.input = [];
             }
           in
           (match Client.submit cl job with
@@ -1397,7 +1424,7 @@ let test_server_every_request_ends_once () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove events with Sys_error _ -> ())
   @@ fun () ->
-  let h = Loadgen.spawn_server ~jobs:1 ~max_pending:1 ~events () in
+  let h = Loadgen.spawn_server ~jobs:1 ~max_pending:2 ~events () in
   Fun.protect
     ~finally:(fun () -> Loadgen.stop_server h)
     (fun () ->
@@ -1413,8 +1440,7 @@ let test_server_every_request_ends_once () =
       in
       ignore (submit_expect_result cl (sample_job ~id:"end-a2" ()));
       (* a coalesced pair *)
-      raw_submit cl (heavy "end-b1" 1);
-      raw_submit cl (heavy "end-b2" 1);
+      raw_submit_all cl [ heavy "end-b1" 1; heavy "end-b2" 1 ];
       let cached =
         List.init 2 (fun _ ->
             match recv "coalesced" with
@@ -1423,27 +1449,46 @@ let test_server_every_request_ends_once () =
       in
       Alcotest.(check (list bool))
         "one compile, one coalesced" [ false; true ] (List.sort compare cached);
-      (* a reject: the only pending slot is taken *)
-      raw_submit cl (heavy "end-c" 2);
-      raw_submit cl (heavy "end-d" 3);
+      (* a reject: both pending slots are taken *)
+      raw_submit_all cl
+        [ heavy "end-c" 2; heavy "end-c2" 9; heavy "end-d" 3 ];
       (match recv "reject" with
       | Protocol.Failed { id = "end-d"; retry_after_ms = Some _; _ } -> ()
       | _ -> Alcotest.fail "expected end-d rejected first");
-      (match recv "reject" with
-      | Protocol.Result { id = "end-c"; _ } -> ()
-      | _ -> Alcotest.fail "expected end-c served");
-      (* a deadline at submit, then one that expires *)
       List.iter
-        (fun job ->
-          match expect "deadline" (Client.submit cl job) with
-          | Protocol.Failed { reason; _ } ->
-              Alcotest.(check bool)
-                "deadline reason" true (contains reason "deadline")
-          | _ -> Alcotest.fail "expected a deadline failure")
-        [
-          sample_job ~id:"end-e0" ~deadline_ms:(Some 0) ();
-          heavy ~deadline_ms:1 "end-e1" 4;
-        ];
+        (fun id ->
+          match recv "reject" with
+          | Protocol.Result { id = got; _ } when got = id -> ()
+          | _ -> Alcotest.failf "expected %s served" id)
+        [ "end-c"; "end-c2" ];
+      (* a deadline at submit *)
+      (match
+         expect "deadline"
+           (Client.submit cl (sample_job ~id:"end-e0" ~deadline_ms:(Some 0) ()))
+       with
+      | Protocol.Failed { reason; _ } ->
+          Alcotest.(check bool)
+            "deadline reason" true (contains reason "deadline")
+      | _ -> Alcotest.fail "expected a deadline failure");
+      (* a deadline that expires while the job waits behind one that
+         holds the only worker, so it cannot finish first; the two
+         endings may arrive in either order *)
+      raw_submit_all cl
+        [ heavy "end-e1-hold" 10; heavy ~deadline_ms:1 "end-e1" 4 ];
+      let ending () =
+        match recv "deadline" with
+        | Protocol.Failed { id = "end-e1"; reason; _ }
+          when contains reason "deadline" ->
+            "end-e1"
+        | Protocol.Result { id = "end-e1-hold"; _ } -> "end-e1-hold"
+        | _ -> Alcotest.fail "expected a deadline failure"
+      in
+      let first = ending () in
+      let second = ending () in
+      Alcotest.(check (list string))
+        "expired behind the worker's holder"
+        [ "end-e1"; "end-e1-hold" ]
+        (List.sort compare [ first; second ]);
       (* a cancel *)
       raw_submit cl (heavy "end-f" 5);
       (match rpc "cancel" (Protocol.Cancel { id = "end-f" }) with
