@@ -8,7 +8,6 @@ module Int_set : Set.S with type elt = int
 
 val param_def : Reg.t -> int
 val is_param_def : int -> bool
-val param_of_def : int -> Reg.t
 
 type t
 

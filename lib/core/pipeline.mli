@@ -103,7 +103,9 @@ val evaluate :
 
 (** Full verification: the clustered program's interpretation and its
     cycle-level simulation must reproduce the reference outputs, and the
-    simulator's cycle/move counts must equal the static model's. *)
+    simulator's cycle/move counts must equal the static model's.  The
+    simulator executes the schedule the evaluation built, so that check
+    compares its block visits with the profile. *)
 val verify :
   prepared ->
   Partition.Methods.context ->

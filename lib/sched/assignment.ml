@@ -108,29 +108,3 @@ let validate t prog ~objects_of =
               (objects_of (Op.id op)))
     prog;
   List.iter (fun f -> ignore (reg_homes t f)) (Prog.funcs prog)
-
-(** All ops on one cluster, for reporting. *)
-let ops_on t prog cluster =
-  Prog.fold_ops
-    (fun acc op ->
-      if cluster_of_opt t ~op_id:(Op.id op) = Some cluster then
-        Op.id op :: acc
-      else acc)
-    [] prog
-  |> List.rev
-
-let pp_summary ppf (t, prog) =
-  let counts = Array.make t.num_clusters 0 in
-  Prog.iter_ops
-    (fun op ->
-      match cluster_of_opt t ~op_id:(Op.id op) with
-      | Some c -> counts.(c) <- counts.(c) + 1
-      | None -> ())
-    prog;
-  Fmt.pf ppf "@[<v>assignment: ops per cluster: %a@,objects:@,"
-    Fmt.(array ~sep:(any " ") int)
-    counts;
-  Hashtbl.iter
-    (fun obj c -> Fmt.pf ppf "  %a -> cluster %d@," Data.pp_obj obj c)
-    t.obj_home;
-  Fmt.pf ppf "@]"

@@ -41,6 +41,3 @@ exception Invalid of string
 
 (** Check all invariants against [prog]; raises [Invalid]. *)
 val validate : t -> Prog.t -> objects_of:(int -> Data.Obj_set.t) -> unit
-
-val ops_on : t -> Prog.t -> int -> int list
-val pp_summary : (t * Prog.t) Fmt.t

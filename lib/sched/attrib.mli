@@ -100,10 +100,3 @@ val of_clustered :
   ?objects_of:(int -> Data.Obj_set.t) ->
   unit ->
   totals
-
-(** Transfer cycles attributed to an object: its attributed moves times
-    the machine's per-hop move latency (a lower bound on multi-hop
-    topologies, where per-route distances live in [t_link_moves]). *)
-val obj_transfer_cycles : machine:Vliw_machine.t -> totals -> (Data.obj * int) list
-
-val pp_totals : totals Fmt.t

@@ -19,9 +19,10 @@
       schedule length uses drain semantics: the block ends once the
       branch has issued and every in-flight result has committed.
 
-    This scheduler is both the performance model's core (cycles = block
-    length x execution count) and the oracle that the cycle-level
-    simulator [Vliw_sim] cross-checks. *)
+    Its schedules, one per block of a clustered program
+    ([Schedule]), are what the performance model weights (cycles = block
+    length x execution count) and what the cycle-level simulator
+    [Vliw_sim] executes. *)
 
 open Vliw_ir
 

@@ -1,24 +1,13 @@
 (** Static performance model (paper Section 4.1): with 100%-hit
     partitioned memories, total cycles = sum over blocks of schedule
     length x dynamic execution count; dynamic intercluster traffic =
-    executed [Move] operations. *)
+    executed [Move] operations.  The schedules are the clustered
+    program's ([Move_insert.schedule]), built here at the first call
+    and then executed by the simulator. *)
 
 open Vliw_ir
 
-type block_report = {
-  br_func : string;
-  br_label : Label.t;
-  br_length : int;
-  br_count : int;
-  br_moves : int;
-}
-
-type report = {
-  total_cycles : int;
-  dynamic_moves : int;
-  static_moves : int;
-  blocks : block_report list;
-}
+type report = { total_cycles : int; dynamic_moves : int; static_moves : int }
 
 val evaluate :
   machine:Vliw_machine.t ->

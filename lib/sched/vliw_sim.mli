@@ -1,11 +1,12 @@
 (** Cycle-level simulator for scheduled, clustered programs.
 
-    Executes the VLIW schedules with explicit timing (reads at issue,
-    commits at issue + latency), checks per-cycle function-unit and bus
-    legality, flags latency violations, and reproduces the reference
-    interpreter's observable outputs when the pipeline is correct.  Its
-    cycle and move counts must equal [Perf]'s (same schedules, same
-    drain rule). *)
+    Executes the clustered program's schedule ([Move_insert.schedule],
+    the one [Perf] sums) with explicit timing (reads at issue, commits at
+    issue + latency), checks per-cycle function-unit and bus legality of
+    every executed block, flags latency violations, and reproduces the
+    reference interpreter's observable outputs when the pipeline is
+    correct.  Its cycle and move counts equal [Perf]'s exactly when the
+    executed block visits match the profile. *)
 
 open Vliw_ir
 
