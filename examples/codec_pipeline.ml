@@ -33,7 +33,13 @@ let () =
       (fun lat ->
         let machine = Vliw_machine.paper_machine ~move_latency:lat () in
         let ctx = Gdp_core.Pipeline.context ~machine prepared in
-        (lat, List.map (fun m -> (m, Gdp_core.Pipeline.evaluate ctx m)) Methods.all))
+        (* run each method on the context and price its outcome *)
+        ( lat,
+          List.map
+            (fun m ->
+              let outcome = Methods.run m ctx in
+              (m, (outcome, Methods.evaluate ctx outcome)))
+            Methods.all ))
       [ 1; 5; 10 ]
   in
   List.iter
@@ -41,8 +47,7 @@ let () =
       let cells =
         List.map
           (fun (_, per_method) ->
-            let e = List.assoc m per_method in
-            e.Gdp_core.Pipeline.report.Vliw_sched.Perf.total_cycles)
+            (snd (List.assoc m per_method)).Vliw_sched.Perf.total_cycles)
           results
       in
       Fmt.pr "%-14s %10d %10d %10d@." (Methods.to_string m) (List.nth cells 0)
@@ -53,12 +58,10 @@ let () =
   Fmt.pr "@.at 5-cycle latency (relative to unified, higher is better):@.";
   let _, at5 = List.nth results 1 in
   let unified =
-    (List.assoc Methods.Unified at5).Gdp_core.Pipeline.report
-      .Vliw_sched.Perf.total_cycles
+    (snd (List.assoc Methods.Unified at5)).Vliw_sched.Perf.total_cycles
   in
   List.iter
-    (fun (m, e) ->
-      let r = e.Gdp_core.Pipeline.report in
+    (fun (m, (_, r)) ->
       Fmt.pr "  %-12s %.3f   (%d dynamic intercluster moves)@."
         (Methods.to_string m)
         (float unified /. float r.Vliw_sched.Perf.total_cycles)
@@ -66,8 +69,8 @@ let () =
     at5;
 
   (* where did GDP put the data? *)
-  let gdp = List.assoc Methods.Gdp at5 in
+  let gdp, _ = List.assoc Methods.Gdp at5 in
   Fmt.pr "@.GDP object placement:@.";
   List.iter
     (fun (obj, c) -> Fmt.pr "  %a -> cluster %d@." Vliw_ir.Data.pp_obj obj c)
-    (List.sort compare gdp.Gdp_core.Pipeline.outcome.Methods.obj_home)
+    (List.sort compare gdp.Methods.obj_home)

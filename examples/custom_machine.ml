@@ -21,17 +21,19 @@ let evaluate_on machine bench_name =
   let bench = Benchsuite.Suite.find bench_name in
   let prepared = Gdp_core.Pipeline.prepare bench in
   let ctx = Gdp_core.Pipeline.context ~machine prepared in
-  let e = Gdp_core.Pipeline.evaluate ctx Methods.Gdp in
-  let u = Gdp_core.Pipeline.evaluate ctx Methods.Unified in
-  (ctx, e, u)
+  (* on a ready context, run a method and price its outcome: the two
+     layers [Pipeline.run] calls *)
+  let run m =
+    let outcome = Methods.run m ctx in
+    (outcome, Methods.evaluate ctx outcome)
+  in
+  (ctx, run Methods.Gdp, run Methods.Unified)
 
 let show machine bench_name =
   Fmt.pr "@.%a@." M.pp machine;
   let ctx, gdp, unified = evaluate_on machine bench_name in
   ignore ctx;
-  let cycles e =
-    e.Gdp_core.Pipeline.report.Vliw_sched.Perf.total_cycles
-  in
+  let cycles (_, report) = report.Vliw_sched.Perf.total_cycles in
   Fmt.pr "%s: GDP %d cycles vs unified %d (%.3f relative)@." bench_name
     (cycles gdp) (cycles unified)
     (float (cycles unified) /. float (cycles gdp));
@@ -43,7 +45,7 @@ let show machine bench_name =
       bytes.(c) <-
         bytes.(c)
         + Vliw_ir.Data.size_of_obj ctx.Methods.objtab obj)
-    gdp.Gdp_core.Pipeline.outcome.Methods.obj_home;
+    (fst gdp).Methods.obj_home;
   Array.iteri (fun c b -> Fmt.pr "  cluster %d holds %d bytes of data@." c b) bytes
 
 let () =

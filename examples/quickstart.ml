@@ -53,21 +53,36 @@ let () =
   Fmt.pr "@.data objects:@.%a@." Vliw_ir.Data.pp_table
     ctx.Partition.Methods.objtab;
 
-  (* 4. run GDP and the unified-memory upper bound *)
-  List.iter
-    (fun method_ ->
-      let e = Gdp_core.Pipeline.evaluate ctx method_ in
-      Fmt.pr "@.=== %s ===@."
-        e.Gdp_core.Pipeline.outcome.Partition.Methods.method_name;
-      List.iter
-        (fun (obj, c) ->
-          Fmt.pr "  %a -> cluster %d@." Vliw_ir.Data.pp_obj obj c)
-        (List.sort compare
-           e.Gdp_core.Pipeline.outcome.Partition.Methods.obj_home);
-      Fmt.pr "  %a@." Vliw_sched.Perf.pp e.Gdp_core.Pipeline.report;
-      (* 5. every run is verified end to end: the clustered program and
-            the cycle-level simulation reproduce the reference outputs *)
-      match Gdp_core.Pipeline.verify prepared ctx e with
-      | Ok () -> Fmt.pr "  verified: semantics and cycle model agree@."
-      | Error m -> Fmt.pr "  VERIFICATION FAILED: %s@." m)
-    [ Partition.Methods.Gdp; Partition.Methods.Unified ]
+  (* 4. run GDP and the unified-memory upper bound through the one
+        entry point, [Pipeline.run]; the context's machine wins over
+        the settings' default one.  [Checked {verify = true}] verifies
+        every run end to end: the clustered program and the
+        cycle-level simulation must reproduce the reference outputs *)
+  let failures =
+    List.filter
+      (fun method_ ->
+        match
+          Gdp_core.Pipeline.run ~prepared ~ctx
+            ~mode:(Gdp_core.Pipeline.Checked { verify = true })
+            (Gdp_core.Pipeline.Settings.default method_)
+        with
+        | Ok (Gdp_core.Pipeline.Evaluated e) ->
+            Fmt.pr "@.=== %s ===@."
+              e.Gdp_core.Pipeline.outcome.Partition.Methods.method_name;
+            List.iter
+              (fun (obj, c) ->
+                Fmt.pr "  %a -> cluster %d@." Vliw_ir.Data.pp_obj obj c)
+              (List.sort compare
+                 e.Gdp_core.Pipeline.outcome.Partition.Methods.obj_home);
+            Fmt.pr "  %a@." Vliw_sched.Perf.pp e.Gdp_core.Pipeline.report;
+            Fmt.pr "  verified: semantics and cycle model agree@.";
+            false
+        | Ok (Gdp_core.Pipeline.Degraded _) -> assert false
+        | Error m ->
+            Fmt.pr "@.=== %s ===@.  VERIFICATION FAILED: %s@."
+              (Partition.Methods.to_string method_)
+              m;
+            true)
+      [ Partition.Methods.Gdp; Partition.Methods.Unified ]
+  in
+  if failures <> [] then exit 1

@@ -21,6 +21,10 @@ type merge_ablation_row = {
    byte-identically to the old [Vliw_machine.paper_machine] calls *)
 let paper_spec ~move_latency = Machine_spec.of_legacy ~clusters:2 ~move_latency
 
+(* Cycles of one method's outcome under the cycle model. *)
+let cycles ctx outcome =
+  (Methods.evaluate ctx outcome).Vliw_sched.Perf.total_cycles
+
 let merge_ablation ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
     merge_ablation_row list =
   let machine = Machine_spec.resolve (paper_spec ~move_latency) in
@@ -29,8 +33,7 @@ let merge_ablation ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
       let p = Pipeline.prepare_default b in
       let run merge_low_slack =
         let ctx = Pipeline.context ~machine ~merge_low_slack p in
-        let e = Pipeline.evaluate ctx Methods.Gdp in
-        ( e.Pipeline.report.Vliw_sched.Perf.total_cycles,
+        ( cycles ctx (Methods.run Methods.Gdp ctx),
           List.length (Partition.Merge.data_groups ctx.Methods.merge) )
       in
       let dc, dg = run false in
@@ -86,8 +89,7 @@ let imbalance_sweep ?(benches = Benchsuite.Suite.all) ?(move_latency = 5)
             let gdp_config =
               { Partition.Gdp.default_config with data_imbalance = tol }
             in
-            let e = Pipeline.evaluate ~gdp_config ctx Methods.Gdp in
-            (tol, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
+            (tol, cycles ctx (Methods.run ~gdp_config Methods.Gdp ctx)))
           tolerances
       in
       { ib_bench = b.Benchsuite.Bench_intf.name; ib_points = points })
@@ -158,25 +160,19 @@ let heterogeneous ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
     (fun b ->
       let p = Pipeline.prepare_default b in
       let ctx = Pipeline.context ~machine p in
-      let cycles =
-        List.map
-          (fun m ->
-            let e = Pipeline.evaluate ctx m in
-            (Methods.to_string m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
-          Methods.all
-      in
-      let gdp = Pipeline.evaluate ctx Methods.Gdp in
+      let outcomes = List.map (fun m -> (m, Methods.run m ctx)) Methods.all in
       let bytes0 =
         List.fold_left
           (fun acc (obj, c) ->
             if c = 0 then
               acc + Vliw_ir.Data.size_of_obj ctx.Methods.objtab obj
             else acc)
-          0 gdp.Pipeline.outcome.Methods.obj_home
+          0 (List.assoc Methods.Gdp outcomes).Methods.obj_home
       in
       {
         ht_bench = b.Benchsuite.Bench_intf.name;
-        ht_cycles = cycles;
+        ht_cycles =
+          List.map (fun (m, o) -> (Methods.to_string m, cycles ctx o)) outcomes;
         ht_bytes0 = bytes0;
       })
     benches
@@ -253,7 +249,7 @@ let bug_comparison ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
            ~profile:ctx.Methods.profile ())
           .Partition.Gdp.obj_home
       in
-      let rhop = Partition.Rhop.partition ?config:None ?pool:None in
+      let rhop = Partition.Rhop.partition ?pool:None in
       {
         bg_bench = b.Benchsuite.Bench_intf.name;
         bg_rhop_unified = evaluate_with rhop [];
@@ -300,14 +296,13 @@ let four_clusters ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
     (fun b ->
       let p = Pipeline.prepare_default b in
       let ctx = Pipeline.context ~machine p in
-      let cycles =
-        List.map
-          (fun m ->
-            let e = Pipeline.evaluate ctx m in
-            (Methods.to_string m, e.Pipeline.report.Vliw_sched.Perf.total_cycles))
-          Methods.all
-      in
-      { cl_bench = b.Benchsuite.Bench_intf.name; cl_cycles = cycles })
+      {
+        cl_bench = b.Benchsuite.Bench_intf.name;
+        cl_cycles =
+          List.map
+            (fun m -> (Methods.to_string m, cycles ctx (Methods.run m ctx)))
+            Methods.all;
+      })
     benches
 
 let render_four_clusters ppf rows =

@@ -27,10 +27,13 @@ let run_bench ~machine (b : Benchsuite.Bench_intf.t) : row =
   match
     let p = Pipeline.prepare_default b in
     let ctx = Pipeline.context ~machine p in
+    (* through [Pipeline.run], so [gdpc bench] traces keep one
+       [evaluate] span per method *)
     List.map
       (fun m ->
-        let e = Pipeline.evaluate ctx m in
-        (Methods.to_string m, e))
+        match Pipeline.run ~ctx (Pipeline.Settings.default m) with
+        | Ok (Pipeline.Evaluated e) -> (Methods.to_string m, e)
+        | Ok (Pipeline.Degraded _) | Error _ -> assert false)
       Methods.all
   with
   | evals ->

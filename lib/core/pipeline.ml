@@ -15,36 +15,31 @@ type prepared = {
 
 (** The optimizer sequence: scalar promotion, simplification + DCE,
     if-conversion, DCE again; one span per pass under [optimize]. *)
-let optimize ?(promote = true) ?(simplify = true) ?(if_convert = true)
-    ?ifconvert_config (prog : Prog.t) : Prog.t =
+let optimize ?(promote = true) ?(if_convert = true) (prog : Prog.t) : Prog.t =
   Telemetry.with_span "optimize" (fun () ->
       let pass name run prog = Telemetry.with_span name (fun () -> run prog) in
       let prog = if promote then pass "promote" Vliw_opt.Promote.run prog else prog in
       let prog =
-        if simplify then
-          pass "dce" Vliw_opt.Dce.run (pass "simplify" Vliw_opt.Simplify.run prog)
-        else prog
+        pass "dce" Vliw_opt.Dce.run (pass "simplify" Vliw_opt.Simplify.run prog)
       in
       let prog =
-        if if_convert then
-          pass "ifconvert" (Vliw_opt.Ifconvert.run ?config:ifconvert_config) prog
+        if if_convert then pass "ifconvert" Vliw_opt.Ifconvert.run prog
         else prog
       in
-      if simplify then pass "dce" Vliw_opt.Dce.run prog else prog)
+      pass "dce" Vliw_opt.Dce.run prog)
 
-(** Compile a benchmark, form predicated hyperblocks (Trimaran-style
-    if-conversion; pass [~if_convert:false] to keep raw basic blocks),
-    and collect the reference run and profile. *)
-let prepare ?(unroll = true) ?promote ?simplify ?if_convert ?ifconvert_config
-    (bench : Benchsuite.Bench_intf.t) : prepared =
+(** Compile a benchmark (unrolling, then {!optimize}), form predicated
+    hyperblocks (Trimaran-style if-conversion), and collect the
+    reference run and profile. *)
+let prepare (bench : Benchsuite.Bench_intf.t) : prepared =
   Telemetry.with_span "prepare"
     ~args:[ ("bench", bench.Benchsuite.Bench_intf.name) ]
     (fun () ->
       let prog =
         Telemetry.with_span "parse" (fun () ->
-            Minic.compile ~unroll bench.Benchsuite.Bench_intf.source)
+            Minic.compile bench.Benchsuite.Bench_intf.source)
       in
-      let prog = optimize ?promote ?simplify ?if_convert ?ifconvert_config prog in
+      let prog = optimize prog in
       Telemetry.set_gauge "ir.ops" (float (Vliw_ir.Prog.op_count prog));
       let reference =
         Telemetry.with_span "profile" (fun () ->
@@ -53,10 +48,10 @@ let prepare ?(unroll = true) ?promote ?simplify ?if_convert ?ifconvert_config
       in
       { bench; prog; reference })
 
-(* With default front-end flags [prepare] is a pure function of the
-   benchmark, and the experiment drivers sweep the same benchmark set
-   once per move latency — without memoization every sweep recompiles,
-   re-optimizes and re-profiles every benchmark.  Plain [Hashtbl] memo
+(* [prepare] is a pure function of the benchmark, and the experiment
+   drivers sweep the same benchmark set once per move latency — without
+   memoization every sweep recompiles, re-optimizes and re-profiles
+   every benchmark.  Plain [Hashtbl] memo
    behind [cache_lock]: compiles happen outside the lock (a racing pair
    of workers may both compile, last write wins — the entries are
    equal), table accesses inside it.  The memo is bounded: long
@@ -149,10 +144,13 @@ type evaluation = {
   report : Vliw_sched.Perf.report;
 }
 
-(* Run one method and price it under the cycle model — the shared core
-   behind [run] and the [evaluate] wrapper. *)
-let evaluate_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
-    (ctx : Methods.context) method_ : evaluation =
+(* Run one method and price it under the cycle model: the one body of
+   the [Plain] and [Checked] modes.  With [check] the clustered
+   assignment is also structurally validated (every op clustered,
+   memory ops on their objects' home clusters, register webs on one
+   cluster), raising [Assignment.Invalid] on a violation. *)
+let run_method ~check ~par_domains ?par_workers (ctx : Methods.context)
+    method_ : evaluation =
   Telemetry.with_span "evaluate" ~args:[ ("method", Methods.to_string method_) ]
     (fun () ->
       (* the pool lives exactly as long as the partitioning work: it is
@@ -160,10 +158,13 @@ let evaluate_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
          ([Exec] pools), because worker domains do not survive [fork] *)
       let outcome =
         Par.with_pool ?workers:par_workers ~domains:par_domains (fun pool ->
-            Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
+            Methods.run ~pool method_ ctx)
       in
-      let report = Methods.evaluate ctx outcome in
-      { outcome; report })
+      let c = outcome.Methods.clustered in
+      if check then
+        Vliw_sched.Assignment.validate c.Vliw_sched.Move_insert.cassign
+          c.Vliw_sched.Move_insert.cprog ~objects_of:(Methods.objects_of ctx);
+      { outcome; report = Methods.evaluate ctx outcome })
 
 (** Functional correctness: the clustered program must produce the
     reference outputs both under plain interpretation and under
@@ -227,33 +228,16 @@ let verify p ctx e = Telemetry.with_span "verify" (fun () -> verify_body p ctx e
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                *)
 
-(* [evaluate_with], with the pipeline's internal invariants promoted
-   from exceptions to a checked result: any stage failure (partitioner
+(* [run_method], with the pipeline's internal invariants promoted from
+   exceptions to a checked result: any stage failure (partitioner
    constraint violations, invalid move insertion, assignment-invariant
-   breaks, scheduler/simulator errors) comes back as [Error], and the
-   clustered assignment is structurally validated (every op clustered,
-   memory ops on their objects' home clusters, register webs on one
-   cluster).  With [?verify_against] the full differential check
-   (clustered interpretation + cycle simulation vs. the reference run)
-   is included. *)
-let checked_with ?rhop_config ?gdp_config ?(par_domains = 1) ?par_workers
-    ?verify_against (ctx : Methods.context) method_ :
-    (evaluation, string) result =
-  match
-    Telemetry.with_span "evaluate-checked"
-      ~args:[ ("method", Methods.to_string method_) ]
-      (fun () ->
-        let outcome =
-          Par.with_pool ?workers:par_workers ~domains:par_domains (fun pool ->
-              Methods.run ?rhop_config ?gdp_config ~pool method_ ctx)
-        in
-        Vliw_sched.Assignment.validate
-          outcome.Methods.clustered.Vliw_sched.Move_insert.cassign
-          outcome.Methods.clustered.Vliw_sched.Move_insert.cprog
-          ~objects_of:(Methods.objects_of ctx);
-        let report = Methods.evaluate ctx outcome in
-        { outcome; report })
-  with
+   breaks, scheduler/simulator errors) comes back as [Error].  With
+   [?verify_against] the full differential check (clustered
+   interpretation + cycle simulation vs. the reference run) is
+   included. *)
+let checked ~par_domains ?par_workers ?verify_against (ctx : Methods.context)
+    method_ : (evaluation, string) result =
+  match run_method ~check:true ~par_domains ?par_workers ctx method_ with
   | e -> (
       match verify_against with
       | None -> Ok e
@@ -290,8 +274,8 @@ let pp_fallback ppf f =
    the result (and counted as a detected fault); a successful fallback
    counts as a recovery.  [Error] only when every method in the chain
    fails. *)
-let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
-    (p : prepared) (ctx : Methods.context) method_ : (robust, string) result =
+let robust ~par_domains ?par_workers ~verify (p : prepared)
+    (ctx : Methods.context) method_ : (robust, string) result =
   Telemetry.with_span "evaluate-robust"
     ~args:[ ("method", Methods.to_string method_) ]
   @@ fun () ->
@@ -303,10 +287,7 @@ let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
              Fmt.(list ~sep:(any "; ") pp_fallback)
              (List.rev fallbacks))
     | m :: rest -> (
-        match
-          checked_with ?rhop_config ?gdp_config ?par_domains ?par_workers
-            ?verify_against ctx m
-        with
+        match checked ~par_domains ?par_workers ?verify_against ctx m with
         | Ok e ->
             if fallbacks <> [] then begin
               Fault.note_recovered ();
@@ -332,20 +313,13 @@ let robust_with ?rhop_config ?gdp_config ?par_domains ?par_workers ~verify
   go [] (Methods.fallback_chain method_)
 
 (* ------------------------------------------------------------------ *)
-(* Settings: one record for everything the optional arguments used to
-   plumb, serializable so jobs can cross a process boundary.           *)
+(* Settings: what a compile varies, serializable so jobs can cross a
+   process boundary.                                                   *)
 
 module Settings = struct
   type t = {
     machine : Machine_spec.t;
     method_ : Methods.t;
-    unroll : bool;
-    promote : bool;
-    simplify : bool;
-    if_convert : bool;
-    merge_low_slack : bool option;
-    rhop : Partition.Rhop.config option;
-    gdp : Partition.Gdp.config option;
     par_domains : int;
         (** intra-compile parallelism: domains used by the partitioning
             passes (default 1).  Artifacts do not depend on it.  See
@@ -358,58 +332,24 @@ module Settings = struct
      exactly this version and names any other, so a mismatched client
      and server fail with a clear message instead of misinterpreting
      each other. *)
-  let version = 3
+  let version = 4
 
   let default method_ =
     {
       machine = Machine_spec.of_legacy ~clusters:2 ~move_latency:5;
       method_;
-      unroll = true;
-      promote = true;
-      simplify = true;
-      if_convert = true;
-      merge_low_slack = None;
-      rhop = None;
-      gdp = None;
       par_domains = 1;
     }
 
   let machine (s : t) = Machine_spec.resolve s.machine
 
-  let default_front_end (s : t) =
-    s.unroll && s.promote && s.simplify && s.if_convert
-
   let to_json (s : t) : Minijson.t =
-    let rhop_json (c : Partition.Rhop.config) =
-      Minijson.obj
-        [
-          ( "xmove_weight",
-            Minijson.option Minijson.int c.Partition.Rhop.xmove_weight );
-          ("coarsen_until", Minijson.int c.Partition.Rhop.coarsen_until);
-          ("max_passes", Minijson.int c.Partition.Rhop.max_passes);
-        ]
-    in
-    let gdp_json (c : Partition.Gdp.config) =
-      Minijson.obj
-        [
-          ("data_imbalance", Minijson.float c.Partition.Gdp.data_imbalance);
-          ("op_imbalance", Minijson.float c.Partition.Gdp.op_imbalance);
-          ("seed", Minijson.int c.Partition.Gdp.seed);
-        ]
-    in
     Minijson.obj
       [
         ("schema", Minijson.str schema);
         ("version", Minijson.int version);
         ("machine", Machine_spec.to_json s.machine);
         ("method", Minijson.str (Methods.to_string s.method_));
-        ("unroll", Minijson.bool s.unroll);
-        ("promote", Minijson.bool s.promote);
-        ("simplify", Minijson.bool s.simplify);
-        ("if_convert", Minijson.bool s.if_convert);
-        ("merge_low_slack", Minijson.option Minijson.bool s.merge_low_slack);
-        ("rhop", Minijson.option rhop_json s.rhop);
-        ("gdp", Minijson.option gdp_json s.gdp);
         ("par_domains", Minijson.int s.par_domains);
       ]
 
@@ -425,82 +365,24 @@ module Settings = struct
     | Some n -> Ok n
     | None -> Error (Printf.sprintf "settings: field %S is not an integer" name)
 
-  let as_float name v =
-    match Minijson.to_float v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "settings: field %S is not a number" name)
-
-  let as_bool name v =
-    match v with
-    | Minijson.Bool b -> Ok b
-    | _ -> Error (Printf.sprintf "settings: field %S is not a boolean" name)
-
-  let int_field name doc = Result.bind (field name doc) (as_int name)
-  let bool_field name doc = Result.bind (field name doc) (as_bool name)
-
-  let nullable name parse doc =
-    match Minijson.member name doc with
-    | None | Some Minijson.Null -> Ok None
-    | Some v -> Result.map Option.some (parse name v)
-
   (* Strict field checking: a key we do not know is rejected by name
      instead of silently ignored — a typo'd option must fail loudly,
      especially now that settings documents arrive over the [gdpcd]
      wire.  Fields added in future versions belong behind a version
      bump, which is rejected above with its own message. *)
-  let reject_unknown ~where ~known doc =
+  let known_fields = [ "schema"; "version"; "machine"; "method"; "par_domains" ]
+
+  let reject_unknown doc =
     match doc with
-    | Minijson.Obj fields ->
-        let rec go = function
-          | [] -> Ok ()
-          | (k, _) :: rest ->
-              if List.mem k known then go rest
-              else
-                Error
-                  (Printf.sprintf
-                     "settings: unknown field %S%s (known fields: %s)" k where
-                     (String.concat ", " known))
-        in
-        go fields
-    | _ -> Error (Printf.sprintf "settings: expected an object%s" where)
-
-  let rhop_of_json doc =
-    let* () =
-      reject_unknown ~where:" in \"rhop\""
-        ~known:[ "xmove_weight"; "coarsen_until"; "max_passes" ]
-        doc
-    in
-    let* xmove_weight = nullable "xmove_weight" as_int doc in
-    let* coarsen_until = int_field "coarsen_until" doc in
-    let* max_passes = int_field "max_passes" doc in
-    Ok { Partition.Rhop.xmove_weight; coarsen_until; max_passes }
-
-  let gdp_of_json doc =
-    let* () =
-      reject_unknown ~where:" in \"gdp\""
-        ~known:[ "data_imbalance"; "op_imbalance"; "seed" ]
-        doc
-    in
-    let* data_imbalance = Result.bind (field "data_imbalance" doc) (as_float "data_imbalance") in
-    let* op_imbalance = Result.bind (field "op_imbalance" doc) (as_float "op_imbalance") in
-    let* seed = int_field "seed" doc in
-    Ok { Partition.Gdp.data_imbalance; op_imbalance; seed }
-
-  let known_fields =
-    [
-      "schema";
-      "version";
-      "machine";
-      "method";
-      "unroll";
-      "promote";
-      "simplify";
-      "if_convert";
-      "merge_low_slack";
-      "rhop";
-      "gdp";
-      "par_domains";
-    ]
+    | Minijson.Obj fields -> (
+        let unknown (k, _) = not (List.mem k known_fields) in
+        match List.find_opt unknown fields with
+        | None -> Ok ()
+        | Some (k, _) ->
+            Error
+              (Printf.sprintf "settings: unknown field %S (known fields: %s)" k
+                 (String.concat ", " known_fields)))
+    | _ -> Error "settings: expected an object"
 
   let of_json (doc : Minijson.t) : (t, string) result =
     let* schema_v = field "schema" doc in
@@ -536,7 +418,7 @@ module Settings = struct
              v version)
       else Error (Printf.sprintf "settings: invalid version %d" v)
     in
-    let* () = reject_unknown ~where:"" ~known:known_fields doc in
+    let* () = reject_unknown doc in
     (* the machine: a preset name or a gdp-machine/1 spec object *)
     let* machine =
       match Minijson.member "machine" doc with
@@ -557,132 +439,46 @@ module Settings = struct
       | Some s -> Methods.of_string s
       | None -> Error "settings: method is not a string"
     in
-    let* unroll = bool_field "unroll" doc in
-    let* promote = bool_field "promote" doc in
-    let* simplify = bool_field "simplify" doc in
-    let* if_convert = bool_field "if_convert" doc in
-    let* merge_low_slack = nullable "merge_low_slack" as_bool doc in
-    let* rhop =
-      match Minijson.member "rhop" doc with
-      | None | Some Minijson.Null -> Ok None
-      | Some v -> Result.map Option.some (rhop_of_json v)
+    let* par_domains =
+      Result.bind (field "par_domains" doc) (as_int "par_domains")
     in
-    let* gdp =
-      match Minijson.member "gdp" doc with
-      | None | Some Minijson.Null -> Ok None
-      | Some v -> Result.map Option.some (gdp_of_json v)
-    in
-    let* par_domains = int_field "par_domains" doc in
-    let* () =
-      if par_domains < 1 then
-        Error
-          (Printf.sprintf "settings: par_domains must be >= 1 (got %d)"
-             par_domains)
-      else Ok ()
-    in
-    Ok
-      {
-        machine;
-        method_;
-        unroll;
-        promote;
-        simplify;
-        if_convert;
-        merge_low_slack;
-        rhop;
-        gdp;
-        par_domains;
-      }
+    if par_domains < 1 then
+      Error
+        (Printf.sprintf "settings: par_domains must be >= 1 (got %d)"
+           par_domains)
+    else Ok { machine; method_; par_domains }
 end
 
-(* Prepare under the settings' front-end flags.  All-default flags take
-   the memoized path, which matters in pool workers: every job of a
-   batch shares one compile + profile. *)
-let prepare_with (s : Settings.t) bench =
-  if Settings.default_front_end s then prepare_default bench
-  else
-    prepare ~unroll:s.Settings.unroll ~promote:s.Settings.promote
-      ~simplify:s.Settings.simplify ~if_convert:s.Settings.if_convert bench
-
 (* ------------------------------------------------------------------ *)
-(* The settings-driven entry point.                                    *)
+(* The entry point.                                                    *)
 
 type mode = Plain | Checked of { verify : bool } | Robust of { verify : bool }
 type run_result = Evaluated of evaluation | Degraded of robust
 
 let run ?prepared:p ?ctx ?(mode = Plain) ?par_workers (s : Settings.t) :
     (run_result, string) result =
-  let rhop_config = s.Settings.rhop and gdp_config = s.Settings.gdp in
-  let method_ = s.Settings.method_ in
-  let ctx_result =
+  let { Settings.method_; par_domains; _ } = s in
+  let ctx =
     match (ctx, p) with
     | Some c, _ -> Ok c
-    | None, Some p ->
-        Ok
-          (context ~machine:(Settings.machine s)
-             ?merge_low_slack:s.Settings.merge_low_slack p)
+    | None, Some p -> Ok (context ~machine:(Settings.machine s) p)
     | None, None -> Error "Pipeline.run: needs ~prepared or ~ctx"
   in
-  match ctx_result with
-  | Error _ as e -> e
-  | Ok ctx -> (
-      match mode with
-      | Plain ->
-          Ok
-            (Evaluated
-               (evaluate_with ?rhop_config ?gdp_config
-                  ~par_domains:s.Settings.par_domains ?par_workers ctx method_))
-      | Checked { verify } -> (
-          match (verify, p) with
-          | true, None ->
-              Error "Pipeline.run: Checked verification needs ~prepared"
-          | verify, _ ->
-              let verify_against = if verify then p else None in
-              Result.map
-                (fun e -> Evaluated e)
-                (checked_with ?rhop_config ?gdp_config
-                   ~par_domains:s.Settings.par_domains ?par_workers
-                   ?verify_against ctx method_))
-      | Robust { verify } -> (
-          match p with
-          | None -> Error "Pipeline.run: Robust mode needs ~prepared"
-          | Some p ->
-              Result.map
-                (fun r -> Degraded r)
-                (robust_with ?rhop_config ?gdp_config
-                   ~par_domains:s.Settings.par_domains ?par_workers ~verify p
-                   ctx method_)))
-
-(* ------------------------------------------------------------------ *)
-(* Compatibility wrappers: the pre-[Settings] signatures, re-expressed
-   over [run].                                                         *)
-
-let settings_for ?rhop_config ?gdp_config method_ =
-  { (Settings.default method_) with rhop = rhop_config; gdp = gdp_config }
-
-let evaluate ?rhop_config ?gdp_config ctx method_ =
-  match
-    run ~ctx ~mode:Plain (settings_for ?rhop_config ?gdp_config method_)
-  with
-  | Ok (Evaluated e) -> e
-  | Ok (Degraded _) -> assert false
-  | Error m -> failwith m
-
-let evaluate_checked ?rhop_config ?gdp_config ?verify_against ctx method_ =
-  let mode = Checked { verify = verify_against <> None } in
-  match
-    run ?prepared:verify_against ~ctx ~mode
-      (settings_for ?rhop_config ?gdp_config method_)
-  with
-  | Ok (Evaluated e) -> Ok e
-  | Ok (Degraded _) -> assert false
-  | Error m -> Error m
-
-let evaluate_robust ?rhop_config ?gdp_config ?(verify = true) p ctx method_ =
-  match
-    run ~prepared:p ~ctx ~mode:(Robust { verify })
-      (settings_for ?rhop_config ?gdp_config method_)
-  with
-  | Ok (Degraded r) -> Ok r
-  | Ok (Evaluated _) -> assert false
-  | Error m -> Error m
+  match (ctx, mode, p) with
+  | (Error _ as e), _, _ -> e
+  | Ok ctx, Plain, _ ->
+      Ok
+        (Evaluated
+           (run_method ~check:false ~par_domains ?par_workers ctx method_))
+  | Ok _, Checked { verify = true }, None ->
+      Error "Pipeline.run: Checked verification needs ~prepared"
+  | Ok ctx, Checked { verify }, _ ->
+      let verify_against = if verify then p else None in
+      Result.map
+        (fun e -> Evaluated e)
+        (checked ~par_domains ?par_workers ?verify_against ctx method_)
+  | Ok _, Robust _, None -> Error "Pipeline.run: Robust mode needs ~prepared"
+  | Ok ctx, Robust { verify }, Some p ->
+      Result.map
+        (fun r -> Degraded r)
+        (robust ~par_domains ?par_workers ~verify p ctx method_)

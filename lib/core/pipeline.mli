@@ -10,37 +10,23 @@ type prepared = {
 
 (** The optimizer sequence every compile runs after parsing: scalar
     promotion, constant folding + copy propagation and DCE,
-    if-conversion, DCE again (each flag defaults to on; [simplify]
-    gates both DCE runs).  Spans: [optimize] > [promote], [simplify],
-    [dce], [ifconvert], [dce]. *)
+    if-conversion, DCE again ([promote] and [if_convert] default to on;
+    [gdpc compile] exposes them).  Spans: [optimize] > [promote],
+    [simplify], [dce], [ifconvert], [dce]. *)
 val optimize :
-  ?promote:bool ->
-  ?simplify:bool ->
-  ?if_convert:bool ->
-  ?ifconvert_config:Vliw_opt.Ifconvert.config ->
-  Vliw_ir.Prog.t ->
-  Vliw_ir.Prog.t
+  ?promote:bool -> ?if_convert:bool -> Vliw_ir.Prog.t -> Vliw_ir.Prog.t
 
-(** Compile a benchmark (unrolling, then {!optimize} — each pass
-    individually togglable) and collect the reference run and
-    profile. *)
-val prepare :
-  ?unroll:bool ->
-  ?promote:bool ->
-  ?simplify:bool ->
-  ?if_convert:bool ->
-  ?ifconvert_config:Vliw_opt.Ifconvert.config ->
-  Benchsuite.Bench_intf.t ->
-  prepared
+(** Compile a benchmark (unrolling, then {!optimize}) and collect the
+    reference run and profile. *)
+val prepare : Benchsuite.Bench_intf.t -> prepared
 
-(** [prepare] with default flags, memoized by benchmark name — the
-    front end is deterministic, so latency sweeps that revisit the same
+(** [prepare], memoized by benchmark name — the front end is
+    deterministic, so latency sweeps that revisit the same
     benchmark reuse one compile + profile.  The memo is guarded by an
     internal lock, so [Par] pool workers may warm it concurrently (the
     compile itself runs outside the lock; duplicate compiles of the
-    same benchmark are equal and last write wins).  Callers
-    that vary the optional flags must use [prepare] directly.  The memo
-    is bounded (it resets when it outgrows the benchmark suite by a wide
+    same benchmark are equal and last write wins).  The memo is
+    bounded (it resets when it outgrows the benchmark suite by a wide
     margin), and [clear_caches] empties it on demand — fuzzing loops
     call that between iterations so memory stays flat. *)
 val prepare_default : Benchsuite.Bench_intf.t -> prepared
@@ -92,15 +78,6 @@ type evaluation = {
   report : Vliw_sched.Perf.report;
 }
 
-(** Deprecated — thin wrapper over {!run} with [mode = Plain]; new code
-    should build a {!Settings.t} and call {!run}. *)
-val evaluate :
-  ?rhop_config:Partition.Rhop.config ->
-  ?gdp_config:Partition.Gdp.config ->
-  Partition.Methods.context ->
-  Partition.Methods.t ->
-  evaluation
-
 (** Full verification: the clustered program's interpretation and its
     cycle-level simulation must reproduce the reference outputs, and the
     simulator's cycle/move counts must equal the static model's.  The
@@ -111,19 +88,6 @@ val verify :
   Partition.Methods.context ->
   evaluation ->
   (unit, string) result
-
-(** [evaluate] with every internal invariant checked instead of raised:
-    stage exceptions become [Error], the clustered assignment is
-    structurally validated, and with [?verify_against] the full
-    differential check against the reference run is included.
-    Deprecated — thin wrapper over {!run} with [mode = Checked _]. *)
-val evaluate_checked :
-  ?rhop_config:Partition.Rhop.config ->
-  ?gdp_config:Partition.Gdp.config ->
-  ?verify_against:prepared ->
-  Partition.Methods.context ->
-  Partition.Methods.t ->
-  (evaluation, string) result
 
 type fallback = {
   failed_method : string;
@@ -139,41 +103,17 @@ type robust = {
 
 val pp_fallback : fallback Fmt.t
 
-(** Evaluate with graceful degradation along
-    [Partition.Methods.fallback_chain] (GDP -> Profile Max -> Naive ->
-    Unified): a method whose partition or schedule fails an invariant or
-    (with [verify], the default) the differential check is recorded as a
-    fallback and the next method is tried.  Failures count as detected
-    faults and a successful fallback as a recovery ([Fault.counts]).
-    [Error] only when every method in the chain fails.
-    Deprecated — thin wrapper over {!run} with [mode = Robust _]. *)
-val evaluate_robust :
-  ?rhop_config:Partition.Rhop.config ->
-  ?gdp_config:Partition.Gdp.config ->
-  ?verify:bool ->
-  prepared ->
-  Partition.Methods.context ->
-  Partition.Methods.t ->
-  (robust, string) result
-
 (** {1 Settings}
 
-    Everything the evaluation entry points used to take as scattered
-    optional arguments, as one first-class, serializable record.  The
-    JSON form ([schema "gdp-settings/1"]) is what crosses the pipe to
-    [Exec] pool workers. *)
+    What a compile varies — the machine, the method and the
+    intra-compile parallelism — as one first-class, serializable
+    record.  The JSON form ([schema "gdp-settings/1"]) is what crosses
+    the pipe to [Exec] pool workers and the [gdpcd] wire. *)
 
 module Settings : sig
   type t = {
     machine : Machine_spec.t;  (** declarative machine description *)
     method_ : Partition.Methods.t;
-    unroll : bool;  (** front-end flags, as in [prepare] *)
-    promote : bool;
-    simplify : bool;
-    if_convert : bool;
-    merge_low_slack : bool option;  (** [None] = context default *)
-    rhop : Partition.Rhop.config option;  (** [None] = partitioner default *)
-    gdp : Partition.Gdp.config option;
     par_domains : int;
         (** intra-compile parallelism: domains used by the partitioning
             passes (default 1).  Only wall clock depends on it: the
@@ -181,8 +121,8 @@ module Settings : sig
             backend.  See [docs/parallelism.md]. *)
   }
 
-  (** Paper defaults: the 2-cluster bus machine with 5-cycle moves, all
-      front-end passes on, default partitioner configs. *)
+  (** Paper defaults: the 2-cluster bus machine with 5-cycle moves, one
+      domain. *)
   val default : Partition.Methods.t -> t
 
   (** The concrete machine the settings describe:
@@ -190,25 +130,19 @@ module Settings : sig
       for unrealizable specs (never for specs [of_json] accepted). *)
   val machine : t -> Vliw_machine.t
 
-  (** True when every front-end flag has its default value — exactly
-      the settings under which [prepare_with] may take the memoized
-      [prepare_default] path. *)
-  val default_front_end : t -> bool
-
   (** Format version emitted by [to_json] (as a ["version"] field) and
       the only version [of_json] accepts.  A document without the field
       (version 1) or with an older one is rejected naming its version; a
       newer one with a message telling the operator to upgrade. *)
   val version : int
 
-  (** [of_json (to_json s) = Ok s] for every [s] (the numbers involved
-      are finite).  [of_json] is strict: unknown schemas, other
-      [version]s, unknown method names, shape mismatches {e and any
-      field it does not know} (top-level or inside
-      ["rhop"]/["gdp"]/["machine"]) are rejected with a descriptive
-      [Error] naming the offender — a typo'd option must fail loudly
-      rather than be silently ignored, especially now that settings
-      documents arrive over the [gdpcd] wire.
+  (** [of_json (to_json s) = Ok s] for every [s].  [of_json] is strict:
+      unknown schemas, other [version]s, unknown method names, shape
+      mismatches {e and any field it does not know} (top-level or
+      inside ["machine"]) are rejected with a descriptive [Error]
+      naming the offender — a typo'd option must fail loudly rather
+      than be silently ignored, especially now that settings documents
+      arrive over the [gdpcd] wire.
 
       The machine travels as the ["machine"] field: [to_json] writes a
       gdp-machine/1 spec object, and [of_json] also takes a preset
@@ -218,27 +152,32 @@ module Settings : sig
   val of_json : Minijson.t -> (t, string) result
 end
 
-(** Prepare a benchmark under the settings' front-end flags; with all
-    flags at their defaults this is [prepare_default] (memoized). *)
-val prepare_with : Settings.t -> Benchsuite.Bench_intf.t -> prepared
-
-(** How much checking {!run} performs: [Plain] is [evaluate] (internal
-    errors raise), [Checked] promotes invariant violations to [Error]
-    (with [verify], the full differential check — needs [~prepared]),
-    and [Robust] degrades along the fallback chain. *)
+(** How much checking {!run} performs: [Plain] lets internal errors
+    raise, [Checked] promotes invariant violations to [Error] and
+    structurally validates the clustered assignment (with [verify],
+    also the full differential check of {!verify} — needs
+    [~prepared]), and [Robust] degrades along
+    [Partition.Methods.fallback_chain] (GDP -> Profile Max -> Naive ->
+    Unified): a method whose partition or schedule fails an invariant
+    or (with [verify]) the differential check is recorded as a
+    fallback and the next method is tried.  Failures count as detected
+    faults and a successful fallback as a recovery ([Fault.counts]);
+    [Robust] returns [Error] only when every method in the chain
+    fails.  [Plain] and [Checked] record one [evaluate] span; [Robust]
+    records an [evaluate-robust] span around one [evaluate] span per
+    attempt. *)
 type mode = Plain | Checked of { verify : bool } | Robust of { verify : bool }
 
 type run_result =
   | Evaluated of evaluation  (** [Plain] and [Checked] modes *)
   | Degraded of robust  (** [Robust] mode *)
 
-(** The settings-driven entry point behind [evaluate],
-    [evaluate_checked] and [evaluate_robust].  The context is built
-    from [~prepared] on the machine {!Settings.machine} describes, or
+(** The one compile entry point.  The context is built from
+    [~prepared] on the machine {!Settings.machine} describes, or
     supplied ready-made with [~ctx] (whose machine then wins — the
-    settings' [machine] spec is ignored).  At least one of
-    the two is required, and modes that verify against the reference
-    run ([Checked {verify = true}], [Robust _]) need [~prepared].
+    settings' [machine] spec is ignored).  At least one of the two is
+    required, and modes that verify against the reference run
+    ([Checked {verify = true}], [Robust _]) need [~prepared].
 
     [?par_workers] caps how many of the [Settings.par_domains] domains
     actually run — a width limit for resource-constrained hosts (e.g. a

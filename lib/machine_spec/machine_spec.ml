@@ -7,7 +7,7 @@
     resolved machine uses [Vliw_machine.itanium_latencies], matching
     the paper.
 
-    Specs travel inside [Pipeline.Settings] (v3), over the gdpcd wire
+    Specs travel inside [Pipeline.Settings] (v4), over the gdpcd wire
     protocol (and therefore into the artifact cache key), and as
     [gdpc --machine] arguments; [docs/machine.md] documents the JSON
     format and the presets. *)

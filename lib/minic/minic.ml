@@ -30,9 +30,9 @@ let typecheck ast =
 
 (** Compile MiniC source to a validated IR program.  [unroll] (default
     on) fully unrolls small constant-trip loops first. *)
-let compile ?(unroll = true) ?unroll_config src =
+let compile ?(unroll = true) src =
   let ast = parse src in
-  let ast = if unroll then Unroll.run ?config:unroll_config ast else ast in
+  let ast = if unroll then Unroll.run ast else ast in
   let tp = typecheck ast in
   let prog = Lower.lower_program tp in
   (try Vliw_ir.Validate.check prog

@@ -16,12 +16,11 @@
     Each copy substitutes the literal induction value for [i] and is
     wrapped in its own scope. *)
 
-type config = {
-  max_trips : int;  (** do not unroll loops longer than this *)
-  max_total_stmts : int;  (** bound on body statements x trips *)
-}
+(* do not unroll loops longer than this *)
+let max_trips = 16
 
-let default_config = { max_trips = 16; max_total_stmts = 160 }
+(* bound on body statements x trips *)
+let max_total_stmts = 160
 
 (* ------------------------------------------------------------------ *)
 (* Shape recognition                                                   *)
@@ -150,18 +149,18 @@ let rec stmt_size (s : Ast.stmt) : int =
 (* ------------------------------------------------------------------ *)
 (* The transformation (bottom-up)                                      *)
 
-let rec unroll_stmt cfg (s : Ast.stmt) : Ast.stmt =
+let rec unroll_stmt (s : Ast.stmt) : Ast.stmt =
   let d =
     match s.Ast.sdesc with
     | Ast.Sfor (init, cond, step, body) -> (
-        let body = unroll_stmt cfg body in
+        let body = unroll_stmt body in
         match recognize init cond step with
         | Some l when var_safe l.var body -> (
             let values = trip_values l in
             let trips = List.length values in
             if
-              trips > 0 && trips <= cfg.max_trips
-              && trips * stmt_size body <= cfg.max_total_stmts
+              trips > 0 && trips <= max_trips
+              && trips * stmt_size body <= max_total_stmts
             then
               Ast.Sblock
                 (List.map
@@ -173,29 +172,29 @@ let rec unroll_stmt cfg (s : Ast.stmt) : Ast.stmt =
               match (init, cond, step) with
               | _ ->
                   Ast.Sfor
-                    ( Option.map (unroll_stmt cfg) init,
+                    ( Option.map unroll_stmt init,
                       cond,
-                      Option.map (unroll_stmt cfg) step,
+                      Option.map unroll_stmt step,
                       body ))
         | _ ->
             Ast.Sfor
-              ( Option.map (unroll_stmt cfg) init,
+              ( Option.map unroll_stmt init,
                 cond,
-                Option.map (unroll_stmt cfg) step,
+                Option.map unroll_stmt step,
                 body ))
-    | Ast.Swhile (c, b) -> Ast.Swhile (c, unroll_stmt cfg b)
+    | Ast.Swhile (c, b) -> Ast.Swhile (c, unroll_stmt b)
     | Ast.Sif (c, t, e) ->
-        Ast.Sif (c, unroll_stmt cfg t, Option.map (unroll_stmt cfg) e)
-    | Ast.Sblock ss -> Ast.Sblock (List.map (unroll_stmt cfg) ss)
+        Ast.Sif (c, unroll_stmt t, Option.map unroll_stmt e)
+    | Ast.Sblock ss -> Ast.Sblock (List.map unroll_stmt ss)
     | Ast.Sdecl _ | Ast.Sassign _ | Ast.Sexpr _ | Ast.Sreturn _ -> s.Ast.sdesc
   in
   { s with Ast.sdesc = d }
 
-let run ?(config = default_config) (prog : Ast.program) : Ast.program =
+let run (prog : Ast.program) : Ast.program =
   List.map
     (function
       | Ast.Dglobal _ as d -> d
       | Ast.Dfunc f ->
           Ast.Dfunc
-            { f with Ast.fd_body = List.map (unroll_stmt config) f.Ast.fd_body })
+            { f with Ast.fd_body = List.map unroll_stmt f.Ast.fd_body })
     prog

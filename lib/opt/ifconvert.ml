@@ -26,12 +26,11 @@
 
 open Vliw_ir
 
-type config = {
-  max_block_ops : int;  (** do not grow hyperblocks beyond this *)
-  max_branch_ops : int;  (** max ops convertible per branch side *)
-}
+(* do not grow hyperblocks beyond this *)
+let max_block_ops = 160
 
-let default_config = { max_block_ops = 160; max_branch_ops = 48 }
+(* max ops convertible per branch side *)
+let max_branch_ops = 48
 
 (** Ops that cannot be nullified safely or that end regions. *)
 let convertible_op op =
@@ -90,7 +89,7 @@ type fresh = { mutable next_reg : int; mutable next_op : int }
 
 (** One conversion step on function [f]: find a convertible diamond or
     triangle and flatten it.  Returns [None] at fixpoint. *)
-let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
+let convert_one ~(fr : fresh) (f : Func.t) : Func.t option =
   let preds = Func.in_degrees f in
   let pred_count l = Option.value ~default:0 (Hashtbl.find_opt preds l) in
   let blocks = Func.blocks f in
@@ -114,11 +113,11 @@ let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
         let t = find_block if_true and fblk = find_block if_false in
         let t_ok =
           pred_count if_true = 1
-          && convertible_block t ~max_ops:cfg.max_branch_ops
+          && convertible_block t ~max_ops:max_branch_ops
         in
         let f_ok =
           pred_count if_false = 1
-          && convertible_block fblk ~max_ops:cfg.max_branch_ops
+          && convertible_block fblk ~max_ops:max_branch_ops
         in
         let succ_of b =
           match Op.kind (Block.term b) with
@@ -131,7 +130,7 @@ let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
             List.length (Block.body a)
             + List.length t_body + List.length f_body
           in
-          if total > cfg.max_block_ops then None
+          if total > max_block_ops then None
           else begin
             let p = fresh_reg () in
             let setp = fresh_op (Op.Un (Op.Copy, p, cond)) in
@@ -201,11 +200,11 @@ let convert_one ~(cfg : config) ~(fr : fresh) (f : Func.t) : Func.t option =
   in
   scan blocks
 
-let convert_func ~cfg ~fr (f : Func.t) : Func.t =
+let convert_func ~fr (f : Func.t) : Func.t =
   let rec fixpoint f =
     (* interleave straightening so joins fold into the hyperblock *)
-    let f = Straighten.merge_func ~max_ops:cfg.max_block_ops f in
-    match convert_one ~cfg ~fr f with
+    let f = Straighten.merge_func ~max_ops:max_block_ops f in
+    match convert_one ~fr f with
     | Some f' -> fixpoint f'
     | None -> f
   in
@@ -213,13 +212,13 @@ let convert_func ~cfg ~fr (f : Func.t) : Func.t =
   Straighten.merge_func ~max_ops:max_int f
 
 (** If-convert a whole program. *)
-let run ?(config = default_config) (prog : Prog.t) : Prog.t =
+let run (prog : Prog.t) : Prog.t =
   let fr = { next_reg = 0; next_op = Prog.op_count prog } in
   let funcs =
     List.map
       (fun f ->
         fr.next_reg <- Func.reg_count f;
-        let f' = convert_func ~cfg:config ~fr f in
+        let f' = convert_func ~fr f in
         Func.v ~name:(Func.name f') ~params:(Func.params f')
           ~blocks:(Func.blocks f') ~reg_count:fr.next_reg)
       (Prog.funcs prog)

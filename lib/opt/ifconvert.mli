@@ -1,15 +1,10 @@
 (** If-conversion: predicated hyperblock formation (the Trimaran/IMPACT
     region-formation substrate).  Flattens call-free diamonds and
     triangles into straight-line guarded code, interleaved with
-    straightening, to a fixpoint bounded by [max_block_ops].  Semantics
+    straightening, to a fixpoint: hyperblocks grow to at most 160
+    ops, and a branch side of at most 48 ops is convertible.  Semantics
     are preserved (checked by the property tests). *)
 
 open Vliw_ir
 
-type config = {
-  max_block_ops : int;  (** do not grow hyperblocks beyond this *)
-  max_branch_ops : int;  (** max ops convertible per branch side *)
-}
-
-val default_config : config
-val run : ?config:config -> Prog.t -> Prog.t
+val run : Prog.t -> Prog.t

@@ -37,20 +37,17 @@ let preferred freq =
   Array.iteri (fun c n -> if n > freq.(!best) then best := c) freq;
   !best
 
-(** Profile Max object placement: greedy by descending total frequency
-    with a memory-balance threshold of [(1 + balance_tol) / nclusters]
-    of the total data bytes per cluster. *)
-let profile_max_homes ?(balance_tol = 0.25) ~(merge : Merge.t)
-    ~(profile : P.t) ~(assign : A.t) ~num_clusters () :
-    (Data.obj * int) list =
+(** Profile Max object placement: greedy by descending total frequency,
+    each cluster holding at most [1.25 / nclusters] of the total data
+    bytes (a 25% memory-balance tolerance). *)
+let profile_max_homes ~(merge : Merge.t) ~(profile : P.t) ~(assign : A.t)
+    ~num_clusters () : (Data.obj * int) list =
   let freqs = group_frequencies ~merge ~profile ~assign ~num_clusters in
   let total_bytes =
     Array.fold_left (fun acc g -> acc + g.Merge.bytes) 0 merge.Merge.groups
   in
   let cap =
-    int_of_float
-      (ceil
-         ((1. +. balance_tol) /. float num_clusters *. float total_bytes))
+    int_of_float (ceil (1.25 /. float num_clusters *. float total_bytes))
   in
   let by_freq =
     List.sort

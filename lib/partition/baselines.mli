@@ -13,8 +13,10 @@ val group_frequencies :
   num_clusters:int ->
   (int * int array) list
 
+(** Profile Max object placement: greedy by descending total frequency,
+    each cluster holding at most [1.25 / nclusters] of the total data
+    bytes. *)
 val profile_max_homes :
-  ?balance_tol:float ->
   merge:Merge.t ->
   profile:Vliw_interp.Profile.t ->
   assign:Vliw_sched.Assignment.t ->

@@ -129,20 +129,18 @@ let set_homes assign homes =
     moves, and package the result.  This is the shared second pass of
     GDP and Profile Max, and the whole story for the exhaustive-search
     experiment (Figure 9). *)
-let clustered_with_homes ?rhop_config ?pool ctx ~method_name ~rhop_runs homes
-    : outcome =
+let clustered_with_homes ?pool ctx ~method_name ~rhop_runs homes : outcome =
   let assign = A.create ~num_clusters:(Vliw_machine.num_clusters ctx.machine) in
   set_homes assign homes;
-  Rhop.partition ?config:rhop_config ?pool ~machine:ctx.machine
-    ~objects_of:(objects_of ctx) ~lock_of:(lock_table ctx homes) ctx.prog
-    assign;
+  Rhop.partition ?pool ~machine:ctx.machine ~objects_of:(objects_of ctx)
+    ~lock_of:(lock_table ctx homes) ctx.prog assign;
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
   { method_name; clustered; obj_home = homes; rhop_runs }
 
 (** Unified-memory computation partition (no locks, no homes). *)
-let unified_assignment ?rhop_config ?pool ctx : A.t =
+let unified_assignment ?pool ctx : A.t =
   let assign = A.create ~num_clusters:(Vliw_machine.num_clusters ctx.machine) in
-  Rhop.partition ?config:rhop_config ?pool ~machine:ctx.machine
+  Rhop.partition ?pool ~machine:ctx.machine
     ~objects_of:(objects_of ctx)
     ~lock_of:(fun _ -> None)
     ctx.prog assign;
@@ -151,27 +149,23 @@ let unified_assignment ?rhop_config ?pool ctx : A.t =
 (* ------------------------------------------------------------------ *)
 (* Methods                                                             *)
 
-let run_gdp ?rhop_config ?gdp_config ?pool ctx : outcome =
+let run_gdp ?gdp_config ?pool ctx : outcome =
   let r =
     Gdp.partition_objects ?config:gdp_config ?pool ~machine:ctx.machine
       ~prog:ctx.prog ~merge:ctx.merge ~dfg:ctx.dfg ~profile:ctx.profile ()
   in
-  clustered_with_homes ?rhop_config ?pool ctx ~method_name:(to_string Gdp)
-    ~rhop_runs:1 r.Gdp.obj_home
+  clustered_with_homes ?pool ctx ~method_name:(to_string Gdp) ~rhop_runs:1
+    r.Gdp.obj_home
 
-let run_profile_max ?rhop_config ?balance_tol ?pool ctx : outcome =
-  let assign1 = unified_assignment ?rhop_config ?pool ctx in
+let run_profile_max ?pool ctx : outcome =
+  let assign1 = unified_assignment ?pool ctx in
   let homes =
-    Baselines.profile_max_homes ?balance_tol ~merge:ctx.merge
-      ~profile:ctx.profile ~assign:assign1
+    Baselines.profile_max_homes ~merge:ctx.merge ~profile:ctx.profile
+      ~assign:assign1
       ~num_clusters:(Vliw_machine.num_clusters ctx.machine) ()
   in
-  {
-    (clustered_with_homes ?rhop_config ?pool ctx
-       ~method_name:(to_string Profile_max) ~rhop_runs:2 homes)
-    with
-    rhop_runs = 2;
-  }
+  clustered_with_homes ?pool ctx ~method_name:(to_string Profile_max)
+    ~rhop_runs:2 homes
 
 (** Re-home memory operations of [assign] onto their group's cluster
     without repartitioning, repairing any register web whose definitions
@@ -222,8 +216,8 @@ let rehome_memory ctx (assign : A.t) (lock_of : int -> int option) : unit =
         defs_of)
     (Prog.funcs ctx.prog)
 
-let run_naive ?rhop_config ?pool ctx : outcome =
-  let assign = unified_assignment ?rhop_config ?pool ctx in
+let run_naive ?pool ctx : outcome =
+  let assign = unified_assignment ?pool ctx in
   let homes =
     Baselines.naive_homes ~merge:ctx.merge ~profile:ctx.profile ~assign
       ~num_clusters:(Vliw_machine.num_clusters ctx.machine) ()
@@ -234,17 +228,17 @@ let run_naive ?rhop_config ?pool ctx : outcome =
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
   { method_name = to_string Naive; clustered; obj_home = homes; rhop_runs = 1 }
 
-let run_unified ?rhop_config ?pool ctx : outcome =
-  let assign = unified_assignment ?rhop_config ?pool ctx in
+let run_unified ?pool ctx : outcome =
+  let assign = unified_assignment ?pool ctx in
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
   { method_name = to_string Unified; clustered; obj_home = []; rhop_runs = 1 }
 
-let run ?rhop_config ?gdp_config ?balance_tol ?pool method_ ctx : outcome =
+let run ?gdp_config ?pool method_ ctx : outcome =
   match method_ with
-  | Gdp -> run_gdp ?rhop_config ?gdp_config ?pool ctx
-  | Profile_max -> run_profile_max ?rhop_config ?balance_tol ?pool ctx
-  | Naive -> run_naive ?rhop_config ?pool ctx
-  | Unified -> run_unified ?rhop_config ?pool ctx
+  | Gdp -> run_gdp ?gdp_config ?pool ctx
+  | Profile_max -> run_profile_max ?pool ctx
+  | Naive -> run_naive ?pool ctx
+  | Unified -> run_unified ?pool ctx
 
 (** Evaluate an outcome under the cycle model. *)
 let evaluate ctx (o : outcome) : Vliw_sched.Perf.report =

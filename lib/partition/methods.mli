@@ -62,7 +62,6 @@ type outcome = {
     and insert moves — the shared second pass of GDP and Profile Max,
     and the whole story for the Figure 9 exhaustive search. *)
 val clustered_with_homes :
-  ?rhop_config:Rhop.config ->
   ?pool:Par.pool ->
   context ->
   method_name:string ->
@@ -70,38 +69,16 @@ val clustered_with_homes :
   (Data.obj * int) list ->
   outcome
 
-val run_gdp :
-  ?rhop_config:Rhop.config ->
-  ?gdp_config:Gdp.config ->
-  ?pool:Par.pool ->
-  context ->
-  outcome
+(** Run one method on a context: the layer [Pipeline.run] calls.
+    [?gdp_config] sets GDP's partitioner balance and seed (the
+    imbalance ablation sweeps it); the other methods ignore it.
 
-val run_profile_max :
-  ?rhop_config:Rhop.config ->
-  ?balance_tol:float ->
-  ?pool:Par.pool ->
-  context ->
-  outcome
-
-val run_naive : ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
-
-val run_unified :
-  ?rhop_config:Rhop.config -> ?pool:Par.pool -> context -> outcome
-
-(** [?pool] enables intra-compile parallelism: GDP's graph partitioner
+    [?pool] enables intra-compile parallelism: GDP's graph partitioner
     runs its starts and FM seeds concurrently, and RHOP partitions
     independent blocks in dependency waves.  The outcome does not
     depend on the pool's width, nor on whether a pool is given.  See
     [docs/parallelism.md]. *)
-val run :
-  ?rhop_config:Rhop.config ->
-  ?gdp_config:Gdp.config ->
-  ?balance_tol:float ->
-  ?pool:Par.pool ->
-  t ->
-  context ->
-  outcome
+val run : ?gdp_config:Gdp.config -> ?pool:Par.pool -> t -> context -> outcome
 
 (** Price an outcome under the static cycle model. *)
 val evaluate : context -> outcome -> Vliw_sched.Perf.report

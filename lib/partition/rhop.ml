@@ -23,14 +23,11 @@ open Vliw_ir
 module D = Vliw_sched.Deps
 module A = Vliw_sched.Assignment
 
-type config = {
-  xmove_weight : int option;
-      (** cycles charged per cross-block move; default: move latency *)
-  coarsen_until : int;  (** stop coarsening at this many groups *)
-  max_passes : int;  (** refinement passes per level *)
-}
+(* stop coarsening a block at this many groups *)
+let coarsen_until = 6
 
-let default_config = { xmove_weight = None; coarsen_until = 6; max_passes = 4 }
+(* refinement passes per level *)
+let max_passes = 4
 
 (* ------------------------------------------------------------------ *)
 (* Per-block partitioning                                              *)
@@ -172,8 +169,8 @@ let rec move_group est c = function
     cluster that lowers the estimated cost.  Each candidate cluster is
     priced by moving the group there in [est]'s tracked assignment and
     reading the estimate.  Returns the number of candidates priced. *)
-let refine_level (est : Est.t) ~num_clusters ~max_passes
-    (groups : group array) (cluster : int array) : int =
+let refine_level (est : Est.t) ~num_clusters (groups : group array)
+    (cluster : int array) : int =
   let order = Array.init (Array.length groups) Fun.id in
   Array.sort (fun a b -> compare groups.(b).size groups.(a).size) order;
   let changed = ref true in
@@ -212,16 +209,11 @@ let refine_level (est : Est.t) ~num_clusters ~max_passes
   done;
   !candidates
 
-let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
+let partition_block ~(machine : Vliw_machine.t) ~objects_of
     ~(lock_of : int -> int option) ~(reg_home : (Reg.t, int) Hashtbl.t)
     ~(live_out : Reg.Set.t) (block : Block.t) : (int * int) list =
   let deps = D.build ~objects_of ~machine block in
   let n = D.num_ops deps in
-  let xmove_weight =
-    match config.xmove_weight with
-    | Some w -> w
-    | None -> Vliw_machine.move_latency machine
-  in
   (* pins and couplings for cross-block values *)
   let pins = ref [] and couplings = ref [] in
   let first_def : (Reg.t, int) Hashtbl.t = Hashtbl.create 32 in
@@ -252,8 +244,9 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
     List.iter (fun r -> Hashtbl.replace defined r ()) (Op.defs (D.op deps i))
   done;
   let est =
+    (* a cross-block move costs the machine's move latency *)
     Est.make ~machine ~deps ~pins:!pins ~couplings:!couplings ~live_out
-      ~xmove_weight
+      ~xmove_weight:(Vliw_machine.move_latency machine)
   in
   (* slack-based edge weights for coarsening *)
   let times = D.asap_alap deps in
@@ -267,7 +260,7 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
   (* multilevel: coarsen, then refine from coarsest to finest *)
   let level0 = Array.of_list (base_groups deps ~lock_of) in
   let rec build_levels acc groups =
-    if Array.length groups <= config.coarsen_until then groups :: acc
+    if Array.length groups <= coarsen_until then groups :: acc
     else
       match coarsen_level deps edge_weight groups with
       | None -> groups :: acc
@@ -290,10 +283,7 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
   let num_clusters = Vliw_machine.num_clusters machine in
   let candidates =
     List.fold_left
-      (fun acc groups ->
-        acc
-        + refine_level est ~num_clusters ~max_passes:config.max_passes groups
-            cluster)
+      (fun acc groups -> acc + refine_level est ~num_clusters groups cluster)
       0 levels
   in
   Telemetry.incr ~by:candidates "rhop.candidates";
@@ -309,7 +299,7 @@ let partition_block ~(machine : Vliw_machine.t) ~config ~objects_of
     [reg_home] but never writes it — the caller applies results — so
     independent blocks can run concurrently against a quiescent
     table. *)
-let block_result ~machine ~config ~objects_of ~lock_of
+let block_result ~machine ~objects_of ~lock_of
     ~(reg_home : (Reg.t, int) Hashtbl.t) ~cfg ~liveness f (b : Block.t) :
     (int * int) list =
   let op_by_id : (int, Op.t) Hashtbl.t =
@@ -346,8 +336,8 @@ let block_result ~machine ~config ~objects_of ~lock_of
     else []
   in
   Telemetry.with_span "rhop-region" ~args (fun () ->
-      partition_block ~machine ~config ~objects_of ~lock_of:lock_with_reg
-        ~reg_home ~live_out b)
+      partition_block ~machine ~objects_of ~lock_of:lock_with_reg ~reg_home
+        ~live_out b)
 
 (** Commit one block's result: write its op clusters into [assign] and
     record the homes of the registers it defines.  Must run in layout
@@ -374,8 +364,8 @@ let apply_result ~(reg_home : (Reg.t, int) Hashtbl.t) (assign : A.t)
     domain, reproducing the block-by-block [reg_home] evolution
     (including last-write-wins and the re-homing check).  The
     assignment is therefore the same for any pool width. *)
-let partition_func pool ~machine ~config ~objects_of ~lock_of
-    (assign : A.t) f : unit =
+let partition_func pool ~machine ~objects_of ~lock_of (assign : A.t) f :
+    unit =
   let cfg = Vliw_analysis.Cfg.of_func f in
   let liveness = Vliw_analysis.Liveness.compute cfg in
   let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
@@ -409,8 +399,8 @@ let partition_func pool ~machine ~config ~objects_of ~lock_of
     let wave = Array.of_list !wave in
     let results =
       Par.map pool ~n:(Array.length wave) (fun k ->
-          block_result ~machine ~config ~objects_of ~lock_of ~reg_home ~cfg
-            ~liveness f blocks.(wave.(k)))
+          block_result ~machine ~objects_of ~lock_of ~reg_home ~cfg ~liveness
+            f blocks.(wave.(k)))
     in
     (* commit in layout order: wave indices are ascending by block *)
     Array.iteri
@@ -423,13 +413,13 @@ let partition_func pool ~machine ~config ~objects_of ~lock_of
     partition); object homes in [assign] are the caller's business.
     Blocks of a dependency wave ([partition_func]) run concurrently on
     [pool]; without one everything runs inline. *)
-let partition ?(config = default_config) ?pool ~(machine : Vliw_machine.t)
+let partition ?pool ~(machine : Vliw_machine.t)
     ~(objects_of : int -> Data.Obj_set.t) ~(lock_of : int -> int option)
     (prog : Prog.t) (assign : A.t) : unit =
   Telemetry.with_span "rhop" @@ fun () ->
   let run pool =
     List.iter
-      (partition_func pool ~machine ~config ~objects_of ~lock_of assign)
+      (partition_func pool ~machine ~objects_of ~lock_of assign)
       (Prog.funcs prog)
   in
   match pool with Some pool -> run pool | None -> Par.with_pool ~domains:1 run

@@ -7,18 +7,11 @@
 
 open Vliw_ir
 
-type config = {
-  xmove_weight : int option;
-      (** cycles charged per cross-block move; default: move latency *)
-  coarsen_until : int;
-  max_passes : int;
-}
-
-val default_config : config
-
 (** Fill in the operation clusters of [assign] for the whole program.
     [lock_of] gives mandatory clusters (memory operations under a data
     partition); object homes in [assign] are the caller's business.
+    Each block coarsens to 6 groups and refines each level in up to 4
+    passes; a cross-block move is charged the machine's move latency.
 
     Each function's blocks are partitioned in dependency waves: block
     [j] waits only for earlier blocks defining a register [j] defines
@@ -26,7 +19,6 @@ val default_config : config
     [pool] (inline without one).  Results are committed in layout
     order, so the output is the same for any pool width. *)
 val partition :
-  ?config:config ->
   ?pool:Par.pool ->
   machine:Vliw_machine.t ->
   objects_of:(int -> Data.Obj_set.t) ->

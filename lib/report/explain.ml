@@ -62,19 +62,16 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
       (fun m ->
         (* a private capture so the partitioner gauges are readable even
            when the enclosing command records no telemetry *)
-        let e, snap =
-          Telemetry.capture (fun () -> Gdp_core.Pipeline.evaluate ctx m)
-        in
-        let clustered = e.Gdp_core.Pipeline.outcome.Methods.clustered in
+        let outcome, snap = Telemetry.capture (fun () -> Methods.run m ctx) in
+        let report = Methods.evaluate ctx outcome in
+        let clustered = outcome.Methods.clustered in
         let totals =
           Attrib.of_clustered ~machine clustered ~profile ~objects_of ()
         in
         (match Attrib.check_identity totals with
         | Some msg -> failwith (Methods.to_string m ^ ": " ^ msg)
         | None -> ());
-        let model_cycles =
-          e.Gdp_core.Pipeline.report.Vliw_sched.Perf.total_cycles
-        in
+        let model_cycles = report.Vliw_sched.Perf.total_cycles in
         if totals.Attrib.t_cycles <> model_cycles then
           failwith
             (Fmt.str "%s: attribution covers %d cycles but the model reports %d"
@@ -82,16 +79,14 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
         {
           mr_method = Methods.to_string m;
           mr_cycles = model_cycles;
-          mr_dynamic_moves =
-            e.Gdp_core.Pipeline.report.Vliw_sched.Perf.dynamic_moves;
-          mr_static_moves =
-            e.Gdp_core.Pipeline.report.Vliw_sched.Perf.static_moves;
+          mr_dynamic_moves = report.Vliw_sched.Perf.dynamic_moves;
+          mr_static_moves = report.Vliw_sched.Perf.static_moves;
           mr_cut_edges = Telemetry.Snapshot.find_gauge snap "gdp.cut_edges";
           mr_inserted_moves =
             Telemetry.Snapshot.find_counter snap "moves.inserted";
           mr_totals = totals;
           mr_occupancy = occupancy ~machine ~objects_of clustered ~profile;
-          mr_obj_home = e.Gdp_core.Pipeline.outcome.Methods.obj_home;
+          mr_obj_home = outcome.Methods.obj_home;
         })
       Methods.all
   in

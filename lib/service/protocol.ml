@@ -334,9 +334,8 @@ let cache_key (j : job) =
   Cache.digest_key ~parts:[ key_salt; j.source; input; settings_json; machine ]
 
 let bench_name (j : job) =
-  (* Only source + input matter: the front-end memo this keys is used
-     solely under default front-end flags, and the settings do not
-     change what [prepare_default] computes for a given program. *)
+  (* Only source + input matter: the settings do not change what
+     [prepare_default] computes for a given program. *)
   let input = String.concat "," (List.map string_of_int j.input) in
   let d = Cache.digest_key ~parts:[ j.source; input ] in
   "svc-" ^ String.sub d 0 16
@@ -382,7 +381,7 @@ let evaluate_job ?par_workers (j : job) =
   in
   match
     try
-      let prepared = Pipeline.prepare_with j.settings bench in
+      let prepared = Pipeline.prepare_default bench in
       Pipeline.run ~prepared
         ~mode:(Pipeline.Checked { verify = j.verify })
         ?par_workers j.settings

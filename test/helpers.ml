@@ -83,3 +83,12 @@ let gen_spec st =
     link_latency = 1 + Random.State.int st 6;
     link_bandwidth = 1 + Random.State.int st 2;
   }
+
+(** Run [method_] on a ready context through [Pipeline.run] in [Plain]
+    mode (the context's machine wins over the settings' default). *)
+let evaluate ctx method_ =
+  let module P = Gdp_core.Pipeline in
+  match P.run ~ctx (P.Settings.default method_) with
+  | Ok (P.Evaluated e) -> e
+  | Ok (P.Degraded _) -> Alcotest.fail "Plain mode degraded"
+  | Error m -> Alcotest.fail m

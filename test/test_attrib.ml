@@ -68,7 +68,7 @@ let check_seed seed =
             Printf.sprintf "seed %d, %s, latency %d" seed (Methods.to_string m)
               move_latency
           in
-          let e = Pipeline.evaluate ctx m in
+          let e = Helpers.evaluate ctx m in
           let clustered = e.Pipeline.outcome.Methods.clustered in
           let sim =
             Sim.run ~account:true clustered ~machine ~objects_of

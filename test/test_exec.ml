@@ -125,35 +125,11 @@ let settings_gen =
     let* clusters = int_range 2 8 in
     let* move_latency = int_range 1 20 in
     let* method_ = oneofl Methods.all in
-    let* unroll = bool and* promote = bool in
-    let* simplify = bool and* if_convert = bool in
-    let* merge_low_slack = option bool in
-    let* rhop =
-      option
-        (let* xmove_weight = option (int_range 0 50) in
-         let* coarsen_until = int_range 1 100 in
-         let* max_passes = int_range 1 10 in
-         return { Partition.Rhop.xmove_weight; coarsen_until; max_passes })
-    in
-    let* gdp =
-      option
-        (let* data_imbalance = float_range 1.0 4.0 in
-         let* op_imbalance = float_range 1.0 4.0 in
-         let* seed = int_range 0 1000 in
-         return { Partition.Gdp.data_imbalance; op_imbalance; seed })
-    in
     let* par_domains = int_range 1 8 in
     return
       {
         Settings.machine = Machine_spec.of_legacy ~clusters ~move_latency;
         method_;
-        unroll;
-        promote;
-        simplify;
-        if_convert;
-        merge_low_slack;
-        rhop;
-        gdp;
         par_domains;
       })
 
@@ -183,10 +159,7 @@ let test_settings_rejections () =
               (fun (k, v) ->
                 if k = "method" then (k, Minijson.str "frobnicate") else (k, v))
               fields))
-  | _ -> Alcotest.fail "to_json did not produce an object");
-  Alcotest.(check bool)
-    "default front end detected" true
-    (Settings.default_front_end (Settings.default Methods.Gdp))
+  | _ -> Alcotest.fail "to_json did not produce an object")
 
 let test_settings_unknown_fields () =
   let expect_error ~substr doc =
@@ -197,30 +170,11 @@ let test_settings_unknown_fields () =
           Alcotest.failf "expected %S in error %S" substr m
   in
   (* a typo'd top-level option must fail loudly, naming the field *)
-  (match Settings.to_json (Settings.default Methods.Gdp) with
+  match Settings.to_json (Settings.default Methods.Gdp) with
   | Minijson.Obj fields ->
       expect_error ~substr:"colour"
         (Minijson.Obj (fields @ [ ("colour", Minijson.int 3) ]))
-  | _ -> Alcotest.fail "to_json did not produce an object");
-  (* ... and so must one buried in the rhop/gdp sub-objects *)
-  let with_rhop =
-    {
-      (Settings.default Methods.Gdp) with
-      rhop = Some Partition.Rhop.default_config;
-    }
-  in
-  (match Settings.to_json with_rhop with
-  | Minijson.Obj fields ->
-      expect_error ~substr:"wiggle"
-        (Minijson.Obj
-           (List.map
-              (fun (k, v) ->
-                match (k, v) with
-                | "rhop", Minijson.Obj fs ->
-                    (k, Minijson.Obj (fs @ [ ("wiggle", Minijson.int 1) ]))
-                | _ -> (k, v))
-              fields))
-  | _ -> Alcotest.fail "to_json did not produce an object")
+  | _ -> Alcotest.fail "to_json did not produce an object"
 
 let test_settings_version () =
   let doc_with_version v =
@@ -232,7 +186,7 @@ let test_settings_version () =
              fields)
     | _ -> Alcotest.fail "to_json did not produce an object"
   in
-  (* every machine ships as a version-3 document... *)
+  (* every machine ships as a current-version document... *)
   List.iter
     (fun preset ->
       let spec =
@@ -527,18 +481,20 @@ let test_fuzz_parallel_identity () =
   Alcotest.(check (list string)) "same mismatches" mm_seq mm_par
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline.run / wrapper equivalence and cache clearers               *)
+(* Pipeline.run over the method layer, and cache clearers              *)
 
+(* [run] builds the context from the settings' machine and prices the
+   method exactly as [Methods.run] then [Methods.evaluate] do *)
 let test_run_wraps_evaluate () =
   let b = Benchsuite.Suite.find "fir" in
   let s = Settings.default Methods.Gdp in
-  let p = Pipeline.prepare_with s b in
+  let p = Pipeline.prepare_default b in
   let ctx = Pipeline.context ~machine:(Settings.machine s) p in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let report = Methods.evaluate ctx (Methods.run Methods.Gdp ctx) in
   (match Pipeline.run ~prepared:p s with
   | Ok (Pipeline.Evaluated e') ->
       Alcotest.(check int)
-        "same cycles as evaluate" e.Pipeline.report.Vliw_sched.Perf.total_cycles
+        "same cycles as Methods.evaluate" report.Vliw_sched.Perf.total_cycles
         e'.Pipeline.report.Vliw_sched.Perf.total_cycles
   | Ok (Pipeline.Degraded _) -> Alcotest.fail "Plain mode cannot degrade"
   | Error m -> Alcotest.failf "run failed: %s" m);

@@ -11,7 +11,7 @@ let verify_bench ?(move_latency = 5) name =
   let ctx = Gdp_core.Pipeline.context ~machine p in
   List.iter
     (fun m ->
-      let e = Gdp_core.Pipeline.evaluate ctx m in
+      let e = Helpers.evaluate ctx m in
       match Gdp_core.Pipeline.verify p ctx e with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s/%s: %s" name (Methods.to_string m) msg)
@@ -40,7 +40,7 @@ let test_engine_allocation () =
       let p = Gdp_core.Pipeline.prepare b in
       let ctx = Gdp_core.Pipeline.context ~machine p in
       let c =
-        (Gdp_core.Pipeline.evaluate ctx Methods.Gdp).Gdp_core.Pipeline.outcome
+        (Helpers.evaluate ctx Methods.Gdp).Gdp_core.Pipeline.outcome
           .Methods.clustered
       in
       let words f =
@@ -85,7 +85,7 @@ let test_unified_is_strong_baseline () =
   let p = Gdp_core.Pipeline.prepare b in
   let ctx = Gdp_core.Pipeline.context p in
   let cycles m =
-    (Gdp_core.Pipeline.evaluate ctx m).Gdp_core.Pipeline.report
+    (Helpers.evaluate ctx m).Gdp_core.Pipeline.report
       .Vliw_sched.Perf.total_cycles
   in
   let unified = cycles Methods.Unified in
@@ -243,7 +243,7 @@ let test_four_cluster_machine () =
   let ctx = Gdp_core.Pipeline.context ~machine p in
   List.iter
     (fun m ->
-      let e = Gdp_core.Pipeline.evaluate ctx m in
+      let e = Helpers.evaluate ctx m in
       match Gdp_core.Pipeline.verify p ctx e with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "4 clusters %s: %s" (Methods.to_string m) msg)
@@ -266,7 +266,7 @@ let prop_methods_on_random_programs =
       let ctx = Gdp_core.Pipeline.context p in
       List.for_all
         (fun m ->
-          let e = Gdp_core.Pipeline.evaluate ctx m in
+          let e = Helpers.evaluate ctx m in
           match Gdp_core.Pipeline.verify p ctx e with
           | Ok () -> true
           | Error _ -> false)
@@ -333,6 +333,48 @@ let test_cli_schedule_matches_total () =
         (Some (sum 0 lines)))
     [ "paper"; "ring8"; "mesh16" ]
 
+(* The merge and imbalance ablations reach GDP through
+   [Pipeline.context ~merge_low_slack] and [Methods.run ~gdp_config]: at
+   their defaults both reproduce a plain GDP compile, and each knob
+   reaches the partitioner. *)
+let test_ablation_drivers () =
+  let module A = Gdp_core.Ablations in
+  let module P = Gdp_core.Pipeline in
+  let plain_gdp name =
+    match
+      P.run
+        ~prepared:(P.prepare_default (Benchsuite.Suite.find name))
+        (P.Settings.default Methods.Gdp)
+    with
+    | Ok (P.Evaluated e) -> e.P.report.Vliw_sched.Perf.total_cycles
+    | Ok (P.Degraded _) -> Alcotest.fail "Plain mode degraded"
+    | Error m -> Alcotest.fail m
+  in
+  (match A.merge_ablation ~benches:[ Benchsuite.Suite.find "fsed" ] () with
+  | [ r ] ->
+      Alcotest.(check int)
+        "merge ablation default = plain GDP" (plain_gdp "fsed")
+        r.A.ma_default_cycles;
+      Alcotest.(check (pair int int))
+        "low-slack merging leaves fewer data groups" (7, 6)
+        (r.A.ma_default_groups, r.A.ma_slack_groups)
+  | rows -> Alcotest.failf "expected one merge row, got %d" (List.length rows));
+  match
+    A.imbalance_sweep
+      ~benches:[ Benchsuite.Suite.find "rawcaudio" ]
+      ~tolerances:[ 0.25; 0.05 ] ()
+  with
+  | [ { A.ib_points = [ (_, at25); (_, at05) ]; _ } ] ->
+      Alcotest.(check int)
+        "imbalance sweep at 0.25 = plain GDP" (plain_gdp "rawcaudio") at25;
+      (* GDP's partitions hold only under the recorded random stream
+         (see [Test_partition.test_pinned_gdp]) *)
+      if Test_partition.random_stream () = Test_partition.pinned_random_stream
+      then
+        Alcotest.(check (pair int int))
+          "tolerance 0.05 changes GDP's cycles" (32789, 40469) (at25, at05)
+  | _ -> Alcotest.fail "expected one imbalance row with two points"
+
 let suite =
   [
     Alcotest.test_case "verify rawcaudio/fir/fsed, all methods" `Slow
@@ -361,5 +403,7 @@ let suite =
       test_ratio_orientation;
     Alcotest.test_case "rhop run counts" `Slow test_rhop_runs_metadata;
     Alcotest.test_case "four-cluster machine" `Slow test_four_cluster_machine;
+    Alcotest.test_case "ablation drivers reach their knobs" `Quick
+      test_ablation_drivers;
     prop_methods_on_random_programs;
   ]

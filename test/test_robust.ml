@@ -24,6 +24,17 @@ let prepared_ctx ?(move_latency = 5) name =
   let machine = Vliw_machine.paper_machine ~move_latency () in
   (p, Pipeline.context ~machine p)
 
+(* [Pipeline.run] in [Robust] mode with full verification *)
+let robust p ctx method_ =
+  match
+    Pipeline.run ~prepared:p ~ctx
+      ~mode:(Pipeline.Robust { verify = true })
+      (Pipeline.Settings.default method_)
+  with
+  | Ok (Pipeline.Degraded r) -> Ok r
+  | Ok (Pipeline.Evaluated _) -> Alcotest.fail "Robust mode returned Evaluated"
+  | Error m -> Error m
+
 let expect_error ~substr = function
   | Ok _ -> Alcotest.failf "expected a verification failure (%s)" substr
   | Error m ->
@@ -135,7 +146,7 @@ let test_counts_ledger () =
 let test_verify_clustered_interp_failure () =
   (* starve the clustered run of its input: in(i) must fail *)
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   let starved =
     {
       p with
@@ -151,7 +162,7 @@ let test_verify_clustered_output_mismatch () =
      stale shadow registers, so the clustered interpretation diverges *)
   let p, ctx = prepared_ctx "fir" in
   let e =
-    with_injection "move.drop@*" (fun () -> Pipeline.evaluate ctx Methods.Gdp)
+    with_injection "move.drop@*" (fun () -> Helpers.evaluate ctx Methods.Gdp)
   in
   expect_error ~substr:"clustered interpretation outputs differ"
     (Pipeline.verify p ctx e)
@@ -163,7 +174,7 @@ let test_verify_sim_capacity_violation () =
   let p, ctx = prepared_ctx "fir" in
   let e =
     with_injection "sched.overbook@*" (fun () ->
-        let e = Pipeline.evaluate ctx Methods.Gdp in
+        let e = Helpers.evaluate ctx Methods.Gdp in
         Alcotest.(check bool)
           "capacity faults were injected" true
           ((Fault.counts ()).Fault.injected > 0);
@@ -174,7 +185,7 @@ let test_verify_sim_capacity_violation () =
 let test_verify_sim_output_mismatch () =
   (* corrupt every intercluster move's value inside the simulator *)
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   with_injection "sim.move-value@*" (fun () ->
       expect_error ~substr:"cycle simulation outputs differ"
         (Pipeline.verify p ctx e))
@@ -185,7 +196,7 @@ let test_verify_sim_latency_violation () =
      register while the write is still in flight, and the simulator's
      latency checker must name the stale read *)
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   with_injection "sim.move-latency@1" (fun () ->
       let r = Pipeline.verify p ctx e in
       expect_error ~substr:"latency violation" r;
@@ -193,7 +204,7 @@ let test_verify_sim_latency_violation () =
 
 let test_verify_cycle_model_disagreement () =
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   let bumped =
     {
       e with
@@ -211,7 +222,7 @@ let test_verify_cycle_model_disagreement () =
 
 let test_verify_move_model_disagreement () =
   let p, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   let bumped =
     {
       e with
@@ -228,10 +239,11 @@ let test_verify_move_model_disagreement () =
 let test_verify_corrupt_assignment_detected () =
   (* hand-corrupt the cluster assignment of one compute op in a
      finished evaluation: the structural validator (the detection layer
-     [evaluate_checked] runs) must reject it — a register web now spans
-     clusters, or a memory op left its objects' home cluster *)
+     [Pipeline.run]'s [Checked] mode runs) must reject it — a register
+     web now spans clusters, or a memory op left its objects' home
+     cluster *)
   let _, ctx = prepared_ctx "fir" in
-  let e = Pipeline.evaluate ctx Methods.Gdp in
+  let e = Helpers.evaluate ctx Methods.Gdp in
   let c = e.Pipeline.outcome.Methods.clustered in
   let routes = c.Vliw_sched.Move_insert.move_routes in
   let nclusters = Vliw_machine.num_clusters ctx.Methods.machine in
@@ -268,7 +280,7 @@ let test_verify_corrupt_assignment_detected () =
 
 let test_robust_identity_without_faults () =
   let p, ctx = prepared_ctx "fir" in
-  match Pipeline.evaluate_robust p ctx Methods.Gdp with
+  match robust p ctx Methods.Gdp with
   | Error m -> Alcotest.failf "clean run failed: %s" m
   | Ok r ->
       Alcotest.(check string)
@@ -279,7 +291,7 @@ let test_robust_identity_without_faults () =
 let test_robust_degrades_on_infeasible_partition () =
   let p, ctx = prepared_ctx "fir" in
   with_injection "partition.infeasible@1" (fun () ->
-      match Pipeline.evaluate_robust p ctx Methods.Gdp with
+      match robust p ctx Methods.Gdp with
       | Error m -> Alcotest.failf "chain exhausted: %s" m
       | Ok r ->
           Alcotest.(check string)
@@ -313,7 +325,7 @@ let test_every_point_detected_or_inert () =
   let p, ctx = prepared_ctx "fir" in
   let run spec =
     with_injection spec (fun () ->
-        let r = Pipeline.evaluate_robust p ctx Methods.Gdp in
+        let r = robust p ctx Methods.Gdp in
         (r, Fault.counts ()))
   in
   List.iter

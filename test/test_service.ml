@@ -476,10 +476,27 @@ let test_protocol_rejections () =
   | Error m -> Alcotest.(check bool) "names the field" true (contains m "colour")
 
 (* The key a build before the one-driver partitioner derived for a ring8
-   GDP [sample_job].  Its settings bytes are unchanged since, but its
-   artifact is not, so the key must differ: a durable store written by
-   that build has to miss, not serve the stale artifact. *)
+   GDP [sample_job].  Its artifact has changed since, so the key must
+   differ: a durable store written by that build has to miss, not serve
+   the stale artifact. *)
 let ring8_gdp_key_before_one_driver = "09192198d17b3f04b7ff92c84813d8d5"
+
+(* The settings bytes of that job under settings version 3. *)
+let ring8_gdp_settings_v3 =
+  String.concat ""
+    [
+      {|{"schema":"gdp-settings/1","version":3,|};
+      {|"machine":{"schema":"gdp-machine/1","name":"ring8-2i1f1m1b-lat5",|};
+      {|"topology":"ring","link_latency":5,|};
+      {|"link_bandwidth":1,"clusters":[|};
+      String.concat ","
+        (List.init 8 (fun _ ->
+             {|{"ints":2,"floats":1,"mems":1,"branches":1,|}
+             ^ {|"memory_bytes":32768}|}));
+      {|]},"method":"gdp","unroll":true,"promote":true,"simplify":true,|};
+      {|"if_convert":true,"merge_low_slack":null,"rhop":null,"gdp":null,|};
+      {|"par_domains":1}|};
+    ]
 
 let test_protocol_cache_key () =
   let j = sample_job () in
@@ -495,9 +512,8 @@ let test_protocol_cache_key () =
       Alcotest.(check bool)
         "stale ring8 key misses" false
         (Protocol.cache_key ring8_job = ring8_gdp_key_before_one_driver);
-      (* under the old salt the same bytes digest to the old key: the
-         salt alone tells the two builds' entries apart *)
-      let settings = ring8_job.Protocol.settings in
+      (* under the old salt the old settings bytes digest to the old key:
+         the salt alone tells the two builds' entries apart *)
       Alcotest.(check string)
         "old salt reproduces the old key" ring8_gdp_key_before_one_driver
         (Cache.digest_key
@@ -506,9 +522,29 @@ let test_protocol_cache_key () =
                "gdp-artifact/1";
                j.Protocol.source;
                String.concat "," (List.map string_of_int j.Protocol.input);
-               Minijson.encode (Settings.to_json settings);
-               Fmt.str "%a" Vliw_machine.pp (Settings.machine settings);
-             ]));
+               ring8_gdp_settings_v3;
+               Fmt.str "%a" Vliw_machine.pp
+                 (Settings.machine ring8_job.Protocol.settings);
+             ]);
+      (* the old bytes are a version-3 document, refused by name both as
+         settings and inside a submit *)
+      let v3 = Result.get_ok (Minijson.parse ring8_gdp_settings_v3) in
+      let names_v3 what = function
+        | Ok _ -> Alcotest.failf "%s accepted a version-3 document" what
+        | Error m ->
+            Alcotest.(check bool) (what ^ " names version 3") true
+              (contains m "version 3")
+      in
+      names_v3 "Settings.of_json" (Settings.of_json v3);
+      names_v3 "Protocol.request_of_json"
+        (Protocol.request_of_json
+           (match Protocol.request_to_json (Protocol.Submit ring8_job) with
+           | Minijson.Obj fields ->
+               Minijson.Obj
+                 (List.map
+                    (fun (k, x) -> if k = "settings" then (k, v3) else (k, x))
+                    fields)
+           | d -> d)));
   (* id, deadline and domain count do not participate in the content
      address *)
   Alcotest.(check string)

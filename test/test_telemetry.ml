@@ -589,7 +589,7 @@ let test_pipeline_records_stage_spans () =
     Telemetry.capture (fun () ->
         let p = Gdp_core.Pipeline.prepare b in
         let ctx = Gdp_core.Pipeline.context p in
-        let e = Gdp_core.Pipeline.evaluate ctx Partition.Methods.Gdp in
+        let e = Helpers.evaluate ctx Partition.Methods.Gdp in
         match Gdp_core.Pipeline.verify p ctx e with
         | Ok () -> ()
         | Error m -> Alcotest.fail m)

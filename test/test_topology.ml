@@ -2,7 +2,7 @@
     seed constructors' cycle counts exactly, the simulator agrees with
     the static model (and the attribution identity holds) on random
     machines of every topology, [Machine_spec] JSON round-trips, and
-    settings carry the machine in their v3 [machine] field only. *)
+    settings carry the machine in their v4 [machine] field only. *)
 
 module M = Vliw_machine
 module Spec = Machine_spec
@@ -55,7 +55,7 @@ let check_bus_reproduces_seed seed =
         let ctx = Pipeline.context ~machine prepared in
         List.map
           (fun m ->
-            let e = Pipeline.evaluate ctx m in
+            let e = Helpers.evaluate ctx m in
             ( Methods.to_string m,
               e.Pipeline.report.Perf.total_cycles,
               e.Pipeline.report.Perf.dynamic_moves ))
@@ -97,7 +97,7 @@ let check_random_machine seed =
           Printf.sprintf "seed %d, %s, %s" seed (Methods.to_string m)
             machine.M.name
         in
-        let e = Pipeline.evaluate ctx m in
+        let e = Helpers.evaluate ctx m in
         let clustered = e.Pipeline.outcome.Methods.clustered in
         let sim =
           Sim.run ~account:true clustered ~machine ~objects_of
@@ -236,9 +236,9 @@ let replace_fields doc changes =
   | _ -> Alcotest.fail "settings did not encode as an object"
 
 let test_settings_machine_field () =
-  (* the paper machine ships as a v3 spec object like any other... *)
+  (* the paper machine ships as a v4 spec object like any other... *)
   let doc = Settings.to_json (Settings.default Partition.Methods.Gdp) in
-  Alcotest.(check (option int)) "paper machine emits version 3" (Some 3)
+  Alcotest.(check (option int)) "paper machine emits version 4" (Some 4)
     (Option.bind (Minijson.member "version" doc) Minijson.to_int);
   Alcotest.(check bool) "no bare clusters field" true
     (Minijson.member "clusters" doc = None);
@@ -263,7 +263,7 @@ let test_settings_machine_field () =
   | Error m ->
       Alcotest.(check bool) "v2 error names the version" true
         (contains ~affix:"version 2" m));
-  (* the bare ints are no v3 fields either *)
+  (* the bare ints are no v4 fields either *)
   let ints =
     replace_fields doc
       [
@@ -308,8 +308,8 @@ let test_settings_machine_field () =
       Alcotest.(check bool) "type error mentions the contract" true
         (contains ~affix:"preset name or a spec" m)
 
-(* a spec object survives the settings round-trip as a v3 doc *)
-let test_settings_v3_roundtrip () =
+(* a spec object survives the settings round-trip as a v4 doc *)
+let test_settings_v4_roundtrip () =
   match Spec.preset "mesh16" with
   | Error m -> Alcotest.fail m
   | Ok mesh16 -> (
@@ -317,7 +317,7 @@ let test_settings_v3_roundtrip () =
         { (Settings.default Partition.Methods.Gdp) with Settings.machine = mesh16 }
       in
       let doc = Settings.to_json s in
-      Alcotest.(check (option int)) "emits version 3" (Some 3)
+      Alcotest.(check (option int)) "emits version 4" (Some 4)
         (Option.bind (Minijson.member "version" doc) Minijson.to_int);
       Alcotest.(check bool) "no bare clusters field" true
         (Minijson.member "clusters" doc = None);
@@ -370,8 +370,8 @@ let suite =
     Alcotest.test_case "ill-formed specs rejected" `Quick test_spec_errors;
     Alcotest.test_case "settings v2 rejected, machine parsed" `Quick
       test_settings_machine_field;
-    Alcotest.test_case "settings v3 round-trip" `Quick
-      test_settings_v3_roundtrip;
+    Alcotest.test_case "settings v4 round-trip" `Quick
+      test_settings_v4_roundtrip;
     Alcotest.test_case "ring8/mesh16 contention smoke" `Quick
       test_contention_smoke;
   ]
