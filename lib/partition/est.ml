@@ -22,13 +22,17 @@
     [cost] computes the estimate from scratch and is its definition.
     RHOP prices candidate moves incrementally instead, once per
     candidate cluster of every group: [load] builds every term of the
-    estimate for one assignment, [move] changes one op's cluster and
-    updates only the terms that op takes part in, and [current] reads
+    estimate for one assignment, [move] changes a group's cluster and
+    updates only the terms its ops take part in, and [current] reads
     the cost, always the integer [cost] would return for the tracked
-    assignment.  The graph is precomputed into flat arrays and the
-    state allocated at [make] time, so [move] and [current] allocate
-    nothing.  A [t] is single-threaded, like the RHOP pass that owns
-    it. *)
+    assignment.  [price] reads it against the best cost so far: every
+    term but the dependence bound is already current after a move, so
+    two lower bounds on that one term, and a relevel that stops once
+    the cost cannot come in below [best], reject most candidates
+    without settling their levels.  The graph is precomputed into flat
+    arrays and the state allocated at [make] time, so [move], [current]
+    and [price] allocate nothing.  A [t] is single-threaded, like the
+    RHOP pass that owns it. *)
 
 module M = Vliw_machine
 module D = Vliw_sched.Deps
@@ -97,6 +101,7 @@ type t = {
   (* the same edges as successor lists, minus those into [sink] *)
   succ_off : int array;
   succ_node : int array;
+  succ_lat : int array;
   succ_flow : bool array;
   (* flow edges as parallel endpoint arrays, producer/consumer *)
   fe_d : int array;
@@ -117,15 +122,31 @@ type t = {
           contributions instead of being recomputed from all of them *)
   sink_lat : int array;  (** latency of a node's edge into [sink], or -1 *)
   sink_flow : bool array;
+  (* dependence lengths with no edge stretched, which no assignment
+     shortens: *)
+  up : int array;  (** longest path from the block's start to the issue *)
+  down : int array;
+      (** longest path from the issue to the block's end, the tail of
+          its last node included *)
+  path_floor : int;  (** the unstretched critical path: max [up + tail] *)
   (* the incremental state, for the assignment [cluster] given to
      [load]: *)
   mutable cluster : int array;
   usage : int array;  (** ops per (cluster, kind), [c * nk + k] *)
+  res_hist : hist array;
+      (** per kind, of [ceil (usage / cap)] over the clusters with
+          units of that kind *)
+  res_over : int array;
+      (** per kind, clusters with no unit of it that hold ops of it *)
   refs : int array;
       (** flow-edge predecessor entries from producer [d] into consumers
           on cluster [c], at [(d * nclusters) + c]; the pair is one
           in-block move while its count is positive and [c] is not [d]'s
           cluster *)
+  cons : int array;
+      (** producer [d]'s consumer clusters, those with a positive
+          [refs] count, at [(d * nclusters) + j] for [j < cons_len.(d)] *)
+  cons_len : int array;
   mutable moves : int;
   link_usage : int array;  (** moves routed over each link *)
   link_hist : hist;  (** of [link_usage] *)
@@ -138,7 +159,13 @@ type t = {
   mutable dirty_lo : int;
   mutable dirty_hi : int;
   mutable sink_moved : bool;
+  lb : int array;  (** [group_dep]'s level bound per op *)
+  mark : int array;
+      (** the ops [move] moves, or those [group_dep] has bounded: where
+          this equals [stamp], which each call advances *)
+  mutable stamp : int;
   mutable relevels : int;
+  mutable pruned : int;
 }
 
 (* CSR offsets from per-row counts. *)
@@ -216,6 +243,7 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
   done;
   let succ_off = offsets succ_count in
   let succ_node = Array.make succ_off.(n) 0
+  and succ_lat = Array.make succ_off.(n) 0
   and succ_flow = Array.make succ_off.(n) false in
   Array.fill succ_count 0 n 0;
   for i = 0 to sink - 1 do
@@ -223,9 +251,26 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
       let p = pred_node.(j) in
       let s = succ_off.(p) + succ_count.(p) in
       succ_node.(s) <- i;
+      succ_lat.(s) <- pred_lat.(j);
       succ_flow.(s) <- pred_flow.(j);
       succ_count.(p) <- succ_count.(p) + 1
     done
+  done;
+  let up = Array.make (max n 1) 0 and down = Array.make (max n 1) 0 in
+  let path_floor = ref 0 in
+  for i = 0 to n - 1 do
+    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
+      up.(i) <- max up.(i) (up.(pred_node.(j)) + pred_lat.(j))
+    done;
+    path_floor := max !path_floor (up.(i) + tail.(i))
+  done;
+  for i = n - 1 downto 0 do
+    let d = ref tail.(i) in
+    for j = succ_off.(i) to succ_off.(i + 1) - 1 do
+      d := max !d (succ_lat.(j) + down.(succ_node.(j)))
+    done;
+    if sink_lat.(i) >= 0 then d := max !d (sink_lat.(i) + down.(sink));
+    down.(i) <- !d
   done;
   let pin_node = Array.of_list (List.map fst pins)
   and pin_home = Array.of_list (List.map snd pins) in
@@ -298,6 +343,7 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
     pred_flow;
     succ_off;
     succ_node;
+    succ_lat;
     succ_flow;
     fe_d;
     fe_u;
@@ -312,9 +358,16 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
     sink;
     sink_lat;
     sink_flow;
+    up;
+    down;
+    path_floor = !path_floor;
     cluster = [||];
     usage = Array.make (nclusters * nk) 0;
+    res_hist = Array.init nk (fun _ -> hist_make (n + 1));
+    res_over = Array.make nk 0;
     refs = Array.make (max (n * nclusters) 1) 0;
+    cons = Array.make (max (n * nclusters) 1) 0;
+    cons_len = Array.make (max n 1) 0;
     moves = 0;
     link_usage = Array.make nlink_slots 0;
     link_hist = hist_make (nfe + 1);
@@ -327,7 +380,11 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
     dirty_lo = n;
     dirty_hi = -1;
     sink_moved = false;
+    lb = Array.make (max n 1) 0;
+    mark = Array.make (max n 1) 0;
+    stamp = 0;
     relevels = 0;
+    pruned = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -477,6 +534,70 @@ let deactivate t src dst =
     hist_replace t.link_hist ~old:u (u - 1)
   done
 
+(* Producer [d]'s [refs] count for cluster [c] turned positive, or back
+   to zero: add [c] to its consumer list, or fill [c]'s slot with the
+   list's last entry.  The lists are short, one to a few clusters. *)
+let cons_add t d c =
+  let base = d * t.nclusters and len = t.cons_len.(d) in
+  t.cons.(base + len) <- c;
+  t.cons_len.(d) <- len + 1
+
+let cons_remove t d c =
+  let base = d * t.nclusters and last = t.cons_len.(d) - 1 in
+  let j = ref base in
+  while t.cons.(!j) <> c do
+    incr j
+  done;
+  t.cons.(!j) <- t.cons.(base + last);
+  t.cons_len.(d) <- last
+
+let ceil_div a b = (a + b - 1) / b
+
+(* One op of kind [f] more ([delta = 1]) or fewer ([-1]) on cluster
+   [c]: the cluster's entry in the kind's histogram, or the kind's count
+   of clusters that hold ops of it without a unit for them. *)
+let add_usage t c f delta =
+  let idx = (c * M.fu_kind_count) + f in
+  let u = t.usage.(idx) in
+  let u' = u + delta in
+  t.usage.(idx) <- u';
+  let cap = t.caps.(idx) in
+  if cap > 0 then
+    hist_replace t.res_hist.(f) ~old:(ceil_div u cap) (ceil_div u' cap)
+  else if u = 0 then t.res_over.(f) <- t.res_over.(f) + 1
+  else if u' = 0 then t.res_over.(f) <- t.res_over.(f) - 1
+
+(* [combine]'s worst-cluster pressure of kind [k]: a cluster holding
+   ops of a kind it has no unit for reads 1_000_000, as there. *)
+let worst t k =
+  let top = t.res_hist.(k).top in
+  if t.res_over.(k) > 0 then max 1_000_000 top else top
+
+let link_bound t =
+  (t.link_hist.top + t.moves_per_cycle - 1) / t.moves_per_cycle
+
+(* [combine] is [10_000 * max inside dep + outside], where [inside] is
+   the larger of the resource and link bounds ... *)
+let inside t =
+  let b = ref (link_bound t) in
+  for k = 0 to M.fu_kind_count - 1 do
+    let w = worst t k in
+    if w > !b then b := w
+  done;
+  !b
+
+(* ... and [outside] the cross-block, graded, link and move terms. *)
+let outside t =
+  let graded = ref 0 in
+  for k = 0 to M.fu_kind_count - 1 do
+    graded := !graded + worst t k
+  done;
+  (10_000 * t.xmove_weight * t.xmoves)
+  + (100 * (!graded + link_bound t))
+  + t.moves
+
+let estimate ~inside ~outside dep = (10_000 * max inside dep) + outside
+
 (* Node [i]'s share of the cross-block term: its pins, and its
    couplings (each coupling is listed under both of its nodes). *)
 let xterms t i =
@@ -522,8 +643,17 @@ let set_level t i l =
 
 let load t (cluster : int array) =
   t.cluster <- cluster;
-  let k = t.nclusters in
+  let k = t.nclusters and nk = M.fu_kind_count in
   count_usage t cluster t.usage;
+  for f = 0 to nk - 1 do
+    hist_clear t.res_hist.(f);
+    t.res_over.(f) <- 0;
+    for c = 0 to k - 1 do
+      let u = t.usage.((c * nk) + f) and cap = t.caps.((c * nk) + f) in
+      if cap > 0 then hist_add t.res_hist.(f) (ceil_div u cap)
+      else if u > 0 then t.res_over.(f) <- t.res_over.(f) + 1
+    done
+  done;
   Array.fill t.refs 0 (Array.length t.refs) 0;
   for i = 0 to t.n - 1 do
     for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
@@ -538,9 +668,12 @@ let load t (cluster : int array) =
   hist_clear t.link_hist;
   t.link_hist.count.(0) <- t.nlink_slots;
   for d = 0 to t.n - 1 do
+    t.cons_len.(d) <- 0;
     for c = 0 to k - 1 do
-      if t.refs.((d * k) + c) > 0 && c <> cluster.(d) then
-        activate t cluster.(d) c
+      if t.refs.((d * k) + c) > 0 then begin
+        cons_add t d c;
+        if c <> cluster.(d) then activate t cluster.(d) c
+      end
     done
   done;
   t.xmoves <- cross_block t cluster;
@@ -562,52 +695,99 @@ let load t (cluster : int array) =
   t.dirty_hi <- -1;
   t.sink_moved <- false
 
-let move t i c =
-  let cluster = t.cluster in
-  let a = cluster.(i) in
-  if a <> c then begin
-    let nk = M.fu_kind_count and k = t.nclusters in
-    let f = t.fu_of.(i) in
-    t.usage.((a * nk) + f) <- t.usage.((a * nk) + f) - 1;
-    t.usage.((c * nk) + f) <- t.usage.((c * nk) + f) + 1;
-    (* [i] as a consumer: each incoming flow edge now reads on [c] *)
-    for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
-      if t.pred_flow.(j) then begin
-        let d = t.pred_node.(j) in
-        let cd = cluster.(d) in
-        let ra = (d * k) + a and rc = (d * k) + c in
-        t.refs.(ra) <- t.refs.(ra) - 1;
-        if t.refs.(ra) = 0 && a <> cd then deactivate t cd a;
-        t.refs.(rc) <- t.refs.(rc) + 1;
-        if t.refs.(rc) = 1 && c <> cd then activate t cd c
-      end
-    done;
-    (* [i] as a producer: every consumer cluster it feeds now reads from
-       [c] instead of [a] *)
-    for cu = 0 to k - 1 do
-      if t.refs.((i * k) + cu) > 0 then begin
-        if cu <> a then deactivate t a cu;
-        if cu <> c then activate t c cu
-      end
-    done;
-    t.xmoves <- t.xmoves - xterms t i;
-    cluster.(i) <- c;
-    t.xmoves <- t.xmoves + xterms t i;
-    (* the edges whose stretch changed: [i]'s incoming flow edges and
-       its outgoing ones *)
-    if i = t.sink then t.sink_moved <- true else mark_dirty t i;
-    for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
-      if t.succ_flow.(j) then mark_dirty t t.succ_node.(j)
-    done
-  end
+(* [move]'s three passes over its ops, each a loop of its own so that
+   none allocates a closure.  First mark the ops that change cluster
+   and withdraw their usage and the moves they produce. *)
+let rec withdraw t c stamp = function
+  | [] -> ()
+  | i :: rest ->
+      let a = t.cluster.(i) in
+      if a <> c then begin
+        t.mark.(i) <- stamp;
+        let f = t.fu_of.(i) in
+        add_usage t a f (-1);
+        add_usage t c f 1;
+        let base = i * t.nclusters in
+        for j = 0 to t.cons_len.(i) - 1 do
+          let cu = t.cons.(base + j) in
+          if cu <> a then deactivate t a cu
+        done
+      end;
+      withdraw t c stamp rest
 
-(* Bring the levels up to date.  Every [Deps] edge points forward, so
-   one sweep in index order over the dirty nodes sees each node after
-   all of its predecessors; a node whose level changed dirties its
-   successors.  The sink is settled last, from its histogram. *)
-let relevel t =
-  let i = ref t.dirty_lo in
-  while !i <= t.dirty_hi do
+(* Each moved op's incoming flow edges now read on [c].  A producer
+   that moves too has no moves standing, so only its counts change. *)
+let rec reread t c stamp = function
+  | [] -> ()
+  | i :: rest ->
+      if t.mark.(i) = stamp then begin
+        let k = t.nclusters and a = t.cluster.(i) in
+        for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+          if t.pred_flow.(j) then begin
+            let d = t.pred_node.(j) in
+            let fixed = t.mark.(d) <> stamp and cd = t.cluster.(d) in
+            let ra = (d * k) + a and rc = (d * k) + c in
+            t.refs.(ra) <- t.refs.(ra) - 1;
+            if t.refs.(ra) = 0 then begin
+              cons_remove t d a;
+              if fixed && a <> cd then deactivate t cd a
+            end;
+            t.refs.(rc) <- t.refs.(rc) + 1;
+            if t.refs.(rc) = 1 then begin
+              cons_add t d c;
+              if fixed && c <> cd then activate t cd c
+            end
+          end
+        done
+      end;
+      reread t c stamp rest
+
+(* Put each op on [c], its cross-block terms taken off before and added
+   back after as one op at a time would; restore the moves it produces,
+   now from [c]; and dirty the nodes whose incoming edges changed
+   stretch, the op and its flow successors. *)
+let rec settle t c stamp = function
+  | [] -> ()
+  | i :: rest ->
+      if t.mark.(i) = stamp then begin
+        t.xmoves <- t.xmoves - xterms t i;
+        t.cluster.(i) <- c;
+        t.xmoves <- t.xmoves + xterms t i;
+        let base = i * t.nclusters in
+        for j = 0 to t.cons_len.(i) - 1 do
+          let cu = t.cons.(base + j) in
+          if cu <> c then activate t c cu
+        done;
+        if i = t.sink then t.sink_moved <- true else mark_dirty t i;
+        for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+          if t.succ_flow.(j) then mark_dirty t t.succ_node.(j)
+        done
+      end;
+      settle t c stamp rest
+
+(* The ops move together: a flow edge between two of them is no move
+   before or after, and starts and stops none on the way. *)
+let move t ops c =
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp in
+  withdraw t c stamp ops;
+  reread t c stamp ops;
+  settle t c stamp ops
+
+(* Bring the levels up to date, or stop once they show that the
+   dependence bound is at least [stop].  Every [Deps] edge points
+   forward, so one sweep in index order over the dirty nodes sees each
+   node after all of its predecessors; a node whose level changed
+   dirties its successors.  A settled node shows the bound through its
+   [level + down], and through its edge into [sink] plus [sink]'s tail.
+   When the sweep stops there, the nodes it did not reach stay dirty
+   and [sink_moved] stays set: every node below [dirty_lo] still has an
+   exact level, and the next sweep finishes the job.  A sweep that
+   finishes settles [sink] last, from its histogram, and returns
+   [true]. *)
+let relevel_until t stop =
+  let i = ref t.dirty_lo and reached = ref false in
+  while (not !reached) && !i <= t.dirty_hi do
     let v = !i in
     if t.dirty.(v) then begin
       t.dirty.(v) <- false;
@@ -619,25 +799,126 @@ let relevel t =
           mark_dirty t t.succ_node.(j)
         done
       end;
-      if t.sink_lat.(v) >= 0 then update_sink_in t v
+      if l + t.down.(v) >= stop then reached := true;
+      if t.sink_lat.(v) >= 0 then begin
+        update_sink_in t v;
+        if t.sink_in.(v) + t.tail.(t.sink) >= stop then reached := true
+      end
     end;
     incr i
   done;
-  t.dirty_lo <- t.n;
-  t.dirty_hi <- -1;
-  if t.sink_moved then begin
-    t.sink_moved <- false;
-    let s = t.sink in
-    for j = t.pred_off.(s) to t.pred_off.(s + 1) - 1 do
-      if t.pred_flow.(j) then update_sink_in t t.pred_node.(j)
-    done
-  end;
-  if t.n > 0 && t.sink_hist.top <> t.level.(t.sink) then
-    set_level t t.sink t.sink_hist.top
+  if !reached then begin
+    t.dirty_lo <- !i;
+    false
+  end
+  else begin
+    t.dirty_lo <- t.n;
+    t.dirty_hi <- -1;
+    if t.sink_moved then begin
+      t.sink_moved <- false;
+      let s = t.sink in
+      for j = t.pred_off.(s) to t.pred_off.(s + 1) - 1 do
+        if t.pred_flow.(j) then update_sink_in t t.pred_node.(j)
+      done
+    end;
+    if t.n > 0 && t.sink_hist.top <> t.level.(t.sink) then
+      set_level t t.sink t.sink_hist.top;
+    true
+  end
 
 let current t =
-  relevel t;
-  combine t t.usage ~link_max:t.link_hist.top ~dep:t.dep_hist.top
-    ~xmoves:t.xmoves ~moves:t.moves
+  ignore (relevel_until t max_int : bool);
+  estimate ~inside:(inside t) ~outside:(outside t) t.dep_hist.top
+
+(* A lower bound on the dependence bound, read without settling a level.
+   Each listed op [i] (ascending; [sink] skipped) gets a bound [lb] on
+   its level: its unstretched level, or any predecessor's bound plus the
+   edge as stretched now.  A predecessor's bound is its [lb] if listed
+   before [i], its level if below [dirty_lo] (exact there), else its
+   unstretched level.  The dependence bound is then at least [lb + down]
+   at [i], and at least [lb] plus each cut flow edge out of [i] plus
+   what follows its head unstretched, the edge into [sink] included. *)
+let rec group_dep_from t stamp dep = function
+  | [] -> dep
+  | i :: rest when i = t.sink -> group_dep_from t stamp dep rest
+  | i :: rest ->
+      let k = t.nclusters and ci = t.cluster.(i) in
+      let li = ref t.up.(i) in
+      for j = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+        let p = t.pred_node.(j) in
+        let lp =
+          if t.mark.(p) = stamp then t.lb.(p)
+          else if p < t.dirty_lo then t.level.(p)
+          else t.up.(p)
+        in
+        let cp = t.cluster.(p) in
+        let e =
+          lp + t.pred_lat.(j)
+          +
+          if t.pred_flow.(j) && cp <> ci then
+            t.move_latency * t.hops.((cp * k) + ci)
+          else 0
+        in
+        if e > !li then li := e
+      done;
+      t.lb.(i) <- !li;
+      t.mark.(i) <- stamp;
+      let d = ref (max dep (!li + t.down.(i))) in
+      for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+        let u = t.succ_node.(j) in
+        let cu = t.cluster.(u) in
+        if t.succ_flow.(j) && cu <> ci then begin
+          let e =
+            !li + t.succ_lat.(j)
+            + (t.move_latency * t.hops.((ci * k) + cu))
+            + t.down.(u)
+          in
+          if e > !d then d := e
+        end
+      done;
+      let cs = t.cluster.(t.sink) in
+      if t.sink_flow.(i) && cs <> ci then begin
+        let e =
+          !li + t.sink_lat.(i)
+          + (t.move_latency * t.hops.((ci * k) + cs))
+          + t.tail.(t.sink)
+        in
+        if e > !d then d := e
+      end;
+      group_dep_from t stamp !d rest
+
+let group_dep t moved =
+  t.stamp <- t.stamp + 1;
+  group_dep_from t t.stamp t.path_floor moved
+
+let path_bound t =
+  estimate ~inside:(inside t) ~outside:(outside t) t.path_floor
+
+let group_bound t moved =
+  estimate ~inside:(inside t) ~outside:(outside t) (group_dep t moved)
+
+let price t ~best moved =
+  let inside = inside t and outside = outside t in
+  let floor = estimate ~inside ~outside t.path_floor in
+  if floor >= best then begin
+    t.pruned <- t.pruned + 1;
+    floor
+  end
+  else
+    let bound = estimate ~inside ~outside (group_dep t moved) in
+    if bound >= best then begin
+      t.pruned <- t.pruned + 1;
+      bound
+    end
+    else
+      (* [floor < best], so [best - outside] is positive, and this is
+         the least dependence bound that lifts the estimate to [best] *)
+      let stop = (best - outside + 9_999) / 10_000 in
+      if relevel_until t stop then estimate ~inside ~outside t.dep_hist.top
+      else begin
+        t.pruned <- t.pruned + 1;
+        estimate ~inside ~outside stop
+      end
 
 let relevels t = t.relevels
+let pruned t = t.pruned

@@ -28,12 +28,35 @@ val cost : t -> int array -> int
     its terms.  Change [cluster] only through [move] afterwards. *)
 val load : t -> int array -> unit
 
-(** [move t i c] puts op [i] on cluster [c] in the tracked assignment
-    and updates the terms it changes. *)
-val move : t -> int -> int -> unit
+(** [move t ops c] puts the distinct ops [ops] on cluster [c] in the
+    tracked assignment and updates the terms they change. *)
+val move : t -> int list -> int -> unit
 
 (** The estimate of the tracked assignment: [cost t cluster]. *)
 val current : t -> int
 
-(** Dependence levels recomputed by [current] since [make]. *)
+(** [price t ~best moved] is [current t] when that is below [best], and
+    otherwise some value from [best] up to [current t].  [moved] should
+    list the ops moved since the last reading, in ascending order: any
+    list keeps that contract, and that one prunes the most.  Before it
+    recomputes any level it tries [path_bound], then
+    [group_bound t moved], and it stops recomputing levels once they
+    show the estimate reaches [best]; the levels it leaves stale are
+    recomputed by the next reading. *)
+val price : t -> best:int -> int list -> int
+
+(** Lower bounds on [current t] that recompute no level: every term as
+    tracked, but the dependence bound replaced by the block's critical
+    path with no edge stretched ([path_bound]), or by the longest path
+    that the levels of [moved] (ascending, as for [price]) are known to
+    start ([group_bound]). *)
+val path_bound : t -> int
+
+val group_bound : t -> int list -> int
+
+(** Dependence levels recomputed by [current] and [price] since
+    [make]. *)
 val relevels : t -> int
+
+(** Readings of [price] that returned without the exact estimate. *)
+val pruned : t -> int

@@ -32,6 +32,8 @@ let max_passes = 4
 (* ------------------------------------------------------------------ *)
 (* Per-block partitioning                                              *)
 
+(* [members] ascending: [Est.price] bounds the group's levels in that
+   order *)
 type group = { members : int list; lock : int option; size : int }
 
 let group_lock_merge a b =
@@ -79,15 +81,15 @@ let base_groups (deps : D.t) ~(lock_of : int -> int option) : group list =
 let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
     (groups : group array) : group array option =
   let ng = Array.length groups in
-  let gid_of_node = Hashtbl.create 64 in
+  let gid_of_node = Array.make (D.num_ops deps) 0 in
   Array.iteri
-    (fun g grp -> List.iter (fun i -> Hashtbl.replace gid_of_node i g) grp.members)
+    (fun g grp -> List.iter (fun i -> gid_of_node.(i) <- g) grp.members)
     groups;
   (* aggregate flow-edge weights between groups *)
   let w : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (d, u, _) ->
-      let gd = Hashtbl.find gid_of_node d and gu = Hashtbl.find gid_of_node u in
+      let gd = gid_of_node.(d) and gu = gid_of_node.(u) in
       if gd <> gu then begin
         let key = if gd < gu then (gd, gu) else (gu, gd) in
         Hashtbl.replace w key
@@ -147,7 +149,8 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
           in
           next :=
             {
-              members = groups.(g).members @ groups.(m).members;
+              members =
+                List.merge Int.compare groups.(g).members groups.(m).members;
               lock;
               size = groups.(g).size + groups.(m).size;
             }
@@ -158,17 +161,12 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
     groups;
   if !shrunk then Some (Array.of_list (List.rev !next)) else None
 
-(* [List.iter] would allocate a closure per candidate *)
-let rec move_group est c = function
-  | [] -> ()
-  | i :: rest ->
-      Est.move est i c;
-      move_group est c rest
-
 (** Greedy refinement of one level: repeatedly move whole groups to the
     cluster that lowers the estimated cost.  Each candidate cluster is
     priced by moving the group there in [est]'s tracked assignment and
-    reading the estimate.  Returns the number of candidates priced. *)
+    reading the estimate against the best so far: a candidate is kept
+    only on a strict [<], so [Est.price] may stop at any value that
+    shows it cannot be.  Returns the number of candidates priced. *)
 let refine_level (est : Est.t) ~num_clusters (groups : group array)
     (cluster : int array) : int =
   let order = Array.init (Array.length groups) Fun.id in
@@ -192,8 +190,8 @@ let refine_level (est : Est.t) ~num_clusters (groups : group array)
           let best_c = ref cur and best_cost = ref !current_cost in
           for c = 0 to num_clusters - 1 do
             if c <> cur then begin
-              move_group est c g.members;
-              let cost = Est.current est in
+              Est.move est g.members c;
+              let cost = Est.price est ~best:!best_cost g.members in
               if cost < !best_cost then begin
                 best_cost := cost;
                 best_c := c
@@ -201,7 +199,7 @@ let refine_level (est : Est.t) ~num_clusters (groups : group array)
             end
           done;
           candidates := !candidates + num_clusters - 1;
-          move_group est !best_c g.members;
+          Est.move est g.members !best_c;
           current_cost := !best_cost;
           if !best_c <> cur then changed := true
         end)
@@ -288,6 +286,7 @@ let partition_block ~(machine : Vliw_machine.t) ~objects_of
   in
   Telemetry.incr ~by:candidates "rhop.candidates";
   Telemetry.incr ~by:(Est.relevels est) "rhop.relevels";
+  Telemetry.incr ~by:(Est.pruned est) "rhop.pruned";
   List.init n (fun i -> (Op.id (D.op deps i), cluster.(i)))
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +357,11 @@ let apply_result ~(reg_home : (Reg.t, int) Hashtbl.t) (assign : A.t)
     Block [j] depends on an earlier block [i] iff [i] defines a register
     that [j] defines or uses — exactly the [reg_home] entries
     [block_result] can observe for [j] (its pins read homes of used
-    registers, its locks read homes of defined ones).  Each wave
+    registers, its locks read homes of defined ones).  A block's depth
+    is one more than the deepest block it depends on, or 0.  Of the
+    earlier blocks that define a register, the last is the deepest: it
+    depends on every other one.  So one pass in layout order finds the
+    depths from each register's last defining block so far.  Each wave
     partitions its blocks concurrently against the quiescent [reg_home]
     table, then results are committed in layout order on the calling
     domain, reproducing the block-by-block [reg_home] evolution
@@ -371,42 +374,45 @@ let partition_func pool ~machine ~objects_of ~lock_of (assign : A.t) f :
   let reg_home : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let blocks = Array.of_list (Func.blocks f) in
   let nb = Array.length blocks in
-  let regs_of take b =
-    List.fold_left
-      (fun acc o ->
-        List.fold_left (fun acc r -> Reg.Set.add r acc) acc (take o))
-      Reg.Set.empty (Block.ops b)
-  in
-  let defs = Array.map (regs_of Op.defs) blocks in
-  let touched =
-    Array.mapi (fun j b -> Reg.Set.union defs.(j) (regs_of Op.uses b)) blocks
-  in
+  (* the depth of each register's last defining block so far *)
+  let def_depth : (Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
   let depth = Array.make nb 0 in
-  for j = 0 to nb - 1 do
-    for i = 0 to j - 1 do
-      if
-        depth.(i) >= depth.(j)
-        && not (Reg.Set.disjoint defs.(i) touched.(j))
-      then depth.(j) <- depth.(i) + 1
-    done
+  Array.iteri
+    (fun j b ->
+      let deeper r =
+        match Hashtbl.find_opt def_depth r with
+        | Some d when d >= depth.(j) -> depth.(j) <- d + 1
+        | _ -> ()
+      in
+      let ops = Block.ops b in
+      List.iter
+        (fun o ->
+          List.iter deeper (Op.defs o);
+          List.iter deeper (Op.uses o))
+        ops;
+      List.iter
+        (fun o ->
+          List.iter (fun r -> Hashtbl.replace def_depth r depth.(j)) (Op.defs o))
+        ops)
+    blocks;
+  let waves = Array.make (1 + Array.fold_left max 0 depth) [] in
+  for j = nb - 1 downto 0 do
+    waves.(depth.(j)) <- j :: waves.(depth.(j))
   done;
-  let max_depth = Array.fold_left max 0 depth in
-  for d = 0 to max_depth do
-    let wave = ref [] in
-    for j = nb - 1 downto 0 do
-      if depth.(j) = d then wave := j :: !wave
-    done;
-    let wave = Array.of_list !wave in
-    let results =
-      Par.map pool ~n:(Array.length wave) (fun k ->
-          block_result ~machine ~objects_of ~lock_of ~reg_home ~cfg ~liveness
-            f blocks.(wave.(k)))
-    in
-    (* commit in layout order: wave indices are ascending by block *)
-    Array.iteri
-      (fun k result -> apply_result ~reg_home assign blocks.(wave.(k)) result)
-      results
-  done
+  Array.iter
+    (fun wave ->
+      let wave = Array.of_list wave in
+      let results =
+        Par.map pool ~n:(Array.length wave) (fun k ->
+            block_result ~machine ~objects_of ~lock_of ~reg_home ~cfg
+              ~liveness f blocks.(wave.(k)))
+      in
+      (* commit in layout order: wave indices are ascending by block *)
+      Array.iteri
+        (fun k result ->
+          apply_result ~reg_home assign blocks.(wave.(k)) result)
+        results)
+    waves
 
 (** Partition all computation of [prog], filling [assign]'s op clusters.
     [lock_of] gives mandatory clusters (memory operations under a data

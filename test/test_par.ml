@@ -294,7 +294,7 @@ let test_rhop_counters_domain_invariant () =
     List.map
       (fun name ->
         Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name))
-      [ "rhop.candidates"; "rhop.relevels" ]
+      [ "rhop.candidates"; "rhop.relevels"; "rhop.pruned" ]
   in
   let one = counters 1 in
   Alcotest.(check bool) "work counted" true (List.for_all (fun v -> v > 0) one);
