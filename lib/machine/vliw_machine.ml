@@ -112,49 +112,20 @@ let itanium_latencies =
     local_move = 1;
   }
 
+(** Every ordered cluster pair's route, as flat arrays indexed by the
+    pair [(src * num_clusters) + dst]: its hop count, and its links in
+    path order at [links.(link_off.(p))] to [links.(link_off.(p + 1) - 1)].
+    [v] computes it once, so schedulers and estimators read routes
+    without walking the topology. *)
+type routes = { hops : int array; link_off : int array; links : int array }
+
 type t = {
   name : string;
   clusters : cluster array;
   network : network;
   latencies : latencies;
+  routes : routes;
 }
-
-let v ~name ~clusters ~network ~latencies =
-  if Array.length clusters = 0 then
-    invalid_arg "Vliw_machine.v: machine needs at least one cluster";
-  if network.move_latency < 0 || network.moves_per_cycle < 1 then
-    invalid_arg "Vliw_machine.v: invalid network parameters";
-  Array.iteri
-    (fun i c ->
-      if Array.length c.fu_counts <> fu_kind_count then
-        invalid_arg
-          (Fmt.str
-             "Vliw_machine.v: cluster %d has %d FU counts (need %d, one per \
-              kind)"
-             i
-             (Array.length c.fu_counts)
-             fu_kind_count);
-      if Array.exists (fun n -> n < 0) c.fu_counts then
-        invalid_arg (Fmt.str "Vliw_machine.v: cluster %d: negative FU count" i);
-      if c.memory_bytes <= 0 then
-        invalid_arg
-          (Fmt.str "Vliw_machine.v: cluster %d has no local memory" i))
-    clusters;
-  (match network.topology with
-  | Bus | Ring | Crossbar -> ()
-  | Mesh { rows; cols } ->
-      if rows < 1 || cols < 1 || rows * cols <> Array.length clusters then
-        invalid_arg
-          (Fmt.str
-             "Vliw_machine.v: mesh %dx%d does not cover %d cluster(s)" rows
-             cols (Array.length clusters)));
-  { name; clusters; network; latencies }
-
-let num_clusters m = Array.length m.clusters
-let cluster_of m i = m.clusters.(i)
-let topology m = m.network.topology
-let move_latency m = m.network.move_latency
-let moves_per_cycle m = m.network.moves_per_cycle
 
 (* ------------------------------------------------------------------ *)
 (* Links and routes.
@@ -167,34 +138,14 @@ let moves_per_cycle m = m.network.moves_per_cycle
    [n * n] space stay unused — the arrays are tiny (n <= 16 in every
    preset) and the addressing stays O(1). *)
 
-(** Size of the per-link slot table a scheduler must allocate. *)
-let num_link_slots m =
-  match m.network.topology with
-  | Bus -> 1
-  | Ring | Crossbar | Mesh _ ->
-      let n = num_clusters m in
-      n * n
-
-(** Number of physical links, for occupancy/capacity reporting.  The
-    bus counts as one link, preserving the seed's reported capacity. *)
-let num_links m =
-  let n = num_clusters m in
-  match m.network.topology with
-  | Bus -> 1
-  | Crossbar -> n * (n - 1)
-  | Ring -> if n <= 1 then 0 else if n = 2 then 2 else 2 * n
-  | Mesh { rows; cols } -> 2 * ((rows * (cols - 1)) + (cols * (rows - 1)))
-
-(** Directed links crossed by a transfer from [src] to [dst], in path
-    order.  Routing is deterministic: the ring takes the shortest
-    direction (ties go clockwise), the mesh routes X-then-Y over a
-    row-major grid.  [src = dst] needs no link. *)
-let route_links m ~src ~dst =
+(* The deterministic route from [src] to [dst] over [n] clusters: the
+   ring takes the shortest direction (ties go clockwise), the mesh
+   routes X-then-Y over a row-major grid. *)
+let walk_route topology n ~src ~dst =
   if src = dst then []
   else
-    let n = num_clusters m in
     let link a b = (a * n) + b in
-    match m.network.topology with
+    match topology with
     | Bus -> [ 0 ]
     | Crossbar -> [ link src dst ]
     | Ring ->
@@ -225,19 +176,92 @@ let route_links m ~src ~dst =
         in
         List.rev (walk_y sr (walk_x sc []))
 
+let route_table topology n =
+  let paths =
+    Array.init (n * n) (fun p ->
+        walk_route topology n ~src:(p / n) ~dst:(p mod n))
+  in
+  let link_off = Array.make ((n * n) + 1) 0 in
+  Array.iteri
+    (fun p l -> link_off.(p + 1) <- link_off.(p) + List.length l)
+    paths;
+  let links = Array.make link_off.(n * n) 0 in
+  Array.iteri
+    (fun p l -> List.iteri (fun i k -> links.(link_off.(p) + i) <- k) l)
+    paths;
+  (* a route crosses one link per hop: one on the bus and the crossbar *)
+  let hops = Array.init (n * n) (fun p -> link_off.(p + 1) - link_off.(p)) in
+  { hops; link_off; links }
+
+let v ~name ~clusters ~network ~latencies =
+  if Array.length clusters = 0 then
+    invalid_arg "Vliw_machine.v: machine needs at least one cluster";
+  if network.move_latency < 0 || network.moves_per_cycle < 1 then
+    invalid_arg "Vliw_machine.v: invalid network parameters";
+  Array.iteri
+    (fun i c ->
+      if Array.length c.fu_counts <> fu_kind_count then
+        invalid_arg
+          (Fmt.str
+             "Vliw_machine.v: cluster %d has %d FU counts (need %d, one per \
+              kind)"
+             i
+             (Array.length c.fu_counts)
+             fu_kind_count);
+      if Array.exists (fun n -> n < 0) c.fu_counts then
+        invalid_arg (Fmt.str "Vliw_machine.v: cluster %d: negative FU count" i);
+      if c.memory_bytes <= 0 then
+        invalid_arg
+          (Fmt.str "Vliw_machine.v: cluster %d has no local memory" i))
+    clusters;
+  (match network.topology with
+  | Bus | Ring | Crossbar -> ()
+  | Mesh { rows; cols } ->
+      if rows < 1 || cols < 1 || rows * cols <> Array.length clusters then
+        invalid_arg
+          (Fmt.str
+             "Vliw_machine.v: mesh %dx%d does not cover %d cluster(s)" rows
+             cols (Array.length clusters)));
+  let routes = route_table network.topology (Array.length clusters) in
+  { name; clusters; network; latencies; routes }
+
+let num_clusters m = Array.length m.clusters
+let cluster_of m i = m.clusters.(i)
+let topology m = m.network.topology
+let move_latency m = m.network.move_latency
+let moves_per_cycle m = m.network.moves_per_cycle
+
+(** Size of the per-link slot table a scheduler must allocate. *)
+let num_link_slots m =
+  match m.network.topology with
+  | Bus -> 1
+  | Ring | Crossbar | Mesh _ ->
+      let n = num_clusters m in
+      n * n
+
+(** Number of physical links, for occupancy/capacity reporting.  The
+    bus counts as one link, preserving the seed's reported capacity. *)
+let num_links m =
+  let n = num_clusters m in
+  match m.network.topology with
+  | Bus -> 1
+  | Crossbar -> n * (n - 1)
+  | Ring -> if n <= 1 then 0 else if n = 2 then 2 else 2 * n
+  | Mesh { rows; cols } -> 2 * ((rows * (cols - 1)) + (cols * (rows - 1)))
+
+let route_pair m ~src ~dst = (src * num_clusters m) + dst
+
+(** Directed links crossed by a transfer from [src] to [dst], in path
+    order, read from the route table; [src = dst] needs no link. *)
+let route_links m ~src ~dst =
+  let p = route_pair m ~src ~dst in
+  List.init
+    (m.routes.link_off.(p + 1) - m.routes.link_off.(p))
+    (fun i -> m.routes.links.(m.routes.link_off.(p) + i))
+
 (** Hop distance of the deterministic route; 0 when [src = dst], 1 for
     any transfer on the bus. *)
-let route_hops m ~src ~dst =
-  if src = dst then 0
-  else
-    let n = num_clusters m in
-    match m.network.topology with
-    | Bus | Crossbar -> 1
-    | Ring ->
-        let fwd = (dst - src + n) mod n in
-        min fwd (n - fwd)
-    | Mesh { rows = _; cols } ->
-        abs ((dst / cols) - (src / cols)) + abs ((dst mod cols) - (src mod cols))
+let route_hops m ~src ~dst = m.routes.hops.(route_pair m ~src ~dst)
 
 (** End-to-end transfer latency: [move_latency] per hop, so exactly the
     seed's [move_latency] on the bus. *)

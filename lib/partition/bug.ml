@@ -36,8 +36,6 @@ let partition_block ~(machine : Vliw_machine.t) ~objects_of
   let done_at = Array.make n 0 in
   (* same-register webs must agree; first assignment wins *)
   let web_home : (Reg.t, int) Hashtbl.t = Hashtbl.copy reg_home in
-  let is_flow = Hashtbl.create (2 * n) in
-  List.iter (fun (d, u, _) -> Hashtbl.replace is_flow (d, u) ()) (D.flow_edges deps);
   (* topological order = index order (Deps edges all go forward) *)
   for i = 0 to n - 1 do
     let op = D.op deps i in
@@ -58,14 +56,13 @@ let partition_block ~(machine : Vliw_machine.t) ~objects_of
     let ready_on c =
       (* operands: local flow producers + cross-block pins *)
       let t = ref 0 in
-      List.iter
-        (fun (p, lat) ->
-          let eff =
-            if Hashtbl.mem is_flow (p, i) && cluster.(p) <> c then lat + ml
-            else lat
-          in
-          t := max !t (done_at.(p) - D.op_latency deps p + eff))
-        (D.preds deps i);
+      for k = deps.D.pred_off.(i) to deps.D.pred_off.(i + 1) - 1 do
+        let p = deps.D.pred_node.(k) and lat = deps.D.pred_lat.(k) in
+        let eff =
+          if deps.D.pred_flow.(k) && cluster.(p) <> c then lat + ml else lat
+        in
+        t := max !t (done_at.(p) - D.op_latency deps p + eff)
+      done;
       List.iter
         (fun r ->
           match Hashtbl.find_opt web_home r with

@@ -76,9 +76,9 @@ type t = {
   nclusters : int;
   move_latency : int;
   moves_per_cycle : int;
-  (* interconnect geometry, precomputed per ordered cluster pair
-     [(a * nclusters) + b]: hop distance, and the route's link ids in
-     CSR form (the per-link resource bound walks them) *)
+  (* interconnect geometry from the machine's route table, per ordered
+     cluster pair [(a * nclusters) + b]: hop distance, and the route's
+     link ids in CSR form (the per-link resource bound walks them) *)
   hops : int array;
   route_off : int array;
   route_link : int array;
@@ -90,16 +90,19 @@ type t = {
           full latency when it defines a live-out value (live-out drain,
           like [List_sched]), else the one issue cycle *)
   caps : int array;  (** FU count per (cluster, kind), [c * nk + k] *)
-  (* predecessor lists in CSR form; entry [j] of node [i]'s row is
-     predecessor [pred_node.(j)] at latency [pred_lat.(j)], flagged in
-     [pred_flow] when the edge is a register flow edge (the only kind
-     stretched by cut-crossing) *)
+  (* the graph's CSR arrays, shared with [Deps]; entry [j] of node
+     [i]'s predecessor row is [pred_node.(j)] at latency [pred_lat.(j)],
+     flagged in [pred_flow] when a register flow edge joins the pair
+     (the only kind stretched by cut-crossing) *)
   pred_off : int array;
   pred_node : int array;
   pred_lat : int array;
   pred_flow : bool array;
-  (* the same edges as successor lists, minus those into [sink] *)
+  (* successor rows run from [succ_off.(i)] to [succ_end.(i) - 1]:
+     [Deps] ends every row but [sink]'s with the edge into [sink],
+     which [succ_end] leaves out *)
   succ_off : int array;
+  succ_end : int array;
   succ_node : int array;
   succ_lat : int array;
   succ_flow : bool array;
@@ -201,60 +204,20 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
           M.fu_count (M.cluster_of machine c) k)
       M.all_fu_kinds
   done;
-  let flow_edges = D.flow_edges deps in
-  let is_flow = Hashtbl.create (2 * n) in
-  List.iter (fun (d, u, _) -> Hashtbl.replace is_flow (d, u) ()) flow_edges;
-  let nfe = List.length flow_edges in
-  let fe_d = Array.make nfe 0 and fe_u = Array.make nfe 0 in
-  List.iteri
-    (fun i (d, u, _) ->
-      fe_d.(i) <- d;
-      fe_u.(i) <- u)
-    flow_edges;
-  let pred_off =
-    offsets (Array.init n (fun i -> List.length (D.preds deps i)))
-  in
-  let npred = pred_off.(n) in
-  let pred_node = Array.make npred 0
-  and pred_lat = Array.make npred 0
-  and pred_flow = Array.make npred false in
-  for i = 0 to n - 1 do
-    let j = ref pred_off.(i) in
-    List.iter
-      (fun (p, l) ->
-        pred_node.(!j) <- p;
-        pred_lat.(!j) <- l;
-        pred_flow.(!j) <- Hashtbl.mem is_flow (p, i);
-        incr j)
-      (D.preds deps i)
-  done;
+  let fe_d = deps.D.flow_def and fe_u = deps.D.flow_use in
+  let nfe = Array.length fe_d in
+  let pred_off = deps.D.pred_off and pred_node = deps.D.pred_node in
+  let pred_lat = deps.D.pred_lat and pred_flow = deps.D.pred_flow in
+  let succ_off = deps.D.succ_off and succ_node = deps.D.succ_node in
+  let succ_lat = deps.D.succ_lat and succ_flow = deps.D.succ_flow in
   let sink = n - 1 in
+  let succ_end =
+    Array.init n (fun i -> max succ_off.(i) (succ_off.(i + 1) - 1))
+  in
   let sink_lat = Array.make n (-1) and sink_flow = Array.make n false in
-  let succ_count = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
-      let p = pred_node.(j) in
-      if i = sink then begin
-        sink_lat.(p) <- pred_lat.(j);
-        sink_flow.(p) <- pred_flow.(j)
-      end
-      else succ_count.(p) <- succ_count.(p) + 1
-    done
-  done;
-  let succ_off = offsets succ_count in
-  let succ_node = Array.make succ_off.(n) 0
-  and succ_lat = Array.make succ_off.(n) 0
-  and succ_flow = Array.make succ_off.(n) false in
-  Array.fill succ_count 0 n 0;
   for i = 0 to sink - 1 do
-    for j = pred_off.(i) to pred_off.(i + 1) - 1 do
-      let p = pred_node.(j) in
-      let s = succ_off.(p) + succ_count.(p) in
-      succ_node.(s) <- i;
-      succ_lat.(s) <- pred_lat.(j);
-      succ_flow.(s) <- pred_flow.(j);
-      succ_count.(p) <- succ_count.(p) + 1
-    done
+    sink_lat.(i) <- succ_lat.(succ_end.(i));
+    sink_flow.(i) <- succ_flow.(succ_end.(i))
   done;
   let up = Array.make (max n 1) 0 and down = Array.make (max n 1) 0 in
   let path_floor = ref 0 in
@@ -266,7 +229,7 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
   done;
   for i = n - 1 downto 0 do
     let d = ref tail.(i) in
-    for j = succ_off.(i) to succ_off.(i + 1) - 1 do
+    for j = succ_off.(i) to succ_end.(i) - 1 do
       d := max !d (succ_lat.(j) + down.(succ_node.(j)))
     done;
     if sink_lat.(i) >= 0 then d := max !d (sink_lat.(i) + down.(sink));
@@ -293,21 +256,9 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
   Array.iteri (fun k i -> add i Pin pin_home.(k)) pin_node;
   Array.iteri (fun k u -> add u Coupled_use coup_d.(k)) coup_u;
   Array.iteri (fun k d -> add d Coupled_def coup_u.(k)) coup_d;
-  let npairs = nclusters * nclusters in
-  let hops = Array.make npairs 0 in
-  let routes = Array.make npairs [] in
-  for src = 0 to nclusters - 1 do
-    for dst = 0 to nclusters - 1 do
-      let p = (src * nclusters) + dst in
-      hops.(p) <- M.route_hops machine ~src ~dst;
-      routes.(p) <- M.route_links machine ~src ~dst
-    done
-  done;
-  let route_off = offsets (Array.map List.length routes) in
-  let route_link = Array.make (max route_off.(npairs) 1) 0 in
-  for p = 0 to npairs - 1 do
-    List.iteri (fun i l -> route_link.(route_off.(p) + i) <- l) routes.(p)
-  done;
+  let { M.hops; link_off = route_off; links = route_link } =
+    machine.M.routes
+  in
   let nlink_slots = M.num_link_slots machine in
   let move_latency = M.move_latency machine in
   (* Size the level histograms by the longest path with every flow edge
@@ -342,6 +293,7 @@ let make ~machine ~deps ~pins ~couplings ~live_out ~xmove_weight =
     pred_lat;
     pred_flow;
     succ_off;
+    succ_end;
     succ_node;
     succ_lat;
     succ_flow;
@@ -759,7 +711,7 @@ let rec settle t c stamp = function
           if cu <> c then activate t c cu
         done;
         if i = t.sink then t.sink_moved <- true else mark_dirty t i;
-        for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+        for j = t.succ_off.(i) to t.succ_end.(i) - 1 do
           if t.succ_flow.(j) then mark_dirty t t.succ_node.(j)
         done
       end;
@@ -795,7 +747,7 @@ let relevel_until t stop =
       let l = level_of t t.cluster t.level v in
       if l <> t.level.(v) then begin
         set_level t v l;
-        for j = t.succ_off.(v) to t.succ_off.(v + 1) - 1 do
+        for j = t.succ_off.(v) to t.succ_end.(v) - 1 do
           mark_dirty t t.succ_node.(j)
         done
       end;
@@ -864,7 +816,7 @@ let rec group_dep_from t stamp dep = function
       t.lb.(i) <- !li;
       t.mark.(i) <- stamp;
       let d = ref (max dep (!li + t.down.(i))) in
-      for j = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+      for j = t.succ_off.(i) to t.succ_end.(i) - 1 do
         let u = t.succ_node.(j) in
         let cu = t.cluster.(u) in
         if t.succ_flow.(j) && cu <> ci then begin

@@ -74,13 +74,12 @@ let compute ?(merge_low_slack = false) ?(machine : Vliw_machine.t option)
                 ~objects_of:(An.Points_to.objects_of pt)
                 ~machine b
             in
-            let times = Vliw_sched.Deps.asap_alap deps in
-            List.iter
-              (fun (d, u, _r) ->
+            let asap, alap = Vliw_sched.Deps.asap_alap deps in
+            Array.iteri
+              (fun e d ->
+                let u = deps.Vliw_sched.Deps.flow_use.(e) in
                 let slack =
-                  let _, alap_u = times.(u) in
-                  let asap_d, _ = times.(d) in
-                  alap_u - asap_d - Vliw_sched.Deps.op_latency deps d
+                  alap.(u) - asap.(d) - Vliw_sched.Deps.op_latency deps d
                 in
                 let od = Vliw_sched.Deps.op deps d
                 and ou = Vliw_sched.Deps.op deps u in
@@ -90,7 +89,7 @@ let compute ?(merge_low_slack = false) ?(machine : Vliw_machine.t option)
                   Union_find.union uf
                     (Hashtbl.find op_slot (Op.id od))
                     (Hashtbl.find op_slot (Op.id ou)))
-              (Vliw_sched.Deps.flow_edges deps))
+              deps.Vliw_sched.Deps.flow_def)
           (Func.blocks f))
       (Prog.funcs prog)
   end;

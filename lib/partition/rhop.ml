@@ -87,8 +87,9 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
     groups;
   (* aggregate flow-edge weights between groups *)
   let w : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (d, u, _) ->
+  Array.iteri
+    (fun e d ->
+      let u = deps.D.flow_use.(e) in
       let gd = gid_of_node.(d) and gu = gid_of_node.(u) in
       if gd <> gu then begin
         let key = if gd < gu then (gd, gu) else (gu, gd) in
@@ -96,7 +97,7 @@ let coarsen_level (deps : D.t) (edge_weight : (int * int) -> int)
           (edge_weight (d, u)
           + Option.value ~default:0 (Hashtbl.find_opt w key))
       end)
-    (D.flow_edges deps);
+    deps.D.flow_def;
   let adj = Array.make ng [] in
   Hashtbl.iter
     (fun (a, b) wt ->
@@ -247,12 +248,10 @@ let partition_block ~(machine : Vliw_machine.t) ~objects_of
       ~xmove_weight:(Vliw_machine.move_latency machine)
   in
   (* slack-based edge weights for coarsening *)
-  let times = D.asap_alap deps in
+  let asap, alap = D.asap_alap deps in
   let cp = D.critical_path deps in
   let edge_weight (d, u) =
-    let asap_d, _ = times.(d) in
-    let _, alap_u = times.(u) in
-    let slack = alap_u - asap_d - D.op_latency deps d in
+    let slack = alap.(u) - asap.(d) - D.op_latency deps d in
     max 1 (cp - slack)
   in
   (* multilevel: coarsen, then refine from coarsest to finest *)

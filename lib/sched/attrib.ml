@@ -168,9 +168,10 @@ let account_block ~(machine : Vliw_machine.t)
   done;
   let ready_at = Array.make n 0 in
   for i = 0 to n - 1 do
-    List.iter
-      (fun (p, lat) -> ready_at.(i) <- max ready_at.(i) (issue.(p) + lat))
-      (Deps.preds deps i)
+    for k = deps.Deps.pred_off.(i) to deps.Deps.pred_off.(i + 1) - 1 do
+      let p = deps.Deps.pred_node.(k) in
+      ready_at.(i) <- max ready_at.(i) (issue.(p) + deps.Deps.pred_lat.(k))
+    done
   done;
   (* per-cycle facts *)
   let blocked_mem = Array.make (max 1 len) false in

@@ -15,31 +15,56 @@
       barriers for memory, I/O and allocation order;
     - control: every op must issue no later than the terminator (lat 0
       edges into it; data feeding the terminator keeps its flow
-      latency). *)
+      latency).
+
+    Every edge is found while its destination is the op being scanned,
+    and the terminator's control edges come last, so each op's
+    predecessor row is built in one pass and deduplicated with a stamp
+    per source.  The graph is stored as CSR arrays. *)
 
 open Vliw_ir
 
-type edge = { src : int; dst : int; lat : int }
-(** indices into the block's op array *)
-
 type t = {
   ops : Op.t array;
-  preds : (int * int) list array;  (** (pred index, lat) per node *)
-  succs : (int * int) list array;
-  latency : int array;  (** operation latency of each node *)
-  flow : (int * int * Reg.t) list;
-      (** register flow edges (def index, use index, register): the edges
-          whose cutting across clusters requires an intercluster move *)
+  latency : int array;
+  pred_off : int array;
+  pred_node : int array;
+  pred_lat : int array;
+  pred_flow : bool array;
+  succ_off : int array;
+  succ_node : int array;
+  succ_lat : int array;
+  succ_flow : bool array;
+  flow_def : int array;
+  flow_use : int array;
 }
 
 let num_ops t = Array.length t.ops
 let op t i = t.ops.(i)
+let op_latency t i = t.latency.(i)
 
 (** Do two memory ops possibly touch a common object?  With no points-to
     information ([objects_of] returning empty sets) everything aliases. *)
 let may_alias objs_a objs_b =
-  if Data.Obj_set.is_empty objs_a || Data.Obj_set.is_empty objs_b then true
-  else not (Data.Obj_set.is_empty (Data.Obj_set.inter objs_a objs_b))
+  Data.Obj_set.is_empty objs_a
+  || Data.Obj_set.is_empty objs_b
+  || not (Data.Obj_set.disjoint objs_a objs_b)
+
+(* A growable int array. *)
+type buf = { mutable a : int array; mutable len : int }
+
+let buf_make n = { a = Array.make (max n 4) 0; len = 0 }
+
+let buf_push b x =
+  if b.len = Array.length b.a then begin
+    let a = Array.make (2 * b.len) 0 in
+    Array.blit b.a 0 a 0 b.len;
+    b.a <- a
+  end;
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
+
+type reg_state = { mutable def : int; mutable uses_since_def : int list }
 
 let build ?(objects_of = fun _ -> Data.Obj_set.empty) ?latency_of
     ~(machine : Vliw_machine.t) (block : Block.t) : t =
@@ -51,68 +76,95 @@ let build ?(objects_of = fun _ -> Data.Obj_set.empty) ?latency_of
   let ops = Array.of_list (Block.ops block) in
   let n = Array.length ops in
   let lats = Array.map latency_of ops in
-  let edges = ref [] in
-  let add src dst lat =
-    if src <> dst then edges := { src; dst; lat } :: !edges
+  (* node [i]'s row runs from [pred_off.(i)] to the end of the buffers;
+     a source already in it has [stamp] = [i] and sits at [pos] *)
+  let pnode = buf_make (4 * n) and plat = buf_make (4 * n) in
+  let pflow = buf_make (4 * n) in
+  let pred_off = Array.make (n + 1) 0 in
+  let stamp = Array.make n (-1) and pos = Array.make n 0 in
+  let add ?(flow = false) src i lat =
+    if src <> i then
+      if stamp.(src) = i then begin
+        let p = pos.(src) in
+        if lat > plat.a.(p) then plat.a.(p) <- lat;
+        if flow then pflow.a.(p) <- 1
+      end
+      else begin
+        stamp.(src) <- i;
+        pos.(src) <- pnode.len;
+        buf_push pnode src;
+        buf_push plat lat;
+        buf_push pflow (if flow then 1 else 0)
+      end
   in
-  (* register dependences: scan backwards remembering last def/uses *)
-  let last_def : (Reg.t, int) Hashtbl.t = Hashtbl.create 32 in
-  let uses_since_def : (Reg.t, int list) Hashtbl.t = Hashtbl.create 32 in
-  let flow = ref [] in
-  for i = 0 to n - 1 do
-    let o = ops.(i) in
-    (* flow: def -> this use *)
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt last_def r with
-        | Some d ->
-            add d i lats.(d);
-            flow := (d, i, r) :: !flow
-        | None -> ())
-      (Op.uses o);
-    (* record this op as a use *)
-    List.iter
-      (fun r ->
-        Hashtbl.replace uses_since_def r
-          (i :: Option.value ~default:[] (Hashtbl.find_opt uses_since_def r)))
-      (Op.uses o);
-    List.iter
-      (fun r ->
-        (* output: previous def -> this def *)
-        (match Hashtbl.find_opt last_def r with
-        | Some d -> add d i lats.(d)
-        | None -> ());
-        (* anti: uses since the previous def -> this def *)
-        List.iter
-          (fun u -> add u i 0)
-          (Option.value ~default:[] (Hashtbl.find_opt uses_since_def r));
-        Hashtbl.replace last_def r i;
-        Hashtbl.replace uses_since_def r [])
-      (Op.defs o)
-  done;
-  (* memory and side-effect ordering *)
-  let mem_ops = ref [] in
-  let last_out = ref (-1) in
-  let last_barrier = ref (-1) in
+  (* per register: its last def in the block, and its uses since *)
+  let regs : (Reg.t, reg_state) Hashtbl.t = Hashtbl.create 32 in
+  let state r =
+    match Hashtbl.find_opt regs r with
+    | Some s -> s
+    | None ->
+        let s = { def = -1; uses_since_def = [] } in
+        Hashtbl.replace regs r s;
+        s
+  in
+  let flow_def = buf_make n and flow_use = buf_make n in
+  (* memory state since the last call barrier *)
+  let objs = Array.make n Data.Obj_set.empty in
+  let stores = buf_make 16 and mems = buf_make 16 in
+  let is_store = Array.make n false in
+  let last_out = ref (-1) and last_barrier = ref (-1) in
   let last_alloc = ref (-1) in
   for i = 0 to n - 1 do
     let o = ops.(i) in
+    pred_off.(i) <- pnode.len;
+    let uses = Op.uses o in
+    (* flow: def -> this use *)
+    List.iter
+      (fun r ->
+        let d = (state r).def in
+        if d >= 0 then begin
+          add ~flow:true d i lats.(d);
+          buf_push flow_def d;
+          buf_push flow_use i
+        end)
+      uses;
+    List.iter
+      (fun r ->
+        let s = state r in
+        s.uses_since_def <- i :: s.uses_since_def)
+      uses;
+    List.iter
+      (fun r ->
+        let s = state r in
+        (* output: previous def -> this def *)
+        if s.def >= 0 then add s.def i lats.(s.def);
+        (* anti: uses since the previous def -> this def *)
+        List.iter (fun u -> add u i 0) s.uses_since_def;
+        s.def <- i;
+        s.uses_since_def <- [])
+      (Op.defs o);
+    (* memory and side-effect ordering; a call barrier is a store that
+       aliases everything *)
     (match Op.kind o with
     | Op.Load _ ->
-        let objs = objects_of (Op.id o) in
-        List.iter
-          (fun (j, was_store, objs_j) ->
-            if was_store && may_alias objs objs_j then add j i lats.(j))
-          !mem_ops;
-        mem_ops := (i, false, objs) :: !mem_ops
+        objs.(i) <- objects_of (Op.id o);
+        for k = 0 to stores.len - 1 do
+          let j = stores.a.(k) in
+          if may_alias objs.(i) objs.(j) then add j i lats.(j)
+        done;
+        if !last_barrier >= 0 then add !last_barrier i lats.(!last_barrier);
+        buf_push mems i
     | Op.Store _ ->
-        let objs = objects_of (Op.id o) in
-        List.iter
-          (fun (j, was_store, objs_j) ->
-            if may_alias objs objs_j then
-              add j i (if was_store then lats.(j) else 1))
-          !mem_ops;
-        mem_ops := (i, true, objs) :: !mem_ops
+        objs.(i) <- objects_of (Op.id o);
+        is_store.(i) <- true;
+        for k = 0 to mems.len - 1 do
+          let j = mems.a.(k) in
+          if may_alias objs.(i) objs.(j) then
+            add j i (if is_store.(j) then lats.(j) else 1)
+        done;
+        if !last_barrier >= 0 then add !last_barrier i lats.(!last_barrier);
+        buf_push mems i;
+        buf_push stores i
     | Op.Out _ ->
         if !last_out >= 0 then add !last_out i 1;
         last_out := i
@@ -123,43 +175,68 @@ let build ?(objects_of = fun _ -> Data.Obj_set.empty) ?latency_of
         last_alloc := i
     | Op.Call _ ->
         (* full barrier: after all prior memory, I/O and allocs *)
-        List.iter (fun (j, _, _) -> add j i lats.(j)) !mem_ops;
+        for k = 0 to mems.len - 1 do
+          let j = mems.a.(k) in
+          add j i lats.(j)
+        done;
         if !last_out >= 0 then add !last_out i 1;
         if !last_alloc >= 0 then add !last_alloc i 1;
-        if !last_barrier >= 0 then add !last_barrier i 1;
-        mem_ops := [ (i, true, Data.Obj_set.empty) ];
-        (* empty set = aliases everything *)
+        if !last_barrier >= 0 then begin
+          add !last_barrier i lats.(!last_barrier);
+          add !last_barrier i 1
+        end;
+        mems.len <- 0;
+        stores.len <- 0;
         last_out := i;
         last_alloc := i;
         last_barrier := i
     | _ -> ());
-    ()
+    (* everything issues no later than the terminator *)
+    if i = n - 1 then
+      for j = 0 to n - 2 do
+        add j i 0
+      done
   done;
-  (* everything issues no later than the terminator *)
-  for i = 0 to n - 2 do
-    add i (n - 1) 0
+  pred_off.(n) <- pnode.len;
+  let m = pnode.len in
+  let pred_node = Array.sub pnode.a 0 m and pred_lat = Array.sub plat.a 0 m in
+  let pred_flow = Array.init m (fun p -> pflow.a.(p) = 1) in
+  (* successor rows, filled in ascending destination order: the
+     terminator, the last node, ends every other node's row *)
+  let succ_off = Array.make (n + 1) 0 in
+  Array.iter (fun p -> succ_off.(p + 1) <- succ_off.(p + 1) + 1) pred_node;
+  for i = 0 to n - 1 do
+    succ_off.(i + 1) <- succ_off.(i + 1) + succ_off.(i)
   done;
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  (* deduplicate keeping the max latency per (src,dst) *)
-  let best = Hashtbl.create (List.length !edges * 2) in
-  List.iter
-    (fun { src; dst; lat } ->
-      match Hashtbl.find_opt best (src, dst) with
-      | Some l when l >= lat -> ()
-      | _ -> Hashtbl.replace best (src, dst) lat)
-    !edges;
-  Hashtbl.iter
-    (fun (src, dst) lat ->
-      preds.(dst) <- (src, lat) :: preds.(dst);
-      succs.(src) <- (dst, lat) :: succs.(src))
-    best;
-  { ops; preds; succs; latency = lats; flow = !flow }
-
-let preds t i = t.preds.(i)
-let succs t i = t.succs.(i)
-let op_latency t i = t.latency.(i)
-let flow_edges t = t.flow
+  let succ_node = Array.make m 0 and succ_lat = Array.make m 0 in
+  let succ_flow = Array.make m false in
+  let fill = Array.sub succ_off 0 n in
+  for i = 0 to n - 1 do
+    for p = pred_off.(i) to pred_off.(i + 1) - 1 do
+      let s = pred_node.(p) in
+      let k = fill.(s) in
+      succ_node.(k) <- i;
+      succ_lat.(k) <- pred_lat.(p);
+      succ_flow.(k) <- pred_flow.(p);
+      fill.(s) <- k + 1
+    done
+  done;
+  (* flow edges newest first *)
+  let nf = flow_def.len in
+  {
+    ops;
+    latency = lats;
+    pred_off;
+    pred_node;
+    pred_lat;
+    pred_flow;
+    succ_off;
+    succ_node;
+    succ_lat;
+    succ_flow;
+    flow_def = Array.init nf (fun k -> flow_def.a.(nf - 1 - k));
+    flow_use = Array.init nf (fun k -> flow_use.a.(nf - 1 - k));
+  }
 
 (** Longest path from each node to the end of the block (critical-path
     priority for list scheduling), measured in cycles including the
@@ -168,40 +245,39 @@ let heights t : int array =
   let n = num_ops t in
   let h = Array.make n 0 in
   for i = n - 1 downto 0 do
-    let succ_max =
-      List.fold_left (fun acc (j, lat) -> max acc (lat + h.(j))) 0 t.succs.(i)
-    in
-    h.(i) <- max t.latency.(i) succ_max
+    let hi = ref t.latency.(i) in
+    for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+      let v = t.succ_lat.(k) + h.(t.succ_node.(k)) in
+      if v > !hi then hi := v
+    done;
+    h.(i) <- !hi
   done;
   h
 
 (** Critical-path length of the whole block in cycles. *)
-let critical_path t =
-  let h = heights t in
-  Array.fold_left max 0 h
+let critical_path t = Array.fold_left max 0 (heights t)
 
-(** Slack of each edge given an ASAP/ALAP analysis: used by the RHOP
-    coarsening weights.  Returns per-node (asap, alap) with the block
-    critical path as the horizon. *)
-let asap_alap t : (int * int) array =
+(** Per-node ASAP and ALAP issue times with the block critical path as
+    the horizon: the RHOP coarsening weights and the low-slack merge
+    read slack from them. *)
+let asap_alap t : int array * int array =
   let n = num_ops t in
   let asap = Array.make n 0 in
+  let horizon = ref 0 in
   for i = 0 to n - 1 do
-    List.iter
-      (fun (p, lat) -> asap.(i) <- max asap.(i) (asap.(p) + lat))
-      t.preds.(i)
+    for k = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+      let v = asap.(t.pred_node.(k)) + t.pred_lat.(k) in
+      if v > asap.(i) then asap.(i) <- v
+    done;
+    horizon := max !horizon (asap.(i) + t.latency.(i))
   done;
-  let horizon =
-    Array.fold_left max 0 (Array.mapi (fun i a -> a + t.latency.(i)) asap)
-  in
   let alap = Array.make n max_int in
   for i = n - 1 downto 0 do
-    let from_succs =
-      List.fold_left
-        (fun acc (j, lat) -> min acc (alap.(j) - lat))
-        (horizon - t.latency.(i))
-        t.succs.(i)
-    in
-    alap.(i) <- from_succs
+    let a = ref (!horizon - t.latency.(i)) in
+    for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+      let v = alap.(t.succ_node.(k)) - t.succ_lat.(k) in
+      if v < !a then a := v
+    done;
+    alap.(i) <- !a
   done;
-  Array.init n (fun i -> (asap.(i), alap.(i)))
+  (asap, alap)

@@ -30,6 +30,8 @@ val latency_of :
   Op.t ->
   int
 
+(** Schedule one block.  Raises [Invalid_argument] when an op that is
+    not a routed move sits on a cluster without a unit of its kind. *)
 val schedule_block :
   machine:Vliw_machine.t ->
   assign:Assignment.t ->

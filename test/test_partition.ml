@@ -575,369 +575,732 @@ let pinned_gdp =
    cycle model, the simulator, attribution and explain: (benchmark,
    preset, method, total cycles, dynamic moves, digest of every op's
    cluster in the clustered program) for a plain compile of every suite
-   benchmark on every preset. *)
+   benchmark on every preset.  The last column, recorded before the
+   dependence graphs went flat and the list scheduler moved to ready
+   queues, digests the schedule itself: every block's length and its
+   entries' (op id, cycle, cluster). *)
 let pinned_compiles =
   [
-    ("rawcaudio", "paper", "gdp", 32789, 2049, "abffe4117ad3495e");
-    ("rawcaudio", "paper", "profile-max", 32789, 2049, "abffe4117ad3495e");
-    ("rawcaudio", "paper", "naive", 36893, 4610, "b0b5818e9f43f4aa");
-    ("rawcaudio", "paper", "unified", 36886, 4609, "dfa8485d84c7e97f");
-    ("rawdaudio", "paper", "gdp", 65563, 5123, "5645618c57e47ef5");
-    ("rawdaudio", "paper", "profile-max", 85013, 15362, "79d8ea05b628bc9c");
-    ("rawdaudio", "paper", "naive", 72722, 9216, "117ed391c7f3d5b2");
-    ("rawdaudio", "paper", "unified", 67606, 9218, "a0cace6e4dfa3050");
-    ("g721enc", "paper", "gdp", 38424, 2400, "13d7d8da8a6bd27a");
-    ("g721enc", "paper", "profile-max", 38427, 2001, "0f0ded6d65772596");
-    ("g721enc", "paper", "naive", 38427, 2401, "84302d7bb4f1f36f");
-    ("g721enc", "paper", "unified", 36427, 1602, "9a075ee14eeaff8a");
-    ("g721dec", "paper", "gdp", 22823, 1601, "55438342ef855676");
-    ("g721dec", "paper", "profile-max", 23226, 2402, "f2312eaf278d4c49");
-    ("g721dec", "paper", "naive", 19626, 801, "b90a9eb5edf43077");
-    ("g721dec", "paper", "unified", 19626, 802, "32e7e3e2da6ec5fc");
-    ("cjpeg", "paper", "gdp", 25146, 4132, "aefa9819e26ebacd");
-    ("cjpeg", "paper", "profile-max", 25749, 3779, "0215bf94b80b8356");
-    ("cjpeg", "paper", "naive", 31502, 3585, "c15041e37d524134");
-    ("cjpeg", "paper", "unified", 24462, 963, "3470aaa18241b960");
-    ("djpeg", "paper", "gdp", 31055, 2819, "80d480068001c9b7");
-    ("djpeg", "paper", "profile-max", 33230, 3970, "62af80bc09fb8e51");
-    ("djpeg", "paper", "naive", 27859, 1026, "bd4e5930c7fbb6f0");
-    ("djpeg", "paper", "unified", 26579, 516, "2d9b99ca420aa9a7");
-    ("mpeg2enc", "paper", "gdp", 32807, 12992, "6b36dd58931c53e5");
-    ("mpeg2enc", "paper", "profile-max", 32197, 11833, "62cdd97dd0b58cfb");
-    ("mpeg2enc", "paper", "naive", 31689, 13728, "c9d3965e7c70ce34");
-    ("mpeg2enc", "paper", "unified", 27324, 11857, "511b8b4703183da7");
-    ("mpeg2dec", "paper", "gdp", 32052, 11899, "05a91d77cf811c25");
-    ("mpeg2dec", "paper", "profile-max", 32672, 8665, "cd705ee0a0bcccbe");
-    ("mpeg2dec", "paper", "naive", 33640, 13536, "2320506c4b21c59f");
-    ("mpeg2dec", "paper", "unified", 29946, 9217, "0682fbc133b78d60");
-    ("epic", "paper", "gdp", 49817, 18066, "8a659a1d7ef452ba");
-    ("epic", "paper", "profile-max", 48196, 9602, "9ccb67cb2bf73d1b");
-    ("epic", "paper", "naive", 48708, 12929, "bd436fc95eec83cd");
-    ("epic", "paper", "unified", 45256, 8963, "55f8579fa8bf3f76");
-    ("unepic", "paper", "gdp", 103928, 34230, "7724a86ab8920c28");
-    ("unepic", "paper", "profile-max", 100002, 35747, "8b198b8270fa0f2d");
-    ("unepic", "paper", "naive", 99618, 45348, "a9419c930796598d");
-    ("unepic", "paper", "unified", 93090, 38181, "14d005205f675ed9");
-    ("gsmenc", "paper", "gdp", 68651, 1920, "3a1be40b004f2c14");
-    ("gsmenc", "paper", "profile-max", 72228, 4740, "d6e075cc0071c538");
-    ("gsmenc", "paper", "naive", 65916, 2628, "034a84a0742f928d");
-    ("gsmenc", "paper", "unified", 63327, 1502, "dc91c8eb510d8daa");
-    ("gsmdec", "paper", "gdp", 56232, 4401, "df09dd60fc954d24");
-    ("gsmdec", "paper", "profile-max", 55082, 2031, "64370bb4f5f0962e");
-    ("gsmdec", "paper", "naive", 53130, 830, "b84bdb4006845f8e");
-    ("gsmdec", "paper", "unified", 53063, 812, "ffdbbed5b6df4cc8");
-    ("pegwit", "paper", "gdp", 22262, 1281, "0c66f8ab3ddeeb2c");
-    ("pegwit", "paper", "profile-max", 27510, 6401, "b378298c1dd40ace");
-    ("pegwit", "paper", "naive", 23160, 3073, "8ad59a96c96b24f8");
-    ("pegwit", "paper", "unified", 20728, 1026, "be6cc1807a70c0dd");
-    ("fir", "paper", "gdp", 54628, 34200, "c730428352a45324");
-    ("fir", "paper", "profile-max", 54628, 34200, "c730428352a45324");
-    ("fir", "paper", "naive", 72028, 30601, "9271113645110f2e");
-    ("fir", "paper", "unified", 66627, 18004, "35176f3aeab6062f");
-    ("fsed", "paper", "gdp", 42858, 9965, "df0dd11bb4bad87b");
-    ("fsed", "paper", "profile-max", 43036, 4608, "4779495db7312b4b");
-    ("fsed", "paper", "naive", 33244, 576, "169b40af9b4c4f12");
-    ("fsed", "paper", "unified", 33246, 577, "491a0035f0615283");
-    ("sobel", "paper", "gdp", 47888, 15335, "19a4c03efb203321");
-    ("sobel", "paper", "profile-max", 51728, 12231, "b36fb078b3fdd00b");
-    ("sobel", "paper", "naive", 52683, 14401, "8fe9edd37460e274");
-    ("sobel", "paper", "unified", 52683, 8642, "fd094e7356066f11");
-    ("viterbi", "paper", "gdp", 182143, 25088, "ab8ba91394e303d4");
-    ("viterbi", "paper", "profile-max", 191615, 46082, "701e61ac0a1f2199");
-    ("viterbi", "paper", "naive", 214654, 45825, "09c54e61da9c4cc0");
-    ("viterbi", "paper", "unified", 191618, 29187, "1a47931fc471fa0a");
-    ("iirflt", "paper", "gdp", 17176, 902, "698b1e14072622b0");
-    ("iirflt", "paper", "profile-max", 18706, 1511, "c5f4d4f83c3c33bc");
-    ("iirflt", "paper", "naive", 17263, 918, "1b6e4250502257bf");
-    ("iirflt", "paper", "unified", 17175, 902, "d3c9f4e954d7f2d3");
-    ("rawcaudio", "kway4", "gdp", 35354, 2562, "876364a9370afcd8");
-    ("rawcaudio", "kway4", "profile-max", 37911, 5634, "f6192674bebaba7f");
-    ("rawcaudio", "kway4", "naive", 40475, 6659, "bfe17f69c1800a6c");
-    ("rawcaudio", "kway4", "unified", 37910, 5634, "6096d62a0ec70ccb");
-    ("rawdaudio", "kway4", "gdp", 80923, 14340, "81f4096e1c5ea681");
-    ("rawdaudio", "kway4", "profile-max", 82969, 13316, "37c1ac94e7459a2a");
-    ("rawdaudio", "kway4", "naive", 82963, 14337, "e302f162dbe56b4e");
-    ("rawdaudio", "kway4", "unified", 72727, 10243, "84755a83220a3e40");
-    ("g721enc", "kway4", "gdp", 49626, 7201, "4a289adc215a6ecc");
-    ("g721enc", "kway4", "profile-max", 55625, 11201, "d7b9d780ad31cae0");
-    ("g721enc", "kway4", "naive", 43224, 3201, "1f7ea64d1464ce99");
-    ("g721enc", "kway4", "unified", 41224, 2402, "5c1fdfe3cb5421b4");
-    ("g721dec", "kway4", "gdp", 24827, 2002, "ec758427eb52c742");
-    ("g721dec", "kway4", "profile-max", 27624, 7602, "fb33ea8fae50a0f3");
-    ("g721dec", "kway4", "naive", 21624, 1601, "c430543a974b2696");
-    ("g721dec", "kway4", "unified", 21624, 1602, "91c520e78c77d933");
-    ("cjpeg", "kway4", "gdp", 28307, 3971, "c1904ed2a9e3ade5");
-    ("cjpeg", "kway4", "profile-max", 27987, 4035, "3572ee17f553deaa");
-    ("cjpeg", "kway4", "naive", 31502, 3585, "275a27212d20517a");
-    ("cjpeg", "kway4", "unified", 24462, 963, "577c377f7754d118");
-    ("djpeg", "kway4", "gdp", 35919, 8196, "d7588cee685482a7");
-    ("djpeg", "kway4", "profile-max", 33619, 4868, "243c36418ca1ebea");
-    ("djpeg", "kway4", "naive", 27859, 1026, "b876964237336287");
-    ("djpeg", "kway4", "unified", 26579, 516, "896444144c20f051");
-    ("mpeg2enc", "kway4", "gdp", 33114, 15751, "9a26552e4e90213c");
-    ("mpeg2enc", "kway4", "profile-max", 32231, 12608, "011e505a70aff8eb");
-    ("mpeg2enc", "kway4", "naive", 31784, 14112, "4ec87747a539db28");
-    ("mpeg2enc", "kway4", "unified", 28236, 12961, "10e247f51524bc7f");
-    ("mpeg2dec", "kway4", "gdp", 36756, 10154, "571265de26db60fe");
-    ("mpeg2dec", "kway4", "profile-max", 31570, 10266, "9caa7ec54aca7c03");
-    ("mpeg2dec", "kway4", "naive", 34119, 14112, "f52ca2e2c38f8db8");
-    ("mpeg2dec", "kway4", "unified", 29754, 9985, "dade1d2d9271912c");
-    ("epic", "kway4", "gdp", 50970, 23187, "f3566564af504b26");
-    ("epic", "kway4", "profile-max", 50116, 11522, "7bc6f2970adcbf0e");
-    ("epic", "kway4", "naive", 48708, 12929, "bd436fc95eec83cd");
-    ("epic", "kway4", "unified", 45256, 8963, "55f8579fa8bf3f76");
-    ("unepic", "kway4", "gdp", 115576, 51640, "dccb2391d60e3eaf");
-    ("unepic", "kway4", "profile-max", 117202, 47379, "c6881de673303fc4");
-    ("unepic", "kway4", "naive", 99618, 45348, "a9419c930796598d");
-    ("unepic", "kway4", "unified", 93090, 38181, "14d005205f675ed9");
-    ("gsmenc", "kway4", "gdp", 136151, 21372, "f73006f0a1950f25");
-    ("gsmenc", "kway4", "profile-max", 72227, 4740, "84a8e5877a141ffa");
-    ("gsmenc", "kway4", "naive", 65915, 2628, "a49444d335434dd7");
-    ("gsmenc", "kway4", "unified", 63327, 1502, "eb904f669129856d");
-    ("gsmdec", "kway4", "gdp", 57834, 5201, "c62bdf2c25641aaf");
-    ("gsmdec", "kway4", "profile-max", 59082, 2431, "e858d458a008ac4b");
-    ("gsmdec", "kway4", "naive", 53130, 830, "b84bdb4006845f8e");
-    ("gsmdec", "kway4", "unified", 53063, 812, "ffdbbed5b6df4cc8");
-    ("pegwit", "kway4", "gdp", 28957, 7491, "7b104217c9d2801b");
-    ("pegwit", "kway4", "profile-max", 28317, 7235, "6301cfd4a4db23bb");
-    ("pegwit", "kway4", "naive", 23160, 3073, "2b0c1f0e272219fe");
-    ("pegwit", "kway4", "unified", 20728, 1026, "bb94892d230e4215");
-    ("fir", "kway4", "gdp", 61827, 34201, "b78bd05a3e300a19");
-    ("fir", "kway4", "profile-max", 58227, 33601, "2e3e99965b8dec82");
-    ("fir", "kway4", "naive", 68427, 38400, "b48e4d5ef3b7491e");
-    ("fir", "kway4", "unified", 58827, 26404, "cddd73444c0112bb");
-    ("fsed", "kway4", "gdp", 45739, 10542, "93fa61e51ba91eab");
-    ("fsed", "kway4", "profile-max", 47365, 7202, "e16a894f66ffb300");
-    ("fsed", "kway4", "naive", 33247, 3457, "56de1692c1873937");
-    ("fsed", "kway4", "unified", 33248, 1731, "14f4b5c61931c4c8");
-    ("sobel", "kway4", "gdp", 51274, 16077, "930cf7fe10364449");
-    ("sobel", "kway4", "profile-max", 51274, 16077, "038ba77636eae417");
-    ("sobel", "kway4", "naive", 46923, 14593, "380836dd2ae91956");
-    ("sobel", "kway4", "unified", 44043, 10563, "798b21ce2cc37ba3");
-    ("viterbi", "kway4", "gdp", 225671, 64003, "ba61f976186b1f09");
-    ("viterbi", "kway4", "profile-max", 222851, 54274, "8aa56bf5bfdc2516");
-    ("viterbi", "kway4", "naive", 214654, 45825, "09c54e61da9c4cc0");
-    ("viterbi", "kway4", "unified", 191618, 29187, "1a47931fc471fa0a");
-    ("iirflt", "kway4", "gdp", 19908, 2112, "bdbade4a303a89c5");
-    ("iirflt", "kway4", "profile-max", 18408, 1812, "6f089e7b770aa120");
-    ("iirflt", "kway4", "naive", 17262, 918, "a97c2dfe2593625a");
-    ("iirflt", "kway4", "unified", 17175, 902, "05eafc16a37004e2");
-    ("rawcaudio", "ring8", "gdp", 53809, 13318, "35d200bdd629a3ef");
-    ("rawcaudio", "ring8", "profile-max", 33319, 6147, "db6ebba0170a523f");
-    ("rawcaudio", "ring8", "naive", 51734, 9731, "ab2c83f53bc5fd0a");
-    ("rawcaudio", "ring8", "unified", 49177, 8708, "4b9f22eda67caf10");
-    ("rawdaudio", "ring8", "gdp", 111665, 24584, "69a17e0c68cae41d");
-    ("rawdaudio", "ring8", "profile-max", 120871, 13316, "79f88b609201151c");
-    ("rawdaudio", "ring8", "naive", 82963, 15361, "84bc1cae0abe02af");
-    ("rawdaudio", "ring8", "unified", 74775, 11267, "1238073223f50afa");
-    ("g721enc", "ring8", "gdp", 86431, 19204, "c7243aaceacce3b5");
-    ("g721enc", "ring8", "profile-max", 66034, 16402, "9f154a38e59b5aa7");
-    ("g721enc", "ring8", "naive", 49224, 4801, "ed1dfa8703e1d85f");
-    ("g721enc", "ring8", "unified", 43225, 4003, "b53759db27d7b6b4");
-    ("g721dec", "ring8", "gdp", 36836, 10003, "ba0e78f526f5c326");
-    ("g721dec", "ring8", "profile-max", 39644, 11602, "04e80a53e5235397");
-    ("g721dec", "ring8", "naive", 25624, 4001, "186cc5473ff2dd10");
-    ("g721dec", "ring8", "unified", 25624, 4002, "9f0e48a330e3dfdc");
-    ("cjpeg", "ring8", "gdp", 37510, 6567, "bcfc838d92ccb4af");
-    ("cjpeg", "ring8", "profile-max", 36061, 4932, "dddb088a39cae4e5");
-    ("cjpeg", "ring8", "naive", 31502, 3585, "275a27212d20517a");
-    ("cjpeg", "ring8", "unified", 24462, 963, "577c377f7754d118");
-    ("djpeg", "ring8", "gdp", 60636, 11333, "95092dcd1a109724");
-    ("djpeg", "ring8", "profile-max", 43727, 6403, "8380d454cad34365");
-    ("djpeg", "ring8", "naive", 27859, 1026, "b876964237336287");
-    ("djpeg", "ring8", "unified", 26579, 516, "896444144c20f051");
-    ("mpeg2enc", "ring8", "gdp", 37912, 24800, "99448554a99318e1");
-    ("mpeg2enc", "ring8", "profile-max", 38066, 20192, "037127ac793bce33");
-    ("mpeg2enc", "ring8", "naive", 29480, 23472, "2daa35979b3d6c06");
-    ("mpeg2enc", "ring8", "unified", 25884, 16273, "61018d74e031dbc7");
-    ("mpeg2dec", "ring8", "gdp", 40311, 19995, "79cc071403b3c56a");
-    ("mpeg2dec", "ring8", "profile-max", 49837, 17562, "de4ed6c5ce46cb8d");
-    ("mpeg2dec", "ring8", "naive", 31959, 18624, "fc37b4aa392c95b9");
-    ("mpeg2dec", "ring8", "unified", 29946, 15265, "95e8e41f00e71e4d");
-    ("epic", "ring8", "gdp", 69923, 31251, "de346607d53856ee");
-    ("epic", "ring8", "profile-max", 62923, 37250, "24a95df8842dff00");
-    ("epic", "ring8", "naive", 49988, 24193, "e0db8f57120b2416");
-    ("epic", "ring8", "unified", 46152, 16259, "b417aebcb3f5baac");
-    ("unepic", "ring8", "gdp", 205401, 92309, "c39b4b62ba4f2b3c");
-    ("unepic", "ring8", "profile-max", 151933, 71351, "f7413906139ed6d7");
-    ("unepic", "ring8", "naive", 116386, 65828, "b9558017b329f918");
-    ("unepic", "ring8", "unified", 98210, 52518, "a93097cad7eb3981");
-    ("gsmenc", "ring8", "gdp", 208631, 25140, "0a5fe3286b895e1e");
-    ("gsmenc", "ring8", "profile-max", 95627, 8676, "d22cc2c5dd19e797");
-    ("gsmenc", "ring8", "naive", 65891, 2628, "a49444d335434dd7");
-    ("gsmenc", "ring8", "unified", 63327, 1502, "eb904f669129856d");
-    ("gsmdec", "ring8", "gdp", 70794, 10051, "da9ddfe42d6acbfb");
-    ("gsmdec", "ring8", "profile-max", 69329, 10850, "367fc8710ccdf3d0");
-    ("gsmdec", "ring8", "naive", 65130, 9230, "34708b8e378e61b0");
-    ("gsmdec", "ring8", "unified", 53063, 6012, "6eb7ee871023f8e3");
-    ("pegwit", "ring8", "gdp", 41122, 9923, "799bff55b31264a6");
-    ("pegwit", "ring8", "profile-max", 31350, 9155, "df6b0a2d5ba39beb");
-    ("pegwit", "ring8", "naive", 22296, 3297, "3a3ffe2cbeb18a51");
-    ("pegwit", "ring8", "unified", 20856, 2306, "bad5f7c52269624c");
-    ("fir", "ring8", "gdp", 79832, 51002, "6751489a0ec3470d");
-    ("fir", "ring8", "profile-max", 51633, 44401, "595d6df746e87530");
-    ("fir", "ring8", "naive", 74427, 51600, "9d0f4baed35077e4");
-    ("fir", "ring8", "unified", 62427, 34205, "b5ef350e642d0abd");
-    ("fsed", "ring8", "gdp", 65465, 16083, "6cc1e3744bd67d73");
-    ("fsed", "ring8", "profile-max", 48672, 7236, "cbd5ce8ededd28af");
-    ("fsed", "ring8", "naive", 41892, 6913, "972cb588ce522b0e");
-    ("fsed", "ring8", "unified", 39013, 4035, "482aa072ffd01889");
-    ("sobel", "ring8", "gdp", 66871, 28562, "03c1a1148aa303c6");
-    ("sobel", "ring8", "profile-max", 74029, 25962, "f0c6f18f052e4ff7");
-    ("sobel", "ring8", "naive", 53643, 24193, "d3ba81e11ba62b4b");
-    ("sobel", "ring8", "unified", 50286, 19203, "12660e02cf6efe25");
-    ("viterbi", "ring8", "gdp", 298385, 97795, "124e0eed0b7c840e");
-    ("viterbi", "ring8", "profile-max", 214654, 75266, "cc894150406e2322");
-    ("viterbi", "ring8", "naive", 218750, 74497, "58aa96e74434360d");
-    ("viterbi", "ring8", "unified", 195714, 61955, "2afc142ee437b1d6");
-    ("iirflt", "ring8", "gdp", 23010, 3012, "2e7a228a9e091b55");
-    ("iirflt", "ring8", "profile-max", 21513, 7512, "c929a29224ca0aa7");
-    ("iirflt", "ring8", "naive", 22662, 6318, "ec4d087a8669a208");
-    ("iirflt", "ring8", "unified", 17175, 4502, "30267fd4dbe5b4d3");
-    ("rawcaudio", "mesh16", "gdp", 73797, 11271, "4eef916038fa11b1");
-    ("rawcaudio", "mesh16", "profile-max", 52768, 8706, "3550a29e660eefd6");
-    ("rawcaudio", "mesh16", "naive", 53267, 14338, "6f4321ee9f7e0fbd");
-    ("rawcaudio", "mesh16", "unified", 50710, 13315, "0341829935360b19");
-    ("rawdaudio", "mesh16", "gdp", 178235, 31752, "18cb02af3b403375");
-    ("rawdaudio", "mesh16", "profile-max", 123928, 15364, "b64e92148437469f");
-    ("rawdaudio", "mesh16", "naive", 82963, 15361, "84bc1cae0abe02af");
-    ("rawdaudio", "mesh16", "unified", 74775, 11267, "1238073223f50afa");
-    ("g721enc", "mesh16", "gdp", 80034, 20002, "adb4754ca7ad94a1");
-    ("g721enc", "mesh16", "profile-max", 68029, 14002, "847a4c64338c4b8c");
-    ("g721enc", "mesh16", "naive", 49224, 4801, "fcf6526a62a97147");
-    ("g721enc", "mesh16", "unified", 43225, 4003, "cbbf48af30ac244e");
-    ("g721dec", "mesh16", "gdp", 44064, 13204, "fa324cc3f4328a60");
-    ("g721dec", "mesh16", "profile-max", 39639, 11202, "17025e70dc675689");
-    ("g721dec", "mesh16", "naive", 25624, 4001, "1adba88446b5a180");
-    ("g721dec", "mesh16", "unified", 25624, 4002, "c7353c3133163a0c");
-    ("cjpeg", "mesh16", "gdp", 53348, 8553, "0fe046ed59f4c0a3");
-    ("cjpeg", "mesh16", "profile-max", 34342, 5126, "b7892863ab43ecef");
-    ("cjpeg", "mesh16", "naive", 31502, 4097, "2b0e823ec6138f27");
-    ("cjpeg", "mesh16", "unified", 24462, 1475, "17fc605aa91d19d0");
-    ("djpeg", "mesh16", "gdp", 75041, 12037, "bd352a6ef2707b3c");
-    ("djpeg", "mesh16", "profile-max", 39642, 6020, "1203cee87be8f364");
-    ("djpeg", "mesh16", "naive", 27859, 1026, "b876964237336287");
-    ("djpeg", "mesh16", "unified", 26579, 516, "896444144c20f051");
-    ("mpeg2enc", "mesh16", "gdp", 47618, 25424, "d09827d7c2607f03");
-    ("mpeg2enc", "mesh16", "profile-max", 36962, 21104, "b85a5fb17fc80da6");
-    ("mpeg2enc", "mesh16", "naive", 29192, 25344, "2007733c388c8aa2");
-    ("mpeg2enc", "mesh16", "unified", 25644, 16993, "397e33ad51b29266");
-    ("mpeg2dec", "mesh16", "gdp", 72380, 24379, "65d24bac796a1f1e");
-    ("mpeg2dec", "mesh16", "profile-max", 49035, 23760, "fcd675dc842c38b5");
-    ("mpeg2dec", "mesh16", "naive", 33543, 20880, "ef685737068ad8c0");
-    ("mpeg2dec", "mesh16", "unified", 28554, 13825, "249b84d8a1e3c928");
-    ("epic", "mesh16", "gdp", 80345, 35743, "11361a12c199bd58");
-    ("epic", "mesh16", "profile-max", 75520, 37772, "e66c8a01cd405671");
-    ("epic", "mesh16", "naive", 49988, 23425, "71a9377862abc8ce");
-    ("epic", "mesh16", "unified", 46152, 17667, "599f006c74e695fb");
-    ("unepic", "mesh16", "gdp", 220309, 97841, "fd8c4429ca6ed3c3");
-    ("unepic", "mesh16", "profile-max", 133922, 73251, "68ada5b919ed8e53");
-    ("unepic", "mesh16", "naive", 103714, 60196, "5764f69f7bb5a38e");
-    ("unepic", "mesh16", "unified", 96674, 54309, "8d1b107c1029517c");
-    ("gsmenc", "mesh16", "gdp", 232895, 30228, "b763864e86171616");
-    ("gsmenc", "mesh16", "profile-max", 106727, 12168, "579ee1870e5bc26f");
-    ("gsmenc", "mesh16", "naive", 65891, 2628, "a49444d335434dd7");
-    ("gsmenc", "mesh16", "unified", 63327, 1502, "eb904f669129856d");
-    ("gsmdec", "mesh16", "gdp", 84149, 11641, "1ab6e3e44858ebe7");
-    ("gsmdec", "mesh16", "profile-max", 65229, 10840, "9878bda3f94c694d");
-    ("gsmdec", "mesh16", "naive", 57130, 8830, "c7adef791d15e214");
-    ("gsmdec", "mesh16", "unified", 53063, 6012, "74b07126bb4088ed");
-    ("pegwit", "mesh16", "gdp", 41157, 10467, "c0f50391a88dc2da");
-    ("pegwit", "mesh16", "profile-max", 31020, 9155, "aa163574f5148d20");
-    ("pegwit", "mesh16", "naive", 22296, 3297, "121f412a51f011e0");
-    ("pegwit", "mesh16", "unified", 20728, 2306, "470bcec4af19deb0");
-    ("fir", "mesh16", "gdp", 95438, 54002, "360765b45c1c35ea");
-    ("fir", "mesh16", "profile-max", 53428, 44401, "744475d45ea32f26");
-    ("fir", "mesh16", "naive", 71427, 55800, "2ec8ad0a26201189");
-    ("fir", "mesh16", "unified", 59427, 39006, "1566a8ae6f435b09");
-    ("fsed", "mesh16", "gdp", 107817, 21300, "de0df9d7c657c39e");
-    ("fsed", "mesh16", "profile-max", 71022, 12485, "56309708cc12d5db");
-    ("fsed", "mesh16", "naive", 41892, 6913, "fedcf6f53eac320d");
-    ("fsed", "mesh16", "unified", 39013, 4611, "68ebffd0131fa091");
-    ("sobel", "mesh16", "gdp", 91881, 32399, "898bd3bff9a25dcc");
-    ("sobel", "mesh16", "profile-max", 60149, 20685, "f78c36c603c45dab");
-    ("sobel", "mesh16", "naive", 56043, 25633, "3689c7aab3e5f5f5");
-    ("sobel", "mesh16", "unified", 50766, 21123, "be84e5bc7a22b07e");
-    ("viterbi", "mesh16", "gdp", 506547, 123397, "2135f68ab182ec8f");
-    ("viterbi", "mesh16", "profile-max", 218509, 84739, "a032418951223936");
-    ("viterbi", "mesh16", "naive", 218750, 74497, "749724f842157261");
-    ("viterbi", "mesh16", "unified", 195714, 61955, "ebd6dd99e68d8a5c");
-    ("iirflt", "mesh16", "gdp", 32095, 5712, "3ef080074c637f73");
-    ("iirflt", "mesh16", "profile-max", 21813, 8412, "08ce7ed610da7d36");
-    ("iirflt", "mesh16", "naive", 20262, 6018, "96b47d73769101fd");
-    ("iirflt", "mesh16", "unified", 17175, 4202, "bb1183b8c4af67b2");
-    ("rawcaudio", "hetero4", "gdp", 50205, 10758, "b8b13d097ebfb006");
-    ("rawcaudio", "hetero4", "profile-max", 43038, 11785, "543dbebbaeb5c316");
-    ("rawcaudio", "hetero4", "naive", 32273, 4096, "f34df7f1f2668337");
-    ("rawcaudio", "hetero4", "unified", 32276, 4097, "e4d83ed0d2a85465");
-    ("rawdaudio", "hetero4", "gdp", 81949, 19462, "3d30905c7dc91364");
-    ("rawdaudio", "hetero4", "profile-max", 85022, 19465, "fb9689a28d0160b2");
-    ("rawdaudio", "hetero4", "naive", 74769, 13313, "0a6fd01a358c148d");
-    ("rawdaudio", "hetero4", "unified", 74772, 13314, "d75bbc078f62ff90");
-    ("g721enc", "hetero4", "gdp", 50027, 14003, "6866f2f13ee77ca4");
-    ("g721enc", "hetero4", "profile-max", 54824, 10001, "2fcff7f7fc5ff489");
-    ("g721enc", "hetero4", "naive", 42024, 3201, "2ce8d8d3d501d0ac");
-    ("g721enc", "hetero4", "unified", 40024, 2402, "3daabe6cbdd35512");
-    ("g721dec", "hetero4", "gdp", 24827, 6402, "6b82968b95080664");
-    ("g721dec", "hetero4", "profile-max", 27624, 9202, "a0a28562d53019f4");
-    ("g721dec", "hetero4", "naive", 21624, 2001, "6c223517d6905e54");
-    ("g721dec", "hetero4", "unified", 21624, 2002, "9c62f93e209caee1");
-    ("cjpeg", "hetero4", "gdp", 27987, 3587, "9fe8f8d52fe00c92");
-    ("cjpeg", "hetero4", "profile-max", 27283, 3651, "08438983204623d7");
-    ("cjpeg", "hetero4", "naive", 31241, 4288, "c0e132c36c8353d1");
-    ("cjpeg", "hetero4", "unified", 24204, 1666, "87f17338a95db650");
-    ("djpeg", "hetero4", "gdp", 38100, 9987, "6842ef7bb41857d6");
-    ("djpeg", "hetero4", "profile-max", 34516, 5636, "0105076878969060");
-    ("djpeg", "hetero4", "naive", 27470, 1024, "09630d11bfe40700");
-    ("djpeg", "hetero4", "unified", 26190, 514, "a83962676b242078");
-    ("mpeg2enc", "hetero4", "gdp", 29178, 24775, "3824553498f4603c");
-    ("mpeg2enc", "hetero4", "profile-max", 26903, 21008, "5fc6718011e020cf");
-    ("mpeg2enc", "hetero4", "naive", 25352, 22128, "5d85e9e6e35026fd");
-    ("mpeg2enc", "hetero4", "unified", 21564, 16561, "1d0d1f3f5af03c2c");
-    ("mpeg2dec", "hetero4", "gdp", 36516, 24458, "ffc62fd4cb352095");
-    ("mpeg2dec", "hetero4", "profile-max", 28066, 15818, "37eaae53e92c8aba");
-    ("mpeg2dec", "hetero4", "naive", 28215, 16224, "dba7257e296c360d");
-    ("mpeg2dec", "hetero4", "unified", 26298, 13969, "2f5cedf8038efa95");
-    ("epic", "hetero4", "gdp", 48108, 39178, "2d21c42b63a7b644");
-    ("epic", "hetero4", "profile-max", 39491, 15360, "1c8da3e69895bd34");
-    ("epic", "hetero4", "naive", 38595, 18560, "66b2a7e9eb9be583");
-    ("epic", "hetero4", "unified", 35400, 12802, "22786c20c841f03f");
-    ("unepic", "hetero4", "gdp", 113485, 75286, "3c8ae91630ef9f5b");
-    ("unepic", "hetero4", "profile-max", 90616, 33024, "4fbbd400c58fec39");
-    ("unepic", "hetero4", "naive", 86008, 35328, "819915110cd4483d");
-    ("unepic", "hetero4", "unified", 84217, 33539, "a8c2c5f7c37cfb53");
-    ("gsmenc", "hetero4", "gdp", 132479, 24492, "bbcd3680ccaadfdd");
-    ("gsmenc", "hetero4", "profile-max", 72563, 5568, "7adcbfd671d6f6aa");
-    ("gsmenc", "hetero4", "naive", 65411, 3060, "8b66e06701bb0456");
-    ("gsmenc", "hetero4", "unified", 62763, 1934, "5860297278a3b8f9");
-    ("gsmdec", "hetero4", "gdp", 57834, 8401, "33dae8124ba737a7");
-    ("gsmdec", "hetero4", "profile-max", 57929, 2840, "49a8f0261e7e565c");
-    ("gsmdec", "hetero4", "naive", 51030, 0, "ccd63481421b63a2");
-    ("gsmdec", "hetero4", "unified", 51033, 2, "11a56f113edd4c06");
-    ("pegwit", "hetero4", "gdp", 27293, 6978, "babde224e1183186");
-    ("pegwit", "hetero4", "profile-max", 26781, 6978, "08f513c329296f96");
-    ("pegwit", "hetero4", "naive", 18163, 0, "59678cc77d8c633b");
-    ("pegwit", "hetero4", "unified", 18295, 257, "18ba6c820dc10bd1");
-    ("fir", "hetero4", "gdp", 52227, 47401, "9eb3cadaf8371b5a");
-    ("fir", "hetero4", "profile-max", 46827, 43201, "72d5eabbe1679726");
-    ("fir", "hetero4", "naive", 51627, 33001, "fdbfae48759f4780");
-    ("fir", "hetero4", "unified", 46827, 31805, "78f0d6e6d89cc89f");
-    ("fsed", "hetero4", "gdp", 45738, 12846, "a27cd96ffebbcb6b");
-    ("fsed", "hetero4", "profile-max", 46159, 10081, "993cfd6311b9a77a");
-    ("fsed", "hetero4", "naive", 33193, 4608, "c0bd437a7fa79793");
-    ("fsed", "hetero4", "unified", 33198, 3458, "ca166d52414067b9");
-    ("sobel", "hetero4", "gdp", 49354, 29997, "3f42f1baaccecac2");
-    ("sobel", "hetero4", "profile-max", 51146, 30252, "0b50a1924b0edc71");
-    ("sobel", "hetero4", "naive", 41637, 16032, "c997ce22ddd5b1ab");
-    ("sobel", "hetero4", "unified", 38761, 12962, "851935f930e0bca1");
-    ("viterbi", "hetero4", "gdp", 274823, 137731, "5f6a8e9133ae9b72");
-    ("viterbi", "hetero4", "profile-max", 222851, 82946, "e0d9ceb5ba235c55");
-    ("viterbi", "hetero4", "naive", 218755, 61953, "06d76d6f6b295dd7");
-    ("viterbi", "hetero4", "unified", 177798, 41474, "957c8eaf2c007720");
-    ("iirflt", "hetero4", "gdp", 19906, 4811, "3615480140f363cd");
-    ("iirflt", "hetero4", "profile-max", 19906, 2711, "a2ff48498dacb58d");
-    ("iirflt", "hetero4", "naive", 16960, 918, "505454a065cabda1");
-    ("iirflt", "hetero4", "unified", 16873, 902, "d402260065822099");
+    ("rawcaudio", "paper", "gdp", 32789, 2049, "abffe4117ad3495e",
+     "6894ace6ba97a4f0");
+    ("rawcaudio", "paper", "profile-max", 32789, 2049, "abffe4117ad3495e",
+     "6894ace6ba97a4f0");
+    ("rawcaudio", "paper", "naive", 36893, 4610, "b0b5818e9f43f4aa",
+     "185989bb943398d0");
+    ("rawcaudio", "paper", "unified", 36886, 4609, "dfa8485d84c7e97f",
+     "484eb094c81f7675");
+    ("rawdaudio", "paper", "gdp", 65563, 5123, "5645618c57e47ef5",
+     "17e3eefe1393a9ef");
+    ("rawdaudio", "paper", "profile-max", 85013, 15362, "79d8ea05b628bc9c",
+     "30bdb7ee2788ddeb");
+    ("rawdaudio", "paper", "naive", 72722, 9216, "117ed391c7f3d5b2",
+     "67c52336605d8f17");
+    ("rawdaudio", "paper", "unified", 67606, 9218, "a0cace6e4dfa3050",
+     "0bd6886babcaa270");
+    ("g721enc", "paper", "gdp", 38424, 2400, "13d7d8da8a6bd27a",
+     "e9da8cd2a8ef9b62");
+    ("g721enc", "paper", "profile-max", 38427, 2001, "0f0ded6d65772596",
+     "ad2e19f5f634054f");
+    ("g721enc", "paper", "naive", 38427, 2401, "84302d7bb4f1f36f",
+     "f1a35669ec3afe4a");
+    ("g721enc", "paper", "unified", 36427, 1602, "9a075ee14eeaff8a",
+     "b277a7a04c92b9ae");
+    ("g721dec", "paper", "gdp", 22823, 1601, "55438342ef855676",
+     "09a0173fa50d0b88");
+    ("g721dec", "paper", "profile-max", 23226, 2402, "f2312eaf278d4c49",
+     "dfb07bf0ac692699");
+    ("g721dec", "paper", "naive", 19626, 801, "b90a9eb5edf43077",
+     "b163a2bbd82b7792");
+    ("g721dec", "paper", "unified", 19626, 802, "32e7e3e2da6ec5fc",
+     "dcd75fed6fb6c42d");
+    ("cjpeg", "paper", "gdp", 25146, 4132, "aefa9819e26ebacd",
+     "20a2e02499d5b569");
+    ("cjpeg", "paper", "profile-max", 25749, 3779, "0215bf94b80b8356",
+     "4ae0012df2544e54");
+    ("cjpeg", "paper", "naive", 31502, 3585, "c15041e37d524134",
+     "720256b51b79ab23");
+    ("cjpeg", "paper", "unified", 24462, 963, "3470aaa18241b960",
+     "1ed09771b778e2d3");
+    ("djpeg", "paper", "gdp", 31055, 2819, "80d480068001c9b7",
+     "94a213406b6371a9");
+    ("djpeg", "paper", "profile-max", 33230, 3970, "62af80bc09fb8e51",
+     "be60a861c049ce81");
+    ("djpeg", "paper", "naive", 27859, 1026, "bd4e5930c7fbb6f0",
+     "ff1685243431b9c0");
+    ("djpeg", "paper", "unified", 26579, 516, "2d9b99ca420aa9a7",
+     "fffbfd51d304ea87");
+    ("mpeg2enc", "paper", "gdp", 32807, 12992, "6b36dd58931c53e5",
+     "3a39ea7736c3f7d1");
+    ("mpeg2enc", "paper", "profile-max", 32197, 11833, "62cdd97dd0b58cfb",
+     "65d7e632fa39aa91");
+    ("mpeg2enc", "paper", "naive", 31689, 13728, "c9d3965e7c70ce34",
+     "aafbece7048c58c8");
+    ("mpeg2enc", "paper", "unified", 27324, 11857, "511b8b4703183da7",
+     "98e003cd84b90873");
+    ("mpeg2dec", "paper", "gdp", 32052, 11899, "05a91d77cf811c25",
+     "d975cfaf709a27d3");
+    ("mpeg2dec", "paper", "profile-max", 32672, 8665, "cd705ee0a0bcccbe",
+     "e7c091d529b56600");
+    ("mpeg2dec", "paper", "naive", 33640, 13536, "2320506c4b21c59f",
+     "dbd854d43b5d18e4");
+    ("mpeg2dec", "paper", "unified", 29946, 9217, "0682fbc133b78d60",
+     "856ead595cec3315");
+    ("epic", "paper", "gdp", 49817, 18066, "8a659a1d7ef452ba",
+     "faedca1d0148c07e");
+    ("epic", "paper", "profile-max", 48196, 9602, "9ccb67cb2bf73d1b",
+     "1b907767de7bf8f0");
+    ("epic", "paper", "naive", 48708, 12929, "bd436fc95eec83cd",
+     "531aaf938e625123");
+    ("epic", "paper", "unified", 45256, 8963, "55f8579fa8bf3f76",
+     "abd5b57cf1d92ffd");
+    ("unepic", "paper", "gdp", 103928, 34230, "7724a86ab8920c28",
+     "862b3a7a3cd83b5e");
+    ("unepic", "paper", "profile-max", 100002, 35747, "8b198b8270fa0f2d",
+     "02b622d41ea6ae42");
+    ("unepic", "paper", "naive", 99618, 45348, "a9419c930796598d",
+     "2bc27d21f4e07479");
+    ("unepic", "paper", "unified", 93090, 38181, "14d005205f675ed9",
+     "0e86d9549807f1b9");
+    ("gsmenc", "paper", "gdp", 68651, 1920, "3a1be40b004f2c14",
+     "0fb47ad7ff2c0901");
+    ("gsmenc", "paper", "profile-max", 72228, 4740, "d6e075cc0071c538",
+     "6208c4f57a2d8e9e");
+    ("gsmenc", "paper", "naive", 65916, 2628, "034a84a0742f928d",
+     "932f192d01507ee6");
+    ("gsmenc", "paper", "unified", 63327, 1502, "dc91c8eb510d8daa",
+     "ead11cbff62d79a2");
+    ("gsmdec", "paper", "gdp", 56232, 4401, "df09dd60fc954d24",
+     "c4d7650107cccfd5");
+    ("gsmdec", "paper", "profile-max", 55082, 2031, "64370bb4f5f0962e",
+     "5ad078f223469c36");
+    ("gsmdec", "paper", "naive", 53130, 830, "b84bdb4006845f8e",
+     "cf60ade19de153a3");
+    ("gsmdec", "paper", "unified", 53063, 812, "ffdbbed5b6df4cc8",
+     "6fb9d60c33022774");
+    ("pegwit", "paper", "gdp", 22262, 1281, "0c66f8ab3ddeeb2c",
+     "53b4c3eb2916aa98");
+    ("pegwit", "paper", "profile-max", 27510, 6401, "b378298c1dd40ace",
+     "bdac7965fbc77f33");
+    ("pegwit", "paper", "naive", 23160, 3073, "8ad59a96c96b24f8",
+     "546ccfe01a6f0bda");
+    ("pegwit", "paper", "unified", 20728, 1026, "be6cc1807a70c0dd",
+     "ec2ce9659f9c6ff5");
+    ("fir", "paper", "gdp", 54628, 34200, "c730428352a45324",
+     "4fa8a28c2adbb11f");
+    ("fir", "paper", "profile-max", 54628, 34200, "c730428352a45324",
+     "4fa8a28c2adbb11f");
+    ("fir", "paper", "naive", 72028, 30601, "9271113645110f2e",
+     "1554b79df812fabf");
+    ("fir", "paper", "unified", 66627, 18004, "35176f3aeab6062f",
+     "8a666a0a6577ba7c");
+    ("fsed", "paper", "gdp", 42858, 9965, "df0dd11bb4bad87b",
+     "adbcb93ed5aaec1e");
+    ("fsed", "paper", "profile-max", 43036, 4608, "4779495db7312b4b",
+     "e533d004dacfeaa2");
+    ("fsed", "paper", "naive", 33244, 576, "169b40af9b4c4f12",
+     "96cacb9488c5835d");
+    ("fsed", "paper", "unified", 33246, 577, "491a0035f0615283",
+     "5f2a6250abf75d7b");
+    ("sobel", "paper", "gdp", 47888, 15335, "19a4c03efb203321",
+     "0f29ec0bd799333e");
+    ("sobel", "paper", "profile-max", 51728, 12231, "b36fb078b3fdd00b",
+     "57fd5efc2844bc71");
+    ("sobel", "paper", "naive", 52683, 14401, "8fe9edd37460e274",
+     "07f8f849c4023543");
+    ("sobel", "paper", "unified", 52683, 8642, "fd094e7356066f11",
+     "3bfc644aa5741df9");
+    ("viterbi", "paper", "gdp", 182143, 25088, "ab8ba91394e303d4",
+     "e9b0310d590f023a");
+    ("viterbi", "paper", "profile-max", 191615, 46082, "701e61ac0a1f2199",
+     "75fa2c83a6ad5f94");
+    ("viterbi", "paper", "naive", 214654, 45825, "09c54e61da9c4cc0",
+     "cc1cf28a1367a826");
+    ("viterbi", "paper", "unified", 191618, 29187, "1a47931fc471fa0a",
+     "a835b437c336d992");
+    ("iirflt", "paper", "gdp", 17176, 902, "698b1e14072622b0",
+     "8e052ff7d53a3049");
+    ("iirflt", "paper", "profile-max", 18706, 1511, "c5f4d4f83c3c33bc",
+     "56252f8f5f0fc609");
+    ("iirflt", "paper", "naive", 17263, 918, "1b6e4250502257bf",
+     "3bd49a66161e216a");
+    ("iirflt", "paper", "unified", 17175, 902, "d3c9f4e954d7f2d3",
+     "bef785b1a75f1d4c");
+    ("rawcaudio", "kway4", "gdp", 35354, 2562, "876364a9370afcd8",
+     "72d9919c4defa681");
+    ("rawcaudio", "kway4", "profile-max", 37911, 5634, "f6192674bebaba7f",
+     "30ce513bd23e4784");
+    ("rawcaudio", "kway4", "naive", 40475, 6659, "bfe17f69c1800a6c",
+     "18821e80fc6c8db3");
+    ("rawcaudio", "kway4", "unified", 37910, 5634, "6096d62a0ec70ccb",
+     "3a4ffafbe811459c");
+    ("rawdaudio", "kway4", "gdp", 80923, 14340, "81f4096e1c5ea681",
+     "04ef1b446667c59c");
+    ("rawdaudio", "kway4", "profile-max", 82969, 13316, "37c1ac94e7459a2a",
+     "e32d46e0b0464726");
+    ("rawdaudio", "kway4", "naive", 82963, 14337, "e302f162dbe56b4e",
+     "36f443b4f75b4e53");
+    ("rawdaudio", "kway4", "unified", 72727, 10243, "84755a83220a3e40",
+     "0a27f6231558d836");
+    ("g721enc", "kway4", "gdp", 49626, 7201, "4a289adc215a6ecc",
+     "2d488a85dd0c1616");
+    ("g721enc", "kway4", "profile-max", 55625, 11201, "d7b9d780ad31cae0",
+     "449f6620fbe71cb4");
+    ("g721enc", "kway4", "naive", 43224, 3201, "1f7ea64d1464ce99",
+     "f63ccb578faf2c3a");
+    ("g721enc", "kway4", "unified", 41224, 2402, "5c1fdfe3cb5421b4",
+     "0e62b2f7d4d6e591");
+    ("g721dec", "kway4", "gdp", 24827, 2002, "ec758427eb52c742",
+     "37ffe2d01cbe95a1");
+    ("g721dec", "kway4", "profile-max", 27624, 7602, "fb33ea8fae50a0f3",
+     "274a3e5ab6621f2a");
+    ("g721dec", "kway4", "naive", 21624, 1601, "c430543a974b2696",
+     "18c8dbf04704570b");
+    ("g721dec", "kway4", "unified", 21624, 1602, "91c520e78c77d933",
+     "9eb756eb7eb4c983");
+    ("cjpeg", "kway4", "gdp", 28307, 3971, "c1904ed2a9e3ade5",
+     "3996f513043deb2c");
+    ("cjpeg", "kway4", "profile-max", 27987, 4035, "3572ee17f553deaa",
+     "0c27c71805564dba");
+    ("cjpeg", "kway4", "naive", 31502, 3585, "275a27212d20517a",
+     "a7ce25540b6580cd");
+    ("cjpeg", "kway4", "unified", 24462, 963, "577c377f7754d118",
+     "1e3a4bc771725b4c");
+    ("djpeg", "kway4", "gdp", 35919, 8196, "d7588cee685482a7",
+     "0bc5a8e532f82fab");
+    ("djpeg", "kway4", "profile-max", 33619, 4868, "243c36418ca1ebea",
+     "4011b4cf64ade6b6");
+    ("djpeg", "kway4", "naive", 27859, 1026, "b876964237336287",
+     "92efa56bda4df455");
+    ("djpeg", "kway4", "unified", 26579, 516, "896444144c20f051",
+     "b7c7853582f9c995");
+    ("mpeg2enc", "kway4", "gdp", 33114, 15751, "9a26552e4e90213c",
+     "6bb32dccf7dff32f");
+    ("mpeg2enc", "kway4", "profile-max", 32231, 12608, "011e505a70aff8eb",
+     "41a27a4e5c53dc70");
+    ("mpeg2enc", "kway4", "naive", 31784, 14112, "4ec87747a539db28",
+     "01b2150f16de21c1");
+    ("mpeg2enc", "kway4", "unified", 28236, 12961, "10e247f51524bc7f",
+     "eaf0dd868d2ec7d6");
+    ("mpeg2dec", "kway4", "gdp", 36756, 10154, "571265de26db60fe",
+     "ca90c0af31da3ae1");
+    ("mpeg2dec", "kway4", "profile-max", 31570, 10266, "9caa7ec54aca7c03",
+     "c4772437c74c9472");
+    ("mpeg2dec", "kway4", "naive", 34119, 14112, "f52ca2e2c38f8db8",
+     "72badbfdde75b226");
+    ("mpeg2dec", "kway4", "unified", 29754, 9985, "dade1d2d9271912c",
+     "618b94c06285ba5f");
+    ("epic", "kway4", "gdp", 50970, 23187, "f3566564af504b26",
+     "03c86c80f47b0b52");
+    ("epic", "kway4", "profile-max", 50116, 11522, "7bc6f2970adcbf0e",
+     "1cc1983620151378");
+    ("epic", "kway4", "naive", 48708, 12929, "bd436fc95eec83cd",
+     "531aaf938e625123");
+    ("epic", "kway4", "unified", 45256, 8963, "55f8579fa8bf3f76",
+     "abd5b57cf1d92ffd");
+    ("unepic", "kway4", "gdp", 115576, 51640, "dccb2391d60e3eaf",
+     "2d6507de8330ca39");
+    ("unepic", "kway4", "profile-max", 117202, 47379, "c6881de673303fc4",
+     "c255c76cb0c682d1");
+    ("unepic", "kway4", "naive", 99618, 45348, "a9419c930796598d",
+     "2bc27d21f4e07479");
+    ("unepic", "kway4", "unified", 93090, 38181, "14d005205f675ed9",
+     "0e86d9549807f1b9");
+    ("gsmenc", "kway4", "gdp", 136151, 21372, "f73006f0a1950f25",
+     "914b5533743835ec");
+    ("gsmenc", "kway4", "profile-max", 72227, 4740, "84a8e5877a141ffa",
+     "acf82e9b908de3f4");
+    ("gsmenc", "kway4", "naive", 65915, 2628, "a49444d335434dd7",
+     "c390b4c41b9b0184");
+    ("gsmenc", "kway4", "unified", 63327, 1502, "eb904f669129856d",
+     "91cce1042a86ada7");
+    ("gsmdec", "kway4", "gdp", 57834, 5201, "c62bdf2c25641aaf",
+     "1766756989e90897");
+    ("gsmdec", "kway4", "profile-max", 59082, 2431, "e858d458a008ac4b",
+     "685040f4909c81e9");
+    ("gsmdec", "kway4", "naive", 53130, 830, "b84bdb4006845f8e",
+     "cf60ade19de153a3");
+    ("gsmdec", "kway4", "unified", 53063, 812, "ffdbbed5b6df4cc8",
+     "6fb9d60c33022774");
+    ("pegwit", "kway4", "gdp", 28957, 7491, "7b104217c9d2801b",
+     "bd5b192a956f74b6");
+    ("pegwit", "kway4", "profile-max", 28317, 7235, "6301cfd4a4db23bb",
+     "7cd8aa142db80827");
+    ("pegwit", "kway4", "naive", 23160, 3073, "2b0c1f0e272219fe",
+     "a3a0c9deccfafd98");
+    ("pegwit", "kway4", "unified", 20728, 1026, "bb94892d230e4215",
+     "cb88c7407f183387");
+    ("fir", "kway4", "gdp", 61827, 34201, "b78bd05a3e300a19",
+     "a8858e279c8a4fba");
+    ("fir", "kway4", "profile-max", 58227, 33601, "2e3e99965b8dec82",
+     "5871866f4006944c");
+    ("fir", "kway4", "naive", 68427, 38400, "b48e4d5ef3b7491e",
+     "22f529cb607cf535");
+    ("fir", "kway4", "unified", 58827, 26404, "cddd73444c0112bb",
+     "2365330c7bad6063");
+    ("fsed", "kway4", "gdp", 45739, 10542, "93fa61e51ba91eab",
+     "22bb1ee329e3d232");
+    ("fsed", "kway4", "profile-max", 47365, 7202, "e16a894f66ffb300",
+     "35e1c6e190a4fc1d");
+    ("fsed", "kway4", "naive", 33247, 3457, "56de1692c1873937",
+     "b742e086049327be");
+    ("fsed", "kway4", "unified", 33248, 1731, "14f4b5c61931c4c8",
+     "9c59dd880bd7ee03");
+    ("sobel", "kway4", "gdp", 51274, 16077, "930cf7fe10364449",
+     "a7fc942d56b27095");
+    ("sobel", "kway4", "profile-max", 51274, 16077, "038ba77636eae417",
+     "556829e6cfb00760");
+    ("sobel", "kway4", "naive", 46923, 14593, "380836dd2ae91956",
+     "f7f0b99903104b25");
+    ("sobel", "kway4", "unified", 44043, 10563, "798b21ce2cc37ba3",
+     "13263ad63c03188c");
+    ("viterbi", "kway4", "gdp", 225671, 64003, "ba61f976186b1f09",
+     "f8aa6b0ecd54714f");
+    ("viterbi", "kway4", "profile-max", 222851, 54274, "8aa56bf5bfdc2516",
+     "9065ef9a2ea5d96e");
+    ("viterbi", "kway4", "naive", 214654, 45825, "09c54e61da9c4cc0",
+     "cc1cf28a1367a826");
+    ("viterbi", "kway4", "unified", 191618, 29187, "1a47931fc471fa0a",
+     "a835b437c336d992");
+    ("iirflt", "kway4", "gdp", 19908, 2112, "bdbade4a303a89c5",
+     "9f070fd2dc09e13a");
+    ("iirflt", "kway4", "profile-max", 18408, 1812, "6f089e7b770aa120",
+     "ca4bf41c61b8c0b5");
+    ("iirflt", "kway4", "naive", 17262, 918, "a97c2dfe2593625a",
+     "cb2789d297bca3ba");
+    ("iirflt", "kway4", "unified", 17175, 902, "05eafc16a37004e2",
+     "bd3e49881325043f");
+    ("rawcaudio", "ring8", "gdp", 53809, 13318, "35d200bdd629a3ef",
+     "667b6e30020e74b8");
+    ("rawcaudio", "ring8", "profile-max", 33319, 6147, "db6ebba0170a523f",
+     "bc14cbbf58ce95c4");
+    ("rawcaudio", "ring8", "naive", 51734, 9731, "ab2c83f53bc5fd0a",
+     "b8d858284bf5fa9a");
+    ("rawcaudio", "ring8", "unified", 49177, 8708, "4b9f22eda67caf10",
+     "03c82899364a8ce6");
+    ("rawdaudio", "ring8", "gdp", 111665, 24584, "69a17e0c68cae41d",
+     "3913bbedbfe23b5f");
+    ("rawdaudio", "ring8", "profile-max", 120871, 13316, "79f88b609201151c",
+     "8e38877a9161b137");
+    ("rawdaudio", "ring8", "naive", 82963, 15361, "84bc1cae0abe02af",
+     "8dc250a698ad2917");
+    ("rawdaudio", "ring8", "unified", 74775, 11267, "1238073223f50afa",
+     "dcdd3c6f72ada0b6");
+    ("g721enc", "ring8", "gdp", 86431, 19204, "c7243aaceacce3b5",
+     "a64753d3a14b3486");
+    ("g721enc", "ring8", "profile-max", 66034, 16402, "9f154a38e59b5aa7",
+     "efc5166b623c17a2");
+    ("g721enc", "ring8", "naive", 49224, 4801, "ed1dfa8703e1d85f",
+     "c188e0530c109f04");
+    ("g721enc", "ring8", "unified", 43225, 4003, "b53759db27d7b6b4",
+     "a16e7ab0b91c63c4");
+    ("g721dec", "ring8", "gdp", 36836, 10003, "ba0e78f526f5c326",
+     "79b3616f23137678");
+    ("g721dec", "ring8", "profile-max", 39644, 11602, "04e80a53e5235397",
+     "ae99dca42c20b746");
+    ("g721dec", "ring8", "naive", 25624, 4001, "186cc5473ff2dd10",
+     "2f22904b5944deba");
+    ("g721dec", "ring8", "unified", 25624, 4002, "9f0e48a330e3dfdc",
+     "4b9f3f9c37459e32");
+    ("cjpeg", "ring8", "gdp", 37510, 6567, "bcfc838d92ccb4af",
+     "a548a3deadd5938b");
+    ("cjpeg", "ring8", "profile-max", 36061, 4932, "dddb088a39cae4e5",
+     "30b3bb5e416b3c31");
+    ("cjpeg", "ring8", "naive", 31502, 3585, "275a27212d20517a",
+     "a7ce25540b6580cd");
+    ("cjpeg", "ring8", "unified", 24462, 963, "577c377f7754d118",
+     "1e3a4bc771725b4c");
+    ("djpeg", "ring8", "gdp", 60636, 11333, "95092dcd1a109724",
+     "4744485fb6ee3161");
+    ("djpeg", "ring8", "profile-max", 43727, 6403, "8380d454cad34365",
+     "71ceb0084b38f8dd");
+    ("djpeg", "ring8", "naive", 27859, 1026, "b876964237336287",
+     "92efa56bda4df455");
+    ("djpeg", "ring8", "unified", 26579, 516, "896444144c20f051",
+     "b7c7853582f9c995");
+    ("mpeg2enc", "ring8", "gdp", 37912, 24800, "99448554a99318e1",
+     "c2500700432f59cc");
+    ("mpeg2enc", "ring8", "profile-max", 38066, 20192, "037127ac793bce33",
+     "19fc9648ad8324f4");
+    ("mpeg2enc", "ring8", "naive", 29480, 23472, "2daa35979b3d6c06",
+     "efb6fffd2238476c");
+    ("mpeg2enc", "ring8", "unified", 25884, 16273, "61018d74e031dbc7",
+     "c46122c1db79d331");
+    ("mpeg2dec", "ring8", "gdp", 40311, 19995, "79cc071403b3c56a",
+     "bcc74a52335843cd");
+    ("mpeg2dec", "ring8", "profile-max", 49837, 17562, "de4ed6c5ce46cb8d",
+     "0af2bcbff9064116");
+    ("mpeg2dec", "ring8", "naive", 31959, 18624, "fc37b4aa392c95b9",
+     "7ba360a218283174");
+    ("mpeg2dec", "ring8", "unified", 29946, 15265, "95e8e41f00e71e4d",
+     "ea44d60fef378502");
+    ("epic", "ring8", "gdp", 69923, 31251, "de346607d53856ee",
+     "5ddc2444b326f6dd");
+    ("epic", "ring8", "profile-max", 62923, 37250, "24a95df8842dff00",
+     "f40486b46f4cde81");
+    ("epic", "ring8", "naive", 49988, 24193, "e0db8f57120b2416",
+     "51d0bd4a8afceaed");
+    ("epic", "ring8", "unified", 46152, 16259, "b417aebcb3f5baac",
+     "e84053bcae810095");
+    ("unepic", "ring8", "gdp", 205401, 92309, "c39b4b62ba4f2b3c",
+     "d14ba1488174c4fa");
+    ("unepic", "ring8", "profile-max", 151933, 71351, "f7413906139ed6d7",
+     "2fb7729fd5d35fb2");
+    ("unepic", "ring8", "naive", 116386, 65828, "b9558017b329f918",
+     "63fb7de2649a5030");
+    ("unepic", "ring8", "unified", 98210, 52518, "a93097cad7eb3981",
+     "12d62e1e0128c1af");
+    ("gsmenc", "ring8", "gdp", 208631, 25140, "0a5fe3286b895e1e",
+     "191fc82a5b0df3b8");
+    ("gsmenc", "ring8", "profile-max", 95627, 8676, "d22cc2c5dd19e797",
+     "72f525f4a0549b3e");
+    ("gsmenc", "ring8", "naive", 65891, 2628, "a49444d335434dd7",
+     "6923e096fd5993be");
+    ("gsmenc", "ring8", "unified", 63327, 1502, "eb904f669129856d",
+     "91cce1042a86ada7");
+    ("gsmdec", "ring8", "gdp", 70794, 10051, "da9ddfe42d6acbfb",
+     "5dc19a157a4bc2dd");
+    ("gsmdec", "ring8", "profile-max", 69329, 10850, "367fc8710ccdf3d0",
+     "0f703356a2f57ee6");
+    ("gsmdec", "ring8", "naive", 65130, 9230, "34708b8e378e61b0",
+     "661b657dd2c4b4ed");
+    ("gsmdec", "ring8", "unified", 53063, 6012, "6eb7ee871023f8e3",
+     "829000b52a87f983");
+    ("pegwit", "ring8", "gdp", 41122, 9923, "799bff55b31264a6",
+     "4446dd6c100aa5d2");
+    ("pegwit", "ring8", "profile-max", 31350, 9155, "df6b0a2d5ba39beb",
+     "0874c81664019964");
+    ("pegwit", "ring8", "naive", 22296, 3297, "3a3ffe2cbeb18a51",
+     "720834bedeb970fa");
+    ("pegwit", "ring8", "unified", 20856, 2306, "bad5f7c52269624c",
+     "320a4b5156ca4cab");
+    ("fir", "ring8", "gdp", 79832, 51002, "6751489a0ec3470d",
+     "aff566c485d0dce9");
+    ("fir", "ring8", "profile-max", 51633, 44401, "595d6df746e87530",
+     "b273ff0ddf9735bd");
+    ("fir", "ring8", "naive", 74427, 51600, "9d0f4baed35077e4",
+     "0719cdbcde90ef20");
+    ("fir", "ring8", "unified", 62427, 34205, "b5ef350e642d0abd",
+     "a6a5c8c4e15ee8de");
+    ("fsed", "ring8", "gdp", 65465, 16083, "6cc1e3744bd67d73",
+     "a3637495f6595bb4");
+    ("fsed", "ring8", "profile-max", 48672, 7236, "cbd5ce8ededd28af",
+     "4b04ed232dc27a93");
+    ("fsed", "ring8", "naive", 41892, 6913, "972cb588ce522b0e",
+     "ebf156bdbe01717e");
+    ("fsed", "ring8", "unified", 39013, 4035, "482aa072ffd01889",
+     "ea58812581af22a9");
+    ("sobel", "ring8", "gdp", 66871, 28562, "03c1a1148aa303c6",
+     "c319f01242655ea1");
+    ("sobel", "ring8", "profile-max", 74029, 25962, "f0c6f18f052e4ff7",
+     "04f1296a70a207ae");
+    ("sobel", "ring8", "naive", 53643, 24193, "d3ba81e11ba62b4b",
+     "13bc2c380d81cef1");
+    ("sobel", "ring8", "unified", 50286, 19203, "12660e02cf6efe25",
+     "880005b7fa7139e1");
+    ("viterbi", "ring8", "gdp", 298385, 97795, "124e0eed0b7c840e",
+     "f9776088543a06c8");
+    ("viterbi", "ring8", "profile-max", 214654, 75266, "cc894150406e2322",
+     "2c230d12a38c1a10");
+    ("viterbi", "ring8", "naive", 218750, 74497, "58aa96e74434360d",
+     "edd5e7bb6cf268d5");
+    ("viterbi", "ring8", "unified", 195714, 61955, "2afc142ee437b1d6",
+     "0f96d4d42eea054b");
+    ("iirflt", "ring8", "gdp", 23010, 3012, "2e7a228a9e091b55",
+     "0f0f40c3bf79ddfc");
+    ("iirflt", "ring8", "profile-max", 21513, 7512, "c929a29224ca0aa7",
+     "ecb3a8f8a2d61ecb");
+    ("iirflt", "ring8", "naive", 22662, 6318, "ec4d087a8669a208",
+     "27fb001f353dbb71");
+    ("iirflt", "ring8", "unified", 17175, 4502, "30267fd4dbe5b4d3",
+     "2369a50b88eb019b");
+    ("rawcaudio", "mesh16", "gdp", 73797, 11271, "4eef916038fa11b1",
+     "41dbe7a713bec773");
+    ("rawcaudio", "mesh16", "profile-max", 52768, 8706, "3550a29e660eefd6",
+     "7a395409d838d790");
+    ("rawcaudio", "mesh16", "naive", 53267, 14338, "6f4321ee9f7e0fbd",
+     "ca4dae45185b409b");
+    ("rawcaudio", "mesh16", "unified", 50710, 13315, "0341829935360b19",
+     "872fcedd37d54c14");
+    ("rawdaudio", "mesh16", "gdp", 178235, 31752, "18cb02af3b403375",
+     "2a388de40d360a0e");
+    ("rawdaudio", "mesh16", "profile-max", 123928, 15364, "b64e92148437469f",
+     "e82dc9fd7530357e");
+    ("rawdaudio", "mesh16", "naive", 82963, 15361, "84bc1cae0abe02af",
+     "8dc250a698ad2917");
+    ("rawdaudio", "mesh16", "unified", 74775, 11267, "1238073223f50afa",
+     "dcdd3c6f72ada0b6");
+    ("g721enc", "mesh16", "gdp", 80034, 20002, "adb4754ca7ad94a1",
+     "ef02b1483eb5e8a6");
+    ("g721enc", "mesh16", "profile-max", 68029, 14002, "847a4c64338c4b8c",
+     "923979a862859052");
+    ("g721enc", "mesh16", "naive", 49224, 4801, "fcf6526a62a97147",
+     "69d6f242870ed8b5");
+    ("g721enc", "mesh16", "unified", 43225, 4003, "cbbf48af30ac244e",
+     "62bdde7887e7990a");
+    ("g721dec", "mesh16", "gdp", 44064, 13204, "fa324cc3f4328a60",
+     "f18fbc0dc143b76e");
+    ("g721dec", "mesh16", "profile-max", 39639, 11202, "17025e70dc675689",
+     "46e6fa9783d962c0");
+    ("g721dec", "mesh16", "naive", 25624, 4001, "1adba88446b5a180",
+     "644e3f88fe11db81");
+    ("g721dec", "mesh16", "unified", 25624, 4002, "c7353c3133163a0c",
+     "48e9862c0a5e0ccd");
+    ("cjpeg", "mesh16", "gdp", 53348, 8553, "0fe046ed59f4c0a3",
+     "f4bf960ce98a6952");
+    ("cjpeg", "mesh16", "profile-max", 34342, 5126, "b7892863ab43ecef",
+     "95bc682f3cab3e1e");
+    ("cjpeg", "mesh16", "naive", 31502, 4097, "2b0e823ec6138f27",
+     "9baefe2db7053b15");
+    ("cjpeg", "mesh16", "unified", 24462, 1475, "17fc605aa91d19d0",
+     "4500d4282651c84d");
+    ("djpeg", "mesh16", "gdp", 75041, 12037, "bd352a6ef2707b3c",
+     "f65b3ffcfb703e46");
+    ("djpeg", "mesh16", "profile-max", 39642, 6020, "1203cee87be8f364",
+     "c2d3692eefc92aa0");
+    ("djpeg", "mesh16", "naive", 27859, 1026, "b876964237336287",
+     "92efa56bda4df455");
+    ("djpeg", "mesh16", "unified", 26579, 516, "896444144c20f051",
+     "b7c7853582f9c995");
+    ("mpeg2enc", "mesh16", "gdp", 47618, 25424, "d09827d7c2607f03",
+     "2b33b78bc30b2976");
+    ("mpeg2enc", "mesh16", "profile-max", 36962, 21104, "b85a5fb17fc80da6",
+     "a88d97a8eef712ae");
+    ("mpeg2enc", "mesh16", "naive", 29192, 25344, "2007733c388c8aa2",
+     "9abe1033ef62699f");
+    ("mpeg2enc", "mesh16", "unified", 25644, 16993, "397e33ad51b29266",
+     "1ac875506be54521");
+    ("mpeg2dec", "mesh16", "gdp", 72380, 24379, "65d24bac796a1f1e",
+     "0fb96b9930487b89");
+    ("mpeg2dec", "mesh16", "profile-max", 49035, 23760, "fcd675dc842c38b5",
+     "d1f64cffe42a5a30");
+    ("mpeg2dec", "mesh16", "naive", 33543, 20880, "ef685737068ad8c0",
+     "783052c2b2b660e5");
+    ("mpeg2dec", "mesh16", "unified", 28554, 13825, "249b84d8a1e3c928",
+     "5bb1b9ed0c594252");
+    ("epic", "mesh16", "gdp", 80345, 35743, "11361a12c199bd58",
+     "9df2652ee0c0d897");
+    ("epic", "mesh16", "profile-max", 75520, 37772, "e66c8a01cd405671",
+     "90b4d6c7d0a1afc3");
+    ("epic", "mesh16", "naive", 49988, 23425, "71a9377862abc8ce",
+     "fab329ac940f19da");
+    ("epic", "mesh16", "unified", 46152, 17667, "599f006c74e695fb",
+     "c5047fdd16f74919");
+    ("unepic", "mesh16", "gdp", 220309, 97841, "fd8c4429ca6ed3c3",
+     "e3a3b5e88e998098");
+    ("unepic", "mesh16", "profile-max", 133922, 73251, "68ada5b919ed8e53",
+     "e1d86d07cac2845c");
+    ("unepic", "mesh16", "naive", 103714, 60196, "5764f69f7bb5a38e",
+     "8d6bc90be422b62c");
+    ("unepic", "mesh16", "unified", 96674, 54309, "8d1b107c1029517c",
+     "02ef0d5ff7f34c67");
+    ("gsmenc", "mesh16", "gdp", 232895, 30228, "b763864e86171616",
+     "0b35b67813f65f6c");
+    ("gsmenc", "mesh16", "profile-max", 106727, 12168, "579ee1870e5bc26f",
+     "a0ade1b7364e5227");
+    ("gsmenc", "mesh16", "naive", 65891, 2628, "a49444d335434dd7",
+     "6923e096fd5993be");
+    ("gsmenc", "mesh16", "unified", 63327, 1502, "eb904f669129856d",
+     "91cce1042a86ada7");
+    ("gsmdec", "mesh16", "gdp", 84149, 11641, "1ab6e3e44858ebe7",
+     "25322f6af0446de5");
+    ("gsmdec", "mesh16", "profile-max", 65229, 10840, "9878bda3f94c694d",
+     "e47be84a67a0a43c");
+    ("gsmdec", "mesh16", "naive", 57130, 8830, "c7adef791d15e214",
+     "144483b79c2debe0");
+    ("gsmdec", "mesh16", "unified", 53063, 6012, "74b07126bb4088ed",
+     "1183e11a20ef284b");
+    ("pegwit", "mesh16", "gdp", 41157, 10467, "c0f50391a88dc2da",
+     "31827001db4b831e");
+    ("pegwit", "mesh16", "profile-max", 31020, 9155, "aa163574f5148d20",
+     "fd3cb1a5691658da");
+    ("pegwit", "mesh16", "naive", 22296, 3297, "121f412a51f011e0",
+     "c7a79fdeaced8bed");
+    ("pegwit", "mesh16", "unified", 20728, 2306, "470bcec4af19deb0",
+     "afe2b7bb08a23cca");
+    ("fir", "mesh16", "gdp", 95438, 54002, "360765b45c1c35ea",
+     "d3a52b8f1e9e80f3");
+    ("fir", "mesh16", "profile-max", 53428, 44401, "744475d45ea32f26",
+     "1f9f06057043ef23");
+    ("fir", "mesh16", "naive", 71427, 55800, "2ec8ad0a26201189",
+     "da059d6e5a066537");
+    ("fir", "mesh16", "unified", 59427, 39006, "1566a8ae6f435b09",
+     "6defb66658469cf9");
+    ("fsed", "mesh16", "gdp", 107817, 21300, "de0df9d7c657c39e",
+     "81f16c856dcb5d57");
+    ("fsed", "mesh16", "profile-max", 71022, 12485, "56309708cc12d5db",
+     "c03ee2a103168267");
+    ("fsed", "mesh16", "naive", 41892, 6913, "fedcf6f53eac320d",
+     "6cc940b702233966");
+    ("fsed", "mesh16", "unified", 39013, 4611, "68ebffd0131fa091",
+     "414923eef3c76980");
+    ("sobel", "mesh16", "gdp", 91881, 32399, "898bd3bff9a25dcc",
+     "9bef307ae1d04461");
+    ("sobel", "mesh16", "profile-max", 60149, 20685, "f78c36c603c45dab",
+     "af6ceb9e4f6b4012");
+    ("sobel", "mesh16", "naive", 56043, 25633, "3689c7aab3e5f5f5",
+     "6d6a1812df622243");
+    ("sobel", "mesh16", "unified", 50766, 21123, "be84e5bc7a22b07e",
+     "56fbae8f82da3456");
+    ("viterbi", "mesh16", "gdp", 506547, 123397, "2135f68ab182ec8f",
+     "06077830c7c19c52");
+    ("viterbi", "mesh16", "profile-max", 218509, 84739, "a032418951223936",
+     "67270417ba6fc516");
+    ("viterbi", "mesh16", "naive", 218750, 74497, "749724f842157261",
+     "cf8808084c1888d0");
+    ("viterbi", "mesh16", "unified", 195714, 61955, "ebd6dd99e68d8a5c",
+     "c2b37cccd64f7d7a");
+    ("iirflt", "mesh16", "gdp", 32095, 5712, "3ef080074c637f73",
+     "da01c1cb0dedab62");
+    ("iirflt", "mesh16", "profile-max", 21813, 8412, "08ce7ed610da7d36",
+     "689e8dca86bb17d6");
+    ("iirflt", "mesh16", "naive", 20262, 6018, "96b47d73769101fd",
+     "0e34b5b71116f708");
+    ("iirflt", "mesh16", "unified", 17175, 4202, "bb1183b8c4af67b2",
+     "258d01005e44f914");
+    ("rawcaudio", "hetero4", "gdp", 50205, 10758, "b8b13d097ebfb006",
+     "5bb7ea77a0616f82");
+    ("rawcaudio", "hetero4", "profile-max", 43038, 11785, "543dbebbaeb5c316",
+     "ec15eea483787f37");
+    ("rawcaudio", "hetero4", "naive", 32273, 4096, "f34df7f1f2668337",
+     "a2b4087dbbff4f82");
+    ("rawcaudio", "hetero4", "unified", 32276, 4097, "e4d83ed0d2a85465",
+     "dd7de92fdb2b3883");
+    ("rawdaudio", "hetero4", "gdp", 81949, 19462, "3d30905c7dc91364",
+     "8fed034cec30ee2d");
+    ("rawdaudio", "hetero4", "profile-max", 85022, 19465, "fb9689a28d0160b2",
+     "65871500194d2dbd");
+    ("rawdaudio", "hetero4", "naive", 74769, 13313, "0a6fd01a358c148d",
+     "02291d60bfd02378");
+    ("rawdaudio", "hetero4", "unified", 74772, 13314, "d75bbc078f62ff90",
+     "a479a1469458ca37");
+    ("g721enc", "hetero4", "gdp", 50027, 14003, "6866f2f13ee77ca4",
+     "07c9e60c37cb3155");
+    ("g721enc", "hetero4", "profile-max", 54824, 10001, "2fcff7f7fc5ff489",
+     "b45596106b7e3a88");
+    ("g721enc", "hetero4", "naive", 42024, 3201, "2ce8d8d3d501d0ac",
+     "7e82313a59d83d96");
+    ("g721enc", "hetero4", "unified", 40024, 2402, "3daabe6cbdd35512",
+     "665dffa37a9ea381");
+    ("g721dec", "hetero4", "gdp", 24827, 6402, "6b82968b95080664",
+     "65318e104fedcbdc");
+    ("g721dec", "hetero4", "profile-max", 27624, 9202, "a0a28562d53019f4",
+     "a0a1cd8e18621127");
+    ("g721dec", "hetero4", "naive", 21624, 2001, "6c223517d6905e54",
+     "5788fd1d8ec3c09a");
+    ("g721dec", "hetero4", "unified", 21624, 2002, "9c62f93e209caee1",
+     "94affea2a6efc500");
+    ("cjpeg", "hetero4", "gdp", 27987, 3587, "9fe8f8d52fe00c92",
+     "06aec57fa23559d0");
+    ("cjpeg", "hetero4", "profile-max", 27283, 3651, "08438983204623d7",
+     "6fe0c8c49c71007c");
+    ("cjpeg", "hetero4", "naive", 31241, 4288, "c0e132c36c8353d1",
+     "04547d64c6c865f8");
+    ("cjpeg", "hetero4", "unified", 24204, 1666, "87f17338a95db650",
+     "52c7c0fea0bebb29");
+    ("djpeg", "hetero4", "gdp", 38100, 9987, "6842ef7bb41857d6",
+     "51a4dc918564d9f0");
+    ("djpeg", "hetero4", "profile-max", 34516, 5636, "0105076878969060",
+     "d6c2e736bbebd2c9");
+    ("djpeg", "hetero4", "naive", 27470, 1024, "09630d11bfe40700",
+     "e77fce3f560e915c");
+    ("djpeg", "hetero4", "unified", 26190, 514, "a83962676b242078",
+     "acc3b030e6b580d7");
+    ("mpeg2enc", "hetero4", "gdp", 29178, 24775, "3824553498f4603c",
+     "f2fb969042dad6ef");
+    ("mpeg2enc", "hetero4", "profile-max", 26903, 21008, "5fc6718011e020cf",
+     "b27030dfcd65039b");
+    ("mpeg2enc", "hetero4", "naive", 25352, 22128, "5d85e9e6e35026fd",
+     "1a579bce769e7569");
+    ("mpeg2enc", "hetero4", "unified", 21564, 16561, "1d0d1f3f5af03c2c",
+     "60c58b6e0ff55615");
+    ("mpeg2dec", "hetero4", "gdp", 36516, 24458, "ffc62fd4cb352095",
+     "c39933c71d7327ae");
+    ("mpeg2dec", "hetero4", "profile-max", 28066, 15818, "37eaae53e92c8aba",
+     "0aeefcd2a58c4032");
+    ("mpeg2dec", "hetero4", "naive", 28215, 16224, "dba7257e296c360d",
+     "9e39e93bd44d7b9b");
+    ("mpeg2dec", "hetero4", "unified", 26298, 13969, "2f5cedf8038efa95",
+     "a66d6b6fa0b1483e");
+    ("epic", "hetero4", "gdp", 48108, 39178, "2d21c42b63a7b644",
+     "4b0951b145f85eab");
+    ("epic", "hetero4", "profile-max", 39491, 15360, "1c8da3e69895bd34",
+     "a629e17e2632d2f3");
+    ("epic", "hetero4", "naive", 38595, 18560, "66b2a7e9eb9be583",
+     "631de16bc36fd2b6");
+    ("epic", "hetero4", "unified", 35400, 12802, "22786c20c841f03f",
+     "ed47a3fc7ffc0087");
+    ("unepic", "hetero4", "gdp", 113485, 75286, "3c8ae91630ef9f5b",
+     "579dd7f8b5ef8300");
+    ("unepic", "hetero4", "profile-max", 90616, 33024, "4fbbd400c58fec39",
+     "fab10347899f0354");
+    ("unepic", "hetero4", "naive", 86008, 35328, "819915110cd4483d",
+     "160dfe8452eb5278");
+    ("unepic", "hetero4", "unified", 84217, 33539, "a8c2c5f7c37cfb53",
+     "28ca75acd95f2896");
+    ("gsmenc", "hetero4", "gdp", 132479, 24492, "bbcd3680ccaadfdd",
+     "bacce91c192aa4a2");
+    ("gsmenc", "hetero4", "profile-max", 72563, 5568, "7adcbfd671d6f6aa",
+     "4779377b0e8f13d5");
+    ("gsmenc", "hetero4", "naive", 65411, 3060, "8b66e06701bb0456",
+     "8d94ef3d7f78d64c");
+    ("gsmenc", "hetero4", "unified", 62763, 1934, "5860297278a3b8f9",
+     "25ca82cf38516c9e");
+    ("gsmdec", "hetero4", "gdp", 57834, 8401, "33dae8124ba737a7",
+     "46301c5eb62d1b25");
+    ("gsmdec", "hetero4", "profile-max", 57929, 2840, "49a8f0261e7e565c",
+     "f4b37e929ff739c7");
+    ("gsmdec", "hetero4", "naive", 51030, 0, "ccd63481421b63a2",
+     "e01e26b2213e4a8c");
+    ("gsmdec", "hetero4", "unified", 51033, 2, "11a56f113edd4c06",
+     "9d09932bdc68ee5c");
+    ("pegwit", "hetero4", "gdp", 27293, 6978, "babde224e1183186",
+     "46b3f42d92c138e5");
+    ("pegwit", "hetero4", "profile-max", 26781, 6978, "08f513c329296f96",
+     "f10e092bf7c0ebe8");
+    ("pegwit", "hetero4", "naive", 18163, 0, "59678cc77d8c633b",
+     "c833418fff1a23f9");
+    ("pegwit", "hetero4", "unified", 18295, 257, "18ba6c820dc10bd1",
+     "cdcc1ebd23676ccc");
+    ("fir", "hetero4", "gdp", 52227, 47401, "9eb3cadaf8371b5a",
+     "3c819efca92c779b");
+    ("fir", "hetero4", "profile-max", 46827, 43201, "72d5eabbe1679726",
+     "9472aac465d02dd3");
+    ("fir", "hetero4", "naive", 51627, 33001, "fdbfae48759f4780",
+     "4d7215fef339d976");
+    ("fir", "hetero4", "unified", 46827, 31805, "78f0d6e6d89cc89f",
+     "52e201e4c92056f0");
+    ("fsed", "hetero4", "gdp", 45738, 12846, "a27cd96ffebbcb6b",
+     "470df0231e9c3e8e");
+    ("fsed", "hetero4", "profile-max", 46159, 10081, "993cfd6311b9a77a",
+     "660221136b391bf1");
+    ("fsed", "hetero4", "naive", 33193, 4608, "c0bd437a7fa79793",
+     "3aeaa30461fc1f4a");
+    ("fsed", "hetero4", "unified", 33198, 3458, "ca166d52414067b9",
+     "388e2dd9aa72e6e1");
+    ("sobel", "hetero4", "gdp", 49354, 29997, "3f42f1baaccecac2",
+     "86181bda1869871a");
+    ("sobel", "hetero4", "profile-max", 51146, 30252, "0b50a1924b0edc71",
+     "2839c800eb4b1e06");
+    ("sobel", "hetero4", "naive", 41637, 16032, "c997ce22ddd5b1ab",
+     "bbb0d689c465b4ae");
+    ("sobel", "hetero4", "unified", 38761, 12962, "851935f930e0bca1",
+     "0f66e9ce11c5b9c2");
+    ("viterbi", "hetero4", "gdp", 274823, 137731, "5f6a8e9133ae9b72",
+     "487547d3e2eb905c");
+    ("viterbi", "hetero4", "profile-max", 222851, 82946, "e0d9ceb5ba235c55",
+     "d6387095fa365d8c");
+    ("viterbi", "hetero4", "naive", 218755, 61953, "06d76d6f6b295dd7",
+     "4fa6e43df62feb1e");
+    ("viterbi", "hetero4", "unified", 177798, 41474, "957c8eaf2c007720",
+     "90f454a1af63a382");
+    ("iirflt", "hetero4", "gdp", 19906, 4811, "3615480140f363cd",
+     "d0d38ce948f74104");
+    ("iirflt", "hetero4", "profile-max", 19906, 2711, "a2ff48498dacb58d",
+     "ec94c4715f3e56eb");
+    ("iirflt", "hetero4", "naive", 16960, 918, "505454a065cabda1",
+     "20fb3d8500b2d309");
+    ("iirflt", "hetero4", "unified", 16873, 902, "d402260065822099",
+     "bd0990f15be7327f");
   ]
 
 (* One context per (preset, benchmark) feeds the pinned tests: GDP's
@@ -946,7 +1309,7 @@ let pinned_compiles =
    [rhop.pruned]) in [work]. *)
 type preset_facts = {
   gdp : (string * string * int * string) list;
-  compiles : (string * string * string * int * int * string) list;
+  compiles : (string * string * string * int * int * string * string) list;
   work : (string * string * (int * int * int)) list;
 }
 
@@ -964,9 +1327,29 @@ let digest_clusters (c : Vliw_sched.Move_insert.clustered) =
     c.Vliw_sched.Move_insert.cprog;
   digest16 (Buffer.contents b)
 
+(* Every block's schedule: its length, then per entry in issue order
+   the op id, the issue cycle and the cluster (-1 for a routed move). *)
+let digest_schedule (s : Vliw_sched.Schedule.t) =
+  let module LS = Vliw_sched.List_sched in
+  let b = Buffer.create 4096 in
+  Vliw_sched.Schedule.iter
+    (fun f blk sched ->
+      Buffer.add_string b
+        (Printf.sprintf "%s/%s:%d;" (Func.name f)
+           (Label.to_string (Block.label blk))
+           (LS.length sched));
+      Array.iter
+        (fun (e : LS.entry) ->
+          Buffer.add_string b
+            (Printf.sprintf "%d@%d:%d," (Op.id e.LS.op) e.LS.cycle
+               (Option.value ~default:(-1) e.LS.cluster)))
+        (LS.entries sched))
+    s;
+  digest16 (Buffer.contents b)
+
 (* The facts of one (preset, benchmark), as a JSON list: the GDP edge
    cut and partition digest, then per method cycles, moves, cluster
-   digest and the three RHOP work counters. *)
+   digest, the three RHOP work counters and the schedule digest. *)
 let facts_worker payload =
   let field k =
     Option.get (Option.bind (Minijson.member k payload) Minijson.to_string)
@@ -999,14 +1382,18 @@ let facts_worker payload =
     match result with
     | Ok (Gdp_core.Pipeline.Evaluated e) ->
         let report = e.Gdp_core.Pipeline.report in
+        let clustered = e.Gdp_core.Pipeline.outcome.Methods.clustered in
         [
           Minijson.int report.Vliw_sched.Perf.total_cycles;
           Minijson.int report.Vliw_sched.Perf.dynamic_moves;
-          Minijson.str
-            (digest_clusters e.Gdp_core.Pipeline.outcome.Methods.clustered);
+          Minijson.str (digest_clusters clustered);
           count "rhop.candidates";
           count "rhop.relevels";
           count "rhop.pruned";
+          Minijson.str
+            (digest_schedule
+               (Vliw_sched.Move_insert.schedule ~machine:ctx.Methods.machine
+                  ~objects_of:(Methods.objects_of ctx) clustered));
         ]
     | Ok (Gdp_core.Pipeline.Degraded _) -> assert false
     | Error m -> failwith m
@@ -1053,12 +1440,18 @@ let preset_facts =
            let str k = Option.get (Minijson.to_string (List.nth l k)) in
            let per_method f =
              List.mapi
-               (fun j m -> f (Methods.to_string m) (2 + (6 * j)))
+               (fun j m -> f (Methods.to_string m) (2 + (7 * j)))
                Methods.all
            in
            ( (bench, preset, int 0, str 1),
              per_method (fun m k ->
-                 (bench, preset, m, int k, int (k + 1), str (k + 2))),
+                 ( bench,
+                   preset,
+                   m,
+                   int k,
+                   int (k + 1),
+                   str (k + 2),
+                   str (k + 6) )),
              per_method (fun m k ->
                  (preset, m, (int (k + 3), int (k + 4), int (k + 5))))
            ))
@@ -1095,20 +1488,21 @@ let test_pinned_gdp () =
 let test_pinned_compiles () =
   let keep =
     if random_stream () = pinned_random_stream then fun _ -> true
-    else fun (_, _, m, _, _, _) -> m <> Methods.to_string Methods.Gdp
+    else fun (_, _, m, _, _, _, _) -> m <> Methods.to_string Methods.Gdp
   in
   let row =
-    Alcotest.(pair (triple string string string) (triple int int string))
+    Alcotest.(
+      pair (triple string string string) (pair (triple int int string) string))
   in
   let rows l =
     List.filter_map
-      (fun ((b, p, m, c, d, h) as r) ->
-        if keep r then Some ((b, p, m), (c, d, h)) else None)
+      (fun ((b, p, m, c, d, h, sd) as r) ->
+        if keep r then Some ((b, p, m), ((c, d, h), sd)) else None)
       l
   in
   Alcotest.(check (list row))
-    "cycles, dynamic moves and op-cluster digest per (benchmark, preset, \
-     method)"
+    "cycles, dynamic moves, op-cluster and schedule digests per (benchmark, \
+     preset, method)"
     (rows pinned_compiles)
     (rows (Lazy.force preset_facts).compiles)
 

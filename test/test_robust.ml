@@ -276,6 +276,329 @@ let test_verify_corrupt_assignment_detected () =
     "some single-op reassignment violates an invariant" true !caught
 
 (* ------------------------------------------------------------------ *)
+(* Simulator fault paths                                               *)
+
+(* Recorded before the simulator planned its commits at decode time:
+   [Pipeline.verify]'s result for fir, mpeg2dec and viterbi under every
+   method on the paper machine, with one simulator fault armed (seed 0):
+   transfers stretched past their latency at the 1st, 5th, 7th or every
+   opportunity, or the 2nd transfer's value corrupted.  "ok" is a fault
+   that never reached an output or a checked read. *)
+let pinned_sim_faults =
+  [
+    ("fir", "gdp", "sim.move-latency@1",
+     "cycle simulation failed: latency violation: main/bb5 reads r253 at cycle 10 but a write issued at 3 completes at 11");
+    ("fir", "gdp", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb5 reads r255 at cycle 12 but a write issued at 7 completes at 15");
+    ("fir", "gdp", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb5 reads r259 at cycle 15 but a write issued at 9 completes at 17");
+    ("fir", "gdp", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb5 reads r252 at cycle 10 but a write issued at 5 completes at 12");
+    ("fir", "gdp", "sim.move-value@2",
+     "ok");
+    ("fir", "profile-max", "sim.move-latency@1",
+     "cycle simulation failed: latency violation: main/bb5 reads r253 at cycle 10 but a write issued at 3 completes at 11");
+    ("fir", "profile-max", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb5 reads r255 at cycle 12 but a write issued at 7 completes at 15");
+    ("fir", "profile-max", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb5 reads r259 at cycle 15 but a write issued at 9 completes at 17");
+    ("fir", "profile-max", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb5 reads r252 at cycle 10 but a write issued at 5 completes at 12");
+    ("fir", "profile-max", "sim.move-value@2",
+     "ok");
+    ("fir", "naive", "sim.move-latency@1",
+     "ok");
+    ("fir", "naive", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb5 reads r268 at cycle 11 but a write issued at 4 completes at 12");
+    ("fir", "naive", "sim.move-latency@7",
+     "ok");
+    ("fir", "naive", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb5 reads r255 at cycle 6 but a write issued at 1 completes at 8");
+    ("fir", "naive", "sim.move-value@2",
+     "ok");
+    ("fir", "unified", "sim.move-latency@1",
+     "ok");
+    ("fir", "unified", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb5 reads r257 at cycle 12 but a write issued at 7 completes at 15");
+    ("fir", "unified", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb5 reads r256 at cycle 18 but a write issued at 13 completes at 21");
+    ("fir", "unified", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb5 reads r257 at cycle 12 but a write issued at 7 completes at 15");
+    ("fir", "unified", "sim.move-value@2",
+     "cycle simulation outputs differ from the reference run");
+    ("mpeg2dec", "gdp", "sim.move-latency@1",
+     "ok");
+    ("mpeg2dec", "gdp", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb2 reads r1678 at cycle 8 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "gdp", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb2 reads r1678 at cycle 8 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "gdp", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb2 reads r1678 at cycle 8 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "gdp", "sim.move-value@2",
+     "cycle simulation failed: wild load at 0x1000c00");
+    ("mpeg2dec", "profile-max", "sim.move-latency@1",
+     "cycle simulation failed: latency violation: main/bb17 reads r1676 at cycle 6 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "profile-max", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb17 reads r1676 at cycle 6 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "profile-max", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb17 reads r1676 at cycle 6 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "profile-max", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb17 reads r1676 at cycle 6 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "profile-max", "sim.move-value@2",
+     "cycle simulation outputs differ from the reference run");
+    ("mpeg2dec", "naive", "sim.move-latency@1",
+     "ok");
+    ("mpeg2dec", "naive", "sim.move-latency@5",
+     "ok");
+    ("mpeg2dec", "naive", "sim.move-latency@7",
+     "ok");
+    ("mpeg2dec", "naive", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb17 reads r1677 at cycle 25 but a write issued at 20 completes at 27");
+    ("mpeg2dec", "naive", "sim.move-value@2",
+     "cycle simulation outputs differ from the reference run");
+    ("mpeg2dec", "unified", "sim.move-latency@1",
+     "ok");
+    ("mpeg2dec", "unified", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb20 reads r1689 at cycle 10 but a write issued at 5 completes at 13");
+    ("mpeg2dec", "unified", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb20 reads r1691 at cycle 12 but a write issued at 7 completes at 15");
+    ("mpeg2dec", "unified", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb20 reads r1721 at cycle 7 but a write issued at 2 completes at 9");
+    ("mpeg2dec", "unified", "sim.move-value@2",
+     "cycle simulation outputs differ from the reference run");
+    ("viterbi", "gdp", "sim.move-latency@1",
+     "ok");
+    ("viterbi", "gdp", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb8 reads r219 at cycle 35 but a write issued at 29 completes at 37");
+    ("viterbi", "gdp", "sim.move-latency@7",
+     "ok");
+    ("viterbi", "gdp", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb8 reads r215 at cycle 28 but a write issued at 23 completes at 30");
+    ("viterbi", "gdp", "sim.move-value@2",
+     "ok");
+    ("viterbi", "profile-max", "sim.move-latency@1",
+     "ok");
+    ("viterbi", "profile-max", "sim.move-latency@5",
+     "ok");
+    ("viterbi", "profile-max", "sim.move-latency@7",
+     "ok");
+    ("viterbi", "profile-max", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb8 reads r216 at cycle 7 but a write issued at 2 completes at 9");
+    ("viterbi", "profile-max", "sim.move-value@2",
+     "ok");
+    ("viterbi", "naive", "sim.move-latency@1",
+     "ok");
+    ("viterbi", "naive", "sim.move-latency@5",
+     "cycle simulation failed: latency violation: main/bb8 reads r218 at cycle 20 but a write issued at 15 completes at 23");
+    ("viterbi", "naive", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb8 reads r221 at cycle 24 but a write issued at 19 completes at 27");
+    ("viterbi", "naive", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb8 reads r214 at cycle 7 but a write issued at 2 completes at 9");
+    ("viterbi", "naive", "sim.move-value@2",
+     "ok");
+    ("viterbi", "unified", "sim.move-latency@1",
+     "ok");
+    ("viterbi", "unified", "sim.move-latency@5",
+     "ok");
+    ("viterbi", "unified", "sim.move-latency@7",
+     "cycle simulation failed: latency violation: main/bb8 reads r220 at cycle 22 but a write issued at 17 completes at 25");
+    ("viterbi", "unified", "sim.move-latency@*",
+     "cycle simulation failed: latency violation: main/bb8 reads r216 at cycle 8 but a write issued at 3 completes at 10");
+    ("viterbi", "unified", "sim.move-value@2",
+     "cycle simulation outputs differ from the reference run");
+    ("rawcaudio", "naive", "sim.move-latency@8",
+     "ok");
+    ("rawcaudio", "naive", "sim.move-latency@17",
+     "ok");
+    ("rawcaudio", "unified", "sim.move-latency@7",
+     "ok");
+    ("rawcaudio", "unified", "sim.move-latency@16",
+     "ok");
+    ("rawdaudio", "naive", "sim.move-latency@5",
+     "ok");
+    ("rawdaudio", "unified", "sim.move-latency@8",
+     "ok");
+  ]
+
+(* Recorded like [pinned_sim_faults], on the paper machine with a bus
+   wide enough (64 transfers a cycle) for any schedule: each program
+   scheduled as if its transfers took no time, then simulated at their
+   real latency, with no fault, every transfer stretched, or the third.
+   Consumers then read in the window of a write still in flight, which
+   valid schedules never do; "-" is no fault. *)
+let pinned_mistimed_sim =
+  [
+    ("mpeg2dec", "gdp", "-",
+     "latency violation: main/bb20 reads r1681 at cycle 4 but a write issued at 2 completes at 7");
+    ("mpeg2dec", "gdp", "sim.move-latency@*",
+     "latency violation: main/bb2 reads r1679 at cycle 8 but a write issued at 2 completes at 10");
+    ("mpeg2dec", "gdp", "sim.move-latency@3",
+     "latency violation: main/bb2 reads r1678 at cycle 8 but a write issued at 1 completes at 9");
+    ("mpeg2dec", "profile-max", "-",
+     "wild load at 0x0");
+    ("mpeg2dec", "profile-max", "sim.move-latency@*",
+     "wild load at 0x0");
+    ("mpeg2dec", "profile-max", "sim.move-latency@3",
+     "wild load at 0x0");
+    ("mpeg2dec", "naive", "-",
+     "latency violation: main/bb20 reads r1770 at cycle 90 but a write issued at 86 completes at 91");
+    ("mpeg2dec", "naive", "sim.move-latency@*",
+     "latency violation: main/bb20 reads r1770 at cycle 90 but a write issued at 86 completes at 94");
+    ("mpeg2dec", "naive", "sim.move-latency@3",
+     "latency violation: main/bb20 reads r1770 at cycle 90 but a write issued at 86 completes at 91");
+    ("mpeg2dec", "unified", "-",
+     "latency violation: main/bb20 reads r1769 at cycle 90 but a write issued at 86 completes at 91");
+    ("mpeg2dec", "unified", "sim.move-latency@*",
+     "latency violation: main/bb20 reads r1769 at cycle 90 but a write issued at 86 completes at 94");
+    ("mpeg2dec", "unified", "sim.move-latency@3",
+     "latency violation: main/bb20 reads r1693 at cycle 8 but a write issued at 1 completes at 9");
+    ("fir", "gdp", "-",
+     "latency violation: main/bb5 reads r257 at cycle 7 but a write issued at 6 completes at 11");
+    ("fir", "gdp", "sim.move-latency@*",
+     "latency violation: main/bb5 reads r257 at cycle 7 but a write issued at 6 completes at 13");
+    ("fir", "gdp", "sim.move-latency@3",
+     "latency violation: main/bb5 reads r257 at cycle 7 but a write issued at 6 completes at 14");
+    ("fir", "profile-max", "-",
+     "wild load at 0x0");
+    ("fir", "profile-max", "sim.move-latency@*",
+     "wild load at 0x0");
+    ("fir", "profile-max", "sim.move-latency@3",
+     "wild load at 0x0");
+    ("fir", "naive", "-",
+     "latency violation: main/bb5 reads r255 at cycle 2 but a write issued at 1 completes at 6");
+    ("fir", "naive", "sim.move-latency@*",
+     "latency violation: main/bb5 reads r255 at cycle 2 but a write issued at 1 completes at 8");
+    ("fir", "naive", "sim.move-latency@3",
+     "latency violation: main/bb5 reads r255 at cycle 2 but a write issued at 1 completes at 6");
+    ("fir", "unified", "-",
+     "wild load at 0x0");
+    ("fir", "unified", "sim.move-latency@*",
+     "wild load at 0x0");
+    ("fir", "unified", "sim.move-latency@3",
+     "wild load at 0x0");
+    ("viterbi", "gdp", "-",
+     "latency violation: main/bb8 reads r216 at cycle 27 but a write issued at 25 completes at 30");
+    ("viterbi", "gdp", "sim.move-latency@*",
+     "latency violation: main/bb8 reads r216 at cycle 27 but a write issued at 25 completes at 33");
+    ("viterbi", "gdp", "sim.move-latency@3",
+     "latency violation: main/bb8 reads r216 at cycle 27 but a write issued at 25 completes at 30");
+    ("viterbi", "profile-max", "-",
+     "latency violation: main/bb2 reads r215 at cycle 3 but a write issued at 1 completes at 6");
+    ("viterbi", "profile-max", "sim.move-latency@*",
+     "latency violation: main/bb2 reads r215 at cycle 3 but a write issued at 1 completes at 8");
+    ("viterbi", "profile-max", "sim.move-latency@3",
+     "latency violation: main/bb2 reads r215 at cycle 3 but a write issued at 1 completes at 6");
+    ("viterbi", "naive", "-",
+     "latency violation: main/bb8 reads r220 at cycle 20 but a write issued at 19 completes at 24");
+    ("viterbi", "naive", "sim.move-latency@*",
+     "latency violation: main/bb8 reads r219 at cycle 17 but a write issued at 12 completes at 20");
+    ("viterbi", "naive", "sim.move-latency@3",
+     "latency violation: main/bb8 reads r220 at cycle 20 but a write issued at 19 completes at 24");
+    ("viterbi", "unified", "-",
+     "latency violation: main/bb8 reads r224 at cycle 28 but a write issued at 25 completes at 30");
+    ("viterbi", "unified", "sim.move-latency@*",
+     "latency violation: main/bb8 reads r220 at cycle 17 but a write issued at 12 completes at 19");
+    ("viterbi", "unified", "sim.move-latency@3",
+     "latency violation: main/bb8 reads r224 at cycle 28 but a write issued at 25 completes at 30");
+  ]
+
+let wide_bus =
+  lazy
+    (Machine_spec.resolve
+       {
+         (Machine_spec.of_legacy ~clusters:2 ~move_latency:5) with
+         Machine_spec.link_bandwidth = 64;
+       })
+
+(* The simulator's result on [e]'s clustered program scheduled with
+   every transfer free (each routed from its source cluster to itself),
+   at the real latencies. *)
+let mistimed_result (p : Pipeline.prepared) ctx (e : Pipeline.evaluation) spec
+    =
+  let module MI = Vliw_sched.Move_insert in
+  let machine = ctx.Methods.machine and objects_of = Methods.objects_of ctx in
+  let c = e.Pipeline.outcome.Methods.clustered in
+  let free = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun id (src, _) -> Hashtbl.replace free id (src, src))
+    c.MI.move_routes;
+  let s =
+    MI.schedule ~machine ~objects_of
+      { c with MI.move_routes = free; schedule = None }
+  in
+  let run () =
+    match
+      Vliw_sched.Vliw_sim.run
+        { c with MI.schedule = Some s }
+        ~machine ~objects_of ~input:p.Pipeline.bench.Benchsuite.Bench_intf.input
+        ()
+    with
+    | exception Vliw_sched.Vliw_sim.Sim_error m -> m
+    | r ->
+        let value = function
+          | Vliw_interp.Interp.VInt i -> string_of_int i
+          | Vliw_interp.Interp.VFloat f -> Printf.sprintf "%h" f
+        in
+        let outputs =
+          String.concat "," (List.map value r.Vliw_sched.Vliw_sim.outputs)
+        in
+        Printf.sprintf "%d cycles, %d moves, outputs %s"
+          r.Vliw_sched.Vliw_sim.cycles r.Vliw_sched.Vliw_sim.dynamic_moves
+          (Test_partition.digest16 outputs)
+  in
+  if spec = "-" then run () else with_injection spec run
+
+(* GDP's rows hold only under the recorded random stream, as in
+   [Test_partition.test_pinned_compiles]. *)
+let test_pinned_sim_faults () =
+  let gdp_counts =
+    Test_partition.random_stream () = Test_partition.pinned_random_stream
+  in
+  (* one context per (machine, benchmark), one evaluation per method *)
+  let contexts = Hashtbl.create 8 in
+  let evaluation ?machine b m =
+    let key = (Option.is_some machine, b) in
+    let p, c, evals =
+      match Hashtbl.find_opt contexts key with
+      | Some pc -> pc
+      | None ->
+          let p = Pipeline.prepare_default (Benchsuite.Suite.find b) in
+          let pc = (p, Pipeline.context ?machine p, Hashtbl.create 4) in
+          Hashtbl.replace contexts key pc;
+          pc
+    in
+    match Hashtbl.find_opt evals m with
+    | Some e -> (p, c, e)
+    | None ->
+        let e = Helpers.evaluate c (Result.get_ok (Methods.of_string m)) in
+        Hashtbl.replace evals m e;
+        (p, c, e)
+  in
+  let check what pinned result =
+    let rows =
+      List.filter
+        (fun (_, m, _, _) -> gdp_counts || m <> Methods.to_string Methods.Gdp)
+        pinned
+    in
+    let got =
+      List.map (fun (b, m, spec, _) -> (b, m, spec, result b m spec)) rows
+    in
+    let row = Alcotest.(pair (triple string string string) string) in
+    let pairs = List.map (fun (b, m, s, r) -> ((b, m, s), r)) in
+    Alcotest.(check (list row)) what (pairs rows) (pairs got)
+  in
+  check "verification result per (benchmark, method, fault)" pinned_sim_faults
+    (fun b m spec ->
+      let p, c, e = evaluation b m in
+      match with_injection spec (fun () -> Pipeline.verify p c e) with
+      | Ok () -> "ok"
+      | Error msg -> msg);
+  check "mistimed simulation per (benchmark, method, fault)" pinned_mistimed_sim
+    (fun b m spec ->
+      let p, c, e = evaluation ~machine:(Lazy.force wide_bus) b m in
+      mistimed_result p c e spec)
+
+(* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                *)
 
 let test_robust_identity_without_faults () =
@@ -311,6 +634,58 @@ let test_robust_degrades_on_infeasible_partition () =
           Alcotest.(check int) "injected" 1 c.Fault.injected;
           Alcotest.(check int) "detected" 1 c.Fault.detected;
           Alcotest.(check int) "recovered" 1 c.Fault.recovered)
+
+(* A cluster without a memory unit: GDP and Profile Max home data
+   there, and the placement is rejected by name (it once left the list
+   scheduler waiting forever for a memory slot); Naive homes nothing
+   there, so the chain degrades to it. *)
+let nomem_spec =
+  {|{"schema":"gdp-machine/1","name":"nomem","topology":"bus",
+     "link_latency":5,"link_bandwidth":1,
+     "clusters":[{"ints":2,"floats":1,"mems":1,"branches":1},
+                 {"ints":2,"floats":1,"mems":0,"branches":1}]}|}
+
+let test_robust_rejects_unit_less_placement () =
+  let spec =
+    match Result.bind (Minijson.parse nomem_spec) Machine_spec.of_json with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let p = Pipeline.prepare_default (Benchsuite.Suite.find "fir") in
+  let settings m = { (Pipeline.Settings.default m) with machine = spec } in
+  (match
+     Pipeline.run ~prepared:p
+       ~mode:(Pipeline.Checked { verify = false })
+       (settings Methods.Gdp)
+   with
+  | Error m ->
+      Alcotest.(check bool)
+        (Fmt.str "names op, cluster and kind: %s" m)
+        true
+        (contains m "assignment invariant violated: op "
+        && contains m " on cluster 1, which has no memory unit")
+  | Ok _ -> Alcotest.fail "Checked accepted a memory op without a memory unit");
+  (* Plain mode has no validation: the scheduler refuses the placement *)
+  (match Pipeline.run ~prepared:p (settings Methods.Gdp) with
+  | exception Invalid_argument m ->
+      Alcotest.(check bool)
+        (Fmt.str "scheduler names the placement: %s" m)
+        true
+        (contains m "which has no memory unit")
+  | _ -> Alcotest.fail "Plain scheduled a memory op on a cluster without one");
+  match
+    Pipeline.run ~prepared:p
+      ~mode:(Pipeline.Robust { verify = true })
+      (settings Methods.Gdp)
+  with
+  | Ok (Pipeline.Degraded r) ->
+      Alcotest.(check string) "degraded to naive" "naive"
+        (Methods.to_string r.Pipeline.used);
+      Alcotest.(check (list string))
+        "gdp and profile-max rejected" [ "gdp"; "profile-max" ]
+        (List.map (fun f -> f.Pipeline.failed_method) r.Pipeline.fallbacks)
+  | Ok (Pipeline.Evaluated _) -> Alcotest.fail "Robust mode returned Evaluated"
+  | Error m -> Alcotest.failf "chain exhausted: %s" m
 
 (** Every documented injection point, when armed on a real benchmark,
     must never be silently accepted: either it finds no opportunity
@@ -505,6 +880,8 @@ let suite =
       test_verify_sim_output_mismatch;
     Alcotest.test_case "verify: sim latency violation" `Quick
       test_verify_sim_latency_violation;
+    Alcotest.test_case "verify: sim fault results pinned" `Quick
+      test_pinned_sim_faults;
     Alcotest.test_case "verify: cycle model disagreement" `Quick
       test_verify_cycle_model_disagreement;
     Alcotest.test_case "verify: move model disagreement" `Quick
@@ -517,6 +894,8 @@ let suite =
       test_robust_degrades_on_infeasible_partition;
     Alcotest.test_case "robust: every point detected or inert" `Slow
       test_every_point_detected_or_inert;
+    Alcotest.test_case "robust: unit-less placement rejected" `Quick
+      test_robust_rejects_unit_less_placement;
     Alcotest.test_case "robust: fallback chain order" `Quick
       test_fallback_chain_order;
     Alcotest.test_case "experiments: error row" `Quick

@@ -18,7 +18,11 @@ let block_of kinds =
   | [] -> assert false
 
 let edge_exists deps src dst =
-  List.exists (fun (j, _) -> j = dst) (D.succs deps src)
+  let found = ref false in
+  for k = deps.D.succ_off.(src) to deps.D.succ_off.(src + 1) - 1 do
+    if deps.D.succ_node.(k) = dst then found := true
+  done;
+  !found
 
 let r = Reg.of_int
 
@@ -85,8 +89,8 @@ let test_heights_and_asap () =
   let deps = D.build ~machine b in
   (* load(2) -> mul(3) -> add(1): heights give 2+3+1 = 6 *)
   Alcotest.(check int) "critical path" 6 (D.critical_path deps);
-  let times = D.asap_alap deps in
-  let asap i = fst times.(i) and alap i = snd times.(i) in
+  let asap, alap = D.asap_alap deps in
+  let asap i = asap.(i) and alap i = alap.(i) in
   Alcotest.(check int) "asap load" 0 (asap 0);
   Alcotest.(check int) "asap mul" 2 (asap 1);
   Alcotest.(check int) "asap add" 5 (asap 2);
@@ -393,6 +397,186 @@ let test_assignment_invariants () =
     (Invalid_argument "Assignment.set_cluster: cluster out of range")
     (fun () -> A.set_cluster assign ~op_id:0 5)
 
+(* ------------------------------------------------------------------ *)
+(* Exactness against the reference graph builder and scheduler        *)
+
+let blocks prog = List.concat_map Func.blocks (Prog.funcs prog)
+
+(* Where [Deps.build] and [Ref_sched.build_deps] disagree on a block:
+   the edge set with each pair's latency and flow flag (both CSR
+   directions), the flow-edge order, the heights, and the successor
+   rows' shape (ascending, ending in the terminator). *)
+let deps_mismatch ?objects_of ?latency_of ~machine b =
+  let d = D.build ?objects_of ?latency_of ~machine b in
+  let r = Ref_sched.build_deps ?objects_of ?latency_of ~machine b in
+  let n = D.num_ops d in
+  let is_flow = Hashtbl.create 16 in
+  List.iter
+    (fun (d, u, _) -> Hashtbl.replace is_flow (d, u) ())
+    r.Ref_sched.flow;
+  let want =
+    List.sort compare
+      (List.concat
+         (List.mapi
+            (fun i ps ->
+              List.map (fun (p, l) -> (p, i, l, Hashtbl.mem is_flow (p, i))) ps)
+            (Array.to_list r.Ref_sched.preds)))
+  in
+  let csr off node lat flow ~dir =
+    List.sort compare
+      (List.concat
+         (List.init n (fun i ->
+              List.init
+                (off.(i + 1) - off.(i))
+                (fun k ->
+                  let j = off.(i) + k in
+                  if dir then (node.(j), i, lat.(j), flow.(j))
+                  else (i, node.(j), lat.(j), flow.(j))))))
+  in
+  let preds =
+    csr d.D.pred_off d.D.pred_node d.D.pred_lat d.D.pred_flow ~dir:true
+  in
+  let succs =
+    csr d.D.succ_off d.D.succ_node d.D.succ_lat d.D.succ_flow ~dir:false
+  in
+  let flow_order = List.map (fun (d, u, _) -> (d, u)) r.Ref_sched.flow in
+  let flow_got =
+    Array.to_list
+      (Array.mapi (fun k def -> (def, d.D.flow_use.(k))) d.D.flow_def)
+  in
+  let rows_ok =
+    List.for_all
+      (fun i ->
+        let lo = d.D.succ_off.(i) and hi = d.D.succ_off.(i + 1) in
+        (i = n - 1 || (hi > lo && d.D.succ_node.(hi - 1) = n - 1))
+        && List.for_all
+             (fun k -> d.D.succ_node.(k) < d.D.succ_node.(k + 1))
+             (List.init (max 0 (hi - lo - 1)) (fun k -> lo + k)))
+      (List.init n Fun.id)
+  in
+  let label = Label.to_string (Block.label b) in
+  if preds <> want then Some (label ^ ": predecessor edges differ")
+  else if succs <> want then Some (label ^ ": successor edges differ")
+  else if flow_got <> flow_order then Some (label ^ ": flow-edge order differs")
+  else if D.heights d <> Ref_sched.heights r then
+    Some (label ^ ": heights differ")
+  else if not rows_ok then Some (label ^ ": successor rows out of order")
+  else None
+
+(* A points-to oracle that draws each memory op's objects from three
+   globals, the empty set (aliases everything) included. *)
+let random_objects seed id =
+  let h = Hashtbl.hash (seed, id) in
+  List.fold_left
+    (fun acc (bit, name) ->
+      if h land bit <> 0 then Data.Obj_set.add (Data.Global name) acc else acc)
+    Data.Obj_set.empty
+    [ (1, "a"); (2, "b"); (4, "c") ]
+
+let prop_deps_match_reference =
+  Helpers.qcheck ~count:40 "deps: graph equals the reference on random blocks"
+    (fun seed ->
+      let prog =
+        Helpers.compile ~unroll:true (Gen_minic.gen_program_with_seed seed)
+      in
+      let pt = Vliw_analysis.Points_to.compute prog in
+      List.iter
+        (fun objects_of ->
+          List.iter
+            (fun b ->
+              match deps_mismatch ?objects_of ~machine b with
+              | None -> ()
+              | Some msg -> QCheck.Test.fail_report msg)
+            (blocks prog))
+        [
+          None;
+          Some (Vliw_analysis.Points_to.objects_of pt);
+          Some (random_objects seed);
+        ];
+      true)
+    Gen_minic.arbitrary_program
+
+let test_deps_match_reference_suite () =
+  List.iter
+    (fun (bench : Benchsuite.Bench_intf.t) ->
+      let p = Gdp_core.Pipeline.prepare_default bench in
+      let prog = p.Gdp_core.Pipeline.prog in
+      let objects_of =
+        Vliw_analysis.Points_to.(objects_of (compute prog))
+      in
+      List.iter
+        (fun b ->
+          match deps_mismatch ~objects_of ~machine b with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s: %s" bench.name msg)
+        (blocks prog))
+    Benchsuite.Suite.all
+
+(* A random placement of [b] on [machine]: a cluster per op, and about
+   one op in five (never the terminator) made a routed move between
+   two distinct clusters. *)
+let random_placement st machine b =
+  let k = Vliw_machine.num_clusters machine in
+  let assign = A.create ~num_clusters:k in
+  let move_routes = Hashtbl.create 8 in
+  let ops = Block.ops b in
+  let last = List.length ops - 1 in
+  List.iteri
+    (fun i op ->
+      let c = Random.State.int st k in
+      A.set_cluster assign ~op_id:(Op.id op) c;
+      if k > 1 && i < last && Random.State.int st 5 = 0 then
+        Hashtbl.replace move_routes (Op.id op)
+          (c, (c + 1 + Random.State.int st (k - 1)) mod k))
+    ops;
+  (assign, move_routes)
+
+let prop_schedule_matches_reference =
+  Helpers.qcheck ~count:40
+    "list_sched: schedule equals the reference on random blocks, placements \
+     and machines"
+    (fun seed ->
+      let st = Random.State.make [| (seed * 13) + 5 |] in
+      let machine = Machine_spec.resolve (Helpers.gen_spec st) in
+      let prog =
+        Helpers.compile ~unroll:true (Gen_minic.gen_program_with_seed seed)
+      in
+      List.iter
+        (fun b ->
+          let assign, move_routes = random_placement st machine b in
+          let live_out =
+            List.fold_left
+              (fun acc op ->
+                if Op.id op mod 2 = 0 then
+                  List.fold_left (Fun.flip Reg.Set.add) acc (Op.defs op)
+                else acc)
+              Reg.Set.empty (Block.ops b)
+          in
+          let objects_of = random_objects seed in
+          let s =
+            LS.schedule_block ~machine ~assign ~move_routes ~objects_of
+              ~live_out b
+          in
+          let got =
+            ( Array.to_list
+                (Array.map
+                   (fun (e : LS.entry) ->
+                     (Op.id e.LS.op, e.LS.cycle, e.LS.cluster))
+                   (LS.entries s)),
+              LS.length s )
+          in
+          let want =
+            Ref_sched.schedule_block ~machine ~assign ~move_routes ~objects_of
+              ~live_out b
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s on %s: schedules differ"
+              (Label.to_string (Block.label b))
+              machine.Vliw_machine.name)
+        (blocks prog);
+      true)
+    Gen_minic.arbitrary_program
+
 let suite =
   [
     Alcotest.test_case "flow/anti/output edges" `Quick test_flow_and_anti_edges;
@@ -400,6 +584,10 @@ let suite =
       test_memory_edges;
     Alcotest.test_case "output ordering" `Quick test_out_ordering;
     Alcotest.test_case "heights and asap/alap" `Quick test_heights_and_asap;
+    prop_deps_match_reference;
+    Alcotest.test_case "deps: graph equals the reference on every suite block"
+      `Quick test_deps_match_reference_suite;
+    prop_schedule_matches_reference;
     Alcotest.test_case "scheduler respects fu counts" `Quick
       test_scheduler_resources;
     Alcotest.test_case "scheduler exploits both clusters" `Quick
