@@ -154,8 +154,23 @@ let test_mesh_routes () =
   Alcotest.(check int) "corner to corner" 6 (M.route_hops m ~src:0 ~dst:15);
   Alcotest.(check int) "max hops" 6 (M.max_hops m)
 
+(* The hop distance in closed form: the ring's shorter direction, the
+   mesh's Manhattan distance, one hop on the bus and the crossbar. *)
+let closed_form_hops m ~src ~dst =
+  let n = M.num_clusters m in
+  if src = dst then 0
+  else
+    match M.topology m with
+    | M.Bus | M.Crossbar -> 1
+    | M.Ring ->
+        let fwd = (dst - src + n) mod n in
+        min fwd (n - fwd)
+    | M.Mesh { cols; _ } ->
+        abs ((src / cols) - (dst / cols)) + abs ((src mod cols) - (dst mod cols))
+
 let test_route_endpoints () =
-  (* every route is a contiguous walk from src to dst on every topology *)
+  (* every route is a contiguous walk from src to dst on every
+     topology, one link per hop, as long as the closed form says *)
   List.iter
     (fun m ->
       let n = M.num_clusters m in
@@ -163,7 +178,11 @@ let test_route_endpoints () =
         for dst = 0 to n - 1 do
           let links = M.route_links m ~src ~dst in
           Alcotest.(check int)
-            (Fmt.str "%s %d->%d: hops = links" m.M.name src dst)
+            (Fmt.str "%s %d->%d: hops = closed form" m.M.name src dst)
+            (closed_form_hops m ~src ~dst)
+            (M.route_hops m ~src ~dst);
+          Alcotest.(check int)
+            (Fmt.str "%s %d->%d: one link per hop" m.M.name src dst)
             (M.route_hops m ~src ~dst)
             (List.length links);
           if M.topology m <> M.Bus then begin
@@ -184,7 +203,9 @@ let test_route_endpoints () =
       done)
     [
       machine_on ~clusters:5 M.Ring;
+      machine_on ~clusters:8 M.Ring;
       machine_on ~clusters:6 (M.Mesh { rows = 2; cols = 3 });
+      machine_on ~clusters:16 (M.Mesh { rows = 4; cols = 4 });
       machine_on ~clusters:4 M.Crossbar;
       M.paper_machine ();
     ]
