@@ -447,26 +447,21 @@ let partition_cmd =
         Fmt.pr "%a@." Vliw_sched.Perf.pp e.Gdp_core.Pipeline.report;
         if show_sched then begin
           let c = e.Gdp_core.Pipeline.outcome.Partition.Methods.clustered in
-          let total_occ = ref None in
+          let profile = ctx.Partition.Methods.profile in
+          let sched =
+            Vliw_sched.Move_insert.schedule ~machine
+              ~objects_of:(Partition.Methods.objects_of ctx) c
+          in
           Vliw_sched.Schedule.iter
             (fun f b s ->
-              let weight =
-                Vliw_interp.Profile.block_count ctx.Partition.Methods.profile
-                  ~func:(Vliw_ir.Func.name f) ~label:(Vliw_ir.Block.label b)
-              in
-              let occ =
-                Vliw_sched.Occupancy.of_schedule
-                  ~move_routes:c.Vliw_sched.Move_insert.move_routes ~machine s
-              in
-              total_occ :=
-                Some (Vliw_sched.Occupancy.accumulate occ ~weight !total_occ);
               Fmt.pr "@.%s/%s (executed %d time(s)):@.%a@."
                 (Vliw_ir.Func.name f)
                 (Vliw_ir.Label.to_string (Vliw_ir.Block.label b))
-                weight Vliw_sched.List_sched.pp s)
-            (Vliw_sched.Move_insert.schedule ~machine
-               ~objects_of:(Partition.Methods.objects_of ctx) c);
-          match !total_occ with
+                (Vliw_interp.Profile.block_count profile
+                   ~func:(Vliw_ir.Func.name f) ~label:(Vliw_ir.Block.label b))
+                Vliw_sched.List_sched.pp s)
+            sched;
+          match Vliw_sched.Occupancy.of_program ~machine ~profile sched with
           | Some occ ->
               Fmt.pr "@.whole-program %a@." Vliw_sched.Occupancy.pp occ;
               let shares = Vliw_sched.Occupancy.cluster_shares occ in

@@ -62,10 +62,8 @@ let prepare (bench : Benchsuite.Bench_intf.t) : prepared =
 let prepare_cache : (string, prepared) Hashtbl.t = Hashtbl.create 16
 let prepare_cache_limit = 64
 
-(* One lock for every process-wide cache this module owns or clears:
-   the prepare memo, the clearer registry, and the [clearing] reentrancy
-   flag.  Indispensable once [Par] pools exist — [clear_caches] (or a
-   worker warming the memo) must not race a mutating registration. *)
+(* The prepare memo's lock: [Par] pool workers may warm the memo while
+   another domain reads it or [clear_caches] resets it. *)
 let cache_lock = Par.Lock.create ()
 
 let prepare_default (bench : Benchsuite.Bench_intf.t) : prepared =
@@ -83,53 +81,8 @@ let prepare_default (bench : Benchsuite.Bench_intf.t) : prepared =
           Hashtbl.replace prepare_cache name p);
       p
 
-(* Downstream layers (e.g. the report explainer) keep their own bounded
-   memos; they register a clearer here so one [clear_caches] call covers
-   every cache in the process without this module depending on them.
-   Registration is keyed and last-write-wins: a forked worker (or a test
-   harness) that re-runs registration code must not end up with two
-   copies of the same clearer, because [clear_caches] runs every entry
-   and a stale duplicate could outlive the cache it clears. *)
-let extra_clearers : (string, unit -> unit) Hashtbl.t = Hashtbl.create 8
-let anon_clearers = ref 0
-
-let register_cache_clearer ?key f =
-  Par.Lock.with_lock cache_lock (fun () ->
-      let key =
-        match key with
-        | Some k -> k
-        | None ->
-            incr anon_clearers;
-            Printf.sprintf "<anonymous-%d>" !anon_clearers
-      in
-      Hashtbl.replace extra_clearers key f)
-
-(* Guard against a clearer calling [clear_caches] back (directly or via
-   a layer that "helpfully" clears everything): the inner call is a
-   no-op instead of an infinite recursion.  The flag is checked-and-set
-   under [cache_lock]; the clearers themselves run OUTSIDE the lock (on
-   a snapshot of the registry) so a clearer that re-registers itself —
-   the keyed-registration pattern — cannot deadlock on the
-   non-reentrant mutex. *)
-let clearing = ref false
-
 let clear_caches () =
-  let to_run =
-    Par.Lock.with_lock cache_lock (fun () ->
-        if !clearing then None
-        else begin
-          clearing := true;
-          Hashtbl.reset prepare_cache;
-          Some (Hashtbl.fold (fun _ f acc -> f :: acc) extra_clearers [])
-        end)
-  in
-  match to_run with
-  | None -> ()
-  | Some fs ->
-      Fun.protect
-        ~finally:(fun () ->
-          Par.Lock.with_lock cache_lock (fun () -> clearing := false))
-        (fun () -> List.iter (fun f -> f ()) fs)
+  Par.Lock.with_lock cache_lock (fun () -> Hashtbl.reset prepare_cache)
 
 let context ?machine ?merge_low_slack (p : prepared) : Methods.context =
   let machine =

@@ -26,44 +26,17 @@ val prepare : Benchsuite.Bench_intf.t -> prepared
     internal lock, so [Par] pool workers may warm it concurrently (the
     compile itself runs outside the lock; duplicate compiles of the
     same benchmark are equal and last write wins).  The memo is
-    bounded (it resets when it outgrows the benchmark suite by a wide
-    margin), and [clear_caches] empties it on demand — fuzzing loops
-    call that between iterations so memory stays flat. *)
+    bounded: it resets when it outgrows the benchmark suite by a wide
+    margin. *)
 val prepare_default : Benchsuite.Bench_intf.t -> prepared
 
-(** Drop the [prepare_default] memo and run every registered clearer
-    ([Experiments.clear_cache] drops the experiment sweep memo).
-    Re-entrant: a clearer that calls [clear_caches] back gets a no-op,
-    not an infinite recursion.  Domain-safe: the registry and the memo
-    are mutated under the cache lock, so clearing while [Par] worker
-    domains are live (or while another domain registers a clearer)
-    cannot corrupt the tables; the clearers themselves run outside the
-    lock on a snapshot of the registry, so one that re-registers itself
-    cannot deadlock.
-
-    {b Fork-safety contract.}  Every cache behind this call is a plain
-    in-process [Hashtbl]: a forked child (an [Exec] pool worker) gets a
-    copy-on-write copy and the parent and child diverge from there —
-    nothing is shared, nothing needs locking, and a child clearing (or
-    filling) its caches never affects the parent.  What a child must
-    {e not} do is re-register the clearers it already inherited:
-    registration is therefore keyed and idempotent (see
-    [register_cache_clearer]), so module-initialization code that runs
-    again in a worker replaces its entry instead of appending a
-    duplicate that [clear_caches] would run twice. *)
+(** Drop the [prepare_default] memo, under its lock, so it is safe
+    while [Par] worker domains are live.  Other memos are their
+    owners': [Experiments.clear_cache] drops the sweep memo, and the
+    explain report's memo and gdpcd's artifact cache are bounded.  A
+    forked [Exec] worker gets a copy-on-write copy of the memo:
+    clearing or filling it in the child never affects the parent. *)
 val clear_caches : unit -> unit
-
-(** Register an extra cache clearer to be run by [clear_caches].
-    Downstream layers with their own memos (e.g. the report explainer)
-    register here so fuzzing loops that call [clear_caches] between
-    iterations keep the whole process flat on memory.
-
-    [key] makes the registration idempotent: registering under an
-    existing key replaces that entry (last write wins).  Pass a stable
-    key (e.g. ["report.explain"]) from module-initialization code —
-    anonymous registrations cannot be deduplicated if the registration
-    site runs more than once per process. *)
-val register_cache_clearer : ?key:string -> (unit -> unit) -> unit
 
 (** Partitioning context on a machine (default: the paper's 2-cluster
     machine at 5-cycle move latency). *)

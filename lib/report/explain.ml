@@ -29,25 +29,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Building                                                            *)
 
-let occupancy ~machine ~objects_of (c : Vliw_sched.Move_insert.clustered)
-    ~profile : Occupancy.t option =
-  let acc = ref None in
-  Vliw_sched.Schedule.iter
-    (fun f b sched ->
-      let weight =
-        Vliw_interp.Profile.block_count profile ~func:(Func.name f)
-          ~label:(Block.label b)
-      in
-      acc :=
-        Some
-          (Occupancy.accumulate
-             (Occupancy.of_schedule
-                ~move_routes:c.Vliw_sched.Move_insert.move_routes ~machine
-                sched)
-             ~weight !acc))
-    (Vliw_sched.Move_insert.schedule ~machine ~objects_of c);
-  !acc
-
 let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
   Telemetry.with_span "explain"
     ~args:[ ("bench", p.Gdp_core.Pipeline.bench.Benchsuite.Bench_intf.name) ]
@@ -85,7 +66,9 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
           mr_inserted_moves =
             Telemetry.Snapshot.find_counter snap "moves.inserted";
           mr_totals = totals;
-          mr_occupancy = occupancy ~machine ~objects_of clustered ~profile;
+          mr_occupancy =
+            Occupancy.of_program ~machine ~profile
+              (Vliw_sched.Move_insert.schedule ~machine ~objects_of clustered);
           mr_obj_home = outcome.Methods.obj_home;
         })
       Methods.all
@@ -99,17 +82,12 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
     ex_rows = rows;
   }
 
-(* Bounded memo, cleared through the pipeline's registry: [bench --check]
-   and [bench --report] revisit the same (benchmark, machine) pairs, and
-   fuzzing loops that call [Pipeline.clear_caches] must drop this too.
-   Keyed by the machine's name: every preset and legacy shape encodes
-   cluster count, topology and latency there, and ad-hoc spec files get
-   a shape-derived default name. *)
+(* Bounded memo: [bench --check] and [bench --report] revisit the same
+   (benchmark, machine) pairs.  Keyed by the machine's name: every
+   preset and legacy shape encodes cluster count, topology and latency
+   there, and ad-hoc spec files get a shape-derived default name. *)
 let memo : (string * string, t) Hashtbl.t = Hashtbl.create 16
 let memo_limit = 256
-let () =
-  Gdp_core.Pipeline.register_cache_clearer ~key:"report.explain" (fun () ->
-      Hashtbl.reset memo)
 
 let explain_machine ~machine (b : Benchsuite.Bench_intf.t) : t =
   let key = (b.Benchsuite.Bench_intf.name, machine.Vliw_machine.name) in

@@ -46,9 +46,7 @@ type t = {
 val explain : machine:Vliw_machine.t -> Gdp_core.Pipeline.prepared -> t
 
 (** [explain] on [prepare_default], memoized by (benchmark, machine
-    name).  The memo is bounded and registered with
-    [Gdp_core.Pipeline.register_cache_clearer], so fuzzing loops that
-    call [Pipeline.clear_caches] keep memory flat. *)
+    name).  The memo is bounded: it resets when it reaches 256 entries. *)
 val explain_machine : machine:Vliw_machine.t -> Benchsuite.Bench_intf.t -> t
 
 (** [explain_machine] on the paper machine at the given move latency. *)

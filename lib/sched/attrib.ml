@@ -1,10 +1,10 @@
 (** Cycle attribution (see attrib.mli for the category semantics).
 
     The classification is a deterministic function of a block's final
-    schedule: issue cycles, dependence readiness and in-flight latencies
-    are all reconstructed from [List_sched.t] plus the same dependence
-    graph the scheduler used, so the static account and the cycle-level
-    simulator agree exactly (the simulator executes the same schedules).
+    schedule: each entry carries its issue cycle, the cycle its operands
+    were ready and its latency, as the scheduler computed them.  The
+    simulator executes the same schedules, so the account covers
+    exactly the cycles it counts.
 
     Per-cycle rules, first match wins:
     1. a data-ready memory op was held back       -> Mem_serialize
@@ -16,9 +16,9 @@
     7. idle, a memory result is in flight         -> Mem_serialize
     8. otherwise                                  -> Empty
 
-    "Held back" means the op's operands were ready ([ready_at <= t])
-    but it issued later — with a greedy list scheduler that can only be
-    a resource (function-unit or bus) limit. *)
+    "Held back" means the op's operands were ready ([ready <= t]) but
+    it issued later — with a greedy list scheduler that can only be a
+    resource (function-unit or bus) limit. *)
 
 open Vliw_ir
 
@@ -46,12 +46,16 @@ let category_of_index i =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Attrib.category_of_index: %d" i)
 
+(** One scheduled block's account, weighted by [of_clustered]. *)
 type block_account = {
-  bk_length : int;
-  bk_categories : int array;
+  bk_length : int;  (** schedule length; equals the category sum *)
+  bk_categories : int array;  (** cycles per category *)
   bk_link_moves : ((int * int) * int) list;
+      (** static intercluster moves per (src, dst) route *)
   bk_move_objs : (int, Data.obj list) Hashtbl.t;
+      (** move op id -> data objects whose values the move carries *)
   bk_remote_mem : (int, unit) Hashtbl.t;
+      (** memory op ids whose value or address crosses clusters *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -147,32 +151,10 @@ let attribute_moves ~objects_of ~is_icm (block : Block.t) :
 (* ------------------------------------------------------------------ *)
 (* Per-cycle classification                                            *)
 
-let account_block ~(machine : Vliw_machine.t)
-    ~(move_routes : (int, int * int) Hashtbl.t)
-    ?(objects_of = fun _ -> Data.Obj_set.empty) (block : Block.t)
-    (sched : List_sched.t) : block_account =
-  let is_icm op_id = Hashtbl.mem move_routes op_id in
-  let lat_of = List_sched.latency_of ~machine ~move_routes in
-  let deps = Deps.build ~objects_of ~latency_of:lat_of ~machine block in
-  let n = Deps.num_ops deps in
+let account_block ~(move_routes : (int, int * int) Hashtbl.t) ~objects_of
+    (block : Block.t) (sched : List_sched.t) : block_account =
   let len = List_sched.length sched in
   let entries = List_sched.entries sched in
-  let issue_of_id = Hashtbl.create (Array.length entries) in
-  Array.iter
-    (fun (e : List_sched.entry) ->
-      Hashtbl.replace issue_of_id (Op.id e.List_sched.op) e.List_sched.cycle)
-    entries;
-  let issue = Array.make n 0 in
-  for i = 0 to n - 1 do
-    issue.(i) <- Hashtbl.find issue_of_id (Op.id (Deps.op deps i))
-  done;
-  let ready_at = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for k = deps.Deps.pred_off.(i) to deps.Deps.pred_off.(i + 1) - 1 do
-      let p = deps.Deps.pred_node.(k) in
-      ready_at.(i) <- max ready_at.(i) (issue.(p) + deps.Deps.pred_lat.(k))
-    done
-  done;
   (* per-cycle facts *)
   let blocked_mem = Array.make (max 1 len) false in
   let blocked_move = Array.make (max 1 len) false in
@@ -181,23 +163,23 @@ let account_block ~(machine : Vliw_machine.t)
   let issued_move = Array.make (max 1 len) false in
   let inflight_move = Array.make (max 1 len) false in
   let inflight_mem = Array.make (max 1 len) false in
-  for i = 0 to n - 1 do
-    let op = Deps.op deps i in
-    let icm = is_icm (Op.id op) in
-    let mem = Op.fu_kind op = Vliw_machine.FU_memory in
-    if icm then issued_move.(issue.(i)) <- true
-    else issued_nonmove.(issue.(i)) <- true;
-    for t = ready_at.(i) to issue.(i) - 1 do
-      if icm then blocked_move.(t) <- true
-      else if mem then blocked_mem.(t) <- true
-      else blocked_other.(t) <- true
-    done;
-    let completes = issue.(i) + Deps.op_latency deps i in
-    for t = issue.(i) + 1 to min (len - 1) (completes - 1) do
-      if icm then inflight_move.(t) <- true
-      else if mem then inflight_mem.(t) <- true
-    done
-  done;
+  Array.iter
+    (fun (e : List_sched.entry) ->
+      let icm = e.List_sched.cluster = None in
+      let mem = Op.fu_kind e.List_sched.op = Vliw_machine.FU_memory in
+      let issue = e.List_sched.cycle in
+      if icm then issued_move.(issue) <- true
+      else issued_nonmove.(issue) <- true;
+      for t = e.List_sched.ready to issue - 1 do
+        if icm then blocked_move.(t) <- true
+        else if mem then blocked_mem.(t) <- true
+        else blocked_other.(t) <- true
+      done;
+      for t = issue + 1 to min (len - 1) (issue + e.List_sched.lat - 1) do
+        if icm then inflight_move.(t) <- true
+        else if mem then inflight_mem.(t) <- true
+      done)
+    entries;
   let counts = Array.make num_categories 0 in
   for t = 0 to len - 1 do
     let c =
@@ -226,7 +208,7 @@ let account_block ~(machine : Vliw_machine.t)
     |> List.sort compare
   in
   let bk_move_objs, bk_remote_mem =
-    attribute_moves ~objects_of ~is_icm block
+    attribute_moves ~objects_of ~is_icm:(Hashtbl.mem move_routes) block
   in
   {
     bk_length = len;
@@ -283,8 +265,8 @@ let of_clustered ~(machine : Vliw_machine.t) (c : Move_insert.clustered)
   Schedule.iter
     (fun f b sched ->
       let bk =
-        account_block ~machine ~move_routes:c.Move_insert.move_routes
-          ~objects_of b sched
+        account_block ~move_routes:c.Move_insert.move_routes ~objects_of b
+          sched
       in
       let count =
         Vliw_interp.Profile.block_count profile ~func:(Func.name f)

@@ -7,11 +7,14 @@
 
       [schedule length = sum over categories]
 
-    holds per block, and — weighted by block execution counts — for a
-    whole program:  [Perf.total_cycles] (and the cycle-level
-    simulator's count, which equals it) decomposes exactly into the
-    five categories.  See docs/attribution.md for the precise
-    classification rules. *)
+    holds per block by construction, and — weighted by block execution
+    counts — for a whole program:  [Perf.total_cycles] (and the
+    cycle-level simulator's count, which equals it whenever
+    [Pipeline.verify] passes) decomposes exactly into the five
+    categories.  A block's cycles are classified from its schedule
+    entries alone: each [List_sched.entry] records when the op's
+    operands were ready, when it issued and how long its result takes.
+    See docs/attribution.md for the precise classification rules. *)
 
 open Vliw_ir
 
@@ -38,31 +41,6 @@ val num_categories : int
 val category_index : category -> int
 val category_name : category -> string
 val category_of_index : int -> category
-
-type block_account = {
-  bk_length : int;  (** schedule length; equals the category sum *)
-  bk_categories : int array;  (** cycles per category, [num_categories] long *)
-  bk_link_moves : ((int * int) * int) list;
-      (** static intercluster moves per (src, dst) route *)
-  bk_move_objs : (int, Data.obj list) Hashtbl.t;
-      (** move op id -> data objects whose values the move carries
-          (producer/consumer memory operations' points-to sets; empty
-          when the move carries pure compute flow) *)
-  bk_remote_mem : (int, unit) Hashtbl.t;
-      (** memory op ids whose value or address crosses clusters (feeds
-          or is fed by an intercluster move) *)
-}
-
-(** Attribute one scheduled block.  [move_routes] identifies
-    intercluster moves (as in [List_sched.schedule_block]); the same
-    latency model is reconstructed from it. *)
-val account_block :
-  machine:Vliw_machine.t ->
-  move_routes:(int, int * int) Hashtbl.t ->
-  ?objects_of:(int -> Data.Obj_set.t) ->
-  Block.t ->
-  List_sched.t ->
-  block_account
 
 (** Per-object dynamic access split: accesses executed by memory
     operations whose value stays on one cluster ([local]) vs. accesses

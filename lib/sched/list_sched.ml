@@ -39,8 +39,14 @@
 
 open Vliw_ir
 
-type entry = { op : Op.t; cycle : int; cluster : int option }
-(** [cluster = None] for bus moves *)
+type entry = {
+  op : Op.t;
+  cycle : int;
+  cluster : int option;  (** [None] for an intercluster move *)
+  ready : int;  (** the cycle its last operand arrived *)
+  lat : int;  (** route latency for a move, op latency otherwise *)
+  hops : int;  (** links a move crosses; 0 for any other op *)
+}
 
 type t = {
   entries : entry array;  (** in issue order (cycle, then priority) *)
@@ -156,7 +162,7 @@ let schedule_block ~(machine : Vliw_machine.t) ~(assign : Assignment.t)
   let n = Deps.num_ops deps in
   let heights = Deps.heights deps in
   let { cls; pair; moves } = classify ~machine ~assign ~move_routes deps in
-  let { Vliw_machine.link_off; links; _ } = machine.Vliw_machine.routes in
+  let { Vliw_machine.link_off; links; hops } = machine.Vliw_machine.routes in
   (* free FU slots per class in the current cycle, and free issue slots
      per interconnect link (the bus is the single link 0) *)
   let nk = Vliw_machine.fu_kind_count in
@@ -197,12 +203,21 @@ let schedule_block ~(machine : Vliw_machine.t) ~(assign : Assignment.t)
   done;
   let issue = Array.make n (-1) in
   let entries =
-    Array.make n { op = Deps.op deps 0; cycle = 0; cluster = None }
+    Array.make n
+      {
+        op = Deps.op deps 0;
+        cycle = 0;
+        cluster = None;
+        ready = 0;
+        lat = 0;
+        hops = 0;
+      }
   in
   let count = ref 0 in
   let cycle = ref 0 in
   let issue_op i =
-    if cls.(i) = moves then begin
+    let move = cls.(i) = moves in
+    if move then begin
       let p = pair.(i) in
       for k = link_off.(p) to link_off.(p + 1) - 1 do
         link_slots.(links.(k)) <- link_slots.(links.(k)) - 1
@@ -214,7 +229,10 @@ let schedule_block ~(machine : Vliw_machine.t) ~(assign : Assignment.t)
       {
         op = Deps.op deps i;
         cycle = !cycle;
-        cluster = (if cls.(i) = moves then None else Some (cls.(i) / nk));
+        cluster = (if move then None else Some (cls.(i) / nk));
+        ready = ready_at.(i);
+        lat = Deps.op_latency deps i;
+        hops = (if move then hops.(pair.(i)) else 0);
       };
     incr count;
     for k = deps.Deps.succ_off.(i) to deps.Deps.succ_off.(i + 1) - 1 do

@@ -8,27 +8,36 @@
     slot and the machine's move latency.  Priorities are critical-path
     heights.  Block length uses live-out drain semantics: the branch
     has issued and every in-flight result that a later block consumes
-    has committed. *)
+    has committed.
+
+    Each entry is the one record of its op's timing: besides the issue
+    cycle and cluster it keeps the cycle its operands were ready, its
+    latency and, for a move, the links it crosses.  Attribution
+    ([Attrib]) classifies cycles from them, and [Occupancy] and [Perf]
+    count moves and link crossings from them; the simulator works its
+    latencies out again, so that it checks this record. *)
 
 open Vliw_ir
 
-type entry = { op : Op.t; cycle : int; cluster : int option }
-(** [cluster = None] for bus moves *)
+type entry = {
+  op : Op.t;
+  cycle : int;  (** issue cycle *)
+  cluster : int option;  (** [None] for an intercluster move *)
+  ready : int;
+      (** the cycle its last operand arrived: the latest
+          [pred cycle + edge latency] over its dependence predecessors,
+          0 without any; never after [cycle] *)
+  lat : int;
+      (** cycles until its result commits: the route latency
+          ([hops * move_latency]) for a move, the machine's op latency
+          otherwise *)
+  hops : int;  (** links a move's route crosses; 0 for any other op *)
+}
 
 type t
 
 val length : t -> int
 val entries : t -> entry array
-
-(** Effective latency of one op under the routed-move model: the
-    route latency for an intercluster move, the machine's op latency
-    otherwise.  Exposed so the attribution pass reconstructs the exact
-    dependence graph the scheduler used. *)
-val latency_of :
-  machine:Vliw_machine.t ->
-  move_routes:(int, int * int) Hashtbl.t ->
-  Op.t ->
-  int
 
 (** Schedule one block.  Raises [Invalid_argument] when an op that is
     not a routed move sits on a cluster without a unit of its kind. *)

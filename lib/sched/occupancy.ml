@@ -5,10 +5,10 @@
     partition spreads work.
 
     Interconnect occupancy counts link crossings: every move charges
-    one issue slot per hop of its route, against a capacity of
-    [num_links * moves_per_cycle] slots per cycle.  On the bus (one
-    link, one hop per move) both numbers reduce to the seed's move
-    count and bus bandwidth. *)
+    one issue slot per hop of its route (its entry's [hops]), against a
+    capacity of [num_links * moves_per_cycle] slots per cycle.  On the
+    bus (one link, one hop per move) both numbers reduce to the seed's
+    move count and bus bandwidth. *)
 
 open Vliw_ir
 
@@ -22,23 +22,17 @@ type t = {
   num_links : int;
 }
 
-let of_schedule ?(move_routes : (int, int * int) Hashtbl.t option)
-    ~(machine : Vliw_machine.t) (s : List_sched.t) : t =
+let of_schedule ~(machine : Vliw_machine.t) (s : List_sched.t) : t =
   let nclusters = Vliw_machine.num_clusters machine in
   let fu_issues = Array.make_matrix nclusters Vliw_machine.fu_kind_count 0 in
   let bus_issues = ref 0 in
   let link_issues = ref 0 in
-  let hops_of op =
-    match Option.bind move_routes (fun r -> Hashtbl.find_opt r (Op.id op)) with
-    | Some (src, dst) -> Vliw_machine.route_hops machine ~src ~dst
-    | None -> 1 (* no routing info: count the move as one crossing *)
-  in
   Array.iter
     (fun (e : List_sched.entry) ->
       match e.List_sched.cluster with
       | None ->
           incr bus_issues;
-          link_issues := !link_issues + hops_of e.List_sched.op
+          link_issues := !link_issues + e.List_sched.hops
       | Some c ->
           let k = Vliw_machine.fu_kind_index (Op.fu_kind e.List_sched.op) in
           fu_issues.(c).(k) <- fu_issues.(c).(k) + 1)
@@ -83,6 +77,21 @@ let accumulate (a : t) ~(weight : int) (acc : t option) : t =
         bus_issues = acc.bus_issues + scale a.bus_issues;
         link_issues = acc.link_issues + scale a.link_issues;
       }
+
+(** Every block of the program's schedule, weighted by its profiled
+    execution count. *)
+let of_program ~(machine : Vliw_machine.t) ~(profile : Vliw_interp.Profile.t)
+    (sched : Schedule.t) : t option =
+  let acc = ref None in
+  Schedule.iter
+    (fun f b s ->
+      let weight =
+        Vliw_interp.Profile.block_count profile ~func:(Func.name f)
+          ~label:(Block.label b)
+      in
+      acc := Some (accumulate (of_schedule ~machine s) ~weight !acc))
+    sched;
+  !acc
 
 (** Fraction of available slots used by issues, per cluster/kind. *)
 let fu_utilization (t : t) c k =

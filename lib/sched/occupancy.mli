@@ -1,9 +1,10 @@
 (** Schedule occupancy statistics: function-unit and interconnect
     utilization per cluster, per block or aggregated over a whole
     profiled run.  Interconnect occupancy is counted in link crossings
-    (one slot per hop of each move's route) against
-    [num_links * bus_capacity] slots per cycle; on the bus both reduce
-    to the seed's move count and bus bandwidth. *)
+    (one slot per hop of each move's route, read from the schedule
+    entries' [hops]) against [num_links * bus_capacity] slots per
+    cycle; on the bus both reduce to the seed's move count and bus
+    bandwidth. *)
 
 type t = {
   cycles : int;
@@ -15,18 +16,21 @@ type t = {
   num_links : int;
 }
 
-(** [move_routes] supplies each move's cluster route for hop-weighted
-    link accounting; without it every move counts as one crossing
-    (exact on the bus). *)
-val of_schedule :
-  ?move_routes:(int, int * int) Hashtbl.t ->
-  machine:Vliw_machine.t ->
-  List_sched.t ->
-  t
+(** One block's occupancy. *)
+val of_schedule : machine:Vliw_machine.t -> List_sched.t -> t
 
 (** Fold a block's occupancy, weighted by its execution count, into an
     accumulator. *)
 val accumulate : t -> weight:int -> t option -> t
+
+(** The whole program's occupancy: every block of its schedule,
+    weighted by the profile's execution count ([accumulate] over
+    [Schedule.iter]).  [None] when the schedule has no block. *)
+val of_program :
+  machine:Vliw_machine.t ->
+  profile:Vliw_interp.Profile.t ->
+  Schedule.t ->
+  t option
 
 val fu_utilization : t -> int -> int -> float
 val bus_utilization : t -> float

@@ -4,7 +4,8 @@
     sum over basic blocks of (schedule length x dynamic execution count),
     with the profile collected by the reference interpreter.  Dynamic
     intercluster traffic is the number of executed [Move] operations
-    (Figure 10's metric).  The schedules are the clustered program's
+    (Figure 10's metric): a block's moves are its schedule entries
+    without a cluster.  The schedules are the clustered program's
     ([Move_insert.schedule]), which the simulator then executes. *)
 
 open Vliw_ir
@@ -25,10 +26,10 @@ let evaluate ~(machine : Vliw_machine.t) (c : Move_insert.clustered)
           ~label:(Block.label b)
       in
       let moves =
-        List.length
-          (List.filter
-             (fun op -> Hashtbl.mem c.Move_insert.move_routes (Op.id op))
-             (Block.ops b))
+        Array.fold_left
+          (fun n (e : List_sched.entry) ->
+            if e.List_sched.cluster = None then n + 1 else n)
+          0 (List_sched.entries sched)
       in
       total := !total + (len * count);
       dyn_moves := !dyn_moves + (moves * count);

@@ -20,6 +20,13 @@
     writes commit when the block ends (the static model makes the same
     approximation; see DESIGN.md).
 
+    The scheduler records each entry's ready cycle, latency and hops
+    ([List_sched.entry]); the simulator reads only the op, issue cycle
+    and cluster, and works latencies and routes out again from the
+    machine and the program's move routes, so that its checks test the
+    scheduler's record instead of trusting it.  Cycle attribution is
+    [Attrib]'s alone.
+
     The engine is flat.  Each block's schedule is resource-checked and
     decoded once per run, at its first visit, into an array of entries
     with register indices, boxed immediates, effective latencies and
@@ -52,7 +59,6 @@ type result = {
   outputs : I.value list;
   cycles : int;  (** sum of block schedule lengths over the execution *)
   dynamic_moves : int;
-  account : Attrib.totals option;  (** when run with [~account:true] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -68,7 +74,7 @@ type instr =
   | Load of int * operand * operand
   | Store of operand * operand * operand
   | Addr of int * I.value
-  | Alloc of int * operand * int
+  | Alloc of int * operand
   | In of int * operand
   | Out of operand
   | Call of int * func * operand list  (** destination, [-1] for none *)
@@ -83,7 +89,6 @@ and entry = {
   routed : bool;  (** an intercluster move: the sim fault points apply *)
   greg : int;  (** guard register, [-1] when unguarded *)
   gsense : bool;
-  op : Op.t;
   wreg : int;  (** the register written, [-1] for none *)
   mutable direct : bool;
       (** no later entry of the block reads or writes [wreg] before
@@ -94,7 +99,6 @@ and code = {
   label : Label.t;
   sched : List_sched.t;
   entries : entry array;
-  account : Attrib.block_account option;  (** when accounting *)
 }
 
 (** A function, with its CFG and block schedules from the program's
@@ -112,12 +116,7 @@ and func = {
 (** A data object: a global or one heap block.  [cells] holds its words
     and grows to cover the highest word written; words past its end
     read 0. *)
-type obj = {
-  base : int;
-  bytes : int;
-  obj : Data.obj;
-  mutable cells : I.value array;
-}
+type obj = { base : int; bytes : int; mutable cells : I.value array }
 
 (** An in-flight write; [seq] is its push order, for the latency
     message. *)
@@ -133,22 +132,10 @@ let free_slots n =
   Array.init n (fun _ ->
       { reg = 0; value = I.VInt 0; ready = 0; issued = 0; seq = 0 })
 
-(** Dynamic attribution accumulators.  Block accounts are memoized with
-    the decoded blocks, so accounting adds O(1) work per executed block
-    plus O(1) per executed memory op and move. *)
-type acct = {
-  ac_categories : int array;
-  ac_links : (int * int, int) Hashtbl.t;
-  ac_obj_moves : (Data.obj, int) Hashtbl.t;
-  mutable ac_unattributed : int;
-  ac_access : (Data.obj, int ref * int ref) Hashtbl.t;
-}
-
 type state = {
   schedule : Schedule.t;
   machine : Vliw_machine.t;
   move_routes : (int, int * int) Hashtbl.t;
-  objects_of : int -> Data.Obj_set.t;
   funcs : (string, func) Hashtbl.t;
   global_addrs : (string, int) Hashtbl.t;
   mutable objs : obj array;  (** sorted by base; bases never overlap *)
@@ -161,7 +148,6 @@ type state = {
   mutable outputs_rev : I.value list;
   mutable cycles : int;
   mutable moves : int;
-  acct : acct option;
   mutable fuel : int;
   (* In-flight writes of the running block sit at [q_head, q_top) in
      commit order: by (ready cycle, issue cycle), equal keys newest
@@ -197,15 +183,13 @@ let add_obj st o =
   st.objs.(st.nobjs) <- o;
   st.nobjs <- st.nobjs + 1
 
-let init machine (c : Move_insert.clustered) ~objects_of ~input ~fuel
-    ~account =
+let init machine (c : Move_insert.clustered) ~objects_of ~input ~fuel =
   let prog = c.Move_insert.cprog in
   let st =
     {
       schedule = Move_insert.schedule ~machine ~objects_of c;
       machine;
       move_routes = c.Move_insert.move_routes;
-      objects_of;
       funcs = Hashtbl.create 16;
       global_addrs = Hashtbl.create 16;
       objs = [||];
@@ -216,17 +200,6 @@ let init machine (c : Move_insert.clustered) ~objects_of ~input ~fuel
       outputs_rev = [];
       cycles = 0;
       moves = 0;
-      acct =
-        (if account then
-           Some
-             {
-               ac_categories = Array.make Attrib.num_categories 0;
-               ac_links = Hashtbl.create 4;
-               ac_obj_moves = Hashtbl.create 16;
-               ac_unattributed = 0;
-               ac_access = Hashtbl.create 16;
-             }
-         else None);
       fuel;
       q = free_slots 64;
       q_head = 0;
@@ -254,7 +227,7 @@ let init machine (c : Move_insert.clustered) ~objects_of ~input ~fuel
                 else I.VInt (Int64.to_int w))
               ws
       in
-      add_obj st { base; bytes; obj = Data.Global g.Data.g_name; cells };
+      add_obj st { base; bytes; cells };
       next := base + bytes + 64)
     (Prog.globals prog);
   (* the heap starts above the globals, so bases stay sorted *)
@@ -400,7 +373,7 @@ let decode st fn (e : List_sched.entry) =
         Store (operand src, operand base, operand offset)
     | Op.Addr { dst; obj } ->
         Addr (reg dst, I.VInt (Hashtbl.find st.global_addrs obj))
-    | Op.Alloc { dst; size; site } -> Alloc (reg dst, operand size, site)
+    | Op.Alloc { dst; size; _ } -> Alloc (reg dst, operand size)
     | Op.In { dst; index } -> In (reg dst, operand index)
     | Op.Out a -> Out (operand a)
     | Op.Call { dst; callee; args } ->
@@ -435,7 +408,7 @@ let decode st fn (e : List_sched.entry) =
     | Move (d, _)
     | Load (d, _, _)
     | Addr (d, _)
-    | Alloc (d, _, _)
+    | Alloc (d, _)
     | In (d, _)
     | Call (d, _, _) ->
         d
@@ -448,7 +421,6 @@ let decode st fn (e : List_sched.entry) =
     routed = route <> None;
     greg;
     gsense;
-    op;
     wreg;
     direct = false;
   }
@@ -461,7 +433,7 @@ let iter_reads (e : entry) f =
   | Ibin (_, _, a, b) | Fbin (_, _, a, b) | Load (_, a, b) ->
       opd a;
       opd b
-  | Un (_, _, a) | Alloc (_, a, _) | In (_, a) | Out a | Cbr (a, _, _) -> opd a
+  | Un (_, _, a) | Alloc (_, a) | In (_, a) | Out a | Cbr (a, _, _) -> opd a
   | Move (_, r) -> f r
   | Store (a, b, c) ->
       opd a;
@@ -508,24 +480,11 @@ let code_of st fn bi =
   match fn.code.(bi) with
   | Some c -> c
   | None ->
-      let b = Cfg.block fn.cfg bi in
       let sched = fn.scheds.(bi) in
       check_resources st.machine ~move_routes:st.move_routes sched;
       let entries = Array.map (decode st fn) (List_sched.entries sched) in
       mark_direct st ~nregs:(Func.reg_count fn.func) entries;
-      let c =
-        {
-          label = Block.label b;
-          sched;
-          entries;
-          account =
-            Option.map
-              (fun _ ->
-                Attrib.account_block ~machine:st.machine
-                  ~move_routes:st.move_routes ~objects_of:st.objects_of b sched)
-              st.acct;
-        }
-      in
+      let c = { label = Block.label (Cfg.block fn.cfg bi); sched; entries } in
       fn.code.(bi) <- Some c;
       c
 
@@ -623,44 +582,6 @@ let write st fr (e : entry) t r v =
   else write_nominal st fr e t r v
 
 (* ------------------------------------------------------------------ *)
-(* Accounting                                                          *)
-
-let acct_access st (code : code) op obj =
-  match (st.acct, code.account) with
-  | Some a, Some bk ->
-      let local_c, remote_c =
-        match Hashtbl.find_opt a.ac_access obj with
-        | Some cell -> cell
-        | None ->
-            let cell = (ref 0, ref 0) in
-            Hashtbl.replace a.ac_access obj cell;
-            cell
-      in
-      if Hashtbl.mem bk.Attrib.bk_remote_mem (Op.id op) then incr remote_c
-      else incr local_c
-  | _ -> ()
-
-let acct_move st (code : code) op =
-  match (st.acct, code.account) with
-  | Some a, Some bk -> (
-      match Hashtbl.find_opt st.move_routes (Op.id op) with
-      | None -> ()
-      | Some route ->
-          Hashtbl.replace a.ac_links route
-            (1 + Option.value ~default:0 (Hashtbl.find_opt a.ac_links route));
-          match Hashtbl.find_opt bk.Attrib.bk_move_objs (Op.id op) with
-          | None | Some [] -> a.ac_unattributed <- a.ac_unattributed + 1
-          | Some objs ->
-              List.iter
-                (fun o ->
-                  Hashtbl.replace a.ac_obj_moves o
-                    (1
-                    + Option.value ~default:0
-                        (Hashtbl.find_opt a.ac_obj_moves o)))
-                objs)
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
 (** Execute one entry of block [code].  A terminator sets [fr.next]:
@@ -684,7 +605,6 @@ let rec exec_entry st fr code e =
     | Un (o, d, a) -> write st fr e t d (I.eval_un o (value st fr code t a))
     | Move (d, s) ->
         st.moves <- st.moves + 1;
-        acct_move st code e.op;
         write st fr e t d (read st fr code t s)
     | Load (d, b, o) ->
         let addr =
@@ -692,9 +612,7 @@ let rec exec_entry st fr code e =
         in
         let i = find_obj st addr in
         if i < 0 then sim_error "wild load at 0x%x" addr;
-        let ob = st.objs.(i) in
-        acct_access st code e.op ob.obj;
-        write st fr e t d (load st ob addr)
+        write st fr e t d (load st st.objs.(i) addr)
     | Store (s, b, o) ->
         let addr =
           I.to_int (value st fr code t b) + I.to_int (value st fr code t o)
@@ -702,19 +620,17 @@ let rec exec_entry st fr code e =
         let i = find_obj st addr in
         if i < 0 then sim_error "wild store at 0x%x" addr;
         let ob = st.objs.(i) in
-        acct_access st code e.op ob.obj;
         (* stores commit at t + 1; loads are ordered >= t+1 by deps, so
            committing into memory immediately is equivalent *)
         store st ob addr (value st fr code t s)
     | Addr (d, a) -> write st fr e t d a
-    | Alloc (d, size, site) ->
+    | Alloc (d, size) ->
         let bytes = I.to_int (value st fr code t size) in
         if bytes < 0 then sim_error "negative allocation";
         let rounded = (bytes + word - 1) / word * word in
         let base = st.heap_next in
         st.heap_next <- base + rounded + 64;
-        add_obj st
-          { base; bytes = rounded; obj = Data.Heap site; cells = [||] };
+        add_obj st { base; bytes = rounded; cells = [||] };
         write st fr e t d (I.VInt base)
     | In (d, index) ->
         let i = I.to_int (value st fr code t index) in
@@ -762,12 +678,6 @@ and run_block st fr bi =
   if st.fuel <= 0 then sim_error "out of fuel";
   let code = code_of st fr.fn bi in
   st.cycles <- st.cycles + List_sched.length code.sched;
-  (match (st.acct, code.account) with
-  | Some a, Some bk ->
-      Array.iteri
-        (fun i n -> a.ac_categories.(i) <- a.ac_categories.(i) + n)
-        bk.Attrib.bk_categories
-  | _ -> ());
   let base = st.q_top in
   st.q_head <- base;
   fr.next <- -2;
@@ -785,11 +695,11 @@ and run_block st fr bi =
   else sim_error "block fell through without a terminator"
 
 (** Simulate a clustered program on [input]. *)
-let run ?(fuel = 5_000_000) ?(account = false) (c : Move_insert.clustered)
+let run ?(fuel = 5_000_000) (c : Move_insert.clustered)
     ~(machine : Vliw_machine.t) ?(objects_of = Schedule.no_objects) ~input ()
     : result =
   Telemetry.with_span "simulate" @@ fun () ->
-  let st = init machine c ~objects_of ~input ~fuel ~account in
+  let st = init machine c ~objects_of ~input ~fuel in
   let main = func_of st (Func.name (Prog.main c.Move_insert.cprog)) in
   let (_ : I.value option) = exec_func st main [] in
   if Telemetry.is_enabled () then begin
@@ -797,36 +707,8 @@ let run ?(fuel = 5_000_000) ?(account = false) (c : Move_insert.clustered)
     Telemetry.set_gauge "sim.cycles" (float st.cycles);
     Telemetry.set_gauge "sim.dynamic_moves" (float st.moves)
   end;
-  let account =
-    match st.acct with
-    | None -> None
-    | Some a ->
-        let totals =
-          {
-            Attrib.t_cycles = st.cycles;
-            t_categories = Array.copy a.ac_categories;
-            t_moves = Hashtbl.fold (fun _ n acc -> acc + n) a.ac_links 0;
-            t_link_moves =
-              Hashtbl.fold (fun r n acc -> (r, n) :: acc) a.ac_links []
-              |> List.sort compare;
-            t_obj_moves =
-              Hashtbl.fold (fun o n acc -> (o, n) :: acc) a.ac_obj_moves []
-              |> List.sort (fun (oa, na) (ob, nb) ->
-                     match compare nb na with
-                     | 0 -> Data.compare_obj oa ob
-                     | c -> c);
-            t_unattributed_moves = a.ac_unattributed;
-            t_obj_access =
-              Hashtbl.fold
-                (fun o (l, r) acc ->
-                  (o, { Attrib.acc_local = !l; acc_remote = !r }) :: acc)
-                a.ac_access []
-              |> List.sort (fun (x, _) (y, _) -> Data.compare_obj x y);
-          }
-        in
-        (match Attrib.check_identity totals with
-        | Some msg -> sim_error "%s" msg
-        | None -> ());
-        Some totals
-  in
-  { outputs = List.rev st.outputs_rev; cycles = st.cycles; dynamic_moves = st.moves; account }
+  {
+    outputs = List.rev st.outputs_rev;
+    cycles = st.cycles;
+    dynamic_moves = st.moves;
+  }

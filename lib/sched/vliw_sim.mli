@@ -6,7 +6,14 @@
     every executed block, flags latency violations, and reproduces the
     reference interpreter's observable outputs when the pipeline is
     correct.  Its cycle and move counts equal [Perf]'s exactly when the
-    executed block visits match the profile. *)
+    executed block visits match the profile.
+
+    It works each entry's latency and route out again from the machine
+    and the program's move routes, and never reads the [ready], [lat]
+    or [hops] the scheduler recorded in its entries: its latency and
+    resource checks test the scheduler, so they do not trust its
+    record.  Cycle attribution is [Attrib]'s, over the same schedules
+    weighted by the profile. *)
 
 open Vliw_ir
 
@@ -16,17 +23,10 @@ type result = {
   outputs : Vliw_interp.Interp.value list;
   cycles : int;
   dynamic_moves : int;
-  account : Attrib.totals option;
-      (** dynamic cycle attribution, populated when run with
-          [~account:true]; the accounting identity
-          [cycles = sum of categories] is enforced (a violation raises
-          [Sim_error]).  [None] otherwise — the disabled path does no
-          attribution work. *)
 }
 
 val run :
   ?fuel:int ->
-  ?account:bool ->
   Move_insert.clustered ->
   machine:Vliw_machine.t ->
   ?objects_of:(int -> Data.Obj_set.t) ->

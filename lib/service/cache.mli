@@ -18,10 +18,7 @@
     The cache keeps its own hit/miss/warm-hit/eviction tallies (always
     on); {!stats} is their only reader.
 
-    Single-threaded, like the rest of the repo.  The server registers
-    each cache it owns with
-    [Gdp_core.Pipeline.register_cache_clearer ~key:"service.artifact-cache"]
-    so fuzzing loops and memory-flatness checks can empty it. *)
+    Single-threaded, like the rest of the repo. *)
 
 type t
 

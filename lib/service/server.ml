@@ -910,8 +910,6 @@ let run cfg =
         (Some s, intact, bad)
   in
   let cache = Cache.create ~capacity:cfg.cache_capacity ?store () in
-  Pipeline.register_cache_clearer ~key:"service.artifact-cache" (fun () ->
-      Cache.clear cache);
   let events_oc =
     Option.map
       (fun p -> open_out_gen [ Open_creat; Open_trunc; Open_wronly ] 0o644 p)

@@ -132,19 +132,28 @@ let heights d =
   done;
   h
 
+(** Latency under the routed-move model: the route latency for an
+    intercluster move, the machine's op latency otherwise. *)
+let latency_of ~(machine : Vliw_machine.t)
+    ~(move_routes : (int, int * int) Hashtbl.t) op =
+  match Hashtbl.find_opt move_routes (Op.id op) with
+  | Some (src, dst) -> Vliw_machine.route_latency machine ~src ~dst
+  | None -> Op.latency machine.Vliw_machine.latencies op
+
 (** The list scheduler that scans every op of the block for each issue:
     in each cycle, repeatedly issue the ready op of greatest height
     (lowest index on ties) among those whose unit or route links are
-    free.  Returns the issue order as (op id, cycle, cluster) and the
-    block length. *)
+    free.  Returns the issue order as (op id, cycle, cluster, cycle its
+    operands were ready, latency, hops) and the block length. *)
 let schedule_block ~(machine : Vliw_machine.t)
     ~(assign : Vliw_sched.Assignment.t)
     ~(move_routes : (int, int * int) Hashtbl.t) ?(objects_of = fun _ -> Data.Obj_set.empty) ?(live_out = Reg.Set.empty)
-    (block : Block.t) : (int * int * int option) list * int =
+    (block : Block.t) :
+    (int * int * int option * int * int * int) list * int =
   let module A = Vliw_sched.Assignment in
   let module M = Vliw_machine in
   let is_icm op_id = Hashtbl.mem move_routes op_id in
-  let lat_of = Vliw_sched.List_sched.latency_of ~machine ~move_routes in
+  let lat_of = latency_of ~machine ~move_routes in
   let links_of op_id =
     match Hashtbl.find_opt move_routes op_id with
     | Some (src, dst) -> M.route_links machine ~src ~dst
@@ -216,7 +225,9 @@ let schedule_block ~(machine : Vliw_machine.t)
           end
         in
         issue.(i) <- !cycle;
-        order := (Op.id o, !cycle, cluster) :: !order;
+        let hops = List.length (links_of (Op.id o)) in
+        order :=
+          (Op.id o, !cycle, cluster, ready_at.(i), lat_of o, hops) :: !order;
         decr remaining;
         List.iter
           (fun (j, lat) ->

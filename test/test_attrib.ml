@@ -19,9 +19,9 @@ let sum = Array.fold_left ( + ) 0
 (* ------------------------------------------------------------------ *)
 (* The identity on random programs (QCheck over lib/fuzz's generator)  *)
 
-(* For every method and latency: the dynamic account's categories sum
-   exactly to the simulator's cycle count, the static roll-up agrees
-   with the cycle model, and each object's local + remote accesses sum
+(* For every method and latency: the attribution's categories sum
+   exactly to the cycle model's count and to the simulator's, its moves
+   equal the simulator's, and each object's local + remote accesses sum
    to the profiler's count for it. *)
 let check_seed seed =
   let source = Gen_minic.gen_program_with_seed seed in
@@ -71,34 +71,28 @@ let check_seed seed =
           let e = Helpers.evaluate ctx m in
           let clustered = e.Pipeline.outcome.Methods.clustered in
           let sim =
-            Sim.run ~account:true clustered ~machine ~objects_of
-              ~input:Gen_minic.input ()
+            Sim.run clustered ~machine ~objects_of ~input:Gen_minic.input ()
           in
-          let dyn =
-            match sim.Sim.account with
-            | Some t -> t
-            | None -> QCheck.Test.fail_reportf "%s: no account" what
-          in
-          if sum dyn.Attrib.t_categories <> sim.Sim.cycles then
-            QCheck.Test.fail_reportf "%s: dynamic sum %d <> sim cycles %d"
-              what
-              (sum dyn.Attrib.t_categories)
-              sim.Sim.cycles;
-          (match Attrib.check_identity dyn with
-          | None -> ()
-          | Some msg -> QCheck.Test.fail_reportf "%s: %s" what msg);
           let st =
             Attrib.of_clustered ~machine clustered ~profile ~objects_of ()
           in
+          (match Attrib.check_identity st with
+          | None -> ()
+          | Some msg -> QCheck.Test.fail_reportf "%s: %s" what msg);
           if st.Attrib.t_cycles <> e.Pipeline.report.Perf.total_cycles then
             QCheck.Test.fail_reportf "%s: static cycles %d <> model %d" what
               st.Attrib.t_cycles e.Pipeline.report.Perf.total_cycles;
-          (* static and dynamic accounts agree category by category: both
-             are per-block accounts weighted by execution counts *)
-          if st.Attrib.t_categories <> dyn.Attrib.t_categories then
-            QCheck.Test.fail_reportf "%s: static/dynamic categories differ"
-              what;
-          check_access what dyn;
+          (* the simulator counts the block visits it ran: the categories
+             must cover exactly those cycles, and the attributed moves
+             must be the moves it executed *)
+          if sum st.Attrib.t_categories <> sim.Sim.cycles then
+            QCheck.Test.fail_reportf "%s: categories sum %d <> sim cycles %d"
+              what
+              (sum st.Attrib.t_categories)
+              sim.Sim.cycles;
+          if st.Attrib.t_moves <> sim.Sim.dynamic_moves then
+            QCheck.Test.fail_reportf "%s: attributed moves %d <> sim moves %d"
+              what st.Attrib.t_moves sim.Sim.dynamic_moves;
           check_access what st)
         Methods.all)
     [ 1; 5 ];

@@ -512,18 +512,6 @@ let test_run_wraps_evaluate () =
   | Ok (Pipeline.Evaluated _) -> Alcotest.fail "Robust mode must return Degraded"
   | Error m -> Alcotest.failf "robust run failed: %s" m
 
-let test_keyed_clearer_idempotent () =
-  let calls = ref 0 in
-  Pipeline.register_cache_clearer ~key:"test.exec.count" (fun () -> incr calls);
-  (* re-registration under the same key replaces, it does not stack *)
-  Pipeline.register_cache_clearer ~key:"test.exec.count" (fun () -> incr calls);
-  Pipeline.clear_caches ();
-  Alcotest.(check int) "one call per clear, however often registered" 1 !calls;
-  Pipeline.clear_caches ();
-  Alcotest.(check int) "called once more on the next clear" 2 !calls;
-  (* leave a no-op behind: the registry is global to the test binary *)
-  Pipeline.register_cache_clearer ~key:"test.exec.count" (fun () -> ())
-
 let suite =
   [
     Alcotest.test_case "map: pool matches inline" `Quick
@@ -556,6 +544,4 @@ let suite =
       test_fuzz_parallel_identity;
     Alcotest.test_case "pipeline: run wraps evaluate" `Quick
       test_run_wraps_evaluate;
-    Alcotest.test_case "pipeline: keyed clearers idempotent" `Quick
-      test_keyed_clearer_idempotent;
   ]

@@ -142,17 +142,25 @@ let test_compile_time_ratio () =
      candidates priced.  GDP runs the multilevel graph partitioner on
      top of its single detailed pass; that stage is too fast to stand
      out of wall-clock noise, so it is asserted by the work alone: GDP
-     counts FM refinement passes, Naive none. *)
+     counts FM refinement passes, Naive none.  One timing can run far
+     above its usual time, so each method's time is its fastest of
+     five runs. *)
   let bench = Benchsuite.Suite.find "mpeg2dec" in
-  (match
-     (Gdp_core.Experiments.compile_time ~benches:[ bench ] ())
-       .Gdp_core.Experiments.ct_rows
-   with
-  | [ (_, times) ] ->
-      let t n = List.assoc n times in
-      Alcotest.(check bool) "pm slower than naive" true
-        (t "profile-max" > t "naive" *. 1.2)
-  | _ -> Alcotest.fail "unexpected rows");
+  let runs =
+    List.init 5 (fun _ ->
+        match
+          (Gdp_core.Experiments.compile_time ~benches:[ bench ] ())
+            .Gdp_core.Experiments.ct_rows
+        with
+        | [ (_, times) ] -> times
+        | _ -> Alcotest.fail "unexpected rows")
+  in
+  let t n =
+    List.fold_left (fun acc times -> Float.min acc (List.assoc n times))
+      infinity runs
+  in
+  Alcotest.(check bool) "pm slower than naive" true
+    (t "profile-max" > t "naive" *. 1.2);
   let ctx =
     Gdp_core.Pipeline.context (Gdp_core.Pipeline.prepare_default bench)
   in

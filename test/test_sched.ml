@@ -561,7 +561,12 @@ let prop_schedule_matches_reference =
             ( Array.to_list
                 (Array.map
                    (fun (e : LS.entry) ->
-                     (Op.id e.LS.op, e.LS.cycle, e.LS.cluster))
+                     ( Op.id e.LS.op,
+                       e.LS.cycle,
+                       e.LS.cluster,
+                       e.LS.ready,
+                       e.LS.lat,
+                       e.LS.hops ))
                    (LS.entries s)),
               LS.length s )
           in

@@ -81,7 +81,7 @@ let prop_bus_reproduces_seed =
    clustered program still computes the reference outputs, the
    contention-aware simulator's cycle count equals the static cycle
    model, and the attribution identity [cycles = sum of categories]
-   holds for the dynamic account. *)
+   holds against the simulator's count. *)
 let check_random_machine seed =
   let prepared = Pipeline.prepare (bench_of_seed seed) in
   let st = Random.State.make [| (seed * 131) + 17 |] in
@@ -100,8 +100,7 @@ let check_random_machine seed =
         let e = Helpers.evaluate ctx m in
         let clustered = e.Pipeline.outcome.Methods.clustered in
         let sim =
-          Sim.run ~account:true clustered ~machine ~objects_of
-            ~input:Gen_minic.input ()
+          Sim.run clustered ~machine ~objects_of ~input:Gen_minic.input ()
         in
         if
           not
@@ -111,16 +110,15 @@ let check_random_machine seed =
         if sim.Sim.cycles <> e.Pipeline.report.Perf.total_cycles then
           QCheck.Test.fail_reportf "%s: sim %d <> static model %d" what
             sim.Sim.cycles e.Pipeline.report.Perf.total_cycles;
-        let dyn =
-          match sim.Sim.account with
-          | Some t -> t
-          | None -> QCheck.Test.fail_reportf "%s: no account" what
+        let attrib =
+          Attrib.of_clustered ~machine clustered
+            ~profile:reference.Vliw_interp.Interp.profile ~objects_of ()
         in
-        if sum dyn.Attrib.t_categories <> sim.Sim.cycles then
+        if sum attrib.Attrib.t_categories <> sim.Sim.cycles then
           QCheck.Test.fail_reportf "%s: categories sum %d <> cycles %d" what
-            (sum dyn.Attrib.t_categories)
+            (sum attrib.Attrib.t_categories)
             sim.Sim.cycles;
-        match Attrib.check_identity dyn with
+        match Attrib.check_identity attrib with
         | None -> ()
         | Some msg -> QCheck.Test.fail_reportf "%s: %s" what msg)
       Methods.all
