@@ -194,7 +194,8 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Record telemetry and print a span-tree summary (total/self \
-           times) and the metric counters when the command finishes.")
+           times) and the counters, each summed over the run, when the \
+           command finishes.")
 
 let stats_file_arg =
   Arg.(
@@ -202,9 +203,9 @@ let stats_file_arg =
     & opt (some string) None
     & info [ "stats-file" ] ~docv:"FILE"
         ~doc:
-          "Record telemetry and write the span-tree/metrics/histogram \
-           summary to $(docv) when the command finishes, so CI can \
-           archive stats without scraping stdout.")
+          "Record telemetry and write the span-tree and counter summary \
+           to $(docv) when the command finishes, so CI can archive stats \
+           without scraping stdout.")
 
 let verbose_arg =
   Arg.(

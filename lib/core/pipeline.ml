@@ -40,7 +40,7 @@ let prepare (bench : Benchsuite.Bench_intf.t) : prepared =
             Minic.compile bench.Benchsuite.Bench_intf.source)
       in
       let prog = optimize prog in
-      Telemetry.set_gauge "ir.ops" (float (Vliw_ir.Prog.op_count prog));
+      Telemetry.incr "ir.ops" ~by:(Vliw_ir.Prog.op_count prog);
       let reference =
         Telemetry.with_span "profile" (fun () ->
             Vliw_interp.Interp.run prog

@@ -566,7 +566,7 @@ module Pool = struct
     for i = 0 to jobs - 1 do
       respawn t i
     done;
-    Telemetry.set_gauge "exec.workers" (float_of_int jobs);
+    Telemetry.incr "exec.workers" ~by:jobs;
     Log.debug (fun m -> m "pool: %d persistent worker(s)" jobs);
     t
 

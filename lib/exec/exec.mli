@@ -54,8 +54,9 @@
     When telemetry is enabled the pool records one [exec.job] span per
     job (annotated with the batch key and worker slot) via
     {!Telemetry.record_span}, plus counters [exec.jobs], [exec.batches],
-    [exec.crashes], [exec.retries], [exec.errors] and [exec.cancelled],
-    and an [exec.workers] gauge — so [--trace] shows the pool timeline. *)
+    [exec.crashes], [exec.retries], [exec.errors], [exec.cancelled] and
+    [exec.workers] (workers started) — so [--trace] shows the pool
+    timeline. *)
 
 type job = {
   payload : Minijson.t;  (** shipped to the worker verbatim *)

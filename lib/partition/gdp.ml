@@ -186,17 +186,19 @@ let partition_objects ?config ?pool ~(machine : Vliw_machine.t)
   in
   let edgecut = Graphpart.Graph.edge_cut graph part in
   if Telemetry.is_enabled () then begin
-    Telemetry.set_gauge "gdp.units" (float nunits);
-    Telemetry.set_gauge "gdp.cut_edges" (float edgecut);
+    Telemetry.incr "gdp.units" ~by:nunits;
+    Telemetry.incr "gdp.cut_edges" ~by:edgecut;
     (* achieved data-byte balance: heaviest cluster's share of the total,
-       1/num_clusters = perfect *)
+       1/num_clusters = perfect; an arg of this compile's
+       [graph-partition] span *)
     let pw =
       Graphpart.Graph.part_weights graph part ~nparts:num_clusters 0
     in
     let total = Array.fold_left ( + ) 0 pw in
     if total > 0 then
-      Telemetry.set_gauge "gdp.data_balance_ratio"
-        (float (Array.fold_left max 0 pw) /. float total)
+      Telemetry.span_arg "data_balance_ratio"
+        (Printf.sprintf "%.4f"
+           (float (Array.fold_left max 0 pw) /. float total))
   end;
   {
     obj_home;

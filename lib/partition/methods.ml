@@ -75,9 +75,9 @@ let make_context ?(merge_low_slack = false) ~(machine : Vliw_machine.t)
           acc + List.length g.Merge.objects + List.length g.Merge.mem_ops)
         0 merge.Merge.groups
     in
-    Telemetry.set_gauge "merge.groups" (float groups);
+    Telemetry.incr "merge.groups" ~by:groups;
     (* each union that collapsed two elements into one group is a merge *)
-    Telemetry.set_gauge "merge.merges_applied" (float (members - groups))
+    Telemetry.incr "merge.merges_applied" ~by:(members - groups)
   end;
   let dfg =
     Telemetry.with_span "prog-dfg" (fun () -> An.Prog_dfg.compute prog)
@@ -85,7 +85,7 @@ let make_context ?(merge_low_slack = false) ~(machine : Vliw_machine.t)
   if Telemetry.is_enabled () then begin
     let edges = ref 0 in
     An.Prog_dfg.iter_edges (fun _ _ _ -> incr edges) dfg;
-    Telemetry.set_gauge "dfg.edges" (float !edges)
+    Telemetry.incr "dfg.edges" ~by:!edges
   end;
   let objects_of = An.Points_to.objects_of pt in
   { prog; machine; profile; pt; objtab; merge; dfg; objects_of }
@@ -97,6 +97,7 @@ type outcome = {
   clustered : Vliw_sched.Move_insert.clustered;
   obj_home : (Data.obj * int) list;  (** empty for unified memory *)
   rhop_runs : int;  (** detailed-partitioner invocations (Section 4.5) *)
+  cut_edges : int option;  (** GDP's graph-partition cut *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -135,7 +136,7 @@ let clustered_with_homes ?pool ctx ~method_name ~rhop_runs homes : outcome =
   Rhop.partition ?pool ~machine:ctx.machine ~objects_of:(objects_of ctx)
     ~lock_of:(lock_table ctx homes) ctx.prog assign;
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
-  { method_name; clustered; obj_home = homes; rhop_runs }
+  { method_name; clustered; obj_home = homes; rhop_runs; cut_edges = None }
 
 (** Unified-memory computation partition (no locks, no homes). *)
 let unified_assignment ?pool ctx : A.t =
@@ -154,8 +155,11 @@ let run_gdp ?gdp_config ?pool ctx : outcome =
     Gdp.partition_objects ?config:gdp_config ?pool ~machine:ctx.machine
       ~prog:ctx.prog ~merge:ctx.merge ~dfg:ctx.dfg ~profile:ctx.profile ()
   in
-  clustered_with_homes ?pool ctx ~method_name:(to_string Gdp) ~rhop_runs:1
-    r.Gdp.obj_home
+  let o =
+    clustered_with_homes ?pool ctx ~method_name:(to_string Gdp) ~rhop_runs:1
+      r.Gdp.obj_home
+  in
+  { o with cut_edges = Some r.Gdp.edgecut }
 
 let run_profile_max ?pool ctx : outcome =
   let assign1 = unified_assignment ?pool ctx in
@@ -226,12 +230,24 @@ let run_naive ?pool ctx : outcome =
   rehome_memory ctx assign lock_of;
   set_homes assign homes;
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
-  { method_name = to_string Naive; clustered; obj_home = homes; rhop_runs = 1 }
+  {
+    method_name = to_string Naive;
+    clustered;
+    obj_home = homes;
+    rhop_runs = 1;
+    cut_edges = None;
+  }
 
 let run_unified ?pool ctx : outcome =
   let assign = unified_assignment ?pool ctx in
   let clustered = Vliw_sched.Move_insert.apply ctx.prog assign in
-  { method_name = to_string Unified; clustered; obj_home = []; rhop_runs = 1 }
+  {
+    method_name = to_string Unified;
+    clustered;
+    obj_home = [];
+    rhop_runs = 1;
+    cut_edges = None;
+  }
 
 let run ?gdp_config ?pool method_ ctx : outcome =
   match method_ with

@@ -56,6 +56,9 @@ type outcome = {
   clustered : Vliw_sched.Move_insert.clustered;
   obj_home : (Data.obj * int) list;  (** empty for unified memory *)
   rhop_runs : int;  (** detailed-partitioner invocations (Section 4.5) *)
+  cut_edges : int option;
+      (** GDP's graph-partition cut ([Gdp.result]'s [edgecut]); [None]
+          for the other methods *)
 }
 
 (** Run the computation partitioner with the given object homes locked

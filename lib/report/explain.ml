@@ -10,8 +10,8 @@ type method_row = {
   mr_cycles : int;
   mr_dynamic_moves : int;
   mr_static_moves : int;
-  mr_cut_edges : float option;
-  mr_inserted_moves : int option;
+  mr_cut_edges : int option;
+  mr_inserted_moves : int;
   mr_totals : Attrib.totals;
   mr_occupancy : Occupancy.t option;
   mr_obj_home : (Data.obj * int) list;
@@ -41,9 +41,7 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
   let rows =
     List.map
       (fun m ->
-        (* a private capture so the partitioner gauges are readable even
-           when the enclosing command records no telemetry *)
-        let outcome, snap = Telemetry.capture (fun () -> Methods.run m ctx) in
+        let outcome = Methods.run m ctx in
         let report = Methods.evaluate ctx outcome in
         let clustered = outcome.Methods.clustered in
         let totals =
@@ -62,9 +60,9 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
           mr_cycles = model_cycles;
           mr_dynamic_moves = report.Vliw_sched.Perf.dynamic_moves;
           mr_static_moves = report.Vliw_sched.Perf.static_moves;
-          mr_cut_edges = Telemetry.Snapshot.find_gauge snap "gdp.cut_edges";
+          mr_cut_edges = outcome.Methods.cut_edges;
           mr_inserted_moves =
-            Telemetry.Snapshot.find_counter snap "moves.inserted";
+            Hashtbl.length clustered.Vliw_sched.Move_insert.move_routes;
           mr_totals = totals;
           mr_occupancy =
             Occupancy.of_program ~machine ~profile
@@ -83,14 +81,17 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
   }
 
 (* Bounded memo: [bench --check] and [bench --report] revisit the same
-   (benchmark, machine) pairs.  Keyed by the machine's name: every
-   preset and legacy shape encodes cluster count, topology and latency
-   there, and ad-hoc spec files get a shape-derived default name. *)
+   (benchmark, machine) pairs.  Keyed by the machine's printed
+   description (every cluster's units and memory, the network), as the
+   service's cache key is: a name alone does not tell apart two unnamed
+   spec documents that differ only in their FU mix or link bandwidth. *)
 let memo : (string * string, t) Hashtbl.t = Hashtbl.create 16
 let memo_limit = 256
 
 let explain_machine ~machine (b : Benchsuite.Bench_intf.t) : t =
-  let key = (b.Benchsuite.Bench_intf.name, machine.Vliw_machine.name) in
+  let key =
+    (b.Benchsuite.Bench_intf.name, Fmt.str "%a" Vliw_machine.pp machine)
+  in
   match Hashtbl.find_opt memo key with
   | Some e -> e
   | None ->
@@ -159,7 +160,7 @@ let to_markdown ppf (e : t) =
   Fmt.pf ppf "|---|---|---|---|---|---|---|---|---|---|@.";
   List.iter
     (fun r ->
-      Fmt.pf ppf "| %s | %d | %s | %s | %s | %s | %s | %d | %s | %s |@."
+      Fmt.pf ppf "| %s | %d | %s | %s | %s | %s | %s | %d | %d | %s |@."
         r.mr_method r.mr_cycles
         (cat_cell r.mr_totals Attrib.Useful)
         (cat_cell r.mr_totals Attrib.Issue_stall)
@@ -167,8 +168,8 @@ let to_markdown ppf (e : t) =
         (cat_cell r.mr_totals Attrib.Mem_serialize)
         (cat_cell r.mr_totals Attrib.Empty)
         r.mr_dynamic_moves
-        (match r.mr_inserted_moves with Some n -> string_of_int n | None -> "-")
-        (match r.mr_cut_edges with Some v -> Fmt.str "%.0f" v | None -> "-"))
+        r.mr_inserted_moves
+        (match r.mr_cut_edges with Some n -> string_of_int n | None -> "-"))
     e.ex_rows;
   (* per-object placement tables *)
   List.iter
@@ -234,11 +235,10 @@ let methods_csv_header =
 let methods_csv ppf (e : t) =
   List.iter
     (fun r ->
-      Fmt.pf ppf "%s,%d,%s,%d,%d,%d,%s,%s,%s@." (csv_quote e.ex_bench)
+      Fmt.pf ppf "%s,%d,%s,%d,%d,%d,%d,%s,%s@." (csv_quote e.ex_bench)
         e.ex_latency (csv_quote r.mr_method) r.mr_cycles r.mr_dynamic_moves
-        r.mr_static_moves
-        (match r.mr_inserted_moves with Some n -> string_of_int n | None -> "")
-        (match r.mr_cut_edges with Some v -> Fmt.str "%.0f" v | None -> "")
+        r.mr_static_moves r.mr_inserted_moves
+        (match r.mr_cut_edges with Some n -> string_of_int n | None -> "")
         (String.concat ","
            (List.map
               (fun c ->

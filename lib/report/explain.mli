@@ -3,10 +3,11 @@
     An explanation combines, for every partitioning method on one
     benchmark and machine: the static cycle model's totals, the full
     cycle attribution ([Vliw_sched.Attrib]), whole-program function-unit
-    and bus occupancy, per-link intercluster traffic, the partitioner
-    gauges ([gdp.cut_edges], [moves.inserted]) and a per-object
-    placement table (home cluster, local/remote accesses, attributed
-    moves and their transfer-cycle cost).  Renderers produce Markdown,
+    and bus occupancy, per-link intercluster traffic, GDP's cut edges
+    and the inserted moves (both read from the compile's result, not
+    from telemetry) and a per-object placement table (home cluster,
+    local/remote accesses, attributed moves and their transfer-cycle
+    cost).  Renderers produce Markdown,
     CSV and machine-readable JSON — the JSON is also the regression
     gate's baseline format ([Regress]). *)
 
@@ -17,8 +18,12 @@ type method_row = {
   mr_cycles : int;  (** [Perf.total_cycles]; equals the attribution sum *)
   mr_dynamic_moves : int;
   mr_static_moves : int;
-  mr_cut_edges : float option;  (** [gdp.cut_edges] gauge (GDP only) *)
-  mr_inserted_moves : int option;  (** [moves.inserted] counter *)
+  mr_cut_edges : int option;
+      (** GDP's graph-partition cut ([Methods.outcome]'s [cut_edges]);
+          [None] for the other methods *)
+  mr_inserted_moves : int;
+      (** moves inserted into the clustered program: the entries of its
+          [move_routes], which the [moves.inserted] counter also adds *)
   mr_totals : Vliw_sched.Attrib.totals;
   mr_occupancy : Vliw_sched.Occupancy.t option;
       (** whole-program occupancy, weighted by block execution counts;
@@ -45,8 +50,9 @@ type t = {
     the identity is an invariant, not a best-effort statistic. *)
 val explain : machine:Vliw_machine.t -> Gdp_core.Pipeline.prepared -> t
 
-(** [explain] on [prepare_default], memoized by (benchmark, machine
-    name).  The memo is bounded: it resets when it reaches 256 entries. *)
+(** [explain] on [prepare_default], memoized by (benchmark, machine),
+    the machine keyed by its [Vliw_machine.pp] rendering.  The memo is
+    bounded: it resets when it reaches 256 entries. *)
 val explain_machine : machine:Vliw_machine.t -> Benchsuite.Bench_intf.t -> t
 
 (** [explain_machine] on the paper machine at the given move latency. *)

@@ -68,9 +68,7 @@ val check_identity : totals -> string option
 (** Statically attribute a whole clustered program, weighting each
     block by its profiled execution count — the same methodology as
     [Perf.evaluate], so [t_cycles] equals [Perf.total_cycles] (and the
-    simulator's cycle count whenever [Pipeline.verify] passes).
-    Per-block cycle counts are fed into the ["sched.block_cycles"]
-    telemetry histogram by [Perf.evaluate]. *)
+    simulator's cycle count whenever [Pipeline.verify] passes). *)
 val of_clustered :
   machine:Vliw_machine.t ->
   Move_insert.clustered ->

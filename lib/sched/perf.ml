@@ -17,7 +17,6 @@ let evaluate ~(machine : Vliw_machine.t) (c : Move_insert.clustered)
   Telemetry.with_span "schedule" @@ fun () ->
   let total = ref 0 and dyn_moves = ref 0 and static_moves = ref 0 in
   let static_length = ref 0 in
-  let telemetry = Telemetry.is_enabled () in
   Schedule.iter
     (fun f b sched ->
       let len = List_sched.length sched in
@@ -34,14 +33,11 @@ let evaluate ~(machine : Vliw_machine.t) (c : Move_insert.clustered)
       total := !total + (len * count);
       dyn_moves := !dyn_moves + (moves * count);
       static_moves := !static_moves + moves;
-      static_length := !static_length + len;
-      if telemetry then Telemetry.observe "sched.block_cycles" (float len))
+      static_length := !static_length + len)
     (Move_insert.schedule ~machine ?objects_of c);
-  if telemetry then begin
-    Telemetry.set_gauge "sched.total_cycles" (float !total);
-    Telemetry.set_gauge "sched.dynamic_moves" (float !dyn_moves);
-    Telemetry.set_gauge "sched.static_schedule_length" (float !static_length)
-  end;
+  Telemetry.incr "sched.total_cycles" ~by:!total;
+  Telemetry.incr "sched.dynamic_moves" ~by:!dyn_moves;
+  Telemetry.incr "sched.static_schedule_length" ~by:!static_length;
   {
     total_cycles = !total;
     dynamic_moves = !dyn_moves;

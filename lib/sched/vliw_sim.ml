@@ -702,11 +702,9 @@ let run ?(fuel = 5_000_000) (c : Move_insert.clustered)
   let st = init machine c ~objects_of ~input ~fuel in
   let main = func_of st (Func.name (Prog.main c.Move_insert.cprog)) in
   let (_ : I.value option) = exec_func st main [] in
-  if Telemetry.is_enabled () then begin
-    Telemetry.incr "sim.blocks_executed" ~by:(fuel - st.fuel);
-    Telemetry.set_gauge "sim.cycles" (float st.cycles);
-    Telemetry.set_gauge "sim.dynamic_moves" (float st.moves)
-  end;
+  Telemetry.incr "sim.blocks_executed" ~by:(fuel - st.fuel);
+  Telemetry.incr "sim.cycles" ~by:st.cycles;
+  Telemetry.incr "sim.dynamic_moves" ~by:st.moves;
   {
     outputs = List.rev st.outputs_rev;
     cycles = st.cycles;

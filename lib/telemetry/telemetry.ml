@@ -4,10 +4,10 @@
     owned by the main domain — [with_span]/[span_arg]/[record_span]
     called from a [Par] worker domain run their body without recording
     (a worker's spans would otherwise interleave into a foreign stack).
-    Counters, gauges and histograms ARE recorded from workers: the two
-    metric tables are guarded by [metrics_lock], so concurrent
-    [incr]/[observe] merge instead of racing.  On OCaml 4.x the lock
-    compiles to a no-op and every call site behaves exactly as before.
+    Counters ARE recorded from workers: the counter table is guarded by
+    [metrics_lock], so concurrent [incr]s merge instead of racing.  On
+    OCaml 4.x the lock compiles to a no-op and every call site behaves
+    exactly as before.
 
     [enable]/[disable]/[reset]/[capture]/[snapshot] are main-domain
     operations; call them outside parallel regions. *)
@@ -25,38 +25,7 @@ type span = {
   args : (string * string) list;
 }
 
-type metric = Counter of int | Gauge of float
-
-type hist = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : int array;
-}
-
-(* Bucket 0 holds values below 1, bucket i holds [2^(i-1), 2^i), the
-   last bucket is open-ended: 40 buckets cover up to 2^38 (~4.5 days in
-   microseconds, ~10^11 cycles), plenty for span durations and block
-   cycle counts alike. *)
-let hist_buckets = 40
-
-let hist_bucket_bounds i =
-  if i < 0 || i >= hist_buckets then
-    invalid_arg (Printf.sprintf "Telemetry.hist_bucket_bounds: %d" i)
-  else if i = 0 then (0., 1.)
-  else if i = hist_buckets - 1 then (Float.of_int (1 lsl (i - 1)), infinity)
-  else (Float.of_int (1 lsl (i - 1)), Float.of_int (1 lsl i))
-
-let bucket_of v =
-  if not (v >= 1.) (* also catches NaN *) then 0
-  else min (hist_buckets - 1) (1 + int_of_float (Float.log2 v))
-
-type snapshot = {
-  spans : span list;
-  metrics : (string * metric) list;
-  hists : (string * hist) list;
-}
+type snapshot = { spans : span list; counters : (string * int) list }
 
 type open_span = {
   o_id : int;
@@ -66,21 +35,12 @@ type open_span = {
   mutable o_args : (string * string) list;
 }
 
-type hist_acc = {
-  mutable ha_count : int;
-  mutable ha_sum : float;
-  mutable ha_min : float;
-  mutable ha_max : float;
-  ha_buckets : int array;
-}
-
 type state = {
   mutable enabled : bool;
   mutable completed : span list;  (** reverse completion order *)
   mutable stack : open_span list;  (** innermost first *)
   mutable next_id : int;
-  table : (string, metric) Hashtbl.t;
-  hist_table : (string, hist_acc) Hashtbl.t;
+  table : (string, int) Hashtbl.t;
 }
 
 let fresh_state () =
@@ -90,14 +50,13 @@ let fresh_state () =
     stack = [];
     next_id = 0;
     table = Hashtbl.create 32;
-    hist_table = Hashtbl.create 16;
   }
 
 let st = ref (fresh_state ())
 
-(* Guards [table] and [hist_table] (the only state worker domains may
-   touch).  The enabled flag is read unlocked: it only flips outside
-   parallel regions, and a stale read merely skips/records one sample. *)
+(* Guards [table] (the only state worker domains may touch).  The
+   enabled flag is read unlocked: it only flips outside parallel
+   regions, and a stale read merely skips/records one increment. *)
 let metrics_lock = Par.Lock.create ()
 
 let default_clock () = Unix.gettimeofday () *. 1e6
@@ -118,53 +77,19 @@ let reset () =
   let s = !st in
   s.completed <- [];
   s.next_id <- 0;
-  Par.Lock.with_lock metrics_lock (fun () ->
-      Hashtbl.reset s.table;
-      Hashtbl.reset s.hist_table)
+  Par.Lock.with_lock metrics_lock (fun () -> Hashtbl.reset s.table)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 
-let observe_in (s : state) name v =
-  let acc =
-    match Hashtbl.find_opt s.hist_table name with
-    | Some acc -> acc
-    | None ->
-        let acc =
-          {
-            ha_count = 0;
-            ha_sum = 0.;
-            ha_min = infinity;
-            ha_max = neg_infinity;
-            ha_buckets = Array.make hist_buckets 0;
-          }
-        in
-        Hashtbl.replace s.hist_table name acc;
-        acc
-  in
-  acc.ha_count <- acc.ha_count + 1;
-  acc.ha_sum <- acc.ha_sum +. v;
-  acc.ha_min <- Float.min acc.ha_min v;
-  acc.ha_max <- Float.max acc.ha_max v;
-  let b = bucket_of v in
-  acc.ha_buckets.(b) <- acc.ha_buckets.(b) + 1
-
-let observe name v =
-  let s = !st in
-  if s.enabled then
-    Par.Lock.with_lock metrics_lock (fun () -> observe_in s name v)
-
 let close_span (s : state) (o : open_span) ~end_us =
-  let dur_us = Float.max 0. (end_us -. o.o_start) in
-  Par.Lock.with_lock metrics_lock (fun () ->
-      observe_in s ("span_us:" ^ o.o_name) dur_us);
   s.completed <-
     {
       id = o.o_id;
       parent = o.o_parent;
       name = o.o_name;
       start_us = o.o_start;
-      dur_us;
+      dur_us = Float.max 0. (end_us -. o.o_start);
       args = List.rev o.o_args;
     }
     :: s.completed
@@ -219,8 +144,6 @@ let record_span ?(args = []) name ~start_us ~dur_us =
     s.next_id <- id + 1;
     let parent = match s.stack with [] -> None | o :: _ -> Some o.o_id in
     let dur_us = Float.max 0. dur_us in
-    Par.Lock.with_lock metrics_lock (fun () ->
-        observe_in s ("span_us:" ^ name) dur_us);
     s.completed <- { id; parent; name; start_us; dur_us; args } :: s.completed
   end
 
@@ -230,7 +153,7 @@ let timed name f =
   (r, (!clock () -. t0) /. 1e6)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
+(* Counters                                                            *)
 
 let incr ?(by = 1) name =
   if by < 0 then
@@ -239,26 +162,12 @@ let incr ?(by = 1) name =
   let s = !st in
   if s.enabled then
     Par.Lock.with_lock metrics_lock (fun () ->
-        match Hashtbl.find_opt s.table name with
-        | None -> Hashtbl.replace s.table name (Counter by)
-        | Some (Counter v) -> Hashtbl.replace s.table name (Counter (v + by))
-        | Some (Gauge _) ->
-            invalid_arg ("Telemetry.incr: " ^ name ^ " is a gauge"))
-
-let set_gauge name v =
-  let s = !st in
-  if s.enabled then
-    Par.Lock.with_lock metrics_lock (fun () ->
-        match Hashtbl.find_opt s.table name with
-        | None | Some (Gauge _) -> Hashtbl.replace s.table name (Gauge v)
-        | Some (Counter _) ->
-            invalid_arg ("Telemetry.set_gauge: " ^ name ^ " is a counter"))
+        Hashtbl.replace s.table name
+          (by + Option.value ~default:0 (Hashtbl.find_opt s.table name)))
 
 let counter_value name =
   Par.Lock.with_lock metrics_lock (fun () ->
-      match Hashtbl.find_opt !st.table name with
-      | Some (Counter v) -> v
-      | Some (Gauge _) | None -> 0)
+      Option.value ~default:0 (Hashtbl.find_opt !st.table name))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -271,25 +180,12 @@ let snapshot () : snapshot =
         match compare a.start_us b.start_us with 0 -> compare a.id b.id | c -> c)
       s.completed
   in
-  let metrics, hists =
+  let counters =
     Par.Lock.with_lock metrics_lock (fun () ->
-        ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.table []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b),
-          Hashtbl.fold
-            (fun k (a : hist_acc) acc ->
-              ( k,
-                {
-                  h_count = a.ha_count;
-                  h_sum = a.ha_sum;
-                  h_min = a.ha_min;
-                  h_max = a.ha_max;
-                  h_buckets = Array.copy a.ha_buckets;
-                } )
-              :: acc)
-            s.hist_table []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b) ))
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.table [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { spans; metrics; hists }
+  { spans; counters }
 
 let capture f =
   let saved = !st in
@@ -309,17 +205,7 @@ module Snapshot = struct
     List.fold_left (fun a sp -> a +. sp.dur_us) 0. (spans_named snap name)
     /. 1e6
 
-  let find_counter snap name =
-    match List.assoc_opt name snap.metrics with
-    | Some (Counter v) -> Some v
-    | _ -> None
-
-  let find_gauge snap name =
-    match List.assoc_opt name snap.metrics with
-    | Some (Gauge v) -> Some v
-    | _ -> None
-
-  let find_hist snap name = List.assoc_opt name snap.hists
+  let find_counter snap name = List.assoc_opt name snap.counters
 
   let children snap sp =
     List.filter (fun c -> c.parent = Some sp.id) snap.spans
@@ -403,23 +289,18 @@ module Sink = struct
          ]
         @ if sp.args = [] then [] else [ ("args", args_json sp.args) ])
     in
-    let counter (name, m) =
+    let counter (name, v) =
       event
         [
           ("ph", Minijson.str "C");
           ("name", Minijson.str name);
           ("ts", finite end_ts);
-          ( "args",
-            Minijson.obj
-              [
-                ( "value",
-                  match m with Counter v -> Minijson.int v | Gauge v -> finite v );
-              ] );
+          ("args", Minijson.obj [ ("value", Minijson.int v) ]);
         ]
     in
     (* one event per line *)
     let events =
-      (meta :: List.map complete snap.spans) @ List.map counter snap.metrics
+      (meta :: List.map complete snap.spans) @ List.map counter snap.counters
     in
     Format.pp_print_string ppf
       ("{\"traceEvents\":["
@@ -438,9 +319,9 @@ module Sink = struct
   let write_chrome_trace path snap =
     with_out_file path (fun ppf -> chrome_trace ppf snap);
     Log.info (fun m ->
-        m "wrote Chrome trace (%d spans, %d metrics) to %s"
+        m "wrote Chrome trace (%d spans, %d counters) to %s"
           (List.length snap.spans)
-          (List.length snap.metrics)
+          (List.length snap.counters)
           path)
 
   (* ---------------------------------------------------------------- *)
@@ -517,103 +398,25 @@ module Sink = struct
       List.iter (render 0) (aggregate kids roots)
     end
 
-  let metrics_table ppf (snap : snapshot) =
-    if snap.metrics <> [] then begin
-      Fmt.pf ppf "%-42s %12s@." "metric" "value";
+  let counter_table ppf (snap : snapshot) =
+    if snap.counters <> [] then begin
+      Fmt.pf ppf "%-42s %12s@." "counter" "value";
       List.iter
-        (fun (name, m) ->
-          match m with
-          | Counter v -> Fmt.pf ppf "%-42s %12d@." name v
-          | Gauge v -> Fmt.pf ppf "%-42s %12.4f@." name v)
-        snap.metrics
-    end
-
-  (** One line per non-empty bucket, bar lengths proportional to the
-      bucket's share of the histogram's observations. *)
-  let histograms ppf (snap : snapshot) =
-    if snap.hists <> [] then begin
-      Fmt.pf ppf "%-42s %12s %12s %12s %12s@." "histogram" "count" "mean"
-        "min" "max";
-      List.iter
-        (fun (name, h) ->
-          let mean = if h.h_count = 0 then 0. else h.h_sum /. float h.h_count in
-          Fmt.pf ppf "%-42s %12d %12.2f %12.2f %12.2f@." name h.h_count mean
-            (if h.h_count = 0 then 0. else h.h_min)
-            (if h.h_count = 0 then 0. else h.h_max);
-          Array.iteri
-            (fun i n ->
-              if n > 0 then begin
-                let lo, hi = hist_bucket_bounds i in
-                let share = float n /. float (max 1 h.h_count) in
-                let bar = String.make (int_of_float (share *. 40.)) '#' in
-                if Float.is_integer hi && hi < 1e18 then
-                  Fmt.pf ppf "  [%12.0f, %12.0f) %8d |%s@." lo hi n bar
-                else Fmt.pf ppf "  [%12.0f,          inf) %8d |%s@." lo n bar
-              end)
-            h.h_buckets)
-        snap.hists
+        (fun (name, v) -> Fmt.pf ppf "%-42s %12d@." name v)
+        snap.counters
     end
 
   let summary ppf snap =
     span_tree ppf snap;
-    if snap.metrics <> [] then Fmt.pf ppf "@.";
-    metrics_table ppf snap;
-    if snap.hists <> [] then Fmt.pf ppf "@.";
-    histograms ppf snap
-
-  let metrics_csv ppf (snap : snapshot) =
-    Fmt.pf ppf "name,kind,value@.";
-    List.iter
-      (fun (name, m) ->
-        let quote s =
-          if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-            "\""
-            ^ String.concat "\"\"" (String.split_on_char '"' s)
-            ^ "\""
-          else s
-        in
-        match m with
-        | Counter v -> Fmt.pf ppf "%s,counter,%d@." (quote name) v
-        | Gauge v -> Fmt.pf ppf "%s,gauge,%.6f@." (quote name) v)
-      snap.metrics
-
-  let write_metrics_csv path snap =
-    with_out_file path (fun ppf -> metrics_csv ppf snap);
-    Log.info (fun m ->
-        m "wrote %d metrics to %s" (List.length snap.metrics) path)
-
-  let csv_quote s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-    else s
-
-  let histograms_csv ppf (snap : snapshot) =
-    Fmt.pf ppf "name,bucket_lo,bucket_hi,count@.";
-    List.iter
-      (fun (name, h) ->
-        Array.iteri
-          (fun i n ->
-            if n > 0 then begin
-              let lo, hi = hist_bucket_bounds i in
-              Fmt.pf ppf "%s,%.0f,%s,%d@." (csv_quote name) lo
-                (if hi = infinity then "inf" else Fmt.str "%.0f" hi)
-                n
-            end)
-          h.h_buckets)
-      snap.hists
-
-  let write_histograms_csv path snap =
-    with_out_file path (fun ppf -> histograms_csv ppf snap);
-    Log.info (fun m ->
-        m "wrote %d histograms to %s" (List.length snap.hists) path)
+    if snap.counters <> [] then Fmt.pf ppf "@.";
+    counter_table ppf snap
 
   let write_summary path snap =
     with_out_file path (fun ppf -> summary ppf snap);
     Log.info (fun m ->
-        m "wrote summary (%d spans, %d metrics, %d histograms) to %s"
+        m "wrote summary (%d spans, %d counters) to %s"
           (List.length snap.spans)
-          (List.length snap.metrics)
-          (List.length snap.hists)
+          (List.length snap.counters)
           path)
 end
 

@@ -1,23 +1,28 @@
-(** Pipeline-wide tracing and metrics.
+(** Pipeline-wide tracing and counters.
 
-    A global telemetry registry: hierarchical wall-clock spans
-    ([with_span]), monotonic counters and gauges, and pluggable sinks — a Chrome trace-event JSON exporter (open the file in
-    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}), a
-    plain-text span-tree summary with self/total times, and a CSV metrics
-    dump.
+    A global telemetry registry of two kinds of fact: hierarchical
+    wall-clock spans ([with_span], annotated with [span_arg]) and
+    monotonic integer counters ([incr]), each of which reads as a sum
+    over the recording.  A fact about one compile (its cut edges, its
+    cycle count) travels in the value that computes it; its counter
+    adds it into the run's total.  Two sinks render a snapshot: a
+    Chrome trace-event JSON exporter (open the file in
+    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}) and a
+    plain-text span tree with self/total times followed by the
+    counters.
 
     Telemetry is disabled by default and near-zero-cost in that state:
     every recording entry point checks one boolean and returns.  Enable
     it around the region of interest (or use [capture] for an isolated
     recording), then render a [snapshot] through a sink.
 
-    Domain safety (see [Par]): counters, gauges and histograms may be
-    recorded from worker domains — the metric tables are lock-guarded,
-    so concurrent [incr]/[observe] merge exactly.  Span recording stays
-    on the main domain: [with_span] called from a worker just runs its
-    body (workers' spans are dropped rather than interleaved into the
-    main stack).  [enable]/[disable]/[reset]/[snapshot]/[capture] are
-    main-domain operations; call them outside parallel regions.
+    Domain safety (see [Par]): counters may be recorded from worker
+    domains — the counter table is lock-guarded, so concurrent [incr]s
+    merge exactly.  Span recording stays on the main domain: [with_span]
+    called from a worker just runs its body (workers' spans are dropped
+    rather than interleaved into the main stack).
+    [enable]/[disable]/[reset]/[snapshot]/[capture] are main-domain
+    operations; call them outside parallel regions.
 
     Diagnostic messages go through the [Logs] library under the
     ["telemetry"] source. *)
@@ -31,33 +36,9 @@ type span = {
   args : (string * string) list;  (** free-form key/value annotations *)
 }
 
-type metric =
-  | Counter of int  (** monotonic: only ever incremented *)
-  | Gauge of float  (** last-write-wins *)
-
-type hist = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** +inf when empty *)
-  h_max : float;  (** -inf when empty *)
-  h_buckets : int array;  (** fixed log2 buckets, [hist_buckets] long *)
-}
-(** A distribution over fixed log-scale buckets: bucket 0 holds values
-    below 1, bucket [i] holds values in [2^(i-1), 2^i), the last bucket
-    is open-ended.  Histograms live in their own namespace, separate
-    from counters and gauges. *)
-
-(** Number of buckets in every histogram. *)
-val hist_buckets : int
-
-(** Inclusive lower / exclusive upper value bound of a bucket (the last
-    bucket's upper bound is [infinity]). *)
-val hist_bucket_bounds : int -> float * float
-
 type snapshot = {
   spans : span list;  (** completed spans, in start order *)
-  metrics : (string * metric) list;  (** sorted by name *)
-  hists : (string * hist) list;  (** sorted by name *)
+  counters : (string * int) list;  (** sorted by name *)
 }
 
 (** {1 Recording state} *)
@@ -66,7 +47,7 @@ val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
 
-(** Drop all recorded spans and metrics (open spans survive). *)
+(** Drop all recorded spans and counters (open spans survive). *)
 val reset : unit -> unit
 
 (** Override the clock (microsecond readings) — for deterministic tests.
@@ -84,22 +65,13 @@ val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     or when no span is open). *)
 val span_arg : string -> string -> unit
 
-(** Increment a monotonic counter.  Raises [Invalid_argument] on a
-    negative increment or if [name] is already a gauge. *)
+(** Add [by] (default 1) to a monotonic counter, which reads as the
+    sum over the recording.  Raises [Invalid_argument] on a negative
+    increment. *)
 val incr : ?by:int -> string -> unit
-
-(** Set a gauge.  Raises [Invalid_argument] if [name] is already a
-    counter. *)
-val set_gauge : string -> float -> unit
 
 (** Current value of a counter (0 when unknown). *)
 val counter_value : string -> int
-
-(** Record one observation into a log-scale histogram (no-op when
-    disabled).  Span durations are observed automatically under
-    ["span_us:<name>"] when a span closes; attribution code feeds
-    per-block cycle counts the same way. *)
-val observe : string -> float -> unit
 
 (** Microsecond reading of the telemetry clock, for callers that
     measure an interval themselves and record it with [record_span]. *)
@@ -126,7 +98,7 @@ val timed : string -> (unit -> 'a) -> 'a * float
 
 (** {1 Snapshots} *)
 
-(** The completed spans and metrics recorded so far. *)
+(** The completed spans and counters recorded so far. *)
 val snapshot : unit -> snapshot
 
 (** [capture f] runs [f] with telemetry enabled on a fresh, private
@@ -142,8 +114,6 @@ module Snapshot : sig
   val total_seconds : snapshot -> string -> float
 
   val find_counter : snapshot -> string -> int option
-  val find_gauge : snapshot -> string -> float option
-  val find_hist : snapshot -> string -> hist option
 
   (** Direct children of a span, in start order. *)
   val children : snapshot -> span -> span list
@@ -167,7 +137,7 @@ val span_of_json : Minijson.t -> span option
 
 module Sink : sig
   (** Chrome trace-event JSON (one complete ["X"] event per span, one
-      ["C"] counter sample per metric).  Load in [chrome://tracing] or
+      ["C"] counter sample per counter).  Load in [chrome://tracing] or
       Perfetto. *)
   val chrome_trace : Format.formatter -> snapshot -> unit
 
@@ -178,35 +148,22 @@ module Sink : sig
       counts. *)
   val span_tree : Format.formatter -> snapshot -> unit
 
-  val metrics_table : Format.formatter -> snapshot -> unit
+  (** Plain-text counter table, sorted by name. *)
+  val counter_table : Format.formatter -> snapshot -> unit
 
-  (** Plain-text rendering of every histogram: count/mean/min/max and
-      the non-empty buckets with hash-bar proportions. *)
-  val histograms : Format.formatter -> snapshot -> unit
-
-  (** [span_tree] followed by [metrics_table] and [histograms]. *)
+  (** [span_tree] followed by [counter_table]: what [gdpc --stats]
+      prints. *)
   val summary : Format.formatter -> snapshot -> unit
 
   (** [summary] to a file, so CI can archive stats without scraping
       stdout (the [gdpc --stats-file] backend). *)
   val write_summary : string -> snapshot -> unit
-
-  (** CSV dump of the metrics: [name,kind,value] with a header row. *)
-  val metrics_csv : Format.formatter -> snapshot -> unit
-
-  val write_metrics_csv : string -> snapshot -> unit
-
-  (** CSV dump of the histograms: one row per non-empty bucket,
-      [name,bucket_lo,bucket_hi,count] with a header row. *)
-  val histograms_csv : Format.formatter -> snapshot -> unit
-
-  val write_histograms_csv : string -> snapshot -> unit
 end
 
 (** {1 Sliding-window histograms}
 
-    The live-metrics counterpart of the cumulative histograms above: a
-    ring of time slots (default 6 slots of 10 s — a one-minute sliding
+    gdpcd's live latency and queue-depth distributions: a ring of time
+    slots (default 6 slots of 10 s — a one-minute sliding
     window) whose stale slots expire as the clock advances, so
     [quantile] always answers over recent observations only.  Values go
     into sub-octave log-scale buckets (4 per octave); a quantile
@@ -217,7 +174,7 @@ end
 
     Mutation and reads are guarded by a per-instance [Par.Lock], so
     worker domains may observe concurrently (same contract as the
-    global metric tables).  Instances are independent of the global
+    global counter table).  Instances are independent of the global
     telemetry state: they record even when telemetry is disabled. *)
 module Winhist : sig
   type t

@@ -326,18 +326,17 @@ let test_disabled_is_noop () =
   let ran = ref false in
   let r = Telemetry.with_span "ghost" (fun () -> ran := true; 41 + 1) in
   Telemetry.incr "ghost.counter";
-  Telemetry.set_gauge "ghost.gauge" 1.0;
   Telemetry.span_arg "k" "v";
   Alcotest.(check bool) "body ran" true !ran;
   Alcotest.(check int) "result passed through" 42 r;
   let snap = Telemetry.snapshot () in
   Alcotest.(check int) "no spans" 0 (List.length snap.Telemetry.spans);
-  Alcotest.(check int) "no metrics" 0 (List.length snap.Telemetry.metrics);
+  Alcotest.(check int) "no counters" 0 (List.length snap.Telemetry.counters);
   Alcotest.(check int) "counter reads 0" 0
     (Telemetry.counter_value "ghost.counter")
 
 (* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
+(* Counters                                                            *)
 
 let test_counter_monotonicity () =
   let (), snap =
@@ -351,108 +350,25 @@ let test_counter_monotonicity () =
         | exception Invalid_argument _ -> ());
         Alcotest.(check int) "unchanged after rejected decrement" 5
           (Telemetry.counter_value "c");
-        Telemetry.set_gauge "g" 2.5;
-        Telemetry.set_gauge "g" 1.5;
-        (match Telemetry.set_gauge "c" 0. with
-        | () -> Alcotest.fail "gauge write to a counter accepted"
-        | exception Invalid_argument _ -> ());
-        match Telemetry.incr "g" with
-        | () -> Alcotest.fail "counter increment of a gauge accepted"
-        | exception Invalid_argument _ -> ())
+        (* a per-compile fact, such as a compile's cycle count, is a
+           counter too: two compiles read as their sum *)
+        Telemetry.incr "sched.total_cycles" ~by:100;
+        Telemetry.incr "sched.total_cycles" ~by:23)
   in
   Alcotest.(check (option int)) "counter in snapshot" (Some 5)
     (Telemetry.Snapshot.find_counter snap "c");
-  Alcotest.(check (option (float 1e-9))) "gauge last-write-wins" (Some 1.5)
-    (Telemetry.Snapshot.find_gauge snap "g")
+  Alcotest.(check (option int)) "per-compile facts sum" (Some 123)
+    (Telemetry.Snapshot.find_counter snap "sched.total_cycles");
+  Alcotest.(check (list string)) "snapshot sorted by name"
+    [ "c"; "sched.total_cycles" ]
+    (List.map fst snap.Telemetry.counters)
 
-(* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-
-let test_histogram_buckets () =
+let test_summary_file () =
   let (), snap =
     Telemetry.capture (fun () ->
-        List.iter (Telemetry.observe "lat") [ 0.5; 1.0; 3.0; 1000.0 ])
-  in
-  match Telemetry.Snapshot.find_hist snap "lat" with
-  | None -> Alcotest.fail "histogram not in snapshot"
-  | Some h ->
-      Alcotest.(check int) "count" 4 h.Telemetry.h_count;
-      Alcotest.(check (float 1e-9)) "sum" 1004.5 h.Telemetry.h_sum;
-      Alcotest.(check (float 1e-9)) "min" 0.5 h.Telemetry.h_min;
-      Alcotest.(check (float 1e-9)) "max" 1000.0 h.Telemetry.h_max;
-      Alcotest.(check int) "bucket total equals count" h.Telemetry.h_count
-        (Array.fold_left ( + ) 0 h.Telemetry.h_buckets);
-      (* every observation landed in the bucket whose bounds contain it *)
-      List.iter
-        (fun v ->
-          let hit = ref false in
-          Array.iteri
-            (fun i n ->
-              let lo, hi = Telemetry.hist_bucket_bounds i in
-              if n > 0 && v >= lo && v < hi then hit := true)
-            h.Telemetry.h_buckets;
-          Alcotest.(check bool)
-            (Printf.sprintf "%.1f in a covering bucket" v)
-            true !hit)
-        [ 0.5; 1.0; 3.0; 1000.0 ]
-
-let test_histogram_bounds_partition () =
-  (* buckets tile [0, inf): contiguous, increasing, first starts at 0 *)
-  let prev_hi = ref 0. in
-  for i = 0 to Telemetry.hist_buckets - 1 do
-    let lo, hi = Telemetry.hist_bucket_bounds i in
-    Alcotest.(check (float 1e-9))
-      (Printf.sprintf "bucket %d contiguous" i)
-      !prev_hi lo;
-    Alcotest.(check bool) "bounds ordered" true (lo < hi);
-    prev_hi := hi
-  done;
-  Alcotest.(check bool) "last bucket open-ended" true
-    (snd (Telemetry.hist_bucket_bounds (Telemetry.hist_buckets - 1))
-    = infinity)
-
-let test_observe_disabled_is_noop () =
-  Telemetry.disable ();
-  Telemetry.reset ();
-  Telemetry.observe "ghost.hist" 5.0;
-  let snap = Telemetry.snapshot () in
-  Alcotest.(check int) "no histograms" 0 (List.length snap.Telemetry.hists)
-
-let test_span_durations_observed () =
-  with_fake_clock @@ fun () ->
-  let (), snap =
-    Telemetry.capture (fun () ->
-        Telemetry.with_span "work" (fun () -> ());
-        Telemetry.with_span "work" (fun () -> ()))
-  in
-  match Telemetry.Snapshot.find_hist snap "span_us:work" with
-  | None -> Alcotest.fail "span duration histogram missing"
-  | Some h -> Alcotest.(check int) "one observation per span" 2 h.Telemetry.h_count
-
-let test_histograms_csv_and_summary_file () =
-  let (), snap =
-    Telemetry.capture (fun () ->
-        Telemetry.observe "prep.us" 2.0;
-        Telemetry.observe "prep.us" 2.5;
+        Telemetry.with_span "prep" (fun () -> ());
         Telemetry.incr "boot.count")
   in
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Telemetry.Sink.histograms_csv ppf snap;
-  Format.pp_print_flush ppf ();
-  let lines =
-    String.split_on_char '\n' (String.trim (Buffer.contents buf))
-  in
-  (match lines with
-  | header :: rows ->
-      Alcotest.(check string)
-        "csv header" "name,bucket_lo,bucket_hi,count" header;
-      Alcotest.(check bool) "one non-empty bucket row" true
-        (List.exists
-           (fun r ->
-             String.length r >= 8 && String.sub r 0 8 = "prep.us,")
-           rows)
-  | [] -> Alcotest.fail "empty csv");
   let path = Filename.temp_file "gdp_stats" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -466,10 +382,9 @@ let test_histograms_csv_and_summary_file () =
         let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
         go 0
       in
+      Alcotest.(check bool) "summary lists the span" true (contains "prep");
       Alcotest.(check bool) "summary lists the counter" true
-        (contains "boot.count");
-      Alcotest.(check bool) "summary lists the histogram" true
-        (contains "prep.us"))
+        (contains "boot.count"))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace exporter property                                      *)
@@ -518,7 +433,7 @@ let chrome_trace_parses =
                 List.iter replay forest;
                 Telemetry.incr "events.total"
                   ~by:(List.fold_left (fun a t -> a + count_nodes t) 0 forest);
-                Telemetry.set_gauge "a \"quoted\"\ngauge" 1.25))
+                Telemetry.incr "a \"quoted\"\ncounter"))
       in
       let json = Json.parse (render_chrome snap) in
       let events =
@@ -621,13 +536,103 @@ let test_pipeline_records_stage_spans () =
     (match Telemetry.Snapshot.find_counter snap "rhop.iterations" with
     | Some n -> n > 0
     | None -> false);
-  Alcotest.(check bool) "partition quality gauges present" true
-    (Telemetry.Snapshot.find_gauge snap "gdp.cut_edges" <> None
-    && Telemetry.Snapshot.find_gauge snap "sched.total_cycles" <> None);
+  Alcotest.(check bool) "partition quality counters present" true
+    (Telemetry.Snapshot.find_counter snap "gdp.cut_edges" <> None
+    && Telemetry.Snapshot.find_counter snap "sched.total_cycles" <> None);
   (* the trace of a real pipeline run is valid JSON too *)
   match Json.parse (render_chrome snap) with
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "pipeline trace did not parse as a JSON object"
+
+(* A compile's facts travel in its result, and their counters add the
+   results up: over twelve verified compiles the cycle, move and cut
+   counters equal the sums of what the compiles returned. *)
+let test_counters_add_up () =
+  let module P = Gdp_core.Pipeline in
+  let evals, snap =
+    Telemetry.capture (fun () ->
+        List.concat_map
+          (fun name ->
+            let prepared = P.prepare_default (Benchsuite.Suite.find name) in
+            let ctx = P.context prepared in
+            List.map
+              (fun m ->
+                match
+                  P.run ~prepared ~ctx
+                    ~mode:(P.Checked { verify = true })
+                    (P.Settings.default m)
+                with
+                | Ok (P.Evaluated e) -> e
+                | Ok (P.Degraded _) -> Alcotest.fail "Checked run degraded"
+                | Error msg -> Alcotest.fail msg)
+              Partition.Methods.all)
+          [ "fir"; "rawcaudio"; "iirflt" ])
+  in
+  let counter name =
+    Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name)
+  in
+  let sum f =
+    List.fold_left (fun acc (e : P.evaluation) -> acc + f e) 0 evals
+  in
+  let cycles = sum (fun e -> e.P.report.Vliw_sched.Perf.total_cycles) in
+  Alcotest.(check bool) "compiles ran" true (cycles > 0);
+  Alcotest.(check int) "sched.total_cycles sums the reports" cycles
+    (counter "sched.total_cycles");
+  Alcotest.(check int) "sched.dynamic_moves sums the reports"
+    (sum (fun e -> e.P.report.Vliw_sched.Perf.dynamic_moves))
+    (counter "sched.dynamic_moves");
+  Alcotest.(check int) "sim.cycles equals sched.total_cycles" cycles
+    (counter "sim.cycles");
+  Alcotest.(check int) "gdp.cut_edges sums the outcomes"
+    (sum (fun e ->
+         Option.value ~default:0 e.P.outcome.Partition.Methods.cut_edges))
+    (counter "gdp.cut_edges")
+
+(* [Explain.explain] runs its four compiles in the caller's recording:
+   the partitioner's spans and counters show under [explain]. *)
+let test_explain_records_its_compiles () =
+  let prepared =
+    Gdp_core.Pipeline.prepare_default (Benchsuite.Suite.find "fir")
+  in
+  let e, snap =
+    Telemetry.capture (fun () ->
+        Gdp_report.Explain.explain
+          ~machine:(Vliw_machine.paper_machine ~move_latency:5 ())
+          prepared)
+  in
+  let spans name = Telemetry.Snapshot.spans_named snap name in
+  Alcotest.(check int) "one graph-partition span (GDP)" 1
+    (List.length (spans "graph-partition"));
+  Alcotest.(check int)
+    "five rhop spans (GDP 1, Profile Max 2, Naive 1, Unified 1)" 5
+    (List.length (spans "rhop"));
+  let explain_id =
+    match spans "explain" with
+    | [ sp ] -> sp.Telemetry.id
+    | _ -> Alcotest.fail "expected one explain span"
+  in
+  let by_id = Hashtbl.create 256 in
+  List.iter
+    (fun (sp : Telemetry.span) -> Hashtbl.replace by_id sp.Telemetry.id sp)
+    snap.Telemetry.spans;
+  let rec under_explain (sp : Telemetry.span) =
+    match sp.Telemetry.parent with
+    | Some p when p = explain_id -> true
+    | Some p -> under_explain (Hashtbl.find by_id p)
+    | None -> false
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " spans sit under explain") true
+        (spans name <> [] && List.for_all under_explain (spans name)))
+    [ "graph-partition"; "rhop"; "move-insert" ];
+  Alcotest.(check (option int)) "moves.inserted sums the rows"
+    (Some
+       (List.fold_left
+          (fun acc (r : Gdp_report.Explain.method_row) ->
+            acc + r.Gdp_report.Explain.mr_inserted_moves)
+          0 e.Gdp_report.Explain.ex_rows))
+    (Telemetry.Snapshot.find_counter snap "moves.inserted")
 
 (* ------------------------------------------------------------------ *)
 (* Winhist: sliding-window histograms                                  *)
@@ -790,19 +795,15 @@ let suite =
       test_disabled_is_noop;
     Alcotest.test_case "counter monotonicity and gauge kinds" `Quick
       test_counter_monotonicity;
-    Alcotest.test_case "histogram bucketing" `Quick test_histogram_buckets;
-    Alcotest.test_case "histogram bounds tile [0, inf)" `Quick
-      test_histogram_bounds_partition;
-    Alcotest.test_case "observe is a no-op when disabled" `Quick
-      test_observe_disabled_is_noop;
-    Alcotest.test_case "span durations feed a histogram" `Quick
-      test_span_durations_observed;
-    Alcotest.test_case "histogram CSV and summary file" `Quick
-      test_histograms_csv_and_summary_file;
+    Alcotest.test_case "summary file" `Quick test_summary_file;
     QCheck_alcotest.to_alcotest chrome_trace_parses;
     QCheck_alcotest.to_alcotest chrome_trace_roundtrips_names;
     Alcotest.test_case "pipeline records every stage span" `Quick
       test_pipeline_records_stage_spans;
+    Alcotest.test_case "counters add up over a run" `Quick
+      test_counters_add_up;
+    Alcotest.test_case "explain records its compiles" `Quick
+      test_explain_records_its_compiles;
     Alcotest.test_case "winhist quantiles within documented bound" `Quick
       test_winhist_quantiles_within_bound;
     Alcotest.test_case "winhist empty window and single value" `Quick
