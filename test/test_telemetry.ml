@@ -588,6 +588,51 @@ let test_counters_add_up () =
          Option.value ~default:0 e.P.outcome.Partition.Methods.cut_edges))
     (counter "gdp.cut_edges")
 
+(* [interp.steps] adds up every interpreter run: a verified compile
+   runs the reference profile and the check of the clustered program. *)
+let test_interp_steps_counter () =
+  let module P = Gdp_core.Pipeline in
+  let dir = Filename.dirname Sys.executable_name in
+  let source =
+    In_channel.with_open_bin
+      (Filename.concat dir "../examples/dotprod.c")
+      In_channel.input_all
+  in
+  let input = Array.init 8 (fun i -> i + 1) in
+  let (prepared, e), snap =
+    Telemetry.capture (fun () ->
+        let prepared =
+          P.prepare
+            {
+              Benchsuite.Bench_intf.name = "dotprod";
+              description = "dotprod";
+              source;
+              input;
+              exhaustive_ok = false;
+            }
+        in
+        match
+          P.run ~prepared
+            ~mode:(P.Checked { verify = true })
+            (P.Settings.default Partition.Methods.Gdp)
+        with
+        | Ok (P.Evaluated e) -> (prepared, e)
+        | Ok (P.Degraded _) -> Alcotest.fail "Checked run degraded"
+        | Error msg -> Alcotest.fail msg)
+  in
+  let reference = prepared.P.reference.Vliw_interp.Interp.steps in
+  let clustered =
+    (Vliw_interp.Interp.run
+       e.P.outcome.Partition.Methods.clustered.Vliw_sched.Move_insert.cprog
+       ~input)
+      .Vliw_interp.Interp.steps
+  in
+  Alcotest.(check bool) "the reference run took steps" true (reference > 0);
+  Alcotest.(check (option int))
+    "interp.steps is the reference steps plus the clustered steps"
+    (Some (reference + clustered))
+    (Telemetry.Snapshot.find_counter snap "interp.steps")
+
 (* [Explain.explain] runs its four compiles in the caller's recording:
    the partitioner's spans and counters show under [explain]. *)
 let test_explain_records_its_compiles () =
@@ -802,6 +847,8 @@ let suite =
       test_pipeline_records_stage_spans;
     Alcotest.test_case "counters add up over a run" `Quick
       test_counters_add_up;
+    Alcotest.test_case "interp.steps counts a verified compile's runs" `Quick
+      test_interp_steps_counter;
     Alcotest.test_case "explain records its compiles" `Quick
       test_explain_records_its_compiles;
     Alcotest.test_case "winhist quantiles within documented bound" `Quick
