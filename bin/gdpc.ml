@@ -931,32 +931,6 @@ let loadgen_cmd =
       & opt int 42
       & info [ "seed" ] ~docv:"N" ~doc:"Request-plan seed (reproducible).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the gdp-service-bench/1 summary JSON to $(docv).")
-  in
-  let check_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:
-            "Compare against a committed baseline (BENCH_service.json) and \
-             fail on throughput/latency/hit-rate regressions beyond \
-             --tolerance.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt float 200.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "Gate tolerance in percent (wall-clock numbers are noisy — \
-             default is deliberately loose).")
-  in
   let chaos_arg =
     Arg.(
       value
@@ -1003,8 +977,8 @@ let loadgen_cmd =
             "Durable artifact store for the private daemon.  Ignored with \
              --server.")
   in
-  let run obs server connections requests dup rate method_ seed jobs out check
-      tolerance chaos server_inject max_pending brownout store_dir =
+  let run obs server connections requests dup rate method_ seed jobs chaos
+      server_inject max_pending brownout store_dir =
     handle_errors (fun () ->
         (* the global --inject-seed seeds both --chaos and
            --server-inject, keeping a whole chaos run reproducible from
@@ -1078,38 +1052,6 @@ let loadgen_cmd =
             (Cli_error
                (Fmt.str "%d artifact mismatch(es): served bytes diverged"
                   s.Service.Loadgen.artifact_mismatches));
-        let json = Service.Loadgen.summary_to_json summary in
-        (match out with
-        | Some path ->
-            Minijson.write_file path json;
-            Fmt.pr "wrote %s@." path
-        | None -> ());
-        (match check with
-        | Some path -> (
-            match Gdp_report.Regress.load_service path with
-            | Error m -> raise (Cli_error m)
-            | Ok baseline -> (
-                match Gdp_report.Regress.service_of_json json with
-                | Error m -> raise (Cli_error m)
-                | Ok current ->
-                    let issues =
-                      Gdp_report.Regress.check_service ~tolerance ~baseline
-                        current
-                    in
-                    if issues = [] then
-                      Fmt.pr "service gate passed against %s (tolerance %g%%)@."
-                        path tolerance
-                    else begin
-                      List.iter
-                        (fun i ->
-                          Fmt.epr "regression: %a@." Gdp_report.Regress.pp_issue
-                            i)
-                        issues;
-                      raise
-                        (Cli_error
-                           (Fmt.str "service gate failed against %s" path))
-                    end))
-        | None -> ());
         finish_obs { obs with trace = None })
   in
   Cmd.v
@@ -1117,13 +1059,11 @@ let loadgen_cmd =
        ~doc:
          "Drive concurrent compile load at a gdpcd daemon (forking a \
           private one by default) and report throughput, latency \
-          percentiles and cache hit rate; optionally gate against a \
-          committed baseline.")
+          percentiles and cache hit rate.")
     Term.(
       const run $ obs_term $ server_arg $ connections_arg $ requests_arg
-      $ dup_arg $ rate_arg $ method_arg $ seed_arg $ jobs_arg $ out_arg
-      $ check_arg $ tolerance_arg $ chaos_arg $ server_inject_arg
-      $ lg_max_pending_arg $ lg_brownout_arg $ lg_store_arg)
+      $ dup_arg $ rate_arg $ method_arg $ seed_arg $ jobs_arg $ chaos_arg
+      $ server_inject_arg $ lg_max_pending_arg $ lg_brownout_arg $ lg_store_arg)
 
 (* ------------------------------------------------------------------ *)
 (* top / trace: observability consumers for a running daemon           *)

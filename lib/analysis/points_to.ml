@@ -139,7 +139,3 @@ let objects_of t op_id =
 
 (** Points-to set of a register. *)
 let points_to t ~func ~reg = find_pts t.pts (func, reg)
-
-(** All (op id, object set) facts for memory-touching operations. *)
-let fold_mem f acc t =
-  Hashtbl.fold (fun op_id objs acc -> f acc op_id objs) t.mem_objs acc

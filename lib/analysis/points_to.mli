@@ -14,4 +14,3 @@ val compute : Prog.t -> t
 val objects_of : t -> int -> Data.Obj_set.t
 
 val points_to : t -> func:string -> reg:Reg.t -> Data.Obj_set.t
-val fold_mem : ('a -> int -> Data.Obj_set.t -> 'a) -> 'a -> t -> 'a

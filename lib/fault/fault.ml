@@ -196,11 +196,6 @@ let arm ?(seed = 0) (s : spec) =
 let disarm () = state := None
 let armed () = !state <> None
 
-let armed_for name =
-  match !state with
-  | None -> false
-  | Some st -> List.mem_assoc name st.entries
-
 let fire name =
   match !state with
   | None -> false

@@ -57,10 +57,6 @@ val arm : ?seed:int -> spec -> unit
 val disarm : unit -> unit
 val armed : unit -> bool
 
-(** [armed_for name] is true when the armed spec mentions [name]
-    (whether or not it has fired yet). *)
-val armed_for : string -> bool
-
 (** {1 Injection sites} *)
 
 (** [fire name] is called at an injection site each time the fault

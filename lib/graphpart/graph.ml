@@ -24,7 +24,6 @@ type t = Csr.t = {
 let num_nodes g = g.n
 let num_constraints g = g.ncon
 let node_weight g v c = g.vwgt.((v * g.ncon) + c)
-let degree g v = g.xadj.(v + 1) - g.xadj.(v)
 
 let iter_neighbors g v f =
   for i = g.xadj.(v) to g.xadj.(v + 1) - 1 do

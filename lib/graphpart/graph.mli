@@ -18,9 +18,6 @@ val num_constraints : t -> int
 (** [node_weight g v c] is node [v]'s weight under constraint [c]. *)
 val node_weight : t -> int -> int -> int
 
-(** Number of neighbors of a node. *)
-val degree : t -> int -> int
-
 (** [iter_neighbors g v f] calls [f u w] for every neighbor [u] of [v]
     (ascending [u]) without allocating. *)
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit

@@ -24,7 +24,6 @@ let num_ops b = List.length b.body + 1
 let successors b = Op.successors b.term
 
 let with_body b body = v ~label:b.label ~body ~term:b.term
-let with_term b term = v ~label:b.label ~body:b.body ~term
 
 (** Registers defined / used anywhere in the block. *)
 let defs b = List.concat_map Op.defs (ops b)

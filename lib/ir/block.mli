@@ -16,7 +16,6 @@ val ops : t -> Op.t list
 val num_ops : t -> int
 val successors : t -> Label.t list
 val with_body : t -> Op.t list -> t
-val with_term : t -> Op.t -> t
 val defs : t -> Reg.t list
 val uses : t -> Reg.t list
 val pp : t Fmt.t

@@ -110,11 +110,6 @@ let size_of_obj t o = size_of_id t (id_of_obj t o)
 
 let total_bytes t = Array.fold_left ( + ) 0 t.sizes
 
-let fold_objects f acc t =
-  let acc = ref acc in
-  Array.iteri (fun i o -> acc := f !acc i o t.sizes.(i)) t.objects;
-  !acc
-
 let pp_table ppf t =
   Fmt.pf ppf "@[<v>";
   Array.iteri

@@ -51,5 +51,4 @@ val id_of_obj : table -> obj -> int
 val mem_obj : table -> obj -> bool
 val size_of_obj : table -> obj -> int
 val total_bytes : table -> int
-val fold_objects : ('a -> int -> obj -> int -> 'a) -> 'a -> table -> 'a
 val pp_table : table Fmt.t

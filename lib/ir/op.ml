@@ -100,13 +100,6 @@ let is_call op = match op.kind with Call _ -> true | _ -> false
     "memory operations and calls to malloc()" (Section 3.3). *)
 let touches_object op = is_mem op || is_alloc op
 
-(** Operations with externally visible effects whose relative order must
-    be preserved by scheduling. *)
-let is_sideeffect op =
-  match op.kind with
-  | Out _ | In _ | Call _ | Alloc _ -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Defs and uses                                                       *)
 

@@ -83,8 +83,6 @@ val is_call : t -> bool
     malloc site belongs with its heap object). *)
 val touches_object : t -> bool
 
-val is_sideeffect : t -> bool
-
 (** {2 Defs and uses} *)
 
 val reg_of_operand : operand -> Reg.t option

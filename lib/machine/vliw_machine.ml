@@ -32,8 +32,6 @@ let fu_kind_name = function
   | FU_memory -> "memory"
   | FU_branch -> "branch"
 
-let pp_fu_kind ppf k = Fmt.string ppf (fu_kind_name k)
-
 (** A single cluster: how many units of each kind it has and the capacity
     of its local data memory in bytes.  [memory_bytes] only constrains the
     data partitioner's balance objective; it is not a hard limit enforced
@@ -68,8 +66,6 @@ let topology_name = function
   | Ring -> "ring"
   | Crossbar -> "crossbar"
   | Mesh { rows; cols } -> Fmt.str "mesh%dx%d" rows cols
-
-let pp_topology ppf t = Fmt.string ppf (topology_name t)
 
 (** Intercluster communication network.  On the [Bus] topology this is
     the paper's shared bus: [moves_per_cycle] transfers may start per
@@ -305,12 +301,6 @@ let scaled_machine ?(move_latency = 5) ~clusters:n () =
     ~clusters:(Array.make n c)
     ~network:{ topology = Bus; move_latency; moves_per_cycle = 1 }
     ~latencies:itanium_latencies
-
-(** A unified-memory twin of [m]: same datapath, but the performance model
-    treats all memories as one multiported memory (no data homes).  The
-    machine description itself is unchanged; this is just a convenient
-    alias used by drivers for labelling. *)
-let unified_twin m = { m with name = m.name ^ "-unified" }
 
 let pp ppf m =
   Fmt.pf ppf "@[<v>machine %s:@," m.name;

@@ -13,7 +13,6 @@ val all_fu_kinds : fu_kind list
 val fu_kind_index : fu_kind -> int
 val fu_kind_count : int
 val fu_kind_name : fu_kind -> string
-val pp_fu_kind : fu_kind Fmt.t
 
 (** A single cluster: function-unit counts and local memory capacity in
     bytes (the capacity steers the data partitioner's balance objective;
@@ -44,7 +43,6 @@ type topology =
   | Mesh of { rows : int; cols : int }
 
 val topology_name : topology -> string
-val pp_topology : topology Fmt.t
 
 (** Interconnect parameters: [moves_per_cycle] transfers may start per
     cycle on the bus — or per link on the other topologies — each link
@@ -143,5 +141,4 @@ val paper_machine : ?move_latency:int -> unit -> t
 (** [n] homogeneous clusters of the paper's shape. *)
 val scaled_machine : ?move_latency:int -> clusters:int -> unit -> t
 
-val unified_twin : t -> t
 val pp : t Fmt.t

@@ -23,28 +23,6 @@ type result = {
   part_of_unit : int array;
 }
 
-(** The partitioning problem GDP hands to the multilevel partitioner:
-    the collapsed program graph plus the derived partitioner
-    configuration (imbalances, balance targets, seed).  Exposed so
-    benchmarks can time [Graphpart.Partitioner] in isolation on real
-    program graphs. *)
-type problem = {
-  graph : Graphpart.Graph.t;
-  pconfig : Graphpart.Partitioner.config;
-  prob_unit_of_op : (int, int) Hashtbl.t;
-  prob_num_units : int;
-}
-
-val build_problem :
-  ?config:config ->
-  machine:Vliw_machine.t ->
-  prog:Prog.t ->
-  merge:Merge.t ->
-  dfg:Vliw_analysis.Prog_dfg.t ->
-  profile:Vliw_interp.Profile.t ->
-  unit ->
-  problem
-
 (** [?pool] runs the graph partitioner's starts and FM seeds
     concurrently; the result does not depend on it — see
     [Graphpart.Partitioner.bisect]. *)

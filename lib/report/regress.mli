@@ -1,9 +1,11 @@
-(** Metrics regression gate.
+(** Regression gates against committed baselines: attribution metrics
+    (below) and compile speed (the last section).
 
-    Compares a fresh attribution run against a committed baseline JSON
-    (the ["gdp-attrib/1"] documents written by [Explain.to_json] /
-    [bench --report]) and reports every metric that regressed beyond a
-    tolerance — the CI contract behind [bench --check FILE].
+    The attribution gate compares a fresh attribution run against a
+    committed baseline JSON (the ["gdp-attrib/1"] documents written by
+    [Explain.to_json] / [bench --report]) and reports every metric that
+    regressed beyond a tolerance — the CI contract behind
+    [bench --check FILE].
 
     Checked per (benchmark, method) row: [cycles], [dynamic_moves], and
     the non-useful attribution categories (transfer wait, memory
@@ -51,72 +53,63 @@ val pp_issue : issue Fmt.t
     percent; empty means the gate passes. *)
 val check : tolerance:float -> baseline:baseline -> current:row list -> issue list
 
-(** {1 Service benchmark gate}
+(** {1 Speed gate}
 
-    The same contract for the [gdpcd] loadgen baseline
-    ([BENCH_service.json], schema ["gdp-service-bench/1"], written by
-    [gdpc loadgen --out]): throughput must not drop, latency
-    percentiles must not grow, the cache hit rate must not collapse —
-    each beyond a tolerance.  Wall-clock quantities are far noisier
-    than cycle counts, so callers pass a generous [tolerance]. *)
+    The compile-speed contract behind [bench --check-speed BASELINE
+    RESULTS]: fresh runs of [sh perfbench/run.sh] against committed runs
+    of the same command.  A document is the runs' standard output
+    concatenated; each run prints its [workload: W  seed: S  trace: T]
+    line first and its one-line JSON result last, and the gate reads
+    nothing else.  A run is known by its workload and whether it was
+    traced.
 
-type service_baseline = {
-  sv_throughput_cps : float;  (** succeeded compiles per second *)
-  sv_p50_us : float;
-  sv_p99_us : float;
-  sv_hit_rate : float;  (** cache hits / requests, in [0..1] *)
+    Every baseline run needs a current run that used the same seed,
+    reports ["correct": true] with no failed operation, and meets the
+    rule of each gated metric in the baseline run:
+    - [dynamic_moves_total] and the traced counts [vliw_opt.ops_out],
+      [vliw_analysis.dfg_edges], [partition.gdp_edgecut],
+      [partition.rhop_calls], [vliw_sched.static_moves] and
+      [vliw_sched.total_cycles] match exactly;
+    - [cycles_geomean] matches to a relative 1e-9;
+    - the calibrated timings [compiles_per_s], [compile_ms_p50],
+      [compile_ms_p99] and the traced [partition.gdp_ms] and
+      [partition.rhop_ms] stay within a factor of 2 of the baseline in
+      their worse direction, the [better] field of the metric's entry in
+      [BENCHMARK.json].
+
+    Allocation counts are not gated: the baseline's OCaml release need
+    not be the one under test.  Current runs without a baseline run are
+    ignored. *)
+
+type perf_run = {
+  pr_workload : string;
+  pr_traced : bool;
+  pr_seed : int;
+  pr_correct : bool;
+  pr_failed : int;  (** failed operations *)
+  pr_metrics : (string * float) list;
 }
 
-val service_of_json :
-  ?where:string -> Minijson.t -> (service_baseline, string) result
+(** The runs of a document, in order; [where] names it in errors. *)
+val runs_of_string : ?where:string -> string -> (perf_run list, string) result
 
-val load_service : string -> (service_baseline, string) result
+val load_runs : string -> (perf_run list, string) result
 
-(** Issues use integer renderings of the float quantities:
-    ["throughput_mcps"] (compiles per second, scaled by 1000 — lower is
-    worse, gated at [tolerance] percent below baseline), ["p50_us"] /
-    ["p99_us"] (higher is worse, [tolerance] percent plus 1000 us of
-    absolute slack), and ["hit_rate_pct"] (percentage points, gated at
-    [hit_rate_slack] points — default 10 — below baseline). *)
-val check_service :
-  ?hit_rate_slack:float ->
-  tolerance:float ->
-  baseline:service_baseline ->
-  service_baseline ->
-  issue list
-
-(** {1 Partitioner benchmark gate}
-
-    The same contract for the bechamel compile-time rows of
-    [BENCH_partitioner.json] (schema ["gdp-bench/1"], written by
-    [bench bechamel --json]): each baseline [ns_per_run] estimate must
-    not grow beyond a tolerance, and no baseline row may disappear —
-    the gate behind [bench --check-partitioner FILE].  These are
-    wall-clock micro-benchmarks, far noisier than cycle counts; the
-    gate exists to catch order-of-magnitude collapses (a parallel path
-    silently serializing, an accidental quadratic blowup), so callers
-    pass a very generous tolerance (hundreds of percent). *)
-
-type partitioner_baseline = {
-  pb_rows : (string * float) list;
-      (** bechamel test name -> baseline ns/run, sorted by name *)
+type speed_issue = {
+  s_workload : string;
+  s_traced : bool;
+  s_metric : string;
+      (** a metric's name, or ["run"] (no such current run), ["seed"] or
+          ["correct"] *)
+  s_detail : string;
 }
 
-(** Rows whose [ns_per_run] is [null] in the document (no OLS estimate
-    when the baseline was recorded) are skipped rather than rejected. *)
-val partitioner_of_json :
-  ?where:string -> Minijson.t -> (partitioner_baseline, string) result
+val pp_speed_issue : speed_issue Fmt.t
 
-val load_partitioner : string -> (partitioner_baseline, string) result
-
-(** Gate a fresh [bechamel_results]-shaped run (test name -> ns/run
-    estimate, [None] when OLS produced none) against the baseline.
-    Issues use [i_bench = "bechamel"], [i_method] = the test name and
-    [i_metric = "ns_per_run"]; a baseline row that is missing from
-    [current] — or present with no estimate — reports [i_current = -1]
-    (disappeared). *)
-val check_partitioner :
-  tolerance:float ->
-  baseline:partitioner_baseline ->
-  (string * float option) list ->
-  issue list
+(** Every way [current] fails [baseline]; empty means the gate passes.
+    [benchmark] is the parsed [BENCHMARK.json]. *)
+val check_speed :
+  benchmark:Minijson.t ->
+  baseline:perf_run list ->
+  perf_run list ->
+  speed_issue list

@@ -60,7 +60,6 @@ type summary = {
   server_p95_us : float;
   server_p99_us : float;
   server_mean_us : float;
-  scrape : Minijson.t option;
 }
 
 (* A small two-phase kernel whose object homes actually matter, with
@@ -406,30 +405,6 @@ let run (cfg : config) =
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   Array.iter (fun c -> Client.close c.cl) conns;
-  (* end-of-run admin scrape, on a fresh connection so it cannot race a
-     straggling response; best-effort (a daemon that just died still
-     yields a usable client-side summary) *)
-  let scrape =
-    try
-      let cl = Client.connect cfg.endpoint in
-      Fun.protect
-        ~finally:(fun () -> Client.close cl)
-        (fun () ->
-          let stats =
-            match Client.rpc cl Protocol.Stats with
-            | Ok (Protocol.Stats_reply doc) -> Some ("stats", doc)
-            | _ -> None
-          in
-          let metrics =
-            match Client.rpc cl (Protocol.Metrics Protocol.Json) with
-            | Ok (Protocol.Metrics_reply doc) -> Some ("metrics", doc)
-            | _ -> None
-          in
-          match List.filter_map Fun.id [ stats; metrics ] with
-          | [] -> None
-          | fields -> Some (Minijson.obj fields))
-    with Unix.Unix_error _ | Failure _ -> None
-  in
   let lat_us = Array.map (fun s -> s *. 1e6) latencies in
   Array.sort compare lat_us;
   let pct q =
@@ -475,37 +450,7 @@ let run (cfg : config) =
     server_p95_us = spct 0.95;
     server_p99_us = spct 0.99;
     server_mean_us = smean;
-    scrape;
   }
-
-let summary_to_json s =
-  Minijson.obj
-    ([
-      ("schema", Minijson.str "gdp-service-bench/1");
-      ("requests", Minijson.int s.requests);
-      ("succeeded", Minijson.int s.succeeded);
-      ("failed", Minijson.int s.failed);
-      ("cache_hits", Minijson.int s.cache_hits);
-      ("duplicates_sent", Minijson.int s.duplicates_sent);
-      ("elapsed_s", Minijson.float s.elapsed_s);
-      ("throughput_cps", Minijson.float s.throughput_cps);
-      ("p50_us", Minijson.float s.p50_us);
-      ("p95_us", Minijson.float s.p95_us);
-      ("p99_us", Minijson.float s.p99_us);
-      ("mean_us", Minijson.float s.mean_us);
-      ("concurrency", Minijson.int s.concurrency);
-      ("shed", Minijson.int s.shed);
-      ("retries", Minijson.int s.retries);
-      ("injected", Minijson.int s.injected);
-      ("gave_up", Minijson.int s.gave_up);
-      ("artifact_mismatches", Minijson.int s.artifact_mismatches);
-      ("traced", Minijson.int s.traced);
-      ("server_p50_us", Minijson.float s.server_p50_us);
-      ("server_p95_us", Minijson.float s.server_p95_us);
-      ("server_p99_us", Minijson.float s.server_p99_us);
-      ("server_mean_us", Minijson.float s.server_mean_us);
-    ]
-    @ match s.scrape with None -> [] | Some doc -> [ ("scrape", doc) ])
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,5 +1,5 @@
-(** Load generator for the [gdpcd] daemon — the [gdpc loadgen] backend
-    and the producer of the committed [BENCH_service.json] baseline.
+(** Load generator for the [gdpcd] daemon — the [gdpc loadgen] backend,
+    which CI's service and chaos smokes drive.
 
     Drives [connections] concurrent lockstep clients from one process
     (a [select] loop, no threads).  Each request is a small synthetic
@@ -87,10 +87,6 @@ type summary = {
   server_p95_us : float;
   server_p99_us : float;
   server_mean_us : float;
-  scrape : Minijson.t option;
-      (** end-of-run admin scrape over a fresh connection:
-          [{"stats": <gdp-service-stats/1>, "metrics": <gdp-metrics/1>}];
-          [None] when the daemon was already gone *)
 }
 
 val run : config -> summary
@@ -100,10 +96,6 @@ val run : config -> summary
     not exist at all (fail fast, not 20 connect retries against
     nothing), and [Unix.Unix_error] when the endpoint refuses
     connections. *)
-
-val summary_to_json : summary -> Minijson.t
-(** Schema [gdp-service-bench/1] — what [BENCH_service.json] holds and
-    the regression gate reads. *)
 
 type server_handle = { sh_pid : int; sh_socket : string }
 

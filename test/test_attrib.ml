@@ -1,6 +1,7 @@
 (** Cycle-attribution tests: the accounting identity on random MiniC
     programs and on the paper suite, the per-object access split against
-    the profiler's ground truth, and the metrics regression gate. *)
+    the profiler's ground truth, the metrics regression gate and the
+    speed gate. *)
 
 module Attrib = Vliw_sched.Attrib
 module Sim = Vliw_sched.Vliw_sim
@@ -284,6 +285,147 @@ let test_minijson_rejects_garbage () =
              Option.bind (to_list l) (fun l ->
                  Option.bind (List.nth_opt l 0) to_int)))
 
+(* ------------------------------------------------------------------ *)
+(* Speed gate, on synthetic perfbench documents                        *)
+
+(* test/dune copies both files from the repository root into the build
+   tree, beside this executable's directory *)
+let root_file name =
+  Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ name)
+
+let speed_baseline () =
+  match Regress.load_runs (root_file "BENCH_speed.txt") with
+  | Ok runs -> runs
+  | Error m -> Alcotest.fail m
+
+let benchmark_json () =
+  match Minijson.parse_file (root_file "BENCHMARK.json") with
+  | Ok doc -> doc
+  | Error m -> Alcotest.fail m
+
+(* What perfbench prints for [runs], less the informational lines the
+   gate skips: each run's workload line, then its result line. *)
+let perfbench_document (runs : Regress.perf_run list) =
+  let open Minijson in
+  String.concat ""
+    (List.map
+       (fun (r : Regress.perf_run) ->
+         let metric (name, v) =
+           (name, obj [ ("value", float v); ("unit", str "") ])
+         in
+         Printf.sprintf "workload: %s  seed: %d  trace: %d\n%s\n"
+           r.Regress.pr_workload r.Regress.pr_seed
+           (if r.Regress.pr_traced then 1 else 0)
+           (encode
+              (obj
+                 [
+                   ("correct", bool r.Regress.pr_correct);
+                   ("attempted", int 1);
+                   ("failed", int r.Regress.pr_failed);
+                   ("metrics", obj (List.map metric r.Regress.pr_metrics));
+                 ])))
+       runs)
+
+let speed_issues ~baseline runs =
+  match Regress.runs_of_string (perfbench_document runs) with
+  | Error m -> Alcotest.fail m
+  | Ok current ->
+      Regress.check_speed ~benchmark:(benchmark_json ()) ~baseline current
+
+let test_speed_gate_passes_on_itself () =
+  let baseline = speed_baseline () in
+  Alcotest.(check (list (pair string bool)))
+    "the CI runs, in order"
+    [
+      ("suite-paper", false);
+      ("mesh16-gdp", false);
+      ("served-mixed", false);
+      ("suite-paper", true);
+      ("mesh16-gdp", true);
+    ]
+    (List.map
+       (fun (r : Regress.perf_run) ->
+         (r.Regress.pr_workload, r.Regress.pr_traced))
+       baseline);
+  Alcotest.(check (list string))
+    "no issue" []
+    (List.map
+       (Fmt.str "%a" Regress.pp_speed_issue)
+       (speed_issues ~baseline baseline))
+
+let test_speed_gate_faults () =
+  let baseline = speed_baseline () in
+  let edit workload traced f =
+    List.map
+      (fun (r : Regress.perf_run) ->
+        if r.Regress.pr_workload = workload && r.Regress.pr_traced = traced then
+          f r
+        else r)
+      baseline
+  in
+  let map_metric name f (r : Regress.perf_run) =
+    {
+      r with
+      Regress.pr_metrics =
+        List.map
+          (fun (n, v) -> if n = name then (n, f v) else (n, v))
+          r.Regress.pr_metrics;
+    }
+  in
+  let one what (workload, traced, metric) runs =
+    match speed_issues ~baseline runs with
+    | [ i ] ->
+        Alcotest.(check (triple string bool string))
+          what (workload, traced, metric)
+          (i.Regress.s_workload, i.Regress.s_traced, i.Regress.s_metric)
+    | issues ->
+        Alcotest.failf "%s: %d issues: %a" what (List.length issues)
+          Fmt.(list ~sep:semi Regress.pp_speed_issue)
+          issues
+  in
+  one "a count off by one"
+    ("suite-paper", true, "vliw_sched.static_moves")
+    (edit "suite-paper" true
+       (map_metric "vliw_sched.static_moves" (fun v -> v +. 1.)));
+  one "compiles_per_s at 0.45x"
+    ("suite-paper", false, "compiles_per_s")
+    (edit "suite-paper" false (map_metric "compiles_per_s" (( *. ) 0.45)));
+  one "compile_ms_p99 at 2.1x"
+    ("mesh16-gdp", false, "compile_ms_p99")
+    (edit "mesh16-gdp" false (map_metric "compile_ms_p99" (( *. ) 2.1)));
+  one "a failed run"
+    ("served-mixed", false, "correct")
+    (edit "served-mixed" false (fun r ->
+         { r with Regress.pr_correct = false }));
+  one "a missing metric"
+    ("mesh16-gdp", true, "partition.rhop_ms")
+    (edit "mesh16-gdp" true (fun r ->
+         {
+           r with
+           Regress.pr_metrics =
+             List.remove_assoc "partition.rhop_ms" r.Regress.pr_metrics;
+         }));
+  one "a missing run"
+    ("served-mixed", false, "run")
+    (List.filter
+       (fun (r : Regress.perf_run) -> r.Regress.pr_workload <> "served-mixed")
+       baseline);
+  (* every timing nearly 2x worse, and a geomean's last bits, still pass *)
+  let slower =
+    List.map
+      (fun r ->
+        r
+        |> map_metric "compiles_per_s" (( *. ) 0.55)
+        |> map_metric "compile_ms_p50" (( *. ) 1.9)
+        |> map_metric "compile_ms_p99" (( *. ) 1.9)
+        |> map_metric "partition.gdp_ms" (( *. ) 1.9)
+        |> map_metric "partition.rhop_ms" (( *. ) 1.9)
+        |> map_metric "cycles_geomean" (( *. ) (1. +. 1e-12)))
+      baseline
+  in
+  Alcotest.(check int) "inside the bounds" 0
+    (List.length (speed_issues ~baseline slower))
+
 let suite =
   [
     prop_identity;
@@ -299,6 +441,10 @@ let suite =
       test_gate_detects_regression;
     Alcotest.test_case "gate flags disappearing rows only" `Quick
       test_gate_missing_row;
+    Alcotest.test_case "speed gate passes the baseline on itself" `Quick
+      test_speed_gate_passes_on_itself;
+    Alcotest.test_case "speed gate names each fault once" `Quick
+      test_speed_gate_faults;
     Alcotest.test_case "minijson accepts JSON and rejects garbage" `Quick
       test_minijson_rejects_garbage;
   ]

@@ -1600,6 +1600,70 @@ let test_pinned_rhop_work () =
     (List.length Machine_spec.preset_names * List.length Methods.all)
     (List.length pinned_rhop_work)
 
+(* The ratchet: per preset, the suite average of unified cycles over
+   method cycles (higher is better) for GDP, Profile Max and Naive,
+   recorded from the pinned compiles above.  A change may lower none of
+   them by more than [ratchet_slack].  A change that raises one raises
+   its pin here and records the new value in CHANGES.md, so the pins
+   only climb. *)
+let ratchet_slack = 0.005
+
+let pinned_suite_ratios =
+  [
+    ("paper", "gdp", 0.9616);
+    ("paper", "profile-max", 0.9234);
+    ("paper", "naive", 0.9384);
+    ("kway4", "gdp", 0.8322);
+    ("kway4", "profile-max", 0.8584);
+    ("kway4", "naive", 0.9257);
+    ("hetero4", "gdp", 0.7580);
+    ("hetero4", "profile-max", 0.8280);
+    ("hetero4", "naive", 0.9429);
+    ("ring8", "gdp", 0.6403);
+    ("ring8", "profile-max", 0.7686);
+    ("ring8", "naive", 0.8952);
+    ("mesh16", "gdp", 0.4918);
+    ("mesh16", "profile-max", 0.7279);
+    ("mesh16", "naive", 0.9043);
+  ]
+
+(* GDP's rows count only under the recorded random stream, as in
+   [test_pinned_compiles]. *)
+let test_quality_ratchet () =
+  let gdp_counts = random_stream () = pinned_random_stream in
+  let compiles = (Lazy.force preset_facts).compiles in
+  let cycles bench preset m =
+    List.find_map
+      (fun (b, p, m', c, _, _, _, _) ->
+        if b = bench && p = preset && m' = m then Some (float_of_int c)
+        else None)
+      compiles
+    |> Option.get
+  in
+  List.iter
+    (fun (preset, m, pinned) ->
+      if gdp_counts || m <> Methods.to_string Methods.Gdp then begin
+        let ratios =
+          List.map
+            (fun (b : Benchsuite.Bench_intf.t) ->
+              cycles b.name preset "unified" /. cycles b.name preset m)
+            Benchsuite.Suite.all
+        in
+        let avg =
+          List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
+        in
+        if avg < pinned -. ratchet_slack then
+          Alcotest.failf
+            "%s %s: suite average unified/method %.4f, below the pinned \
+             %.4f by more than %g"
+            preset m avg pinned ratchet_slack
+      end)
+    pinned_suite_ratios;
+  Alcotest.(check int)
+    "a row per (preset, partitioned-memory method)"
+    (List.length Machine_spec.preset_names * 3)
+    (List.length pinned_suite_ratios)
+
 let suite =
   [
     Alcotest.test_case "merge: ambiguous objects" `Quick
@@ -1634,4 +1698,6 @@ let suite =
       test_pinned_compiles;
     Alcotest.test_case "rhop: work pinned on every preset" `Quick
       test_pinned_rhop_work;
+    Alcotest.test_case "methods: quality ratchet on every preset" `Quick
+      test_quality_ratchet;
   ]

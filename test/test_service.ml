@@ -725,31 +725,7 @@ let test_loadgen_closed_loop () =
         (summary.Loadgen.cache_hits >= 4);
       Alcotest.(check bool)
         "throughput positive" true
-        (summary.Loadgen.throughput_cps > 0.);
-      (* the summary is gate-compatible with itself *)
-      let json = Loadgen.summary_to_json summary in
-      match Gdp_report.Regress.service_of_json json with
-      | Error m -> Alcotest.failf "summary not gate-readable: %s" m
-      | Ok b ->
-          Alcotest.(check (list string))
-            "self-check passes" []
-            (List.map
-               (fun i -> Fmt.str "%a" Gdp_report.Regress.pp_issue i)
-               (Gdp_report.Regress.check_service ~tolerance:10. ~baseline:b b));
-          (* a collapsed current run trips every gate *)
-          let worse =
-            {
-              b with
-              Gdp_report.Regress.sv_throughput_cps = b.Gdp_report.Regress.sv_throughput_cps /. 10.;
-              sv_p99_us = (b.Gdp_report.Regress.sv_p99_us *. 10.) +. 10000.;
-              sv_hit_rate = 0.;
-            }
-          in
-          Alcotest.(check bool)
-            "regressions detected" true
-            (List.length
-               (Gdp_report.Regress.check_service ~tolerance:10. ~baseline:b worse)
-            >= 2))
+        (summary.Loadgen.throughput_cps > 0.))
 
 (* ------------------------------------------------------------------ *)
 (* Durability, overload and chaos, end to end                          *)
