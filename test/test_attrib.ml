@@ -383,16 +383,39 @@ let test_speed_gate_faults () =
           Fmt.(list ~sep:semi Regress.pp_speed_issue)
           issues
   in
-  one "a count off by one"
-    ("suite-paper", true, "vliw_sched.static_moves")
-    (edit "suite-paper" true
-       (map_metric "vliw_sched.static_moves" (fun v -> v +. 1.)));
-  one "compiles_per_s at 0.45x"
-    ("suite-paper", false, "compiles_per_s")
-    (edit "suite-paper" false (map_metric "compiles_per_s" (( *. ) 0.45)));
-  one "compile_ms_p99 at 2.1x"
-    ("mesh16-gdp", false, "compile_ms_p99")
-    (edit "mesh16-gdp" false (map_metric "compile_ms_p99" (( *. ) 2.1)));
+  (* every gated metric, moved past its rule in each run that reports
+     it: a count off by one either way, the geomean beyond 1e-9, and
+     each timing worse than 2x in its direction *)
+  List.iter
+    (fun (metric, move) ->
+      let runs =
+        List.filter
+          (fun (r : Regress.perf_run) ->
+            List.mem_assoc metric r.Regress.pr_metrics)
+          baseline
+      in
+      if runs = [] then Alcotest.failf "no baseline run reports %s" metric;
+      List.iter
+        (fun (r : Regress.perf_run) ->
+          let w = r.Regress.pr_workload and t = r.Regress.pr_traced in
+          one (metric ^ " moved") (w, t, metric)
+            (edit w t (map_metric metric move)))
+        runs)
+    [
+      ("dynamic_moves_total", fun v -> v +. 1.);
+      ("vliw_opt.ops_out", fun v -> v -. 1.);
+      ("vliw_analysis.dfg_edges", fun v -> v +. 1.);
+      ("partition.gdp_edgecut", fun v -> v -. 1.);
+      ("partition.rhop_calls", fun v -> v +. 1.);
+      ("vliw_sched.static_moves", fun v -> v +. 1.);
+      ("vliw_sched.total_cycles", fun v -> v -. 1.);
+      ("cycles_geomean", fun v -> v *. (1. +. 1e-8));
+      ("compiles_per_s", ( *. ) 0.45);
+      ("compile_ms_p50", ( *. ) 2.1);
+      ("compile_ms_p99", ( *. ) 2.1);
+      ("partition.gdp_ms", ( *. ) 2.1);
+      ("partition.rhop_ms", ( *. ) 2.1);
+    ];
   one "a failed run"
     ("served-mixed", false, "correct")
     (edit "served-mixed" false (fun r ->
