@@ -13,12 +13,12 @@
      --check FILE    regression gate: diff the current run against a
                      committed baseline, exit non-zero on regressions
      --tolerance PCT allowed relative growth for --check (default 2%)
-     -j, --jobs N    fan the standard sweep and the --check gate over N
-                     worker processes (default 1 = sequential; results
-                     are identical, the pool only changes wall clock —
-                     with -j the sweep cost lands in the prefetch, so
-                     per-figure wall times in --timings shrink to render
-                     time)
+     -j, --jobs N    fan the standard sweep and the attribution runs over
+                     N worker processes (default 1 = in-process;
+                     results are identical, the pool only changes wall
+                     clock).  The figures' sweeps run first, as one
+                     "sweeps" row in --timings, so the figures' own rows
+                     are render time
      --check-speed BASELINE RESULTS
                      speed gate: the concatenated standard output of
                      `sh perfbench/run.sh` runs (RESULTS) against a
@@ -129,63 +129,29 @@ let render_timings rows =
 
 let attrib_latency = 5
 
-let explanations ~move_latency =
-  List.filter_map
-    (fun (b : Benchsuite.Bench_intf.t) ->
-      try Some (Gdp_report.Explain.explain_bench ~move_latency b)
-      with exn ->
-        Fmt.epr "warning: explain %s failed: %s@." b.Benchsuite.Bench_intf.name
-          (Printexc.to_string exn);
-        None)
-    (Experiments.default_benches ())
-
-(* The regression gate only needs the comparable rows, so with -j it
-   fans one attribution job per benchmark over the process pool: each
-   worker returns its benchmark's "gdp-attrib/1" document, which
-   [Regress.of_json] reads back — same parser as the committed baseline
-   file, so parallel gate rows are the sequential rows. *)
-let gate_worker (payload : Minijson.t) : Minijson.t =
-  match
-    ( Option.bind (Minijson.member "bench" payload) Minijson.to_string,
-      Option.bind (Minijson.member "move_latency" payload) Minijson.to_int )
-  with
-  | Some name, Some move_latency -> (
-      let b = Benchsuite.Suite.find name in
-      Gdp_report.Explain.to_json
-        [ Gdp_report.Explain.explain_bench ~move_latency b ])
-  | _ -> failwith "malformed gate job payload"
-
-let gate_rows ~jobs ~move_latency : Gdp_report.Regress.row list =
-  if jobs <= 1 then
-    Gdp_report.Regress.rows_of (explanations ~move_latency)
-  else begin
-    let benches = Experiments.default_benches () in
-    let job_of (b : Benchsuite.Bench_intf.t) =
-      let name = b.Benchsuite.Bench_intf.name in
-      Exec.job ~batch:name
-        (Minijson.obj
-           [
-             ("bench", Minijson.str name);
-             ("move_latency", Minijson.int move_latency);
-           ])
-    in
-    let results = Exec.map ~jobs ~worker:gate_worker (List.map job_of benches) in
-    List.concat
-      (List.mapi
-         (fun i (b : Benchsuite.Bench_intf.t) ->
-           let name = b.Benchsuite.Bench_intf.name in
-           match results.(i) with
-           | Ok doc -> (
-               match Gdp_report.Regress.of_json ~where:name doc with
-               | Ok base -> base.Gdp_report.Regress.b_rows
-               | Error m ->
-                   Fmt.epr "warning: explain %s failed: %s@." name m;
-                   [])
-           | Error m ->
-               Fmt.epr "warning: explain %s failed: %s@." name m;
-               [])
+(* One explanation per suite benchmark, computed on [jobs] worker
+   processes; a benchmark whose explanation fails is reported and left
+   out. *)
+let explanations ~jobs ~move_latency =
+  let benches = Experiments.default_benches () in
+  let results =
+    Exec.map ~jobs
+      ~worker:(Gdp_report.Explain.explain_bench ~move_latency)
+      (List.map
+         (fun (b : Benchsuite.Bench_intf.t) ->
+           Exec.job ~batch:b.Benchsuite.Bench_intf.name b)
          benches)
-  end
+  in
+  List.concat
+    (List.mapi
+       (fun i (b : Benchsuite.Bench_intf.t) ->
+         match results.(i) with
+         | Ok e -> [ e ]
+         | Error m ->
+             Fmt.epr "warning: explain %s failed: %s@."
+               b.Benchsuite.Bench_intf.name m;
+             [])
+       benches)
 
 (** Returns [false] when the regression gate failed. *)
 let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
@@ -193,14 +159,15 @@ let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
   | Some dir ->
       let files =
         Gdp_report.Explain.write_reports ~dir
-          (explanations ~move_latency:attrib_latency)
+          (explanations ~jobs ~move_latency:attrib_latency)
       in
       List.iter (fun f -> Fmt.pr "wrote %s@." f) files
   | None -> ());
   (match baseline with
   | Some path ->
       Minijson.write_rows path
-        (Gdp_report.Explain.to_json (explanations ~move_latency:attrib_latency));
+        (Gdp_report.Explain.to_json
+           (explanations ~jobs ~move_latency:attrib_latency));
       Fmt.pr "wrote %s@." path
   | None -> ());
   match check with
@@ -212,7 +179,9 @@ let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
           false
       | Ok base ->
           let current =
-            gate_rows ~jobs ~move_latency:base.Gdp_report.Regress.b_latency
+            Gdp_report.Regress.rows_of
+              (explanations ~jobs
+                 ~move_latency:base.Gdp_report.Regress.b_latency)
           in
           let issues =
             Gdp_report.Regress.check ~tolerance ~baseline:base ~current
@@ -341,9 +310,9 @@ let () =
     let speed_ok = Option.fold ~none:true ~some:run_check_speed check_speed in
     if not (speed_ok && attrib_ok) then exit 1
   in
-  (* which standard-sweep latencies the named experiments will need; with
-     -j the whole set is prefetched through the process pool up front,
-     and the figures then render from cache hits *)
+  (* which standard-sweep latencies the named experiments will need: the
+     whole set is prefetched on the -j workers up front, and the figures
+     then render from cache hits *)
   let sweep_latencies names =
     let needs =
       [
@@ -360,10 +329,10 @@ let () =
          names)
   in
   let prefetch_for names =
-    if jobs > 1 then
-      match sweep_latencies names with
-      | [] -> ()
-      | latencies -> Experiments.prefetch ~jobs ~latencies ()
+    match sweep_latencies names with
+    | [] -> []
+    | latencies ->
+        [ run_timed "sweeps" (fun () -> Experiments.prefetch ~jobs ~latencies ()) ]
   in
   match args with
   | [] when attrib_only -> finish []
@@ -371,22 +340,24 @@ let () =
       Fmt.pr
         "Reproducing: Chu & Mahlke, Compiler-directed Data Partitioning for \
          Multicluster Processors (CGO 2006)@.";
-      prefetch_for (List.map fst experiments);
+      let sweeps = prefetch_for (List.map fst experiments) in
       finish
-        (List.map
-           (fun (name, f) ->
-             Fmt.pr "@.===================== %s =====================@." name;
-             run_timed name f)
-           experiments)
+        (sweeps
+        @ List.map
+            (fun (name, f) ->
+              Fmt.pr "@.===================== %s =====================@." name;
+              run_timed name f)
+            experiments)
   | [ "list" ] -> List.iter (fun (n, _) -> Fmt.pr "%s@." n) experiments
   | names ->
-      prefetch_for names;
+      let sweeps = prefetch_for names in
       finish
-        (List.map
-           (fun n ->
-             match List.assoc_opt n experiments with
-             | Some f -> run_timed n f
-             | None ->
-                 Fmt.epr "unknown experiment %s (try: list)@." n;
-                 exit 1)
-           names)
+        (sweeps
+        @ List.map
+            (fun n ->
+              match List.assoc_opt n experiments with
+              | Some f -> run_timed n f
+              | None ->
+                  Fmt.epr "unknown experiment %s (try: list)@." n;
+                  exit 1)
+            names)

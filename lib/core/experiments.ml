@@ -20,6 +20,17 @@ let moves_of row name = List.assoc name row.moves
 let cycles_opt row name = List.assoc_opt name row.cycles
 let moves_opt row name = List.assoc_opt name row.moves
 
+(** A row as [gdpc bench --json] writes it. *)
+let row_to_json (r : row) : Minijson.t =
+  let counts kvs = Minijson.obj (List.map (fun (n, c) -> (n, Minijson.int c)) kvs) in
+  Minijson.obj
+    [
+      ("bench", Minijson.str r.bench);
+      ("cycles", counts r.cycles);
+      ("moves", counts r.moves);
+      ("error", Minijson.option Minijson.str r.error);
+    ]
+
 (** One benchmark under all methods; crash-safe: any stage exception
     becomes an error row instead of aborting the whole sweep. *)
 let run_bench ~machine (b : Benchsuite.Bench_intf.t) : row =
@@ -65,10 +76,6 @@ let run_bench ~machine (b : Benchsuite.Bench_intf.t) : row =
       Logs.err (fun l -> l "experiments: benchmark %s failed: %s" name msg);
       { bench = name; cycles = []; moves = []; error = Some msg }
 
-let run_all_uncached ~benches ~spec : row list =
-  let machine = Machine_spec.resolve spec in
-  List.map (run_bench ~machine) benches
-
 (* Several figures share the same sweep; cache by (machine, benchmark
    set).  The machine key is the spec's canonical JSON encoding (pure
    data, deterministic field order), the name list is sorted so callers
@@ -88,80 +95,20 @@ let cache_key ~benches spec =
   )
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweep: one [Exec] job per (benchmark, machine) cell.  Rows
-   cross the worker pipe as JSON; the encoding is exact for the integer
-   payloads involved, so a parallel sweep fills the cache with rows
-   byte-identical to a sequential one (deterministic failures included —
-   [run_bench] catches them in the worker and the error string travels
-   in the row). *)
+(* The sweep: one [Exec] job per (benchmark, machine) cell, in this
+   process when [jobs] is 1.  [run_bench] catches deterministic failures
+   where it runs, so their error strings travel in the row. *)
 
-let row_to_json (r : row) : Minijson.t =
-  let counts kvs = Minijson.obj (List.map (fun (n, c) -> (n, Minijson.int c)) kvs) in
-  Minijson.obj
-    [
-      ("bench", Minijson.str r.bench);
-      ("cycles", counts r.cycles);
-      ("moves", counts r.moves);
-      ("error", Minijson.option Minijson.str r.error);
-    ]
+(* One benchmark on one machine, all four methods.  The batch key is
+   the benchmark name, so every machine of a benchmark lands on the
+   worker that already compiled it ([Pipeline.prepare_default]'s
+   memo). *)
+let sweep_cell (b, spec) = run_bench ~machine:(Machine_spec.resolve spec) b
 
-let row_of_json (doc : Minijson.t) : (row, string) result =
-  let counts name =
-    match Minijson.member name doc with
-    | Some (Minijson.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            match (acc, Minijson.to_int v) with
-            | Ok acc, Some n -> Ok ((k, n) :: acc)
-            | _ -> Error (Printf.sprintf "row: bad count in %S" name))
-          (Ok []) fields
-        |> Result.map List.rev
-    | _ -> Error (Printf.sprintf "row: missing field %S" name)
-  in
-  match Option.bind (Minijson.member "bench" doc) Minijson.to_string with
-  | None -> Error "row: missing bench name"
-  | Some bench -> (
-      match (counts "cycles", counts "moves") with
-      | Ok cycles, Ok moves ->
-          let error =
-            Option.bind (Minijson.member "error" doc) Minijson.to_string
-          in
-          Ok { bench; cycles; moves; error }
-      | (Error _ as e), _ | _, (Error _ as e) -> e)
-
-(* Runs inside a pool worker: one benchmark on one machine, all four
-   methods.  The payload carries the machine as a "gdp-machine/1" spec
-   object.  The batch key is the benchmark name, so every machine of a
-   benchmark lands on the worker that already compiled it
-   ([Pipeline.prepare_default]'s memo). *)
-let sweep_worker (payload : Minijson.t) : Minijson.t =
-  match
-    ( Option.bind (Minijson.member "bench" payload) Minijson.to_string,
-      Minijson.member "machine" payload )
-  with
-  | Some name, Some spec_json -> (
-      match Machine_spec.of_json spec_json with
-      | Error m -> failwith ("experiments: sweep job machine: " ^ m)
-      | Ok spec ->
-          let b = Benchsuite.Suite.find name in
-          let machine = Machine_spec.resolve spec in
-          row_to_json (run_bench ~machine b))
-  | _ -> failwith "experiments: malformed sweep job payload"
-
-(* A hard worker crash has no row to report; it becomes an error row so
-   the sweep completes and figures render an explicit gap. *)
-let crash_row ~bench msg = { bench; cycles = []; moves = []; error = Some msg }
-
-let fill_sequential ~benches spec =
-  let key = cache_key ~benches spec in
-  if not (Hashtbl.mem run_all_cache key) then
-    Hashtbl.replace run_all_cache key (run_all_uncached ~benches ~spec)
-
-(** Fill the sweep memo for several machines at once.  With [jobs > 1]
-    the (benchmark, machine) cells are fanned over an [Exec] process
-    pool; with [jobs <= 1] this is exactly the sequential sweep.  Either
-    way, subsequent [run_all_machine] calls (and every figure built on
-    them) are cache hits with identical rows. *)
+(** Fill the sweep memo for several machines at once, fanning the
+    (benchmark, machine) cells over [jobs] [Exec] worker processes.
+    Subsequent [run_all_machine] calls (and every figure built on them)
+    are cache hits with identical rows whatever [jobs] is. *)
 let prefetch_machines ?(jobs = 1) ?(benches = default_benches ()) ~specs () :
     unit =
   (* dedup by canonical encoding, preserving first-seen order *)
@@ -182,49 +129,36 @@ let prefetch_machines ?(jobs = 1) ?(benches = default_benches ()) ~specs () :
       (fun spec -> not (Hashtbl.mem run_all_cache (cache_key ~benches spec)))
       specs
   in
-  if jobs <= 1 then List.iter (fun spec -> fill_sequential ~benches spec) missing
-  else if missing <> [] then begin
+  if missing <> [] then begin
     let cells =
       List.concat_map
-        (fun (b : Benchsuite.Bench_intf.t) ->
-          List.map (fun spec -> (b.Benchsuite.Bench_intf.name, spec)) missing)
+        (fun b -> List.map (fun spec -> (b, spec)) missing)
         benches
-    in
-    let jobs_list =
-      List.map
-        (fun (name, spec) ->
-          Exec.job ~batch:name
-            (Minijson.obj
-               [
-                 ("bench", Minijson.str name);
-                 ("machine", Machine_spec.to_json spec);
-               ]))
-        cells
     in
     let results =
       Telemetry.with_span "experiments.prefetch"
         ~args:[ ("jobs", string_of_int jobs) ]
-        (fun () -> Exec.map ~jobs ~worker:sweep_worker jobs_list)
+        (fun () ->
+          Exec.map ~jobs ~worker:sweep_cell
+            (List.map
+               (fun ((b, _) as cell) ->
+                 Exec.job ~batch:b.Benchsuite.Bench_intf.name cell)
+               cells))
     in
-    let by_cell = Hashtbl.create (List.length cells) in
+    let nspecs = List.length missing in
     List.iteri
-      (fun i (name, spec) ->
-        let row =
-          match results.(i) with
-          | Ok doc -> (
-              match row_of_json doc with
-              | Ok r -> r
-              | Error m -> crash_row ~bench:name ("malformed worker row: " ^ m))
-          | Error m -> crash_row ~bench:name m
-        in
-        Hashtbl.replace by_cell (name, machine_key spec) row)
-      cells;
-    List.iter
-      (fun spec ->
+      (fun k spec ->
         let rows =
-          List.map
-            (fun (b : Benchsuite.Bench_intf.t) ->
-              Hashtbl.find by_cell (b.Benchsuite.Bench_intf.name, machine_key spec))
+          List.mapi
+            (fun i (b : Benchsuite.Bench_intf.t) ->
+              match results.((i * nspecs) + k) with
+              | Ok row -> row
+              | Error m ->
+                  (* a hard worker crash has no row to report; an error
+                     row lets the sweep complete and figures render a
+                     gap *)
+                  { bench = b.Benchsuite.Bench_intf.name; cycles = [];
+                    moves = []; error = Some m })
             benches
         in
         Hashtbl.replace run_all_cache (cache_key ~benches spec) rows)
@@ -243,21 +177,15 @@ let prefetch ?jobs ?benches ~latencies () : unit =
 (** Run all four methods on every benchmark on one machine.  Results are
     memoized per (machine, benchmark set); the key is insensitive to
     benchmark order.  Rows come back in the order of [benches] on a miss
-    — a reordered cache hit returns the first call's row order.
-    [jobs > 1] computes a miss on an [Exec] process pool (identical
-    rows, see [prefetch_machines]). *)
+    — a reordered cache hit returns the first call's row order.  A miss
+    is computed by [prefetch_machines] on [jobs] workers (identical
+    rows whatever [jobs] is). *)
 let run_all_machine ?(jobs = 1) ?(benches = default_benches ()) ~spec () :
     row list =
   let key = cache_key ~benches spec in
-  match Hashtbl.find_opt run_all_cache key with
-  | Some rows -> rows
-  | None when jobs > 1 ->
-      prefetch_machines ~jobs ~benches ~specs:[ spec ] ();
-      Hashtbl.find run_all_cache key
-  | None ->
-      let rows = run_all_uncached ~benches ~spec in
-      Hashtbl.replace run_all_cache key rows;
-      rows
+  if not (Hashtbl.mem run_all_cache key) then
+    prefetch_machines ~jobs ~benches ~specs:[ spec ] ();
+  Hashtbl.find run_all_cache key
 
 (** [run_all_machine] on the paper machine at one intercluster latency —
     the sweep behind the paper's own figure family. *)

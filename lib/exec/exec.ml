@@ -1,11 +1,17 @@
 (** Process-pool job executor (see exec.mli).
 
     The parent and each worker speak a lockstep request/response
-    protocol over a pair of pipes: the parent writes one job frame
-    (newline-terminated compact JSON), the worker writes exactly one
-    result frame back.  One job is outstanding per worker at a time, so
-    a readable descriptor always corresponds to (the start of) the one
-    pending response line.
+    protocol over a pair of pipes: the parent writes one job frame, the
+    worker writes exactly one result frame back.  One job is outstanding
+    per worker at a time, so a readable descriptor always holds (the
+    start of) the one pending result frame.
+
+    A frame is an 8-byte big-endian length followed by that many bytes
+    of [Marshal] output: [(ticket, payload)] one way, [(ticket, result)]
+    the other.  Both ends are the same executable (the worker is a fork
+    of the parent), so [Marshal] round-trips every value exactly; the
+    length is checked against the marshaled value's own before anything
+    is unmarshaled.
 
     All pipe I/O goes through raw file descriptors with explicit
     [EINTR] retry and partial-read/-write loops — the daemon built on
@@ -17,13 +23,13 @@ let src = Logs.Src.create "exec" ~doc:"process-pool executor"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type job = { payload : Minijson.t; batch : string }
+type 'a job = { payload : 'a; batch : string }
 
 let job ?(batch = "") payload = { payload; batch }
 let clamp_jobs n = max 1 (min 64 n)
 
 (* ------------------------------------------------------------------ *)
-(* EINTR-hardened descriptor I/O                                       *)
+(* EINTR-hardened frame I/O                                            *)
 
 (* Write the whole substring, restarting on [EINTR] and resuming after
    partial writes (a pipe accepts PIPE_BUF bytes atomically, but our
@@ -34,127 +40,69 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
-(* One [read], restarted on [EINTR].  Returns 0 at end of file. *)
-let rec read_once fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_once fd buf
+(* Fill [buf] from [off] on, restarting on [EINTR] and resuming after
+   partial reads.  [false] when the peer closes the descriptor first.
+   Unix errors other than [EINTR] propagate to the caller (which treats
+   them like a crash). *)
+let rec read_into fd buf off len =
+  len = 0
+  ||
+  match Unix.read fd buf off len with
+  | 0 -> false
+  | n -> read_into fd buf (off + n) (len - n)
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_into fd buf off len
 
-(* Take the first complete line out of [buf] (without its newline),
-   leaving any following bytes in place.  [None] when no newline has
-   arrived yet. *)
-let take_line (buf : Buffer.t) : string option =
-  let s = Buffer.contents buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-      Buffer.clear buf;
-      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
+let length_bytes = 8
 
-(* Blocking line read: accumulate chunks until a newline shows up.
-   [None] means the peer closed the descriptor mid-line or between
-   lines.  Unix errors other than [EINTR] propagate to the caller
-   (which treats them like a crash/EOF). *)
-let rec read_line_fd fd rdbuf chunk : string option =
-  match take_line rdbuf with
-  | Some line -> Some line
-  | None ->
-      let n = read_once fd chunk in
-      if n = 0 then None
-      else begin
-        Buffer.add_subbytes rdbuf chunk 0 n;
-        read_line_fd fd rdbuf chunk
-      end
+let send_frame fd v =
+  let body = Marshal.to_string v [] in
+  let frame = Bytes.create (length_bytes + String.length body) in
+  Bytes.set_int64_be frame 0 (Int64.of_int (String.length body));
+  Bytes.blit_string body 0 frame length_bytes (String.length body);
+  write_all fd (Bytes.unsafe_to_string frame) 0 (Bytes.length frame)
 
-(* ------------------------------------------------------------------ *)
-(* Wire protocol                                                       *)
-
-let job_schema = "gdp-job/1"
-let result_schema = "gdp-result/1"
-
-let encode_request idx payload =
-  Minijson.(
-    encode
-      (obj [ ("schema", str job_schema); ("id", int idx); ("payload", payload) ]))
-
-let encode_result idx (r : (Minijson.t, string) result) =
-  let fields =
-    match r with
-    | Ok v -> [ ("schema", Minijson.str result_schema); ("id", Minijson.int idx); ("ok", v) ]
-    | Error m ->
-        [ ("schema", Minijson.str result_schema);
-          ("id", Minijson.int idx);
-          ("error", Minijson.str m)
-        ]
-  in
-  match Minijson.encode (Minijson.obj fields) with
-  | s -> s
-  | exception Invalid_argument m ->
-      (* non-finite number in the worker's result: downgrade to a job
-         error rather than killing the worker *)
-      Minijson.(
-        encode
-          (obj
-             [ ("schema", str result_schema);
-               ("id", int idx);
-               ("error", str ("unencodable result: " ^ m))
-             ]))
-
-(* [Ok (id, per_job_result)] or [Error msg] when the frame itself is
-   broken (which the parent treats as a worker crash). *)
-let decode_result line =
-  match Minijson.parse line with
-  | Error msg -> Error ("unparseable result frame: " ^ msg)
-  | Ok doc -> (
-      let field name = Minijson.member name doc in
-      if Option.bind (field "schema") Minijson.to_string <> Some result_schema
-      then Error "result frame with wrong schema"
-      else
-        match Option.bind (field "id") Minijson.to_int with
-        | None -> Error "result frame without id"
-        | Some id -> (
-            match field "error" with
-            | Some e -> (
-                match Minijson.to_string e with
-                | Some msg -> Ok (id, Error msg)
-                | None -> Error "result frame with non-string error")
-            | None -> (
-                match field "ok" with
-                | Some v -> Ok (id, Ok v)
-                | None -> Error "result frame without ok or error")))
+(* The next frame's value.  [None] at end of file, and for a frame cut
+   short or whose length is not its marshaled value's: the peer died or
+   is confused, and nothing it wrote is unmarshaled.  The caller gives
+   the value its type: both ends run the same executable and the same
+   pool, so the bytes were marshaled from that type. *)
+let receive_frame fd =
+  let header = Bytes.create length_bytes in
+  if not (read_into fd header 0 length_bytes) then None
+  else
+    let n = Int64.to_int (Bytes.get_int64_be header 0) in
+    if n < Marshal.header_size || n > Sys.max_string_length then None
+    else
+      let body = Bytes.create n in
+      if
+        read_into fd body 0 n
+        && (match Marshal.total_size body 0 with
+           | size -> size = n
+           | exception Failure _ -> false)
+      then Some (Marshal.from_bytes body 0)
+      else None
 
 (* ------------------------------------------------------------------ *)
 (* Worker (child) side                                                 *)
 
-let run_one worker idx payload =
-  match worker payload with
-  | v -> encode_result idx (Ok v)
-  | exception e -> encode_result idx (Error (Printexc.to_string e))
-
-(* Never returns: serves jobs until the parent closes the pipe. *)
-let child_loop ~worker ~setup in_fd out_fd =
+(* Never returns: serves jobs until the parent closes the pipe.  The
+   child's copies of the parent's recordings and counters are private
+   noise, so they are dropped first. *)
+let child_loop ~worker in_fd out_fd =
   (try
-     setup ();
-     let rdbuf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+     Telemetry.disable ();
+     Telemetry.reset ();
+     Fault.reset_counts ();
      let rec loop () =
-       match read_line_fd in_fd rdbuf chunk with
+       match receive_frame in_fd with
        | None -> ()
-       | Some line ->
-           let response =
-             match Minijson.parse line with
-             | Error msg ->
-                 encode_result (-1) (Error ("unparseable job frame: " ^ msg))
-             | Ok doc -> (
-                 let idx =
-                   Option.bind (Minijson.member "id" doc) Minijson.to_int
-                 in
-                 match (idx, Minijson.member "payload" doc) with
-                 | Some idx, Some payload -> run_one worker idx payload
-                 | _ -> encode_result (-1) (Error "malformed job frame"))
+       | Some (ticket, payload) ->
+           let result =
+             match worker payload with
+             | v -> Ok v
+             | exception e -> Error (Printexc.to_string e)
            in
-           let out = response ^ "\n" in
-           write_all out_fd out 0 (String.length out);
+           send_frame out_fd ((ticket : int), result);
            loop ()
      in
      loop ()
@@ -180,7 +128,7 @@ let rec waitpid_retry flags pid =
    every other live worker: the child must close them, or a dead
    parent-side write end would be held open by siblings and workers
    would never see EOF on shutdown. *)
-let spawn ~worker ~setup ~parent_fds =
+let spawn ~worker ~parent_fds =
   let job_r, job_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   (* anything buffered pre-fork would otherwise be flushed by both
@@ -196,7 +144,7 @@ let spawn ~worker ~setup ~parent_fds =
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         parent_fds;
-      child_loop ~worker ~setup job_r res_w
+      child_loop ~worker job_r res_w
   | pid ->
       Unix.close job_r;
       Unix.close res_w;
@@ -205,40 +153,35 @@ let spawn ~worker ~setup ~parent_fds =
 module Pool = struct
   type ticket = int
 
-  type pending = {
+  type 'a pending = {
     ticket : ticket;
-    payload : Minijson.t;
+    payload : 'a;
     batch : string;
     mutable attempts : int;
     mutable not_before : float;  (* epoch s; 0. = dispatchable now *)
   }
 
-  type slot = {
+  type 'a slot = {
     slot_id : int;
     mutable pid : int;
     mutable to_fd : Unix.file_descr;
     mutable from_fd : Unix.file_descr;
-    rdbuf : Buffer.t;
-    mutable current : (pending * float) option;  (* in-flight, start_us *)
+    mutable current : ('a pending * float) option;  (* in-flight, start_us *)
     mutable alive : bool;
     mutable consec_crashes : int;  (* since the slot's last success *)
     mutable down_until : float;  (* respawn-backoff deadline; 0. = none *)
   }
 
-  type completion = {
-    c_ticket : ticket;
-    c_result : (Minijson.t, string) result;
-  }
+  type 'b completion = { c_ticket : ticket; c_result : ('b, string) result }
 
-  type t = {
-    slots : slot option array;
-    mutable queue : pending list;  (* submission order *)
+  type ('a, 'b) t = {
+    slots : 'a slot option array;
+    mutable queue : 'a pending list;  (* submission order *)
     owners : (string, int) Hashtbl.t;  (* batch -> owning slot *)
     batch_refs : (string, int) Hashtbl.t;  (* live jobs per batch *)
-    mutable completed : completion list;  (* newest first *)
+    mutable completed : 'b completion list;  (* newest first *)
     mutable next_ticket : int;
-    worker : Minijson.t -> Minijson.t;
-    setup : unit -> unit;
+    worker : 'a -> 'b;
     max_retries : int;
     retry_backoff : float;  (* base delay before a crash retry; 0. = none *)
     respawn_backoff : float;  (* base delay before reviving a slot *)
@@ -248,7 +191,6 @@ module Pool = struct
     mutable rng : int;  (* deterministic jitter state *)
     mutable crashes : int;
     mutable respawns : int;
-    chunk : Bytes.t;
     prev_sigpipe : Sys.signal_behavior option;
     mutable shut : bool;
   }
@@ -291,7 +233,7 @@ module Pool = struct
 
   let respawn t slot_id =
     let pid, to_fd, from_fd =
-      spawn ~worker:t.worker ~setup:t.setup ~parent_fds:(live_parent_fds t)
+      spawn ~worker:t.worker ~parent_fds:(live_parent_fds t)
     in
     match t.slots.(slot_id) with
     | None ->
@@ -302,7 +244,6 @@ module Pool = struct
               pid;
               to_fd;
               from_fd;
-              rdbuf = Buffer.create 4096;
               current = None;
               alive = true;
               consec_crashes = 0;
@@ -312,7 +253,6 @@ module Pool = struct
         s.pid <- pid;
         s.to_fd <- to_fd;
         s.from_fd <- from_fd;
-        Buffer.clear s.rdbuf;
         s.alive <- true;
         s.down_until <- 0.
 
@@ -325,7 +265,6 @@ module Pool = struct
     s.alive <- false;
     (try Unix.close s.to_fd with Unix.Unix_error _ -> ());
     (try Unix.close s.from_fd with Unix.Unix_error _ -> ());
-    Buffer.clear s.rdbuf;
     let rec poll deadline =
       match waitpid_retry [ Unix.WNOHANG ] s.pid with
       | 0, _ ->
@@ -343,14 +282,14 @@ module Pool = struct
     in
     poll (Unix.gettimeofday () +. grace)
 
-  let complete t (p : pending) result =
+  let complete t (p : _ pending) result =
     Telemetry.incr "exec.jobs";
     (match result with Error _ -> Telemetry.incr "exec.errors" | Ok _ -> ());
     if p.attempts > 0 then Fault.note_recovered ();
     batch_unref t p.batch;
     t.completed <- { c_ticket = p.ticket; c_result = result } :: t.completed
 
-  let finish_job t s (p : pending) result =
+  let finish_job t s (p : _ pending) result =
     (match s.current with
     | Some (_, start_us) ->
         Telemetry.record_span "exec.job"
@@ -500,8 +439,7 @@ module Pool = struct
       | None -> ()
       | Some p -> (
           s.current <- Some (p, Telemetry.now_us ());
-          let frame = encode_request p.ticket p.payload ^ "\n" in
-          match write_all s.to_fd frame 0 (String.length frame) with
+          match send_frame s.to_fd (p.ticket, p.payload) with
           | () -> ()
           | exception Unix.Unix_error _ ->
               (* worker already gone — crash path, then try again *)
@@ -521,16 +459,8 @@ module Pool = struct
 
   let create ?(jobs = 1) ?(max_retries = 1) ?(retry_backoff = 0.)
       ?(respawn_backoff = 0.) ?(poison_threshold = 0) ?(backoff_seed = 0)
-      ?(child_setup = fun () -> ()) ~worker () =
+      ~worker () =
     let jobs = clamp_jobs jobs in
-    let setup () =
-      (* the child's copies of the parent's recordings and counters are
-         private noise: drop them before user setup runs *)
-      Telemetry.disable ();
-      Telemetry.reset ();
-      Fault.reset_counts ();
-      child_setup ()
-    in
     (* a crashed worker turns the parent's next write into SIGPIPE,
        which would kill the whole process: convert it to EPIPE for the
        crash handler.  Restored on [shutdown]. *)
@@ -548,7 +478,6 @@ module Pool = struct
         completed = [];
         next_ticket = 0;
         worker;
-        setup;
         max_retries;
         retry_backoff;
         respawn_backoff;
@@ -558,7 +487,6 @@ module Pool = struct
         rng = (backoff_seed lxor 0x5DEECE6) land 0x3FFFFFFF;
         crashes = 0;
         respawns = 0;
-        chunk = Bytes.create 65536;
         prev_sigpipe;
         shut = false;
       }
@@ -658,20 +586,18 @@ module Pool = struct
           | _ -> ());
       !hit
 
-  (* Read the one pending response line of [s].  The select said the
-     descriptor is readable, so the first read never blocks; subsequent
-     reads only happen when a line is split across pipe chunks, which
-     the worker completes promptly (it writes whole frames). *)
+  (* Read the one pending result frame of [s].  The select said the
+     descriptor is readable, so the first read never blocks; later reads
+     only happen when a frame is split across pipe chunks, which the
+     worker completes promptly (it writes whole frames). *)
   let read_response t s =
-    match read_line_fd s.from_fd s.rdbuf t.chunk with
-    | None -> handle_crash t s
-    | Some line -> (
-        match (decode_result line, s.current) with
-        | Ok (id, res), Some (p, _) when id = p.ticket -> finish_job t s p res
-        | Ok _, _ | Error _, _ ->
-            (* wrong id or broken frame: the worker is confused *)
-            Log.warn (fun m -> m "worker %d: bad response frame" s.slot_id);
-            handle_crash t s)
+    match (receive_frame s.from_fd, s.current) with
+    | Some (ticket, result), Some (p, _) when ticket = p.ticket ->
+        finish_job t s p result
+    | Some _, _ ->
+        Log.warn (fun m -> m "worker %d: result for another job" s.slot_id);
+        handle_crash t s
+    | None, _ -> handle_crash t s
     | exception Unix.Unix_error _ -> handle_crash t s
 
   let drain t =
@@ -780,26 +706,24 @@ end
 (* ------------------------------------------------------------------ *)
 (* One-shot map, expressed over the pool                               *)
 
-let map ?(jobs = 1) ?(max_retries = 1) ?(child_setup = fun () -> ()) ~worker
-    (js : job list) : (Minijson.t, string) result array =
+let map ?(jobs = 1) ~worker js =
   let n = List.length js in
   let results = Array.make n (Error "job was never executed") in
   if jobs <= 1 || n <= 1 then
-    (* inline: same accounting and error capture, no processes *)
+    (* inline: same accounting and error capture, no processes; the
+       job's own spans nest under its [exec.job] span *)
     List.iteri
-      (fun i (j : job) ->
-        let start_us = Telemetry.now_us () in
-        (results.(i) <-
-           (match worker j.payload with
-           | v -> Ok v
-           | exception e ->
-               Telemetry.incr "exec.errors";
-               Error (Printexc.to_string e)));
-        Telemetry.incr "exec.jobs";
-        Telemetry.record_span "exec.job"
-          ~args:[ ("job", string_of_int i); ("batch", j.batch) ]
-          ~start_us
-          ~dur_us:(Telemetry.now_us () -. start_us))
+      (fun i j ->
+        results.(i) <-
+          Telemetry.with_span "exec.job"
+            ~args:[ ("job", string_of_int i); ("batch", j.batch) ]
+            (fun () ->
+              match worker j.payload with
+              | v -> Ok v
+              | exception e ->
+                  Telemetry.incr "exec.errors";
+                  Error (Printexc.to_string e));
+        Telemetry.incr "exec.jobs")
       js
   else begin
     (* never more workers than distinct batches: a batch runs whole on
@@ -810,21 +734,19 @@ let map ?(jobs = 1) ?(max_retries = 1) ?(child_setup = fun () -> ()) ~worker
     let nworkers = min (clamp_jobs jobs) nbatches in
     Log.debug (fun m ->
         m "pool: %d worker(s), %d job(s) in %d batch(es)" nworkers n nbatches);
-    let pool = Pool.create ~jobs:nworkers ~max_retries ~child_setup ~worker () in
+    let pool = Pool.create ~jobs:nworkers ~worker () in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
         let index_of = Hashtbl.create n in
         List.iteri
-          (fun i (j : job) ->
-            Hashtbl.replace index_of
-              (Pool.submit pool ~batch:j.batch j.payload)
-              i)
+          (fun i j ->
+            Hashtbl.replace index_of (Pool.submit pool ~batch:j.batch j.payload) i)
           js;
         let remaining = ref n in
         while !remaining > 0 do
           List.iter
-            (fun (c : Pool.completion) ->
+            (fun (c : _ Pool.completion) ->
               match Hashtbl.find_opt index_of c.Pool.c_ticket with
               | Some i ->
                   results.(i) <- c.Pool.c_result;

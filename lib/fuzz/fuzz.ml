@@ -203,107 +203,24 @@ let campaign_sequential ?(latencies = default_latencies) ?corpus
   Gdp_core.Experiments.clear_cache ();
   { programs = count; mismatches = List.rev !mismatches }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel campaign: seeds are independent, so the range shards into
-   [jobs] contiguous chunks, each run as one [Exec] job (sequential
-   campaign inside a pool worker).  Merged mismatches sort by seed —
-   every seed yields at most one mismatch, so the merged list is exactly
-   the sequential campaign's.  Corpus files are seed-named; shards never
-   collide. *)
-
-let chunk_schema = "gdp-fuzz-chunk/1"
-
-let chunk_to_json ~latencies ~corpus ~shrink_budget ~seed ~count : Minijson.t =
-  Minijson.obj
-    [
-      ("schema", Minijson.str chunk_schema);
-      ("seed", Minijson.int seed);
-      ("count", Minijson.int count);
-      ("latencies", Minijson.list (List.map Minijson.int latencies));
-      ("corpus", Minijson.option Minijson.str corpus);
-      ("shrink_budget", Minijson.int shrink_budget);
-    ]
-
-let summary_to_json (s : summary) : Minijson.t =
-  Minijson.obj
-    [
-      ("programs", Minijson.int s.programs);
-      ( "mismatches",
-        Minijson.list
-          (List.map
-             (fun (m, paths) ->
-               Minijson.obj
-                 [
-                   ("seed", Minijson.int m.seed);
-                   ("latency", Minijson.int m.latency);
-                   ("method", Minijson.str m.method_name);
-                   ("reason", Minijson.str m.reason);
-                   ("paths", Minijson.list (List.map Minijson.str paths));
-                 ])
-             s.mismatches) );
-    ]
-
-let summary_of_json (doc : Minijson.t) : (summary, string) result =
-  let open Minijson in
-  match
-    ( Option.bind (member "programs" doc) to_int,
-      Option.bind (member "mismatches" doc) to_list )
-  with
-  | Some programs, Some items ->
-      let mismatch_of item =
-        match
-          ( Option.bind (member "seed" item) to_int,
-            Option.bind (member "latency" item) to_int,
-            Option.bind (member "method" item) to_string,
-            Option.bind (member "reason" item) to_string )
-        with
-        | Some seed, Some latency, Some method_name, Some reason ->
-            let paths =
-              match member "paths" item with
-              | Some (List ps) -> List.filter_map to_string ps
-              | _ -> []
-            in
-            Some ({ seed; latency; method_name; reason }, paths)
-        | _ -> None
-      in
-      List.fold_left
-        (fun acc item ->
-          match (acc, mismatch_of item) with
-          | Ok acc, Some m -> Ok (m :: acc)
-          | _ -> Error "fuzz: malformed mismatch in worker summary")
-        (Ok []) items
-      |> Result.map (fun ms -> { programs; mismatches = List.rev ms })
-  | _ -> Error "fuzz: malformed worker summary"
-
-let chunk_worker (payload : Minijson.t) : Minijson.t =
-  let open Minijson in
-  match
-    ( Option.bind (member "seed" payload) to_int,
-      Option.bind (member "count" payload) to_int,
-      Option.bind (member "latencies" payload) to_list,
-      Option.bind (member "shrink_budget" payload) to_int )
-  with
-  | Some seed, Some count, Some lats, Some shrink_budget ->
-      let latencies = List.filter_map to_int lats in
-      let corpus = Option.bind (member "corpus" payload) to_string in
-      summary_to_json
-        (campaign_sequential ~latencies ?corpus ~shrink_budget ~seed ~count ())
-  | _ -> failwith "fuzz: malformed campaign chunk payload"
-
 (** Fuzz [count] seeds starting at [seed].  Every iteration clears the
     pipeline memos so memory stays flat over long runs; every mismatch
     is shrunk and saved under [corpus] (when given).  [on_progress] is
     called after each seed with (seeds done, mismatches so far).
 
-    [jobs > 1] shards the seed range over a process pool ([Exec]); the
-    merged summary is the sequential campaign's (seeds are independent
-    and corpus files seed-named), except that [on_progress] then fires
-    once per completed shard rather than per seed.  A crashed worker
-    surfaces as a synthetic ["worker"] mismatch covering its shard, so
-    a pool failure can never silently pass a campaign. *)
+    [jobs > 1] shards the seed range into contiguous chunks, one
+    sequential campaign per [Exec] job.  Seeds are independent and
+    corpus files seed-named, so shards never collide, and every seed
+    yields at most one mismatch, so merging by seed gives exactly the
+    sequential campaign's summary — except that [on_progress] then
+    fires once per completed shard rather than per seed.  A crashed
+    worker surfaces as a synthetic ["worker"] mismatch covering its
+    shard, so a pool failure can never silently pass a campaign. *)
 let campaign ?(jobs = 1) ?(latencies = default_latencies) ?corpus
     ?(shrink_budget = 256) ?(on_progress = fun _ _ -> ()) ~seed ~count () :
     summary =
+  (* Not [Exec.map]'s inline path: a campaign run in-process reports
+     progress after every seed, a shard only when it ends. *)
   if jobs <= 1 || count <= 1 then
     campaign_sequential ~latencies ?corpus ~shrink_budget ~on_progress ~seed
       ~count ()
@@ -316,33 +233,24 @@ let campaign ?(jobs = 1) ?(latencies = default_latencies) ?corpus
           let len = base + if i < extra then 1 else 0 in
           (start, len))
     in
-    let job_of (start, len) =
-      Exec.job
-        ~batch:(string_of_int start)
-        (chunk_to_json ~latencies ~corpus ~shrink_budget ~seed:start ~count:len)
+    let results =
+      Exec.map ~jobs
+        ~worker:(fun (seed, count) ->
+          campaign_sequential ~latencies ?corpus ~shrink_budget ~seed ~count ())
+        (List.map
+           (fun ((start, _) as chunk) ->
+             Exec.job ~batch:(string_of_int start) chunk)
+           chunks)
     in
-    let results = Exec.map ~jobs ~worker:chunk_worker (List.map job_of chunks) in
     let merged = ref [] in
     let programs = ref 0 in
     let done_seeds = ref 0 in
     List.iteri
       (fun i (start, len) ->
         (match results.(i) with
-        | Ok doc -> (
-            match summary_of_json doc with
-            | Ok s ->
-                programs := !programs + s.programs;
-                merged := List.rev_append s.mismatches !merged
-            | Error m ->
-                merged :=
-                  ( {
-                      seed = start;
-                      latency = 0;
-                      method_name = "worker";
-                      reason = m;
-                    },
-                    [] )
-                  :: !merged)
+        | Ok s ->
+            programs := !programs + s.programs;
+            merged := List.rev_append s.mismatches !merged
         | Error m ->
             (* the whole shard crashed — report it rather than claiming
                those seeds passed *)

@@ -42,13 +42,6 @@ let find_func_opt p name =
 
 let main p = find_func p "main"
 
-let find_global p name =
-  match
-    List.find_opt (fun g -> String.equal g.Data.g_name name) p.globals
-  with
-  | Some g -> g
-  | None -> invalid_arg ("Prog.find_global: no global " ^ name)
-
 let iter_ops fn p = List.iter (Func.iter_ops fn) p.funcs
 let fold_ops fn acc p = List.fold_left (fun acc f -> Func.fold_ops fn acc f) acc p.funcs
 let num_ops p = List.fold_left (fun n f -> n + Func.num_ops f) 0 p.funcs

@@ -17,7 +17,6 @@ val find_func : t -> string -> Func.t
 
 val find_func_opt : t -> string -> Func.t option
 val main : t -> Func.t
-val find_global : t -> string -> Data.global
 val iter_ops : (Op.t -> unit) -> t -> unit
 val fold_ops : ('a -> Op.t -> 'a) -> 'a -> t -> 'a
 val num_ops : t -> int

@@ -30,7 +30,7 @@ val parse_file : string -> (t, string) result
 
 (** Compact, single-line rendering (no spaces or newlines outside
     strings; control characters in strings are escaped), so a document
-    can cross a pipe in newline-delimited framing.  Numbers print as
+    is one line of a JSONL file.  Numbers print as
     integers when they are integral and otherwise in the fewest digits
     that round-trip exactly.  Raises [Invalid_argument] on NaN or
     infinite numbers. *)

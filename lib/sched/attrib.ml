@@ -41,11 +41,6 @@ let category_name = function
   | Useful -> "useful"
   | Empty -> "empty"
 
-let category_of_index i =
-  match List.nth_opt categories i with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Attrib.category_of_index: %d" i)
-
 (** One scheduled block's account, weighted by [of_clustered]. *)
 type block_account = {
   bk_length : int;  (** schedule length; equals the category sum *)

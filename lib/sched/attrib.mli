@@ -40,7 +40,6 @@ val categories : category list
 val num_categories : int
 val category_index : category -> int
 val category_name : category -> string
-val category_of_index : int -> category
 
 (** Per-object dynamic access split: accesses executed by memory
     operations whose value stays on one cluster ([local]) vs. accesses

@@ -1,8 +1,7 @@
 (** Length-prefixed JSON framing for the [gdpcd] wire.
 
     A frame is a 4-byte big-endian payload length followed by exactly
-    that many bytes of compact {!Minijson} text.  Unlike the
-    newline-delimited framing the in-process pool uses, a length prefix
+    that many bytes of compact {!Minijson} text.  The length prefix
     lets the server budget a read before performing it: a frame whose
     declared size exceeds the limit is rejected {e before} any payload
     is buffered, so a hostile or confused client cannot balloon the

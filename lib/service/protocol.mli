@@ -124,12 +124,6 @@ val request_of_json : Minijson.t -> (request, string) result
 val response_to_json : response -> Minijson.t
 val response_of_json : Minijson.t -> (response, string) result
 
-val job_to_json : job -> Minijson.t
-(** The worker-side payload (no envelope): what the server ships to its
-    {!Exec.Pool} workers. *)
-
-val job_of_json : Minijson.t -> (job, string) result
-
 val cache_key : job -> string
 (** Content address of a job's artifact: a digest over the source text,
     the workload, the canonical settings JSON and the machine

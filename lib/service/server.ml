@@ -38,9 +38,10 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Worker function: runs in forked pool workers.  Every failure is
-   folded into the returned document so job errors stay deterministic
-   (a raise would look like a worker crash and trigger a retry). *)
+(* Worker function: runs in forked pool workers on jobs the server has
+   already decoded and validated.  Every compile failure is folded into
+   the returned result, so job errors stay deterministic (a raise would
+   look like a worker crash and trigger a retry). *)
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
@@ -53,7 +54,7 @@ type worker_timing = {
   wk_spans : Telemetry.span list;
 }
 
-(* Pipeline spans kept for the wire, bounded in both depth and count
+(* Pipeline spans kept for the result, bounded in both depth and count
    and stripped of their args — a pathological compile must not balloon
    the result frame past the artifact it carries, nor the server's
    trace registry. *)
@@ -79,69 +80,23 @@ let bounded_spans (snap : Telemetry.snapshot) =
       end)
     snap.spans
 
-let worker_fn ?par_workers payload =
-  match Protocol.job_of_json payload with
-  | Error m ->
-      Minijson.obj [ ("failed", Minijson.str ("bad job payload: " ^ m)) ]
-  | Ok job -> (
-      let evaluate () =
-        match Protocol.evaluate_job ?par_workers job with
-        | Ok artifact -> Minijson.obj [ ("artifact", artifact) ]
-        | Error m -> Minijson.obj [ ("failed", Minijson.str m) ]
+(* The artifact, or the compile's failure, and for a traced job the
+   worker's timing.  Tracing never changes the artifact. *)
+let worker_fn ?par_workers (job : Protocol.job) =
+  match job.Protocol.trace_id with
+  | None -> (Protocol.evaluate_job ?par_workers job, None)
+  | Some _ ->
+      let start_us = now_us () in
+      let result, snap =
+        Telemetry.capture (fun () -> Protocol.evaluate_job ?par_workers job)
       in
-      match job.Protocol.trace_id with
-      | None -> evaluate ()
-      | Some _ -> (
-          (* Traced: the artifact member is untouched — tracing never
-             changes served bytes. *)
-          let start_us = now_us () in
-          let doc, snap = Telemetry.capture evaluate in
-          let end_us = now_us () in
-          let info =
-            ( "worker",
-              Minijson.obj
-                [
-                  ("start_us", Minijson.float start_us);
-                  ("end_us", Minijson.float end_us);
-                  ( "spans",
-                    Minijson.list
-                      (List.map Telemetry.span_to_json (bounded_spans snap)) );
-                ] )
-          in
-          match doc with
-          | Minijson.Obj fields -> Minijson.Obj (fields @ [ info ])
-          | other -> other))
-
-(* A pool completion read back: the job's result and, when the job was
-   traced, the worker's timing. *)
-let read_completion (c : Exec.Pool.completion) =
-  match c.Exec.Pool.c_result with
-  | Error m -> (Error m, None)
-  | Ok doc ->
-      let result =
-        match (Minijson.member "artifact" doc, Minijson.member "failed" doc) with
-        | Some art, _ -> Ok art
-        | None, Some (Minijson.Str m) -> Error m
-        | _ -> Error "worker returned an unrecognized document"
-      in
-      let timing =
-        Option.bind (Minijson.member "worker" doc) (fun w ->
-            let f name = Option.bind (Minijson.member name w) Minijson.to_float in
-            match (f "start_us", f "end_us") with
-            | Some wk_start_us, Some wk_end_us ->
-                let spans =
-                  Option.value ~default:[]
-                    (Option.bind (Minijson.member "spans" w) Minijson.to_list)
-                in
-                Some
-                  {
-                    wk_start_us;
-                    wk_end_us;
-                    wk_spans = List.filter_map Telemetry.span_of_json spans;
-                  }
-            | _ -> None)
-      in
-      (result, timing)
+      ( result,
+        Some
+          {
+            wk_start_us = start_us;
+            wk_end_us = now_us ();
+            wk_spans = bounded_spans snap;
+          } )
 
 (* ------------------------------------------------------------------ *)
 (* Listeners                                                           *)
@@ -213,7 +168,10 @@ type ending =
 
 type state = {
   cfg : config;
-  pool : Exec.Pool.t;
+  pool :
+    ( Protocol.job,
+      (Minijson.t, string) result * worker_timing option )
+    Exec.Pool.t;
   cache : Cache.t;
   clients : (Unix.file_descr, client) Hashtbl.t;
   waiters : (Exec.Pool.ticket, waiter list ref) Hashtbl.t;
@@ -454,7 +412,7 @@ and finish st w ending =
   | _ -> ()
 
 (* Answer everyone waiting on a completed pool job. *)
-let deliver st (c : Exec.Pool.completion) =
+let deliver st (c : _ Exec.Pool.completion) =
   let t = c.Exec.Pool.c_ticket in
   let ws =
     match Hashtbl.find_opt st.waiters t with Some ws -> !ws | None -> []
@@ -463,7 +421,11 @@ let deliver st (c : Exec.Pool.completion) =
   let key = Hashtbl.find_opt st.key_of t in
   Option.iter (Hashtbl.remove st.inflight) key;
   Hashtbl.remove st.key_of t;
-  let result, timing = read_completion c in
+  let result, timing =
+    match c.Exec.Pool.c_result with
+    | Ok compiled -> compiled
+    | Error crash -> (Error crash, None)
+  in
   (match (result, key) with
   | Ok art, Some k -> Cache.add st.cache k art
   | _ -> ());
@@ -731,9 +693,7 @@ let handle_submit st (cl : client) (job : Protocol.job) =
               if pending >= st.cfg.max_pending then finish st w (Rejected pending)
               else begin
                 Metrics.observe_queue_depth st.metrics pending;
-                let t =
-                  Exec.Pool.submit st.pool ~batch:key (Protocol.job_to_json job)
-                in
+                let t = Exec.Pool.submit st.pool ~batch:key job in
                 emit_event st ~event:"dispatch" w [];
                 Hashtbl.replace st.inflight key t;
                 Hashtbl.replace st.key_of t key;

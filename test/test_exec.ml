@@ -1,5 +1,5 @@
 (** Process-pool executor and the [Pipeline.Settings] API: pooled runs
-    must be byte-identical to in-process runs (rows, gate rows, fuzz
+    must be identical to in-process runs (values bit for bit, rows, fuzz
     summaries), worker crashes must surface as retries then error rows,
     and settings must round-trip through their JSON form. *)
 
@@ -13,30 +13,22 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* a worker usable from both the inline and the forked path: doubles
-   integer payloads, raises on ["boom"], exits the process on ["crash"]
-   (pool mode only — tests using it must not take the inline path) *)
-let arith_worker p =
-  match Minijson.member "crash" p with
-  | Some (Minijson.Bool true) -> Unix._exit 3
-  | _ -> (
-      match Option.bind (Minijson.member "boom" p) Minijson.to_string with
-      | Some msg -> failwith msg
-      | None ->
-          let n =
-            match Option.bind (Minijson.member "n" p) Minijson.to_int with
-            | Some n -> n
-            | None -> invalid_arg "no n"
-          in
-          Minijson.obj [ ("n2", Minijson.int (2 * n)) ])
+type arith = N of int | Boom of string | Crash
 
-let int_job ?(batch = "") n =
-  Exec.job ~batch (Minijson.obj [ ("n", Minijson.int n) ])
+(* a worker usable from both the inline and the forked path: doubles
+   [N n], raises on [Boom], exits the process on [Crash] (pool mode
+   only — tests using it must not take the inline path) *)
+let arith_worker = function
+  | N n -> 2 * n
+  | Boom msg -> failwith msg
+  | Crash -> Unix._exit 3
+
+let int_job ?(batch = "") n = Exec.job ~batch (N n)
 
 let result_strings results =
   Array.to_list results
   |> List.map (function
-       | Ok v -> "ok:" ^ Minijson.encode v
+       | Ok v -> "ok:" ^ string_of_int v
        | Error m -> "error:" ^ m)
 
 (* ------------------------------------------------------------------ *)
@@ -58,7 +50,7 @@ let test_map_job_error_identical () =
   let js =
     [
       int_job 1;
-      Exec.job (Minijson.obj [ ("boom", Minijson.str "deliberate") ]);
+      Exec.job (Boom "deliberate");
       int_job 3;
     ]
   in
@@ -74,7 +66,7 @@ let test_map_job_error_identical () =
 
 let test_map_crash_retried_then_reported () =
   Fault.reset_counts ();
-  let crash = Exec.job (Minijson.obj [ ("crash", Minijson.bool true) ]) in
+  let crash = Exec.job Crash in
   let js = [ int_job 1; crash; int_job 3; int_job 4 ] in
   let results = Exec.map ~jobs:2 ~worker:arith_worker js in
   (match results.(1) with
@@ -248,29 +240,22 @@ let drain_pool pool n =
 
 let test_pool_submit_poll () =
   let pool =
-    Exec.Pool.create ~jobs:2
-      ~worker:(fun p ->
-        match Minijson.to_int p with
-        | Some n -> Minijson.int (n * n)
-        | None -> failwith "bad payload")
-      ()
+    Exec.Pool.create ~jobs:2 ~worker:(fun n -> n * n) ()
   in
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
       let tickets =
-        List.init 5 (fun i -> (Exec.Pool.submit pool (Minijson.int i), i))
+        List.init 5 (fun i -> (Exec.Pool.submit pool i, i))
       in
       let completions = drain_pool pool 5 in
       Alcotest.(check int) "all jobs complete" 5 (List.length completions);
       Alcotest.(check int) "nothing pending" 0 (Exec.Pool.pending pool);
       List.iter
-        (fun (c : Exec.Pool.completion) ->
+        (fun (c : int Exec.Pool.completion) ->
           let i = List.assoc c.Exec.Pool.c_ticket tickets in
           match c.Exec.Pool.c_result with
-          | Ok v ->
-              Alcotest.(check (option int))
-                "squared" (Some (i * i)) (Minijson.to_int v)
+          | Ok v -> Alcotest.(check int) "squared" (i * i) v
           | Error m -> Alcotest.failf "job %d failed: %s" i m)
         completions)
 
@@ -286,8 +271,8 @@ let test_pool_cancel () =
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
-      let t1 = Exec.Pool.submit pool (Minijson.int 1) in
-      let t2 = Exec.Pool.submit pool (Minijson.int 2) in
+      let t1 = Exec.Pool.submit pool 1 in
+      let t2 = Exec.Pool.submit pool 2 in
       (* t1 was dispatched immediately; t2 is waiting for the worker *)
       Alcotest.(check int) "one queued" 1 (Exec.Pool.queued pool);
       (match Exec.Pool.cancel pool t2 with
@@ -301,12 +286,12 @@ let test_pool_cancel () =
       Alcotest.(check int) "nothing pending after cancels" 0
         (Exec.Pool.pending pool);
       (* a cancelled pool still runs new jobs (worker was respawned) *)
-      let t3 = Exec.Pool.submit pool (Minijson.int 3) in
+      let t3 = Exec.Pool.submit pool 3 in
       let cs = drain_pool pool 1 in
       match cs with
       | [ { Exec.Pool.c_ticket; c_result = Ok v } ] ->
           Alcotest.(check int) "ticket" t3 c_ticket;
-          Alcotest.(check (option int)) "value" (Some 3) (Minijson.to_int v)
+          Alcotest.(check int) "value" 3 v
       | _ -> Alcotest.fail "expected exactly the third job's completion")
 
 let test_pool_poison_pill () =
@@ -318,10 +303,9 @@ let test_pool_poison_pill () =
   Fun.protect
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
-      let crash = Minijson.obj [ ("crash", Minijson.bool true) ] in
       (* a job that kills every worker it touches must be failed with a
          diagnostic after [poison_threshold] crashes, not crash-loop *)
-      ignore (Exec.Pool.submit pool ~batch:"pp" crash);
+      ignore (Exec.Pool.submit pool ~batch:"pp" Crash);
       (match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Error m; _ } ] ->
           Alcotest.(check bool)
@@ -338,7 +322,7 @@ let test_pool_poison_pill () =
         "batch named" [ "pp" ]
         (Exec.Pool.poisoned_batches pool);
       (* the same batch now fails fast, without touching a worker *)
-      ignore (Exec.Pool.submit pool ~batch:"pp" (Minijson.int 1));
+      ignore (Exec.Pool.submit pool ~batch:"pp" (N 1));
       (match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Error m; _ } ] ->
           Alcotest.(check bool)
@@ -346,12 +330,10 @@ let test_pool_poison_pill () =
             (contains m "poison-pill")
       | _ -> Alcotest.fail "expected a fast failure");
       (* the pool healed: other batches still compute *)
-      ignore (Exec.Pool.submit pool ~batch:"ok" (Minijson.obj [ ("n", Minijson.int 21) ]));
+      ignore (Exec.Pool.submit pool ~batch:"ok" (N 21));
       match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Ok v; _ } ] ->
-          Alcotest.(check (option int))
-            "healthy batch unharmed" (Some 42)
-            (Option.bind (Minijson.member "n2" v) Minijson.to_int)
+          Alcotest.(check int) "healthy batch unharmed" 42 v
       | _ -> Alcotest.fail "expected a healthy completion")
 
 let test_pool_backoff_and_health () =
@@ -363,9 +345,7 @@ let test_pool_backoff_and_health () =
     ~finally:(fun () -> Exec.Pool.shutdown pool)
     (fun () ->
       let t0 = Unix.gettimeofday () in
-      ignore
-        (Exec.Pool.submit pool ~batch:"bk"
-           (Minijson.obj [ ("crash", Minijson.bool true) ]));
+      ignore (Exec.Pool.submit pool ~batch:"bk" Crash);
       (match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Error m; _ } ] ->
           Alcotest.(check bool)
@@ -386,7 +366,7 @@ let test_pool_backoff_and_health () =
          backoff here, so only the first three are guaranteed *)
       Alcotest.(check bool) "respawns counted" true (h.Exec.Pool.h_respawns >= 3);
       (* the slot respawned: the pool still works *)
-      ignore (Exec.Pool.submit pool (Minijson.obj [ ("n", Minijson.int 4) ]));
+      ignore (Exec.Pool.submit pool (N 4));
       (match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Ok _; _ } ] -> ()
       | _ -> Alcotest.fail "pool did not heal");
@@ -408,7 +388,7 @@ let test_pool_chaos_kill () =
       Alcotest.(check bool)
         "nothing to kill on an idle pool" false
         (Exec.Pool.chaos_kill pool 0);
-      ignore (Exec.Pool.submit pool (Minijson.int 9));
+      ignore (Exec.Pool.submit pool 9);
       ignore (Exec.Pool.poll ~timeout:0.02 pool);
       Alcotest.(check bool)
         "killed the busy worker" true
@@ -417,8 +397,7 @@ let test_pool_chaos_kill () =
          job is retried on a respawned worker and still completes *)
       match drain_pool pool 1 with
       | [ { Exec.Pool.c_result = Ok v; _ } ] ->
-          Alcotest.(check (option int))
-            "retried to completion" (Some 9) (Minijson.to_int v);
+          Alcotest.(check int) "retried to completion" 9 v;
           let h = Exec.Pool.health pool in
           Alcotest.(check bool) "crash detected" true (h.Exec.Pool.h_crashes >= 1);
           Alcotest.(check bool) "respawned" true (h.Exec.Pool.h_respawns >= 1)
@@ -449,22 +428,35 @@ let test_run_all_parallel_identity () =
   in
   Alcotest.(check string) "-j 4 rows byte-identical to -j 1" seq par
 
-let test_row_json_roundtrip () =
-  Experiments.clear_cache ();
-  Fun.protect ~finally:Experiments.clear_cache @@ fun () ->
-  let rows =
-    Experiments.run_all
-      ~benches:[ Benchsuite.Suite.find "fir" ]
-      ~move_latency:5 ()
+(* Values a JSON wire cannot carry (non-finite floats, a negative zero,
+   a NaN payload) cross the pipe both ways and come back bit for bit:
+   the worker echoes its payload and adds values of its own. *)
+type floats = { label : string; values : float list; inner : floats option }
+
+let test_map_exact_values () =
+  let specials =
+    [ nan; infinity; neg_infinity; -0.0; 0.1;
+      Int64.float_of_bits 0x7FF8000000000123L ]
   in
-  List.iter
-    (fun r ->
-      match Experiments.row_of_json (Experiments.row_to_json r) with
-      | Ok r' ->
-          Alcotest.(check string)
-            "row round-trips" (bench_json [ r ]) (bench_json [ r' ])
-      | Error m -> Alcotest.failf "row_of_json rejected own encoding: %s" m)
-    rows
+  let value label =
+    { label; values = specials;
+      inner = Some { label = label ^ "/inner"; values = List.rev specials;
+                     inner = None } }
+  in
+  let float_bits = List.map (fun x -> Int64.to_string (Int64.bits_of_float x)) in
+  let rec bits r =
+    (r.label :: float_bits r.values)
+    @ match r.inner with Some r -> bits r | None -> []
+  in
+  let js = List.map (fun b -> Exec.job ~batch:b (value b)) [ "a"; "b" ] in
+  let run jobs =
+    Exec.map ~jobs ~worker:(fun r -> (r, List.map Float.neg r.values)) js
+    |> Array.to_list
+    |> List.concat_map (function
+         | Ok (r, negated) -> bits r @ float_bits negated
+         | Error m -> [ "error:" ^ m ])
+  in
+  Alcotest.(check (list string)) "pooled bits equal inline bits" (run 1) (run 2)
 
 let test_fuzz_parallel_identity () =
   let run jobs =
@@ -538,8 +530,8 @@ let suite =
     Alcotest.test_case "pool: chaos kill" `Quick test_pool_chaos_kill;
     Alcotest.test_case "experiments: -j 4 rows identical" `Slow
       test_run_all_parallel_identity;
-    Alcotest.test_case "experiments: row JSON round-trip" `Quick
-      test_row_json_roundtrip;
+    Alcotest.test_case "map: values JSON cannot carry, bit for bit" `Quick
+      test_map_exact_values;
     Alcotest.test_case "fuzz: parallel campaign identical" `Slow
       test_fuzz_parallel_identity;
     Alcotest.test_case "pipeline: run wraps evaluate" `Quick

@@ -1372,20 +1372,16 @@ let digest_attribution (t : Vliw_sched.Attrib.totals) =
     t.A.t_obj_access;
   digest16 (Buffer.contents b)
 
-(* The facts of one (preset, benchmark), as a JSON list: the GDP edge
-   cut and partition digest, then per method cycles, moves, cluster
-   digest, the three RHOP work counters, the schedule digest and the
-   attribution digest. *)
-let facts_worker payload =
-  let field k =
-    Option.get (Option.bind (Minijson.member k payload) Minijson.to_string)
-  in
-  let preset = field "preset" in
-  let bench = Benchsuite.Suite.find (field "bench") in
+(* The facts of one (preset, benchmark): the GDP edge cut and partition
+   digest, then per method cycles, moves, cluster digest, the three
+   RHOP work counters, the schedule digest and the attribution
+   digest. *)
+let facts_worker (preset, bench) =
   let spec = Result.get_ok (Machine_spec.preset preset) in
   let machine = Machine_spec.resolve spec in
   let ctx =
-    Gdp_core.Pipeline.context ~machine (Gdp_core.Pipeline.prepare_default bench)
+    Gdp_core.Pipeline.context ~machine
+      (Gdp_core.Pipeline.prepare_default (Benchsuite.Suite.find bench))
   in
   let r =
     Partition.Gdp.partition_objects ~machine ~prog:ctx.Methods.prog
@@ -1402,37 +1398,35 @@ let facts_worker payload =
       Telemetry.capture (fun () -> Gdp_core.Pipeline.run ~ctx s)
     in
     let count name =
-      Minijson.int
-        (Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name))
+      Option.value ~default:0 (Telemetry.Snapshot.find_counter snap name)
     in
     match result with
     | Ok (Gdp_core.Pipeline.Evaluated e) ->
         let report = e.Gdp_core.Pipeline.report in
         let clustered = e.Gdp_core.Pipeline.outcome.Methods.clustered in
-        [
-          Minijson.int report.Vliw_sched.Perf.total_cycles;
-          Minijson.int report.Vliw_sched.Perf.dynamic_moves;
-          Minijson.str (digest_clusters clustered);
-          count "rhop.candidates";
-          count "rhop.relevels";
-          count "rhop.pruned";
-          Minijson.str
-            (digest_schedule
-               (Vliw_sched.Move_insert.schedule ~machine:ctx.Methods.machine
-                  ~objects_of:(Methods.objects_of ctx) clustered));
-          Minijson.str
-            (digest_attribution
-               (Vliw_sched.Attrib.of_clustered ~machine:ctx.Methods.machine
-                  clustered ~profile:ctx.Methods.profile
-                  ~objects_of:(Methods.objects_of ctx) ()));
-        ]
+        ( ( bench,
+            preset,
+            Methods.to_string m,
+            report.Vliw_sched.Perf.total_cycles,
+            report.Vliw_sched.Perf.dynamic_moves,
+            digest_clusters clustered,
+            digest_schedule
+              (Vliw_sched.Move_insert.schedule ~machine:ctx.Methods.machine
+                 ~objects_of:(Methods.objects_of ctx) clustered),
+            digest_attribution
+              (Vliw_sched.Attrib.of_clustered ~machine:ctx.Methods.machine
+                 clustered ~profile:ctx.Methods.profile
+                 ~objects_of:(Methods.objects_of ctx) ()) ),
+          ( preset,
+            Methods.to_string m,
+            ( count "rhop.candidates",
+              count "rhop.relevels",
+              count "rhop.pruned" ) ) )
     | Ok (Gdp_core.Pipeline.Degraded _) -> assert false
     | Error m -> failwith m
   in
-  Minijson.list
-    (Minijson.int r.Partition.Gdp.edgecut
-    :: Minijson.str (digest16 parts)
-    :: List.concat_map compile Methods.all)
+  let compiles, work = List.split (List.map compile Methods.all) in
+  ((bench, preset, r.Partition.Gdp.edgecut, digest16 parts), compiles, work)
 
 (* The 90 (preset, benchmark) units run on two worker processes, each
    benchmark's units on one worker so its front end is prepared once:
@@ -1450,43 +1444,15 @@ let preset_facts =
      let results =
        Exec.map ~jobs:2 ~worker:facts_worker
          (List.map
-            (fun (preset, bench) ->
-              Exec.job ~batch:bench
-                (Minijson.obj
-                   [
-                     ("preset", Minijson.str preset);
-                     ("bench", Minijson.str bench);
-                   ]))
+            (fun ((_, bench) as unit) -> Exec.job ~batch:bench unit)
             units)
      in
      let per_unit =
        List.mapi
          (fun i (preset, bench) ->
-           let l =
-             match results.(i) with
-             | Ok doc -> Option.get (Minijson.to_list doc)
-             | Error m -> Alcotest.failf "%s on %s: %s" bench preset m
-           in
-           let int k = Option.get (Minijson.to_int (List.nth l k)) in
-           let str k = Option.get (Minijson.to_string (List.nth l k)) in
-           let per_method f =
-             List.mapi
-               (fun j m -> f (Methods.to_string m) (2 + (8 * j)))
-               Methods.all
-           in
-           ( (bench, preset, int 0, str 1),
-             per_method (fun m k ->
-                 ( bench,
-                   preset,
-                   m,
-                   int k,
-                   int (k + 1),
-                   str (k + 2),
-                   str (k + 6),
-                   str (k + 7) )),
-             per_method (fun m k ->
-                 (preset, m, (int (k + 3), int (k + 4), int (k + 5))))
-           ))
+           match results.(i) with
+           | Ok facts -> facts
+           | Error m -> Alcotest.failf "%s on %s: %s" bench preset m)
          units
      in
      {

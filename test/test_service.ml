@@ -1026,8 +1026,7 @@ let test_server_overload_reject_and_retry () =
           let b =
             { (sample_job ~id:"ov-b" ()) with Protocol.source = unique_source 22 }
           in
-          raw_submit cl a;
-          raw_submit cl b;
+          raw_submit_all cl [ a; b ];
           (* b hits the cap while a holds the only pending slot: the
              rejection is synchronous, so it arrives before a's result *)
           (match Client.recv cl with
