@@ -200,8 +200,11 @@ let add_escaped b s =
 let add_number b f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     invalid_arg "Minijson.encode: non-finite number"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" f)
+  else if Float.is_integer f && Float.abs f < 0x1p53 then
+    (* exact as an int: the digits %.0f prints, without its format
+       interpreter; only the sign of -0 needs saying *)
+    Buffer.add_string b
+      (if Float.sign_bit f && f = 0. then "-0" else string_of_int (int_of_float f))
   else
     (* the shortest of %.15g..%.17g that reads back exactly; %.17g
        round-trips every finite double through float_of_string *)

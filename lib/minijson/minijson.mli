@@ -2,11 +2,10 @@
 
     The repo deliberately has no JSON dependency.  The regression gate
     reads back the baselines written here ([bench --json], the
-    attribution report), and the process-pool executor ([Exec]) ships
-    jobs and results across pipes as JSON values, so this module
-    implements just enough of RFC 8259 to round-trip them: objects,
-    arrays, strings with the common escapes, numbers, booleans and
-    null.
+    attribution report), and gdpcd's wire protocol frames its requests
+    and responses as JSON values, so this module implements just
+    enough of RFC 8259 to round-trip them: objects, arrays, strings
+    with the common escapes, numbers, booleans and null.
 
     The writer is the reader's exact inverse on every value it can
     print: [parse (encode v) = Ok v] for any [v] whose numbers are
@@ -30,10 +29,10 @@ val parse_file : string -> (t, string) result
 
 (** Compact, single-line rendering (no spaces or newlines outside
     strings; control characters in strings are escaped), so a document
-    is one line of a JSONL file.  Numbers print as
-    integers when they are integral and otherwise in the fewest digits
-    that round-trip exactly.  Raises [Invalid_argument] on NaN or
-    infinite numbers. *)
+    is one line of a JSONL file.  An integral number below 2{^53} in
+    magnitude prints as an integer ([-0] for negative zero); any other
+    prints in the fewest of 15 to 17 significant digits that reads back
+    exactly.  Raises [Invalid_argument] on NaN or infinite numbers. *)
 val encode : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -62,10 +62,11 @@ let push_front t n =
   t.head <- Some n
 
 let touch t n =
-  if t.head != Some n then begin
-    unlink t n;
-    push_front t n
-  end
+  match t.head with
+  | Some h when h == n -> ()
+  | _ ->
+      unlink t n;
+      push_front t n
 
 let evict_lru t =
   match t.tail with

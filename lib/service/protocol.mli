@@ -88,7 +88,7 @@ type response =
       cached : bool;
       result : Minijson.t;
       trace : Minijson.t option;
-          (** per-request span record ([gdp-span/1]): trace id, cache
+          (** per-request span record ([gdp-trace/1]): trace id, cache
               tier and queue/exec/deliver timings — [None] only from a
               v1 server *)
     }

@@ -43,7 +43,9 @@ let default_config =
    the returned result, so job errors stay deterministic (a raise would
    look like a worker crash and trigger a retry). *)
 
-let now_us () = Unix.gettimeofday () *. 1e6
+(* Whole microseconds, like telemetry's default clock, so every time
+   in a trace document prints as an integer. *)
+let now_us () = Float.round (Unix.gettimeofday () *. 1e6)
 
 (* What a traced worker reports beside its result: its own wall-clock
    start and end (same machine as the server, so the server can derive
@@ -54,31 +56,20 @@ type worker_timing = {
   wk_spans : Telemetry.span list;
 }
 
-(* Pipeline spans kept for the result, bounded in both depth and count
-   and stripped of their args — a pathological compile must not balloon
-   the result frame past the artifact it carries, nor the server's
-   trace registry. *)
+(* A traced worker records the pipeline's stages, the roots its
+   compile opens and their children, and nothing deeper: the graph
+   partitioner alone opens a span per coarsening and refinement level. *)
+let trace_depth = 1
+
+(* Pipeline spans kept for the result, bounded in count and stripped of
+   their args — a pathological compile must not balloon the result
+   frame past the artifact it carries, nor the server's trace
+   registry.  Spans come in start order, so a kept span's parent is
+   kept too. *)
 let bounded_spans (snap : Telemetry.snapshot) =
-  let max_spans = 96 and max_depth = 2 in
-  let depth = Hashtbl.create 32 in
-  let kept = ref 0 in
-  List.filter_map
-    (fun (s : Telemetry.span) ->
-      let d =
-        match s.parent with
-        | None -> 0
-        | Some p -> (
-            match Hashtbl.find_opt depth p with
-            | Some d -> d + 1
-            | None -> max_depth + 1)
-      in
-      Hashtbl.replace depth s.id d;
-      if d > max_depth || !kept >= max_spans then None
-      else begin
-        incr kept;
-        Some { s with args = [] }
-      end)
-    snap.spans
+  let max_spans = 96 in
+  List.filteri (fun i _ -> i < max_spans) snap.spans
+  |> List.map (fun (s : Telemetry.span) -> { s with args = [] })
 
 (* The artifact, or the compile's failure, and for a traced job the
    worker's timing.  Tracing never changes the artifact. *)
@@ -88,7 +79,8 @@ let worker_fn ?par_workers (job : Protocol.job) =
   | Some _ ->
       let start_us = now_us () in
       let result, snap =
-        Telemetry.capture (fun () -> Protocol.evaluate_job ?par_workers job)
+        Telemetry.capture ~max_depth:trace_depth (fun () ->
+            Protocol.evaluate_job ?par_workers job)
       in
       ( result,
         Some

@@ -82,7 +82,8 @@
 
     Every submission gets a trace id (client-supplied [trace_id] or
     server-assigned).  The id rides the worker payload, so the forked
-    worker records its pipeline spans under it; on completion the
+    worker records its compile's stages under it (spans to depth 1,
+    in whole microseconds); on completion the
     server assembles a [gdp-trace/1] span record — request, queue,
     exec, deliver segments plus the worker's own pipeline spans —
     returns it inline in the [result]/[failed] response, and retains it

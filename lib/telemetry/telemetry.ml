@@ -10,7 +10,13 @@
     exactly as before.
 
     [enable]/[disable]/[reset]/[capture]/[snapshot] are main-domain
-    operations; call them outside parallel regions. *)
+    operations; call them outside parallel regions.
+
+    Depth bound: a span's depth is its open recorded ancestors' count,
+    so roots are depth 0.  A span deeper than the recording's
+    [max_depth] (set by [capture ~max_depth]) runs unrecorded; while
+    one is open, [skipped] is positive and [span_arg] has no span of
+    its own to annotate, so it drops the annotation. *)
 
 let log_src = Logs.Src.create "telemetry" ~doc:"GDP telemetry subsystem"
 
@@ -32,6 +38,7 @@ type open_span = {
   o_parent : int option;
   o_name : string;
   o_start : float;
+  o_depth : int;
   mutable o_args : (string * string) list;
 }
 
@@ -40,15 +47,19 @@ type state = {
   mutable completed : span list;  (** reverse completion order *)
   mutable stack : open_span list;  (** innermost first *)
   mutable next_id : int;
+  max_depth : int;  (** deepest recorded span; roots are depth 0 *)
+  mutable skipped : int;  (** open spans too deep to record *)
   table : (string, int) Hashtbl.t;
 }
 
-let fresh_state () =
+let fresh_state ?(max_depth = max_int) () =
   {
     enabled = false;
     completed = [];
     stack = [];
     next_id = 0;
+    max_depth;
+    skipped = 0;
     table = Hashtbl.create 32;
   }
 
@@ -59,7 +70,10 @@ let st = ref (fresh_state ())
    regions, and a stale read merely skips/records one increment. *)
 let metrics_lock = Par.Lock.create ()
 
-let default_clock () = Unix.gettimeofday () *. 1e6
+(* Whole microseconds, so every time a trace or sink prints is an
+   integer.  The product is already whole where gettimeofday counts
+   microseconds, but not on a platform whose clock is finer. *)
+let default_clock () = Float.round (Unix.gettimeofday () *. 1e6)
 let clock = ref default_clock
 let set_clock = function
   | Some f -> clock := f
@@ -94,9 +108,15 @@ let close_span (s : state) (o : open_span) ~end_us =
     }
     :: s.completed
 
+let depth_of_next s = match s.stack with [] -> 0 | o :: _ -> o.o_depth + 1
+
 let with_span ?(args = []) name f =
   let s = !st in
   if (not s.enabled) || not (Par.is_main_domain ()) then f ()
+  else if depth_of_next s > s.max_depth then begin
+    s.skipped <- s.skipped + 1;
+    Fun.protect ~finally:(fun () -> s.skipped <- s.skipped - 1) f
+  end
   else begin
     let id = s.next_id in
     s.next_id <- id + 1;
@@ -107,6 +127,7 @@ let with_span ?(args = []) name f =
         o_parent = parent;
         o_name = name;
         o_start = !clock ();
+        o_depth = depth_of_next s;
         o_args = List.rev args;
       }
     in
@@ -130,7 +151,7 @@ let with_span ?(args = []) name f =
 
 let span_arg key value =
   let s = !st in
-  if s.enabled && Par.is_main_domain () then
+  if s.enabled && s.skipped = 0 && Par.is_main_domain () then
     match s.stack with
     | [] -> ()
     | o :: _ -> o.o_args <- (key, value) :: o.o_args
@@ -139,7 +160,8 @@ let now_us () = !clock ()
 
 let record_span ?(args = []) name ~start_us ~dur_us =
   let s = !st in
-  if s.enabled && Par.is_main_domain () then begin
+  if s.enabled && Par.is_main_domain () && depth_of_next s <= s.max_depth
+  then begin
     let id = s.next_id in
     s.next_id <- id + 1;
     let parent = match s.stack with [] -> None | o :: _ -> Some o.o_id in
@@ -187,9 +209,9 @@ let snapshot () : snapshot =
   in
   { spans; counters }
 
-let capture f =
+let capture ?max_depth f =
   let saved = !st in
-  st := fresh_state ();
+  st := fresh_state ?max_depth ();
   !st.enabled <- true;
   Fun.protect
     ~finally:(fun () -> st := saved)

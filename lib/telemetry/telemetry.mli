@@ -51,7 +51,8 @@ val is_enabled : unit -> bool
 val reset : unit -> unit
 
 (** Override the clock (microsecond readings) — for deterministic tests.
-    [set_clock None] restores the wall clock. *)
+    [set_clock None] restores the wall clock, which reads whole
+    microseconds (the resolution of [gettimeofday]). *)
 val set_clock : (unit -> float) option -> unit
 
 (** {1 Recording} *)
@@ -104,8 +105,15 @@ val snapshot : unit -> snapshot
 (** [capture f] runs [f] with telemetry enabled on a fresh, private
     recording and returns the resulting snapshot; the previous global
     recording state (including enabledness) is restored afterwards, even
-    if [f] raises. *)
-val capture : (unit -> 'a) -> 'a * snapshot
+    if [f] raises.
+
+    With [~max_depth:d] (default: unbounded) the recording keeps spans
+    at depth [d] or less, a root being depth 0.  A [with_span] nested
+    deeper runs its body unrecorded, a [record_span] there is dropped,
+    and a [span_arg] inside an unrecorded span is dropped too (it is
+    not attached to the recorded ancestor).  Counters count at every
+    depth. *)
+val capture : ?max_depth:int -> (unit -> 'a) -> 'a * snapshot
 
 module Snapshot : sig
   val spans_named : snapshot -> string -> span list

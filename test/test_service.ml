@@ -73,6 +73,51 @@ let test_minijson_deep_nesting () =
   let doc = build_obj depth in
   Alcotest.(check bool) "deep object round-trips" true (roundtrip doc = doc)
 
+(* Every finite double reads back bit for bit, and an integral one
+   below 2^53 prints exactly as %.0f does: its integer digits, or -0.
+   The generator covers integral values either side of 2^53 (where
+   printing switches from the integer path to the shortest
+   round-tripping %g) and of 1e15 (where it used to), -0, subnormals
+   and doubles drawn from random bit patterns. *)
+let minijson_numbers_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      let finite_of_bits b =
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else Float.copy_sign 1.5 f
+      in
+      let signed f = map (fun neg -> if neg then -.f else f) bool in
+      oneof
+        [
+          map (fun i -> Int64.to_float (Int64.rem i 0x20000000000000L)) ui64;
+          (int_range (-4096) 4096 >>= fun d -> signed (Float.of_int d +. 0x1p53));
+          (int_range (-4096) 4096 >>= fun d -> signed (Float.of_int d +. 1e15));
+          ( pair (float_range 1. 2.) (int_range 53 1023) >>= fun (m, e) ->
+            signed (Float.ldexp m e) );
+          return (-0.);
+          map
+            (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL))
+            ui64;
+          map finite_of_bits ui64;
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000
+       ~name:"minijson: finite numbers round-trip bit for bit"
+       (QCheck.make ~print:(Printf.sprintf "%h") gen)
+       (fun f ->
+         let text = Minijson.encode (Minijson.Num f) in
+         (match Minijson.parse text with
+         | Ok (Minijson.Num g) when Int64.bits_of_float g = Int64.bits_of_float f
+           ->
+             ()
+         | _ -> QCheck.Test.fail_reportf "%S does not read back as %h" text f);
+         if Float.is_integer f && Float.abs f < 0x1p53 then
+           String.equal text (Printf.sprintf "%.0f" f)
+           || QCheck.Test.fail_reportf "%S is not %%.0f's %S" text
+                (Printf.sprintf "%.0f" f)
+         else true))
+
 (* ------------------------------------------------------------------ *)
 (* Frame codec                                                         *)
 
@@ -1315,6 +1360,96 @@ let test_server_trace_and_admin () =
           | Ok _ -> Alcotest.fail "expected Metrics_text_reply"
           | Error m -> Alcotest.failf "prometheus failed: %s" m))
 
+(* A computed response's trace names every stage of the compile its
+   worker ran, and only the stages: no span sits more than one level
+   below a worker root (the graph partitioner's per-level spans used to
+   fill the span budget before RHOP, so later stages went missing), and
+   every time is a whole number of microseconds. *)
+let test_server_trace_names_every_stage () =
+  let fir = Benchsuite.Suite.find "fir" in
+  let job =
+    {
+      (sample_job ~id:"stages" ~verify:true ()) with
+      Protocol.source = fir.Benchsuite.Bench_intf.source;
+      input = Array.to_list fir.Benchsuite.Bench_intf.input;
+    }
+  in
+  let trace =
+    Loadgen.with_local_server ~jobs:1 (fun endpoint ->
+        let cl = Client.connect ~attempts:20 endpoint in
+        Fun.protect
+          ~finally:(fun () -> Client.close cl)
+          (fun () ->
+            match Client.submit cl job with
+            | Ok (Protocol.Result { cached = false; trace = Some t; _ }) -> t
+            | Ok (Protocol.Failed { reason; _ }) ->
+                Alcotest.failf "fir failed: %s" reason
+            | Ok _ -> Alcotest.fail "expected a computed, traced result"
+            | Error m -> Alcotest.failf "submit failed: %s" m))
+  in
+  let raw_spans =
+    Option.value ~default:[]
+      (Option.bind (Minijson.member "spans" trace) Minijson.to_list)
+  in
+  let spans = List.filter_map Telemetry.span_of_json raw_spans in
+  Alcotest.(check int) "every span decodes" (List.length raw_spans)
+    (List.length spans);
+  let exec =
+    match List.find_opt (fun (s : Telemetry.span) -> s.name = "exec") spans with
+    | Some s -> s.Telemetry.id
+    | None -> Alcotest.fail "no exec span"
+  in
+  (* depth below exec: a worker root is 0 *)
+  let depth = Hashtbl.create 32 in
+  List.iter
+    (fun (s : Telemetry.span) ->
+      match s.parent with
+      | Some p when p = exec -> Hashtbl.replace depth s.id 0
+      | Some p -> (
+          match Hashtbl.find_opt depth p with
+          | Some d -> Hashtbl.replace depth s.id (d + 1)
+          | None -> ())
+      | None -> ())
+    spans;
+  let worker =
+    List.filter (fun (s : Telemetry.span) -> Hashtbl.mem depth s.id) spans
+  in
+  let names = List.map (fun (s : Telemetry.span) -> s.name) worker in
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool) (stage ^ " recorded") true (List.mem stage names))
+    [
+      "prepare"; "parse"; "optimize"; "profile"; "context"; "points-to";
+      "access-merge"; "prog-dfg"; "evaluate"; "graph-partition"; "rhop";
+      "move-insert"; "schedule"; "verify"; "interpret-clustered"; "simulate";
+    ];
+  List.iter
+    (fun (s : Telemetry.span) ->
+      Alcotest.(check bool)
+        (s.name ^ " at most one level below a worker root")
+        true
+        (Hashtbl.find depth s.id <= 1))
+    worker;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d worker spans (at most 24)" (List.length worker))
+    true
+    (List.length worker <= 24);
+  let whole what v =
+    Alcotest.(check bool) (what ^ " is whole microseconds") true
+      (Float.is_integer v)
+  in
+  List.iter
+    (fun k ->
+      match getf k trace with
+      | Some v -> whole k v
+      | None -> Alcotest.failf "trace has no %s" k)
+    [ "start_us"; "total_us"; "queue_us"; "exec_us" ];
+  List.iter
+    (fun (s : Telemetry.span) ->
+      whole (s.name ^ " start_us") s.start_us;
+      whole (s.name ^ " dur_us") s.dur_us)
+    spans
+
 let test_server_events_log () =
   let events = Filename.temp_file "gdp-events" ".jsonl" in
   Fun.protect
@@ -1607,6 +1742,7 @@ let suite =
     Alcotest.test_case "minijson: unicode escapes" `Quick
       test_minijson_unicode_escapes;
     Alcotest.test_case "minijson: deep nesting" `Quick test_minijson_deep_nesting;
+    minijson_numbers_roundtrip;
     Alcotest.test_case "frame: round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "frame: truncation" `Quick test_frame_truncation;
     Alcotest.test_case "frame: oversize rejection" `Quick test_frame_oversize;
@@ -1651,6 +1787,8 @@ let suite =
       test_protocol_version_negotiation;
     Alcotest.test_case "server: trace and admin plane" `Slow
       test_server_trace_and_admin;
+    Alcotest.test_case "server: trace names every stage" `Slow
+      test_server_trace_names_every_stage;
     Alcotest.test_case "server: events log" `Slow test_server_events_log;
     Alcotest.test_case "server: every request ends once" `Slow
       test_server_every_request_ends_once;

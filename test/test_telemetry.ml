@@ -307,6 +307,83 @@ let test_span_closes_on_exception () =
         (inner.Telemetry.parent = Some outer.Telemetry.id)
   | _ -> Alcotest.fail "expected 2 spans"
 
+(* One body for the depth-bounded recording and the unbounded one:
+   [level] and [deeper] sit below depth 1, [raises] at depth 2 raises
+   out of [failing] (caught there) and out of [escapes] (caught by
+   [root]). *)
+let depth_body ran () =
+  Telemetry.with_span "root" (fun () ->
+      Telemetry.with_span "stage" ~args:[ ("k", "v") ] (fun () ->
+          Telemetry.with_span "level" (fun () ->
+              incr ran;
+              Telemetry.span_arg "level-arg" "x";
+              Telemetry.incr "work";
+              Telemetry.with_span "deeper" (fun () ->
+                  incr ran;
+                  Telemetry.incr "work" ~by:2));
+          Telemetry.record_span "async-deep" ~start_us:(Telemetry.now_us ())
+            ~dur_us:1.;
+          Telemetry.span_arg "late" "y");
+      Telemetry.record_span "async" ~start_us:(Telemetry.now_us ()) ~dur_us:1.;
+      Telemetry.with_span "failing" (fun () ->
+          (try Telemetry.with_span "raises" (fun () -> failwith "boom")
+           with Failure _ -> ());
+          Telemetry.span_arg "caught" "w");
+      (try
+         Telemetry.with_span "escapes" (fun () ->
+             Telemetry.with_span "raises" (fun () -> failwith "boom"))
+       with Failure _ -> ());
+      Telemetry.with_span "next" (fun () -> Telemetry.span_arg "n" "z"))
+
+let args_of snap name =
+  match Telemetry.Snapshot.spans_named snap name with
+  | [ sp ] -> sp.Telemetry.args
+  | l -> Alcotest.failf "%d spans named %s" (List.length l) name
+
+let test_capture_max_depth () =
+  with_fake_clock @@ fun () ->
+  let ran = ref 0 in
+  let (), snap = Telemetry.capture ~max_depth:1 (depth_body ran) in
+  Alcotest.(check int) "deep bodies ran" 2 !ran;
+  Alcotest.(check (list string))
+    "spans to depth 1 recorded"
+    [ "root"; "stage"; "async"; "failing"; "escapes"; "next" ]
+    (span_names snap);
+  let root = List.hd snap.Telemetry.spans in
+  Alcotest.(check bool)
+    "every other span directly under the root" true
+    (List.for_all
+       (fun (sp : Telemetry.span) -> sp.Telemetry.parent = Some root.Telemetry.id)
+       (List.tl snap.Telemetry.spans));
+  Alcotest.(check (list (pair string string)))
+    "a deep span_arg leaves the ancestor's args alone"
+    [ ("k", "v"); ("late", "y") ]
+    (args_of snap "stage");
+  Alcotest.(check (list (pair string string)))
+    "annotating after a deep span raised" [ ("caught", "w") ]
+    (args_of snap "failing");
+  Alcotest.(check (list (pair string string)))
+    "annotating after an exception escaped past a deep span" [ ("n", "z") ]
+    (args_of snap "next");
+  Alcotest.(check (option int))
+    "deep counters still add" (Some 3)
+    (Telemetry.Snapshot.find_counter snap "work");
+  (* without the bound the same body records everything *)
+  let (), full = Telemetry.capture (depth_body ran) in
+  Alcotest.(check (list string))
+    "unbounded records every span"
+    [
+      "root"; "stage"; "level"; "deeper"; "async-deep"; "async"; "failing";
+      "raises"; "escapes"; "raises"; "next";
+    ]
+    (span_names full);
+  Alcotest.(check (list (pair string string)))
+    "unbounded keeps the deep annotation" [ ("level-arg", "x") ]
+    (args_of full "level");
+  Alcotest.(check (option int))
+    "same counters" (Some 3)
+    (Telemetry.Snapshot.find_counter full "work")
+
 let test_timed_agrees_with_span () =
   with_fake_clock @@ fun () ->
   let (secs, snap) =
@@ -834,6 +911,8 @@ let suite =
     Alcotest.test_case "span codec round-trips" `Quick test_span_codec;
     Alcotest.test_case "span tree is linear in span count" `Quick
       test_span_tree_linear;
+    Alcotest.test_case "capture ~max_depth records to the bound" `Quick
+      test_capture_max_depth;
     Alcotest.test_case "timed uses the telemetry clock" `Quick
       test_timed_agrees_with_span;
     Alcotest.test_case "disabled mode is a no-op" `Quick
