@@ -4,25 +4,29 @@ let src = Logs.Src.create "store" ~doc:"on-disk artifact store"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let magic = "gdp-store/1"
+let magic = "gdp-store/2"
+let log_name = "store.log"
 let quarantine_dirname = "quarantine"
-let tmp_prefix = ".tmp-"
+
+(* The digest field of a tombstone, a record with an empty payload that
+   drops its key from the index: no MD5 in hex reads like this. *)
+let tombstone = "-"
 
 type t = {
   dir : string;
-  fsync : bool;
-  index : (string, unit) Hashtbl.t;
+  fd : Unix.file_descr;  (** the log, opened for reading and appending *)
+  index : (string, int * int) Hashtbl.t;
+      (** key -> offset and length of its newest record *)
+  mutable size : int;  (** the log's length: where the next record lands *)
   mutable writes : int;
   mutable warm_hits : int;
   mutable quarantined : int;
-  mutable tmp_counter : int;
 }
 
 let dir t = t.dir
 let length t = Hashtbl.length t.index
 let mem t key = Hashtbl.mem t.index key
-let quarantine_dir t = Filename.concat t.dir quarantine_dirname
-let path_of t key = Filename.concat t.dir key
+let close t = Unix.close t.fd
 
 let ensure_dir path =
   match Unix.stat path with
@@ -30,192 +34,179 @@ let ensure_dir path =
   | _ -> invalid_arg (Printf.sprintf "Store.open_: %s is not a directory" path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Unix.mkdir path 0o755
 
-(* A key is what digest_key produces: lowercase hex.  Anything else in
-   the directory (temp litter, stray files) is not an entry. *)
-let is_key name =
-  name <> ""
-  && String.for_all
-       (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
-       name
-
-let open_ ?(fsync = false) dirname =
-  ensure_dir dirname;
-  ensure_dir (Filename.concat dirname quarantine_dirname);
-  let t =
-    {
-      dir = dirname;
-      fsync;
-      index = Hashtbl.create 64;
-      writes = 0;
-      warm_hits = 0;
-      quarantined = 0;
-      tmp_counter = 0;
-    }
+(* Up to [len] bytes of the log from [off]; fewer where it ends sooner. *)
+let read_at fd off len =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let b = Bytes.create len in
+  let rec go n =
+    if n = len then n
+    else match Unix.read fd b n (len - n) with 0 -> n | k -> go (n + k)
   in
-  Array.iter
-    (fun name ->
-      if is_key name then Hashtbl.replace t.index name ()
-      else if
-        String.length name > String.length tmp_prefix
-        && String.sub name 0 (String.length tmp_prefix) = tmp_prefix
-      then
-        (* a writer died between create and rename: the entry never
-           existed, the litter is safe to drop *)
-        try Unix.unlink (Filename.concat dirname name)
-        with Unix.Unix_error _ -> ())
-    (Sys.readdir dirname);
-  t
+  Bytes.sub_string b 0 (go 0)
 
 (* ------------------------------------------------------------------ *)
-(* Entry encoding                                                      *)
+(* Record framing                                                      *)
 
-let encode_entry payload =
-  Printf.sprintf "%s %s %d\n%s" magic
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
+let record key digest payload =
+  Printf.sprintf "%s %s %s %d\n%s\n" magic key digest (String.length payload)
+    payload
 
-(* [Ok payload] or [Error reason] for torn/corrupt files. *)
-let decode_entry raw =
-  match String.index_opt raw '\n' with
-  | None -> Error "no header line"
+(* The record at [off] of [raw]: [Ok (key, digest, payload offset,
+   payload length)], or [Error reason] when it is cut short or its
+   framing is damaged. *)
+let frame raw off =
+  match String.index_from_opt raw off '\n' with
+  | None -> Error "torn header"
   | Some nl -> (
-      match String.split_on_char ' ' (String.sub raw 0 nl) with
-      | [ m; digest; len_s ] when m = magic -> (
-          match int_of_string_opt len_s with
-          | None -> Error "unreadable length"
-          | Some len ->
-              let have = String.length raw - nl - 1 in
-              if have <> len then
-                Error (Printf.sprintf "torn entry (%d of %d bytes)" have len)
-              else
-                let payload = String.sub raw (nl + 1) len in
-                if Digest.to_hex (Digest.string payload) <> digest then
-                  Error "checksum mismatch"
-                else Ok payload)
+      match String.split_on_char ' ' (String.sub raw off (nl - off)) with
+      | [ m; key; digest; len ] when m = magic -> (
+          match int_of_string_opt len with
+          | Some len when len >= 0 && nl + 1 + len < String.length raw ->
+              if raw.[nl + 1 + len] = '\n' then Ok (key, digest, nl + 1, len)
+              else Error "length mismatch"
+          | Some len when len >= 0 ->
+              Error (Printf.sprintf "torn record (%d of %d bytes)"
+                       (String.length raw - off) (nl + 2 + len - off))
+          | _ -> Error "unreadable length")
       | m :: _ when m <> magic -> Error ("bad magic " ^ m)
       | _ -> Error "malformed header")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 
-let quarantine t key reason =
-  Hashtbl.remove t.index key;
+(* Copy [bytes] into quarantine/ under a fresh name made from [name],
+   with the reason beside them. *)
+let keep_evidence t name bytes reason =
   t.quarantined <- t.quarantined + 1;
   Fault.note_detected ();
-  let dst =
-    let rec fresh n =
-      let p =
-        Filename.concat (quarantine_dir t)
-          (if n = 0 then key else Printf.sprintf "%s.%d" key n)
-      in
-      if Sys.file_exists p then fresh (n + 1) else p
-    in
-    fresh 0
+  Log.warn (fun m -> m "quarantining %s: %s" name reason);
+  let base = Filename.concat (Filename.concat t.dir quarantine_dirname) name in
+  let rec fresh n =
+    let p = if n = 0 then base else Printf.sprintf "%s.%d" base n in
+    if Sys.file_exists p then fresh (n + 1) else p
   in
-  Log.warn (fun m -> m "quarantining %s: %s" key reason);
-  (try Unix.rename (path_of t key) dst
-   with Unix.Unix_error _ -> (
-     try Unix.unlink (path_of t key) with Unix.Unix_error _ -> ()));
-  (* keep the reason next to the evidence *)
+  let dst = fresh 0 in
+  let write path s =
+    Out_channel.with_open_bin path (fun oc -> output_string oc s)
+  in
   try
-    let oc = open_out_bin (dst ^ ".reason") in
-    output_string oc (reason ^ "\n");
-    close_out_noerr oc
+    write dst bytes;
+    write (dst ^ ".reason") (reason ^ "\n")
   with Sys_error _ -> ()
 
-let verify t key =
-  match read_file (path_of t key) with
-  | exception Sys_error _ ->
-      quarantine t key "unreadable entry";
-      Error ()
-  | raw -> (
-      match decode_entry raw with
+(* Append [data] with one write and return the offset it landed at.  A
+   failed write is cut back off, so the next record follows a whole one. *)
+let append t data =
+  let off = t.size in
+  (try ignore (Unix.write_substring t.fd data 0 (String.length data))
+   with e ->
+     (try Unix.ftruncate t.fd off with Unix.Unix_error _ -> ());
+     raise e);
+  t.size <- off + String.length data;
+  off
+
+let open_ dirname =
+  ensure_dir dirname;
+  ensure_dir (Filename.concat dirname quarantine_dirname);
+  let flags = Unix.[ O_RDWR; O_APPEND; O_CREAT; O_CLOEXEC ] in
+  let fd = Unix.openfile (Filename.concat dirname log_name) flags 0o644 in
+  let raw = read_at fd 0 (Unix.fstat fd).Unix.st_size in
+  let t =
+    {
+      dir = dirname;
+      fd;
+      index = Hashtbl.create 64;
+      size = 0;
+      writes = 0;
+      warm_hits = 0;
+      quarantined = 0;
+    }
+  in
+  let rec scan off =
+    if off >= String.length raw then off
+    else
+      match frame raw off with
+      | Ok (key, digest, body, len) ->
+          if digest = tombstone then Hashtbl.remove t.index key
+          else Hashtbl.replace t.index key (off, body + len + 1 - off);
+          scan (body + len + 1)
       | Error reason ->
-          quarantine t key reason;
-          Error ()
-      | Ok payload -> (
-          match Minijson.parse payload with
-          | Ok doc -> Ok doc
-          | Error m ->
-              quarantine t key ("checksummed but unparseable: " ^ m);
-              Error ()))
+          (* a writer died mid-append, or a header is damaged: nothing
+             from here on can be framed, so none of it is indexed *)
+          keep_evidence t
+            (Printf.sprintf "tail-%d" off)
+            (String.sub raw off (String.length raw - off))
+            reason;
+          Unix.ftruncate fd off;
+          off
+  in
+  t.size <- scan 0;
+  t
+
+(* [Some doc] for a verified entry; a bad one is quarantined and
+   tombstoned. *)
+let verify t key =
+  match Hashtbl.find_opt t.index key with
+  | None -> None
+  | Some (off, len) -> (
+      let raw = read_at t.fd off len in
+      let bad reason =
+        Hashtbl.remove t.index key;
+        keep_evidence t key raw reason;
+        (try ignore (append t (record key tombstone ""))
+         with Unix.Unix_error _ -> ());
+        None
+      in
+      match frame raw 0 with
+      | Error reason -> bad reason
+      | Ok (k, _, _, _) when k <> key -> bad ("record of key " ^ k)
+      | Ok (_, digest, body, len) -> (
+          if Digest.to_hex (Digest.substring raw body len) <> digest then
+            bad "checksum mismatch"
+          else
+            match Minijson.parse (String.sub raw body len) with
+            | Ok doc -> Some doc
+            | Error m -> bad ("checksummed but unparseable: " ^ m)))
 
 let find t key =
-  if not (Hashtbl.mem t.index key) then None
-  else
-    match verify t key with
-    | Error () -> None
-    | Ok doc ->
-        t.warm_hits <- t.warm_hits + 1;
-        Some doc
+  let doc = verify t key in
+  if Option.is_some doc then t.warm_hits <- t.warm_hits + 1;
+  doc
 
-let remove t key =
-  Hashtbl.remove t.index key;
-  try Unix.unlink (path_of t key) with Unix.Unix_error _ -> ()
-
-(* Flip one byte of [key]'s payload in place — deliberately not
-   atomic; this IS the corruption. *)
+(* Flip one byte of [key]'s payload in place — deliberately not an
+   append; this IS the corruption. *)
 let corrupt_for_test t key =
-  let path = path_of t key in
-  match read_file path with
-  | exception Sys_error _ -> false
-  | raw -> (
-      match String.index_opt raw '\n' with
-      | None -> false
-      | Some nl when String.length raw <= nl + 1 -> false
-      | Some nl ->
-          let body_len = String.length raw - nl - 1 in
-          let off = nl + 1 + Fault.rand "service.cache.corrupt" body_len in
-          let b = Bytes.of_string raw in
-          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x20));
-          let oc = open_out_bin path in
-          output_bytes oc b;
-          close_out_noerr oc;
-          true)
+  match Hashtbl.find_opt t.index key with
+  | None -> false
+  | Some (off, len) -> (
+      let raw = read_at t.fd off len in
+      match frame raw 0 with
+      | Ok (_, _, body, plen) when plen > 0 ->
+          let at = body + Fault.rand "service.cache.corrupt" plen in
+          (* not through [t.fd], whose every write appends *)
+          Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0
+            (Filename.concat t.dir log_name)
+            (fun oc ->
+              seek_out oc (off + at);
+              output_char oc (Char.chr (Char.code raw.[at] lxor 0x20)));
+          true
+      | _ -> false)
 
 let add t key doc =
+  if key = "" || String.contains key ' ' || String.contains key '\n' then
+    invalid_arg "Store.add: a key is one word";
   let payload = Minijson.encode doc in
-  let entry = encode_entry payload in
-  t.tmp_counter <- t.tmp_counter + 1;
-  let tmp =
-    Filename.concat t.dir
-      (Printf.sprintf "%s%d-%d" tmp_prefix (Unix.getpid ()) t.tmp_counter)
-  in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (try
-     let rec write_all off len =
-       if len > 0 then
-         match Unix.write_substring fd entry off len with
-         | n -> write_all (off + n) (len - n)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off len
-     in
-     write_all 0 (String.length entry);
-     if t.fsync then Unix.fsync fd;
-     Unix.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.rename tmp (path_of t key);
-  Hashtbl.replace t.index key ();
+  let data = record key (Digest.to_hex (Digest.string payload)) payload in
+  let off = append t data in
+  Hashtbl.replace t.index key (off, String.length data);
   t.writes <- t.writes + 1;
   (* chaos: damage the freshly durable entry so the read path must
      prove it detects and quarantines rather than serves it *)
   if Fault.fire "service.cache.corrupt" then ignore (corrupt_for_test t key)
 
 let scrub t =
-  let keys = Hashtbl.fold (fun k () acc -> k :: acc) t.index [] in
-  let ok = ref 0 and bad = ref 0 in
-  List.iter
-    (fun key ->
-      match verify t key with Ok _ -> incr ok | Error () -> incr bad)
-    keys;
-  (!ok, !bad)
+  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.index [] in
+  let intact = List.filter (fun k -> Option.is_some (verify t k)) keys in
+  (List.length intact, t.quarantined)
 
 (* ------------------------------------------------------------------ *)
 

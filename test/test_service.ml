@@ -307,6 +307,30 @@ let temp_dir () =
 
 let kdig s = Cache.digest_key ~parts:[ s ]
 
+let store_log dir = Filename.concat dir "store.log"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let append_file path s =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc s)
+
+(* The quarantined copies in [dir], each paired with whether its
+   [.reason] file exists. *)
+let quarantined_copies dir =
+  let q = Filename.concat dir "quarantine" in
+  Sys.readdir q |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> not (Filename.check_suffix f ".reason"))
+  |> List.map (fun f ->
+         ( read_file (Filename.concat q f),
+           Sys.file_exists (Filename.concat q (f ^ ".reason")) ))
+
+let remove_store dir =
+  let q = Filename.concat dir "quarantine" in
+  Array.iter (fun f -> Sys.remove (Filename.concat q f)) (Sys.readdir q);
+  Sys.rmdir q;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_store_atomic_roundtrip () =
   let dir = temp_dir () in
   let st = Store.open_ dir in
@@ -318,19 +342,31 @@ let test_store_atomic_roundtrip () =
       Alcotest.(check string)
         "bytes survive" (Minijson.encode doc) (Minijson.encode got)
   | None -> Alcotest.fail "entry vanished");
-  (* replacing is atomic and keeps the count *)
+  (* replacing appends and keeps the count *)
   let doc2 = Minijson.obj [ ("v", Minijson.int 2) ] in
   Store.add st k doc2;
   Alcotest.(check int) "still one entry" 1 (Store.length st);
-  (* litter from a writer that died between create and rename is
-     cleaned up by the next open; the committed entry is untouched *)
-  let tmp = Filename.concat dir ".tmp-deadwriter" in
-  let oc = open_out tmp in
-  output_string oc "half an entry";
-  close_out oc;
+  Store.close st;
+  (* a writer killed mid-append leaves half a record at the end of the
+     log: the next open cuts it off and keeps it as evidence, and the
+     committed records are untouched *)
+  let committed = read_file (store_log dir) in
+  let payload = Minijson.encode (Minijson.obj [ ("v", Minijson.int 3) ]) in
+  let record =
+    Printf.sprintf "gdp-store/2 %s %s %d\n%s\n" k
+      (Digest.to_hex (Digest.string payload))
+      (String.length payload) payload
+  in
+  let partial = String.sub record 0 (String.length record / 2) in
+  append_file (store_log dir) partial;
   let st2 = Store.open_ dir in
-  Alcotest.(check bool) "temp litter removed" false (Sys.file_exists tmp);
-  Alcotest.(check int) "index rebuilt from disk" 1 (Store.length st2);
+  Alcotest.(check string)
+    "log truncated to its last whole record" committed
+    (read_file (store_log dir));
+  Alcotest.(check (list (pair string bool)))
+    "the partial bytes are quarantined with a reason" [ (partial, true) ]
+    (quarantined_copies dir);
+  Alcotest.(check int) "index rebuilt from the log" 1 (Store.length st2);
   (match Store.find st2 k with
   | Some got ->
       Alcotest.(check string)
@@ -340,9 +376,8 @@ let test_store_atomic_roundtrip () =
   Alcotest.(check int)
     "verified disk read counted" 1
     (Store.stats st2).Store.warm_hits;
-  Store.remove st2 k;
-  Alcotest.(check int) "removed from the index" 0 (Store.length st2);
-  Alcotest.(check bool) "removed on disk" true (Store.find st2 k = None)
+  Store.close st2;
+  remove_store dir
 
 let test_store_corruption_quarantined () =
   let dir = temp_dir () in
@@ -351,7 +386,7 @@ let test_store_corruption_quarantined () =
   List.iteri (fun i k -> Store.add st k (Minijson.int i)) keys;
   let bad = List.nth keys 1 in
   Alcotest.(check bool)
-    "corruption helper found the file" true
+    "corruption helper found the record" true
     (Store.corrupt_for_test st bad);
   (* a bit-flipped entry is detected, quarantined, reported absent *)
   Alcotest.(check bool) "never served" true (Store.find st bad = None);
@@ -361,19 +396,118 @@ let test_store_corruption_quarantined () =
   Alcotest.(check bool) "still absent" true (Store.find st bad = None);
   Alcotest.(check int)
     "no double quarantine" 1 (Store.stats st).Store.quarantined;
-  Alcotest.(check bool)
-    "quarantine keeps the evidence" true
-    (Array.length (Sys.readdir (Filename.concat dir "quarantine")) >= 1);
-  (* a torn (truncated) entry is caught by the startup scrub *)
-  let victim = Filename.concat dir (List.nth keys 2) in
-  Unix.truncate victim ((Unix.stat victim).Unix.st_size - 1);
+  Alcotest.(check (list bool))
+    "quarantine keeps the evidence and its reason" [ true ]
+    (List.map snd (quarantined_copies dir));
+  (* a writer torn mid-append: the log's last data record loses its
+     last byte *)
+  let torn = kdig "d" in
+  Store.add st torn (Minijson.int 3);
+  Store.close st;
+  let log = store_log dir in
+  Unix.truncate log ((Unix.stat log).Unix.st_size - 1);
   let st2 = Store.open_ dir in
   let intact, quarantined = Store.scrub st2 in
-  Alcotest.(check int) "intact after scrub" 1 intact;
-  Alcotest.(check int) "torn entry scrubbed" 1 quarantined;
-  Alcotest.(check bool)
-    "good entry survives the scrub" true
-    (Store.find st2 (List.hd keys) <> None)
+  Alcotest.(check int) "intact after scrub" 2 intact;
+  Alcotest.(check int) "only the torn record quarantined" 1 quarantined;
+  Alcotest.(check (list bool))
+    "served after reopen" [ true; false; true; false ]
+    (List.map (fun k -> Store.find st2 k <> None) (keys @ [ torn ]));
+  Alcotest.(check int)
+    "the tombstone keeps the bad record from a second quarantine" 1
+    (Store.stats st2).Store.quarantined;
+  Alcotest.(check int)
+    "two quarantined copies, each with its reason" 2
+    (List.length (List.filter snd (quarantined_copies dir)));
+  Store.close st2;
+  remove_store dir
+
+(* Damage in the middle of the log, where no torn tail shows it: only
+   the damaged record's key is lost, and only once. *)
+let test_store_mid_log_flip () =
+  let dir = temp_dir () in
+  let st = Store.open_ dir in
+  let keys = List.map kdig [ "x"; "y"; "z" ] in
+  List.iteri (fun i k -> Store.add st k (Minijson.int (10 * i))) keys;
+  Store.close st;
+  (* each record is a header line and a payload line: the middle
+     record's payload is the log's fourth line *)
+  let log = store_log dir in
+  let raw = Bytes.of_string (read_file log) in
+  let line4 =
+    let rec after_nl i n =
+      if n = 0 then i else after_nl (Bytes.index_from raw i '\n' + 1) (n - 1)
+    in
+    after_nl 0 3
+  in
+  Bytes.set raw line4 (Char.chr (Char.code (Bytes.get raw line4) lxor 0x01));
+  Out_channel.with_open_bin log (fun oc -> Out_channel.output_bytes oc raw);
+  let served st =
+    List.map (fun k -> Option.bind (Store.find st k) Minijson.to_int) keys
+  in
+  let st2 = Store.open_ dir in
+  Alcotest.(check int) "framing intact: all three indexed" 3 (Store.length st2);
+  Alcotest.(check (list (option int)))
+    "only the flipped key is lost" [ Some 0; None; Some 20 ] (served st2);
+  Alcotest.(check int) "quarantined once" 1 (Store.stats st2).Store.quarantined;
+  Store.close st2;
+  let st3 = Store.open_ dir in
+  Alcotest.(check int) "the tombstone survives a reopen" 2 (Store.length st3);
+  Alcotest.(check (list (option int)))
+    "still lost, still served" [ Some 0; None; Some 20 ] (served st3);
+  Alcotest.(check int)
+    "not quarantined again" 0 (Store.stats st3).Store.quarantined;
+  Store.close st3;
+  remove_store dir
+
+(* Over random add/reopen sequences on 8 keys, the store answers as a
+   map from key to the last document added. *)
+let store_last_add_wins =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (frequency
+           [
+             (4, map2 (fun k v -> Some (k, v)) (int_bound 7) (int_bound 999));
+             (1, return None);
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Some (k, v) -> Printf.sprintf "add %d %d" k v
+      | None -> "reopen")
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"store: find returns each key's last add"
+       (QCheck.make ~print gen)
+       (fun ops ->
+         let dir = temp_dir () in
+         let model = Hashtbl.create 8 in
+         let key k = kdig (string_of_int k) in
+         let final =
+           List.fold_left
+             (fun st -> function
+               | Some (k, v) ->
+                   Store.add st (key k) (Minijson.int v);
+                   Hashtbl.replace model k v;
+                   st
+               | None ->
+                   Store.close st;
+                   Store.open_ dir)
+             (Store.open_ dir) ops
+         in
+         let agrees =
+           Store.length final = Hashtbl.length model
+           && List.for_all
+                (fun k ->
+                  Option.bind (Store.find final (key k)) Minijson.to_int
+                  = Hashtbl.find_opt model k)
+                (List.init 8 Fun.id)
+         in
+         Store.close final;
+         remove_store dir;
+         agrees))
 
 let test_cache_warm_hits () =
   let dir = temp_dir () in
@@ -1758,6 +1892,9 @@ let suite =
       test_store_atomic_roundtrip;
     Alcotest.test_case "store: corruption quarantined" `Quick
       test_store_corruption_quarantined;
+    Alcotest.test_case "store: a flipped byte mid-log loses only its key"
+      `Quick test_store_mid_log_flip;
+    store_last_add_wins;
     Alcotest.test_case "cache: warm hits through the store" `Quick
       test_cache_warm_hits;
     Alcotest.test_case "protocol: round-trip" `Quick test_protocol_roundtrip;

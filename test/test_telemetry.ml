@@ -669,25 +669,11 @@ let test_counters_add_up () =
    runs the reference profile and the check of the clustered program. *)
 let test_interp_steps_counter () =
   let module P = Gdp_core.Pipeline in
-  let dir = Filename.dirname Sys.executable_name in
-  let source =
-    In_channel.with_open_bin
-      (Filename.concat dir "../examples/dotprod.c")
-      In_channel.input_all
-  in
-  let input = Array.init 8 (fun i -> i + 1) in
+  let bench = Benchsuite.Suite.find "fir" in
+  let input = bench.Benchsuite.Bench_intf.input in
   let (prepared, e), snap =
     Telemetry.capture (fun () ->
-        let prepared =
-          P.prepare
-            {
-              Benchsuite.Bench_intf.name = "dotprod";
-              description = "dotprod";
-              source;
-              input;
-              exhaustive_ok = false;
-            }
-        in
+        let prepared = P.prepare bench in
         match
           P.run ~prepared
             ~mode:(P.Checked { verify = true })
