@@ -155,19 +155,24 @@ let explanations ~jobs ~move_latency =
 
 (** Returns [false] when the regression gate failed. *)
 let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
+  (* the reports, the baseline and a check at the same latency share
+     one suite of explanations *)
+  let at_attrib_latency = lazy (explanations ~jobs ~move_latency:attrib_latency) in
+  let explained move_latency =
+    if move_latency = attrib_latency then Lazy.force at_attrib_latency
+    else explanations ~jobs ~move_latency
+  in
   (match report with
   | Some dir ->
       let files =
-        Gdp_report.Explain.write_reports ~dir
-          (explanations ~jobs ~move_latency:attrib_latency)
+        Gdp_report.Explain.write_reports ~dir (explained attrib_latency)
       in
       List.iter (fun f -> Fmt.pr "wrote %s@." f) files
   | None -> ());
   (match baseline with
   | Some path ->
       Minijson.write_rows path
-        (Gdp_report.Explain.to_json
-           (explanations ~jobs ~move_latency:attrib_latency));
+        (Gdp_report.Explain.to_json (explained attrib_latency));
       Fmt.pr "wrote %s@." path
   | None -> ());
   match check with
@@ -180,8 +185,7 @@ let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
       | Ok base ->
           let current =
             Gdp_report.Regress.rows_of
-              (explanations ~jobs
-                 ~move_latency:base.Gdp_report.Regress.b_latency)
+              (explained base.Gdp_report.Regress.b_latency)
           in
           let issues =
             Gdp_report.Regress.check ~tolerance ~baseline:base ~current

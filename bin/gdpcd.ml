@@ -103,11 +103,10 @@ let events_arg =
     & opt (some string) None
     & info [ "events" ] ~docv:"FILE"
         ~doc:
-          "Append one JSON line per request-lifecycle event to this file, \
-           each carrying its trace_id — the structured log that \
-           correlates with 'gdpc trace'.  Every submit is followed by \
-           exactly one terminal event (cache_hit, deliver, reject, \
-           deadline_miss, cancel, disconnect or shutdown).")
+          "Append each request's gdp-trace/1 record to this file as one \
+           JSON line when the request ends, however it ends: the same \
+           record the response carries and 'gdpc trace' shows.  One line \
+           per submit.")
 
 let verbose_arg =
   Arg.(
@@ -152,7 +151,6 @@ let main socket tcp jobs par_workers cache_capacity max_pending brownout
         jobs;
         cache_capacity;
         max_pending;
-        max_frame = Service.Frame.default_max_frame;
         trace;
         events;
         par_workers;

@@ -80,28 +80,10 @@ let explain ~machine (p : Gdp_core.Pipeline.prepared) : t =
     ex_rows = rows;
   }
 
-(* Bounded memo: [bench --check] and [bench --report] revisit the same
-   (benchmark, machine) pairs.  Keyed by the machine's printed
-   description (every cluster's units and memory, the network), as the
-   service's cache key is: a name alone does not tell apart two unnamed
-   spec documents that differ only in their FU mix or link bandwidth. *)
-let memo : (string * string, t) Hashtbl.t = Hashtbl.create 16
-let memo_limit = 256
-
-let explain_machine ~machine (b : Benchsuite.Bench_intf.t) : t =
-  let key =
-    (b.Benchsuite.Bench_intf.name, Fmt.str "%a" Vliw_machine.pp machine)
-  in
-  match Hashtbl.find_opt memo key with
-  | Some e -> e
-  | None ->
-      let e = explain ~machine (Gdp_core.Pipeline.prepare_default b) in
-      if Hashtbl.length memo >= memo_limit then Hashtbl.reset memo;
-      Hashtbl.replace memo key e;
-      e
-
 let explain_bench ~move_latency (b : Benchsuite.Bench_intf.t) : t =
-  explain_machine ~machine:(Vliw_machine.paper_machine ~move_latency ()) b
+  explain
+    ~machine:(Vliw_machine.paper_machine ~move_latency ())
+    (Gdp_core.Pipeline.prepare_default b)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -50,12 +50,8 @@ type t = {
     the identity is an invariant, not a best-effort statistic. *)
 val explain : machine:Vliw_machine.t -> Gdp_core.Pipeline.prepared -> t
 
-(** [explain] on [prepare_default], memoized by (benchmark, machine),
-    the machine keyed by its [Vliw_machine.pp] rendering.  The memo is
-    bounded: it resets when it reaches 256 entries. *)
-val explain_machine : machine:Vliw_machine.t -> Benchsuite.Bench_intf.t -> t
-
-(** [explain_machine] on the paper machine at the given move latency. *)
+(** [explain] on [prepare_default] and the paper machine at the given
+    move latency. *)
 val explain_bench : move_latency:int -> Benchsuite.Bench_intf.t -> t
 
 (** {2 Rendering} *)

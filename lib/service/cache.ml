@@ -133,17 +133,6 @@ let stats (c : t) =
     cap = c.cap;
   }
 
-let stats_to_json s =
-  Minijson.obj
-    [
-      ("hits", Minijson.int s.hits);
-      ("misses", Minijson.int s.misses);
-      ("warm_hits", Minijson.int s.warm_hits);
-      ("evictions", Minijson.int s.evictions);
-      ("entries", Minijson.int s.entries);
-      ("capacity", Minijson.int s.cap);
-    ]
-
 let digest_key ~parts =
   let b = Buffer.create 256 in
   List.iter

@@ -62,8 +62,6 @@ type stats = {
 
 val stats : t -> stats
 
-val stats_to_json : stats -> Minijson.t
-
 val digest_key : parts:string list -> string
 (** The content key: a hex digest over the given parts, each prefixed
     with its length so concatenation ambiguity cannot alias two

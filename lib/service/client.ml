@@ -1,6 +1,6 @@
 (** Blocking gdpcd client (see client.mli). *)
 
-type t = { fd : Unix.file_descr; max_frame : int }
+type t = Unix.file_descr
 
 (* "host:port" with a numeric suffix is TCP; anything else is a Unix
    socket path. *)
@@ -61,8 +61,7 @@ let connect_once ?connect_timeout domain addr =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e)
 
-let connect ?(max_frame = Frame.default_max_frame) ?(attempts = 1)
-    ?connect_timeout ?io_timeout ep =
+let connect ?(attempts = 1) ?connect_timeout ?io_timeout ep =
   let domain, addr = addr_of_endpoint ep in
   let rec go n delay =
     match connect_once ?connect_timeout domain addr with
@@ -76,7 +75,7 @@ let connect ?(max_frame = Frame.default_max_frame) ?(attempts = 1)
                Unix.setsockopt_float fd Unix.SO_RCVTIMEO tmo;
                Unix.setsockopt_float fd Unix.SO_SNDTIMEO tmo
              with Unix.Unix_error _ | Invalid_argument _ -> ()));
-        { fd; max_frame }
+        fd
     | exception e ->
         if n >= attempts then raise e
         else begin
@@ -87,12 +86,12 @@ let connect ?(max_frame = Frame.default_max_frame) ?(attempts = 1)
   in
   go 1 0.02
 
-let fd t = t.fd
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-let send t req = Frame.write ~max_frame:t.max_frame t.fd (Protocol.request_to_json req)
+let fd t = t
+let close t = try Unix.close t with Unix.Unix_error _ -> ()
+let send t req = Frame.write t (Protocol.request_to_json req)
 
 let recv t =
-  match Frame.read ~max_frame:t.max_frame t.fd with
+  match Frame.read t with
   | Error e -> Error (Frame.error_to_string e)
   | Ok doc -> Protocol.response_of_json doc
   | exception

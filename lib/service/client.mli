@@ -14,14 +14,10 @@ val is_tcp : string -> bool
     rule {!connect} applies.  Pure syntax; no resolution. *)
 
 val connect :
-  ?max_frame:int ->
-  ?attempts:int ->
-  ?connect_timeout:float ->
-  ?io_timeout:float ->
-  string ->
-  t
+  ?attempts:int -> ?connect_timeout:float -> ?io_timeout:float -> string -> t
 (** Connect to an endpoint: [host:port] (TCP, when the suffix parses as
-    a port) or a Unix-domain socket path.  Retries [attempts] times
+    a port) or a Unix-domain socket path.  Frames either way are bounded
+    by {!Frame.default_max_frame}.  Retries [attempts] times
     (default 1) with a short growing backoff — lets a test or loadgen
     connect while the freshly forked daemon is still binding.  Raises
     [Unix.Unix_error] when every attempt fails.

@@ -2,10 +2,8 @@
 
 module Winhist = Telemetry.Winhist
 
-type point = Counter of string * int | Gauge of string * float
-(** A point-in-time scalar sampled by the server at render time:
-    [(name, value)] with Prometheus-style snake_case names (no
-    [gdpcd_] prefix — the renderers add it). *)
+type kind = Counter | Gauge
+type point = kind * string * float
 
 type t = {
   clock : unit -> float;
@@ -48,6 +46,12 @@ let hist_quantiles h =
 (* ------------------------------------------------------------------ *)
 (* gdp-metrics/1                                                       *)
 
+let of_kind kind points =
+  Minijson.obj
+    (List.filter_map
+       (fun (k, name, v) -> if k = kind then Some (name, Minijson.float v) else None)
+       points)
+
 let to_json t points =
   let windowed name h rest =
     (name, Winhist.to_json h) :: rest
@@ -66,18 +70,8 @@ let to_json t points =
      ]
     @ windowed "queue_depth" t.queue_depth
         [
-          ( "counters",
-            Minijson.obj
-              (List.filter_map
-                 (function
-                   | Counter (n, v) -> Some (n, Minijson.int v) | Gauge _ -> None)
-                 points) );
-          ( "gauges",
-            Minijson.obj
-              (List.filter_map
-                 (function
-                   | Gauge (n, v) -> Some (n, Minijson.float v) | Counter _ -> None)
-                 points) );
+          ("counters", of_kind Counter points);
+          ("gauges", of_kind Gauge points);
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -160,13 +154,11 @@ let to_prometheus t points =
     ~label:None
     [ ("", t.queue_depth) ];
   List.iter
-    (fun p ->
-      let name, kind, value =
-        match p with
-        | Counter (n, v) -> ("gdpcd_" ^ n, "counter", float_of_int v)
-        | Gauge (n, v) -> ("gdpcd_" ^ n, "gauge", v)
-      in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
+    (fun (kind, name, value) ->
+      let name = "gdpcd_" ^ name in
+      Buffer.add_string buf
+        (Printf.sprintf "# TYPE %s %s\n" name
+           (match kind with Counter -> "counter" | Gauge -> "gauge"));
       Buffer.add_string buf
         (Printf.sprintf "%s %s\n" name (prom_float value)))
     points;

@@ -7,21 +7,22 @@
     of 10 s — a 60 s sliding window), so every quantile the plane
     reports reflects {e recent} traffic, not lifetime totals.  Lifetime
     counters (served, shed, degraded, poisoned workers, cache tiers...)
-    live in the server's own state; the server passes them to the
-    renderers as {!point} lists at render time, so this module holds no
-    global state and needs no locking discipline beyond Winhist's own.
+    and current gauges live in the server's own state; the server passes
+    them to the renderers as [(kind, name, value)] points at render
+    time, so this module holds no global state and needs no locking
+    discipline beyond Winhist's own.
 
     Quantiles inherit Winhist's documented error bound
     ({!Telemetry.Winhist.max_rel_error}, ~9% relative). *)
 
 type t
 
-type point =
-  | Counter of string * int
-  | Gauge of string * float
-      (** a point-in-time scalar the server samples at render time;
-          names are Prometheus-style snake_case {e without} the
-          [gdpcd_] prefix (the renderers add it) *)
+type kind = Counter | Gauge
+
+type point = kind * string * float
+(** A scalar the server samples at render time.  Names are
+    Prometheus-style snake_case {e without} the [gdpcd_] prefix (the
+    renderers add it). *)
 
 val create : ?clock:(unit -> float) -> ?slot_s:float -> ?slots:int -> unit -> t
 (** [clock] returns microseconds (defaults to wall time) and is shared

@@ -23,7 +23,6 @@ type request =
   | Cancel of { id : string }
   | Ping
   | Stats
-  | Health
   | Trace of { trace_id : string }
   | Metrics of metrics_format
   | Shutdown
@@ -44,7 +43,6 @@ type response =
   | Cancelled of { id : string }
   | Pong
   | Stats_reply of Minijson.t
-  | Health_reply of Minijson.t
   | Trace_reply of Minijson.t
   | Metrics_reply of Minijson.t
   | Metrics_text_reply of string
@@ -93,9 +91,6 @@ let request_to_json = function
   | Stats ->
       Minijson.obj
         [ ("schema", Minijson.str schema); ("op", Minijson.str "stats") ]
-  | Health ->
-      Minijson.obj
-        [ ("schema", Minijson.str schema); ("op", Minijson.str "health") ]
   | Trace { trace_id } ->
       Minijson.obj
         [
@@ -146,7 +141,6 @@ let response_to_json r =
   | Cancelled { id } -> base "cancelled" [ ("id", Minijson.str id) ]
   | Pong -> base "pong" []
   | Stats_reply stats -> base "stats" [ ("stats", stats) ]
-  | Health_reply health -> base "health" [ ("health", health) ]
   | Trace_reply trace -> base "trace" [ ("trace", trace) ]
   | Metrics_reply metrics -> base "metrics" [ ("metrics", metrics) ]
   | Metrics_text_reply text ->
@@ -235,7 +229,6 @@ let request_of_json doc =
       Ok (Cancel { id })
   | "ping" -> Ok Ping
   | "stats" -> Ok Stats
-  | "health" -> Ok Health
   | "trace" ->
       let* trace_id = string_field "trace_id" doc in
       Ok (Trace { trace_id })
@@ -250,8 +243,8 @@ let request_of_json doc =
   | other ->
       Error
         (Printf.sprintf
-           "unknown op %S (known: submit, cancel, ping, stats, health, \
-            trace, metrics, shutdown)"
+           "unknown op %S (known: submit, cancel, ping, stats, trace, \
+            metrics, shutdown)"
            other)
 
 let response_of_json doc =
@@ -294,10 +287,6 @@ let response_of_json doc =
       match Minijson.member "stats" doc with
       | Some s -> Ok (Stats_reply s)
       | None -> Error "missing field \"stats\"")
-  | "health" -> (
-      match Minijson.member "health" doc with
-      | Some h -> Ok (Health_reply h)
-      | None -> Error "missing field \"health\"")
   | "trace" -> (
       match trace with
       | Some t -> Ok (Trace_reply t)

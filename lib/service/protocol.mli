@@ -16,7 +16,6 @@
     {"schema":"gdp-service/2","op":"cancel","id":"j1"}
     {"schema":"gdp-service/2","op":"ping"}
     {"schema":"gdp-service/2","op":"stats"}
-    {"schema":"gdp-service/2","op":"health"}
     {"schema":"gdp-service/2","op":"trace","trace_id":"t-..."}
     {"schema":"gdp-service/2","op":"metrics","format":"json"|"prometheus"}
     {"schema":"gdp-service/2","op":"shutdown"}
@@ -33,7 +32,6 @@
     {"schema":"gdp-service-result/1","op":"cancelled","id":"j1"}
     {"schema":"gdp-service-result/1","op":"pong"}
     {"schema":"gdp-service-result/1","op":"stats","stats":{...}}
-    {"schema":"gdp-service-result/1","op":"health","health":{...}}
     {"schema":"gdp-service-result/1","op":"trace","trace":{...}}
     {"schema":"gdp-service-result/1","op":"metrics","metrics":{...}}
     {"schema":"gdp-service-result/1","op":"metrics-text","text":"..."}
@@ -42,9 +40,10 @@
     v}
 
     Responses to [submit] arrive asynchronously, identified by the
-    client-chosen job [id]; [ping]/[stats]/[health]/[trace]/[metrics]/
-    [shutdown] replies are immediate.  One connection can interleave
-    many jobs. *)
+    client-chosen job [id]; [ping]/[stats]/[trace]/[metrics]/[shutdown]
+    replies are immediate.  One connection can interleave many jobs.
+    [ping] is the liveness probe; [stats] is every counter and gauge
+    the daemon keeps. *)
 
 val schema : string
 (** ["gdp-service/2"] — the request envelope. *)
@@ -73,8 +72,7 @@ type request =
   | Submit of job
   | Cancel of { id : string }
   | Ping
-  | Stats
-  | Health  (** read-only: worker/pool health + uptime *)
+  | Stats  (** read-only: every counter and gauge *)
   | Trace of { trace_id : string }
       (** read-only: the recorded span tree of one recent request *)
   | Metrics of metrics_format
@@ -103,8 +101,7 @@ type response =
           [ms]" — {!Client.submit} and [gdpc loadgen] honor it *)
   | Cancelled of { id : string }
   | Pong
-  | Stats_reply of Minijson.t
-  | Health_reply of Minijson.t  (** [gdp-health/1] *)
+  | Stats_reply of Minijson.t  (** [gdp-service-stats/1] *)
   | Trace_reply of Minijson.t  (** [gdp-trace/1] (see {!Metrics.Traces}) *)
   | Metrics_reply of Minijson.t  (** [gdp-metrics/1] *)
   | Metrics_text_reply of string  (** Prometheus text exposition *)

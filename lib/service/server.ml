@@ -12,7 +12,6 @@ type config = {
   jobs : int;
   cache_capacity : int;
   max_pending : int;
-  max_frame : int;
   trace : string option;
   events : string option;
   par_workers : int option;
@@ -28,7 +27,6 @@ let default_config =
     jobs = 2;
     cache_capacity = 256;
     max_pending = 64;
-    max_frame = Frame.default_max_frame;
     trace = None;
     events = None;
     par_workers = None;
@@ -141,22 +139,28 @@ type client = { c_fd : Unix.file_descr; c_decoder : Frame.Decoder.t }
 type waiter = {
   w_fd : Unix.file_descr;  (** the client owed a response *)
   w_job : string;  (** the client's job id *)
-  w_hit : bool;  (** coalesced onto an in-flight compile *)
+  w_tier : string;
+      (** ["compute"] once dispatched to the pool, ["coalesced"] once
+          parked on an identical in-flight compile, else ["none"] *)
   w_deadline : float option;  (** absolute wall-clock deadline *)
   w_trace : string;  (** effective trace id (client-supplied or assigned) *)
   w_submit_us : float;  (** server receive time, microseconds *)
 }
 
-(* How a request ends; each case is one terminal event kind. *)
+(* How a request ends. *)
 type ending =
-  | Hit of Minijson.t * string  (** cache_hit: artifact, tier memory|store *)
+  | Hit of Minijson.t * string  (** served from the cache tier memory|store *)
   | Delivered of (Minijson.t, string) result * worker_timing option
-      (** deliver: its compile finished *)
-  | Rejected of int  (** reject: admission refused it at this many pending *)
-  | Deadline of string  (** deadline_miss, with the failure reason *)
-  | Cancelled  (** cancel: its client cancelled it *)
-  | Disconnected  (** disconnect: its client went away *)
-  | Shutdown  (** shutdown: the server stopped first *)
+      (** its compile finished *)
+  | Rejected of int  (** admission refused it at this many pending *)
+  | Deadline of string  (** its deadline passed, with the failure reason *)
+  | Cancelled  (** its client cancelled it *)
+  | Disconnected  (** its client went away *)
+  | Shutdown  (** the server stopped first *)
+
+(* One pool ticket's compile: its cache key and the requests parked on
+   it, in arrival order. *)
+type flight = { key : string; mutable waiters : waiter list }
 
 type state = {
   cfg : config;
@@ -166,12 +170,11 @@ type state = {
     Exec.Pool.t;
   cache : Cache.t;
   clients : (Unix.file_descr, client) Hashtbl.t;
-  waiters : (Exec.Pool.ticket, waiter list ref) Hashtbl.t;
-  key_of : (Exec.Pool.ticket, string) Hashtbl.t;
+  flights : (Exec.Pool.ticket, flight) Hashtbl.t;
   inflight : (string, Exec.Pool.ticket) Hashtbl.t;  (** cache key -> ticket *)
   metrics : Metrics.t;  (** windowed latency / queue-depth histograms *)
   traces : Metrics.Traces.t;  (** recent request traces, for [TRACE <id>] *)
-  events_oc : out_channel option;  (** structured JSONL event log *)
+  events_oc : out_channel option;  (** each request's trace record, a line each *)
   mutable trace_seq : int;  (** server-assigned trace-id counter *)
   mutable requests : int;  (** decoded requests of every op *)
   mutable jobs : int;  (** submits *)
@@ -191,25 +194,6 @@ type state = {
 let fresh_trace_id st =
   st.trace_seq <- st.trace_seq + 1;
   Printf.sprintf "t-%06x-%x" (Unix.getpid () land 0xFFFFFF) st.trace_seq
-
-(* One JSONL line per request-lifecycle event; [trace_id] makes the log
-   greppable against daemon log lines and [TRACE <id>] lookups. *)
-let emit_event st ~event (w : waiter) fields =
-  match st.events_oc with
-  | None -> ()
-  | Some oc ->
-      output_string oc
-        (Minijson.encode
-           (Minijson.obj
-              ([
-                 ("ts_us", Minijson.float (now_us ()));
-                 ("event", Minijson.str event);
-                 ("trace_id", Minijson.str w.w_trace);
-                 ("id", Minijson.str w.w_job);
-               ]
-              @ fields)));
-      output_char oc '\n';
-      flush oc
 
 (* ------------------------------------------------------------------ *)
 (* Trace assembly                                                      *)
@@ -274,25 +258,27 @@ let trace_doc w ~tier ~outcome ~now ending =
 (* Remove and return every parked request that satisfies [p]. *)
 let take_waiters st p =
   Hashtbl.fold
-    (fun _ ws acc ->
-      let taken, kept = List.partition p !ws in
-      ws := kept;
+    (fun _ f acc ->
+      let taken, kept = List.partition p f.waiters in
+      f.waiters <- kept;
       taken @ acc)
-    st.waiters []
+    st.flights []
 
-(* Cancel pool jobs whose last waiter is gone and drop their bookkeeping. *)
+(* Forget a ticket's compile. *)
+let land_flight st t f =
+  Hashtbl.remove st.flights t;
+  Hashtbl.remove st.inflight f.key
+
+(* Cancel pool jobs whose last waiter is gone and forget them. *)
 let reap_orphans st =
   let orphans =
-    Hashtbl.fold (fun t ws acc -> if !ws = [] then t :: acc else acc) st.waiters []
+    Hashtbl.fold
+      (fun t f acc -> if f.waiters = [] then (t, f) :: acc else acc)
+      st.flights []
   in
   List.iter
-    (fun t ->
-      Hashtbl.remove st.waiters t;
-      (match Hashtbl.find_opt st.key_of t with
-      | Some k ->
-          Hashtbl.remove st.inflight k;
-          Hashtbl.remove st.key_of t
-      | None -> ());
+    (fun (t, f) ->
+      land_flight st t f;
       ignore (Exec.Pool.cancel st.pool t))
     orphans
 
@@ -305,9 +291,7 @@ let retry_after_hint st =
   Some (max 50 (min 2000 ms))
 
 let rec send st fd resp =
-  match
-    Frame.write ~max_frame:st.cfg.max_frame fd (Protocol.response_to_json resp)
-  with
+  match Frame.write fd (Protocol.response_to_json resp) with
   | () -> ()
   | exception Unix.Unix_error _ ->
       Log.debug (fun m -> m "dropping unreachable client");
@@ -319,10 +303,7 @@ let rec send st fd resp =
       send_error st fd msg
 
 and send_error st fd msg =
-  match
-    Frame.write ~max_frame:st.cfg.max_frame fd
-      (Protocol.response_to_json (Protocol.Error_reply msg))
-  with
+  match Frame.write fd (Protocol.response_to_json (Protocol.Error_reply msg)) with
   | () -> ()
   | exception _ -> close_client st fd
 
@@ -337,25 +318,22 @@ and close_client st fd =
   end
 
 (* End request [w], which its caller has already unparked: count the
-   outcome, register the trace, record the latency, log the terminal
-   event and answer the client if it is still connected — each exactly
-   once.  A failed send closes the client, which ends its other
-   requests, never this one again. *)
+   outcome, register the trace record, record the latency, append the
+   record to the event log and answer the client if it is still
+   connected — each exactly once.  A failed send closes the client,
+   which ends its other requests, never this one again. *)
 and finish st w ending =
   let now = now_us () in
-  let total = Float.max 0. (now -. w.w_submit_us) in
-  let event, outcome, tier =
+  let tier = match ending with Hit (_, tier) -> tier | _ -> w.w_tier in
+  let outcome =
     match ending with
-    | Hit (_, tier) -> ("cache_hit", "ok", tier)
-    | Delivered (result, _) ->
-        ( "deliver",
-          (match result with Ok _ -> "ok" | Error _ -> "failed"),
-          if w.w_hit then "coalesced" else "compute" )
-    | Rejected _ -> ("reject", "rejected", "none")
-    | Deadline _ -> ("deadline_miss", "deadline_miss", "none")
-    | Cancelled -> ("cancel", "cancelled", "none")
-    | Disconnected -> ("disconnect", "disconnected", "none")
-    | Shutdown -> ("shutdown", "shutdown", "none")
+    | Hit _ | Delivered (Ok _, _) -> "ok"
+    | Delivered (Error _, _) -> "failed"
+    | Rejected _ -> "rejected"
+    | Deadline _ -> "deadline_miss"
+    | Cancelled -> "cancelled"
+    | Disconnected -> "disconnected"
+    | Shutdown -> "shutdown"
   in
   (match ending with
   | Hit _ | Delivered (Ok _, _) -> st.served <- st.served + 1
@@ -366,20 +344,20 @@ and finish st w ending =
   Metrics.Traces.add st.traces ~trace_id:w.w_trace trace;
   (* shed load must not flatter the latency percentiles *)
   Option.iter
-    (fun method_ -> Metrics.observe_latency st.metrics ~method_ total)
+    (fun method_ ->
+      Metrics.observe_latency st.metrics ~method_
+        (Float.max 0. (now -. w.w_submit_us)))
     (match ending with
     | Hit _ -> Some "submit_hit"
     | Delivered _ -> Some "submit"
     | _ -> None);
-  emit_event st ~event w
-    ([
-       ("outcome", Minijson.str outcome);
-       ("tier", Minijson.str tier);
-       ("total_us", Minijson.float total);
-     ]
-    @ match ending with Rejected n -> [ ("pending", Minijson.int n) ] | _ -> []);
-  Log.debug (fun m ->
-      m "[%s] %s %s (%s, %.0f us)" w.w_trace event w.w_job outcome total);
+  Option.iter
+    (fun oc ->
+      output_string oc (Minijson.encode trace);
+      output_char oc '\n';
+      flush oc)
+    st.events_oc;
+  Log.debug (fun m -> m "[%s] %s %s via %s" w.w_trace w.w_job outcome tier);
   let id = w.w_job and trace = Some trace in
   let failed reason retry_after_ms =
     Some (Protocol.Failed { id; reason; retry_after_ms; trace })
@@ -388,7 +366,8 @@ and finish st w ending =
     match ending with
     | Hit (result, _) -> Some (Protocol.Result { id; cached = true; result; trace })
     | Delivered (Ok result, _) ->
-        Some (Protocol.Result { id; cached = w.w_hit; result; trace })
+        let cached = w.w_tier = "coalesced" in
+        Some (Protocol.Result { id; cached; result; trace })
     | Delivered (Error reason, _) -> failed reason None
     | Rejected n ->
         failed
@@ -406,34 +385,29 @@ and finish st w ending =
 (* Answer everyone waiting on a completed pool job. *)
 let deliver st (c : _ Exec.Pool.completion) =
   let t = c.Exec.Pool.c_ticket in
-  let ws =
-    match Hashtbl.find_opt st.waiters t with Some ws -> !ws | None -> []
-  in
-  Hashtbl.remove st.waiters t;
-  let key = Hashtbl.find_opt st.key_of t in
-  Option.iter (Hashtbl.remove st.inflight) key;
-  Hashtbl.remove st.key_of t;
-  let result, timing =
-    match c.Exec.Pool.c_result with
-    | Ok compiled -> compiled
-    | Error crash -> (Error crash, None)
-  in
-  (match (result, key) with
-  | Ok art, Some k -> Cache.add st.cache k art
-  | _ -> ());
-  List.iter (fun w -> finish st w (Delivered (result, timing))) ws
+  match Hashtbl.find_opt st.flights t with
+  | None -> ()
+  | Some f ->
+      land_flight st t f;
+      let result, timing =
+        match c.Exec.Pool.c_result with
+        | Ok compiled -> compiled
+        | Error crash -> (Error crash, None)
+      in
+      Result.iter (Cache.add st.cache f.key) result;
+      List.iter (fun w -> finish st w (Delivered (result, timing))) f.waiters
 
 let next_deadline st =
   Hashtbl.fold
-    (fun _ ws acc ->
+    (fun _ f acc ->
       List.fold_left
         (fun acc w ->
           match (w.w_deadline, acc) with
           | None, acc -> acc
           | Some d, None -> Some d
           | Some d, Some a -> Some (min d a))
-        acc !ws)
-    st.waiters None
+        acc f.waiters)
+    st.flights None
 
 let expire_deadlines st now =
   match
@@ -447,9 +421,8 @@ let expire_deadlines st now =
 
 let fail_all st =
   let all = take_waiters st (fun _ -> true) in
-  Hashtbl.reset st.waiters;
+  Hashtbl.reset st.flights;
   Hashtbl.reset st.inflight;
-  Hashtbl.reset st.key_of;
   List.iter (fun w -> finish st w Shutdown) all
 
 (* Brown-out admission.  The pressure signal is pool pending over
@@ -493,113 +466,94 @@ let degrade_method m steps =
   in
   nth_or_last chain steps
 
-let stats_json st =
-  let h = Exec.Pool.health st.pool in
-  Minijson.obj
-    ([
-       ("schema", Minijson.str "gdp-service-stats/1");
-       ("uptime_s", Minijson.float (Unix.gettimeofday () -. st.started));
-       ("requests", Minijson.int st.requests);
-       ("jobs", Minijson.int st.jobs);
-       ("connections_total", Minijson.int st.connections_total);
-       ("served", Minijson.int st.served);
-       ("coalesced", Minijson.int st.coalesced);
-       ("rejected", Minijson.int st.rejected);
-       ("deadline_misses", Minijson.int st.deadline_misses);
-       ( "admission",
-         Minijson.obj
-           [
-             ("max_pending", Minijson.int st.cfg.max_pending);
-             ("brownout", Minijson.float st.cfg.brownout);
-             ("level", Minijson.int (admission_level st));
-             ("shed_verify", Minijson.int st.shed_verify);
-             ("degraded", Minijson.int st.degraded);
-           ] );
-       ( "pool",
-         Minijson.obj
-           [
-             ("workers", Minijson.int h.Exec.Pool.h_workers);
-             ("alive", Minijson.int h.Exec.Pool.h_alive);
-             ("queued", Minijson.int (Exec.Pool.queued st.pool));
-             ("in_flight", Minijson.int (Exec.Pool.in_flight st.pool));
-             ("crashes", Minijson.int h.Exec.Pool.h_crashes);
-             ("respawns", Minijson.int h.Exec.Pool.h_respawns);
-             ("poisoned", Minijson.int h.Exec.Pool.h_poisoned);
-           ] );
-       ("cache", Cache.stats_to_json (Cache.stats st.cache));
-     ]
-    @
-    match Cache.store st.cache with
-    | None -> []
-    | Some s ->
-        [
-          ( "store",
-            match Store.stats_to_json (Store.stats s) with
-            | Minijson.Obj fields ->
-                Minijson.Obj
-                  (fields
-                  @ [
-                      ("scrub_intact", Minijson.int st.scrub_intact);
-                      ( "scrub_quarantined",
-                        Minijson.int st.scrub_quarantined );
-                    ])
-            | other -> other );
-        ])
-
-let health_json st =
-  let h = Exec.Pool.health st.pool in
-  Minijson.obj
-    [
-      ("schema", Minijson.str "gdp-health/1");
-      ( "status",
-        Minijson.str (if h.Exec.Pool.h_alive > 0 then "ok" else "degraded") );
-      ("uptime_s", Minijson.float (Unix.gettimeofday () -. st.started));
-      ( "workers",
-        Minijson.obj
-          [
-            ("configured", Minijson.int h.Exec.Pool.h_workers);
-            ("alive", Minijson.int h.Exec.Pool.h_alive);
-            ("poisoned", Minijson.int h.Exec.Pool.h_poisoned);
-            ("crashes", Minijson.int h.Exec.Pool.h_crashes);
-            ("respawns", Minijson.int h.Exec.Pool.h_respawns);
-          ] );
-      ("pending", Minijson.int (Exec.Pool.pending st.pool));
-      ("admission_level", Minijson.int (admission_level st));
-      ("connections", Minijson.int (Hashtbl.length st.clients));
-      ("traces_retained", Minijson.int (Metrics.Traces.length st.traces));
-    ]
-
-(* The point-in-time scalars the metrics plane renders next to its
-   windowed histograms — the daemon's lifetime counters and current
-   gauges, sampled at request time. *)
-let metric_points st =
-  let cs = Cache.stats st.cache in
-  let h = Exec.Pool.health st.pool in
+(* Every counter and gauge the daemon reports, each named once: its
+   path in the [stats] document, its metrics-plane kind and name where
+   it has one, and its reading.  [stats], the [gdp-metrics/1] document
+   and the Prometheus exposition all render from this list.  The
+   store's entries read [None], and are left out, without a store. *)
+let scalars :
+    (string * (Metrics.kind * string) option * (state -> float option)) list =
+  let n f st = Some (float_of_int (f st)) in
+  let pool f = n (fun st -> f (Exec.Pool.health st.pool)) in
+  let cache f = n (fun st -> f (Cache.stats st.cache)) in
+  let with_store f st =
+    Option.map (fun s -> float_of_int (f st s)) (Cache.store st.cache)
+  in
+  let store f = with_store (fun _ s -> f (Store.stats s)) in
+  let scrub f = with_store (fun st _ -> f st) in
+  let c name = Some (Metrics.Counter, name) in
+  let g name = Some (Metrics.Gauge, name) in
   [
-    Metrics.Counter ("requests_total", st.requests);
-    Metrics.Counter ("jobs_total", st.jobs);
-    Metrics.Counter ("connections_total", st.connections_total);
-    Metrics.Counter ("served_total", st.served);
-    Metrics.Counter ("coalesced_total", st.coalesced);
-    Metrics.Counter ("rejected_total", st.rejected);
-    Metrics.Counter ("deadline_misses_total", st.deadline_misses);
-    Metrics.Counter ("shed_verify_total", st.shed_verify);
-    Metrics.Counter ("degraded_total", st.degraded);
-    Metrics.Counter ("cache_hits_total", cs.Cache.hits);
-    Metrics.Counter ("cache_warm_hits_total", cs.Cache.warm_hits);
-    Metrics.Counter ("cache_misses_total", cs.Cache.misses);
-    Metrics.Counter ("cache_evictions_total", cs.Cache.evictions);
-    Metrics.Counter ("worker_crashes_total", h.Exec.Pool.h_crashes);
-    Metrics.Counter ("worker_respawns_total", h.Exec.Pool.h_respawns);
-    Metrics.Counter ("workers_poisoned_total", h.Exec.Pool.h_poisoned);
-    Metrics.Counter ("traces_recorded_total", Metrics.Traces.total st.traces);
-    Metrics.Gauge ("workers_alive", float_of_int h.Exec.Pool.h_alive);
-    Metrics.Gauge ("pool_pending", float_of_int (Exec.Pool.pending st.pool));
-    Metrics.Gauge ("connections", float_of_int (Hashtbl.length st.clients));
-    Metrics.Gauge ("cache_entries", float_of_int cs.Cache.entries);
-    Metrics.Gauge ("admission_level", float_of_int (admission_level st));
-    Metrics.Gauge ("uptime_s", Unix.gettimeofday () -. st.started);
+    ("uptime_s", g "uptime_s", fun st -> Some (Unix.gettimeofday () -. st.started));
+    ("requests", c "requests_total", n (fun st -> st.requests));
+    ("jobs", c "jobs_total", n (fun st -> st.jobs));
+    ("connections", g "connections", n (fun st -> Hashtbl.length st.clients));
+    ("connections_total", c "connections_total", n (fun st -> st.connections_total));
+    ("served", c "served_total", n (fun st -> st.served));
+    ("coalesced", c "coalesced_total", n (fun st -> st.coalesced));
+    ("rejected", c "rejected_total", n (fun st -> st.rejected));
+    ("deadline_misses", c "deadline_misses_total", n (fun st -> st.deadline_misses));
+    ("admission.max_pending", None, n (fun st -> st.cfg.max_pending));
+    ("admission.brownout", None, fun st -> Some st.cfg.brownout);
+    ("admission.level", g "admission_level", n admission_level);
+    ("admission.shed_verify", c "shed_verify_total", n (fun st -> st.shed_verify));
+    ("admission.degraded", c "degraded_total", n (fun st -> st.degraded));
+    ("pool.workers", None, pool (fun h -> h.Exec.Pool.h_workers));
+    ("pool.alive", g "workers_alive", pool (fun h -> h.Exec.Pool.h_alive));
+    ("pool.pending", g "pool_pending", n (fun st -> Exec.Pool.pending st.pool));
+    ("pool.queued", None, n (fun st -> Exec.Pool.queued st.pool));
+    ("pool.in_flight", None, n (fun st -> Exec.Pool.in_flight st.pool));
+    ("pool.crashes", c "worker_crashes_total", pool (fun h -> h.Exec.Pool.h_crashes));
+    ( "pool.respawns", c "worker_respawns_total",
+      pool (fun h -> h.Exec.Pool.h_respawns) );
+    ( "pool.poisoned", c "workers_poisoned_total",
+      pool (fun h -> h.Exec.Pool.h_poisoned) );
+    ("cache.hits", c "cache_hits_total", cache (fun s -> s.Cache.hits));
+    ("cache.misses", c "cache_misses_total", cache (fun s -> s.Cache.misses));
+    ("cache.warm_hits", c "cache_warm_hits_total", cache (fun s -> s.Cache.warm_hits));
+    ("cache.evictions", c "cache_evictions_total", cache (fun s -> s.Cache.evictions));
+    ("cache.entries", g "cache_entries", cache (fun s -> s.Cache.entries));
+    ("cache.capacity", None, cache (fun s -> s.Cache.cap));
+    ("traces.retained", None, n (fun st -> Metrics.Traces.length st.traces));
+    ( "traces.recorded", c "traces_recorded_total",
+      n (fun st -> Metrics.Traces.total st.traces) );
+    ("store.entries", None, store (fun s -> s.Store.entries));
+    ("store.writes", None, store (fun s -> s.Store.writes));
+    ("store.warm_hits", None, store (fun s -> s.Store.warm_hits));
+    ("store.quarantined", None, store (fun s -> s.Store.quarantined));
+    ("store.scrub_intact", None, scrub (fun st -> st.scrub_intact));
+    ("store.scrub_quarantined", None, scrub (fun st -> st.scrub_quarantined));
   ]
+
+(* Nest dotted paths ("pool.crashes") into objects, each group where its
+   first member stands. *)
+let rec nest = function
+  | [] -> []
+  | (path, v) :: rest -> (
+      match String.index_opt path '.' with
+      | None -> (path, v) :: nest rest
+      | Some i ->
+          let group = String.sub path 0 i in
+          let under (p, _) = String.starts_with ~prefix:(group ^ ".") p in
+          let inside, rest = List.partition under rest in
+          let drop (p, v) = (String.sub p (i + 1) (String.length p - i - 1), v) in
+          (group, Minijson.obj (nest (List.map drop ((path, v) :: inside))))
+          :: nest rest)
+
+let stats_json st =
+  let reading (path, _, read) =
+    Option.map (fun v -> (path, Minijson.float v)) (read st)
+  in
+  Minijson.obj
+    (("schema", Minijson.str "gdp-service-stats/1")
+    :: nest (List.filter_map reading scalars))
+
+let metric_scalars st =
+  List.filter_map
+    (function
+      | _, Some (kind, name), read -> Option.map (fun v -> (kind, name, v)) (read st)
+      | _, None, _ -> None)
+    scalars
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -650,7 +604,7 @@ let handle_submit st (cl : client) (job : Protocol.job) =
     {
       w_fd = cl.c_fd;
       w_job = job.Protocol.id;
-      w_hit = false;
+      w_tier = "none";
       w_deadline =
         Option.map
           (fun d -> Unix.gettimeofday () +. (float_of_int d /. 1000.))
@@ -659,7 +613,6 @@ let handle_submit st (cl : client) (job : Protocol.job) =
       w_submit_us = now_us ();
     }
   in
-  emit_event st ~event:"submit" w [];
   Log.debug (fun m -> m "[%s] submit %s" trace_id w.w_job);
   match job.Protocol.deadline_ms with
   | Some d when d <= 0 ->
@@ -677,19 +630,17 @@ let handle_submit st (cl : client) (job : Protocol.job) =
           | Some t ->
               (* identical job already compiling: coalesce onto it *)
               st.coalesced <- st.coalesced + 1;
-              emit_event st ~event:"coalesce" w [];
-              let ws = Hashtbl.find st.waiters t in
-              ws := !ws @ [ { w with w_hit = true } ]
+              let f = Hashtbl.find st.flights t in
+              f.waiters <- f.waiters @ [ { w with w_tier = "coalesced" } ]
           | None ->
               let pending = Exec.Pool.pending st.pool in
               if pending >= st.cfg.max_pending then finish st w (Rejected pending)
               else begin
                 Metrics.observe_queue_depth st.metrics pending;
                 let t = Exec.Pool.submit st.pool ~batch:key job in
-                emit_event st ~event:"dispatch" w [];
                 Hashtbl.replace st.inflight key t;
-                Hashtbl.replace st.key_of t key;
-                Hashtbl.replace st.waiters t (ref [ w ])
+                Hashtbl.replace st.flights t
+                  { key; waiters = [ { w with w_tier = "compute" } ] }
               end))
 
 (* A cancel ends each of the caller's parked requests with that id,
@@ -723,9 +674,6 @@ let handle_request st (cl : client) req =
   | Protocol.Stats ->
       send st cl.c_fd (Protocol.Stats_reply (stats_json st));
       observe "stats"
-  | Protocol.Health ->
-      send st cl.c_fd (Protocol.Health_reply (health_json st));
-      observe "health"
   | Protocol.Trace { trace_id } ->
       (match Metrics.Traces.find st.traces trace_id with
       | Some doc -> send st cl.c_fd (Protocol.Trace_reply doc)
@@ -735,11 +683,11 @@ let handle_request st (cl : client) req =
       (match fmt with
       | Protocol.Json ->
           send st cl.c_fd
-            (Protocol.Metrics_reply (Metrics.to_json st.metrics (metric_points st)))
+            (Protocol.Metrics_reply (Metrics.to_json st.metrics (metric_scalars st)))
       | Protocol.Prometheus ->
           send st cl.c_fd
             (Protocol.Metrics_text_reply
-               (Metrics.to_prometheus st.metrics (metric_points st))));
+               (Metrics.to_prometheus st.metrics (metric_scalars st))));
       observe "metrics"
   | Protocol.Shutdown ->
       send st cl.c_fd Protocol.Shutting_down;
@@ -774,7 +722,7 @@ let accept_client st lfd =
   match Unix.accept lfd with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | fd, _addr ->
-      let cl = { c_fd = fd; c_decoder = Frame.Decoder.create ~max_frame:st.cfg.max_frame () } in
+      let cl = { c_fd = fd; c_decoder = Frame.Decoder.create () } in
       Hashtbl.replace st.clients fd cl;
       st.connections_total <- st.connections_total + 1
 
@@ -873,8 +821,7 @@ let run cfg =
       pool;
       cache;
       clients = Hashtbl.create 16;
-      waiters = Hashtbl.create 16;
-      key_of = Hashtbl.create 16;
+      flights = Hashtbl.create 16;
       inflight = Hashtbl.create 16;
       metrics = Metrics.create ();
       traces = Metrics.Traces.create ();

@@ -24,11 +24,11 @@
     from the cache, delivered, rejected, expired, cancelled (each of
     the caller's requests with the cancelled id is answered
     [cancelled]), dropped because its client disconnected, or failed
-    by shutdown.  Ending a request bumps its outcome counter, registers
-    its trace, records its latency (delivered and cache-hit requests
-    only), logs its terminal event and answers the client if it is
-    still connected.  Pool jobs nobody waits on any more are
-    cancelled.
+    by shutdown.  Ending a request bumps its outcome counter, builds
+    and registers its one [gdp-trace/1] record, records its latency
+    (delivered and cache-hit requests only), appends the record to the
+    event log and answers the client if it is still connected.  Pool
+    jobs nobody waits on any more are cancelled.
 
     {2 Brown-out}
 
@@ -70,13 +70,15 @@
 
     {2 Counters}
 
-    Every service counter lives once, in the server state, and both
-    [stats] ([gdp-service-stats/1]) and [metrics] render it from
-    there: [requests] (decoded requests of every op), [jobs] (submits),
+    Every counter and gauge is named once, in one list in the server:
+    its [stats] ([gdp-service-stats/1]) path and, where it has one, its
+    metrics name.  [stats], the [metrics] JSON and the Prometheus
+    exposition all render from that list: [requests] (decoded requests
+    of every op), [jobs] (submits), [connections] (open now),
     [connections_total], [served], [coalesced], [rejected],
-    [deadline_misses], the brown-out counters and the cache and store
-    tallies.  With [trace] set the Chrome trace carries the pool's own
-    [exec.*] spans and metrics.
+    [deadline_misses], the brown-out, pool, cache, trace-registry and
+    store tallies.  With [trace] set the Chrome trace carries the
+    pool's own [exec.*] spans and metrics.
 
     {2 Tracing and the metrics plane}
 
@@ -89,23 +91,23 @@
     returns it inline in the [result]/[failed] response, and retains it
     in a bounded registry served by the [trace] op.  Cache hits get a
     [cache.memory]/[cache.store] span instead of queue/exec; every
-    other ending gets a lone request span, and is registered too.
+    other ending gets a lone request span, and is registered too.  The
+    record's [cache_tier] says which way the request went: [memory] or
+    [store] for a cache hit, [compute] once dispatched to the pool,
+    [coalesced] once parked on an identical compile, [none] otherwise.
     Spans use the one {!Telemetry.span_to_json} encoding.  Tracing
     never touches the [result] artifact bytes or the cache key.
 
     The [metrics] op renders sliding-window (60 s) per-method latency
     and queue-depth histograms with p50/p95/p99 ({!Metrics}) plus the
-    daemon's lifetime counters, as [gdp-metrics/1] JSON or Prometheus
-    text exposition; [health] answers a small [gdp-health/1] liveness
-    document.  All three are read-only and answered inline.
+    daemon's counters and gauges, as [gdp-metrics/1] JSON or Prometheus
+    text exposition.  [stats], [trace] and [metrics] are read-only and
+    answered inline; [ping] is the liveness probe.
 
-    With [events] set, every request-lifecycle event appends one JSON
-    line — [ts_us], [event], [trace_id], [id], ... — to that file,
-    correlating the log with traces.  A [submit] line may be followed
-    by [coalesce] or [dispatch] and is always followed by exactly one
-    terminal line — [cache_hit], [deliver], [reject], [deadline_miss],
-    [cancel], [disconnect] or [shutdown] — carrying the request's
-    [outcome], [tier] and [total_us]. *)
+    With [events] set, each request appends its [gdp-trace/1] record
+    to that file as one line when it ends, byte-identical to what
+    [trace] answers for it: one line per submit, whichever way it
+    ended. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listening socket *)
@@ -113,11 +115,10 @@ type config = {
   jobs : int;  (** pool worker processes, clamped like [-j] *)
   cache_capacity : int;  (** artifact cache bound (entries) *)
   max_pending : int;  (** reject submissions beyond this many pending *)
-  max_frame : int;  (** per-connection frame size limit *)
   trace : string option;  (** write a Chrome trace here on shutdown *)
   events : string option;
-      (** append one JSON line per request-lifecycle event here
-          (truncated at startup); [None] disables the event log *)
+      (** append each request's [gdp-trace/1] record here, one line
+          each (truncated at startup); [None] disables the event log *)
   par_workers : int option;
       (** cap on the domains one job's intra-compile parallelism may
           actually use ([None] = the job's own [par_domains] request).
@@ -137,9 +138,9 @@ type config = {
 
 val default_config : config
 (** Socket [gdpcd.sock] in the working directory, no TCP, 2 workers,
-    256-entry cache, 64-job pending bound, {!Frame.default_max_frame},
-    no trace, no event log, no intra-compile domain cap, no durable
-    store, brown-out disabled, no chaos. *)
+    256-entry cache, 64-job pending bound, no trace, no event log, no
+    intra-compile domain cap, no durable store, brown-out disabled, no
+    chaos.  Frames are bounded by {!Frame.default_max_frame}. *)
 
 val run : config -> unit
 (** Bind, serve until a shutdown trigger, clean up.  Raises

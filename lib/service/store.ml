@@ -224,12 +224,3 @@ let stats t =
     warm_hits = t.warm_hits;
     quarantined = t.quarantined;
   }
-
-let stats_to_json (s : stats) =
-  Minijson.obj
-    [
-      ("entries", Minijson.int s.entries);
-      ("writes", Minijson.int s.writes);
-      ("warm_hits", Minijson.int s.warm_hits);
-      ("quarantined", Minijson.int s.quarantined);
-    ]

@@ -88,4 +88,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_to_json : stats -> Minijson.t

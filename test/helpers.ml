@@ -34,6 +34,26 @@ let check_outputs what expected got =
 
 let machine ?(move_latency = 5) () = Vliw_machine.paper_machine ~move_latency ()
 
+(** A repository file, by its path from the root: the first match in
+    this executable's directory or above it.  [dune runtest] copies the
+    file into the build tree; after a plain [dune build] the search
+    reaches the source tree instead. *)
+let repo_file path =
+  let exe_dir = Filename.dirname Sys.executable_name in
+  let exe_dir =
+    if Filename.is_relative exe_dir then Filename.concat (Sys.getcwd ()) exe_dir
+    else exe_dir
+  in
+  let rec up dir =
+    let candidate = Filename.concat dir path in
+    if Sys.file_exists candidate then candidate
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.failf "%s: not found above %s" path exe_dir
+      else up parent
+  in
+  up exe_dir
+
 (** The machine of a [Machine_spec] preset ("paper", "mesh16", ...). *)
 let preset_machine name =
   match Machine_spec.preset name with

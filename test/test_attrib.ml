@@ -144,41 +144,6 @@ let test_placements_non_empty () =
         (r.Explain.mr_totals.Attrib.t_obj_access <> []))
     e.Explain.ex_rows
 
-(* Two unnamed spec documents that differ only in their integer units
-   share a default name ("2cluster-bus-lat5"); the memo must still tell
-   them apart. *)
-let test_memo_tells_unnamed_specs_apart () =
-  let machine ints =
-    let cluster =
-      Printf.sprintf {|{"ints": %d, "floats": 1, "mems": 1, "branches": 1}|}
-        ints
-    in
-    let doc =
-      Printf.sprintf
-        {|{"schema": "gdp-machine/1", "topology": "bus", "link_latency": 5,
-           "link_bandwidth": 1, "clusters": [%s, %s]}|}
-        cluster cluster
-    in
-    match Result.bind (Minijson.parse doc) Machine_spec.of_json with
-    | Ok spec -> Machine_spec.resolve spec
-    | Error m -> Alcotest.fail m
-  in
-  let fir = Benchsuite.Suite.find "fir" in
-  let gdp_cycles (e : Explain.t) =
-    (List.hd e.Explain.ex_rows).Explain.mr_cycles
-  in
-  let wide = machine 2 and narrow = machine 1 in
-  Alcotest.(check string) "same default name" wide.Vliw_machine.name
-    narrow.Vliw_machine.name;
-  let (_ : Explain.t) = Explain.explain_machine ~machine:wide fir in
-  let fresh = Explain.explain ~machine:narrow (Pipeline.prepare_default fir) in
-  Alcotest.(check int) "memoized narrow machine equals a fresh explain"
-    (gdp_cycles fresh)
-    (gdp_cycles (Explain.explain_machine ~machine:narrow fir));
-  Alcotest.(check bool) "the FU mix changes GDP's cycles" true
-    (gdp_cycles fresh
-    <> gdp_cycles (Explain.explain_machine ~machine:wide fir))
-
 (* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
 
@@ -288,18 +253,13 @@ let test_minijson_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 (* Speed gate, on synthetic perfbench documents                        *)
 
-(* test/dune copies both files from the repository root into the build
-   tree, beside this executable's directory *)
-let root_file name =
-  Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ name)
-
 let speed_baseline () =
-  match Regress.load_runs (root_file "BENCH_speed.txt") with
+  match Regress.load_runs (Helpers.repo_file "BENCH_speed.txt") with
   | Ok runs -> runs
   | Error m -> Alcotest.fail m
 
 let benchmark_json () =
-  match Minijson.parse_file (root_file "BENCHMARK.json") with
+  match Minijson.parse_file (Helpers.repo_file "BENCHMARK.json") with
   | Ok doc -> doc
   | Error m -> Alcotest.fail m
 
@@ -454,8 +414,6 @@ let suite =
     prop_identity;
     Alcotest.test_case "identity across the suite (fig7/fig8)" `Slow
       test_suite_identity;
-    Alcotest.test_case "explain memo tells unnamed specs apart" `Quick
-      test_memo_tells_unnamed_specs_apart;
     Alcotest.test_case "placement tables are non-empty" `Quick
       test_placements_non_empty;
     Alcotest.test_case "gate round-trips and passes on itself" `Quick

@@ -307,9 +307,10 @@ let test_cli_compile_matches_prepare () =
    sums: execution count x schedule length over the printed blocks adds
    up to the reported total. *)
 let test_cli_schedule_matches_total () =
-  let dir = Filename.dirname Sys.executable_name in
-  let gdpc = Filename.concat dir "../bin/gdpc.exe" in
-  let src = Filename.concat dir "../examples/dotprod.c" in
+  let gdpc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/gdpc.exe"
+  in
+  let src = Helpers.repo_file "examples/dotprod.c" in
   List.iter
     (fun m ->
       let ic =

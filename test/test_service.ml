@@ -569,7 +569,6 @@ let test_protocol_roundtrip () =
       Protocol.Cancel { id = "t1" };
       Protocol.Ping;
       Protocol.Stats;
-      Protocol.Health;
       Protocol.Trace { trace_id = "t-abc" };
       Protocol.Metrics Protocol.Json;
       Protocol.Metrics Protocol.Prometheus;
@@ -605,7 +604,6 @@ let test_protocol_roundtrip () =
       Protocol.Cancelled { id = "t1" };
       Protocol.Pong;
       Protocol.Stats_reply (Minijson.obj [ ("served", Minijson.int 3) ]);
-      Protocol.Health_reply (Minijson.obj [ ("status", Minijson.str "ok") ]);
       Protocol.Trace_reply (Minijson.obj [ ("trace_id", Minijson.str "t-1") ]);
       Protocol.Metrics_reply (Minijson.obj [ ("window_s", Minijson.float 60.) ]);
       Protocol.Metrics_text_reply "# TYPE gdpcd_served_total counter\n";
@@ -635,6 +633,17 @@ let test_protocol_rejections () =
    with
   | Ok _ -> Alcotest.fail "accepted an unknown op"
   | Error m -> Alcotest.(check bool) "names op" true (contains m "frobnicate"));
+  (* the retired health op is an unknown op like any other *)
+  (match
+     Protocol.request_of_json
+       (Minijson.obj
+          [ ("schema", Minijson.str Protocol.schema); ("op", Minijson.str "health") ])
+   with
+  | Ok _ -> Alcotest.fail "accepted the retired health op"
+  | Error m ->
+      Alcotest.(check bool)
+        "unknown op health" true
+        (contains m "unknown op \"health\""));
   (* an unknown settings field inside a submit is rejected by name *)
   let doc = Protocol.request_to_json (Protocol.Submit (sample_job ())) in
   let doc =
@@ -1450,15 +1459,6 @@ let test_server_trace_and_admin () =
                 "resubmit hit the cache" (Some "memory") (gets "cache_tier" t)
           | Ok _ -> Alcotest.fail "expected a traced Result"
           | Error m -> Alcotest.failf "traced submit failed: %s" m);
-          (* HEALTH *)
-          (match Client.rpc cl Protocol.Health with
-          | Ok (Protocol.Health_reply h) ->
-              Alcotest.(check (option string))
-                "health schema" (Some "gdp-health/1") (gets "schema" h);
-              Alcotest.(check (option string))
-                "healthy" (Some "ok") (gets "status" h)
-          | Ok _ -> Alcotest.fail "expected Health_reply"
-          | Error m -> Alcotest.failf "health failed: %s" m);
           (* METRICS json: the submits above are visible in the window *)
           (match Client.rpc cl (Protocol.Metrics Protocol.Json) with
           | Ok (Protocol.Metrics_reply m) ->
@@ -1493,6 +1493,122 @@ let test_server_trace_and_admin () =
                 (contains text "quantile=\"0.99\"")
           | Ok _ -> Alcotest.fail "expected Metrics_text_reply"
           | Error m -> Alcotest.failf "prometheus failed: %s" m))
+
+(* Each counter and gauge has one name per plane.  Pinned: every path of
+   the stats document (perfbench reads coalesced, rejected,
+   cache.evictions, pool.crashes and pool.respawns) and every metric
+   name and type of docs/service.md's catalog. *)
+let stats_paths =
+  [
+    "uptime_s"; "requests"; "jobs"; "connections"; "connections_total"; "served";
+    "coalesced"; "rejected"; "deadline_misses"; "admission.max_pending";
+    "admission.brownout"; "admission.level"; "admission.shed_verify";
+    "admission.degraded"; "pool.workers"; "pool.alive"; "pool.pending";
+    "pool.queued"; "pool.in_flight"; "pool.crashes"; "pool.respawns";
+    "pool.poisoned"; "cache.hits"; "cache.misses"; "cache.warm_hits";
+    "cache.evictions"; "cache.entries"; "cache.capacity"; "traces.retained";
+    "traces.recorded"; "store.entries"; "store.writes"; "store.warm_hits";
+    "store.quarantined"; "store.scrub_intact"; "store.scrub_quarantined";
+  ]
+
+let metric_catalog =
+  List.map (fun n -> (n, "summary")) [ "request_latency_us"; "queue_depth" ]
+  @ List.map
+      (fun n -> (n, "counter"))
+      [
+        "requests_total"; "jobs_total"; "connections_total"; "served_total";
+        "coalesced_total"; "rejected_total"; "deadline_misses_total";
+        "shed_verify_total"; "degraded_total"; "cache_hits_total";
+        "cache_warm_hits_total"; "cache_misses_total"; "cache_evictions_total";
+        "worker_crashes_total"; "worker_respawns_total"; "workers_poisoned_total";
+        "traces_recorded_total";
+      ]
+  @ List.map
+      (fun n -> (n, "gauge"))
+      [
+        "workers_alive"; "pool_pending"; "connections"; "cache_entries";
+        "admission_level"; "uptime_s";
+      ]
+
+(* The numeric leaves of a document, as dotted paths. *)
+let rec leaves prefix = function
+  | Minijson.Obj fields ->
+      List.concat_map (fun (k, v) -> leaves (prefix ^ k ^ ".") v) fields
+  | Minijson.Num v -> [ (String.sub prefix 0 (String.length prefix - 1), v) ]
+  | _ -> []
+
+let test_server_names_each_scalar_once () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> remove_store dir) @@ fun () ->
+  Loadgen.with_local_server ~jobs:1 ~store_dir:dir @@ fun endpoint ->
+  let cl = Client.connect ~attempts:20 endpoint in
+  Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  ignore (submit_expect_result ~cached:not cl (sample_job ~id:"named" ()));
+  let stats =
+    match Client.rpc cl Protocol.Stats with
+    | Ok (Protocol.Stats_reply doc) -> leaves "" doc
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  Alcotest.(check (list string)) "stats paths" stats_paths (List.map fst stats);
+  let text =
+    match Client.rpc cl (Protocol.Metrics Protocol.Prometheus) with
+    | Ok (Protocol.Metrics_text_reply t) -> t
+    | _ -> Alcotest.fail "expected Metrics_text_reply"
+  in
+  let lines = String.split_on_char '\n' text in
+  let types =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; kind ] ->
+            Some (String.sub name 6 (String.length name - 6), kind)
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check (list (pair string string)))
+    "exposition names and types" (List.sort compare metric_catalog)
+    (List.sort compare types);
+  let metrics_json =
+    match Client.rpc cl (Protocol.Metrics Protocol.Json) with
+    | Ok (Protocol.Metrics_reply m) ->
+        List.concat_map
+          (fun k ->
+            match Minijson.member k m with
+            | Some (Minijson.Obj fields) -> List.map fst fields
+            | _ -> [])
+          [ "counters"; "gauges" ]
+    | _ -> Alcotest.fail "expected Metrics_reply"
+  in
+  Alcotest.(check (list string))
+    "metrics JSON scalars = exposition scalars"
+    (List.sort compare
+       (List.filter_map
+          (fun (n, k) -> if k = "summary" then None else Some n)
+          metric_catalog))
+    (List.sort compare metrics_json);
+  (* one value under both names *)
+  let exposed name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = "gdpcd_" ^ name -> Some (float_of_string v)
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun (path, name) ->
+      Alcotest.(check (option (float 0.)))
+        (path ^ " = " ^ name) (List.assoc_opt path stats) (exposed name))
+    [
+      ("jobs", "jobs_total"); ("served", "served_total");
+      ("connections", "connections"); ("cache.misses", "cache_misses_total");
+      ("pool.crashes", "worker_crashes_total");
+      ("traces.recorded", "traces_recorded_total");
+    ];
+  Alcotest.(check (option (float 0.)))
+    "our connection is open" (Some 1.) (List.assoc_opt "connections" stats);
+  Alcotest.(check (option (float 0.)))
+    "its trace is retained" (Some 1.) (List.assoc_opt "traces.retained" stats)
 
 (* A computed response's trace names every stage of the compile its
    worker ran, and only the stages: no span sits more than one level
@@ -1584,6 +1700,35 @@ let test_server_trace_names_every_stage () =
       whole (s.name ^ " dur_us") s.dur_us)
     spans
 
+(* The event log: each request's gdp-trace/1 record, one line each,
+   byte-identical to the record its response carries and to what
+   [TRACE <id>] answers. *)
+
+let read_lines path =
+  List.filter (( <> ) "") (String.split_on_char '\n' (read_file path))
+
+let parse_record line =
+  match Minijson.parse line with
+  | Ok doc ->
+      Alcotest.(check (option string))
+        "a gdp-trace/1 record" (Some "gdp-trace/1") (gets "schema" doc);
+      doc
+  | Error m -> Alcotest.failf "unparseable event line %S: %s" line m
+
+let check_trace_reply cl line =
+  let trace_id =
+    match gets "trace_id" (parse_record line) with
+    | Some t -> t
+    | None -> Alcotest.failf "record without a trace id: %s" line
+  in
+  match Client.rpc cl (Protocol.Trace { trace_id }) with
+  | Ok (Protocol.Trace_reply doc) ->
+      Alcotest.(check string)
+        (trace_id ^ ": line = TRACE reply")
+        (Minijson.encode doc) line
+  | Ok _ -> Alcotest.failf "expected Trace_reply for %s" trace_id
+  | Error m -> Alcotest.failf "trace %s: %s" trace_id m
+
 let test_server_events_log () =
   let events = Filename.temp_file "gdp-events" ".jsonl" in
   Fun.protect
@@ -1595,99 +1740,27 @@ let test_server_events_log () =
             ~finally:(fun () -> Client.close cl)
             (fun () ->
               (* one computed request, one cache hit *)
-              (match Client.submit cl (sample_job ~id:"ev-1" ()) with
-              | Ok (Protocol.Result _) -> ()
-              | _ -> Alcotest.fail "first submit failed");
-              (match Client.submit cl (sample_job ~id:"ev-2" ()) with
-              | Ok (Protocol.Result { cached; _ }) ->
-                  Alcotest.(check bool) "resubmit hit" true cached
-              | _ -> Alcotest.fail "resubmit failed");
-              (* emit_event flushes per line, so once our responses are
-                 back the log is complete up to here *)
-              let ic = open_in events in
-              let lines = ref [] in
-              (try
-                 while true do
-                   lines := input_line ic :: !lines
-                 done
-               with End_of_file -> close_in ic);
-              let docs =
-                List.rev_map
-                  (fun line ->
-                    match Minijson.parse line with
-                    | Ok doc -> doc
-                    | Error m ->
-                        Alcotest.failf "unparseable event line %S: %s" line m)
-                  !lines
+              let traces =
+                List.map
+                  (fun id ->
+                    match Client.submit cl (sample_job ~id ()) with
+                    | Ok (Protocol.Result { trace = Some t; _ }) -> Minijson.encode t
+                    | _ -> Alcotest.failf "submit %s failed" id)
+                  [ "ev-1"; "ev-2" ]
               in
-              Alcotest.(check bool)
-                "events were logged" true
-                (List.length docs >= 4);
-              List.iter
-                (fun doc ->
-                  Alcotest.(check bool)
-                    "every event is typed" true
-                    (gets "event" doc <> None);
-                  Alcotest.(check bool)
-                    "every event is correlatable" true
-                    (gets "trace_id" doc <> None))
-                docs;
-              let kinds = List.filter_map (gets "event") docs in
-              List.iter
-                (fun k ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "saw a %S event" k)
-                    true (List.mem k kinds))
-                [ "submit"; "dispatch"; "deliver"; "cache_hit" ])))
+              (* the log is flushed before each response goes out *)
+              let lines = read_lines events in
+              Alcotest.(check (list string)) "one line per request, as answered" traces
+                lines;
+              Alcotest.(check (list (option string)))
+                "tiers"
+                [ Some "compute"; Some "memory" ]
+                (List.map (fun l -> gets "cache_tier" (parse_record l)) lines);
+              List.iter (check_trace_reply cl) lines)))
 
-(* The request record: every submit ends exactly once, whichever way it
-   ends, and the counters, metrics and traces agree with the event log. *)
-
-let terminal_kinds =
-  [
-    "cache_hit"; "deliver"; "reject"; "deadline_miss"; "cancel"; "disconnect";
-    "shutdown";
-  ]
-
-let is_terminal d =
-  match gets "event" d with Some k -> List.mem k terminal_kinds | None -> false
-
-let read_events path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-            match Minijson.parse line with
-            | Ok doc -> go (doc :: acc)
-            | Error m -> Alcotest.failf "unparseable event line %S: %s" line m)
-      in
-      go [])
-
-let count_events ?outcome kind docs =
-  List.length
-    (List.filter
-       (fun d ->
-         gets "event" d = Some kind
-         && (outcome = None || gets "outcome" d = outcome))
-       docs)
-
-let check_one_terminal_each docs =
-  let terminal = List.filter is_terminal docs in
-  List.iter
-    (fun d ->
-      if gets "event" d = Some "submit" then
-        let tid = gets "trace_id" d in
-        Alcotest.(check int)
-          (Printf.sprintf "one terminal event for %s"
-             (Option.value ~default:"?" tid))
-          1
-          (List.length (List.filter (fun t -> gets "trace_id" t = tid) terminal)))
-    docs
-
+(* The record identity: every submit ends exactly once, whichever way it
+   ends, in one event-log line that is its trace record; the counters
+   and the latency histograms agree with the log. *)
 let test_server_every_request_ends_once () =
   let events = Filename.temp_file "gdp-ends" ".jsonl" in
   let heavy ?deadline_ms id tag =
@@ -1701,174 +1774,192 @@ let test_server_every_request_ends_once () =
     | Ok r -> r
     | Error m -> Alcotest.failf "%s: %s" what m
   in
+  let field k l = gets k (parse_record l) in
+  let count k v lines = List.length (List.filter (fun l -> field k l = Some v) lines) in
   Fun.protect
     ~finally:(fun () -> try Sys.remove events with Sys_error _ -> ())
   @@ fun () ->
   let h = Loadgen.spawn_server ~jobs:1 ~max_pending:2 ~events () in
-  Fun.protect
-    ~finally:(fun () -> Loadgen.stop_server h)
-    (fun () ->
-      let cl = Client.connect ~attempts:20 h.Loadgen.sh_socket in
-      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
-      let recv what = expect what (Client.recv cl) in
-      let rpc what req = expect what (Client.rpc cl req) in
-      (* a computed job, then a memory hit on it *)
-      let computed =
-        match expect "computed" (Client.submit cl (sample_job ~id:"end-a" ())) with
-        | Protocol.Result { cached = false; trace = Some t; _ } -> t
-        | _ -> Alcotest.fail "expected a computed, traced result"
-      in
-      ignore (submit_expect_result cl (sample_job ~id:"end-a2" ()));
-      (* a coalesced pair *)
-      raw_submit_all cl [ heavy "end-b1" 1; heavy "end-b2" 1 ];
-      let cached =
-        List.init 2 (fun _ ->
-            match recv "coalesced" with
-            | Protocol.Result { cached; _ } -> cached
-            | _ -> Alcotest.fail "expected the pair's results")
-      in
-      Alcotest.(check (list bool))
-        "one compile, one coalesced" [ false; true ] (List.sort compare cached);
-      (* a reject: both pending slots are taken *)
-      raw_submit_all cl
-        [ heavy "end-c" 2; heavy "end-c2" 9; heavy "end-d" 3 ];
-      (match recv "reject" with
-      | Protocol.Failed { id = "end-d"; retry_after_ms = Some _; _ } -> ()
-      | _ -> Alcotest.fail "expected end-d rejected first");
-      List.iter
-        (fun id ->
-          match recv "reject" with
-          | Protocol.Result { id = got; _ } when got = id -> ()
-          | _ -> Alcotest.failf "expected %s served" id)
-        [ "end-c"; "end-c2" ];
-      (* a deadline at submit *)
-      (match
-         expect "deadline"
-           (Client.submit cl (sample_job ~id:"end-e0" ~deadline_ms:(Some 0) ()))
-       with
-      | Protocol.Failed { reason; _ } ->
-          Alcotest.(check bool)
-            "deadline reason" true (contains reason "deadline")
-      | _ -> Alcotest.fail "expected a deadline failure");
-      (* a deadline that expires while the job waits behind one that
-         holds the only worker, so it cannot finish first; the two
-         endings may arrive in either order *)
-      raw_submit_all cl
-        [ heavy "end-e1-hold" 10; heavy ~deadline_ms:1 "end-e1" 4 ];
-      let ending () =
-        match recv "deadline" with
-        | Protocol.Failed { id = "end-e1"; reason; _ }
-          when contains reason "deadline" ->
-            "end-e1"
-        | Protocol.Result { id = "end-e1-hold"; _ } -> "end-e1-hold"
-        | _ -> Alcotest.fail "expected a deadline failure"
-      in
-      let first = ending () in
-      let second = ending () in
-      Alcotest.(check (list string))
-        "expired behind the worker's holder"
-        [ "end-e1"; "end-e1-hold" ]
-        (List.sort compare [ first; second ]);
-      (* a cancel *)
-      raw_submit cl (heavy "end-f" 5);
-      (match rpc "cancel" (Protocol.Cancel { id = "end-f" }) with
-      | Protocol.Cancelled { id } ->
-          Alcotest.(check string) "cancelled" "end-f" id
-      | _ -> Alcotest.fail "expected Cancelled");
-      (* a disconnect mid-compile *)
-      let cl2 = Client.connect ~attempts:20 h.Loadgen.sh_socket in
-      raw_submit cl2 (heavy "end-g" 6);
-      Client.close cl2;
-      let rec await_disconnect tries =
-        if count_events "disconnect" (read_events events) = 0 then
-          if tries = 0 then Alcotest.fail "no disconnect event"
-          else begin
-            Unix.sleepf 0.05;
-            await_disconnect (tries - 1)
-          end
-      in
-      await_disconnect 100;
-      (* every counter agrees with the event log *)
-      let docs = read_events events in
-      let count ?outcome kind = count_events ?outcome kind docs in
-      List.iter
-        (fun (counter, expected) ->
-          Alcotest.(check (option int))
-            counter (Some expected) (stats_int cl [ counter ]))
-        [
-          ("jobs", count "submit");
-          ("served", count "cache_hit" + count ~outcome:"ok" "deliver");
-          ("coalesced", count "coalesce");
-          ("rejected", count "reject");
-          ("deadline_misses", count "deadline_miss");
-        ];
-      List.iter
-        (fun k ->
-          Alcotest.(check bool) ("saw a " ^ k) true (count k > 0))
-        [ "cache_hit"; "deliver"; "reject"; "deadline_miss"; "cancel"; "disconnect" ];
-      (match rpc "metrics" (Protocol.Metrics Protocol.Json) with
-      | Protocol.Metrics_reply m ->
-          let n method_ =
-            Option.bind (Minijson.member "latency_us" m) (fun l ->
-                Option.bind (Minijson.member method_ l) (fun h ->
-                    Option.bind (Minijson.member "count" h) Minijson.to_int))
-            |> Option.value ~default:0
-          in
-          Alcotest.(check int)
-            "latencies = deliver + cache_hit events"
-            (count "deliver" + count "cache_hit")
-            (n "submit" + n "submit_hit")
-      | _ -> Alcotest.fail "expected Metrics_reply");
-      (* TRACE resolves every ending so far to the same outcome *)
-      check_one_terminal_each docs;
-      List.iter
-        (fun d ->
-          match gets "trace_id" d with
-          | Some trace_id when is_terminal d -> (
-              match rpc "trace" (Protocol.Trace { trace_id }) with
-              | Protocol.Trace_reply t ->
-                  Alcotest.(check (option string))
-                    (trace_id ^ " trace outcome") (gets "outcome" d)
-                    (gets "outcome" t)
-              | _ -> Alcotest.failf "no trace for %s" trace_id)
-          | _ -> ())
-        docs;
-      (* the computed request's trace keeps its segments *)
-      let spans =
-        Option.value ~default:[]
-          (Option.bind (Minijson.member "spans" computed) Minijson.to_list)
-        |> List.filter_map Telemetry.span_of_json
-      in
-      List.iter
-        (fun name ->
-          Alcotest.(check bool)
-            (name ^ " span") true
-            (List.exists (fun (s : Telemetry.span) -> s.name = name) spans))
-        [ "request"; "queue"; "exec"; "deliver" ];
-      Alcotest.(check bool)
-        "worker spans under exec" true
-        (List.exists
-           (fun (s : Telemetry.span) -> s.parent = Some 2 && s.id >= 4)
-           spans);
-      let seg k = Option.value ~default:Float.nan (getf k computed) in
-      Alcotest.(check bool)
-        "queue + exec within total" true
-        (seg "queue_us" +. seg "exec_us" <= seg "total_us");
-      (* a shutdown with a job pending *)
-      raw_submit cl (heavy "end-h" 7);
-      Frame.write (Client.fd cl) (Protocol.request_to_json Protocol.Shutdown);
-      let answers = List.init 2 (fun _ -> recv "shutdown") in
-      Alcotest.(check bool)
-        "pending job failed by the shutdown" true
-        (List.exists
-           (function
-             | Protocol.Failed { id = "end-h"; reason; _ } ->
-                 contains reason "shutting down"
-             | _ -> false)
-           answers));
-  let docs = read_events events in
-  check_one_terminal_each docs;
-  Alcotest.(check int) "one shutdown event" 1 (count_events "shutdown" docs)
+  let jobs, shutdown_trace =
+    Fun.protect
+      ~finally:(fun () -> Loadgen.stop_server h)
+      (fun () ->
+        let cl = Client.connect ~attempts:20 h.Loadgen.sh_socket in
+        Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+        let recv what = expect what (Client.recv cl) in
+        let rpc what req = expect what (Client.rpc cl req) in
+        (* a computed job, then a memory hit on it *)
+        let computed =
+          match expect "computed" (Client.submit cl (sample_job ~id:"end-a" ())) with
+          | Protocol.Result { cached = false; trace = Some t; _ } -> t
+          | _ -> Alcotest.fail "expected a computed, traced result"
+        in
+        ignore (submit_expect_result cl (sample_job ~id:"end-a2" ()));
+        (* a coalesced pair *)
+        raw_submit_all cl [ heavy "end-b1" 1; heavy "end-b2" 1 ];
+        let cached =
+          List.init 2 (fun _ ->
+              match recv "coalesced" with
+              | Protocol.Result { cached; _ } -> cached
+              | _ -> Alcotest.fail "expected the pair's results")
+        in
+        Alcotest.(check (list bool))
+          "one compile, one coalesced" [ false; true ] (List.sort compare cached);
+        (* a reject: both pending slots are taken *)
+        raw_submit_all cl [ heavy "end-c" 2; heavy "end-c2" 9; heavy "end-d" 3 ];
+        (match recv "reject" with
+        | Protocol.Failed { id = "end-d"; retry_after_ms = Some _; _ } -> ()
+        | _ -> Alcotest.fail "expected end-d rejected first");
+        List.iter
+          (fun id ->
+            match recv "reject" with
+            | Protocol.Result { id = got; _ } when got = id -> ()
+            | _ -> Alcotest.failf "expected %s served" id)
+          [ "end-c"; "end-c2" ];
+        (* a deadline at submit *)
+        (match
+           expect "deadline"
+             (Client.submit cl (sample_job ~id:"end-e0" ~deadline_ms:(Some 0) ()))
+         with
+        | Protocol.Failed { reason; _ } ->
+            Alcotest.(check bool) "deadline reason" true (contains reason "deadline")
+        | _ -> Alcotest.fail "expected a deadline failure");
+        (* a deadline that expires while the job waits behind one that
+           holds the only worker, so it cannot finish first; the two
+           endings may arrive in either order *)
+        raw_submit_all cl [ heavy "end-e1-hold" 10; heavy ~deadline_ms:1 "end-e1" 4 ];
+        let ending () =
+          match recv "deadline" with
+          | Protocol.Failed { id = "end-e1"; reason; _ } when contains reason "deadline"
+            ->
+              "end-e1"
+          | Protocol.Result { id = "end-e1-hold"; _ } -> "end-e1-hold"
+          | _ -> Alcotest.fail "expected a deadline failure"
+        in
+        let first = ending () in
+        let second = ending () in
+        Alcotest.(check (list string))
+          "expired behind the worker's holder" [ "end-e1"; "end-e1-hold" ]
+          (List.sort compare [ first; second ]);
+        (* a cancel *)
+        raw_submit cl (heavy "end-f" 5);
+        (match rpc "cancel" (Protocol.Cancel { id = "end-f" }) with
+        | Protocol.Cancelled { id } -> Alcotest.(check string) "cancelled" "end-f" id
+        | _ -> Alcotest.fail "expected Cancelled");
+        (* a disconnect mid-compile *)
+        let cl2 = Client.connect ~attempts:20 h.Loadgen.sh_socket in
+        raw_submit cl2 (heavy "end-g" 6);
+        Client.close cl2;
+        let rec await_disconnect tries =
+          if count "outcome" "disconnected" (read_lines events) = 0 then
+            if tries = 0 then Alcotest.fail "no disconnect record"
+            else begin
+              Unix.sleepf 0.05;
+              await_disconnect (tries - 1)
+            end
+        in
+        await_disconnect 100;
+        (* one line per request, each the TRACE reply's bytes *)
+        let lines = read_lines events in
+        let stat k = Option.value ~default:(-1) (stats_int cl [ k ]) in
+        let jobs = stat "jobs" in
+        Alcotest.(check int) "one line per submit" jobs (List.length lines);
+        Alcotest.(check int) "no trace id repeats" (List.length lines)
+          (List.length (List.sort_uniq compare (List.map (field "trace_id") lines)));
+        List.iter (check_trace_reply cl) lines;
+        (* the counters agree with the records *)
+        let outcome = count "outcome" and tier = count "cache_tier" in
+        List.iter
+          (fun (counter, from_log) ->
+            Alcotest.(check int) counter (stat counter) (from_log lines))
+          [
+            ("served", outcome "ok");
+            ("coalesced", tier "coalesced");
+            ("rejected", outcome "rejected");
+            ("deadline_misses", outcome "deadline_miss");
+          ];
+        (* every ending was driven, and each request went its own way *)
+        List.iter
+          (fun (id, outcome, tier) ->
+            match List.filter (fun l -> field "id" l = Some id) lines with
+            | [ l ] ->
+                Alcotest.(check (pair (option string) (option string)))
+                  id (Some outcome, Some tier)
+                  (field "outcome" l, field "cache_tier" l)
+            | l -> Alcotest.failf "%s: %d lines" id (List.length l))
+          [
+            ("end-a", "ok", "compute");
+            ("end-a2", "ok", "memory");
+            ("end-d", "rejected", "none");
+            ("end-e0", "deadline_miss", "none");
+            ("end-e1", "deadline_miss", "compute");
+            ("end-f", "cancelled", "compute");
+            ("end-g", "disconnected", "compute");
+          ];
+        Alcotest.(check (list (option string)))
+          "the pair: one computed, one coalesced"
+          [ Some "coalesced"; Some "compute" ]
+          (List.sort compare
+             (List.filter_map
+                (fun l ->
+                  if List.mem (field "id" l) [ Some "end-b1"; Some "end-b2" ] then
+                    Some (field "cache_tier" l)
+                  else None)
+                lines));
+        (match rpc "metrics" (Protocol.Metrics Protocol.Json) with
+        | Protocol.Metrics_reply m ->
+            let n method_ =
+              Option.bind (Minijson.member "latency_us" m) (fun l ->
+                  Option.bind (Minijson.member method_ l) (fun h ->
+                      Option.bind (Minijson.member "count" h) Minijson.to_int))
+              |> Option.value ~default:0
+            in
+            Alcotest.(check int)
+              "latencies = requests that got an artifact or a compile failure"
+              (outcome "ok" lines + outcome "failed" lines)
+              (n "submit" + n "submit_hit")
+        | _ -> Alcotest.fail "expected Metrics_reply");
+        (* the computed request's trace keeps its segments *)
+        let spans =
+          Option.value ~default:[]
+            (Option.bind (Minijson.member "spans" computed) Minijson.to_list)
+          |> List.filter_map Telemetry.span_of_json
+        in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool)
+              (name ^ " span") true
+              (List.exists (fun (s : Telemetry.span) -> s.name = name) spans))
+          [ "request"; "queue"; "exec"; "deliver" ];
+        Alcotest.(check bool)
+          "worker spans under exec" true
+          (List.exists
+             (fun (s : Telemetry.span) -> s.parent = Some 2 && s.id >= 4)
+             spans);
+        let seg k = Option.value ~default:Float.nan (getf k computed) in
+        Alcotest.(check bool)
+          "queue + exec within total" true
+          (seg "queue_us" +. seg "exec_us" <= seg "total_us");
+        (* a shutdown with a job pending *)
+        raw_submit cl (heavy "end-h" 7);
+        Frame.write (Client.fd cl) (Protocol.request_to_json Protocol.Shutdown);
+        let answers = List.init 2 (fun _ -> recv "shutdown") in
+        match
+          List.find_map
+            (function
+              | Protocol.Failed { id = "end-h"; reason; trace = Some t; _ }
+                when contains reason "shutting down" ->
+                  Some (Minijson.encode t)
+              | _ -> None)
+            answers
+        with
+        | Some t -> (jobs, t)
+        | None -> Alcotest.fail "expected the pending job failed by the shutdown")
+  in
+  let lines = read_lines events in
+  Alcotest.(check int) "one more line, the shutdown's" (jobs + 1) (List.length lines);
+  Alcotest.(check string) "the shutdown's line is its response's record" shutdown_trace
+    (List.nth lines jobs)
 
 let suite =
   [
@@ -1924,6 +2015,8 @@ let suite =
       test_protocol_version_negotiation;
     Alcotest.test_case "server: trace and admin plane" `Slow
       test_server_trace_and_admin;
+    Alcotest.test_case "server: stats and metrics name each scalar once" `Slow
+      test_server_names_each_scalar_once;
     Alcotest.test_case "server: trace names every stage" `Slow
       test_server_trace_names_every_stage;
     Alcotest.test_case "server: events log" `Slow test_server_events_log;

@@ -341,7 +341,10 @@ let test_contention_smoke () =
       | Error m -> Alcotest.fail m
       | Ok spec ->
           let machine = Spec.resolve spec in
-          let e = Gdp_report.Explain.explain_machine ~machine bench in
+          let e =
+            Gdp_report.Explain.explain ~machine
+              (Gdp_core.Pipeline.prepare_default bench)
+          in
           List.iter
             (fun (r : Gdp_report.Explain.method_row) ->
               Alcotest.(check int)
