@@ -9,10 +9,6 @@
      --timings       print a per-experiment wall-time table at the end
      --trace FILE    record telemetry and write a Chrome trace
      --report DIR    write per-benchmark attribution reports (MD/CSV/JSON)
-     --baseline FILE write the attribution baseline JSON (gdp-attrib/1)
-     --check FILE    regression gate: diff the current run against a
-                     committed baseline, exit non-zero on regressions
-     --tolerance PCT allowed relative growth for --check (default 2%)
      -j, --jobs N    fan the standard sweep and the attribution runs over
                      N worker processes (default 1 = in-process;
                      results are identical, the pool only changes wall
@@ -26,12 +22,12 @@
                      metric directions from BENCHMARK.json; run from
                      the repository root
 
-   When only report, baseline and check flags (--check-speed included)
-   are given, the figure sweep is skipped — the gates run on their own.
+   When only --report or --check-speed is given, the figure sweep is
+   skipped: they run on their own.
 
    Experiments: table1 fig2 fig7 fig8a fig8b fig9a fig9b fig10
-   compile-time ablate-merge ablate-imbalance ablate-clusters
-   ablate-bug ablate-hetero scenario-matrix *)
+   compile-time ablate-merge ablate-imbalance ablate-bug ablate-hetero
+   scenario-matrix *)
 
 open Gdp_core
 
@@ -81,9 +77,6 @@ let ablate_merge () =
 let ablate_imbalance () =
   Ablations.render_imbalance ppf (Ablations.imbalance_sweep ())
 
-let ablate_clusters () =
-  Ablations.render_four_clusters ppf (Ablations.four_clusters ())
-
 let ablate_bug () = Ablations.render_bug ppf (Ablations.bug_comparison ())
 
 let ablate_hetero () =
@@ -102,7 +95,6 @@ let experiments =
     ("compile-time", compile_time);
     ("ablate-merge", ablate_merge);
     ("ablate-imbalance", ablate_imbalance);
-    ("ablate-clusters", ablate_clusters);
     ("ablate-bug", ablate_bug);
     ("ablate-hetero", ablate_hetero);
     ("scenario-matrix", scenario_matrix);
@@ -122,90 +114,37 @@ let render_timings rows =
     (List.fold_left (fun a (_, s) -> a +. s) 0. rows)
 
 (* ------------------------------------------------------------------ *)
-(* Attribution reports and the metrics regression gate (--report,
-   --baseline, --check).  Reports and baselines are produced at the
-   paper's default 5-cycle latency; --check re-runs at whatever latency
-   the baseline was recorded at.                                       *)
+(* Attribution reports (--report), at the paper's default 5-cycle move
+   latency.  [Explain.explain] raises when a method's attribution breaks
+   the identity: that benchmark is reported and left out, and
+   [run_report] returns [false], so the run fails.                     *)
 
-let attrib_latency = 5
-
-(* One explanation per suite benchmark, computed on [jobs] worker
-   processes; a benchmark whose explanation fails is reported and left
-   out. *)
-let explanations ~jobs ~move_latency =
+let run_report ~jobs dir : bool =
   let benches = Experiments.default_benches () in
   let results =
     Exec.map ~jobs
-      ~worker:(Gdp_report.Explain.explain_bench ~move_latency)
+      ~worker:(Gdp_report.Explain.explain_bench ~move_latency:5)
       (List.map
          (fun (b : Benchsuite.Bench_intf.t) ->
            Exec.job ~batch:b.Benchsuite.Bench_intf.name b)
          benches)
   in
-  List.concat
-    (List.mapi
-       (fun i (b : Benchsuite.Bench_intf.t) ->
-         match results.(i) with
-         | Ok e -> [ e ]
-         | Error m ->
-             Fmt.epr "warning: explain %s failed: %s@."
-               b.Benchsuite.Bench_intf.name m;
-             [])
-       benches)
-
-(** Returns [false] when the regression gate failed. *)
-let run_attrib ~jobs ~report ~baseline ~check ~tolerance : bool =
-  (* the reports, the baseline and a check at the same latency share
-     one suite of explanations *)
-  let at_attrib_latency = lazy (explanations ~jobs ~move_latency:attrib_latency) in
-  let explained move_latency =
-    if move_latency = attrib_latency then Lazy.force at_attrib_latency
-    else explanations ~jobs ~move_latency
+  let explained =
+    List.concat
+      (List.mapi
+         (fun i (b : Benchsuite.Bench_intf.t) ->
+           match results.(i) with
+           | Ok e -> [ e ]
+           | Error m ->
+               Fmt.epr "error: explain %s failed: %s@."
+                 b.Benchsuite.Bench_intf.name m;
+               [])
+         benches)
   in
-  (match report with
-  | Some dir ->
-      let files =
-        Gdp_report.Explain.write_reports ~dir (explained attrib_latency)
-      in
-      List.iter (fun f -> Fmt.pr "wrote %s@." f) files
-  | None -> ());
-  (match baseline with
-  | Some path ->
-      Minijson.write_rows path
-        (Gdp_report.Explain.to_json (explained attrib_latency));
-      Fmt.pr "wrote %s@." path
-  | None -> ());
-  match check with
-  | None -> true
-  | Some path -> (
-      match Gdp_report.Regress.load path with
-      | Error m ->
-          Fmt.epr "check: cannot load baseline: %s@." m;
-          false
-      | Ok base ->
-          let current =
-            Gdp_report.Regress.rows_of
-              (explained base.Gdp_report.Regress.b_latency)
-          in
-          let issues =
-            Gdp_report.Regress.check ~tolerance ~baseline:base ~current
-          in
-          if issues = [] then begin
-            Fmt.pr
-              "check: OK — %d baseline row(s) within %.1f%% (latency %d)@."
-              (List.length base.Gdp_report.Regress.b_rows)
-              tolerance base.Gdp_report.Regress.b_latency;
-            true
-          end
-          else begin
-            List.iter
-              (fun i ->
-                Fmt.epr "check: REGRESSION: %a@." Gdp_report.Regress.pp_issue i)
-              issues;
-            Fmt.epr "check: %d regression(s) beyond %.1f%%@."
-              (List.length issues) tolerance;
-            false
-          end)
+  List.iter
+    (fun f -> Fmt.pr "wrote %s@." f)
+    (Gdp_report.Explain.write_reports ~dir explained);
+  List.length explained = List.length benches
 
 (* ------------------------------------------------------------------ *)
 (* The speed gate (--check-speed BASELINE RESULTS).  It reads
@@ -240,69 +179,40 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs = ref 1 in
   let check_speed = ref None in
-  let rec parse_flags timings trace report baseline check tolerance = function
-    | "--timings" :: rest ->
-        parse_flags true trace report baseline check tolerance rest
-    | "--trace" :: file :: rest ->
-        parse_flags timings (Some file) report baseline check tolerance rest
+  let rec parse_flags timings trace report = function
+    | "--timings" :: rest -> parse_flags true trace report rest
+    | "--trace" :: file :: rest -> parse_flags timings (Some file) report rest
     | [ "--trace" ] ->
         Fmt.epr "--trace needs a file argument@.";
         exit 1
-    | "--report" :: dir :: rest ->
-        parse_flags timings trace (Some dir) baseline check tolerance rest
+    | "--report" :: dir :: rest -> parse_flags timings trace (Some dir) rest
     | [ "--report" ] ->
         Fmt.epr "--report needs a directory argument@.";
         exit 1
-    | "--baseline" :: file :: rest ->
-        parse_flags timings trace report (Some file) check tolerance rest
-    | [ "--baseline" ] ->
-        Fmt.epr "--baseline needs a file argument@.";
-        exit 1
-    | "--check" :: file :: rest ->
-        parse_flags timings trace report baseline (Some file) tolerance rest
-    | [ "--check" ] ->
-        Fmt.epr "--check needs a file argument@.";
-        exit 1
     | "--check-speed" :: base :: results :: rest ->
         check_speed := Some (base, results);
-        parse_flags timings trace report baseline check tolerance rest
+        parse_flags timings trace report rest
     | "--check-speed" :: _ ->
         Fmt.epr "--check-speed needs a baseline and a results file@.";
-        exit 1
-    | "--tolerance" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some t when t >= 0. ->
-            parse_flags timings trace report baseline check t rest
-        | _ ->
-            Fmt.epr "--tolerance needs a non-negative percentage@.";
-            exit 1)
-    | [ "--tolerance" ] ->
-        Fmt.epr "--tolerance needs a percentage argument@.";
         exit 1
     | ("-j" | "--jobs") :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 1 ->
             jobs := Exec.clamp_jobs n;
-            parse_flags timings trace report baseline check tolerance rest
+            parse_flags timings trace report rest
         | _ ->
             Fmt.epr "-j needs a positive worker count@.";
             exit 1)
     | [ ("-j" | "--jobs") ] ->
         Fmt.epr "-j needs a worker count argument@.";
         exit 1
-    | rest -> (timings, trace, report, baseline, check, tolerance, rest)
+    | rest -> (timings, trace, report, rest)
   in
-  let timings, trace, report, baseline, check, tolerance, args =
-    parse_flags false None None None None 2.0 args
-  in
+  let timings, trace, report, args = parse_flags false None None args in
   let jobs = !jobs in
   sweep_jobs := jobs;
   let check_speed = !check_speed in
-  let attrib_only =
-    args = []
-    && (report <> None || baseline <> None || check <> None
-       || check_speed <> None)
-  in
+  let flags_only = args = [] && (report <> None || check_speed <> None) in
   if timings || trace <> None then Telemetry.enable ();
   let finish rows =
     if timings then render_timings rows;
@@ -310,9 +220,9 @@ let () =
     | Some path ->
         Telemetry.Sink.write_chrome_trace path (Telemetry.snapshot ())
     | None -> ());
-    let attrib_ok = run_attrib ~jobs ~report ~baseline ~check ~tolerance in
+    let report_ok = Option.fold ~none:true ~some:(run_report ~jobs) report in
     let speed_ok = Option.fold ~none:true ~some:run_check_speed check_speed in
-    if not (speed_ok && attrib_ok) then exit 1
+    if not (report_ok && speed_ok) then exit 1
   in
   (* which standard-sweep latencies the named experiments will need: the
      whole set is prefetched on the -j workers up front, and the figures
@@ -339,7 +249,7 @@ let () =
         [ run_timed "sweeps" (fun () -> Experiments.prefetch ~jobs ~latencies ()) ]
   in
   match args with
-  | [] when attrib_only -> finish []
+  | [] when flags_only -> finish []
   | [] ->
       Fmt.pr
         "Reproducing: Chu & Mahlke, Compiler-directed Data Partitioning for \

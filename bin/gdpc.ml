@@ -914,17 +914,6 @@ let loadgen_cmd =
             "Fraction of requests drawn from a small shared program set \
              (cache-hit / coalescing candidates).")
   in
-  let rate_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate" ] ~docv:"RPS"
-          ~doc:
-            "Open-loop arrival rate (requests/second); latency is measured \
-             from each request's scheduled time.  Without it the loop is \
-             closed: every connection fires as soon as its previous \
-             response lands.")
-  in
   let seed_arg =
     Arg.(
       value
@@ -977,7 +966,7 @@ let loadgen_cmd =
             "Durable artifact store for the private daemon.  Ignored with \
              --server.")
   in
-  let run obs server connections requests dup rate method_ seed jobs chaos
+  let run obs server connections requests dup method_ seed jobs chaos
       server_inject max_pending brownout store_dir =
     handle_errors (fun () ->
         (* the global --inject-seed seeds both --chaos and
@@ -990,12 +979,7 @@ let loadgen_cmd =
             connections;
             requests;
             duplicate_ratio = dup;
-            mode =
-              (match rate with
-              | None -> Service.Loadgen.Closed
-              | Some r -> Service.Loadgen.Open r);
             method_;
-            deadline_ms = None;
             seed;
             chaos;
             inject_seed;
@@ -1062,7 +1046,7 @@ let loadgen_cmd =
           percentiles and cache hit rate.")
     Term.(
       const run $ obs_term $ server_arg $ connections_arg $ requests_arg
-      $ dup_arg $ rate_arg $ method_arg $ seed_arg $ jobs_arg $ chaos_arg
+      $ dup_arg $ method_arg $ seed_arg $ jobs_arg $ chaos_arg
       $ server_inject_arg $ lg_max_pending_arg $ lg_brownout_arg $ lg_store_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1091,7 +1075,7 @@ let render_top endpoint metrics stats =
   let pool =
     Option.value ~default:(Minijson.obj []) (Minijson.member "pool" stats)
   in
-  Fmt.pr "gdpcd @ %s — up %.0f s, %.0f/%d workers alive, admission level %.0f@."
+  Fmt.pr "gdpcd @@ %s — up %.0f s, %.0f/%d workers alive, admission level %.0f@."
     endpoint (g "uptime_s") (g "workers_alive")
     (Option.value ~default:0 (geti pool "workers"))
     (g "admission_level");

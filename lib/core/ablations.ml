@@ -1,6 +1,8 @@
 (** Ablation studies beyond the paper's figures (DESIGN.md Section 5):
     the effect of access-pattern merge policy, of the METIS imbalance
-    tolerance, and of scaling to four clusters. *)
+    tolerance, of heterogeneous clusters and of a greedy computation
+    partitioner.  Four clusters on the paper's bus are the scenario
+    matrix's bus4 row and the kway4 preset. *)
 
 module Methods = Partition.Methods
 
@@ -277,42 +279,4 @@ let render_bug ppf rows =
              Fmt.str "%+.1f%%"
                (Report.percent ~base:r.bg_rhop_gdp r.bg_bug_gdp);
            ] ))
-       rows)
-
-(* ------------------------------------------------------------------ *)
-(* Four clusters.                                                      *)
-
-type clusters_row = {
-  cl_bench : string;
-  cl_cycles : (string * int) list;  (** method -> cycles on 4 clusters *)
-}
-
-let four_clusters ?(benches = Benchsuite.Suite.all) ?(move_latency = 5) () :
-    clusters_row list =
-  let machine =
-    Machine_spec.resolve (Machine_spec.of_legacy ~clusters:4 ~move_latency)
-  in
-  List.map
-    (fun b ->
-      let p = Pipeline.prepare_default b in
-      let ctx = Pipeline.context ~machine p in
-      {
-        cl_bench = b.Benchsuite.Bench_intf.name;
-        cl_cycles =
-          List.map
-            (fun m -> (Methods.to_string m, cycles ctx (Methods.run m ctx)))
-            Methods.all;
-      })
-    benches
-
-let render_four_clusters ppf rows =
-  Fmt.pf ppf "@.Ablation: four-cluster machine (cycles, 5-cycle latency)@.";
-  Report.table ppf
-    ~header:[ "benchmark"; "GDP"; "ProfileMax"; "Naive"; "Unified" ]
-    (List.map
-       (fun r ->
-         ( r.cl_bench,
-           List.map
-             (fun n -> string_of_int (List.assoc n r.cl_cycles))
-             [ "gdp"; "profile-max"; "naive"; "unified" ] ))
        rows)

@@ -32,8 +32,8 @@ val prepare_default : Benchsuite.Bench_intf.t -> prepared
 
 (** Drop the [prepare_default] memo, under its lock, so it is safe
     while [Par] worker domains are live.  Other memos are their
-    owners': [Experiments.clear_cache] drops the sweep memo, and the
-    explain report's memo and gdpcd's artifact cache are bounded.  A
+    owners': [Experiments.clear_cache] drops the sweep memo, and gdpcd's
+    artifact cache is bounded.  A
     forked [Exec] worker gets a copy-on-write copy of the memo:
     clearing or filling it in the child never affects the parent. *)
 val clear_caches : unit -> unit

@@ -1,10 +1,10 @@
 (** A minimal JSON reader and writer.
 
-    The repo deliberately has no JSON dependency.  The regression gate
-    reads back the baselines written here ([bench --json], the
-    attribution report), and gdpcd's wire protocol frames its requests
-    and responses as JSON values, so this module implements just
-    enough of RFC 8259 to round-trip them: objects, arrays, strings
+    The repo deliberately has no JSON dependency.  The speed gate reads
+    perfbench's JSON results, the benchmark rows ([gdpc bench --json])
+    and the attribution report are written here, and gdpcd's wire
+    protocol frames its requests and responses as JSON values, so this
+    module implements just enough of RFC 8259 to round-trip them: objects, arrays, strings
     with the common escapes, numbers, booleans and null.
 
     The writer is the reader's exact inverse on every value it can

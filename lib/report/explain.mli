@@ -7,9 +7,8 @@
     and the inserted moves (both read from the compile's result, not
     from telemetry) and a per-object placement table (home cluster,
     local/remote accesses, attributed moves and their transfer-cycle
-    cost).  Renderers produce Markdown,
-    CSV and machine-readable JSON — the JSON is also the regression
-    gate's baseline format ([Regress]). *)
+    cost).  Renderers produce Markdown, CSV and machine-readable
+    JSON. *)
 
 open Vliw_ir
 
@@ -75,8 +74,8 @@ val methods_csv : Format.formatter -> t -> unit
 val objects_csv : Format.formatter -> t -> unit
 
 (** Machine-readable JSON ("gdp-attrib/1"), one document per
-    explanation set, one row per (benchmark, method); [Regress] reads
-    this format back.  Write it with [Minijson.write_rows]. *)
+    explanation set, one row per (benchmark, method).  Write it with
+    [Minijson.write_rows]. *)
 val to_json : t list -> Minijson.t
 
 (** Write [<bench>.md] per explanation plus [attribution.csv],

@@ -1,175 +1,4 @@
-(** Regression gates (see regress.mli). *)
-
-module Attrib = Vliw_sched.Attrib
-
-type row = {
-  rg_bench : string;
-  rg_method : string;
-  rg_cycles : int;
-  rg_moves : int;
-  rg_categories : (string * int) list;
-}
-
-type baseline = { b_latency : int; b_rows : row list }
-
-let schema = "gdp-attrib/1"
-
-let of_json ?(where = "attribution document") (doc : Minijson.t) :
-    (baseline, string) result =
-  let path = where in
-  let open Minijson in
-  match Option.bind (member "schema" doc) to_string with
-  | Some s when s = schema -> (
-      match
-        ( Option.bind (member "latency" doc) to_int,
-          Option.bind (member "rows" doc) to_list )
-      with
-      | Some lat, Some rows -> (
-              let parse_row r =
-                let str k = Option.bind (member k r) to_string in
-                let int k = Option.bind (member k r) to_int in
-                match (str "bench", str "method", int "cycles", int "dynamic_moves") with
-                | Some bench, Some method_, Some cycles, Some moves ->
-                    let categories =
-                      match member "categories" r with
-                      | Some (Obj fields) ->
-                          List.filter_map
-                            (fun (k, v) ->
-                              Option.map (fun n -> (k, n)) (to_int v))
-                            fields
-                      | _ -> []
-                    in
-                    Some
-                      {
-                        rg_bench = bench;
-                        rg_method = method_;
-                        rg_cycles = cycles;
-                        rg_moves = moves;
-                        rg_categories = categories;
-                      }
-                | _ -> None
-              in
-              match
-                List.fold_left
-                  (fun acc r ->
-                    match (acc, parse_row r) with
-                    | Some acc, Some row -> Some (row :: acc)
-                    | _ -> None)
-                  (Some []) rows
-              with
-              | Some parsed -> Ok { b_latency = lat; b_rows = List.rev parsed }
-              | None -> Error (Fmt.str "%s: malformed row" path))
-      | _ -> Error (Fmt.str "%s: missing latency or rows" path))
-  | Some s -> Error (Fmt.str "%s: unsupported schema %S" path s)
-  | None -> Error (Fmt.str "%s: not a %s document" path schema)
-
-let load path : (baseline, string) result =
-  match Minijson.parse_file path with
-  | Error m -> Error (Fmt.str "%s: %s" path m)
-  | Ok doc -> of_json ~where:path doc
-
-let rows_of (es : Explain.t list) : row list =
-  List.concat_map
-    (fun (e : Explain.t) ->
-      List.map
-        (fun (r : Explain.method_row) ->
-          {
-            rg_bench = e.Explain.ex_bench;
-            rg_method = r.Explain.mr_method;
-            rg_cycles = r.Explain.mr_cycles;
-            rg_moves = r.Explain.mr_dynamic_moves;
-            rg_categories =
-              List.map
-                (fun c ->
-                  ( Attrib.category_name c,
-                    r.Explain.mr_totals.Attrib.t_categories.(Attrib
-                                                            .category_index c)
-                  ))
-                Attrib.categories;
-          })
-        e.Explain.ex_rows)
-    es
-
-type issue = {
-  i_bench : string;
-  i_method : string;
-  i_metric : string;
-  i_baseline : int;
-  i_current : int;
-}
-
-let pp_issue ppf i =
-  if i.i_current < 0 then
-    Fmt.pf ppf "%s/%s: row disappeared from the run (baseline %s = %d)"
-      i.i_bench i.i_method i.i_metric i.i_baseline
-  else
-    Fmt.pf ppf "%s/%s: %s regressed %d -> %d (%+.1f%%)" i.i_bench i.i_method
-      i.i_metric i.i_baseline i.i_current
-      (if i.i_baseline = 0 then Float.infinity
-       else
-         100.
-         *. (float i.i_current -. float i.i_baseline)
-         /. float i.i_baseline)
-
-(* categories whose growth is a quality regression; Useful/Empty shift
-   with any code change and are informational only *)
-let gated_categories =
-  List.map Attrib.category_name
-    [ Attrib.Mem_serialize; Attrib.Transfer_wait; Attrib.Issue_stall ]
-
-let check ~tolerance ~baseline ~current : issue list =
-  let limit base =
-    (* relative tolerance with one unit of absolute slack: a 3-cycle
-       baseline must not fail on a 4th cycle at 10% *)
-    max (base + 1) (int_of_float (ceil (float base *. (1. +. (tolerance /. 100.)))))
-  in
-  let issues = ref [] in
-  let push i = issues := i :: !issues in
-  List.iter
-    (fun b ->
-      match
-        List.find_opt
-          (fun c -> c.rg_bench = b.rg_bench && c.rg_method = b.rg_method)
-          current
-      with
-      | None ->
-          push
-            {
-              i_bench = b.rg_bench;
-              i_method = b.rg_method;
-              i_metric = "cycles";
-              i_baseline = b.rg_cycles;
-              i_current = -1;
-            }
-      | Some c ->
-          let gate metric base cur =
-            if cur > limit base then
-              push
-                {
-                  i_bench = b.rg_bench;
-                  i_method = b.rg_method;
-                  i_metric = metric;
-                  i_baseline = base;
-                  i_current = cur;
-                }
-          in
-          gate "cycles" b.rg_cycles c.rg_cycles;
-          gate "dynamic_moves" b.rg_moves c.rg_moves;
-          List.iter
-            (fun cat ->
-              match
-                ( List.assoc_opt cat b.rg_categories,
-                  List.assoc_opt cat c.rg_categories )
-              with
-              | Some base, Some cur -> gate cat base cur
-              | _ -> ())
-            gated_categories)
-    baseline.b_rows;
-  List.rev !issues
-
-
-(* ------------------------------------------------------------------ *)
-(* Speed gate                                                          *)
+(** The speed gate (see regress.mli). *)
 
 type perf_run = {
   pr_workload : string;

@@ -1,63 +1,6 @@
-(** Regression gates against committed baselines: attribution metrics
-    (below) and compile speed (the last section).
-
-    The attribution gate compares a fresh attribution run against a
-    committed baseline JSON (the ["gdp-attrib/1"] documents written by
-    [Explain.to_json] / [bench --report]) and reports every metric that
-    regressed beyond a tolerance — the CI contract behind
-    [bench --check FILE].
-
-    Checked per (benchmark, method) row: [cycles], [dynamic_moves], and
-    the non-useful attribution categories (transfer wait, memory
-    serialization, issue stall) — the quantities the paper's argument
-    says GDP keeps low.  A metric regresses when
-
-      [current > baseline * (1 + tolerance/100)]
-
-    (for small baselines an absolute slack of one cycle/move is allowed
-    so integer jitter on tiny benchmarks does not trip the gate).
-    Disappearing rows are regressions; new rows are not (they have no
-    baseline yet). *)
-
-type row = {
-  rg_bench : string;
-  rg_method : string;
-  rg_cycles : int;
-  rg_moves : int;
-  rg_categories : (string * int) list;
-}
-
-type baseline = { b_latency : int; b_rows : row list }
-
-(** Read a baseline out of an already-parsed ["gdp-attrib/1"] document
-    (e.g. one a pool worker sent over a pipe); [where] names the source
-    in error messages. *)
-val of_json : ?where:string -> Minijson.t -> (baseline, string) result
-
-val load : string -> (baseline, string) result
-
-(** The comparable rows of a set of explanations. *)
-val rows_of : Explain.t list -> row list
-
-type issue = {
-  i_bench : string;
-  i_method : string;
-  i_metric : string;
-  i_baseline : int;
-  i_current : int;  (** [-1] when the row disappeared *)
-}
-
-val pp_issue : issue Fmt.t
-
-(** All regressions of [current] against [baseline] at [tolerance]
-    percent; empty means the gate passes. *)
-val check : tolerance:float -> baseline:baseline -> current:row list -> issue list
-
-(** {1 Speed gate}
-
-    The compile-speed contract behind [bench --check-speed BASELINE
-    RESULTS]: fresh runs of [sh perfbench/run.sh] against committed runs
-    of the same command.  A document is the runs' standard output
+(** The speed gate: the compile-speed contract behind [bench
+    --check-speed BASELINE RESULTS], fresh runs of [sh perfbench/run.sh]
+    against committed runs of the same command.  A document is the runs' standard output
     concatenated; each run prints its [workload: W  seed: S  trace: T]
     line first and its one-line JSON result last, and the gate reads
     nothing else.  A run is known by its workload and whether it was

@@ -6,16 +6,12 @@ let src = Logs.Src.create "loadgen" ~doc:"gdpcd load generator"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type mode = Closed | Open of float
-
 type config = {
   endpoint : string;
   connections : int;
   requests : int;
   duplicate_ratio : float;
-  mode : mode;
   method_ : Partition.Methods.t;
-  deadline_ms : int option;
   seed : int;
   chaos : string option;
   inject_seed : int;
@@ -28,9 +24,7 @@ let default_config =
     connections = 4;
     requests = 40;
     duplicate_ratio = 0.5;
-    mode = Closed;
     method_ = Partition.Methods.Gdp;
-    deadline_ms = None;
     seed = 42;
     chaos = None;
     inject_seed = 0;
@@ -155,7 +149,7 @@ let run (cfg : config) =
       source = program k;
       input = workload;
       settings;
-      deadline_ms = cfg.deadline_ms;
+      deadline_ms = None;
       verify = false;
       trace_id = None (* server-assigned; read back from the response *);
     }
@@ -178,14 +172,6 @@ let run (cfg : config) =
     c.cl <- fresh_conn ()
   in
   let t0 = Unix.gettimeofday () in
-  let due =
-    match cfg.mode with
-    | Closed -> None
-    | Open rate ->
-        if rate <= 0. then
-          invalid_arg "Loadgen.run: open-loop rate must be positive";
-        Some (Array.init cfg.requests (fun i -> t0 +. (float_of_int i /. rate)))
-  in
   let start_of = Array.make cfg.requests 0. in
   let latencies = Array.make cfg.requests 0. in
   (* server-side total_us per request, from the response's trace member:
@@ -319,16 +305,9 @@ let run (cfg : config) =
           | None ->
               if !sent < cfg.requests then begin
                 let i = !sent in
-                let fire, start =
-                  match due with
-                  | None -> (true, now)
-                  | Some d -> if now >= d.(i) then (true, d.(i)) else (false, 0.)
-                in
-                if fire then begin
-                  sent := i + 1;
-                  start_of.(i) <- start;
-                  if send_request c i 1 then c.busy <- Some (i, 1)
-                end
+                sent := i + 1;
+                start_of.(i) <- now;
+                if send_request c i 1 then c.busy <- Some (i, 1)
               end
           end)
       conns
@@ -343,25 +322,13 @@ let run (cfg : config) =
         [] conns
     in
     let timeout =
-      let next_due =
-        match due with
-        | Some d when !sent < cfg.requests -> Some d.(!sent)
-        | _ -> None
-      in
-      let next_retry =
-        List.fold_left
-          (fun acc (_, _, nb) ->
-            match acc with None -> Some nb | Some a -> Some (Float.min a nb))
-          None !retry_q
-      in
-      match (next_due, next_retry) with
-      | None, None -> 5.0
-      | Some d, None | None, Some d -> Float.max 0. (Float.min 5.0 (d -. now))
-      | Some a, Some b ->
-          Float.max 0. (Float.min 5.0 (Float.min a b -. now))
+      Float.max 0.
+        (List.fold_left
+           (fun acc (_, _, nb) -> Float.min acc (nb -. now))
+           5.0 !retry_q)
     in
     if busy_fds = [] then (
-      (* everything idle but work remains: wait for the next due time *)
+      (* everything idle but work remains: wait for the next retry *)
       try ignore (Unix.select [] [] [] (Float.min timeout 0.05))
       with Unix.Unix_error (Unix.EINTR, _, _) -> ())
     else

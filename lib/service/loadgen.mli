@@ -7,15 +7,8 @@
     from a small shared set of programs (so they hit the artifact
     cache or coalesce), the rest are unique (every constant in the
     template differs).  The request stream is reproducible from
-    [seed].
-
-    Two arrival models:
-    - {e closed loop}: each connection fires its next request the
-      moment the previous response lands — measures peak capacity.
-    - {e open loop} (with [rate] requests/second): requests are due on
-      a fixed global schedule and latency is measured from the {e due}
-      time, so server-side queueing shows up in the percentiles
-      instead of being hidden by client back-off.
+    [seed].  The loop is closed: each connection fires its next
+    request the moment the previous response lands.
 
     {2 Chaos mode}
 
@@ -40,16 +33,12 @@
     the request is re-queued for the hinted time ([shed] and [retries]
     count the events) rather than counted as a failure. *)
 
-type mode = Closed | Open of float  (** requests per second *)
-
 type config = {
   endpoint : string;  (** [host:port] or Unix socket path *)
   connections : int;
   requests : int;  (** total requests to issue *)
   duplicate_ratio : float;  (** [0..1] *)
-  mode : mode;
   method_ : Partition.Methods.t;
-  deadline_ms : int option;  (** attached to every job *)
   seed : int;
   chaos : string option;  (** {!Fault} spec for client-side injection *)
   inject_seed : int;  (** seeds the chaos spec (and its [rand]) *)
@@ -57,8 +46,8 @@ type config = {
 }
 
 val default_config : config
-(** 4 connections, 40 requests, 0.5 duplicate ratio, closed loop, GDP,
-    no deadline, endpoint [gdpcd.sock], no chaos, 5 attempts. *)
+(** 4 connections, 40 requests, 0.5 duplicate ratio, GDP, endpoint
+    [gdpcd.sock], no chaos, 5 attempts. *)
 
 type summary = {
   requests : int;

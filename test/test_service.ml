@@ -1961,6 +1961,30 @@ let test_server_every_request_ends_once () =
   Alcotest.(check string) "the shutdown's line is its response's record" shutdown_trace
     (List.nth lines jobs)
 
+(* [gdpc top --once] against a live daemon: the header's first line
+   names the endpoint after "gdpcd @", not on a line of its own. *)
+let test_top_header () =
+  let gdpc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/gdpc.exe"
+  in
+  let h = Loadgen.spawn_server ~jobs:1 () in
+  let out, status =
+    Fun.protect
+      ~finally:(fun () -> Loadgen.stop_server h)
+      (fun () ->
+        let ic =
+          Unix.open_process_args_in gdpc
+            [| gdpc; "top"; "--once"; "-s"; h.Loadgen.sh_socket |]
+        in
+        let out = In_channel.input_all ic in
+        (out, Unix.close_process_in ic))
+  in
+  Alcotest.(check bool) "gdpc top exits 0" true (status = Unix.WEXITED 0);
+  let first = List.hd (String.split_on_char '\n' out) in
+  let prefix = Printf.sprintf "gdpcd @ %s \u{2014} up" h.Loadgen.sh_socket in
+  if not (String.starts_with ~prefix first) then
+    Alcotest.failf "first line %S does not start with %S" first prefix
+
 let suite =
   [
     Alcotest.test_case "minijson: control chars" `Quick test_minijson_control_chars;
@@ -2022,4 +2046,6 @@ let suite =
     Alcotest.test_case "server: events log" `Slow test_server_events_log;
     Alcotest.test_case "server: every request ends once" `Slow
       test_server_every_request_ends_once;
+    Alcotest.test_case "gdpc top: the header names the endpoint" `Slow
+      test_top_header;
   ]
